@@ -18,6 +18,7 @@ from dataclasses import dataclass, field
 from functools import lru_cache
 from typing import Callable, Iterable, Iterator, Sequence
 
+from .circuit import monotone_violation
 from .config import Budgets, budgets
 from .errors import BudgetExceededError, RelationParseError
 
@@ -216,6 +217,14 @@ def negate_relation(rel: Relation) -> Relation:
     return Relation(rel.arity, mask, name)
 
 
+def negate_relations(sset: RelationSet) -> RelationSet:
+    """negate_relation applied to every relation of sset."""
+    return RelationSet(
+        tuple(negate_relation(r) for r in sset),
+        f"~{sset.name}" if sset.name else "",
+    )
+
+
 def or_relation(arity: int) -> Relation:
     return clause_relation(arity, range(arity), [], f"or{arity}")
 
@@ -233,31 +242,18 @@ def preserves(f: BoolFun, rel: Relation, budget: Budgets | None = None) -> bool:
     applying f coordinatewise to every choice must land back in rel.
     """
     b = budgets(budget)
-    tuples = rel.tuples()
-    if len(tuples) ** f.arity > b.preserves_combos:
+    size = bin(rel.mask).count("1")
+    if size ** f.arity > b.preserves_combos:
         raise BudgetExceededError(
-            f"{len(tuples)}**{f.arity} tuple choices exceed preserves budget"
+            f"{size}**{f.arity} tuple choices exceed preserves budget"
         )
-    return _preserves(f.arity, f.table, rel.arity, rel.mask)
+    return violating_choice(f, rel) is None
 
 
 @lru_cache(maxsize=1 << 16)
-def _preserves(ell: int, table: int, k: int, mask: int) -> bool:
-    tuples = [t for t in range(1 << k) if (mask >> t) & 1]
-    for combo in itertools.product(tuples, repeat=ell):
-        image = 0
-        for j in range(k):
-            idx = 0
-            for i, t in enumerate(combo):
-                idx |= ((t >> j) & 1) << i
-            image |= ((table >> idx) & 1) << j
-        if not (mask >> image) & 1:
-            return False
-    return True
-
-
 def violating_choice(f: BoolFun, rel: Relation) -> tuple[int, ...] | None:
-    """A tuple choice witnessing non-preservation, or None if f preserves rel."""
+    """The first tuple choice, in itertools.product order, that f maps
+    outside rel; None if f preserves rel."""
     tuples = rel.tuples()
     for combo in itertools.product(tuples, repeat=f.arity):
         image = 0
@@ -266,7 +262,7 @@ def violating_choice(f: BoolFun, rel: Relation) -> tuple[int, ...] | None:
             for i, t in enumerate(combo):
                 idx |= ((t >> j) & 1) << i
             image |= ((f.table >> idx) & 1) << j
-        if not rel.member(image):
+        if not (rel.mask >> image) & 1:
             return combo
     return None
 
@@ -342,10 +338,6 @@ def closure_up_to(basis: Iterable[BoolFun], a: int, budget: Budgets | None = Non
     return sorted(out)
 
 
-def closure_contains(basis: Iterable[BoolFun], f: BoolFun, budget: Budgets | None = None) -> bool:
-    return f in closure_up_to(basis, f.arity, budget)
-
-
 # Function property record (the clone-defining predicates).
 
 @dataclass(frozen=True)
@@ -371,17 +363,6 @@ def dual(f: BoolFun) -> BoolFun:
             table |= 1 << x
     name = f"dual({f.name})" if f.name else ""
     return BoolFun(f.arity, table, name)
-
-
-def is_monotone_table(arity: int, table: int) -> bool:
-    for x in range(1 << arity):
-        if not (table >> x) & 1:
-            continue
-        for j in range(arity):
-            y = x | (1 << j)
-            if y != x and not (table >> y) & 1:
-                return False
-    return True
 
 
 def is_linear_table(arity: int, table: int) -> bool:
@@ -417,7 +398,7 @@ def classify_function(f: BoolFun) -> FunctionProfile:
             separating.append(((a, k), ok))
     full = (1 << f.arity) - 1
     return FunctionProfile(
-        monotone=is_monotone_table(f.arity, f.table),
+        monotone=monotone_violation(f.arity, f.table) is None,
         linear=is_linear_table(f.arity, f.table),
         self_dual=dual(f).table == f.table,
         reproducing_0=(f.table & 1) == 0,

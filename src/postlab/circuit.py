@@ -11,7 +11,7 @@ from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass
-from typing import Iterable, Sequence
+from typing import Iterable, Iterator, Sequence
 
 from .errors import MonotonePreconditionError
 
@@ -418,6 +418,21 @@ def quine_strip(d: Dnf) -> Dnf:
     return stripped
 
 
+def _minimal_ones(nvars: int, table: int) -> Iterator[int]:
+    """The 1-inputs of table with no 1-input strictly below them bitwise."""
+    for x in range(1 << nvars):
+        if not (table >> x) & 1:
+            continue
+        m = x
+        while m:
+            low = m & -m
+            if (table >> (x ^ low)) & 1:
+                break
+            m ^= low
+        else:
+            yield x
+
+
 def minterm_dnf(nvars: int, table: int) -> Dnf:
     """Canonical DNF of a monotone function: one positive term per minterm."""
     bad = monotone_violation(nvars, table)
@@ -425,21 +440,7 @@ def minterm_dnf(nvars: int, table: int) -> Dnf:
         raise MonotonePreconditionError(
             f"not monotone: f({bad[0]:b}) > f({bad[1]:b})", bad[0], bad[1]
         )
-    terms = []
-    for x in range(1 << nvars):
-        if not (table >> x) & 1:
-            continue
-        m = x
-        minimal = True
-        while m:
-            low = m & -m
-            if (table >> (x ^ low)) & 1:
-                minimal = False
-                break
-            m ^= low
-        if minimal:
-            terms.append((x, 0))
-    return Dnf.make(nvars, terms)
+    return Dnf.make(nvars, ((x, 0) for x in _minimal_ones(nvars, table)))
 
 
 def monotone_table_to_circuit(nvars: int, table: int) -> Circuit:
@@ -452,20 +453,7 @@ def monotone_table_to_circuit(nvars: int, table: int) -> Circuit:
 
 def count_minterms(nvars: int, table: int) -> int:
     """Number of minimal 1-inputs under the bitwise order."""
-    count = 0
-    for x in range(1 << nvars):
-        if not (table >> x) & 1:
-            continue
-        minimal = True
-        m = x
-        while m:
-            low = m & -m
-            if (table >> (x ^ low)) & 1:
-                minimal = False
-                break
-            m ^= low
-        count += minimal
-    return count
+    return sum(1 for _ in _minimal_ones(nvars, table))
 
 
 # Decision trees.

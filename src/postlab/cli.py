@@ -17,7 +17,9 @@ from pathlib import Path
 from . import clone_lattice, construct, csp, graphlab, reductions, verify
 from .boolfun import parse_relations, relation_set_from_json
 from .circuit import Circuit, is_syntactically_monotone, measures
+from .config import budgets
 from .errors import (
+    BudgetConfigError,
     BudgetExceededError,
     CatalogError,
     FragmentMismatchError,
@@ -64,18 +66,23 @@ def _load_relation_set(path: str):
     return sset
 
 
+def _require(args, *options: str) -> None:
+    """Usage error unless every named option was given."""
+    missing = [f"--{o}" for o in options if getattr(args, o) is None]
+    if missing:
+        what = getattr(args, "kind", None) or getattr(args, "op", "")
+        raise _CliError(f"{args.command} {what} needs {', '.join(missing)}", EXIT_PARSE)
+
+
+def _load_json(path: str, parse):
+    try:
+        return parse(json.loads(Path(path).read_text()))
+    except (OSError, ValueError, KeyError, TypeError) as exc:
+        raise _CliError(f"{path}: {exc}", EXIT_PARSE)
+
+
 def _load_instance(path: str) -> csp.CspInstance:
-    try:
-        return csp.CspInstance.from_json(json.loads(Path(path).read_text()))
-    except (OSError, ValueError, KeyError) as exc:
-        raise _CliError(f"{path}: {exc}", EXIT_PARSE)
-
-
-def _load_circuit(path: str) -> Circuit:
-    try:
-        return Circuit.from_json(json.loads(Path(path).read_text()))
-    except (OSError, ValueError, KeyError) as exc:
-        raise _CliError(f"{path}: {exc}", EXIT_PARSE)
+    return _load_json(path, csp.CspInstance.from_json)
 
 
 def _write_json(path: str | None, obj: dict) -> None:
@@ -140,18 +147,18 @@ def cmd_solve(args) -> int:
 
 def cmd_reduce(args) -> int:
     t0 = time.time()
-    inst = _load_instance(getattr(args, "in"))
+    # bip-oddfactor reads a bipartite graph; every other op reads an instance
+    inst = None if args.op == "bip-oddfactor" else _load_instance(getattr(args, "in"))
     outputs = []
     if args.op == "eliminate-eq":
-        out = reductions.eliminate_equality(inst)
-        payload = out.to_json()
+        payload = reductions.eliminate_equality(inst).to_json()
     elif args.op == "negate":
-        out = csp.negate_instance(inst)
-        payload = out.to_json()
+        payload = csp.negate_instance(inst).to_json()
     elif args.op == "l2-to-l3":
         out, red = reductions.l2_to_l3_transform(inst)
         payload = {"instance": out.to_json(), "reduction": red.to_json()}
     elif args.op == "cq-rewrite":
+        _require(args, "target")
         target = _load_relation_set(args.target)
         defs = {}
         for r, rel in enumerate(inst.sset):
@@ -162,22 +169,21 @@ def cmd_reduce(args) -> int:
         out, red = reductions.cq_rewrite(inst, defs)
         payload = {"instance": out.to_json(), "reduction": red.to_json()}
     elif args.op == "pol-reduce":
+        _require(args, "target")
         target = _load_relation_set(args.target)
         result = reductions.pol_reduce(inst, target)
         if result is None:
             raise _CliError("bounded query search found no definitions", EXIT_BUDGET)
-        out = result.instance
         payload = {
-            "instance": out.to_json(),
+            "instance": result.instance.to_json(),
             "or_stage": result.or_stage.to_json(),
         }
-    elif args.op == "bip-oddfactor":
-        graph = _load_bipgraph(getattr(args, "in"))
-        red = reductions.bip_oddfactor_to_xorsat(graph)
-        out = red.instance
-        payload = {"instance": out.to_json(), "beta": red.beta.to_json()}
     else:
-        raise _CliError(f"unknown reduce op {args.op}", EXIT_PARSE)
+        graph = _load_json(
+            getattr(args, "in"), lambda obj: graphlab.BipGraph(int(obj["n"]), int(obj["mask"]))
+        )
+        red = reductions.bip_oddfactor_to_xorsat(graph)
+        payload = {"instance": red.instance.to_json(), "beta": red.beta.to_json()}
     _write_json(args.out, payload)
     if args.out:
         outputs.append(args.out)
@@ -185,31 +191,28 @@ def cmd_reduce(args) -> int:
     return EXIT_OK
 
 
-def _load_bipgraph(path: str) -> graphlab.BipGraph:
-    try:
-        obj = json.loads(Path(path).read_text())
-        return graphlab.BipGraph(int(obj["n"]), int(obj["mask"]))
-    except (OSError, ValueError, KeyError) as exc:
-        raise _CliError(f"{path}: {exc}", EXIT_PARSE)
-
-
 def cmd_emit(args) -> int:
     t0 = time.time()
     inputs = []
-    if args.kind == "checkpoint":
-        bp = construct.LayeredBP.from_json(json.loads(Path(args.bp).read_text()))
-        inputs.append(args.bp)
-        circuit = construct.checkpoint_circuit(bp, args.d, args.mode)
-    elif args.kind == "threshold":
-        circuit = construct.threshold_circuit(args.k, args.n, args.mode)
-    elif args.kind == "induced":
-        circuit = construct.induced_subgraph_circuit(args.n, args.k)
-    elif args.kind == "csp":
-        sset = _load_relation_set(args.set)
-        inputs.append(args.set)
-        circuit = construct.emit_monotone_csp_circuit(sset, args.n, args.fragment)
-    else:
-        raise _CliError(f"unknown emit kind {args.kind}", EXIT_PARSE)
+    try:
+        if args.kind == "checkpoint":
+            _require(args, "bp")
+            bp = _load_json(args.bp, construct.LayeredBP.from_json)
+            inputs.append(args.bp)
+            circuit = construct.checkpoint_circuit(bp, args.d, args.mode or construct.PARITY)
+        elif args.kind == "threshold":
+            _require(args, "k", "n")
+            circuit = construct.threshold_circuit(args.k, args.n, args.mode or construct.LOGDEPTH)
+        elif args.kind == "induced":
+            _require(args, "n", "k")
+            circuit = construct.induced_subgraph_circuit(args.n, args.k)
+        else:
+            _require(args, "set", "n")
+            sset = _load_relation_set(args.set)
+            inputs.append(args.set)
+            circuit = construct.emit_monotone_csp_circuit(sset, args.n, args.fragment)
+    except ValueError as exc:  # bad mode, fragment or size parameter
+        raise _CliError(str(exc), EXIT_PARSE)
     m = measures(circuit)
     _write_json(args.out, circuit.to_json())
     print(
@@ -229,8 +232,11 @@ def cmd_emit(args) -> int:
 
 def cmd_pad(args) -> int:
     t0 = time.time()
-    circuit = _load_circuit(getattr(args, "in"))
-    padded = construct.pad_dummy_inputs(circuit, args.extra)
+    circuit = _load_json(getattr(args, "in"), Circuit.from_json)
+    try:
+        padded = construct.pad_dummy_inputs(circuit, args.extra)
+    except ValueError as exc:  # negative --extra
+        raise _CliError(str(exc), EXIT_PARSE)
     _write_json(args.out, padded.to_json())
     _run_report(args, [getattr(args, "in")], [args.out] if args.out else [], {}, t0)
     return EXIT_OK
@@ -260,13 +266,15 @@ def cmd_verify(args) -> int:
 def cmd_oracle(args) -> int:
     t0 = time.time()
     if args.kind == "csp-sat":
+        _require(args, "in")
         inst = _load_instance(getattr(args, "in"))
         if args.listing:
             sys.stdout.write(inst.listing())
         value = csp.csp_sat_value(inst)
         print("UNSAT" if value else "SAT")
         _run_report(args, [getattr(args, "in")], [], {"csp_sat": value}, t0)
-    elif args.kind == "odd-factor":
+    else:
+        _require(args, "graph")
         try:
             g = graphlab.parse_graph(Path(args.graph).read_text())
         except (OSError, RelationParseError) as exc:
@@ -276,8 +284,6 @@ def cmd_oracle(args) -> int:
         )
         print("ODD-FACTOR" if value else "NO-ODD-FACTOR")
         _run_report(args, [args.graph], [], {"odd_factor": value}, t0)
-    else:
-        raise _CliError(f"unknown oracle kind {args.kind}", EXIT_PARSE)
     return EXIT_OK
 
 
@@ -314,8 +320,7 @@ def build_parser() -> argparse.ArgumentParser:
     e.add_argument("--d", type=int, default=2, help="recursion depth (checkpoint)")
     e.add_argument(
         "--mode",
-        default="parity",
-        help="checkpoint: parity|reach; threshold: logdepth|flat",
+        help="checkpoint: parity (default) | reach; threshold: logdepth (default) | flat",
     )
     e.add_argument("--k", type=int, help="threshold k / induced subgraph size")
     e.add_argument("--n", type=int, help="input count / variable count")
@@ -351,11 +356,12 @@ def main(argv: list[str] | None = None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
     try:
+        budgets()  # a malformed POSTLAB_BUDGET is a usage error for every command
         return args.fn(args)
     except _CliError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return exc.code
-    except (RelationParseError,) as exc:
+    except (RelationParseError, BudgetConfigError) as exc:
         print(f"parse error: {exc}", file=sys.stderr)
         return EXIT_PARSE
     except (BudgetExceededError, FragmentMismatchError) as exc:

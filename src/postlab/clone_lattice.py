@@ -35,7 +35,7 @@ from .boolfun import (
     relation_set_to_json,
     violating_choice,
 )
-from .config import Budgets, budgets
+from .config import Budgets
 from .errors import CatalogError, UnknownCloneError
 
 S00_FN = BoolFun.from_function(3, lambda x, y, z: x | (y & z), "x|(y&z)")
@@ -209,12 +209,21 @@ def ensure_catalog_valid() -> None:
 
 
 @lru_cache(maxsize=1 << 14)
+def in_pol(label: str, rel: Relation) -> bool:
+    """Whether the basis of clone `label` preserves rel, i.e. whether the
+    clone lies inside Pol({rel}).
+
+    The one test of fragment membership: classification, solver choice,
+    solver guards and emitter choice all read it.  It checks only the named
+    clone's basis and never validates the catalog, so a caller that needs
+    one clone pays for one.
+    """
+    return all(preserves(f, rel) for f in descriptor(label).basis)
+
+
+@lru_cache(maxsize=1 << 14)
 def _preserved_labels(rel: Relation) -> frozenset[str]:
-    return frozenset(
-        name
-        for name, desc in CATALOG.items()
-        if all(preserves(f, rel) for f in desc.basis)
-    )
+    return frozenset(name for name in CATALOG if in_pol(name, rel))
 
 
 def clone_contained_in_pol(
@@ -344,20 +353,16 @@ def can_express_equality(sset: RelationSet, budget: Budgets | None = None) -> Eq
     Bounded by the budget's aux-variable and atom counts; incompleteness is
     explicit in the result shape.
     """
-    from .reductions import find_cq  # local import: reductions sits above this module
+    # local import: reductions sits above this module
+    from .reductions import CQSearchOverflow, find_cq
 
-    b = budgets(budget)
     try:
-        query = find_cq(EQ2, sset, budget=b)
-    except _SearchOverflow:
+        query = find_cq(EQ2, sset, budget=budget)
+    except CQSearchOverflow:
         return EqualitySearch("UNKNOWN")
     if query is None:
         return EqualitySearch("NO_WITHIN_BOUNDS")
     return EqualitySearch("YES", query)
-
-
-class _SearchOverflow(Exception):
-    """Raised internally when the CQ search exceeds its state budget."""
 
 
 def hardness_consequences(verdict: Verdict, budget: Budgets | None = None) -> Verdict:

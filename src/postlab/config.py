@@ -9,6 +9,8 @@ from __future__ import annotations
 import os
 from dataclasses import dataclass, fields, replace
 
+from .errors import BudgetConfigError
+
 
 @dataclass(frozen=True)
 class Budgets:
@@ -38,14 +40,30 @@ def _from_env(base: Budgets) -> Budgets:
         key, _, value = part.partition("=")
         key = key.strip()
         if key not in known:
-            raise ValueError(f"POSTLAB_BUDGET: unknown budget field {key!r}")
-        overrides[key] = int(value)
+            raise BudgetConfigError(f"POSTLAB_BUDGET: unknown budget field {key!r}")
+        try:
+            overrides[key] = int(value)
+        except ValueError:
+            raise BudgetConfigError(
+                f"POSTLAB_BUDGET: field {key!r} needs an integer, got {value.strip()!r}"
+            ) from None
     return replace(base, **overrides)
 
 
-DEFAULT = _from_env(Budgets())
+_env_default: tuple[str, Budgets] | None = None  # (POSTLAB_BUDGET, parsed)
 
 
 def budgets(override: Budgets | None = None) -> Budgets:
-    """Return the effective budget set (the module default unless overridden)."""
-    return DEFAULT if override is None else override
+    """Return the effective budget set: override, else the defaults with
+    POSTLAB_BUDGET applied.
+
+    The variable is parsed on first use and again whenever it changes, so a
+    malformed value raises BudgetConfigError here, never at import.
+    """
+    global _env_default
+    if override is not None:
+        return override
+    raw = os.environ.get("POSTLAB_BUDGET", "")
+    if _env_default is None or _env_default[0] != raw:
+        _env_default = (raw, _from_env(Budgets()))
+    return _env_default[1]

@@ -14,7 +14,7 @@ import random
 from dataclasses import dataclass
 from typing import Sequence
 
-from .boolfun import Relation, RelationSet
+from .boolfun import Relation, RelationSet, negate_relations
 from .circuit import (
     BOUNDED2,
     UNBOUNDED,
@@ -24,7 +24,8 @@ from .circuit import (
     truth_tables,
 )
 from .config import Budgets, budgets
-from .csp import CspInstance, _menu_kind, _or_fragment_side
+from .clone_lattice import in_pol
+from .csp import CspInstance, menu_kind, or_fragment_side
 from .errors import BudgetExceededError, FragmentMismatchError
 from .graphlab import pair_index
 from .reductions import CONST, PROJ, BitReduction
@@ -332,7 +333,6 @@ def threshold_circuit(
 
 NC1 = "nc1"
 AC0 = "ac0"
-AC0_XOR = "ac0_xor"
 
 
 def induced_subgraph_circuit(n: int, k: int, profile: str = NC1) -> Circuit:
@@ -484,21 +484,19 @@ def _clause_shape(rel: Relation) -> tuple[tuple[int, ...], tuple[int, ...]] | st
 
 
 def detect_fragment(sset: RelationSet) -> str:
-    shapes = [_clause_shape(rel) for rel in sset]
-    if all(s is not None for s in shapes):
-        literal = [s for s in shapes if isinstance(s, tuple)]
-        if all(len(pos) <= 1 for pos, _ in literal):
-            return HORN
-        if all(len(neg) <= 1 for _, neg in literal):
-            return ANTIHORN
-        if all(len(pos) + len(neg) <= 2 for pos, neg in literal):
-            return TWOSAT
+    """The emitter for sset: for clause relations the first of E2 (Horn),
+    V2 (anti-Horn) and D2 (2-SAT) inside Pol(sset), else the OR/NAND menu."""
+    if all(_clause_shape(rel) is not None for rel in sset):
+        for clone, fragment in (("E2", HORN), ("V2", ANTIHORN), ("D2", TWOSAT)):
+            if all(in_pol(clone, rel) for rel in sset):
+                return fragment
     try:
-        _or_fragment_side(sset)
-        return OR_FRAGMENT
+        or_fragment_side(sset)
     except FragmentMismatchError:
-        pass
-    raise FragmentMismatchError("relation set fits no supported monotone-circuit fragment")
+        raise FragmentMismatchError(
+            "relation set fits no supported monotone-circuit fragment"
+        ) from None
+    return OR_FRAGMENT
 
 
 def emit_monotone_csp_circuit(
@@ -510,17 +508,14 @@ def emit_monotone_csp_circuit(
     OR-fragment emitters build the implication (or entailment) graph, whose
     edges are ORs of instance bits, and close it by repeated squaring.
     """
+    if n < 1:
+        raise ValueError("n must be >= 1")
     if fragment == "auto":
         fragment = detect_fragment(sset)
     if fragment == HORN:
         return _emit_horn(sset, n)
     if fragment == ANTIHORN:
-        from .boolfun import negate_relation
-
-        negated = RelationSet(tuple(negate_relation(r) for r in sset), sset.name)
-        if detect_fragment(negated) != HORN:
-            raise FragmentMismatchError("relations are not anti-Horn clauses")
-        return _emit_horn(negated, n)
+        return _emit_horn(negate_relations(sset), n)
     if fragment == TWOSAT:
         return _emit_twosat(sset, n)
     if fragment == OR_FRAGMENT:
@@ -651,11 +646,11 @@ def _emit_twosat(sset: RelationSet, n: int) -> Circuit:
 
 
 def _emit_or_fragment(sset: RelationSet, n: int) -> Circuit:
-    side = _or_fragment_side(sset)
+    side = or_fragment_side(sset)
     inst = CspInstance(sset, n, 0)
     b = Builder(inst.size, UNBOUNDED)
     bits = [b.input(j) for j in range(inst.size)]
-    kinds = [_menu_kind(rel) for rel in sset]
+    kinds = [menu_kind(rel) for rel in sset]
     edge_bits: dict[tuple[int, int], list[int]] = {}
     unit_bits: dict[int, list[int]] = {}
     disjunctions: list[tuple[int, tuple[int, ...]]] = []

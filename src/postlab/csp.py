@@ -17,11 +17,6 @@ from functools import lru_cache
 from typing import TYPE_CHECKING, Callable, Iterator
 
 from .boolfun import (
-    AND2,
-    CONST0,
-    CONST1,
-    MAJ3,
-    OR2,
     UNIT_FALSE,
     UNIT_TRUE,
     XOR3_0,
@@ -32,14 +27,14 @@ from .boolfun import (
     RelationSet,
     clause_relation,
     nand_relation,
-    negate_relation,
+    negate_relations,
     or_relation,
-    preserves,
     relation_set_from_json,
     relation_set_to_json,
 )
+from .clone_lattice import in_pol
 from .config import Budgets, budgets
-from .errors import BudgetExceededError, FragmentMismatchError
+from .errors import BudgetExceededError, FragmentMismatchError, RelationParseError
 
 if TYPE_CHECKING:
     from .graphlab import Graph
@@ -140,11 +135,18 @@ class CspInstance:
 
     @classmethod
     def from_json(cls, obj: dict) -> "CspInstance":
+        """Parse an instance, rejecting n < 1 and set bits outside [0, N)."""
         sset = relation_set_from_json(obj["relation_set"])
+        n = int(obj["n"])
+        if n < 1:
+            raise RelationParseError(f"instance needs n >= 1, got n={n}")
+        size = _layout(tuple(r.arity for r in sset), n)[1]
         bits = 0
-        for j in obj["set_bits"]:
-            bits |= 1 << int(j)
-        return cls(sset, int(obj["n"]), bits)
+        for j in map(int, obj["set_bits"]):
+            if not 0 <= j < size:
+                raise RelationParseError(f"set bit {j} outside [0, {size})")
+            bits |= 1 << j
+        return cls(sset, n, bits)
 
     def listing(self) -> str:
         lines = []
@@ -170,7 +172,7 @@ _VIOL_FAST_VARS = 10
 
 
 @lru_cache(maxsize=512)
-def _relation_violation_segments(rel: Relation, n: int) -> tuple[int, ...]:
+def relation_violation_segments(rel: Relation, n: int) -> tuple[int, ...]:
     """For each assignment, the mask of applications of rel violated by it."""
     segments = []
     for a in range(1 << n):
@@ -194,7 +196,7 @@ def violation_masks(inst: CspInstance) -> list[int]:
     masks = [0] * (1 << inst.n)
     for r, rel in enumerate(inst.sset):
         off = inst.offsets[r]
-        segs = _relation_violation_segments(rel, inst.n)
+        segs = relation_violation_segments(rel, inst.n)
         for a in range(1 << inst.n):
             masks[a] |= segs[a] << off
     return masks
@@ -330,16 +332,6 @@ def solve_xor(inst: "CspInstance | XorSystem") -> bool:
 
 # Forward-chaining solver for AND-closed (Horn-like) relation sets.
 
-@lru_cache(maxsize=512)
-def _and_closed(rel: Relation) -> bool:
-    return preserves(AND2, rel)
-
-
-@lru_cache(maxsize=512)
-def _or_closed(rel: Relation) -> bool:
-    return preserves(OR2, rel)
-
-
 def solve_horn(inst: CspInstance) -> bool:
     """Least-model forward chaining; works for any AND-closed relations.
 
@@ -349,7 +341,7 @@ def solve_horn(inst: CspInstance) -> bool:
     marking is exactly the GEN-style least model.
     """
     for rel in inst.sset:
-        if not _and_closed(rel):
+        if not in_pol("E2", rel):
             raise FragmentMismatchError(
                 f"relation {rel.name or rel} is not AND-closed (Horn fragment)"
             )
@@ -384,21 +376,34 @@ def solve_horn(inst: CspInstance) -> bool:
 def negate_instance(inst: CspInstance) -> CspInstance:
     """Same bits over the coordinatewise-negated relations; satisfiability is
     preserved by negating assignments."""
-    negated = RelationSet(
-        tuple(negate_relation(r) for r in inst.sset),
-        f"~{inst.sset.name}" if inst.sset.name else "",
-    )
-    return CspInstance(negated, inst.n, inst.bits)
+    return CspInstance(negate_relations(inst.sset), inst.n, inst.bits)
 
 
 def solve_antihorn(inst: CspInstance) -> bool:
     """Greatest-model dual of solve_horn for OR-closed relation sets."""
     for rel in inst.sset:
-        if not _or_closed(rel):
+        if not in_pol("V2", rel):
             raise FragmentMismatchError(
                 f"relation {rel.name or rel} is not OR-closed (anti-Horn fragment)"
             )
     return solve_horn(negate_instance(inst))
+
+
+def _reachability(adj: list[int]) -> list[int]:
+    """Reflexive-transitive closure of a digraph given by out-neighbour
+    bitsets, by repeated squaring."""
+    size = len(adj)
+    reach = [adj[u] | (1 << u) for u in range(size)]
+    for _ in range(max(1, (size - 1).bit_length())):
+        for u in range(size):
+            acc = reach[u]
+            m = acc
+            while m:
+                low = m & -m
+                acc |= reach[low.bit_length() - 1]
+                m ^= low
+            reach[u] = acc
+    return reach
 
 
 # 2-SAT via the implication graph.
@@ -469,7 +474,7 @@ def _dup_pattern(variables: tuple[int, ...]) -> tuple[tuple[int, ...], tuple[int
 def solve_2sat(inst: CspInstance) -> bool:
     """Implication-graph reachability for majority-closed (bijunctive) sets."""
     for rel in inst.sset:
-        if not preserves(MAJ3, rel):
+        if not in_pol("D2", rel):
             raise FragmentMismatchError(
                 f"relation {rel.name or rel} is not majority-closed (2-SAT fragment)"
             )
@@ -502,16 +507,7 @@ def solve_2sat(inst: CspInstance) -> bool:
             else:
                 _, g1, v1, g2, v2 = cl
                 add_clause(order[g1], v1, order[g2], v2)
-    reach = [adj[u] | (1 << u) for u in range(2 * n)]
-    for _ in range(max(1, (2 * n - 1).bit_length())):
-        for u in range(2 * n):
-            acc = reach[u]
-            m = acc
-            while m:
-                low = m & -m
-                acc |= reach[low.bit_length() - 1]
-                m ^= low
-            reach[u] = acc
+    reach = _reachability(adj)
     for v in range(n):
         t, f = 2 * v, 2 * v + 1
         if (reach[t] >> f) & 1 and (reach[f] >> t) & 1:
@@ -522,7 +518,9 @@ def solve_2sat(inst: CspInstance) -> bool:
 # The OR/NAND-with-units fragment.
 
 @lru_cache(maxsize=512)
-def _menu_kind(rel: Relation) -> str | None:
+def menu_kind(rel: Relation) -> str | None:
+    """rel's entry on the OR/NAND-with-units menu ("or", "nand", "imp",
+    "imp_rev" or "eq"), or None when it is not on the menu."""
     full = (1 << (1 << rel.arity)) - 1
     if rel.mask == full - 1:
         return "or"  # everything except all-zeros (covers (x) at arity 1)
@@ -538,8 +536,12 @@ def _menu_kind(rel: Relation) -> str | None:
     return None
 
 
-def _or_fragment_side(sset: RelationSet) -> str:
-    kinds = [_menu_kind(rel) for rel in sset]
+def or_fragment_side(sset: RelationSet) -> str:
+    """Whether a menu set's disjunctions are ORs ("or") or NANDs ("nand").
+
+    Raises FragmentMismatchError off the menu or when it mixes the two.
+    """
+    kinds = [menu_kind(rel) for rel in sset]
     if any(k is None for k in kinds):
         bad = sset[kinds.index(None)]
         raise FragmentMismatchError(
@@ -560,14 +562,14 @@ def solve_or_fragment(inst: CspInstance) -> bool:
     unsatisfiable iff some disjunction fails entirely.  Dually for NAND with
     variables forced to 1.
     """
-    side = _or_fragment_side(inst.sset)
+    side = or_fragment_side(inst.sset)
     n = inst.n
     adj = [0] * n
     sources = 0  # unit-constrained variables (0-units on OR side, 1-units on NAND side)
     disjunctions = []
     unit_kind = "nand" if side == "or" else "or"
     for r, variables in inst.iter_constraints():
-        kind = _menu_kind(inst.sset[r])
+        kind = menu_kind(inst.sset[r])
         if kind == "imp":
             a, b = variables
             if a != b:
@@ -585,16 +587,7 @@ def solve_or_fragment(inst: CspInstance) -> bool:
             sources |= 1 << variables[0]
         else:
             disjunctions.append(frozenset(variables))
-    reach = [adj[v] | (1 << v) for v in range(n)]
-    for _ in range(max(1, (n - 1).bit_length())):
-        for u in range(n):
-            acc = reach[u]
-            m = acc
-            while m:
-                low = m & -m
-                acc |= reach[low.bit_length() - 1]
-                m ^= low
-            reach[u] = acc
+    reach = _reachability(adj)
     if side == "or":
         # blocked: reaches a variable constrained to 0
         bad = [bool(reach[v] & sources) for v in range(n)]
@@ -771,24 +764,28 @@ def make_tseitin(graph: "Graph", allow_chains: bool = True) -> CspInstance:
     return replace(inst, bits=bits)
 
 
+def _trivial(inst: CspInstance) -> bool:
+    """I0/I1 sets: a constant assignment satisfies every nonempty relation."""
+    return all(not inst.sset[r].is_empty for r, _ in inst.iter_constraints())
+
+
+# Schaefer's tractable cases as clones of Post's lattice, in order of choice.
+_DESIGNATED = (
+    ("I1", "trivial", _trivial),
+    ("I0", "trivial", _trivial),
+    ("E2", "horn", solve_horn),
+    ("V2", "antihorn", solve_antihorn),
+    ("D2", "2sat", solve_2sat),
+)
+
+
 def pick_solver(sset: RelationSet) -> tuple[str, Callable[[CspInstance], bool]] | None:
-    """The designated fragment solver for a relation set, if one applies."""
+    """The solver of the first tractable clone inside Pol(sset), or None.
 
-    def trivial(inst: CspInstance) -> bool:
-        return all(not inst.sset[r].is_empty for r, _ in inst.iter_constraints())
-
-    if all(preserves(CONST1, rel) for rel in sset):
-        return "trivial(I1)", trivial
-    if all(preserves(CONST0, rel) for rel in sset):
-        return "trivial(I0)", trivial
-    if all(_and_closed(rel) for rel in sset):
-        return "horn(E2)", solve_horn
-    if all(_or_closed(rel) for rel in sset):
-        return "antihorn(V2)", solve_antihorn
-    if all(preserves(MAJ3, rel) for rel in sset):
-        return "2sat(D2)", solve_2sat
-    try:
-        side = _or_fragment_side(sset)
-    except FragmentMismatchError:
-        return None
-    return (f"{side}_fragment", solve_or_fragment)
+    None covers the size-HARD sets, parity sets among them (`solve_xor`
+    decides those).
+    """
+    for clone, name, solver in _DESIGNATED:
+        if all(in_pol(clone, rel) for rel in sset):
+            return f"{name}({clone})", solver
+    return None

@@ -35,3 +35,7 @@ class MonotonePreconditionError(PostlabError, ValueError):
         super().__init__(message)
         self.lo = lo
         self.hi = hi
+
+
+class BudgetConfigError(PostlabError, ValueError):
+    """POSTLAB_BUDGET names an unknown field or gives a non-integer value."""

@@ -12,10 +12,10 @@ from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass
-from .boolfun import EQ2, Relation, RelationSet, negate_relation
+from .boolfun import EQ2, Relation, RelationSet
 from .config import Budgets, budgets
 from .csp import CspInstance
-from .errors import FragmentMismatchError
+from .errors import BudgetExceededError, FragmentMismatchError
 from .graphlab import BipGraph
 
 CONST = "const"
@@ -177,7 +177,7 @@ class CQDefinition:
         }
 
 
-class CQSearchOverflow(Exception):
+class CQSearchOverflow(BudgetExceededError):
     """The bounded conjunctive-query search ran out of its state budget."""
 
 
@@ -327,14 +327,7 @@ def pol_reduce(
     return PolReduction(final, or_stage, mid, defs)
 
 
-# Coordinatewise negation and the selector-variable transform.
-
-def negate_relations(sset: RelationSet) -> RelationSet:
-    return RelationSet(
-        tuple(negate_relation(r) for r in sset),
-        f"~{sset.name}" if sset.name else "",
-    )
-
+# The selector-variable transform.
 
 def l2_to_l3_transform(inst: CspInstance) -> tuple[CspInstance, BitReduction]:
     """Add one fresh selector variable that complements every constraint.

@@ -261,37 +261,28 @@ def verify_padding(seed: int = 0) -> SuiteReport:
                     f"violation at {viol}" if viol else "exhaustive over 2^15 inputs",
                     time.time() - t0,
                 )
-                iso_bad = []
-                for _ in range(50):
-                    gmask = rng.getrandbits(padded.circuit.n)
-                    g = graphlab.Graph.from_edge_mask(big_n, gmask)
-                    want = (table >> gmask) & 1
-                    for _ in range(50):
-                        perm = list(range(big_n))
-                        rng.shuffle(perm)
-                        pmask = graphlab.edge_mask(g.permuted(perm))
-                        if ((table >> pmask) & 1) != want:
-                            iso_bad.append(f"mask={gmask:#x}")
-                            break
-                    if iso_bad:
-                        break
-                report.add(f"{prop.name}-N6-isomorphism", not iso_bad, "; ".join(iso_bad))
+
+                def value(mask: int) -> int:
+                    return (table >> mask) & 1
             else:
-                iso_bad = []
+
+                def value(mask: int) -> int:
+                    return evaluate(padded.circuit, mask)
+
+            iso_bad = []
+            for _ in range(50):
+                gmask = rng.getrandbits(padded.circuit.n)
+                g = graphlab.Graph.from_edge_mask(big_n, gmask)
+                want = value(gmask)
                 for _ in range(50):
-                    gmask = rng.getrandbits(padded.circuit.n)
-                    g = graphlab.Graph.from_edge_mask(big_n, gmask)
-                    want = evaluate(padded.circuit, gmask)
-                    for _ in range(50):
-                        perm = list(range(big_n))
-                        rng.shuffle(perm)
-                        pmask = graphlab.edge_mask(g.permuted(perm))
-                        if evaluate(padded.circuit, pmask) != want:
-                            iso_bad.append(f"mask={gmask:#x}")
-                            break
-                    if iso_bad:
+                    perm = list(range(big_n))
+                    rng.shuffle(perm)
+                    if value(graphlab.edge_mask(g.permuted(perm))) != want:
+                        iso_bad.append(f"mask={gmask:#x}")
                         break
-                report.add(f"{prop.name}-N7-isomorphism", not iso_bad, "; ".join(iso_bad))
+                if iso_bad:
+                    break
+            report.add(f"{prop.name}-N{big_n}-isomorphism", not iso_bad, "; ".join(iso_bad))
     return report
 
 
@@ -597,7 +588,7 @@ def suite_dichotomy(instances_per_set: int = 20, seed: int = 0, quick: bool = Fa
 
     t0 = time.time()
     binary = [Relation(2, mask, f"b{mask}") for mask in range(16)]
-    segments = [csp._relation_violation_segments(rel, 4) for rel in binary]
+    segments = [csp.relation_violation_segments(rel, 4) for rel in binary]
     rng = random.Random(seed)
     not_easy: list[str] = []
     no_solver: list[str] = []

@@ -1,13 +1,15 @@
 """Command-line interface: outputs, round trips, exit codes."""
 
 import json
+import random
 from pathlib import Path
 
 import pytest
 
 from postlab.circuit import Circuit
 from postlab.cli import main
-from postlab.csp import CspInstance, make_random, make_tseitin, xor3_set
+from postlab.construct import random_layered_bp, threshold_circuit
+from postlab.csp import CspInstance, make_hornsat, make_random, make_tseitin, xor3_set
 from postlab.graphlab import Graph, format_graph
 
 DATA = Path(__file__).parent / "data"
@@ -172,3 +174,80 @@ def test_run_report(tmp_path, capsys):
     obj = json.loads(report.read_text())
     assert obj["command"] == "classify" and obj["summary"]["size"] == "EASY"
     assert list(obj["inputs"].values())[0].isalnum()
+
+
+def test_reduce_bip_oddfactor(tmp_path, capsys):
+    path = tmp_path / "bip.json"
+    path.write_text(json.dumps({"n": 2, "mask": 0b1001}))
+    code, out, _ = run(capsys, "reduce", "bip-oddfactor", "--in", str(path))
+    assert code == 0 and set(json.loads(out)) == {"instance", "beta"}
+
+
+def test_emit_threshold_default_mode(capsys):
+    code, _, err = run(capsys, "emit", "threshold", "--k", "2", "--n", "4")
+    assert code == 0 and "monotone=True" in err
+
+
+HORN3 = str(DATA / "horn3.rels")
+
+# Each argv must end in a usage/parse error (exit 2), never in a traceback.
+# {bp}, {circuit}, {inst}, {bit40} and {neg_n} name files the test writes first.
+MALFORMED = {
+    "threshold-without-k": ["emit", "threshold", "--n", "4"],
+    "checkpoint-without-bp": ["emit", "checkpoint"],
+    "induced-without-k": ["emit", "induced", "--n", "4"],
+    "induced-without-n": ["emit", "induced", "--k", "2"],
+    "csp-without-set": ["emit", "csp", "--n", "2"],
+    "csp-without-n": ["emit", "csp", "--set", HORN3],
+    "threshold-unknown-mode": ["emit", "threshold", "--k", "2", "--n", "4", "--mode", "bogus"],
+    "checkpoint-unknown-mode": ["emit", "checkpoint", "--bp", "{bp}", "--mode", "bogus"],
+    "csp-unknown-fragment": ["emit", "csp", "--set", HORN3, "--n", "2", "--fragment", "bogus"],
+    "csp-nonpositive-n": ["emit", "csp", "--set", HORN3, "--n", "-2"],
+    "pad-negative-extra": ["pad", "--in", "{circuit}", "--extra", "-1"],
+    "cq-rewrite-without-target": ["reduce", "cq-rewrite", "--in", "{inst}"],
+    "oracle-bit-beyond-n": ["oracle", "csp-sat", "--in", "{bit40}"],
+    "solve-bit-beyond-n": ["solve", "auto", "--in", "{bit40}"],
+    "solve-negative-n": ["solve", "auto", "--in", "{neg_n}"],
+    "oracle-without-in": ["oracle", "csp-sat"],
+}
+
+
+@pytest.mark.parametrize("argv", MALFORMED.values(), ids=MALFORMED.keys())
+def test_malformed_input_exits_2(tmp_path, capsys, argv):
+    inst = make_hornsat(2).to_json()  # hornt: N = 18 at n = 2
+    files = {
+        "bp": random_layered_bp(random.Random(3), 4).to_json(),
+        "circuit": threshold_circuit(2, 4).to_json(),
+        "inst": inst,
+        "bit40": dict(inst, set_bits=[40]),
+        "neg_n": dict(inst, n=-1),
+    }
+    for name, obj in files.items():
+        (tmp_path / f"{name}.json").write_text(json.dumps(obj))
+    argv = [a.format(**{k: str(tmp_path / f"{k}.json") for k in files}) for a in argv]
+    code, _, err = run(capsys, *argv)
+    assert code == 2, err
+    assert err.startswith(("error:", "parse error:"))
+
+
+def test_malformed_budget_variable_exits_2(monkeypatch, capsys):
+    monkeypatch.setenv("POSTLAB_BUDGET", "bogus=1")
+    code, _, err = run(capsys, "verify", "quine", "--quick")
+    assert code == 2 and "'bogus'" in err
+
+
+def test_equality_search_overflow_is_reported(monkeypatch, tmp_path, capsys):
+    path = tmp_path / "or2f.rels"
+    path.write_text("rel or2 2 : 01 10 11\nrel F 1 : 0\n")
+    monkeypatch.setenv("POSTLAB_BUDGET", "cq_states=3")
+    code, out, _ = run(capsys, "classify", str(path))
+    assert code == 0 and json.loads(out)["equality"] == "UNKNOWN"
+
+
+def test_cq_search_overflow_exits_3(monkeypatch, tmp_path, capsys):
+    path = tmp_path / "inst.json"
+    path.write_text(json.dumps(make_hornsat(2).to_json()))
+    monkeypatch.setenv("POSTLAB_BUDGET", "cq_states=1")
+    for op in ("cq-rewrite", "pol-reduce"):
+        code, _, err = run(capsys, "reduce", op, "--in", str(path), "--target", HORN3)
+        assert code == 3 and "state budget" in err

@@ -7,6 +7,7 @@ import pytest
 from postlab.boolfun import (
     EQ2,
     IMP2,
+    UNIT_FALSE,
     Relation,
     RelationSet,
     nand_relation,
@@ -21,8 +22,10 @@ from postlab.clone_lattice import (
     clone_contained_in_pol,
     descriptor,
     hardness_consequences,
+    in_pol,
     validate_catalog,
 )
+from postlab.config import Budgets
 from postlab.csp import ahornt_set, hornt_set, xor3_set
 from postlab.errors import UnknownCloneError
 
@@ -146,6 +149,20 @@ def test_hardness_annotations():
     assert any("parity-L-hard" in note for note in h.hardness_notes)
     t = hardness_consequences(classify(RelationSet((or_relation(2),), "or2")))
     assert t.hardness_notes == ()
+
+
+def test_equality_search_overflow_is_unknown():
+    sset = RelationSet((or_relation(2), UNIT_FALSE), "or2_f")
+    v = hardness_consequences(classify(sset), Budgets(cq_states=3))
+    assert v.equality == "UNKNOWN"
+    assert v.hardness_notes == ("equality expressibility undecided at budget",)
+
+
+def test_in_pol_agrees_with_classify():
+    for sset in (xor3_set(), hornt_set(), ahornt_set()):
+        preserved = classify(sset).preserved
+        for label in CATALOG:
+            assert (label in preserved) == all(in_pol(label, rel) for rel in sset)
 
 
 def test_verdict_json_roundtrip_fields():

@@ -3,6 +3,7 @@
 import pytest
 
 from postlab.config import Budgets, _from_env, budgets
+from postlab.errors import BudgetConfigError
 
 
 def test_defaults():
@@ -28,3 +29,12 @@ def test_budgets_passthrough():
     custom = Budgets(a_max=3)
     assert budgets(custom) is custom
     assert budgets(None).a_max == 4
+
+
+@pytest.mark.parametrize("raw,field", [("bogus=1", "'bogus'"), ("cq_states=x", "'cq_states'")])
+def test_malformed_env_raises_on_use_not_import(monkeypatch, raw, field):
+    monkeypatch.setenv("POSTLAB_BUDGET", raw)
+    with pytest.raises(BudgetConfigError, match=field):
+        budgets()
+    monkeypatch.setenv("POSTLAB_BUDGET", "cq_states=5")
+    assert budgets().cq_states == 5

@@ -37,7 +37,7 @@ from postlab.csp import (
     twosat_set,
     xor3_set,
 )
-from postlab.errors import BudgetExceededError, FragmentMismatchError
+from postlab.errors import BudgetExceededError, FragmentMismatchError, RelationParseError
 from postlab.graphlab import Graph, enumerate_graphs, odd_factor_fast
 
 
@@ -212,6 +212,18 @@ def test_pick_solver_choices():
     assert pick_solver(ahornt_set())[0] == "antihorn(V2)"
     assert pick_solver(twosat_set())[0] == "2sat(D2)"
     assert pick_solver(xor3_set()) is None
+    # the OR/NAND menu sets are OR- or AND-closed
+    for k in (1, 2, 3, 4):
+        assert pick_solver(or_fragment_set(k))[0] == ("horn(E2)" if k == 1 else "antihorn(V2)")
+        assert pick_solver(nand_fragment_set(k))[0] == "horn(E2)"
+
+
+@pytest.mark.parametrize("n,set_bits", [(0, []), (-1, []), (2, [18]), (2, [40]), (2, [-1])])
+def test_instance_from_json_validates(n, set_bits):
+    obj = make_hornsat(2).to_json()  # N = 18 at n = 2
+    obj.update(n=n, set_bits=set_bits)
+    with pytest.raises(RelationParseError):
+        CspInstance.from_json(obj)
 
 
 def test_instance_json_roundtrip():

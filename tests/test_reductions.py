@@ -11,6 +11,7 @@ from postlab.boolfun import (
     UNIT_TRUE,
     RelationSet,
     nand_relation,
+    negate_relations,
     or_relation,
     parity_relation,
     preserves,
@@ -33,7 +34,6 @@ from postlab.reductions import (
     eliminate_equality,
     find_cq,
     l2_to_l3_transform,
-    negate_relations,
     pol_reduce,
 )
 
