@@ -52,18 +52,12 @@ class BoolFun:
             raise ValueError("projection index out of range")
         return cls(arity, _projection_table(i, arity), f"p{i}^{arity}")
 
-    def value_at(self, idx: int) -> int:
-        return (self.table >> idx) & 1
-
     def __call__(self, *bits: int) -> int:
         idx = 0
         for j, b in enumerate(bits):
             if b:
                 idx |= 1 << j
         return (self.table >> idx) & 1
-
-    def is_projection(self) -> bool:
-        return any(self.table == _projection_table(i, self.arity) for i in range(self.arity))
 
     def __repr__(self):
         label = self.name or f"0x{self.table:x}"

@@ -89,8 +89,11 @@ def _write_json(path: str | None, obj: dict) -> None:
     text = json.dumps(obj, indent=2, sort_keys=True) + "\n"
     if path is None or path == "-":
         sys.stdout.write(text)
-    else:
+        return
+    try:
         Path(path).write_text(text)
+    except OSError as exc:
+        raise _CliError(f"cannot write {path}: {exc}", EXIT_PARSE)
 
 
 def _run_report(args, inputs: list[str], outputs: list[str], summary: dict, t0: float) -> None:

@@ -108,7 +108,6 @@ _EDGES: tuple[tuple[str, str], ...] = (
 
 SIZE_EASY_CLONES = ("I0", "I1", "E2", "V2", "D2")
 DEPTH_EASY_CLONES = ("I0", "I1", "S00", "S10", "D2")
-DECISIVE_CLONES = ("I0", "I1", "E2", "V2", "D2", "S00", "S10")
 
 
 def _build_catalog() -> dict[str, CloneDescriptor]:

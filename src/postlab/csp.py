@@ -12,8 +12,9 @@ from __future__ import annotations
 
 import itertools
 import random
+from bisect import bisect_right
 from dataclasses import dataclass, replace
-from functools import lru_cache
+from functools import cached_property, lru_cache
 from typing import TYPE_CHECKING, Callable, Iterator
 
 from .boolfun import (
@@ -40,33 +41,34 @@ if TYPE_CHECKING:
     from .graphlab import Graph
 
 
-@dataclass(frozen=True)
-class Assignment:
-    """A total assignment to variables 0..n-1, packed with variable 0 in bit 0."""
-
-    n: int
-    values: int
-
-    @classmethod
-    def from_string(cls, s: str) -> "Assignment":
-        vals = 0
-        for i, c in enumerate(s):
-            if c == "1":
-                vals |= 1 << i
-        return cls(len(s), vals)
-
-    def to_string(self) -> str:
-        return "".join(str((self.values >> i) & 1) for i in range(self.n))
+_BYTE_BITS = tuple(tuple(p for p in range(8) if (b >> p) & 1) for b in range(256))
+_NONZERO_BYTE = bytes([0] + [1] * 255)
 
 
-@lru_cache(maxsize=4096)
-def _layout(arities: tuple[int, ...], n: int) -> tuple[tuple[int, ...], int]:
-    offsets = []
-    total = 0
-    for k in arities:
-        offsets.append(total)
-        total += n**k
-    return tuple(offsets), total
+def _set_bits(mask: int) -> Iterator[int]:
+    """Indices of the set bits of a non-negative mask, ascending.
+
+    The mask is read as bytes and a table lists each byte's set bits.  Masks
+    of up to 32 bytes (the dichotomy sweep's 16-256-bit instances) visit
+    every byte.  Longer ones flag their nonzero bytes in one C-level pass and
+    jump between them with `find`, so a sparse 128,000-bit mask costs about
+    its byte count, not one big-integer operation per set bit.
+    """
+    data = mask.to_bytes((mask.bit_length() + 7) // 8, "little")
+    if len(data) <= 32:
+        for i, b in enumerate(data):
+            if b:
+                base = 8 * i
+                for p in _BYTE_BITS[b]:
+                    yield base + p
+        return
+    flags = data.translate(_NONZERO_BYTE)
+    i = flags.find(1)
+    while i >= 0:
+        base = 8 * i
+        for p in _BYTE_BITS[data[i]]:
+            yield base + p
+        i = flags.find(1, i + 1)
 
 
 @dataclass(frozen=True)
@@ -75,17 +77,19 @@ class CspInstance:
     n: int
     bits: int = 0
 
-    @property
-    def arities(self) -> tuple[int, ...]:
-        return tuple(r.arity for r in self.sset)
+    @cached_property
+    def _layout(self) -> tuple[tuple[int, ...], int]:
+        """(offsets, N): relation r's n**arity applications start at offsets[r]."""
+        offsets = []
+        total = 0
+        for rel in self.sset:
+            offsets.append(total)
+            total += self.n**rel.arity
+        return tuple(offsets), total
 
     @property
     def size(self) -> int:
-        return _layout(self.arities, self.n)[1]
-
-    @property
-    def offsets(self) -> tuple[int, ...]:
-        return _layout(self.arities, self.n)[0]
+        return self._layout[1]
 
     def encode(self, r: int, variables: tuple[int, ...]) -> int:
         k = self.sset[r].arity
@@ -97,31 +101,28 @@ class CspInstance:
             if not 0 <= v < self.n:
                 raise ValueError("variable index out of range")
             rank = rank * self.n + v
-        return self.offsets[r] + rank
+        return self._layout[0][r] + rank
 
     def decode(self, j: int) -> tuple[int, tuple[int, ...]]:
-        if not 0 <= j < self.size:
+        offsets, size = self._layout
+        if not 0 <= j < size:
             raise IndexError("constraint index out of range")
-        r = 0
-        offsets = self.offsets
-        while r + 1 < len(offsets) and offsets[r + 1] <= j:
-            r += 1
+        r = bisect_right(offsets, j) - 1
         rank = j - offsets[r]
+        n = self.n
         variables = []
         for _ in range(self.sset[r].arity):
-            variables.append(rank % self.n)
-            rank //= self.n
+            variables.append(rank % n)
+            rank //= n
         return r, tuple(variables)
 
     def with_constraint(self, r: int, variables: tuple[int, ...]) -> "CspInstance":
         return replace(self, bits=self.bits | (1 << self.encode(r, variables)))
 
     def iter_constraints(self) -> Iterator[tuple[int, tuple[int, ...]]]:
-        mask = self.bits
-        while mask:
-            low = mask & -mask
-            yield self.decode(low.bit_length() - 1)
-            mask ^= low
+        """(relation index, variable tuple) of each present constraint, in bit order."""
+        for j in _set_bits(self.bits):
+            yield self.decode(j)
 
     def constraint_count(self) -> int:
         return bin(self.bits).count("1")
@@ -130,7 +131,7 @@ class CspInstance:
         return {
             "relation_set": relation_set_to_json(self.sset),
             "n": self.n,
-            "set_bits": [j for j in range(self.size) if (self.bits >> j) & 1],
+            "set_bits": list(_set_bits(self.bits)),
         }
 
     @classmethod
@@ -140,7 +141,7 @@ class CspInstance:
         n = int(obj["n"])
         if n < 1:
             raise RelationParseError(f"instance needs n >= 1, got n={n}")
-        size = _layout(tuple(r.arity for r in sset), n)[1]
+        size = cls(sset, n).size
         bits = 0
         for j in map(int, obj["set_bits"]):
             if not 0 <= j < size:
@@ -172,7 +173,7 @@ _VIOL_FAST_VARS = 10
 
 
 @lru_cache(maxsize=512)
-def relation_violation_segments(rel: Relation, n: int) -> tuple[int, ...]:
+def _relation_violation_segments(rel: Relation, n: int) -> tuple[int, ...]:
     """For each assignment, the mask of applications of rel violated by it."""
     segments = []
     for a in range(1 << n):
@@ -194,9 +195,8 @@ def violation_masks(inst: CspInstance) -> list[int]:
     """Per-assignment masks over all N applications; the instance is
     satisfiable iff some assignment mask misses all set bits."""
     masks = [0] * (1 << inst.n)
-    for r, rel in enumerate(inst.sset):
-        off = inst.offsets[r]
-        segs = relation_violation_segments(rel, inst.n)
+    for off, rel in zip(inst._layout[0], inst.sset):
+        segs = _relation_violation_segments(rel, inst.n)
         for a in range(1 << inst.n):
             masks[a] |= segs[a] << off
     return masks
@@ -289,38 +289,30 @@ def _affine_rows(rel: Relation) -> tuple[tuple[int, int], ...] | None:
     return tuple(rows)
 
 
-_XOR_ROW_CACHE: dict[tuple[RelationSet, int], dict[int, tuple[tuple[int, int], ...]]] = {}
+@lru_cache(maxsize=4096)
+def _xor_rows(sset: RelationSet, n: int, j: int) -> tuple[tuple[int, int], ...]:
+    """GF(2) rows (variable mask, rhs) of the j-th application over (sset, n)."""
+    r, variables = CspInstance(sset, n).decode(j)
+    checks = _affine_rows(sset[r])
+    if checks is None:
+        raise FragmentMismatchError(
+            f"relation {sset[r].name or r} is not an affine parity relation"
+        )
+    rows = []
+    for c, par in checks:
+        mask = 0
+        for pos, v in enumerate(variables):
+            if (c >> pos) & 1:
+                mask ^= 1 << v  # repeated variables cancel over GF(2)
+        rows.append((mask, par))
+    return tuple(rows)
 
 
 def instance_to_xor_system(inst: CspInstance) -> XorSystem:
-    cache = _XOR_ROW_CACHE.setdefault((inst.sset, inst.n), {})
     rows = []
-    for j_mask in _iter_bits(inst.bits):
-        cached = cache.get(j_mask)
-        if cached is None:
-            r, variables = inst.decode(j_mask.bit_length() - 1)
-            checks = _affine_rows(inst.sset[r])
-            if checks is None:
-                raise FragmentMismatchError(
-                    f"relation {inst.sset[r].name or r} is not an affine parity relation"
-                )
-            built = []
-            for c, par in checks:
-                mask = 0
-                for pos, v in enumerate(variables):
-                    if (c >> pos) & 1:
-                        mask ^= 1 << v  # repeated variables cancel over GF(2)
-                built.append((mask, par))
-            cached = cache[j_mask] = tuple(built)
-        rows.extend(cached)
+    for j in _set_bits(inst.bits):
+        rows.extend(_xor_rows(inst.sset, inst.n, j))
     return XorSystem(inst.n, tuple(rows))
-
-
-def _iter_bits(mask: int) -> Iterator[int]:
-    while mask:
-        low = mask & -mask
-        yield low
-        mask ^= low
 
 
 def solve_xor(inst: "CspInstance | XorSystem") -> bool:
@@ -613,9 +605,10 @@ def monotonicity_check(
     """Verify w <= w' implies fn(w) <= fn(w'), exhaustively when 2**N fits the
     budget and on sampled chains otherwise.  fn defaults to CSP-SAT."""
     b = budgets(budget)
-    size = _layout(tuple(r.arity for r in sset), n)[1]
+    inst = CspInstance(sset, n)
+    size = inst.size
     if fn is None:
-        viol = violation_masks(CspInstance(sset, n, 0))
+        viol = violation_masks(inst)
 
         def fn(bits: int) -> bool:
             return not any(bits & v == 0 for v in viol)
@@ -698,14 +691,21 @@ def make_hornsat(n: int) -> CspInstance:
     return CspInstance(hornt_set(), n, 0)
 
 
-def make_random(sset: RelationSet, n: int, density: float, seed: int) -> CspInstance:
-    rng = random.Random(seed)
-    inst = CspInstance(sset, n, 0)
+def random_instance(
+    sset: RelationSet, n: int, density: float, rng: random.Random
+) -> CspInstance:
+    """Each of the N applications present with probability density, drawn
+    from rng in bit order."""
+    inst = CspInstance(sset, n)
     bits = 0
     for j in range(inst.size):
         if rng.random() < density:
             bits |= 1 << j
     return replace(inst, bits=bits)
+
+
+def make_random(sset: RelationSet, n: int, density: float, seed: int) -> CspInstance:
+    return random_instance(sset, n, density, random.Random(seed))
 
 
 def make_tseitin(graph: "Graph", allow_chains: bool = True) -> CspInstance:

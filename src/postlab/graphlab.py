@@ -218,6 +218,5 @@ def edge_mask(g: Graph) -> int:
 
 
 def enumerate_graphs(v: int) -> Iterator[Graph]:
-    pairs = list(itertools.combinations(range(v), 2))
-    for mask in range(1 << len(pairs)):
-        yield Graph(v, frozenset(p for i, p in enumerate(pairs) if (mask >> i) & 1))
+    for mask in range(1 << (v * (v - 1) // 2)):
+        yield Graph.from_edge_mask(v, mask)

@@ -11,10 +11,10 @@ composed instance separately.
 from __future__ import annotations
 
 import itertools
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from .boolfun import EQ2, Relation, RelationSet
 from .config import Budgets, budgets
-from .csp import CspInstance
+from .csp import CspInstance, solve_xor, xor3_set
 from .errors import BudgetExceededError, FragmentMismatchError
 from .graphlab import BipGraph
 
@@ -374,7 +374,6 @@ class BipOddFactorReduction:
     instance: CspInstance
     beta: BitReduction
     n: int
-    n_vars: int
     always_bits: tuple[int, ...]
     cell_bits: tuple[tuple[int, int], ...]  # (cell index i*n+j, application bit)
 
@@ -388,14 +387,12 @@ class BipOddFactorReduction:
         return bits
 
     def instance_for(self, graph_mask: int) -> CspInstance:
-        return CspInstance(self.instance.sset, self.n_vars, self.alpha_bits(graph_mask))
+        return CspInstance(self.instance.sset, self.instance.n, self.alpha_bits(graph_mask))
 
     def dual_of_xorsat(self, graph_mask: int) -> bool:
         """dual(XOR-SAT) evaluated at beta(M): since XOR-SAT accepts the
         unsatisfiable systems and alpha = not beta, this is satisfiability
         of the alpha system."""
-        from .csp import solve_xor
-
         return solve_xor(self.instance_for(graph_mask))
 
 
@@ -410,13 +407,11 @@ def bip_oddfactor_to_xorsat(graph: BipGraph) -> BipOddFactorReduction:
     """
     n = graph.n
     if n == 1:
-        n_vars = 1
-        inst0 = CspInstance(_xor3set(), n_vars, 0)
+        inst0 = CspInstance(xor3_set(), 1)
         always = [inst0.encode(1, (0, 0, 0))]
         cell_bits = {0: inst0.encode(0, (0, 0, 0))}
     else:
-        n_vars = n * n + 2 * n * (n - 1)
-        inst0 = CspInstance(_xor3set(), n_vars, 0)
+        inst0 = CspInstance(xor3_set(), n * n + 2 * n * (n - 1))
 
         def x(i: int, j: int) -> int:
             return i * n + j
@@ -443,29 +438,11 @@ def bip_oddfactor_to_xorsat(graph: BipGraph) -> BipOddFactorReduction:
             for i in range(n)
             for j in range(n)
         }
-    bits = 0
-    for b in always:
-        bits |= 1 << b
-    for cell, bit in cell_bits.items():
-        if not (graph.mask >> cell) & 1:
-            bits |= 1 << bit
     beta_defs: list[tuple] = [(CONST, 1)] * inst0.size
     for b in always:
         beta_defs[b] = (CONST, 0)
     for cell, bit in cell_bits.items():
         beta_defs[bit] = (PROJ, cell)
     beta = BitReduction(n * n, inst0.size, tuple(beta_defs))
-    return BipOddFactorReduction(
-        CspInstance(inst0.sset, n_vars, bits),
-        beta,
-        n,
-        n_vars,
-        tuple(always),
-        tuple(sorted(cell_bits.items())),
-    )
-
-
-def _xor3set() -> RelationSet:
-    from .csp import xor3_set
-
-    return xor3_set()
+    layout = BipOddFactorReduction(inst0, beta, n, tuple(always), tuple(sorted(cell_bits.items())))
+    return replace(layout, instance=layout.instance_for(graph.mask))

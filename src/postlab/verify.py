@@ -308,9 +308,9 @@ def verify_emitters(seed: int = 0, random_masks: int = 1000) -> SuiteReport:
         if not is_syntactically_monotone(circuit):
             bad.append("contains NOT or XOR gates")
         size = circuit.n
+        viol = violation_masks(CspInstance(sset, n))
         if size <= 18:
             table = truth_tables(circuit)[0]
-            viol = violation_masks(CspInstance(sset, n, 0))
             for w in range(1 << size):
                 want = not any(w & v == 0 for v in viol)
                 if ((table >> w) & 1) != want:
@@ -319,7 +319,6 @@ def verify_emitters(seed: int = 0, random_masks: int = 1000) -> SuiteReport:
             mode = f"exhaustive 2^{size}"
         else:
             rng = random.Random(seed)
-            viol = violation_masks(CspInstance(sset, n, 0))
             for _ in range(random_masks):
                 w = rng.getrandbits(size) & rng.getrandbits(size) & rng.getrandbits(size)
                 want = not any(w & v == 0 for v in viol)
@@ -377,14 +376,6 @@ def suite_constructions(seed: int = 0, quick: bool = False) -> SuiteReport:
 
 # Reductions.
 
-def _random_bits(rng: random.Random, size: int, density: float) -> int:
-    bits = 0
-    for j in range(size):
-        if rng.random() < density:
-            bits |= 1 << j
-    return bits
-
-
 def suite_reductions(seed: int = 0, instances: int = 500, quick: bool = False) -> SuiteReport:
     report = SuiteReport("reductions")
     if quick:
@@ -407,7 +398,7 @@ def suite_reductions(seed: int = 0, instances: int = 500, quick: bool = False) -
 
     def pair_eliminate(trial):
         n = 2 + trial % 4
-        inst = CspInstance(eq_set, n, _random_bits(rng, CspInstance(eq_set, n, 0).size, 0.12))
+        inst = csp.random_instance(eq_set, n, 0.12, rng)
         return inst, reductions.eliminate_equality(inst), None
 
     run_op("eliminate-equality", pair_eliminate)
@@ -418,7 +409,7 @@ def suite_reductions(seed: int = 0, instances: int = 500, quick: bool = False) -
 
     def pair_cq(trial):
         n = 2 + trial % 4
-        inst = CspInstance(s1, n, _random_bits(rng, CspInstance(s1, n, 0).size, 0.12))
+        inst = csp.random_instance(s1, n, 0.12, rng)
         out, red = reductions.cq_rewrite(inst, defs)
         return inst, out, red
 
@@ -429,7 +420,7 @@ def suite_reductions(seed: int = 0, instances: int = 500, quick: bool = False) -
 
     def pair_cq_aux(trial):
         n = 2 + trial % 2
-        inst = CspInstance(ne_set, n, _random_bits(rng, CspInstance(ne_set, n, 0).size, 0.3))
+        inst = csp.random_instance(ne_set, n, 0.3, rng)
         out, red = reductions.cq_rewrite(inst, defs_aux)
         return inst, out, red
 
@@ -444,7 +435,7 @@ def suite_reductions(seed: int = 0, instances: int = 500, quick: bool = False) -
 
     def pair_pol(trial):
         n = 2 + trial % 4
-        inst = CspInstance(s1, n, _random_bits(rng, CspInstance(s1, n, 0).size, 0.12))
+        inst = csp.random_instance(s1, n, 0.12, rng)
         pr = reductions.pol_reduce(inst, s2)
         assert pr is not None
         return inst, pr.instance, pr.or_stage
@@ -454,7 +445,7 @@ def suite_reductions(seed: int = 0, instances: int = 500, quick: bool = False) -
     def pair_l2l3(trial):
         n = 2 + trial % 3
         sset = csp.xor3_set()
-        inst = CspInstance(sset, n, _random_bits(rng, CspInstance(sset, n, 0).size, 0.08))
+        inst = csp.random_instance(sset, n, 0.08, rng)
         out, red = reductions.l2_to_l3_transform(inst)
         if not red.is_projection_only:
             raise AssertionError("l2-to-l3 must be a projection")
@@ -465,7 +456,7 @@ def suite_reductions(seed: int = 0, instances: int = 500, quick: bool = False) -
     def pair_negate(trial):
         n = 2 + trial % 4
         sset = csp.hornt_set()
-        inst = CspInstance(sset, n, _random_bits(rng, CspInstance(sset, n, 0).size, 0.05))
+        inst = csp.random_instance(sset, n, 0.05, rng)
         return inst, csp.negate_instance(inst), None
 
     run_op("negate-relations", pair_negate)
@@ -588,7 +579,6 @@ def suite_dichotomy(instances_per_set: int = 20, seed: int = 0, quick: bool = Fa
 
     t0 = time.time()
     binary = [Relation(2, mask, f"b{mask}") for mask in range(16)]
-    segments = [csp.relation_violation_segments(rel, 4) for rel in binary]
     rng = random.Random(seed)
     not_easy: list[str] = []
     no_solver: list[str] = []
@@ -596,8 +586,7 @@ def suite_dichotomy(instances_per_set: int = 20, seed: int = 0, quick: bool = Fa
     subset_range = range(0, 1 << 16, 7 if quick else 1)
     checked_sets = 0
     for subset in subset_range:
-        members = [i for i in range(16) if (subset >> i) & 1]
-        sset = RelationSet(tuple(binary[i] for i in members))
+        sset = RelationSet(tuple(binary[i] for i in range(16) if (subset >> i) & 1))
         verdict = clone_lattice.classify(sset)
         checked_sets += 1
         if verdict.size_side != "EASY":
@@ -612,23 +601,15 @@ def suite_dichotomy(instances_per_set: int = 20, seed: int = 0, quick: bool = Fa
                 break
             continue
         label, solver = picked
-        n = 4
-        size = 16 * len(members)
+        empty = CspInstance(sset, 4)
+        size = empty.size
+        viol = violation_masks(empty)
         for t in range(instances_per_set):
             bits = (rng.getrandbits(size) & rng.getrandbits(size)) if size else 0
             if t % 2 and size:
                 bits &= rng.getrandbits(size)
-            inst = CspInstance(sset, n, bits)
-            sat = True
-            for a in range(16):
-                viol = 0
-                for pos, i in enumerate(members):
-                    viol |= segments[i][a] << (16 * pos)
-                if bits & viol == 0:
-                    break
-            else:
-                sat = False
-            got = solver(inst)
+            sat = any(bits & v == 0 for v in viol)
+            got = solver(CspInstance(sset, 4, bits))
             if got != sat:
                 mismatched.append(f"subset={subset:#x} solver={label} bits={bits:#x}")
                 break

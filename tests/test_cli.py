@@ -191,7 +191,8 @@ def test_emit_threshold_default_mode(capsys):
 HORN3 = str(DATA / "horn3.rels")
 
 # Each argv must end in a usage/parse error (exit 2), never in a traceback.
-# {bp}, {circuit}, {inst}, {bit40} and {neg_n} name files the test writes first.
+# {bp}, {circuit}, {inst}, {bit40} and {neg_n} name files the test writes
+# first; "{inst}/c.json" is a path whose parent is a file, so it cannot be written.
 MALFORMED = {
     "threshold-without-k": ["emit", "threshold", "--n", "4"],
     "checkpoint-without-bp": ["emit", "checkpoint"],
@@ -209,6 +210,8 @@ MALFORMED = {
     "solve-bit-beyond-n": ["solve", "auto", "--in", "{bit40}"],
     "solve-negative-n": ["solve", "auto", "--in", "{neg_n}"],
     "oracle-without-in": ["oracle", "csp-sat"],
+    "unwritable-out": ["emit", "threshold", "--k", "2", "--n", "3", "--out", "{inst}/c.json"],
+    "unwritable-report": ["--report", "{inst}/r.json", "solve", "brute", "--in", "{inst}"],
 }
 
 

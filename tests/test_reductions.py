@@ -182,7 +182,7 @@ def test_l2_to_l3_preserves_and_projects():
 
 def test_bip_oddfactor_structure():
     red = bip_oddfactor_to_xorsat(BipGraph(3, 0b100010001))
-    assert red.n_vars == 9 + 2 * 3 * 2
+    assert red.instance.n == 9 + 2 * 3 * 2
     assert red.beta.is_projection_only
     assert red.dual_of_xorsat(0b100010001) is True
     assert red.dual_of_xorsat(0) is False
