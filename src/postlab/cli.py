@@ -45,6 +45,13 @@ def _sha256(path: Path) -> str:
     return hashlib.sha256(path.read_bytes()).hexdigest()
 
 
+def _check_arity(path: str, sset) -> None:
+    """Usage error for a relation wider than MAX_CLI_ARITY: the oracles and
+    the solvers enumerate 2**arity tuples."""
+    if any(rel.arity > MAX_CLI_ARITY for rel in sset):
+        raise _CliError(f"{path}: relation arity above {MAX_CLI_ARITY}", EXIT_PARSE)
+
+
 def _load_relation_set(path: str):
     p = Path(path)
     try:
@@ -58,9 +65,7 @@ def _load_relation_set(path: str):
             sset = parse_relations(text, name=p.stem)
     except (RelationParseError, ValueError, KeyError) as exc:
         raise _CliError(f"{path}: {exc}", EXIT_PARSE)
-    for rel in sset:
-        if rel.arity > MAX_CLI_ARITY:
-            raise _CliError(f"{path}: relation arity above {MAX_CLI_ARITY}", EXIT_PARSE)
+    _check_arity(path, sset)
     if not sset.name:
         sset = type(sset)(sset.relations, p.stem)
     return sset
@@ -82,7 +87,9 @@ def _load_json(path: str, parse):
 
 
 def _load_instance(path: str) -> csp.CspInstance:
-    return _load_json(path, csp.CspInstance.from_json)
+    inst = _load_json(path, csp.CspInstance.from_json)
+    _check_arity(path, inst.sset)
+    return inst
 
 
 def _write_json(path: str | None, obj: dict) -> None:

@@ -15,7 +15,7 @@ import random
 from bisect import bisect_right
 from dataclasses import dataclass, replace
 from functools import cached_property, lru_cache
-from typing import TYPE_CHECKING, Callable, Iterator
+from typing import Callable, Iterator
 
 from .boolfun import (
     UNIT_FALSE,
@@ -36,9 +36,6 @@ from .boolfun import (
 from .clone_lattice import in_pol
 from .config import Budgets, budgets
 from .errors import BudgetExceededError, FragmentMismatchError, RelationParseError
-
-if TYPE_CHECKING:
-    from .graphlab import Graph
 
 
 _BYTE_BITS = tuple(tuple(p for p in range(8) if (b >> p) & 1) for b in range(256))
@@ -315,6 +312,36 @@ def instance_to_xor_system(inst: CspInstance) -> XorSystem:
     return XorSystem(inst.n, tuple(rows))
 
 
+def xor_system_to_instance(system: XorSystem) -> CspInstance:
+    """The width-3 form of a parity system, over xor3_set().
+
+    Each row (mask, rhs) over variables v0 < v1 < ... becomes a chain
+    z0 = v0 + v1, z_t = z_{t-1} + v_{t+1}, closed by z_last = rhs, with the
+    k - 1 chain variables of a k-variable row appended after system.nvars,
+    row by row.  A one-variable row is rhs on (v, v, v); an empty row with
+    rhs 1 is both relations on one fresh variable.
+    """
+    n = system.nvars
+    applications = []  # (relation index = parity, variable tuple)
+    for mask, rhs in system.rows:
+        vs = list(_set_bits(mask))
+        if not vs:
+            if rhs:
+                applications += [(0, (n,) * 3), (1, (n,) * 3)]
+                n += 1
+            continue
+        last = vs[0]
+        for v in vs[1:]:
+            applications.append((0, (n, last, v)))
+            last, n = n, n + 1
+        applications.append((rhs, (last,) * 3))
+    inst = CspInstance(xor3_set(), max(n, 1))
+    bits = 0
+    for r, variables in applications:
+        bits |= 1 << inst.encode(r, variables)
+    return replace(inst, bits=bits)
+
+
 def solve_xor(inst: "CspInstance | XorSystem") -> bool:
     """Satisfiability of a parity instance by Gaussian elimination."""
     if isinstance(inst, XorSystem):
@@ -337,10 +364,10 @@ def solve_horn(inst: CspInstance) -> bool:
             raise FragmentMismatchError(
                 f"relation {rel.name or rel} is not AND-closed (Horn fragment)"
             )
-    constraints = []
-    for r, variables in inst.iter_constraints():
-        rel = inst.sset[r]
-        constraints.append((rel.tuples(), variables, rel.arity))
+    tuples = [rel.tuples() for rel in inst.sset]
+    constraints = [
+        (tuples[r], variables, len(variables)) for r, variables in inst.iter_constraints()
+    ]
     forced = 0
     while True:
         changed = False
@@ -706,62 +733,6 @@ def random_instance(
 
 def make_random(sset: RelationSet, n: int, density: float, seed: int) -> CspInstance:
     return random_instance(sset, n, density, random.Random(seed))
-
-
-def make_tseitin(graph: "Graph", allow_chains: bool = True) -> CspInstance:
-    """Tseitin parity system of a graph over the two 3-XOR relations.
-
-    One variable per edge (sorted order), one parity-1 constraint per vertex.
-    Degree-1 and degree-3 vertices are encoded with repeated variables;
-    other degrees need auxiliary chain variables, appended after the edge
-    variables in vertex order (rejected when allow_chains is False).
-    """
-    edges = sorted(graph.edges)
-    edge_var = {e: i for i, e in enumerate(edges)}
-    incident: list[list[int]] = [[] for _ in range(graph.v)]
-    for e in edges:
-        incident[e[0]].append(edge_var[e])
-        incident[e[1]].append(edge_var[e])
-    aux = len(edges)
-    needed = []
-    for v in range(graph.v):
-        d = len(incident[v])
-        if d not in (1, 3):
-            if not allow_chains:
-                raise FragmentMismatchError(
-                    f"vertex {v} has degree {d}; enable chain rewriting"
-                )
-            needed.append(v)
-    n_vars = len(edges)
-    chain_base = {}
-    for v in needed:
-        d = len(incident[v])
-        chain_base[v] = n_vars
-        n_vars += max(1, d - 1)
-    inst = CspInstance(xor3_set(), max(n_vars, 1), 0)
-    bits = 0
-    for v in range(graph.v):
-        ev = incident[v]
-        d = len(ev)
-        if d == 1:
-            bits |= 1 << inst.encode(1, (ev[0], ev[0], ev[0]))
-        elif d == 3:
-            bits |= 1 << inst.encode(1, (ev[0], ev[1], ev[2]))
-        elif d == 0:
-            a = chain_base[v]
-            bits |= 1 << inst.encode(0, (a, a, a))  # a = 0
-            bits |= 1 << inst.encode(1, (a, a, a))  # a = 1: contradiction
-        elif d == 2:
-            z = chain_base[v]
-            bits |= 1 << inst.encode(0, (z, ev[0], ev[1]))
-            bits |= 1 << inst.encode(1, (z, z, z))
-        else:
-            z = chain_base[v]
-            bits |= 1 << inst.encode(0, (z, ev[0], ev[1]))
-            for t in range(1, d - 1):
-                bits |= 1 << inst.encode(0, (z + t, z + t - 1, ev[t + 1]))
-            bits |= 1 << inst.encode(1, (z + d - 2,) * 3)
-    return replace(inst, bits=bits)
 
 
 def _trivial(inst: CspInstance) -> bool:

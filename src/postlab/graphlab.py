@@ -22,6 +22,8 @@ class Graph:
     edges: frozenset[tuple[int, int]]
 
     def __post_init__(self):
+        if self.v < 0:
+            raise ValueError(f"graph needs v >= 0, got v={self.v}")
         for a, b in self.edges:
             if not (0 <= a < b < self.v):
                 raise ValueError(f"bad edge ({a},{b}) for {self.v} vertices")
@@ -59,6 +61,8 @@ class BipGraph:
     mask: int
 
     def __post_init__(self):
+        if self.n < 1:
+            raise ValueError(f"bipartite graph needs n >= 1, got n={self.n}")
         if self.mask < 0 or self.mask >> (self.n * self.n):
             raise ValueError("biadjacency mask larger than n*n")
 
@@ -131,19 +135,17 @@ def odd_factor_fast(g: Graph) -> bool:
 
 
 @lru_cache(maxsize=64)
-def _xor_shuffle_masks(v: int) -> tuple[tuple[int, int, int], ...]:
-    # for each vertex bit: (shift, low-half mask, high-half mask) over the
-    # 2**v positions, used to permute an achievable-set bitmask by xor
+def _xor_shuffle_masks(v: int) -> tuple[tuple[int, int], ...]:
+    # for each vertex bit b: (2**b, mask of the positions p < 2**v with bit b
+    # of p clear), used to permute an achievable-set bitmask by xor
     out = []
-    size = 1 << v
-    full = (1 << size) - 1
     for b in range(v):
         shift = 1 << b
-        low = 0
-        for p in range(size):
-            if not (p >> b) & 1:
-                low |= 1 << p
-        out.append((shift, low, full & ~low))
+        low, width = (1 << shift) - 1, 2 * shift
+        while width < 1 << v:
+            low |= low << width
+            width *= 2
+        out.append((shift, low))
     return tuple(out)
 
 
@@ -159,6 +161,8 @@ def odd_factor_oracle(g: Graph, budget: Budgets | None = None) -> bool:
     b = budgets(budget)
     if len(g.edges) > b.oracle_edges:
         raise BudgetExceededError(f"{len(g.edges)} edges above oracle budget")
+    if g.v > b.oracle_edges:  # the parity bitmask has 2**v bits
+        raise BudgetExceededError(f"{g.v} vertices above oracle budget")
     if g.v == 0:
         return True
     shuffles = _xor_shuffle_masks(g.v)
@@ -166,38 +170,28 @@ def odd_factor_oracle(g: Graph, budget: Budgets | None = None) -> bool:
     for a, bv in g.edges:
         shifted = achievable
         for vertex in (a, bv):
-            shift, low, high = shuffles[vertex]
-            shifted = ((shifted & low) << shift) | ((shifted & high) >> shift)
+            shift, low = shuffles[vertex]
+            shifted = ((shifted & low) << shift) | ((shifted >> shift) & low)
         achievable |= shifted
     return bool((achievable >> ((1 << g.v) - 1)) & 1)
 
 
 def tseitin_system(g: Graph) -> XorSystem:
-    """One variable per edge (sorted order), one parity-1 equation per vertex."""
-    edges = sorted(g.edges)
-    index = {e: i for i, e in enumerate(edges)}
-    rows = []
-    for v in range(g.v):
-        mask = 0
-        for e in edges:
-            if v in e:
-                mask |= 1 << index[e]
-        rows.append((mask, 1))
-    return XorSystem(max(len(edges), 1), tuple(rows))
+    """The Tseitin encoding of odd-factor existence: one variable per edge
+    (sorted order), one parity-1 equation per vertex over its incident edges.
+
+    `csp.xor_system_to_instance` turns it into a 3-XOR-SAT instance.
+    """
+    incidence = [0] * g.v
+    for i, (a, b) in enumerate(sorted(g.edges)):
+        incidence[a] |= 1 << i
+        incidence[b] |= 1 << i
+    return XorSystem(max(len(g.edges), 1), tuple((mask, 1) for mask in incidence))
 
 
-def bip_odd_factor(graph: BipGraph, method: str = "fast", budget: Budgets | None = None) -> bool:
-    """Odd factor existence in a bipartite graph, via the general-graph
-    embedding (fast) or direct subset enumeration (oracle)."""
-    g = graph.to_graph()
-    if method == "fast":
-        return odd_factor_fast(g)
-    if method == "oracle":
-        b = budgets(budget)
-        if graph.n > 5:
-            raise BudgetExceededError("oracle mode limited to n <= 5")
-        return odd_factor_oracle(g, b)
-    raise ValueError(f"unknown method {method!r}")
+def bip_odd_factor(graph: BipGraph) -> bool:
+    """Odd factor existence in a bipartite graph, via the general-graph embedding."""
+    return odd_factor_fast(graph.to_graph())
 
 
 def pair_index(i: int, j: int, v: int) -> int:

@@ -14,9 +14,9 @@ import itertools
 from dataclasses import dataclass, replace
 from .boolfun import EQ2, Relation, RelationSet
 from .config import Budgets, budgets
-from .csp import CspInstance, solve_xor, xor3_set
+from .csp import CspInstance, solve_xor, xor_system_to_instance
 from .errors import BudgetExceededError, FragmentMismatchError
-from .graphlab import BipGraph
+from .graphlab import BipGraph, tseitin_system
 
 CONST = "const"
 PROJ = "input"
@@ -374,13 +374,11 @@ class BipOddFactorReduction:
     instance: CspInstance
     beta: BitReduction
     n: int
-    always_bits: tuple[int, ...]
+    always_bits: int  # mask of the Tseitin applications of K_{n,n}, present for every M
     cell_bits: tuple[tuple[int, int], ...]  # (cell index i*n+j, application bit)
 
     def alpha_bits(self, graph_mask: int) -> int:
-        bits = 0
-        for b in self.always_bits:
-            bits |= 1 << b
+        bits = self.always_bits
         for cell, bit in self.cell_bits:
             if not (graph_mask >> cell) & 1:
                 bits |= 1 << bit
@@ -399,50 +397,21 @@ class BipOddFactorReduction:
 def bip_oddfactor_to_xorsat(graph: BipGraph) -> BipOddFactorReduction:
     """Encode bipartite odd-factor existence as a width-3 parity system.
 
-    Row and column sums are chained through fresh variables so every equation
-    touches at most three variables; each missing edge contributes a zeroing
-    equation.  The system (alpha) is anti-monotone in M; its complement
-    (beta) is the emitted monotone projection, and odd-factor existence
-    equals satisfiability of the system, i.e. dual(XOR-SAT) at beta.
+    The system is the width-3 Tseitin system of the complete bipartite graph
+    K_{n,n}, whose edge variable i*n+j is cell (i, j), plus one zeroing
+    equation x_c = 0 for each missing edge c.  The system (alpha) is
+    anti-monotone in M; its complement (beta) is the emitted monotone
+    projection, and odd-factor existence equals satisfiability of the
+    system, i.e. dual(XOR-SAT) at beta.
     """
     n = graph.n
-    if n == 1:
-        inst0 = CspInstance(xor3_set(), 1)
-        always = [inst0.encode(1, (0, 0, 0))]
-        cell_bits = {0: inst0.encode(0, (0, 0, 0))}
-    else:
-        inst0 = CspInstance(xor3_set(), n * n + 2 * n * (n - 1))
-
-        def x(i: int, j: int) -> int:
-            return i * n + j
-
-        def z(i: int, t: int) -> int:
-            return n * n + i * (n - 1) + t
-
-        def w(j: int, t: int) -> int:
-            return n * n + n * (n - 1) + j * (n - 1) + t
-
-        always = []
-        for i in range(n):
-            always.append(inst0.encode(0, (z(i, 0), x(i, 0), x(i, 1))))
-            for t in range(1, n - 1):
-                always.append(inst0.encode(0, (z(i, t), z(i, t - 1), x(i, t + 1))))
-            always.append(inst0.encode(1, (z(i, n - 2),) * 3))
-        for j in range(n):
-            always.append(inst0.encode(0, (w(j, 0), x(0, j), x(1, j))))
-            for t in range(1, n - 1):
-                always.append(inst0.encode(0, (w(j, t), w(j, t - 1), x(t + 1, j))))
-            always.append(inst0.encode(1, (w(j, n - 2),) * 3))
-        cell_bits = {
-            i * n + j: inst0.encode(0, (x(i, j),) * 3)
-            for i in range(n)
-            for j in range(n)
-        }
-    beta_defs: list[tuple] = [(CONST, 1)] * inst0.size
-    for b in always:
-        beta_defs[b] = (CONST, 0)
-    for cell, bit in cell_bits.items():
+    full = xor_system_to_instance(tseitin_system(BipGraph(n, (1 << n * n) - 1).to_graph()))
+    cell_bits = tuple((c, full.encode(0, (c, c, c))) for c in range(n * n))
+    beta_defs: list[tuple] = [(CONST, 1)] * full.size
+    for r, variables in full.iter_constraints():
+        beta_defs[full.encode(r, variables)] = (CONST, 0)
+    for cell, bit in cell_bits:
         beta_defs[bit] = (PROJ, cell)
-    beta = BitReduction(n * n, inst0.size, tuple(beta_defs))
-    layout = BipOddFactorReduction(inst0, beta, n, tuple(always), tuple(sorted(cell_bits.items())))
+    beta = BitReduction(n * n, full.size, tuple(beta_defs))
+    layout = BipOddFactorReduction(full, beta, n, full.bits, cell_bits)
     return replace(layout, instance=layout.instance_for(graph.mask))

@@ -1,5 +1,6 @@
 """Command-line interface: outputs, round trips, exit codes."""
 
+import hashlib
 import json
 import random
 from pathlib import Path
@@ -9,8 +10,8 @@ import pytest
 from postlab.circuit import Circuit
 from postlab.cli import main
 from postlab.construct import random_layered_bp, threshold_circuit
-from postlab.csp import CspInstance, make_hornsat, make_random, make_tseitin, xor3_set
-from postlab.graphlab import Graph, format_graph
+from postlab.csp import CspInstance, make_hornsat, make_random, xor3_set, xor_system_to_instance
+from postlab.graphlab import Graph, format_graph, tseitin_system
 
 DATA = Path(__file__).parent / "data"
 
@@ -59,7 +60,7 @@ def test_classify_arity_cap(tmp_path, capsys):
 
 
 def test_solve_tseitin_triangle(tmp_path, capsys):
-    inst = make_tseitin(Graph.complete(3))
+    inst = xor_system_to_instance(tseitin_system(Graph.complete(3)))
     path = tmp_path / "tri.json"
     path.write_text(json.dumps(inst.to_json()))
     code, out, _ = run(capsys, "solve", "xor", "--in", str(path))
@@ -150,7 +151,7 @@ def test_oracle_odd_factor(tmp_path, capsys):
 
 
 def test_oracle_csp_sat(tmp_path, capsys):
-    inst = make_tseitin(Graph.complete(3))
+    inst = xor_system_to_instance(tseitin_system(Graph.complete(3)))
     path = tmp_path / "t.json"
     path.write_text(json.dumps(inst.to_json()))
     code, out, _ = run(capsys, "oracle", "csp-sat", "--in", str(path))
@@ -183,6 +184,36 @@ def test_reduce_bip_oddfactor(tmp_path, capsys):
     assert code == 0 and set(json.loads(out)) == {"instance", "beta"}
 
 
+# sha256 of the `reduce bip-oddfactor` output: the variable numbering, the
+# bit layout and beta are what a written reduction file means, so they are pinned
+BIP_ODDFACTOR_SHA256 = {
+    (1, 0x0): "e8607a0d14603706f47623a83489b45b632642d54d7165770e8d07239cc38c2b",
+    (1, 0x1): "a38b4d85ac74b008663a625014b7c522aca64a921df9d940aaee851cf8e89c92",
+    (2, 0x9): "ada48efb71137826371e41035ce7d599815e12a3c2c59f982081987537e2bccf",
+    (2, 0x6): "fdc74a551bafd2cb7c3f76fd885e367053420cd149f0fb9f7ec2f8f0ea91c4c0",
+    (3, 0x111): "e3f2618c0ddfc925332770101c03664b3cd07862c7333ed55e5a432910679d5e",
+    (3, 0xDA): "3ae4c93366018a6678b18c251a6953c8fe0978a84e2a35639ca0839138da4f33",
+    (4, 0x8421): "cc70969d14f60a1a540888436937bde80cf0bb63100a98367a8c62b5170d3a9d",
+    (4, 0xF0F): "ca47a9e346e7960f8981cbd20c5baa8d0a368bafcf7ac65e64268144a98e7367",
+}
+
+
+@pytest.mark.parametrize("n, mask", BIP_ODDFACTOR_SHA256)
+def test_reduce_bip_oddfactor_output_pinned(tmp_path, capsys, n, mask):
+    path = tmp_path / "bip.json"
+    path.write_text(json.dumps({"n": n, "mask": mask}))
+    code, out, _ = run(capsys, "reduce", "bip-oddfactor", "--in", str(path))
+    assert code == 0
+    assert hashlib.sha256(out.encode()).hexdigest() == BIP_ODDFACTOR_SHA256[n, mask]
+
+
+def test_oracle_vertex_budget_exits_3(tmp_path, capsys):
+    path = tmp_path / "g.txt"
+    path.write_text("v 40\n")  # no edges, but 2**40 parity vectors
+    code, _, err = run(capsys, "oracle", "odd-factor", "--graph", str(path), "--mode", "oracle")
+    assert code == 3 and "40 vertices above oracle budget" in err
+
+
 def test_emit_threshold_default_mode(capsys):
     code, _, err = run(capsys, "emit", "threshold", "--k", "2", "--n", "4")
     assert code == 0 and "monotone=True" in err
@@ -191,8 +222,9 @@ def test_emit_threshold_default_mode(capsys):
 HORN3 = str(DATA / "horn3.rels")
 
 # Each argv must end in a usage/parse error (exit 2), never in a traceback.
-# {bp}, {circuit}, {inst}, {bit40} and {neg_n} name files the test writes
-# first; "{inst}/c.json" is a path whose parent is a file, so it cannot be written.
+# {bp}, {circuit}, {inst}, {bit40}, {neg_n}, {wide}, {bip0}, {bip_neg} and
+# {graph_neg} name files the test writes first; "{inst}/c.json" is a path
+# whose parent is a file, so it cannot be written.
 MALFORMED = {
     "threshold-without-k": ["emit", "threshold", "--n", "4"],
     "checkpoint-without-bp": ["emit", "checkpoint"],
@@ -212,6 +244,11 @@ MALFORMED = {
     "oracle-without-in": ["oracle", "csp-sat"],
     "unwritable-out": ["emit", "threshold", "--k", "2", "--n", "3", "--out", "{inst}/c.json"],
     "unwritable-report": ["--report", "{inst}/r.json", "solve", "brute", "--in", "{inst}"],
+    "oracle-arity-above-cap": ["oracle", "csp-sat", "--in", "{wide}"],
+    "solve-arity-above-cap": ["solve", "auto", "--in", "{wide}"],
+    "bip-zero-n": ["reduce", "bip-oddfactor", "--in", "{bip0}"],
+    "bip-negative-n": ["reduce", "bip-oddfactor", "--in", "{bip_neg}"],
+    "graph-negative-v": ["oracle", "odd-factor", "--graph", "{graph_neg}"],
 }
 
 
@@ -224,10 +261,20 @@ def test_malformed_input_exits_2(tmp_path, capsys, argv):
         "inst": inst,
         "bit40": dict(inst, set_bits=[40]),
         "neg_n": dict(inst, n=-1),
+        "wide": {  # one arity-26 relation: 2**26 tuples per constraint check
+            "relation_set": {"relations": [{"arity": 26, "tuples": ["0" * 26]}]},
+            "n": 2,
+            "set_bits": [0],
+        },
+        "bip0": {"n": 0, "mask": 0},
+        "bip_neg": {"n": -1, "mask": 0},
     }
+    paths = {name: tmp_path / f"{name}.json" for name in files}
     for name, obj in files.items():
-        (tmp_path / f"{name}.json").write_text(json.dumps(obj))
-    argv = [a.format(**{k: str(tmp_path / f"{k}.json") for k in files}) for a in argv]
+        paths[name].write_text(json.dumps(obj))
+    paths["graph_neg"] = tmp_path / "graph_neg.txt"
+    paths["graph_neg"].write_text("v -1\n")
+    argv = [a.format(**{k: str(p) for k, p in paths.items()}) for a in argv]
     code, _, err = run(capsys, *argv)
     assert code == 2, err
     assert err.startswith(("error:", "parse error:"))

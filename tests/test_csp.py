@@ -24,7 +24,6 @@ from postlab.csp import (
     hornt_set,
     make_hornsat,
     make_random,
-    make_tseitin,
     make_xorsat,
     monotonicity_check,
     nand_fragment_set,
@@ -38,9 +37,10 @@ from postlab.csp import (
     solve_xor,
     twosat_set,
     xor3_set,
+    xor_system_to_instance,
 )
 from postlab.errors import BudgetExceededError, FragmentMismatchError, RelationParseError
-from postlab.graphlab import Graph, enumerate_graphs, odd_factor_fast
+from postlab.graphlab import Graph, enumerate_graphs, odd_factor_fast, tseitin_system
 
 
 def test_instance_sizes():
@@ -84,7 +84,7 @@ def test_csp_sat_value_basics():
     units = RelationSet((UNIT_TRUE, UNIT_FALSE), "units")
     inst = CspInstance(units, 1, 0).with_constraint(0, (0,)).with_constraint(1, (0,))
     assert csp_sat_value(inst) is True
-    tri = make_tseitin(Graph.complete(3))
+    tri = xor_system_to_instance(tseitin_system(Graph.complete(3)))
     assert csp_sat_value(tri) is True
 
 
@@ -182,18 +182,29 @@ def test_monotonicity_exhaustive_and_decoy():
     assert monotonicity_check(units, 2, fn=decoy) is False
 
 
-def test_make_tseitin_against_components():
+def test_tseitin_instance_against_components():
     for v in range(1, 5):
         for g in enumerate_graphs(v):
-            inst = make_tseitin(g)
+            inst = xor_system_to_instance(tseitin_system(g))
             assert solve_xor(inst) == odd_factor_fast(g), sorted(g.edges)
 
 
-def test_make_tseitin_chain_flag():
-    with pytest.raises(FragmentMismatchError):
-        make_tseitin(Graph.complete(3), allow_chains=False)
-    # all degrees 1 or 3 need no chains
-    assert solve_xor(make_tseitin(Graph.complete(4), allow_chains=False)) is True
+def test_xor_system_to_instance_chains():
+    # x0+x1+x2 = 1 over z0 = x0+x1, z1 = z0+x2; x1 = 0; an empty row with
+    # rhs 1 on fresh a; an empty row with rhs 0 adds nothing
+    system = XorSystem(3, ((0b111, 1), (0b010, 0), (0, 1), (0, 0)))
+    inst = xor_system_to_instance(system)
+    z0, z1, a = 3, 4, 5
+    assert inst.sset == xor3_set() and inst.n == 6
+    assert set(inst.iter_constraints()) == {
+        (0, (z0, 0, 1)),
+        (0, (z1, z0, 2)),
+        (1, (z1, z1, z1)),
+        (0, (1, 1, 1)),
+        (0, (a, a, a)),
+        (1, (a, a, a)),
+    }
+    assert xor_system_to_instance(XorSystem(2, ())) == CspInstance(xor3_set(), 2)
 
 
 def test_make_random_deterministic():
@@ -280,3 +291,22 @@ def test_json_round_trip_and_set_bits(inst):
 @given(instances(xor3_set()))
 def test_solve_xor_matches_brute_force(inst):
     assert solve_xor(inst) == satisfiable_brute(inst)
+
+
+@st.composite
+def xor_systems(draw):
+    nvars = draw(st.integers(0, 6))
+    row = st.tuples(st.integers(0, (1 << nvars) - 1), st.integers(0, 1))
+    return XorSystem(nvars, tuple(draw(st.lists(row, max_size=6))))
+
+
+@PROPERTY
+@given(xor_systems())
+def test_xor_system_to_instance_keeps_satisfiability(system):
+    inst = xor_system_to_instance(system)
+    # k - 1 fresh variables per k-variable row, one per empty row with rhs 1
+    fresh = sum(
+        bin(mask).count("1") - 1 if mask else rhs for mask, rhs in system.rows
+    )
+    assert inst.n == max(system.nvars + fresh, 1)
+    assert solve_xor(inst) == system.satisfiable()

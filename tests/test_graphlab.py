@@ -35,6 +35,10 @@ def test_odd_factor_examples():
 def test_oracle_budget():
     with pytest.raises(BudgetExceededError):
         odd_factor_oracle(Graph.complete(8))
+    # 2**v parity vectors: the vertex count is bounded by the same budget
+    with pytest.raises(BudgetExceededError):
+        odd_factor_oracle(Graph(25, frozenset()))
+    assert odd_factor_oracle(Graph.from_edges(20, [(i, i + 1) for i in range(0, 20, 2)]))
 
 
 def test_claim_exhaustive_small():
@@ -50,6 +54,11 @@ def test_tseitin_examples():
     sys_k2 = tseitin_system(k2)
     assert sys_k2.rows == ((1, 1), (1, 1))
     assert solve_xor(sys_k2)
+    # edges in sorted order (0,1), (0,3), (1,2); vertex 4 is isolated
+    paw = tseitin_system(Graph.from_edges(5, [(1, 2), (3, 0), (0, 1)]))
+    assert paw.nvars == 3
+    assert paw.rows == ((0b011, 1), (0b101, 1), (0b100, 1), (0b010, 1), (0, 1))
+    assert tseitin_system(Graph(2, frozenset())).nvars == 1
     assert not solve_xor(tseitin_system(Graph.complete(3)))
 
 
@@ -68,17 +77,20 @@ def test_isomorphism_invariance():
 def test_bip_odd_factor():
     eye = BipGraph(2, 0b1001)
     assert bip_odd_factor(eye)
-    assert bip_odd_factor(eye, method="oracle")
+    assert odd_factor_oracle(eye.to_graph())
     assert not bip_odd_factor(BipGraph(2, 0))
-    with pytest.raises(ValueError):
-        bip_odd_factor(eye, method="nope")
-    with pytest.raises(BudgetExceededError):
-        bip_odd_factor(BipGraph(6, 0), method="oracle")
+    with pytest.raises(BudgetExceededError):  # 36 edges
+        odd_factor_oracle(BipGraph(6, (1 << 36) - 1).to_graph())
 
 
 def test_bipgraph_shape():
     with pytest.raises(ValueError):
         BipGraph(1, 0b10)
+    for n in (0, -1):
+        with pytest.raises(ValueError):
+            BipGraph(n, 0)
+    with pytest.raises(ValueError):
+        Graph(-1, frozenset())
 
 
 def test_graph_text_roundtrip():
