@@ -423,17 +423,20 @@ def parse_relations(text: str, name: str = "") -> RelationSet:
             raise RelationParseError(f"line {lineno}: bad arity {parts[2]!r}") from exc
         if not 1 <= arity <= MAX_TEXT_ARITY:
             raise RelationParseError(f"line {lineno}: arity must be in 1..{MAX_TEXT_ARITY}")
-        mask = 0
-        for tok in parts[4:]:
-            if len(tok) != arity or any(c not in "01" for c in tok):
-                raise RelationParseError(f"line {lineno}: bad tuple {tok!r}")
-            enc = 0
-            for j, c in enumerate(tok):
-                if c == "1":
-                    enc |= 1 << j
-            mask |= 1 << enc
+        mask = _tuple_mask(parts[4:], arity, f"line {lineno}: ")
         relations.append(Relation(arity, mask, rel_name))
     return RelationSet(tuple(relations), name)
+
+
+def _tuple_mask(tokens, arity: int, where: str = "") -> int:
+    """Tuple mask of bit-string tuples, the one tuple parser of the text and
+    JSON formats: each is `arity` characters of 0 and 1."""
+    mask = 0
+    for tok in tokens:
+        if not isinstance(tok, str) or len(tok) != arity or any(c not in "01" for c in tok):
+            raise RelationParseError(f"{where}bad tuple {tok!r}")
+        mask |= 1 << int(tok[::-1], 2)
+    return mask
 
 
 def format_relations(sset: RelationSet) -> str:
@@ -450,8 +453,7 @@ def relation_to_json(rel: Relation) -> dict:
 
 def relation_from_json(obj: dict) -> Relation:
     arity = int(obj["arity"])
-    tuples = [[int(c) for c in s] for s in obj["tuples"]]
-    return Relation.from_tuples(arity, tuples, obj.get("name", ""))
+    return Relation(arity, _tuple_mask(obj["tuples"], arity), obj.get("name", ""))
 
 
 def relation_set_to_json(sset: RelationSet) -> dict:

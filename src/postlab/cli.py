@@ -254,6 +254,8 @@ def cmd_pad(args) -> int:
 
 def cmd_verify(args) -> int:
     t0 = time.time()
+    if args.jobs < 1:
+        raise _CliError(f"--jobs must be >= 1, got {args.jobs}", EXIT_PARSE)
     reports = verify.run_suite(
         args.suite,
         jobs=args.jobs,

@@ -14,7 +14,7 @@ import random
 from dataclasses import dataclass
 from typing import Sequence
 
-from .boolfun import Relation, RelationSet, negate_relations
+from .boolfun import RelationSet, negate_relations
 from .circuit import (
     BOUNDED2,
     UNBOUNDED,
@@ -25,7 +25,7 @@ from .circuit import (
 )
 from .config import Budgets, budgets
 from .clone_lattice import in_pol
-from .csp import CspInstance, menu_kind, or_fragment_side
+from .csp import CspInstance, clauses, or_fragment_side
 from .errors import BudgetExceededError, FragmentMismatchError
 from .graphlab import pair_index
 from .reductions import CONST, PROJ, BitReduction
@@ -458,35 +458,11 @@ TWOSAT = "2sat"
 OR_FRAGMENT = "or_fragment"
 
 
-def _clause_shape(rel: Relation) -> tuple[tuple[int, ...], tuple[int, ...]] | str | None:
-    """Literals of the single clause whose solutions are rel.
-
-    Returns (positive coords, negative coords), or "skip" for the full
-    relation, "direct" for the empty one, and None when the complement is
-    not a subcube (not a clause).
-    """
-    if rel.is_full:
-        return "skip"
-    if rel.is_empty:
-        return "direct"
-    violating = [t for t in range(1 << rel.arity) if not rel.member(t)]
-    and_mask = violating[0]
-    or_mask = violating[0]
-    for t in violating[1:]:
-        and_mask &= t
-        or_mask |= t
-    free = or_mask & ~and_mask
-    if len(violating) != 1 << bin(free).count("1"):
-        return None
-    pos = tuple(j for j in range(rel.arity) if not (or_mask >> j) & 1)
-    neg = tuple(j for j in range(rel.arity) if (and_mask >> j) & 1)
-    return pos, neg
-
-
 def detect_fragment(sset: RelationSet) -> str:
-    """The emitter for sset: for clause relations the first of E2 (Horn),
-    V2 (anti-Horn) and D2 (2-SAT) inside Pol(sset), else the OR/NAND menu."""
-    if all(_clause_shape(rel) is not None for rel in sset):
+    """The emitter for sset: when every relation has at most one prime clause,
+    the first of E2 (Horn), V2 (anti-Horn) and D2 (2-SAT) inside Pol(sset),
+    else the OR/NAND menu."""
+    if all(len(clauses(rel, tuple(range(rel.arity)))) <= 1 for rel in sset):
         for clone, fragment in (("E2", HORN), ("V2", ANTIHORN), ("D2", TWOSAT)):
             if all(in_pol(clone, rel) for rel in sset):
                 return fragment
@@ -523,56 +499,37 @@ def emit_monotone_csp_circuit(
     raise ValueError(f"unknown fragment {fragment!r}")
 
 
-def _instantiated_clauses(sset: RelationSet, n: int):
-    """Per instance bit: ("imp", head, body vars), ("neg", body vars),
-    ("direct",) or None for tautological/vacuous applications."""
-    inst = CspInstance(sset, n, 0)
-    shapes = [_clause_shape(rel) for rel in sset]
-    out = []
+def _clause_inputs(sset: RelationSet, n: int):
+    """A builder over the N instance bits, and (input gate, positive
+    variables, negative variables) for each prime clause of each of the N
+    applications, in bit order."""
+    inst = CspInstance(sset, n)
+    b = Builder(inst.size, UNBOUNDED)
+    bits = [b.input(j) for j in range(inst.size)]
+    found = []
     for j in range(inst.size):
         r, variables = inst.decode(j)
-        shape = shapes[r]
-        if shape == "skip":
-            out.append(None)
-            continue
-        if shape == "direct":
-            out.append(("direct",))
-            continue
-        if shape is None:
-            raise FragmentMismatchError(f"relation {r} is not a clause relation")
-        pos_c, neg_c = shape
-        pos = {variables[c] for c in pos_c}
-        neg = {variables[c] for c in neg_c}
-        if pos & neg:
-            out.append(None)  # tautological instantiation
-            continue
-        out.append(("clause", tuple(sorted(pos)), tuple(sorted(neg))))
-    return inst, out
+        found += [(bits[j], pos, neg) for pos, neg in clauses(sset[r], variables)]
+    return b, found
 
 
 def _emit_horn(sset: RelationSet, n: int) -> Circuit:
-    inst, clauses = _instantiated_clauses(sset, n)
-    b = Builder(inst.size, UNBOUNDED)
-    bits = [b.input(j) for j in range(inst.size)]
+    b, found = _clause_inputs(sset, n)
     direct = []
     seeds: dict[int, list[int]] = {}
     implications: list[tuple[int, int, tuple[int, ...]]] = []  # (bit, head, body)
     violations: list[tuple[int, tuple[int, ...]]] = []
-    for j, cl in enumerate(clauses):
-        if cl is None:
-            continue
-        if cl[0] == "direct":
-            direct.append(bits[j])
-            continue
-        _, pos, neg = cl
+    for bit, pos, neg in found:
         if len(pos) > 1:
             raise FragmentMismatchError("clause has more than one positive literal")
-        if len(pos) == 1 and not neg:
-            seeds.setdefault(pos[0], []).append(bits[j])
-        elif len(pos) == 1:
-            implications.append((bits[j], pos[0], neg))
+        if pos and not neg:
+            seeds.setdefault(pos[0], []).append(bit)
+        elif pos:
+            implications.append((bit, pos[0], neg))
+        elif neg:
+            violations.append((bit, neg))
         else:
-            violations.append((bits[j], neg))
+            direct.append(bit)
     marks = [b.or_(seeds.get(v, [])) for v in range(n)]
     for _ in range(n):
         new = list(marks)
@@ -599,36 +556,21 @@ def _closure_by_squaring(b: Builder, base: list[list[int]], rounds: int) -> list
 
 
 def _emit_twosat(sset: RelationSet, n: int) -> Circuit:
-    inst, clauses = _instantiated_clauses(sset, n)
-    b = Builder(inst.size, UNBOUNDED)
-    bits = [b.input(j) for j in range(inst.size)]
+    b, found = _clause_inputs(sset, n)
     direct = []
-    # literal node for (v, value): 2v + (1 - value)
+    # literal node: 2v for x_v, 2v + 1 for not x_v, so node ^ 1 negates
     edge_bits: dict[tuple[int, int], list[int]] = {}
-
-    def lit(v: int, value: int) -> int:
-        return 2 * v + (1 - value)
-
-    def add_edge(u: int, w: int, bit: int) -> None:
-        edge_bits.setdefault((u, w), []).append(bit)
-
-    for j, cl in enumerate(clauses):
-        if cl is None:
+    for bit, pos, neg in found:
+        lits = [2 * v for v in pos] + [2 * v + 1 for v in neg]
+        if not lits:
+            direct.append(bit)
             continue
-        if cl[0] == "direct":
-            direct.append(bits[j])
-            continue
-        _, pos, neg = cl
-        literals = [(v, 1) for v in pos] + [(v, 0) for v in neg]
-        if len(literals) == 1:
-            (v, val) = literals[0]
-            add_edge(lit(v, 1 - val), lit(v, val), bits[j])
-        elif len(literals) == 2:
-            (v1, a1), (v2, a2) = literals
-            add_edge(lit(v1, 1 - a1), lit(v2, a2), bits[j])
-            add_edge(lit(v2, 1 - a2), lit(v1, a1), bits[j])
-        else:
+        if len(lits) > 2:
             raise FragmentMismatchError("clause wider than 2 in the 2-SAT emitter")
+        u, w = lits[0], lits[-1]
+        edge_bits.setdefault((u ^ 1, w), []).append(bit)
+        if u != w:
+            edge_bits.setdefault((w ^ 1, u), []).append(bit)
     size = 2 * n
     base = [
         [
@@ -647,34 +589,17 @@ def _emit_twosat(sset: RelationSet, n: int) -> Circuit:
 
 def _emit_or_fragment(sset: RelationSet, n: int) -> Circuit:
     side = or_fragment_side(sset)
-    inst = CspInstance(sset, n, 0)
-    b = Builder(inst.size, UNBOUNDED)
-    bits = [b.input(j) for j in range(inst.size)]
-    kinds = [menu_kind(rel) for rel in sset]
+    b, found = _clause_inputs(sset, n)
     edge_bits: dict[tuple[int, int], list[int]] = {}
     unit_bits: dict[int, list[int]] = {}
     disjunctions: list[tuple[int, tuple[int, ...]]] = []
-    unit_kind = "nand" if side == "or" else "or"
-    for j in range(inst.size):
-        r, variables = inst.decode(j)
-        kind = kinds[r]
-        if kind == "imp":
-            a, c = variables
-            if a != c:
-                edge_bits.setdefault((a, c), []).append(bits[j])
-        elif kind == "imp_rev":
-            c, a = variables
-            if a != c:
-                edge_bits.setdefault((a, c), []).append(bits[j])
-        elif kind == "eq":
-            a, c = variables
-            if a != c:
-                edge_bits.setdefault((a, c), []).append(bits[j])
-                edge_bits.setdefault((c, a), []).append(bits[j])
-        elif kind == unit_kind and sset[r].arity == 1:
-            unit_bits.setdefault(variables[0], []).append(bits[j])
+    for bit, pos, neg in found:
+        if len(pos) == len(neg) == 1:
+            edge_bits.setdefault((neg[0], pos[0]), []).append(bit)
+        elif len(pos) + len(neg) == 1 and bool(pos) == (side == "nand"):
+            unit_bits.setdefault((pos + neg)[0], []).append(bit)
         else:
-            disjunctions.append((bits[j], tuple(sorted(set(variables)))))
+            disjunctions.append((bit, pos + neg))
     base = [
         [b.const(1) if u == v else b.or_(edge_bits.get((u, v), [])) for v in range(n)]
         for u in range(n)

@@ -425,59 +425,7 @@ def _reachability(adj: list[int]) -> list[int]:
     return reach
 
 
-# 2-SAT via the implication graph.
-
-@lru_cache(maxsize=2048)
-def _binary_clauses(rel: Relation, pattern: tuple[int, ...]):
-    """Clause decomposition of rel instantiated with duplicate pattern.
-
-    pattern maps coordinate j to a group id (repeated variables share one).
-    Returns clauses over group ids, or None when the pairwise projections do
-    not cut out the induced relation exactly (not bijunctive).
-    """
-    d = max(pattern) + 1
-    induced = []
-    for p in range(1 << d):
-        enc = 0
-        for j, g in enumerate(pattern):
-            if (p >> g) & 1:
-                enc |= 1 << j
-        if rel.member(enc):
-            induced.append(p)
-    clauses = []
-    if not induced:
-        return (("false",),)
-    for g in range(d):
-        proj = {(p >> g) & 1 for p in induced}
-        if len(proj) == 1:
-            clauses.append(("unit", g, proj.pop()))
-    for g1 in range(d):
-        for g2 in range(g1 + 1, d):
-            proj = {((p >> g1) & 1, (p >> g2) & 1) for p in induced}
-            for a in (0, 1):
-                for b in (0, 1):
-                    if (a, b) not in proj:
-                        clauses.append(("pair", g1, 1 - a, g2, 1 - b))
-    # exactness: the conjunction of emitted clauses must equal the induced set
-    count = 0
-    for p in range(1 << d):
-        ok = True
-        for cl in clauses:
-            if cl[0] == "unit":
-                _, g, v = cl
-                if (p >> g) & 1 != v:
-                    ok = False
-                    break
-            else:
-                _, g1, v1, g2, v2 = cl
-                if (p >> g1) & 1 != v1 and (p >> g2) & 1 != v2:
-                    ok = False
-                    break
-        count += ok
-    if count != len(induced):
-        return None
-    return tuple(clauses)
-
+# The clause view: which clauses an application R(V) imposes.
 
 def _dup_pattern(variables: tuple[int, ...]) -> tuple[tuple[int, ...], tuple[int, ...]]:
     groups: dict[int, int] = {}
@@ -490,42 +438,80 @@ def _dup_pattern(variables: tuple[int, ...]) -> tuple[tuple[int, ...], tuple[int
     return tuple(pattern), tuple(order)
 
 
+@lru_cache(maxsize=2048)
+def _prime_clauses(rel: Relation, pattern: tuple[int, ...]) -> tuple[tuple[int, int], ...]:
+    """Prime implicates of rel with coordinate j read as group pattern[j], as
+    (positive group mask, negative group mask) pairs.
+
+    A clause is implied when no solution lies in the cube of assignments that
+    falsify it, the cube where the groups of `care` take the values `val`;
+    it is prime when dropping any one literal loses that.
+    """
+    d = max(pattern) + 1
+    solutions = []
+    for p in range(1 << d):
+        enc = 0
+        for j, g in enumerate(pattern):
+            if (p >> g) & 1:
+                enc |= 1 << j
+        if rel.member(enc):
+            solutions.append(p)
+    implied = set()
+    for care in range(1 << d):
+        seen = {p & care for p in solutions}
+        implied.update(
+            (care, val) for val in range(care + 1) if val & ~care == 0 and val not in seen
+        )
+    return tuple(
+        (care & ~val, val)
+        for care, val in implied
+        if not any(
+            (care & ~(1 << g), val & ~(1 << g)) in implied
+            for g in range(d)
+            if (care >> g) & 1
+        )
+    )
+
+
+@lru_cache(maxsize=8192)
+def clauses(
+    rel: Relation, variables: tuple[int, ...]
+) -> tuple[tuple[tuple[int, ...], tuple[int, ...]], ...]:
+    """The prime clauses of rel applied to variables.
+
+    Each clause is a (positive variables, negative variables) pair, each side
+    a sorted tuple of distinct variables.  () when the application constrains
+    nothing; (((), ()),), the empty clause, when it is unsatisfiable.
+    """
+    pattern, order = _dup_pattern(variables)
+
+    def side(mask: int) -> tuple[int, ...]:
+        return tuple(sorted(v for g, v in enumerate(order) if (mask >> g) & 1))
+
+    return tuple(sorted((side(pos), side(neg)) for pos, neg in _prime_clauses(rel, pattern)))
+
+
+# 2-SAT via the implication graph.
+
 def solve_2sat(inst: CspInstance) -> bool:
-    """Implication-graph reachability for majority-closed (bijunctive) sets."""
+    """Implication-graph reachability for majority-closed (bijunctive) sets,
+    whose prime clauses have width at most 2."""
     for rel in inst.sset:
         if not in_pol("D2", rel):
             raise FragmentMismatchError(
                 f"relation {rel.name or rel} is not majority-closed (2-SAT fragment)"
             )
     n = inst.n
-    # literal node for (variable v, value b): 2v + (1 - b)
+    # literal node: 2v for x_v, 2v + 1 for not x_v, so node ^ 1 negates
     adj = [0] * (2 * n)
-
-    def lit(v: int, b: int) -> int:
-        return 2 * v + (1 - b)
-
-    def add_clause(v1: int, b1: int, v2: int, b2: int) -> None:
-        adj[lit(v1, 1 - b1)] |= 1 << lit(v2, b2)
-        adj[lit(v2, 1 - b2)] |= 1 << lit(v1, b1)
-
     for r, variables in inst.iter_constraints():
-        rel = inst.sset[r]
-        pattern, order = _dup_pattern(variables)
-        clauses = _binary_clauses(rel, pattern)
-        if clauses is None:
-            raise FragmentMismatchError(
-                f"relation {rel.name or r} has no exact 2-clause decomposition"
-            )
-        for cl in clauses:
-            if cl[0] == "false":
+        for pos, neg in clauses(inst.sset[r], variables):
+            lits = [2 * v for v in pos] + [2 * v + 1 for v in neg]
+            if not lits:
                 return False
-            if cl[0] == "unit":
-                _, g, v = cl
-                var = order[g]
-                add_clause(var, v, var, v)
-            else:
-                _, g1, v1, g2, v2 = cl
-                add_clause(order[g1], v1, order[g2], v2)
+            a, b = lits[0], lits[-1]
+            adj[a ^ 1] |= 1 << b
+            adj[b ^ 1] |= 1 << a
     reach = _reachability(adj)
     for v in range(n):
         t, f = 2 * v, 2 * v + 1
@@ -536,76 +522,53 @@ def solve_2sat(inst: CspInstance) -> bool:
 
 # The OR/NAND-with-units fragment.
 
-@lru_cache(maxsize=512)
-def menu_kind(rel: Relation) -> str | None:
-    """rel's entry on the OR/NAND-with-units menu ("or", "nand", "imp",
-    "imp_rev" or "eq"), or None when it is not on the menu."""
-    full = (1 << (1 << rel.arity)) - 1
-    if rel.mask == full - 1:
-        return "or"  # everything except all-zeros (covers (x) at arity 1)
-    if rel.mask == full - (1 << ((1 << rel.arity) - 1)):
-        return "nand"  # everything except all-ones (covers (not x) at arity 1)
-    if rel.arity == 2:
-        if rel.mask == IMP2.mask:
-            return "imp"
-        if rel.mask == 0b1101:
-            return "imp_rev"
-        if rel.mask == EQ2.mask:
-            return "eq"
-    return None
-
-
 def or_fragment_side(sset: RelationSet) -> str:
     """Whether a menu set's disjunctions are ORs ("or") or NANDs ("nand").
 
-    Raises FragmentMismatchError off the menu or when it mixes the two.
+    The menu holds the relations whose prime clauses are implications (one
+    positive and one negative literal) or single-polarity.  The side is
+    "nand" when some all-negative clause has width >= 2.  Raises
+    FragmentMismatchError off the menu or when both polarities have such
+    wide clauses.
     """
-    kinds = [menu_kind(rel) for rel in sset]
-    if any(k is None for k in kinds):
-        bad = sset[kinds.index(None)]
-        raise FragmentMismatchError(
-            f"relation {bad.name or bad} is outside the OR/NAND-with-units menu"
-        )
-    has_or = any(k == "or" and rel.arity >= 2 for k, rel in zip(kinds, sset))
-    has_nand = any(k == "nand" and rel.arity >= 2 for k, rel in zip(kinds, sset))
-    if has_or and has_nand:
+    wide = set()
+    for rel in sset:
+        for pos, neg in clauses(rel, tuple(range(rel.arity))):
+            if pos and neg and not len(pos) == len(neg) == 1:
+                raise FragmentMismatchError(
+                    f"relation {rel.name or rel} is outside the OR/NAND-with-units menu"
+                )
+            if len(pos) >= 2:
+                wide.add("or")
+            if len(neg) >= 2:
+                wide.add("nand")
+    if len(wide) == 2:
         raise FragmentMismatchError("mixed OR and NAND disjunctions")
-    return "nand" if has_nand else "or"
+    return "nand" if "nand" in wide else "or"
 
 
 def solve_or_fragment(inst: CspInstance) -> bool:
-    """Path test for {OR^k, x, not-x, imp, eq} formulas (and the NAND dual).
+    """Path test for OR/NAND-with-units formulas.
 
-    A disjunction fails only when every one of its variables reaches, through
-    implication/equality arcs, some variable constrained to 0; the instance is
-    unsatisfiable iff some disjunction fails entirely.  Dually for NAND with
-    variables forced to 1.
+    On the OR side an implication is an arc, a negative unit a source (a
+    variable constrained to 0) and every other clause a disjunction, which
+    fails only when each of its variables reaches a source; the instance is
+    unsatisfiable iff some disjunction fails.  Dually on the NAND side, with
+    positive units as sources and disjunctions failing on forced variables.
     """
     side = or_fragment_side(inst.sset)
     n = inst.n
     adj = [0] * n
-    sources = 0  # unit-constrained variables (0-units on OR side, 1-units on NAND side)
+    sources = 0
     disjunctions = []
-    unit_kind = "nand" if side == "or" else "or"
     for r, variables in inst.iter_constraints():
-        kind = menu_kind(inst.sset[r])
-        if kind == "imp":
-            a, b = variables
-            if a != b:
-                adj[a] |= 1 << b
-        elif kind == "imp_rev":
-            b, a = variables
-            if a != b:
-                adj[a] |= 1 << b
-        elif kind == "eq":
-            a, b = variables
-            if a != b:
-                adj[a] |= 1 << b
-                adj[b] |= 1 << a
-        elif kind == unit_kind and inst.sset[r].arity == 1:
-            sources |= 1 << variables[0]
-        else:
-            disjunctions.append(frozenset(variables))
+        for pos, neg in clauses(inst.sset[r], variables):
+            if len(pos) == len(neg) == 1:
+                adj[neg[0]] |= 1 << pos[0]
+            elif len(pos) + len(neg) == 1 and bool(pos) == (side == "nand"):
+                sources |= 1 << (pos + neg)[0]
+            else:
+                disjunctions.append(pos + neg)
     reach = _reachability(adj)
     if side == "or":
         # blocked: reaches a variable constrained to 0

@@ -7,6 +7,7 @@ from pathlib import Path
 
 import pytest
 
+from postlab import verify
 from postlab.circuit import Circuit
 from postlab.cli import main
 from postlab.construct import random_layered_bp, threshold_circuit
@@ -222,9 +223,9 @@ def test_emit_threshold_default_mode(capsys):
 HORN3 = str(DATA / "horn3.rels")
 
 # Each argv must end in a usage/parse error (exit 2), never in a traceback.
-# {bp}, {circuit}, {inst}, {bit40}, {neg_n}, {wide}, {bip0}, {bip_neg} and
-# {graph_neg} name files the test writes first; "{inst}/c.json" is a path
-# whose parent is a file, so it cannot be written.
+# {bp}, {circuit}, {inst}, {bit40}, {neg_n}, {wide}, {digit_set}, {digit_inst},
+# {bip0}, {bip_neg} and {graph_neg} name files the test writes first;
+# "{inst}/c.json" is a path whose parent is a file, so it cannot be written.
 MALFORMED = {
     "threshold-without-k": ["emit", "threshold", "--n", "4"],
     "checkpoint-without-bp": ["emit", "checkpoint"],
@@ -249,12 +250,17 @@ MALFORMED = {
     "bip-zero-n": ["reduce", "bip-oddfactor", "--in", "{bip0}"],
     "bip-negative-n": ["reduce", "bip-oddfactor", "--in", "{bip_neg}"],
     "graph-negative-v": ["oracle", "odd-factor", "--graph", "{graph_neg}"],
+    "classify-json-tuple-digit": ["classify", "{digit_set}"],
+    "solve-json-tuple-digit": ["solve", "auto", "--in", "{digit_inst}"],
+    "verify-zero-jobs": ["verify", "quine", "--quick", "--jobs", "0"],
+    "verify-negative-jobs": ["verify", "quine", "--quick", "--jobs", "-2"],
 }
 
 
 @pytest.mark.parametrize("argv", MALFORMED.values(), ids=MALFORMED.keys())
 def test_malformed_input_exits_2(tmp_path, capsys, argv):
     inst = make_hornsat(2).to_json()  # hornt: N = 18 at n = 2
+    digit_rel = {"arity": 2, "tuples": ["02", "20"]}
     files = {
         "bp": random_layered_bp(random.Random(3), 4).to_json(),
         "circuit": threshold_circuit(2, 4).to_json(),
@@ -266,6 +272,8 @@ def test_malformed_input_exits_2(tmp_path, capsys, argv):
             "n": 2,
             "set_bits": [0],
         },
+        "digit_set": {"relations": [digit_rel]},  # read as {01, 10} before
+        "digit_inst": {"relation_set": {"relations": [digit_rel]}, "n": 2, "set_bits": [0]},
         "bip0": {"n": 0, "mask": 0},
         "bip_neg": {"n": -1, "mask": 0},
     }
@@ -278,6 +286,29 @@ def test_malformed_input_exits_2(tmp_path, capsys, argv):
     code, _, err = run(capsys, *argv)
     assert code == 2, err
     assert err.startswith(("error:", "parse error:"))
+
+
+def test_oddfactor_pool_never_outnumbers_cpus(monkeypatch):
+    sizes = []
+
+    class CountingPool:  # maps nothing and starts no process
+        def __init__(self, processes):
+            sizes.append(processes)
+
+        def __enter__(self):
+            return self
+
+        def __exit__(self, *exc):
+            return False
+
+        def map(self, fn, ranges):
+            return [(hi - lo, []) for _, lo, hi in ranges]
+
+    monkeypatch.setattr(verify, "Pool", CountingPool)
+    monkeypatch.setattr(verify.os, "cpu_count", lambda: 2)
+    report = verify.suite_oddfactor(max_vertices=7, jobs=100_000)
+    assert sizes == [2]  # only v = 7 has enough graphs to pool
+    assert report.checks[6].detail == f"{1 << 21} graphs"
 
 
 def test_malformed_budget_variable_exits_2(monkeypatch, capsys):

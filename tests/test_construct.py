@@ -1,9 +1,12 @@
 """Constructions: checkpoint circuits, thresholds, padding, CSP emitters."""
 
+import hashlib
+import json
 import random
 
 import pytest
 
+from postlab.boolfun import UNIT_FALSE, UNIT_TRUE, Relation, RelationSet, or_relation
 from postlab.circuit import (
     Builder,
     evaluate,
@@ -36,6 +39,7 @@ from postlab.csp import (
     CspInstance,
     ahornt_set,
     hornt_set,
+    nand_fragment_set,
     or_fragment_set,
     twosat_set,
     violation_masks,
@@ -183,6 +187,46 @@ def test_emitters_match_brute_force(set_fn, n):
         w = rng.getrandbits(circuit.n) & rng.getrandbits(circuit.n)
         want = not any(w & v == 0 for v in viol)
         assert (evaluate(circuit, w) & 1) == want
+
+
+# sha256 of the emitted circuits' JSON for the `verify` emitter sets at their
+# n and n + 1: the gate order of each emitter is pinned
+EMITTER_SHA256 = {
+    (hornt_set, 2): "2d36cce519abb2baa1fc3b49d5d9a476feff90a1f120b38cb2e139e3a77ccc92",
+    (hornt_set, 3): "618b7dfc7b42f40c33e441248c667c8ef67fafa8c0dc3bdd38fe62d9abbab6d7",
+    (hornt_set, 4): "80c955d903840795166eac2a7165821c3e2533f6c09ee1abe090cfed4edbede6",
+    (ahornt_set, 2): "2d36cce519abb2baa1fc3b49d5d9a476feff90a1f120b38cb2e139e3a77ccc92",
+    (ahornt_set, 3): "618b7dfc7b42f40c33e441248c667c8ef67fafa8c0dc3bdd38fe62d9abbab6d7",
+    (twosat_set, 2): "8b70250a52410420af04ee7c5c778da97dae403406f8327b625b7580b47576dc",
+    (twosat_set, 3): "5017b730bf5b04d7d88ca494570c05aaa351a9e94296cad0da9e2f62671d378c",
+    (twosat_set, 4): "0d9e7c89b5d3ef63e7fc44ffe3e7e12fee7ecf18b92e0838ef7b80e035543e19",
+    (or_fragment_set, 2): "dbdd7cd096ba4e73d5faaa964753fefd74bcfdfbe4a4d7aa77207fff0a4d9374",
+    (or_fragment_set, 3): "080dfe22870359b84df1f2944746e447a27351807e0e1a65f2544850e2d57a7f",
+    (or_fragment_set, 4): "b708c7c1ebc5300ee793266240491eb1633f74eed73875fae11916c4098aa0bb",
+    (nand_fragment_set, 2): "f1b544c2ea6b3787e2c257b368b0e83b53a6b76182b60ae7309143ea30501ea6",
+    (nand_fragment_set, 3): "eddaecfe3320c0306665a079c942497f4486ed7d67a1e8495fab853c1a45d11f",
+}
+
+
+@pytest.mark.parametrize(
+    "set_fn,n", EMITTER_SHA256, ids=[f"{f.__name__}-n{n}" for f, n in EMITTER_SHA256]
+)
+def test_emitted_circuits_pinned(set_fn, n):
+    circuit = emit_monotone_csp_circuit(set_fn(), n)
+    text = json.dumps(circuit.to_json(), sort_keys=True)
+    assert hashlib.sha256(text.encode()).hexdigest() == EMITTER_SHA256[set_fn, n]
+
+
+def test_or_fragment_emitter_reverse_implication():
+    # tuples 00 10 11: x1 -> x0; auto would pick anti-Horn for this set
+    sset = RelationSet((or_relation(2), UNIT_TRUE, UNIT_FALSE, Relation(2, 0b1011)))
+    for n in (2, 3):
+        circuit = emit_monotone_csp_circuit(sset, n, "or_fragment")
+        viol = violation_masks(CspInstance(sset, n))
+        rng = random.Random(n)
+        for _ in range(400):
+            w = rng.getrandbits(circuit.n) & rng.getrandbits(circuit.n)
+            assert (evaluate(circuit, w) & 1) == (not any(w & v == 0 for v in viol))
 
 
 def test_emitter_fragment_mismatch():

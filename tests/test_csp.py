@@ -1,5 +1,7 @@
-"""Instance encoding, brute-force oracles, fragment solvers, generators."""
+"""Instance encoding, brute-force oracles, the clause view, fragment solvers
+and emitters, generators."""
 
+import itertools
 import random
 import zlib
 
@@ -9,16 +11,23 @@ from hypothesis import strategies as st
 
 from postlab.boolfun import (
     EQ2,
+    IMP2,
     UNIT_FALSE,
     UNIT_TRUE,
     Relation,
     RelationSet,
+    clause_relation,
+    nand_relation,
     or_relation,
 )
+from postlab.circuit import evaluate, is_syntactically_monotone
+from postlab.clone_lattice import in_pol
+from postlab.construct import emit_monotone_csp_circuit
 from postlab.csp import (
     CspInstance,
     XorSystem,
     ahornt_set,
+    clauses,
     csp_sat_value,
     eval_constraint,
     hornt_set,
@@ -28,7 +37,9 @@ from postlab.csp import (
     monotonicity_check,
     nand_fragment_set,
     or_fragment_set,
+    or_fragment_side,
     pick_solver,
+    random_instance,
     satisfiable_brute,
     solve_2sat,
     solve_antihorn,
@@ -36,6 +47,7 @@ from postlab.csp import (
     solve_or_fragment,
     solve_xor,
     twosat_set,
+    violation_masks,
     xor3_set,
     xor_system_to_instance,
 )
@@ -142,6 +154,11 @@ def test_fragment_mismatch_errors():
         solve_or_fragment(xinst)
 
 
+# the menu with the reverse implication, tuples 00 10 11: x1 -> x0
+OR2_REV = RelationSet(
+    (or_relation(2), UNIT_TRUE, UNIT_FALSE, Relation(2, 0b1011, "imp_rev")), "or2_rev"
+)
+
 SOLVER_CONFIGS = [
     (xor3_set, solve_xor),
     (hornt_set, solve_horn),
@@ -149,6 +166,7 @@ SOLVER_CONFIGS = [
     (twosat_set, solve_2sat),
     (lambda: or_fragment_set(3), solve_or_fragment),
     (lambda: nand_fragment_set(3), solve_or_fragment),
+    (lambda: OR2_REV, solve_or_fragment),
 ]
 
 
@@ -168,6 +186,92 @@ def test_solvers_handle_repeated_variables():
     inst = CspInstance(s, 1, 0).with_constraint(2, (0, 0)).with_constraint(0, (0, 0))
     assert solve_2sat(inst) is False
     assert satisfiable_brute(inst) is False
+
+
+# Every relation of arity 1-3, and every variable tuple over as many
+# variables, so every duplicate pattern is met.
+SMALL_RELATIONS = [Relation(k, m) for k in (1, 2, 3) for m in range(1 << (1 << k))]
+
+
+def _applications(rel):
+    return itertools.product(range(rel.arity), repeat=rel.arity)
+
+
+def _satisfies(a, pos, neg):
+    return any((a >> v) & 1 for v in pos) or any(not (a >> v) & 1 for v in neg)
+
+
+def test_clauses_are_the_prime_implicates():
+    for rel in SMALL_RELATIONS:
+        for variables in _applications(rel):
+            got = clauses(rel, variables)
+            # the solutions of the application, as assignments to x0..x_{k-1}
+            sols = [
+                a for a in range(1 << rel.arity)
+                if rel.member(sum(((a >> v) & 1) << j for j, v in enumerate(variables)))
+            ]
+            for a in range(1 << rel.arity):
+                assert (a in sols) == all(_satisfies(a, p, q) for p, q in got)
+            for pos, neg in got:
+                assert list(pos) == sorted(set(pos)) and list(neg) == sorted(set(neg))
+                assert not set(pos) & set(neg)
+                assert all(_satisfies(a, pos, neg) for a in sols)
+                # prime: dropping any one literal loses some solution
+                for drop in pos + neg:
+                    p = tuple(v for v in pos if v != drop)
+                    q = tuple(v for v in neg if v != drop)
+                    assert not all(_satisfies(a, p, q) for a in sols)
+
+
+def test_clauses_edge_cases():
+    or_mixed = clause_relation(2, [0], [1])
+    assert clauses(or_mixed, (3, 3)) == ()  # tautological instantiation
+    assert clauses(Relation(2, 0b1111), (0, 1)) == ()
+    assert clauses(Relation(2, 0), (0, 1)) == (((), ()),)
+    assert clauses(Relation(2, 0b0110), (4, 4)) == (((), ()),)  # x != x
+    assert clauses(IMP2, (5, 2)) == (((2,), (5,)),)
+    assert clauses(Relation(2, 0b1011), (5, 2)) == (((5,), (2,)),)  # reverse implication
+    assert clauses(EQ2, (0, 1)) == (((0,), (1,)), ((1,), (0,)))
+    assert clauses(or_relation(3), (2, 0, 2)) == (((0, 2), ()),)
+
+
+def test_clause_facts_behind_the_solvers():
+    for rel in SMALL_RELATIONS:
+        for variables in _applications(rel):
+            got = clauses(rel, variables)
+            if in_pol("E2", rel):
+                assert all(len(pos) <= 1 for pos, _ in got), rel
+            if in_pol("V2", rel):
+                assert all(len(neg) <= 1 for _, neg in got), rel
+            if in_pol("D2", rel):
+                assert all(len(pos) + len(neg) <= 2 for pos, neg in got), rel
+
+
+def test_one_prime_clause_means_a_clause_relation():
+    for k in (1, 2, 3):
+        single = {0, (1 << (1 << k)) - 1}  # the empty and the full relation
+        for signs in itertools.product((None, 1, 0), repeat=k):
+            pos = [j for j, s in enumerate(signs) if s == 1]
+            neg = [j for j, s in enumerate(signs) if s == 0]
+            if pos or neg:
+                single.add(clause_relation(k, pos, neg).mask)
+        for m in range(1 << (1 << k)):
+            rel = Relation(k, m)
+            assert (len(clauses(rel, tuple(range(k)))) <= 1) == (m in single), rel
+
+
+def test_or_fragment_side_menu():
+    assert or_fragment_side(or_fragment_set(3)) == "or"
+    assert or_fragment_side(nand_fragment_set(3)) == "nand"
+    assert or_fragment_side(OR2_REV) == "or"
+    assert or_fragment_side(RelationSet((UNIT_TRUE, UNIT_FALSE, IMP2, EQ2))) == "or"
+    for off_menu in (
+        RelationSet((or_relation(2), nand_relation(2))),  # both polarities wide
+        RelationSet((clause_relation(3, [0], [1, 2]),)),  # neither implication nor one polarity
+        xor3_set(),
+    ):
+        with pytest.raises(FragmentMismatchError):
+            or_fragment_side(off_menu)
 
 
 def test_monotonicity_exhaustive_and_decoy():
@@ -310,3 +414,88 @@ def test_xor_system_to_instance_keeps_satisfiability(system):
     )
     assert inst.n == max(system.nvars + fresh, 1)
     assert solve_xor(inst) == system.satisfiable()
+
+
+# Differential tests of the fragment solvers, over relation sets drawn from
+# the binary and ternary relations of each fragment.
+
+def _menu_pool(wide: Relation) -> list[Relation]:
+    """Menu relations that can share a set with `wide` (or2 or nand2)."""
+    pool = []
+    for rel in SMALL_RELATIONS:
+        if rel.arity == 1:
+            continue
+        try:
+            or_fragment_side(RelationSet((rel, wide)))
+        except FragmentMismatchError:
+            continue
+        pool.append(rel)
+    return pool
+
+
+FRAGMENT_POOLS = {
+    name: [rel for rel in SMALL_RELATIONS if rel.arity > 1 and in_pol(clone, rel)]
+    for name, clone in (("2sat", "D2"), ("horn", "E2"), ("antihorn", "V2"))
+}
+FRAGMENT_POOLS["or"] = _menu_pool(or_relation(2))
+FRAGMENT_POOLS["nand"] = _menu_pool(nand_relation(2))
+
+
+@st.composite
+def fragment_sets(draw):
+    """(pool name, relation set) with 1-3 relations from one pool."""
+    name = draw(st.sampled_from(sorted(FRAGMENT_POOLS)))
+    rels = draw(st.lists(st.sampled_from(FRAGMENT_POOLS[name]), min_size=1, max_size=3))
+    return name, RelationSet(tuple(rels))
+
+
+FRAGMENT_SOLVERS = {
+    "2sat": solve_2sat,
+    "horn": solve_horn,
+    "antihorn": solve_antihorn,
+    "or": solve_or_fragment,
+    "nand": solve_or_fragment,
+}
+
+
+@st.composite
+def fragment_instances(draw):
+    """(pool name, instance) with 1 to 3n constraints at 2 <= n <= 6."""
+    name, sset = draw(fragment_sets())
+    inst = CspInstance(sset, draw(st.integers(2, 6)))
+    rng = random.Random(draw(st.integers(0, 2**32)))
+    picked = rng.sample(range(inst.size), draw(st.integers(1, 3 * inst.n)))
+    return name, CspInstance(sset, inst.n, sum(1 << j for j in picked))
+
+
+@settings(PROPERTY, max_examples=400)
+@given(fragment_instances())
+def test_fragment_solvers_match_brute_force(drawn):
+    name, inst = drawn
+    assert FRAGMENT_SOLVERS[name](inst) == satisfiable_brute(inst)
+
+
+# Differential tests of the emitters at n = 2, with the fragment forced, over
+# the relation pools of the solver tests.
+
+EMITTER_FOR_POOL = {
+    "2sat": "2sat",
+    "horn": "horn",
+    "antihorn": "antihorn",
+    "or": "or_fragment",
+    "nand": "or_fragment",
+}
+
+
+@PROPERTY
+@given(fragment_sets(), st.integers(0, 2**32))
+def test_emitters_match_violation_masks(drawn, seed):
+    name, sset = drawn
+    circuit = emit_monotone_csp_circuit(sset, 2, EMITTER_FOR_POOL[name])
+    assert is_syntactically_monotone(circuit)
+    rng = random.Random(seed)
+    masks = [rng.getrandbits(circuit.n) & rng.getrandbits(circuit.n) for _ in range(40)]
+    masks += [0, (1 << circuit.n) - 1]
+    viol = violation_masks(CspInstance(sset, 2))
+    for w in masks:
+        assert (evaluate(circuit, w) & 1) == (not any(w & v == 0 for v in viol))
