@@ -105,6 +105,12 @@ class Relation:
             raise ValueError("relation arity must be >= 1")
         if self.mask < 0 or self.mask >> (1 << self.arity):
             raise ValueError("tuple mask has bits beyond 2**arity")
+        # Cached: relations key many lru caches.  Integers only, so the hash is
+        # the same in every process and survives pickling.
+        object.__setattr__(self, "_hash", hash((self.arity, self.mask)))
+
+    def __hash__(self) -> int:
+        return self._hash
 
     @classmethod
     def from_tuples(cls, arity: int, tuples: Iterable[Sequence[int]], name: str = "") -> "Relation":
@@ -158,6 +164,12 @@ class RelationSet:
 
     def __post_init__(self):
         object.__setattr__(self, "relations", tuple(self.relations))
+        # Cached like Relation's; the name is left out of the hash (equal sets
+        # have equal relations), so it stays the same in every process.
+        object.__setattr__(self, "_hash", hash(self.relations))
+
+    def __hash__(self) -> int:
+        return self._hash
 
     def __iter__(self) -> Iterator[Relation]:
         return iter(self.relations)
@@ -203,10 +215,8 @@ XOR3_1 = parity_relation(3, 1, "xor3^1")
 
 def negate_relation(rel: Relation) -> Relation:
     """Coordinatewise complement of every tuple."""
-    full = (1 << rel.arity) - 1
-    mask = 0
-    for t in rel.tuples():
-        mask |= 1 << (t ^ full)
+    # tuple t becomes t ^ full == full - t: the mask's 2**arity bits reversed
+    mask = int(f"{rel.mask:0{1 << rel.arity}b}"[::-1], 2)
     name = f"~{rel.name}" if rel.name else ""
     return Relation(rel.arity, mask, name)
 

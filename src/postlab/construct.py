@@ -25,7 +25,7 @@ from .circuit import (
 )
 from .config import Budgets, budgets
 from .clone_lattice import in_pol
-from .csp import CspInstance, clauses, or_fragment_side
+from .csp import CspInstance, clause_table, clauses, or_fragment_side
 from .errors import BudgetExceededError, FragmentMismatchError
 from .graphlab import pair_index
 from .reductions import CONST, PROJ, BitReduction
@@ -503,13 +503,13 @@ def _clause_inputs(sset: RelationSet, n: int):
     """A builder over the N instance bits, and (input gate, positive
     variables, negative variables) for each prime clause of each of the N
     applications, in bit order."""
-    inst = CspInstance(sset, n)
-    b = Builder(inst.size, UNBOUNDED)
-    bits = [b.input(j) for j in range(inst.size)]
+    size = CspInstance(sset, n).size
+    b = Builder(size, UNBOUNDED)
+    table = clause_table(sset, n)
     found = []
-    for j in range(inst.size):
-        r, variables = inst.decode(j)
-        found += [(bits[j], pos, neg) for pos, neg in clauses(sset[r], variables)]
+    for j in range(size):
+        bit = b.input(j)
+        found += [(bit, pos, neg) for pos, neg in table[j]]
     return b, found
 
 

@@ -349,65 +349,6 @@ def solve_xor(inst: "CspInstance | XorSystem") -> bool:
     return instance_to_xor_system(inst).satisfiable()
 
 
-# Forward-chaining solver for AND-closed (Horn-like) relation sets.
-
-def solve_horn(inst: CspInstance) -> bool:
-    """Least-model forward chaining; works for any AND-closed relations.
-
-    Variables are marked forced-true when every still-compatible tuple of some
-    constraint sets them; a constraint with no compatible tuple refutes the
-    instance.  The AND of compatible tuples stays in the relation, so the
-    marking is exactly the GEN-style least model.
-    """
-    for rel in inst.sset:
-        if not in_pol("E2", rel):
-            raise FragmentMismatchError(
-                f"relation {rel.name or rel} is not AND-closed (Horn fragment)"
-            )
-    tuples = [rel.tuples() for rel in inst.sset]
-    constraints = [
-        (tuples[r], variables, len(variables)) for r, variables in inst.iter_constraints()
-    ]
-    forced = 0
-    while True:
-        changed = False
-        for tuples, variables, k in constraints:
-            meet = -1
-            for t in tuples:
-                compatible = True
-                for j in range(k):
-                    if (forced >> variables[j]) & 1 and not (t >> j) & 1:
-                        compatible = False
-                        break
-                if compatible:
-                    meet &= t
-            if meet == -1:
-                # no tuple is compatible with the forced variables
-                return False
-            for j in range(k):
-                if (meet >> j) & 1 and not (forced >> variables[j]) & 1:
-                    forced |= 1 << variables[j]
-                    changed = True
-        if not changed:
-            return True
-
-
-def negate_instance(inst: CspInstance) -> CspInstance:
-    """Same bits over the coordinatewise-negated relations; satisfiability is
-    preserved by negating assignments."""
-    return CspInstance(negate_relations(inst.sset), inst.n, inst.bits)
-
-
-def solve_antihorn(inst: CspInstance) -> bool:
-    """Greatest-model dual of solve_horn for OR-closed relation sets."""
-    for rel in inst.sset:
-        if not in_pol("V2", rel):
-            raise FragmentMismatchError(
-                f"relation {rel.name or rel} is not OR-closed (anti-Horn fragment)"
-            )
-    return solve_horn(negate_instance(inst))
-
-
 def _reachability(adj: list[int]) -> list[int]:
     """Reflexive-transitive closure of a digraph given by out-neighbour
     bitsets, by repeated squaring."""
@@ -491,6 +432,108 @@ def clauses(
     return tuple(sorted((side(pos), side(neg)) for pos, neg in _prime_clauses(rel, pattern)))
 
 
+# The clause table: the prime clauses of every bit of one (sset, n).
+
+# Above this many bits clause_table reads bits lazily.  A dense table costs
+# about 10 us per entry once per (relation, n): worth it when many instances
+# share a layout (the dichotomy sweep's N is at most 256), not for one sparse
+# solve, which at N = 54,030 would wait 0.5 s for the table.
+_DENSE_TABLE_BITS = 1 << 12
+
+
+@lru_cache(maxsize=64)
+def _relation_clauses(rel: Relation, n: int) -> tuple:
+    """clauses(rel, V) for each application V of rel over n variables, in
+    rank order.  Relation sets share these blocks: equality ignores names."""
+    inst = CspInstance(RelationSet((rel,)), n)
+    return tuple(clauses(rel, inst.decode(j)[1]) for j in range(inst.size))
+
+
+class _LazyClauseTable(dict):
+    """clause_table above _DENSE_TABLE_BITS: each lookup decodes its bit.
+
+    Lookups are not stored, so the table does not grow with every bit ever
+    asked for; `clauses` caches what repeats."""
+
+    def __init__(self, inst: CspInstance):
+        self.inst = inst
+
+    def __missing__(self, j: int):
+        r, variables = self.inst.decode(j)
+        return clauses(self.inst.sset[r], variables)
+
+
+@lru_cache(maxsize=16)
+def clause_table(sset: RelationSet, n: int) -> "tuple | _LazyClauseTable":
+    """Entry j is clauses(sset[r], V) for the application (r, V) of bit j.
+
+    A tuple built from per-relation blocks while N is at most
+    _DENSE_TABLE_BITS, else a lazy mapping, so that reading an instance's
+    set bits costs those bits, not N.
+    """
+    inst = CspInstance(sset, n)
+    if inst.size > _DENSE_TABLE_BITS:
+        return _LazyClauseTable(inst)
+    return tuple(itertools.chain.from_iterable(_relation_clauses(rel, n) for rel in sset))
+
+
+# Horn unit propagation for AND-closed relation sets.
+
+def solve_horn(inst: CspInstance) -> bool:
+    """Linear-time unit propagation (Dowling and Gallier) over the clause table.
+
+    The prime clauses of AND-closed relations are Horn: each is a rule
+    "the negative variables all true imply the head", the head being the
+    positive variable or, for a clause without one, false.  A rule waits
+    on one body variable not yet forced; when that variable is forced it
+    moves to the next, and fires once its whole body is forced.  The forced
+    variables are the least model; the instance is unsatisfiable iff a rule
+    without a head fires.
+    """
+    for rel in inst.sset:
+        if not in_pol("E2", rel):
+            raise FragmentMismatchError(
+                f"relation {rel.name or rel} is not AND-closed (Horn fragment)"
+            )
+    table = clause_table(inst.sset, inst.n)
+    ready = []  # (body mask, head mask or 0): rules to look at again
+    for j in _set_bits(inst.bits):
+        for pos, neg in table[j]:
+            body = 0
+            for v in neg:
+                body |= 1 << v
+            ready.append((body, 1 << pos[0] if pos else 0))
+    forced = 0
+    waiting: dict[int, list[tuple[int, int]]] = {}  # variable bit -> rules
+    while ready:
+        body, head = ready.pop()
+        rest = body & ~forced
+        if rest:
+            waiting.setdefault(rest & -rest, []).append((body, head))
+        elif not head:
+            return False
+        elif not forced & head:
+            forced |= head
+            ready.extend(waiting.pop(head, ()))
+    return True
+
+
+def negate_instance(inst: CspInstance) -> CspInstance:
+    """Same bits over the coordinatewise-negated relations; satisfiability is
+    preserved by negating assignments."""
+    return CspInstance(negate_relations(inst.sset), inst.n, inst.bits)
+
+
+def solve_antihorn(inst: CspInstance) -> bool:
+    """Greatest-model dual of solve_horn for OR-closed relation sets."""
+    for rel in inst.sset:
+        if not in_pol("V2", rel):
+            raise FragmentMismatchError(
+                f"relation {rel.name or rel} is not OR-closed (anti-Horn fragment)"
+            )
+    return solve_horn(negate_instance(inst))
+
+
 # 2-SAT via the implication graph.
 
 def solve_2sat(inst: CspInstance) -> bool:
@@ -504,8 +547,9 @@ def solve_2sat(inst: CspInstance) -> bool:
     n = inst.n
     # literal node: 2v for x_v, 2v + 1 for not x_v, so node ^ 1 negates
     adj = [0] * (2 * n)
-    for r, variables in inst.iter_constraints():
-        for pos, neg in clauses(inst.sset[r], variables):
+    table = clause_table(inst.sset, n)
+    for j in _set_bits(inst.bits):
+        for pos, neg in table[j]:
             lits = [2 * v for v in pos] + [2 * v + 1 for v in neg]
             if not lits:
                 return False
@@ -561,8 +605,9 @@ def solve_or_fragment(inst: CspInstance) -> bool:
     adj = [0] * n
     sources = 0
     disjunctions = []
-    for r, variables in inst.iter_constraints():
-        for pos, neg in clauses(inst.sset[r], variables):
+    table = clause_table(inst.sset, n)
+    for j in _set_bits(inst.bits):
+        for pos, neg in table[j]:
             if len(pos) == len(neg) == 1:
                 adj[neg[0]] |= 1 << pos[0]
             elif len(pos) + len(neg) == 1 and bool(pos) == (side == "nand"):
@@ -699,8 +744,10 @@ def make_random(sset: RelationSet, n: int, density: float, seed: int) -> CspInst
 
 
 def _trivial(inst: CspInstance) -> bool:
-    """I0/I1 sets: a constant assignment satisfies every nonempty relation."""
-    return all(not inst.sset[r].is_empty for r, _ in inst.iter_constraints())
+    """I0/I1 sets: a constant assignment satisfies every application of a
+    nonempty relation, so only an empty relation's empty clause refutes."""
+    table = clause_table(inst.sset, inst.n)
+    return all(((), ()) not in table[j] for j in _set_bits(inst.bits))
 
 
 # Schaefer's tractable cases as clones of Post's lattice, in order of choice.

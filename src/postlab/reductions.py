@@ -403,8 +403,17 @@ def bip_oddfactor_to_xorsat(graph: BipGraph) -> BipOddFactorReduction:
     anti-monotone in M; its complement (beta) is the emitted monotone
     projection, and odd-factor existence equals satisfiability of the
     system, i.e. dual(XOR-SAT) at beta.
+
+    beta has one entry per instance bit, 2*(3n^2 - 2n)^3 of them, so K_{n,n}
+    may have at most `oracle_edges` edges (n <= 4 by default); above that
+    BudgetExceededError is raised before anything is built.
     """
     n = graph.n
+    limit = budgets().oracle_edges
+    if n * n > limit:
+        raise BudgetExceededError(
+            f"K_{{{n},{n}}} has {n * n} edges, above the oracle_edges budget {limit}"
+        )
     full = xor_system_to_instance(tseitin_system(BipGraph(n, (1 << n * n) - 1).to_graph()))
     cell_bits = tuple((c, full.encode(0, (c, c, c))) for c in range(n * n))
     beta_defs: list[tuple] = [(CONST, 1)] * full.size

@@ -27,6 +27,7 @@ from postlab.boolfun import (
     dual,
     format_relations,
     nand_relation,
+    negate_relation,
     or_relation,
     parse_relations,
     polymorphisms_up_to,
@@ -244,3 +245,21 @@ def test_relation_text_errors():
         parse_relations("rel bad 9 : 000000000")
     with pytest.raises(RelationParseError):
         parse_relations("rel bad 2 : 021")
+
+
+def test_relation_hashes_ignore_names():
+    a, b = Relation(2, 0b1011, "a"), Relation(2, 0b1011, "b")
+    assert a == b and hash(a) == hash(b)
+    assert hash(a) == hash((2, 0b1011))  # integers only: the same in every process
+    # a set's name takes part in equality but not in the hash
+    assert RelationSet((a,), "s") == RelationSet((b,), "s") != RelationSet((a,), "t")
+    assert hash(RelationSet((a,), "s")) == hash(RelationSet((b,), "t"))
+
+
+def test_negate_relation_complements_every_tuple():
+    rng = random.Random(5)
+    rels = [Relation(k, m) for k in (1, 2, 3) for m in range(1 << (1 << k))]
+    rels += [Relation(k, rng.getrandbits(1 << k)) for k in (4, 5, 6) for _ in range(20)]
+    for rel in rels:
+        full = (1 << rel.arity) - 1
+        assert negate_relation(rel).tuples() == tuple(sorted(t ^ full for t in rel.tuples()))

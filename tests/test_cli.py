@@ -215,6 +215,15 @@ def test_oracle_vertex_budget_exits_3(tmp_path, capsys):
     assert code == 3 and "40 vertices above oracle budget" in err
 
 
+def test_reduce_bip_oddfactor_size_budget_exits_3(tmp_path, capsys):
+    path = tmp_path / "bip.json"
+    path.write_text(json.dumps({"n": 30, "mask": 0}))  # beta would have 3.7e10 entries
+    code, out, err = run(capsys, "reduce", "bip-oddfactor", "--in", str(path))
+    assert code == 3 and not out
+    assert "900 edges, above the oracle_edges budget 24" in err
+    assert "Traceback" not in err
+
+
 def test_emit_threshold_default_mode(capsys):
     code, _, err = run(capsys, "emit", "threshold", "--k", "2", "--n", "4")
     assert code == 0 and "monotone=True" in err

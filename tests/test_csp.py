@@ -2,6 +2,7 @@
 and emitters, generators."""
 
 import itertools
+import pickle
 import random
 import zlib
 
@@ -27,6 +28,7 @@ from postlab.csp import (
     CspInstance,
     XorSystem,
     ahornt_set,
+    clause_table,
     clauses,
     csp_sat_value,
     eval_constraint,
@@ -352,6 +354,33 @@ def test_to_json_cost_follows_constraints_not_n():
     assert inst.to_json()["set_bits"] == [1 + 2 * 1000 + 3 * 1000**2]
 
 
+def test_solvers_cost_follows_constraints_not_n():
+    # N is above 10**6 for each set at n = 1000: a solver that read every
+    # application of the layout, not the set bits, would not finish
+    n = 1000
+    cases = [
+        (solve_horn, CspInstance(hornt_set(), n).with_constraint(0, (999, 2, 3)), True),
+        (solve_antihorn, CspInstance(ahornt_set(), n).with_constraint(0, (999, 2, 3)), True),
+        (solve_2sat, CspInstance(twosat_set(), n).with_constraint(2, (999, 999)), True),
+        (solve_or_fragment, CspInstance(or_fragment_set(3), n).with_constraint(0, (999, 2, 3)), True),
+    ]
+    empty = CspInstance(RelationSet((Relation(3, 0),)), n).with_constraint(0, (999, 2, 3))
+    cases += [(solver, empty, False) for solver, _, _ in cases]
+    for solver, inst, sat in cases:
+        assert solver(inst) is sat, solver.__name__
+
+
+def test_pickled_relations_hit_the_caches():
+    sset = twosat_set()
+    copy = pickle.loads(pickle.dumps(sset))
+    assert copy == sset and hash(copy) == hash(sset)
+    assert clause_table(copy, 3) is clause_table(sset, 3)
+    rel = pickle.loads(pickle.dumps(sset[0]))
+    in_pol("D2", sset[0])
+    hits = in_pol.cache_info().hits
+    assert in_pol("D2", rel) and in_pol.cache_info().hits == hits + 1
+
+
 # Property tests of the bit layout.
 
 PROPERTY = settings(derandomize=True, database=None, deadline=None, max_examples=150)
@@ -380,6 +409,29 @@ def instances(draw, sset=None):
 def test_iter_constraints_decodes_set_bits_in_order(inst):
     want = [inst.decode(j) for j in range(inst.size) if (inst.bits >> j) & 1]
     assert list(inst.iter_constraints()) == want
+
+
+@st.composite
+def table_bits(draw):
+    """(sset, n, bits): a few bits of a small instance, or of a ternary one
+    whose N (2n^3 + n >= 4,407) is above the dense clause-table limit."""
+    if draw(st.booleans()):
+        inst = draw(instances())
+        sset, n = inst.sset, inst.n
+    else:
+        sset, n = hornt_set(), draw(st.integers(13, 60))
+    size = CspInstance(sset, n).size
+    return sset, n, draw(st.lists(st.integers(0, size - 1), min_size=1, max_size=8))
+
+
+@PROPERTY
+@given(table_bits())
+def test_clause_table_holds_the_clauses_of_each_bit(drawn):
+    sset, n, bits = drawn
+    table = clause_table(sset, n)
+    for j in bits:
+        r, variables = CspInstance(sset, n).decode(j)
+        assert table[j] == clauses(sset[r], variables)
 
 
 @PROPERTY
@@ -460,11 +512,11 @@ FRAGMENT_SOLVERS = {
 
 @st.composite
 def fragment_instances(draw):
-    """(pool name, instance) with 1 to 3n constraints at 2 <= n <= 6."""
+    """(pool name, instance) with 1 to min(3n, N) constraints at 2 <= n <= 6."""
     name, sset = draw(fragment_sets())
     inst = CspInstance(sset, draw(st.integers(2, 6)))
     rng = random.Random(draw(st.integers(0, 2**32)))
-    picked = rng.sample(range(inst.size), draw(st.integers(1, 3 * inst.n)))
+    picked = rng.sample(range(inst.size), draw(st.integers(1, min(3 * inst.n, inst.size))))
     return name, CspInstance(sset, inst.n, sum(1 << j for j in picked))
 
 
