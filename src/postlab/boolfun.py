@@ -222,7 +222,13 @@ def negate_relation(rel: Relation) -> Relation:
 
 
 def negate_relations(sset: RelationSet) -> RelationSet:
-    """negate_relation applied to every relation of sset."""
+    """negate_relation applied to every relation of sset, cached by the set
+    and its relation names (equality ignores those, the negation keeps them)."""
+    return _negate_relations(sset, tuple(r.name for r in sset))
+
+
+@lru_cache(maxsize=16)
+def _negate_relations(sset: RelationSet, names: tuple[str, ...]) -> RelationSet:
     return RelationSet(
         tuple(negate_relation(r) for r in sset),
         f"~{sset.name}" if sset.name else "",

@@ -24,8 +24,7 @@ from .circuit import (
     truth_tables,
 )
 from .config import Budgets, budgets
-from .clone_lattice import in_pol
-from .csp import CspInstance, clause_table, clauses, or_fragment_side
+from .csp import TRACTABLE, CspInstance, clause_table, first_clone, or_fragment_side
 from .errors import BudgetExceededError, FragmentMismatchError
 from .graphlab import pair_index
 from .reductions import CONST, PROJ, BitReduction
@@ -456,23 +455,20 @@ HORN = "horn"
 ANTIHORN = "antihorn"
 TWOSAT = "2sat"
 OR_FRAGMENT = "or_fragment"
+CONSTANT = "constant"
 
 
 def detect_fragment(sset: RelationSet) -> str:
-    """The emitter for sset: when every relation has at most one prime clause,
-    the first of E2 (Horn), V2 (anti-Horn) and D2 (2-SAT) inside Pol(sset),
-    else the OR/NAND menu."""
-    if all(len(clauses(rel, tuple(range(rel.arity)))) <= 1 for rel in sset):
-        for clone, fragment in (("E2", HORN), ("V2", ANTIHORN), ("D2", TWOSAT)):
-            if all(in_pol(clone, rel) for rel in sset):
-                return fragment
-    try:
-        or_fragment_side(sset)
-    except FragmentMismatchError:
-        raise FragmentMismatchError(
-            "relation set fits no supported monotone-circuit fragment"
-        ) from None
-    return OR_FRAGMENT
+    """The emitter of the first clone inside Pol(sset), read off csp.TRACTABLE.
+
+    The depth-EASY clones go first: I1 and I0 (a constant circuit), S00 and
+    S10 (the OR/NAND menu) and D2 (2-SAT), then E2 (Horn) and V2
+    (anti-Horn).  Raises FragmentMismatchError on the size-HARD sets.
+    """
+    clone = first_clone(sset, ("I1", "I0", "S00", "S10", "D2", "E2", "V2"))
+    if clone is None:
+        raise FragmentMismatchError("relation set fits no supported monotone-circuit fragment")
+    return TRACTABLE[clone][2]
 
 
 def emit_monotone_csp_circuit(
@@ -482,12 +478,15 @@ def emit_monotone_csp_circuit(
 
     Horn/anti-Horn unroll n rounds of forward-chain marking; the 2-SAT and
     OR-fragment emitters build the implication (or entailment) graph, whose
-    edges are ORs of instance bits, and close it by repeated squaring.
+    edges are ORs of instance bits, and close it by repeated squaring.  The
+    constant circuit of the I0/I1 sets is chosen by "auto" only.
     """
     if n < 1:
         raise ValueError("n must be >= 1")
     if fragment == "auto":
         fragment = detect_fragment(sset)
+        if fragment == CONSTANT:
+            return _emit_constant(sset, n)
     if fragment == HORN:
         return _emit_horn(sset, n)
     if fragment == ANTIHORN:
@@ -511,6 +510,12 @@ def _clause_inputs(sset: RelationSet, n: int):
         bit = b.input(j)
         found += [(bit, pos, neg) for pos, neg in table[j]]
     return b, found
+
+
+def _emit_constant(sset: RelationSet, n: int) -> Circuit:
+    """I0/I1 sets: like csp's trivial solver, only an empty clause refutes."""
+    b, found = _clause_inputs(sset, n)
+    return b.build([b.or_([bit for bit, pos, neg in found if not pos and not neg])])
 
 
 def _emit_horn(sset: RelationSet, n: int) -> Circuit:

@@ -569,26 +569,14 @@ def solve_2sat(inst: CspInstance) -> bool:
 def or_fragment_side(sset: RelationSet) -> str:
     """Whether a menu set's disjunctions are ORs ("or") or NANDs ("nand").
 
-    The menu holds the relations whose prime clauses are implications (one
-    positive and one negative literal) or single-polarity.  The side is
-    "nand" when some all-negative clause has width >= 2.  Raises
-    FragmentMismatchError off the menu or when both polarities have such
-    wide clauses.
+    The menu holds the sets whose Pol contains S00 ("or": every prime clause
+    an implication, a unit or all-positive) or S10 ("nand": the same with
+    all-negative).  Raises FragmentMismatchError off the menu.
     """
-    wide = set()
-    for rel in sset:
-        for pos, neg in clauses(rel, tuple(range(rel.arity))):
-            if pos and neg and not len(pos) == len(neg) == 1:
-                raise FragmentMismatchError(
-                    f"relation {rel.name or rel} is outside the OR/NAND-with-units menu"
-                )
-            if len(pos) >= 2:
-                wide.add("or")
-            if len(neg) >= 2:
-                wide.add("nand")
-    if len(wide) == 2:
-        raise FragmentMismatchError("mixed OR and NAND disjunctions")
-    return "nand" if "nand" in wide else "or"
+    clone = first_clone(sset, ("S00", "S10"))
+    if clone is None:
+        raise FragmentMismatchError("relation set is outside the OR/NAND-with-units menu")
+    return "or" if clone == "S00" else "nand"
 
 
 def solve_or_fragment(inst: CspInstance) -> bool:
@@ -617,14 +605,13 @@ def solve_or_fragment(inst: CspInstance) -> bool:
     reach = _reachability(adj)
     if side == "or":
         # blocked: reaches a variable constrained to 0
-        bad = [bool(reach[v] & sources) for v in range(n)]
+        bad = sum(1 << v for v in range(n) if reach[v] & sources)
     else:
         # forced: reached from a variable constrained to 1
-        bad = [any((reach[u] >> v) & 1 for u in range(n) if (sources >> u) & 1) for v in range(n)]
-    for vars_ in disjunctions:
-        if all(bad[v] for v in vars_):
-            return False
-    return True
+        bad = 0
+        for u in _set_bits(sources):
+            bad |= reach[u]
+    return not any(all((bad >> v) & 1 for v in vars_) for vars_ in disjunctions)
 
 
 # Monotonicity of the CSP-SAT map itself.
@@ -717,15 +704,6 @@ def nand_fragment_set(k: int = 2) -> RelationSet:
     )
 
 
-def make_xorsat(n: int) -> CspInstance:
-    """Empty parity instance; its bit space has length 2*n**3."""
-    return CspInstance(xor3_set(), n, 0)
-
-
-def make_hornsat(n: int) -> CspInstance:
-    return CspInstance(hornt_set(), n, 0)
-
-
 def random_instance(
     sset: RelationSet, n: int, density: float, rng: random.Random
 ) -> CspInstance:
@@ -739,10 +717,6 @@ def random_instance(
     return replace(inst, bits=bits)
 
 
-def make_random(sset: RelationSet, n: int, density: float, seed: int) -> CspInstance:
-    return random_instance(sset, n, density, random.Random(seed))
-
-
 def _trivial(inst: CspInstance) -> bool:
     """I0/I1 sets: a constant assignment satisfies every application of a
     nonempty relation, so only an empty relation's empty clause refutes."""
@@ -750,23 +724,31 @@ def _trivial(inst: CspInstance) -> bool:
     return all(((), ()) not in table[j] for j in _set_bits(inst.bits))
 
 
-# Schaefer's tractable cases as clones of Post's lattice, in order of choice.
-_DESIGNATED = (
-    ("I1", "trivial", _trivial),
-    ("I0", "trivial", _trivial),
-    ("E2", "horn", solve_horn),
-    ("V2", "antihorn", solve_antihorn),
-    ("D2", "2sat", solve_2sat),
-)
+# Schaefer's tractable cases as clones of Post's lattice.  A relation set
+# whose Pol contains the clone is decided by the solver, and
+# construct.emit_monotone_csp_circuit builds its circuit with the emitter.
+TRACTABLE: dict[str, tuple[str, Callable[[CspInstance], bool], str]] = {
+    "I1": ("trivial", _trivial, "constant"),
+    "I0": ("trivial", _trivial, "constant"),
+    "E2": ("horn", solve_horn, "horn"),
+    "V2": ("antihorn", solve_antihorn, "antihorn"),
+    "D2": ("2sat", solve_2sat, "2sat"),
+    "S00": ("or_fragment", solve_or_fragment, "or_fragment"),
+    "S10": ("or_fragment", solve_or_fragment, "or_fragment"),
+}
+
+
+def first_clone(sset: RelationSet, clones: tuple[str, ...]) -> str | None:
+    """The first of clones that lies inside Pol(sset), or None."""
+    return next((c for c in clones if all(in_pol(c, rel) for rel in sset)), None)
 
 
 def pick_solver(sset: RelationSet) -> tuple[str, Callable[[CspInstance], bool]] | None:
-    """The solver of the first tractable clone inside Pol(sset), or None.
-
-    None covers the size-HARD sets, parity sets among them (`solve_xor`
-    decides those).
-    """
-    for clone, name, solver in _DESIGNATED:
-        if all(in_pol(clone, rel) for rel in sset):
-            return f"{name}({clone})", solver
-    return None
+    """The solver of the first of I1, I0, E2, V2 and D2 inside Pol(sset) (S00
+    and S10 contain V2 and E2), or None on the size-HARD sets, parity sets
+    among them (`solve_xor` decides those)."""
+    clone = first_clone(sset, ("I1", "I0", "E2", "V2", "D2"))
+    if clone is None:
+        return None
+    name, solver, _ = TRACTABLE[clone]
+    return f"{name}({clone})", solver

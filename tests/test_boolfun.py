@@ -28,6 +28,7 @@ from postlab.boolfun import (
     format_relations,
     nand_relation,
     negate_relation,
+    negate_relations,
     or_relation,
     parse_relations,
     polymorphisms_up_to,
@@ -263,3 +264,14 @@ def test_negate_relation_complements_every_tuple():
     for rel in rels:
         full = (1 << rel.arity) - 1
         assert negate_relation(rel).tuples() == tuple(sorted(t ^ full for t in rel.tuples()))
+
+
+def test_negate_relations_is_cached_per_names():
+    a = RelationSet((Relation(2, 0b1011, "a"),), "s")
+    b = RelationSet((Relation(2, 0b1011, "b"),), "s")
+    assert a == b
+    assert negate_relations(a) is negate_relations(a)
+    # equal sets whose relations are named apart keep their own names
+    assert [r.name for r in negate_relations(a)] == ["~a"]
+    assert [r.name for r in negate_relations(b)] == ["~b"]
+    assert negate_relations(a).name == "~s" and negate_relations(a)[0].mask == 0b1101

@@ -11,7 +11,7 @@ from postlab import verify
 from postlab.circuit import Circuit
 from postlab.cli import main
 from postlab.construct import random_layered_bp, threshold_circuit
-from postlab.csp import CspInstance, make_hornsat, make_random, xor3_set, xor_system_to_instance
+from postlab.csp import CspInstance, hornt_set, random_instance, xor3_set, xor_system_to_instance
 from postlab.graphlab import Graph, format_graph, tseitin_system
 
 DATA = Path(__file__).parent / "data"
@@ -71,7 +71,7 @@ def test_solve_tseitin_triangle(tmp_path, capsys):
 
 
 def test_solve_fragment_mismatch_exit_code(tmp_path, capsys):
-    inst = make_random(xor3_set(), 3, 0.1, seed=0)
+    inst = random_instance(xor3_set(), 3, 0.1, random.Random(0))
     path = tmp_path / "x.json"
     path.write_text(json.dumps(inst.to_json()))
     code, _, err = run(capsys, "solve", "horn", "--in", str(path))
@@ -268,7 +268,7 @@ MALFORMED = {
 
 @pytest.mark.parametrize("argv", MALFORMED.values(), ids=MALFORMED.keys())
 def test_malformed_input_exits_2(tmp_path, capsys, argv):
-    inst = make_hornsat(2).to_json()  # hornt: N = 18 at n = 2
+    inst = CspInstance(hornt_set(), 2).to_json()  # hornt: N = 18 at n = 2
     digit_rel = {"arity": 2, "tuples": ["02", "20"]}
     files = {
         "bp": random_layered_bp(random.Random(3), 4).to_json(),
@@ -336,7 +336,7 @@ def test_equality_search_overflow_is_reported(monkeypatch, tmp_path, capsys):
 
 def test_cq_search_overflow_exits_3(monkeypatch, tmp_path, capsys):
     path = tmp_path / "inst.json"
-    path.write_text(json.dumps(make_hornsat(2).to_json()))
+    path.write_text(json.dumps(CspInstance(hornt_set(), 2).to_json()))
     monkeypatch.setenv("POSTLAB_BUDGET", "cq_states=1")
     for op in ("cq-rewrite", "pol-reduce"):
         code, _, err = run(capsys, "reduce", op, "--in", str(path), "--target", HORN3)

@@ -6,7 +6,7 @@ import random
 
 import pytest
 
-from postlab.boolfun import UNIT_FALSE, UNIT_TRUE, Relation, RelationSet, or_relation
+from postlab.boolfun import IMP2, UNIT_FALSE, UNIT_TRUE, Relation, RelationSet, or_relation
 from postlab.circuit import (
     Builder,
     evaluate,
@@ -15,6 +15,7 @@ from postlab.circuit import (
     monotone_table_to_circuit,
     truth_tables,
 )
+from postlab.clone_lattice import classify
 from postlab.construct import (
     AC0,
     FLAT,
@@ -169,8 +170,42 @@ def test_detect_fragment():
     assert detect_fragment(ahornt_set()) == "antihorn"
     assert detect_fragment(twosat_set()) == "2sat"
     assert detect_fragment(or_fragment_set(2)) == "or_fragment"
+    assert detect_fragment(nand_fragment_set(2)) == "or_fragment"
+    # 1-valid, so I1 lies in Pol: a constant circuit, not anti-Horn
+    assert detect_fragment(RelationSet((or_relation(2), IMP2))) == "constant"
     with pytest.raises(FragmentMismatchError):
         detect_fragment(xor3_set())
+
+
+def test_auto_emits_for_every_binary_set():
+    # every binary relation is majority-closed, so every binary set is
+    # size-EASY and "auto" must build its circuit; a fixed stride of the
+    # 2^16 - 1 nonempty sets, in the bit order of the dichotomy sweep
+    binary = [Relation(2, m) for m in range(16)]
+    rng = random.Random(61)
+    for subset in range(1, 1 << 16, 61):
+        sset = RelationSet(tuple(binary[i] for i in range(16) if (subset >> i) & 1))
+        circuit = emit_monotone_csp_circuit(sset, 2)
+        assert is_syntactically_monotone(circuit), hex(subset)
+        viol = violation_masks(CspInstance(sset, 2))
+        masks = [rng.getrandbits(circuit.n) & rng.getrandbits(circuit.n) for _ in range(20)]
+        for w in masks + [0, (1 << circuit.n) - 1]:
+            assert (evaluate(circuit, w) & 1) == (not any(w & v == 0 for v in viol)), hex(subset)
+
+
+def test_auto_rejects_exactly_the_size_hard_ternary_sets():
+    companions = [(), (UNIT_TRUE,), (UNIT_FALSE,), (UNIT_TRUE, UNIT_FALSE)]
+    hard = 0
+    for mask in range(256):
+        for extra in companions:
+            sset = RelationSet((Relation(3, mask),) + extra)
+            if classify(sset).size_side == "HARD":
+                hard += 1
+                with pytest.raises(FragmentMismatchError):
+                    detect_fragment(sset)
+            else:
+                detect_fragment(sset)
+    assert hard > 0
 
 
 @pytest.mark.parametrize(

@@ -33,9 +33,6 @@ from postlab.csp import (
     csp_sat_value,
     eval_constraint,
     hornt_set,
-    make_hornsat,
-    make_random,
-    make_xorsat,
     monotonicity_check,
     nand_fragment_set,
     or_fragment_set,
@@ -58,9 +55,9 @@ from postlab.graphlab import Graph, enumerate_graphs, odd_factor_fast, tseitin_s
 
 
 def test_instance_sizes():
-    assert make_xorsat(4).size == 2 * 4**3
-    assert make_hornsat(4).size == 2 * 4**3 + 4
-    assert make_xorsat(1).size == 2
+    assert CspInstance(xor3_set(), 4).size == 2 * 4**3
+    assert CspInstance(hornt_set(), 4).size == 2 * 4**3 + 4
+    assert CspInstance(xor3_set(), 1).size == 2
 
 
 def test_encode_decode_bijection():
@@ -74,7 +71,7 @@ def test_encode_decode_bijection():
 
 
 def test_decode_out_of_range():
-    inst = make_xorsat(2)
+    inst = CspInstance(xor3_set(), 2)
     with pytest.raises(IndexError):
         inst.decode(inst.size)
 
@@ -85,7 +82,7 @@ def test_eval_constraint_examples():
     j = inst.encode(0, (0, 1))
     assert eval_constraint(inst, j, 0b01) is True   # x0 = 1 satisfies the clause
     assert eval_constraint(inst, j, 0b00) is False
-    x = make_xorsat(2)
+    x = CspInstance(xor3_set(), 2)
     j = x.encode(1, (0, 0, 0))
     assert eval_constraint(x, j, 0b01) is True      # 1 xor 1 xor 1 = 1
     # repeated variables act through the projected tuple: x = x always holds
@@ -94,7 +91,7 @@ def test_eval_constraint_examples():
 
 
 def test_csp_sat_value_basics():
-    assert csp_sat_value(make_xorsat(2)) is False  # empty formula is satisfiable
+    assert csp_sat_value(CspInstance(xor3_set(), 2)) is False  # empty formula is satisfiable
     units = RelationSet((UNIT_TRUE, UNIT_FALSE), "units")
     inst = CspInstance(units, 1, 0).with_constraint(0, (0,)).with_constraint(1, (0,))
     assert csp_sat_value(inst) is True
@@ -147,7 +144,7 @@ def test_or_fragment_example():
 
 
 def test_fragment_mismatch_errors():
-    xinst = make_random(xor3_set(), 3, 0.2, seed=1)
+    xinst = random_instance(xor3_set(), 3, 0.2, random.Random(1))
     with pytest.raises(FragmentMismatchError):
         solve_horn(xinst)
     with pytest.raises(FragmentMismatchError):
@@ -178,7 +175,7 @@ def test_solver_agrees_with_brute_force(set_fn, solver):
     rng = random.Random(zlib.crc32(sset.name.encode()))
     for trial in range(200):
         n = rng.randrange(2, 9)
-        inst = make_random(sset, n, rng.choice([0.02, 0.05, 0.15]), seed=trial)
+        inst = random_instance(sset, n, rng.choice([0.02, 0.05, 0.15]), random.Random(trial))
         assert solver(inst) == satisfiable_brute(inst), (sset.name, n, hex(inst.bits))
 
 
@@ -262,6 +259,19 @@ def test_one_prime_clause_means_a_clause_relation():
             assert (len(clauses(rel, tuple(range(k)))) <= 1) == (m in single), rel
 
 
+def test_s00_and_s10_are_the_menu_clause_shapes():
+    # the clause-shape rule the OR/NAND menu used before it read Pol: every
+    # prime clause an implication, a unit, or of the side's one polarity
+    for rel in SMALL_RELATIONS:
+        got = clauses(rel, tuple(range(rel.arity)))
+        for clone, wide_ok in (("S00", lambda pos, neg: not neg), ("S10", lambda pos, neg: not pos)):
+            shape = all(
+                len(pos) == len(neg) == 1 or len(pos) + len(neg) == 1 or wide_ok(pos, neg)
+                for pos, neg in got
+            )
+            assert in_pol(clone, rel) == shape, (clone, rel)
+
+
 def test_or_fragment_side_menu():
     assert or_fragment_side(or_fragment_set(3)) == "or"
     assert or_fragment_side(nand_fragment_set(3)) == "nand"
@@ -313,12 +323,12 @@ def test_xor_system_to_instance_chains():
     assert xor_system_to_instance(XorSystem(2, ())) == CspInstance(xor3_set(), 2)
 
 
-def test_make_random_deterministic():
-    a = make_random(xor3_set(), 3, 0.2, seed=7)
-    b = make_random(xor3_set(), 3, 0.2, seed=7)
+def test_random_instance_deterministic():
+    a = random_instance(xor3_set(), 3, 0.2, random.Random(7))
+    b = random_instance(xor3_set(), 3, 0.2, random.Random(7))
     assert a == b
     # the sweeps' instances depend on these draws staying fixed
-    assert make_random(hornt_set(), 3, 0.1, seed=3).bits == 0x2002200060
+    assert random_instance(hornt_set(), 3, 0.1, random.Random(3)).bits == 0x2002200060
 
 
 def test_pick_solver_choices():
@@ -335,14 +345,14 @@ def test_pick_solver_choices():
 
 @pytest.mark.parametrize("n,set_bits", [(0, []), (-1, []), (2, [18]), (2, [40]), (2, [-1])])
 def test_instance_from_json_validates(n, set_bits):
-    obj = make_hornsat(2).to_json()  # N = 18 at n = 2
+    obj = CspInstance(hornt_set(), 2).to_json()  # N = 18 at n = 2
     obj.update(n=n, set_bits=set_bits)
     with pytest.raises(RelationParseError):
         CspInstance.from_json(obj)
 
 
 def test_instance_json_roundtrip():
-    inst = make_random(hornt_set(), 3, 0.1, seed=3)
+    inst = random_instance(hornt_set(), 3, 0.1, random.Random(3))
     assert CspInstance.from_json(inst.to_json()) == inst
     listing = inst.listing()
     assert listing.count("\n") == inst.constraint_count()
@@ -363,6 +373,7 @@ def test_solvers_cost_follows_constraints_not_n():
         (solve_antihorn, CspInstance(ahornt_set(), n).with_constraint(0, (999, 2, 3)), True),
         (solve_2sat, CspInstance(twosat_set(), n).with_constraint(2, (999, 999)), True),
         (solve_or_fragment, CspInstance(or_fragment_set(3), n).with_constraint(0, (999, 2, 3)), True),
+        (solve_or_fragment, CspInstance(nand_fragment_set(3), n).with_constraint(1, (999,)), True),
     ]
     empty = CspInstance(RelationSet((Relation(3, 0),)), n).with_constraint(0, (999, 2, 3))
     cases += [(solver, empty, False) for solver, _, _ in cases]

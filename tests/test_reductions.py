@@ -21,7 +21,7 @@ from postlab.csp import (
     CspInstance,
     csp_sat_value,
     hornt_set,
-    make_random,
+    random_instance,
     satisfiable_brute,
     xor3_set,
 )
@@ -73,7 +73,7 @@ def test_eliminate_equality_preserves_value():
     rng = random.Random(2)
     s = RelationSet((EQ2, or_relation(2), UNIT_FALSE), "mix")
     for trial in range(120):
-        inst = make_random(s, rng.randrange(2, 6), 0.12, seed=trial)
+        inst = random_instance(s, rng.randrange(2, 6), 0.12, random.Random(trial))
         out = eliminate_equality(inst)
         assert csp_sat_value(inst) == csp_sat_value(out)
         assert monotone_map_spot_check(inst, out)
@@ -115,7 +115,7 @@ def test_cq_rewrite_identity_defs():
     defs = {r: find_cq(s[r], s) for r in range(len(s))}
     rng = random.Random(5)
     for trial in range(100):
-        inst = make_random(s, 4, 0.04, seed=trial)
+        inst = random_instance(s, 4, 0.04, random.Random(trial))
         out, red = cq_rewrite(inst, defs)
         assert out.bits == inst.bits and out.n == inst.n
         assert red.apply(inst.bits) == out.bits
@@ -128,7 +128,7 @@ def test_cq_rewrite_equality_to_implication():
     defs = {r: find_cq(s1[r], s2) for r in range(len(s1))}
     rng = random.Random(6)
     for trial in range(120):
-        inst = make_random(s1, rng.randrange(2, 6), 0.1, seed=trial)
+        inst = random_instance(s1, rng.randrange(2, 6), 0.1, random.Random(trial))
         out, red = cq_rewrite(inst, defs)
         assert csp_sat_value(inst) == csp_sat_value(out)
         kinds = {d[0] for d in red.bits}
@@ -146,7 +146,7 @@ def test_pol_reduce_chain():
     s2 = RelationSet((IMP2, UNIT_TRUE, UNIT_FALSE), "impset")
     rng = random.Random(7)
     for trial in range(60):
-        inst = make_random(s1, rng.randrange(2, 5), 0.12, seed=trial)
+        inst = random_instance(s1, rng.randrange(2, 5), 0.12, random.Random(trial))
         result = pol_reduce(inst, s2)
         assert result is not None
         assert csp_sat_value(inst) == csp_sat_value(result.instance)
@@ -155,7 +155,7 @@ def test_pol_reduce_chain():
 
 
 def test_pol_reduce_identity():
-    inst = make_random(xor3_set(), 3, 0.05, seed=1)
+    inst = random_instance(xor3_set(), 3, 0.05, random.Random(1))
     result = pol_reduce(inst, xor3_set())
     assert result is not None
     assert csp_sat_value(inst) == csp_sat_value(result.instance)
@@ -170,13 +170,13 @@ def test_negate_relations():
 def test_l2_to_l3_preserves_and_projects():
     rng = random.Random(8)
     for trial in range(120):
-        inst = make_random(xor3_set(), rng.randrange(2, 6), 0.06, seed=trial)
+        inst = random_instance(xor3_set(), rng.randrange(2, 6), 0.06, random.Random(trial))
         out, red = l2_to_l3_transform(inst)
         assert out.n == inst.n + 1
         assert red.is_projection_only
         assert csp_sat_value(inst) == csp_sat_value(out)
     # the transformed relations are invariant under complementation
-    out, _ = l2_to_l3_transform(make_random(xor3_set(), 3, 0.1, seed=0))
+    out, _ = l2_to_l3_transform(random_instance(xor3_set(), 3, 0.1, random.Random(0)))
     assert all(preserves(NEGATION, r) for r in out.sset)
 
 
