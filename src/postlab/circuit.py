@@ -9,6 +9,7 @@ where circuit inputs are literals.
 
 from __future__ import annotations
 
+import functools
 import itertools
 from dataclasses import dataclass
 from typing import Iterable, Iterator, Sequence
@@ -99,31 +100,59 @@ def is_syntactically_monotone(c: Circuit) -> bool:
     return all(kind not in (NOT, XOR) for kind, _ in c.gates)
 
 
-def evaluate(c: Circuit, x: int) -> int:
-    """Gate-by-gate evaluation; output bit i of the result is outputs[i]."""
-    vals = [0] * len(c.gates)
+def _gate_values(c: Circuit, inputs: Sequence[int], full: int) -> list[int]:
+    """Value of every gate, bit-parallel: input gate i takes the word
+    inputs[i], and full is the all-lanes word that NOT and CONST1 use."""
+    vals: list[int] = [0] * len(c.gates)
     for idx, (kind, args) in enumerate(c.gates):
         if kind == INPUT:
-            vals[idx] = (x >> args[0]) & 1
+            vals[idx] = inputs[args[0]]
         elif kind == CONST0:
             vals[idx] = 0
         elif kind == CONST1:
-            vals[idx] = 1
+            vals[idx] = full
         elif kind == NOT:
-            vals[idx] = 1 - vals[args[0]]
+            vals[idx] = vals[args[0]] ^ full
         elif kind == AND:
-            vals[idx] = int(all(vals[a] for a in args))
+            acc = full
+            for a in args:
+                acc &= vals[a]
+            vals[idx] = acc
         elif kind == OR:
-            vals[idx] = int(any(vals[a] for a in args))
+            acc = 0
+            for a in args:
+                acc |= vals[a]
+            vals[idx] = acc
         else:
             acc = 0
             for a in args:
                 acc ^= vals[a]
             vals[idx] = acc
+    return vals
+
+
+def evaluate(c: Circuit, x: int) -> int:
+    """Gate-by-gate evaluation; output bit i of the result is outputs[i]."""
+    vals = _gate_values(c, [(x >> i) & 1 for i in range(c.n)], 1)
     out = 0
     for i, o in enumerate(c.outputs):
         out |= vals[o] << i
     return out
+
+
+def evaluate_many(c: Circuit, xs: Sequence[int]) -> list[int]:
+    """[evaluate(c, x) for x in xs] from one pass over the gates: lane k of
+    each gate's word is that gate's value on xs[k]."""
+    if not xs:
+        return []
+    low = (1 << c.n) - 1
+    # row k holds the bits of xs[k], most significant first; column n-1-i
+    # read from the last row up is the lane word of input i
+    rows = [format(x & low, f"0{c.n}b") for x in xs]
+    inputs = [int("".join(col)[::-1], 2) for col in zip(*rows)][::-1]
+    vals = _gate_values(c, inputs, (1 << len(xs)) - 1)
+    lanes = [format(vals[o], f"0{len(xs)}b") for o in reversed(c.outputs)]
+    return [int("".join(bits), 2) for bits in zip(*lanes)][::-1] if lanes else [0] * len(xs)
 
 
 def evaluate_ref(c: Circuit, x: int) -> int:
@@ -168,42 +197,20 @@ def evaluate_ref(c: Circuit, x: int) -> int:
 
 
 def input_pattern(i: int, n: int) -> int:
-    """Truth table (over 2**n inputs) of the i-th input variable."""
+    """Truth table (over 2**n inputs) of the i-th input variable, 0 <= i < n."""
     block = 1 << i
-    pattern = 0
-    for x in range(block, 1 << n, 2 * block):
-        pattern |= ((1 << block) - 1) << x
+    pattern = ((1 << block) - 1) << block  # one period: block zeros, block ones
+    width = 2 * block
+    while width < 1 << n:
+        pattern |= pattern << width
+        width *= 2
     return pattern
 
 
 def truth_tables(c: Circuit) -> list[int]:
     """Truth tables of all outputs at once, bit-parallel across assignments."""
-    full = (1 << (1 << c.n)) - 1
-    vals: list[int] = [0] * len(c.gates)
-    for idx, (kind, args) in enumerate(c.gates):
-        if kind == INPUT:
-            vals[idx] = input_pattern(args[0], c.n)
-        elif kind == CONST0:
-            vals[idx] = 0
-        elif kind == CONST1:
-            vals[idx] = full
-        elif kind == NOT:
-            vals[idx] = vals[args[0]] ^ full
-        elif kind == AND:
-            acc = full
-            for a in args:
-                acc &= vals[a]
-            vals[idx] = acc
-        elif kind == OR:
-            acc = 0
-            for a in args:
-                acc |= vals[a]
-            vals[idx] = acc
-        else:
-            acc = 0
-            for a in args:
-                acc ^= vals[a]
-            vals[idx] = acc
+    inputs = [input_pattern(i, c.n) for i in range(c.n)]
+    vals = _gate_values(c, inputs, (1 << (1 << c.n)) - 1)
     return [vals[o] for o in c.outputs]
 
 
@@ -389,15 +396,25 @@ class Dnf:
 
 
 def monotone_violation(nvars: int, table: int) -> tuple[int, int] | None:
-    """A pair x <= y with f(x)=1 and f(y)=0, or None when f is monotone."""
-    for x in range(1 << nvars):
-        if not (table >> x) & 1:
-            continue
-        for j in range(nvars):
-            y = x | (1 << j)
-            if y != x and not (table >> y) & 1:
-                return (x, y)
-    return None
+    """A pair x <= y with f(x)=1 and f(y)=0, or None when f is monotone.
+
+    The witness is the smallest such x, then the smallest flipped bit j.
+    """
+    best = None
+    for j, zero in enumerate(_zero_patterns(nvars)):
+        bad = table & ~(table >> (1 << j)) & zero  # x_j = 0, f(x) = 1, f(x | 2^j) = 0
+        if bad:
+            x = (bad & -bad).bit_length() - 1
+            if best is None or x < best[0]:
+                best = (x, x | 1 << j)
+    return best
+
+
+@functools.lru_cache(maxsize=16)
+def _zero_patterns(nvars: int) -> tuple[int, ...]:
+    """Per variable j, the truth table of "x_j = 0" over 2**nvars inputs:
+    the pattern of x_j moved down by one block."""
+    return tuple(input_pattern(j, nvars) >> (1 << j) for j in range(nvars))
 
 
 def quine_strip(d: Dnf) -> Dnf:

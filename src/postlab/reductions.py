@@ -375,14 +375,14 @@ class BipOddFactorReduction:
     beta: BitReduction
     n: int
     always_bits: int  # mask of the Tseitin applications of K_{n,n}, present for every M
-    cell_bits: tuple[tuple[int, int], ...]  # (cell index i*n+j, application bit)
+    cell_masks: tuple[int, ...]  # per cell i*n+j, the mask of its zeroing application
 
     def alpha_bits(self, graph_mask: int) -> int:
-        bits = self.always_bits
-        for cell, bit in self.cell_bits:
+        missing = 0
+        for cell, mask in enumerate(self.cell_masks):
             if not (graph_mask >> cell) & 1:
-                bits |= 1 << bit
-        return bits
+                missing |= mask
+        return self.always_bits | missing
 
     def instance_for(self, graph_mask: int) -> CspInstance:
         return CspInstance(self.instance.sset, self.instance.n, self.alpha_bits(graph_mask))
@@ -415,12 +415,12 @@ def bip_oddfactor_to_xorsat(graph: BipGraph) -> BipOddFactorReduction:
             f"K_{{{n},{n}}} has {n * n} edges, above the oracle_edges budget {limit}"
         )
     full = xor_system_to_instance(tseitin_system(BipGraph(n, (1 << n * n) - 1).to_graph()))
-    cell_bits = tuple((c, full.encode(0, (c, c, c))) for c in range(n * n))
+    cell_bits = [full.encode(0, (c, c, c)) for c in range(n * n)]
     beta_defs: list[tuple] = [(CONST, 1)] * full.size
     for r, variables in full.iter_constraints():
         beta_defs[full.encode(r, variables)] = (CONST, 0)
-    for cell, bit in cell_bits:
+    for cell, bit in enumerate(cell_bits):
         beta_defs[bit] = (PROJ, cell)
     beta = BitReduction(n * n, full.size, tuple(beta_defs))
-    layout = BipOddFactorReduction(full, beta, n, full.bits, cell_bits)
+    layout = BipOddFactorReduction(full, beta, n, full.bits, tuple(1 << bit for bit in cell_bits))
     return replace(layout, instance=layout.instance_for(graph.mask))

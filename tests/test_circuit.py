@@ -16,12 +16,14 @@ from postlab.circuit import (
     dt_to_monotone_dnf,
     dualize,
     evaluate,
+    evaluate_many,
     evaluate_ref,
     input_pattern,
     is_syntactically_monotone,
     measures,
     minterm_dnf,
     monotone_table_to_circuit,
+    monotone_violation,
     quine_strip,
     truth_tables,
 )
@@ -69,12 +71,47 @@ def test_two_evaluators_agree():
             assert a == r == t
 
 
+def test_evaluate_many_matches_reference():
+    rng = random.Random(11)
+    for _ in range(100):
+        n = rng.randrange(1, 10)
+        c = random_circuit(rng, n)
+        for batch in (0, 1, 63, 64, 65, 1000):
+            xs = [rng.getrandbits(n) for _ in range(batch)]
+            assert evaluate_many(c, xs) == [evaluate_ref(c, x) for x in xs]
+
+
 def test_input_pattern():
-    for n in range(1, 6):
+    # the exhaustive emitter oracle in verify is built from these patterns
+    for n in range(1, 13):
         for i in range(n):
             p = input_pattern(i, n)
+            assert p >> (1 << n) == 0
             for x in range(1 << n):
                 assert ((p >> x) & 1) == (x >> i) & 1
+
+
+def _monotone_violation_loop(nvars, table):
+    for x in range(1 << nvars):
+        if not (table >> x) & 1:
+            continue
+        for j in range(nvars):
+            y = x | (1 << j)
+            if y != x and not (table >> y) & 1:
+                return (x, y)
+    return None
+
+
+def test_monotone_violation_witness_matches_the_loop():
+    for table in range(1 << 16):
+        assert monotone_violation(4, table) == _monotone_violation_loop(4, table)
+    rng = random.Random(13)
+    for _ in range(2000):
+        nvars = rng.randrange(0, 9)
+        table = rng.getrandbits(1 << nvars)
+        if rng.randrange(2):  # sparse tables have few, late violations
+            table &= rng.getrandbits(1 << nvars) & rng.getrandbits(1 << nvars)
+        assert monotone_violation(nvars, table) == _monotone_violation_loop(nvars, table)
 
 
 def test_measures_balanced_tree():

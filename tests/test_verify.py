@@ -1,0 +1,91 @@
+"""A wrong circuit makes the bit-parallel checks of `verify` report the same
+witness as a per-mask loop over `evaluate_ref` does."""
+
+import random
+
+from postlab import construct, verify
+from postlab.circuit import AND, INPUT, OR, Circuit, evaluate_ref
+from postlab.csp import CspInstance, twosat_set, violation_masks
+from postlab.graphlab import Graph, edge_mask
+
+
+def _with_output(c: Circuit, kind: str, a: int, b: int) -> Circuit:
+    """c with its output replaced by kind(output, x_a AND x_b): still monotone."""
+    k = len(c.gates)
+    gates = c.gates + ((INPUT, (a,)), (INPUT, (b,)), (AND, (k, k + 1)), (kind, (c.outputs[0], k + 2)))
+    return Circuit(c.n, gates, (k + 3,), c.fanin_mode)
+
+
+def _first_bad_mask(circuit, viol, masks):
+    for w in masks:
+        if (evaluate_ref(circuit, w) & 1) != (not any(w & v == 0 for v in viol)):
+            return f"mask={w:#x}"
+    return ""
+
+
+def test_emitter_witness_matches_the_per_mask_loop(monkeypatch):
+    real = construct.emit_monotone_csp_circuit
+    built = []
+
+    def broken(sset, n):
+        c = real(sset, n)
+        built.append(_with_output(c, OR, c.n // 2, c.n - 1))
+        return built[-1]
+
+    monkeypatch.setattr(construct, "emit_monotone_csp_circuit", broken)
+    configs = (("twosat-n2", twosat_set, 2), ("twosat-n3", twosat_set, 3))
+    monkeypatch.setattr(verify, "_EMITTER_CONFIGS", configs)
+    seed, count = 5, 1000
+    report = verify.verify_emitters(seed, count)
+
+    expected = []
+    for (_, set_fn, n), circuit in zip(configs, built):
+        size = circuit.n
+        viol = violation_masks(CspInstance(set_fn(), n))
+        if size <= 18:
+            masks = range(1 << size)
+        else:
+            rng = random.Random(seed)
+            masks = [rng.getrandbits(size) & rng.getrandbits(size) & rng.getrandbits(size)
+                     for _ in range(count)]
+        expected.append(_first_bad_mask(circuit, viol, masks))
+    assert [c.detail for c in report.checks] == expected
+    assert all(expected) and not any(c.passed for c in report.checks)
+
+
+def test_padding_witness_matches_the_per_permutation_loop(monkeypatch):
+    real = construct.padded_graph_property
+    built = []
+
+    def broken(prop, big_n):
+        padded, embedding = real(prop, big_n)
+        c = _with_output(padded.circuit, AND, 0, padded.circuit.n - 1)
+        built.append((big_n, c))
+        return construct.GraphPropertyCircuit(big_n, c, padded.name), embedding
+
+    monkeypatch.setattr(construct, "padded_graph_property", broken)
+    seed = 3
+    report = verify.verify_padding(seed)
+
+    # the per-permutation loop: one rng stream through all four checks,
+    # each check stopping at its first bad permutation
+    rng = random.Random(seed)
+    expected = []
+    for big_n, c in built:
+        bad = ""
+        for _ in range(50):
+            gmask = rng.getrandbits(c.n)
+            g = Graph.from_edge_mask(big_n, gmask)
+            want = evaluate_ref(c, gmask)
+            for _ in range(50):
+                perm = list(range(big_n))
+                rng.shuffle(perm)
+                if evaluate_ref(c, edge_mask(g.permuted(perm))) != want:
+                    bad = f"mask={gmask:#x}"
+                    break
+            if bad:
+                break
+        expected.append(bad)
+    got = [c.detail for c in report.checks if c.name.endswith("-isomorphism")]
+    assert got == expected
+    assert len(set(expected)) > 1 and all(expected)
