@@ -18,7 +18,7 @@ from dataclasses import dataclass, field
 from functools import lru_cache
 from typing import Callable, Iterable, Iterator, Sequence
 
-from .circuit import monotone_violation
+from .circuit import input_pattern, monotone_violation, substitute
 from .config import Budgets, budgets
 from .errors import BudgetExceededError, RelationParseError
 
@@ -50,7 +50,7 @@ class BoolFun:
     def projection(cls, i: int, arity: int) -> "BoolFun":
         if not 0 <= i < arity:
             raise ValueError("projection index out of range")
-        return cls(arity, _projection_table(i, arity), f"p{i}^{arity}")
+        return cls(arity, input_pattern(i, arity), f"p{i}^{arity}")
 
     def __call__(self, *bits: int) -> int:
         idx = 0
@@ -62,14 +62,6 @@ class BoolFun:
     def __repr__(self):
         label = self.name or f"0x{self.table:x}"
         return f"BoolFun({self.arity}, {label})"
-
-
-def _projection_table(i: int, arity: int) -> int:
-    t = 0
-    for x in range(1 << arity):
-        if (x >> i) & 1:
-            t |= 1 << x
-    return t
 
 
 # Distinguished functions (clone bases and test fixtures).
@@ -185,6 +177,14 @@ class RelationSet:
         return tuple(i for i, r in enumerate(self.relations) if r.is_degenerate)
 
 
+def solution_table(rel: Relation, variables: Sequence[int], n: int) -> int:
+    """Truth table over the 2**n assignments of rel applied to variables:
+    bit a is set iff the tuple whose coordinate j is bit variables[j] of a
+    lies in rel."""
+    words = [input_pattern(v, n) for v in variables]
+    return substitute(rel.mask, words, (1 << (1 << n)) - 1)
+
+
 # Common relations.
 
 def clause_relation(arity: int, positives: Sequence[int], negatives: Sequence[int], name: str = "") -> Relation:
@@ -264,15 +264,9 @@ def preserves(f: BoolFun, rel: Relation, budget: Budgets | None = None) -> bool:
 def violating_choice(f: BoolFun, rel: Relation) -> tuple[int, ...] | None:
     """The first tuple choice, in itertools.product order, that f maps
     outside rel; None if f preserves rel."""
-    tuples = rel.tuples()
-    for combo in itertools.product(tuples, repeat=f.arity):
-        image = 0
-        for j in range(rel.arity):
-            idx = 0
-            for i, t in enumerate(combo):
-                idx |= ((t >> j) & 1) << i
-            image |= ((f.table >> idx) & 1) << j
-        if not (rel.mask >> image) & 1:
+    full = (1 << rel.arity) - 1
+    for combo in itertools.product(rel.tuples(), repeat=f.arity):
+        if not (rel.mask >> substitute(f.table, combo, full)) & 1:
             return combo
     return None
 
@@ -320,8 +314,8 @@ def closure_up_to(basis: Iterable[BoolFun], a: int, budget: Budgets | None = Non
     out: set[BoolFun] = set(BoolFun(ar, tb) for ar, tb in gates if ar <= a)
     steps = 0
     for m in range(1, a + 1):
-        size = 1 << m
-        tables = set(_projection_table(i, m) for i in range(m))
+        full = (1 << (1 << m)) - 1
+        tables = set(input_pattern(i, m) for i in range(m))
         tables.update(tb for ar, tb in gates if ar == m)
         frontier = set(tables)
         while frontier:
@@ -334,12 +328,7 @@ def closure_up_to(basis: Iterable[BoolFun], a: int, budget: Budgets | None = Non
                     steps += 1
                     if steps > b.closure_steps:
                         raise BudgetExceededError("closure composition budget exceeded")
-                    composed = 0
-                    for x in range(size):
-                        idx = 0
-                        for i, t in enumerate(combo):
-                            idx |= ((t >> x) & 1) << i
-                        composed |= ((g_tb >> idx) & 1) << x
+                    composed = substitute(g_tb, combo, full)
                     if composed not in tables and composed not in new:
                         new.add(composed)
             tables.update(new)

@@ -207,6 +207,26 @@ def input_pattern(i: int, n: int) -> int:
     return pattern
 
 
+def substitute(table: int, words: Sequence[int], full: int) -> int:
+    """The function with truth table `table` applied to k words, lane by lane.
+
+    Lane x of the result is bit i of table, where bit j of i is lane x of
+    words[j]; lanes outside `full` are 0.  It is the OR, over the set bits i
+    of table, of the AND over j of words[j] (bit j of i set) or ~words[j].
+    """
+    out = 0
+    while table:
+        low = table & -table
+        idx = low.bit_length() - 1
+        term = full
+        for w in words:
+            term &= w if idx & 1 else ~w
+            idx >>= 1
+        out |= term
+        table ^= low
+    return out
+
+
 def truth_tables(c: Circuit) -> list[int]:
     """Truth tables of all outputs at once, bit-parallel across assignments."""
     inputs = [input_pattern(i, c.n) for i in range(c.n)]

@@ -113,13 +113,13 @@ def _run_report(args, inputs: list[str], outputs: list[str], summary: dict, t0: 
         "outputs": outputs,
         "summary": summary,
         "seed": getattr(args, "seed", None),
-        "elapsed_ms": int((time.time() - t0) * 1000),
+        "elapsed_ms": int((time.perf_counter() - t0) * 1000),
     }
     _write_json(args.report, report)
 
 
 def cmd_classify(args) -> int:
-    t0 = time.time()
+    t0 = time.perf_counter()
     sset = _load_relation_set(args.relations)
     verdict = clone_lattice.classify(sset, with_witnesses=args.witnesses)
     if not args.no_hardness:
@@ -140,7 +140,7 @@ _SOLVERS = {
 
 
 def cmd_solve(args) -> int:
-    t0 = time.time()
+    t0 = time.perf_counter()
     inst = _load_instance(getattr(args, "in"))
     if args.solver == "auto":
         picked = csp.pick_solver(inst.sset)
@@ -156,7 +156,7 @@ def cmd_solve(args) -> int:
 
 
 def cmd_reduce(args) -> int:
-    t0 = time.time()
+    t0 = time.perf_counter()
     # bip-oddfactor reads a bipartite graph; every other op reads an instance
     inst = None if args.op == "bip-oddfactor" else _load_instance(getattr(args, "in"))
     outputs = []
@@ -202,7 +202,7 @@ def cmd_reduce(args) -> int:
 
 
 def cmd_emit(args) -> int:
-    t0 = time.time()
+    t0 = time.perf_counter()
     inputs = []
     try:
         if args.kind == "checkpoint":
@@ -241,7 +241,7 @@ def cmd_emit(args) -> int:
 
 
 def cmd_pad(args) -> int:
-    t0 = time.time()
+    t0 = time.perf_counter()
     circuit = _load_json(getattr(args, "in"), Circuit.from_json)
     try:
         padded = construct.pad_dummy_inputs(circuit, args.extra)
@@ -253,7 +253,7 @@ def cmd_pad(args) -> int:
 
 
 def cmd_verify(args) -> int:
-    t0 = time.time()
+    t0 = time.perf_counter()
     if args.jobs < 1:
         raise _CliError(f"--jobs must be >= 1, got {args.jobs}", EXIT_PARSE)
     reports = verify.run_suite(
@@ -270,13 +270,13 @@ def cmd_verify(args) -> int:
         ok = ok and rep.ok
     checks = sum(len(r.checks) for r in reports)
     passed = sum(1 for r in reports for c in r.checks if c.passed)
-    print(f"{passed}/{checks} checks passed in {time.time() - t0:.1f}s")
+    print(f"{passed}/{checks} checks passed in {time.perf_counter() - t0:.1f}s")
     _run_report(args, [], [], {"passed": passed, "checks": checks}, t0)
     return EXIT_OK if ok else EXIT_CHECK_FAILED
 
 
 def cmd_oracle(args) -> int:
-    t0 = time.time()
+    t0 = time.perf_counter()
     if args.kind == "csp-sat":
         _require(args, "in")
         inst = _load_instance(getattr(args, "in"))

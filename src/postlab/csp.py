@@ -32,6 +32,7 @@ from .boolfun import (
     or_relation,
     relation_set_from_json,
     relation_set_to_json,
+    solution_table,
 )
 from .clone_lattice import in_pol
 from .config import Budgets, budgets
@@ -155,37 +156,22 @@ class CspInstance:
         return "\n".join(lines) + ("\n" if lines else "")
 
 
-def eval_constraint(inst: CspInstance, j: int, assignment: int) -> bool:
-    """Whether assignment satisfies the j-th possible constraint application."""
-    r, variables = inst.decode(j)
-    rel = inst.sset[r]
-    enc = 0
-    for pos, v in enumerate(variables):
-        if (assignment >> v) & 1:
-            enc |= 1 << pos
-    return rel.member(enc)
-
-
 _VIOL_FAST_VARS = 10
 
 
 @lru_cache(maxsize=512)
 def _relation_violation_segments(rel: Relation, n: int) -> tuple[int, ...]:
     """For each assignment, the mask of applications of rel violated by it."""
-    segments = []
-    for a in range(1 << n):
-        seg = 0
-        for rank, variables in enumerate(itertools.product(range(n), repeat=rel.arity)):
-            enc = 0
-            # itertools.product varies the LAST position fastest; our rank
-            # varies slot 0 fastest, so walk tuples in transposed order.
-            for pos, v in enumerate(reversed(variables)):
-                if (a >> v) & 1:
-                    enc |= 1 << pos
-            if not rel.member(enc):
-                seg |= 1 << rank
-        segments.append(seg)
-    return tuple(segments)
+    full = (1 << (1 << n)) - 1
+    # itertools.product varies the LAST position fastest; our rank varies
+    # slot 0 fastest, so each product tuple is read reversed.  Row `rank`
+    # holds the violating assignments of that application, highest first;
+    # column a, read from the last row up, is the segment of assignment a.
+    rows = [
+        format(full & ~solution_table(rel, variables[::-1], n), f"0{1 << n}b")
+        for variables in itertools.product(range(n), repeat=rel.arity)
+    ]
+    return tuple(int("".join(col)[::-1], 2) for col in zip(*rows))[::-1]
 
 
 def violation_masks(inst: CspInstance) -> list[int]:
@@ -209,22 +195,12 @@ def satisfiable_brute(inst: CspInstance, budget: Budgets | None = None) -> bool:
     if inst.n <= _VIOL_FAST_VARS:
         bits = inst.bits
         return any(bits & v == 0 for v in violation_masks(inst))
-    constraints = [
-        (inst.sset[r], variables) for r, variables in inst.iter_constraints()
-    ]
-    for a in range(1 << inst.n):
-        ok = True
-        for rel, variables in constraints:
-            enc = 0
-            for pos, v in enumerate(variables):
-                if (a >> v) & 1:
-                    enc |= 1 << pos
-            if not rel.member(enc):
-                ok = False
-                break
-        if ok:
-            return True
-    return False
+    solutions = (1 << (1 << inst.n)) - 1
+    for r, variables in inst.iter_constraints():
+        solutions &= solution_table(inst.sset[r], variables, inst.n)
+        if not solutions:
+            return False
+    return True
 
 
 def csp_sat_value(inst: CspInstance, budget: Budgets | None = None) -> bool:
@@ -267,10 +243,11 @@ def gf2_satisfiable(rows) -> bool:
 @lru_cache(maxsize=512)
 def _affine_rows(rel: Relation) -> tuple[tuple[int, int], ...] | None:
     """All parity checks (coefficients, rhs) satisfied by rel, or None if the
-    checks do not cut out exactly rel (i.e. the relation is not affine)."""
+    checks do not cut out exactly rel (i.e. the relation is not affine).  The
+    empty relation is the one equation 0 = 1."""
     tuples = rel.tuples()
     if not tuples:
-        return None
+        return ((0, 1),)
     rows = []
     for c in range(1, 1 << rel.arity):
         par = bin(c & tuples[0]).count("1") & 1
@@ -389,14 +366,8 @@ def _prime_clauses(rel: Relation, pattern: tuple[int, ...]) -> tuple[tuple[int, 
     it is prime when dropping any one literal loses that.
     """
     d = max(pattern) + 1
-    solutions = []
-    for p in range(1 << d):
-        enc = 0
-        for j, g in enumerate(pattern):
-            if (p >> g) & 1:
-                enc |= 1 << j
-        if rel.member(enc):
-            solutions.append(p)
+    table = solution_table(rel, pattern, d)
+    solutions = [p for p in range(1 << d) if (table >> p) & 1]
     implied = set()
     for care in range(1 << d):
         seen = {p & care for p in solutions}

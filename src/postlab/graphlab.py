@@ -88,11 +88,11 @@ def parse_graph(text: str) -> Graph:
             continue
         parts = line.split()
         if parts[0] == "v" and len(parts) == 2:
-            v = int(parts[1])
+            v = _parse_int(parts[1], lineno)
         elif parts[0] == "e" and len(parts) == 3:
             if v is None:
                 raise RelationParseError(f"line {lineno}: edge before vertex count")
-            edges.append((int(parts[1]), int(parts[2])))
+            edges.append((_parse_int(parts[1], lineno), _parse_int(parts[2], lineno)))
         else:
             raise RelationParseError(f"line {lineno}: expected `v <count>` or `e <i> <j>`")
     if v is None:
@@ -101,6 +101,13 @@ def parse_graph(text: str) -> Graph:
         return Graph.from_edges(v, edges)
     except ValueError as exc:
         raise RelationParseError(str(exc)) from exc
+
+
+def _parse_int(token: str, lineno: int) -> int:
+    try:
+        return int(token)
+    except ValueError as exc:
+        raise RelationParseError(f"line {lineno}: bad integer {token!r}") from exc
 
 
 def format_graph(g: Graph) -> str:

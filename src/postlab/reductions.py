@@ -12,7 +12,7 @@ from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass, replace
-from .boolfun import EQ2, Relation, RelationSet
+from .boolfun import EQ2, Relation, RelationSet, solution_table
 from .config import Budgets, budgets
 from .csp import CspInstance, solve_xor, xor_system_to_instance
 from .errors import BudgetExceededError, FragmentMismatchError
@@ -135,6 +135,19 @@ def eliminate_equality(inst: CspInstance) -> CspInstance:
 
 # Conjunctive queries.
 
+def _project(sols: int, k: int) -> int:
+    """The tuple mask of the first k variables of a solution table: tuple t
+    is in it iff some assignment whose low k bits are t is.  The assignments
+    that share their low k bits lie 2**k lanes apart."""
+    width = 1 << k
+    low = (1 << width) - 1
+    mask = 0
+    while sols:
+        mask |= sols & low
+        sols >>= width
+    return mask
+
+
 @dataclass(frozen=True)
 class CQDefinition:
     """target(x0..xk-1) = exists y0..y{aux-1}: conjunction of atoms.
@@ -150,21 +163,10 @@ class CQDefinition:
     def defined_relation(self) -> Relation:
         k = self.target.arity
         v = k + self.aux_count
-        mask = 0
-        for assignment in range(1 << v):
-            ok = True
-            for rel_idx, variables in self.atoms:
-                rel = self.over[rel_idx]
-                enc = 0
-                for pos, var in enumerate(variables):
-                    if (assignment >> var) & 1:
-                        enc |= 1 << pos
-                if not rel.member(enc):
-                    ok = False
-                    break
-            if ok:
-                mask |= 1 << (assignment & ((1 << k) - 1))
-        return Relation(k, mask)
+        sols = (1 << (1 << v)) - 1
+        for rel_idx, variables in self.atoms:
+            sols &= solution_table(self.over[rel_idx], variables, v)
+        return Relation(k, _project(sols, k))
 
     def semantics_ok(self) -> bool:
         return self.defined_relation().mask == self.target.mask
@@ -197,28 +199,13 @@ def find_cq(
         v = k + aux
         if v > 12:
             raise CQSearchOverflow("too many query variables")
-        atoms = []
-        for rel_idx, rel in enumerate(over):
-            for variables in itertools.product(range(v), repeat=rel.arity):
-                sols = 0
-                for assignment in range(1 << v):
-                    enc = 0
-                    for pos, var in enumerate(variables):
-                        if (assignment >> var) & 1:
-                            enc |= 1 << pos
-                    if rel.member(enc):
-                        sols |= 1 << assignment
-                atoms.append((rel_idx, variables, sols))
+        atoms = [
+            (rel_idx, variables, solution_table(rel, variables, v))
+            for rel_idx, rel in enumerate(over)
+            for variables in itertools.product(range(v), repeat=rel.arity)
+        ]
         full = (1 << (1 << v)) - 1
-
-        def project(sols: int) -> int:
-            mask = 0
-            for assignment in range(1 << v):
-                if (sols >> assignment) & 1:
-                    mask |= 1 << (assignment & ((1 << k) - 1))
-            return mask
-
-        if project(full) == target.mask:
+        if _project(full, k) == target.mask:
             return CQDefinition(target, over, aux, ())
         frontier: dict[int, tuple] = {full: ()}
         seen = {full}
@@ -233,7 +220,7 @@ def find_cq(
                     if len(seen) > b.cq_states:
                         raise CQSearchOverflow("state budget exhausted")
                     grown = chosen + ((rel_idx, variables),)
-                    if project(new) == target.mask:
+                    if _project(new, k) == target.mask:
                         return CQDefinition(target, over, aux, grown)
                     nxt[new] = grown
             frontier = nxt

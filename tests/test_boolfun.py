@@ -36,6 +36,32 @@ from postlab.boolfun import (
     preserves_set,
     violating_choice,
 )
+from postlab.clone_lattice import CATALOG
+
+
+def _violating_choice_loop(f, rel):
+    """The per-lane image loop: coordinate j of the image is f at the j-th
+    coordinates of the chosen tuples."""
+    for combo in itertools.product(rel.tuples(), repeat=f.arity):
+        image = 0
+        for j in range(rel.arity):
+            idx = 0
+            for i, t in enumerate(combo):
+                idx |= ((t >> j) & 1) << i
+            image |= ((f.table >> idx) & 1) << j
+        if not (rel.mask >> image) & 1:
+            return combo
+    return None
+
+
+def test_violating_choice_matches_the_lane_loop():
+    funs = [BoolFun(a, t) for a in range(3) for t in range(1 << (1 << a))]
+    funs += sorted({f for desc in CATALOG.values() for f in desc.basis if f.arity == 3})
+    rels = [Relation(k, m) for k in (1, 2, 3) for m in range(1 << (1 << k))]
+    assert len(rels) == 276
+    for f in funs:
+        for rel in rels:
+            assert violating_choice(f, rel) == _violating_choice_loop(f, rel), (f, rel)
 
 
 def brute_preserves(f, rel):

@@ -25,6 +25,7 @@ from postlab.circuit import (
     monotone_table_to_circuit,
     monotone_violation,
     quine_strip,
+    substitute,
     truth_tables,
 )
 from postlab.errors import MonotonePreconditionError
@@ -89,6 +90,30 @@ def test_input_pattern():
             assert p >> (1 << n) == 0
             for x in range(1 << n):
                 assert ((p >> x) & 1) == (x >> i) & 1
+
+
+def _substitute_loop(table, words, full):
+    """Lane by lane: lane x is bit idx of table, bit i of idx lane x of words[i]."""
+    out = 0
+    for x in range(full.bit_length()):
+        if (full >> x) & 1:
+            idx = 0
+            for i, w in enumerate(words):
+                idx |= ((w >> x) & 1) << i
+            out |= ((table >> idx) & 1) << x
+    return out
+
+
+def test_substitute_matches_the_lane_loop():
+    rng = random.Random(9)
+    for k in range(5):
+        tables = [0, (1 << (1 << k)) - 1] + [rng.getrandbits(1 << k) for _ in range(8)]
+        for table in tables:
+            for width in range(1, 65):
+                full = (1 << width) - 1
+                # words may carry lanes beyond full; the result must not
+                words = [rng.getrandbits(width + 3) for _ in range(k)]
+                assert substitute(table, words, full) == _substitute_loop(table, words, full)
 
 
 def _monotone_violation_loop(nvars, table):

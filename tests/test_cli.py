@@ -259,6 +259,8 @@ MALFORMED = {
     "bip-zero-n": ["reduce", "bip-oddfactor", "--in", "{bip0}"],
     "bip-negative-n": ["reduce", "bip-oddfactor", "--in", "{bip_neg}"],
     "graph-negative-v": ["oracle", "odd-factor", "--graph", "{graph_neg}"],
+    "graph-non-integer-v": ["oracle", "odd-factor", "--graph", "{graph_v_abc}"],
+    "graph-non-integer-edge": ["oracle", "odd-factor", "--graph", "{graph_e_x}"],
     "classify-json-tuple-digit": ["classify", "{digit_set}"],
     "solve-json-tuple-digit": ["solve", "auto", "--in", "{digit_inst}"],
     "verify-zero-jobs": ["verify", "quine", "--quick", "--jobs", "0"],
@@ -289,8 +291,10 @@ def test_malformed_input_exits_2(tmp_path, capsys, argv):
     paths = {name: tmp_path / f"{name}.json" for name in files}
     for name, obj in files.items():
         paths[name].write_text(json.dumps(obj))
-    paths["graph_neg"] = tmp_path / "graph_neg.txt"
-    paths["graph_neg"].write_text("v -1\n")
+    graphs = {"graph_neg": "v -1\n", "graph_v_abc": "v abc\n", "graph_e_x": "v 2\ne 0 x\n"}
+    for name, text in graphs.items():
+        paths[name] = tmp_path / f"{name}.txt"
+        paths[name].write_text(text)
     argv = [a.format(**{k: str(p) for k, p in paths.items()}) for a in argv]
     code, _, err = run(capsys, *argv)
     assert code == 2, err

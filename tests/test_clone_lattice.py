@@ -1,5 +1,6 @@
 """Clone catalog, containment checks, and dichotomy verdicts."""
 
+import hashlib
 import random
 
 import pytest
@@ -14,6 +15,7 @@ from postlab.boolfun import (
     or_relation,
     preserves,
     BoolFun,
+    closure_up_to,
 )
 from postlab.clone_lattice import (
     CATALOG,
@@ -39,6 +41,39 @@ def test_catalog_validates():
     for name in CATALOG:
         if name != "I2":
             assert ("I2", name) in recorded
+
+
+# sha256 of "arity:table-in-hex" of each function of closure_up_to(basis, 3),
+# space-separated in sorted order, as the per-lane composition loop built it.
+CLOSURE3_SHA256 = {
+    "D": "dd4a62774a8eab13fbf49dfc1d54811cb503404e55a3ea53335d36af33323634",
+    "D1": "3054580dd72fc37f9d4afef898ec5e0e9e2ae236413a6b1c51610ea7754585bd",
+    "D2": "fa30a83464a0cf8f72f6d3a1b39de9e24e690b7f21136533a528e16aaf8f3ecc",
+    "E2": "7265f7c0030342f9dd0662b4f116d026414b28d6ecde19f7e6212a9e188934f1",
+    "I0": "312e22dd7afdb1d111856cbf5c8357a9e103d7041253de27d36034dbbd7a126d",
+    "I1": "248f42deaebfcbf4b430d20323b0152a97386774ae09da412e646ba4394ae9cd",
+    "I2": "47d5993e552262c0b84f3820ba9ef03ef1d38127251bdfcfbe5f93abc2cd950d",
+    "L": "9198e6cefc0e04ee2e885dba213d24757a7c6d1a40302879f3de993475ed44e4",
+    "L0": "b9548726085335ca07ed40b28e74072c28863f77afc2ff585a1a0b8e4ea7cc70",
+    "L1": "aa308be7186aab2ad788d0678e2bf8bb3996225c89f76117282d1427480a6bbd",
+    "L2": "6dd9b22a0eee7a5fdd1da58fa2905469200b33421e0899c7867836ba3e6ce08a",
+    "L3": "5950e196f3f5419e7149174cfc1f09c83163237ab7db6738a9635caa449e4df5",
+    "M2": "54bd0c5054da7d165509bf3b3820d45d8a385b470551f105a3f1ba9f7c4712c0",
+    "N2": "0d51c10d31360b55ea8c83f39f35c3e6c449f25fc123f8b66cf5fd8d91e42f9c",
+    "R2": "12e5fe5fa08c80c2e9a521718a7954b10c5f31baf633fef9dcd22a290133200d",
+    "S00": "d1b0ac84bfddb6362d1c4d73f5f582b66f07d308b390c5c3cb39aa28db135036",
+    "S02": "ff2d034b76e79420d31c3add564ed4522c39902f979526259f0b2e41f8de8928",
+    "S10": "d8536da778762330d6b8825dbf542e247f78d2c0653123ffecbc2aa326270d74",
+    "S12": "340a2ee489ca02b355a591ea9391aa99d4a90db9c0031b59863ae735b0d00625",
+    "V2": "c676bf9af35b1eabee6920610424e46d3fffdf2873d50afca9f6ad3fa11c1adc",
+}
+
+
+def test_arity3_closures_are_pinned():
+    assert set(CLOSURE3_SHA256) == set(CATALOG)
+    for name, desc in CATALOG.items():
+        text = " ".join(f"{f.arity}:{f.table:x}" for f in closure_up_to(desc.basis, 3))
+        assert hashlib.sha256(text.encode()).hexdigest() == CLOSURE3_SHA256[name], name
 
 
 def test_unknown_clone_label():

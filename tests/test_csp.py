@@ -5,6 +5,7 @@ import itertools
 import pickle
 import random
 import zlib
+from dataclasses import replace
 
 import pytest
 from hypothesis import example, given, settings
@@ -15,11 +16,14 @@ from postlab.boolfun import (
     IMP2,
     UNIT_FALSE,
     UNIT_TRUE,
+    XOR3_0,
+    XOR3_1,
     Relation,
     RelationSet,
     clause_relation,
     nand_relation,
     or_relation,
+    solution_table,
 )
 from postlab.circuit import evaluate, is_syntactically_monotone
 from postlab.clone_lattice import in_pol
@@ -31,7 +35,6 @@ from postlab.csp import (
     clause_table,
     clauses,
     csp_sat_value,
-    eval_constraint,
     hornt_set,
     monotonicity_check,
     nand_fragment_set,
@@ -76,18 +79,34 @@ def test_decode_out_of_range():
         inst.decode(inst.size)
 
 
-def test_eval_constraint_examples():
-    s = RelationSet((or_relation(2),), "or2")
-    inst = CspInstance(s, 2, 0)
-    j = inst.encode(0, (0, 1))
-    assert eval_constraint(inst, j, 0b01) is True   # x0 = 1 satisfies the clause
-    assert eval_constraint(inst, j, 0b00) is False
-    x = CspInstance(xor3_set(), 2)
-    j = x.encode(1, (0, 0, 0))
-    assert eval_constraint(x, j, 0b01) is True      # 1 xor 1 xor 1 = 1
+def test_solution_table_examples():
+    assert solution_table(or_relation(2), (0, 1), 2) == 0b1110   # only x0 = x1 = 0 fails
+    assert (solution_table(XOR3_1, (0, 0, 0), 2) >> 0b01) & 1   # 1 xor 1 xor 1 = 1
     # repeated variables act through the projected tuple: x = x always holds
-    e = CspInstance(RelationSet((EQ2,), "eq"), 2, 0)
-    assert eval_constraint(e, e.encode(0, (0, 0)), 0b10) is True
+    assert solution_table(EQ2, (0, 0), 2) == 0b1111
+    # bit a is set iff the tuple a puts on the variables is in the relation
+    rng = random.Random(4)
+    for _ in range(300):
+        k, n = rng.randint(1, 3), rng.randint(1, 4)
+        rel = Relation(k, rng.getrandbits(1 << k))
+        variables = tuple(rng.randrange(n) for _ in range(k))
+        table = solution_table(rel, variables, n)
+        for a in range(1 << n):
+            enc = sum(((a >> v) & 1) << pos for pos, v in enumerate(variables))
+            assert (table >> a) & 1 == rel.member(enc)
+
+
+def test_violation_masks_per_assignment():
+    rng = random.Random(6)
+    for sset in (hornt_set(), twosat_set(), RelationSet((EQ2, Relation(3, rng.getrandbits(8))))):
+        for n in (1, 2, 3):
+            inst = CspInstance(sset, n)
+            masks = violation_masks(inst)
+            for a in range(1 << n):
+                for j in range(inst.size):
+                    r, variables = inst.decode(j)
+                    enc = sum(((a >> v) & 1) << pos for pos, v in enumerate(variables))
+                    assert (masks[a] >> j) & 1 == (not sset[r].member(enc)), (sset.name, n, a, j)
 
 
 def test_csp_sat_value_basics():
@@ -103,6 +122,44 @@ def test_brute_force_budget():
     inst = CspInstance(xor3_set(), 23, 0)
     with pytest.raises(BudgetExceededError):
         satisfiable_brute(inst)
+
+
+def test_brute_force_without_violation_tables_matches_the_solvers():
+    # n = 11 and 12 lie above the per-assignment violation tables, where
+    # satisfiable_brute ANDs the solution tables of the constraints
+    rng = random.Random(11)
+    for sset, solver, units, densities in (
+        (hornt_set(), solve_horn, 0.3, (0.004, 0.008, 0.016)),
+        (twosat_set(), solve_2sat, 0.0, (0.02, 0.04, 0.08)),
+    ):
+        outcomes = set()
+        for n in (11, 12):
+            for density in densities:
+                for _ in range(4):
+                    inst = random_instance(sset, n, density, rng)
+                    for v in range(n):  # hornt's unit T, which density alone rarely draws
+                        if rng.random() < units:
+                            inst = inst.with_constraint(2, (v,))
+                    got = satisfiable_brute(inst)
+                    assert got == solver(inst), (sset.name, n, hex(inst.bits))
+                    outcomes.add(got)
+        assert outcomes == {True, False}, sset.name
+
+
+def test_solve_xor_on_the_empty_relation():
+    empty = Relation(3, 0)
+    assert in_pol("L2", empty)
+    sset = RelationSet((XOR3_0, empty))
+    for n in (1, 2):
+        base = CspInstance(sset, n)
+        offset = n**3
+        rng = random.Random(n)
+        for _ in range(200):
+            bits = rng.getrandbits(2 * offset)
+            for inst in (replace(base, bits=bits), replace(base, bits=bits & ((1 << offset) - 1))):
+                assert solve_xor(inst) == satisfiable_brute(inst), (n, hex(inst.bits))
+    inst = CspInstance(sset, 2).with_constraint(1, (0, 1, 0))
+    assert solve_xor(inst) is False
 
 
 def test_solve_xor_examples():
