@@ -18,7 +18,7 @@ from dataclasses import dataclass, field
 from functools import lru_cache
 from typing import Callable, Iterable, Iterator, Sequence
 
-from .circuit import input_pattern, monotone_violation, substitute
+from .circuit import input_pattern, substitute
 from .config import Budgets, budgets
 from .errors import BudgetExceededError, RelationParseError
 
@@ -46,12 +46,6 @@ class BoolFun:
                 table |= 1 << i
         return cls(arity, table, name)
 
-    @classmethod
-    def projection(cls, i: int, arity: int) -> "BoolFun":
-        if not 0 <= i < arity:
-            raise ValueError("projection index out of range")
-        return cls(arity, input_pattern(i, arity), f"p{i}^{arity}")
-
     def __call__(self, *bits: int) -> int:
         idx = 0
         for j, b in enumerate(bits):
@@ -64,9 +58,8 @@ class BoolFun:
         return f"BoolFun({self.arity}, {label})"
 
 
-# Distinguished functions (clone bases and test fixtures).
+# Distinguished functions (clone bases).
 
-IDENTITY = BoolFun.from_function(1, lambda x: x, "id")
 NEGATION = BoolFun.from_function(1, lambda x: 1 - x, "not")
 CONST0 = BoolFun.from_function(1, lambda x: 0, "const0")
 CONST1 = BoolFun.from_function(1, lambda x: 1, "const1")
@@ -76,12 +69,6 @@ XOR2 = BoolFun.from_function(2, lambda x, y: x ^ y, "xor")
 IFF2 = BoolFun.from_function(2, lambda x, y: 1 - (x ^ y), "iff")
 XOR3 = BoolFun.from_function(3, lambda x, y, z: x ^ y ^ z, "xor3")
 MAJ3 = BoolFun.from_function(3, lambda x, y, z: (x + y + z) >= 2, "maj")
-
-
-def majority(n: int) -> BoolFun:
-    if n % 2 == 0:
-        raise ValueError("majority wants odd arity")
-    return BoolFun.from_function(n, lambda *b: sum(b) > n // 2, f"maj{n}")
 
 
 @dataclass(frozen=True, order=True)
@@ -120,9 +107,6 @@ class Relation:
     def tuples(self) -> tuple[int, ...]:
         """Accepted tuples as packed encodings, ascending."""
         return tuple(t for t in range(1 << self.arity) if (self.mask >> t) & 1)
-
-    def member(self, enc: int) -> bool:
-        return bool((self.mask >> enc) & 1)
 
     @property
     def is_empty(self) -> bool:
@@ -271,31 +255,6 @@ def violating_choice(f: BoolFun, rel: Relation) -> tuple[int, ...] | None:
     return None
 
 
-def preserves_set(f: BoolFun, sset: RelationSet, budget: Budgets | None = None) -> bool:
-    return all(preserves(f, rel, budget) for rel in sset)
-
-
-def polymorphisms_up_to(sset: RelationSet, a: int, budget: Budgets | None = None) -> list[BoolFun]:
-    """All functions of arity 1..a preserving every relation of sset, sorted.
-
-    Always contains the projections.  Candidate count is sum(2**2**m for
-    m <= a), guarded by the enumeration budget.
-    """
-    b = budgets(budget)
-    if a > b.a_max:
-        raise BudgetExceededError(f"arity {a} above a_max={b.a_max}")
-    total = sum(1 << (1 << m) for m in range(1, a + 1))
-    if total > b.enum_candidates:
-        raise BudgetExceededError(f"{total} candidates exceed enumeration budget")
-    out = []
-    for m in range(1, a + 1):
-        for table in range(1 << (1 << m)):
-            f = BoolFun(m, table)
-            if preserves_set(f, sset, b):
-                out.append(f)
-    return out
-
-
 # Clone closure at bounded arity.
 
 def closure_up_to(basis: Iterable[BoolFun], a: int, budget: Budgets | None = None) -> list[BoolFun]:
@@ -337,75 +296,6 @@ def closure_up_to(basis: Iterable[BoolFun], a: int, budget: Budgets | None = Non
     return sorted(out)
 
 
-# Function property record (the clone-defining predicates).
-
-@dataclass(frozen=True)
-class FunctionProfile:
-    monotone: bool
-    linear: bool
-    self_dual: bool
-    reproducing_0: bool
-    reproducing_1: bool
-    # (a, k) -> f is a-separating of degree k, for a in {0,1}, 1 <= k <= arity
-    separating: tuple[tuple[tuple[int, int], bool], ...]
-
-    def separating_of_degree(self, a: int, k: int) -> bool:
-        return dict(self.separating)[(a, k)]
-
-
-def dual(f: BoolFun) -> BoolFun:
-    """dual(f): x -> not f(not x).  An involution."""
-    full = (1 << f.arity) - 1
-    table = 0
-    for x in range(1 << f.arity):
-        if not (f.table >> (x ^ full)) & 1:
-            table |= 1 << x
-    name = f"dual({f.name})" if f.name else ""
-    return BoolFun(f.arity, table, name)
-
-
-def is_linear_table(arity: int, table: int) -> bool:
-    b = table & 1
-    coeffs = 0
-    for j in range(arity):
-        if ((table >> (1 << j)) & 1) ^ b:
-            coeffs |= 1 << j
-    for x in range(1 << arity):
-        val = b ^ (bin(x & coeffs).count("1") & 1)
-        if val != (table >> x) & 1:
-            return False
-    return True
-
-
-def classify_function(f: BoolFun) -> FunctionProfile:
-    """Decide the clone-defining predicates by exhaustive truth-table checks."""
-    preimages = {0: [], 1: []}
-    for x in range(1 << f.arity):
-        preimages[(f.table >> x) & 1].append(x)
-    separating = []
-    for a in (0, 1):
-        pool = preimages[a]
-        for k in range(1, f.arity + 1):
-            ok = True
-            for group in itertools.combinations(pool, k):
-                common = (1 << f.arity) - 1
-                for x in group:
-                    common &= x if a == 1 else ~x
-                if common == 0:
-                    ok = False
-                    break
-            separating.append(((a, k), ok))
-    full = (1 << f.arity) - 1
-    return FunctionProfile(
-        monotone=monotone_violation(f.arity, f.table) is None,
-        linear=is_linear_table(f.arity, f.table),
-        self_dual=dual(f).table == f.table,
-        reproducing_0=(f.table & 1) == 0,
-        reproducing_1=bool((f.table >> full) & 1),
-        separating=tuple(separating),
-    )
-
-
 # Relation text format: `rel <name> <arity> : t1 t2 ...` with tuples as bit
 # strings, leftmost character = coordinate 0.
 
@@ -444,12 +334,12 @@ def _tuple_mask(tokens, arity: int, where: str = "") -> int:
     return mask
 
 
-def format_relations(sset: RelationSet) -> str:
-    lines = []
-    for i, rel in enumerate(sset):
-        name = rel.name or f"R{i}"
-        lines.append(f"rel {name} {rel.arity} : " + " ".join(rel.tuple_strings()))
-    return "\n".join(lines) + "\n"
+def json_int(value, what: str) -> int:
+    """value when it is a JSON integer; RelationParseError for a string,
+    float, bool or anything else, which int() would read silently."""
+    if type(value) is not int:
+        raise RelationParseError(f"{what} must be an integer, got {value!r}")
+    return value
 
 
 def relation_to_json(rel: Relation) -> dict:
@@ -457,7 +347,7 @@ def relation_to_json(rel: Relation) -> dict:
 
 
 def relation_from_json(obj: dict) -> Relation:
-    arity = int(obj["arity"])
+    arity = json_int(obj["arity"], "relation arity")
     return Relation(arity, _tuple_mask(obj["tuples"], arity), obj.get("name", ""))
 
 

@@ -1,4 +1,4 @@
-"""Gate-level circuit DAGs with measures, DNFs, decision trees, dualization.
+"""Gate-level circuit DAGs with measures, DNFs and decision trees.
 
 Gates are topologically ordered by construction: operands always point at
 earlier gates.  A circuit is syntactically monotone when it contains no NOT
@@ -10,7 +10,6 @@ where circuit inputs are literals.
 from __future__ import annotations
 
 import functools
-import itertools
 from dataclasses import dataclass
 from typing import Iterable, Iterator, Sequence
 
@@ -316,29 +315,6 @@ class Builder:
         return Circuit(self.n, tuple(self.gates), tuple(outputs), self.fanin_mode)
 
 
-def dualize(c: Circuit) -> Circuit:
-    """Swap AND with OR and the two constants; computes x -> not c(not x).
-
-    Valid for any NOT-circuit (a NOT gate commutes with the swap); XOR gates
-    are rejected because the dual of parity is its complement, not a parity.
-    Size and depth are preserved exactly.
-    """
-    swapped = []
-    for kind, args in c.gates:
-        if kind == AND:
-            kind = OR
-        elif kind == OR:
-            kind = AND
-        elif kind == CONST0:
-            kind = CONST1
-        elif kind == CONST1:
-            kind = CONST0
-        elif kind == XOR:
-            raise ValueError("dualize does not accept XOR gates")
-        swapped.append((kind, args))
-    return Circuit(c.n, tuple(swapped), c.outputs, c.fanin_mode)
-
-
 # DNFs.
 
 @dataclass(frozen=True)
@@ -376,33 +352,6 @@ class Dnf:
 
     def has_negative_literals(self) -> bool:
         return any(neg for _, neg in self.terms)
-
-    def to_text(self) -> str:
-        lines = []
-        for pos, neg in self.terms:
-            lits = [f"x{i}" for i in range(self.nvars) if (pos >> i) & 1]
-            lits += [f"~x{i}" for i in range(self.nvars) if (neg >> i) & 1]
-            lines.append(" ".join(lits) if lits else "TRUE")
-        return "\n".join(lines) + ("\n" if lines else "")
-
-    @classmethod
-    def from_text(cls, nvars: int, text: str) -> "Dnf":
-        terms = []
-        for raw in text.splitlines():
-            line = raw.strip()
-            if not line:
-                continue
-            pos = neg = 0
-            if line != "TRUE":
-                for tok in line.split():
-                    if tok.startswith("~x"):
-                        neg |= 1 << int(tok[2:])
-                    elif tok.startswith("x"):
-                        pos |= 1 << int(tok[1:])
-                    else:
-                        raise ValueError(f"bad literal {tok!r}")
-            terms.append((pos, neg))
-        return cls.make(nvars, terms)
 
     def to_circuit(self) -> Circuit:
         b = Builder(self.nvars)
@@ -516,9 +465,6 @@ class DecisionTree:
             _, var, lo, hi = node
             idx = hi if (x >> var) & 1 else lo
 
-    def leaf_count(self) -> int:
-        return sum(1 for n in self.nodes if n[0] == "leaf")
-
     def paths_to_one(self) -> list[tuple[int, int]]:
         """(positive mask, negative mask) of variables tested on each 1-path."""
 
@@ -538,69 +484,40 @@ class DecisionTree:
         return out
 
 
-def _subtable(nvars: int, table: int, var: int, bit: int) -> tuple[int, int]:
-    """Cofactor: fix var to bit, reindex over nvars-1 variables."""
+def _cofactor(k: int, table: int, bit: int) -> int:
+    """The subfunction of variables 1..k-1 with variable 0 fixed to bit."""
     sub = 0
-    pos = 0
-    for x in range(1 << nvars):
-        if (x >> var) & 1 == bit:
-            if (table >> x) & 1:
-                sub |= 1 << pos
-            pos += 1
-    return nvars - 1, sub
+    for pos in range(1 << (k - 1)):
+        sub |= ((table >> (2 * pos + bit)) & 1) << pos
+    return sub
 
 
-GREEDY = "greedy"
-EXACT = "exact"
-
-
-def build_decision_tree(nvars: int, table: int, mode: str = GREEDY) -> DecisionTree:
-    """GREEDY splits on the smallest remaining variable index, pruning
-    constant subfunctions and splits whose cofactors agree; EXACT additionally
-    minimizes leaves over all variable orders (n <= 4)."""
-    if mode == GREEDY:
-        nodes = _build_for_order(nvars, table, tuple(range(nvars)))
-        return DecisionTree(nvars, nodes)
-    if mode != EXACT:
-        raise ValueError(f"unknown mode {mode!r}")
-    if nvars > 4:
-        raise ValueError("exact mode limited to 4 variables")
-    best = None
-    for order in itertools.permutations(range(nvars)):
-        nodes = _build_for_order(nvars, table, order)
-        leaves = sum(1 for n in nodes if n[0] == "leaf")
-        if best is None or leaves < best[0]:
-            best = (leaves, nodes)
-    return DecisionTree(nvars, best[1])
-
-
-def _build_for_order(nvars: int, table: int, order: tuple[int, ...]) -> tuple[tuple, ...]:
+def build_decision_tree(nvars: int, table: int) -> DecisionTree:
+    """Split on the smallest remaining variable index, pruning constant
+    subfunctions and splits whose cofactors agree."""
     nodes: list[tuple] = []
 
     def emit(node: tuple) -> int:
         nodes.append(node)
         return len(nodes) - 1
 
-    def rec(k: int, tbl: int, varmap: tuple[int, ...], split_order: tuple[int, ...]) -> int:
-        # varmap[pos] = original index of the pos-th variable of tbl
-        full = (1 << (1 << k)) - 1
+    def rec(var: int, tbl: int) -> int:
+        # tbl is a function of variables var..nvars-1, variable var lowest
+        k = nvars - var
         if tbl == 0:
             return emit(("leaf", 0))
-        if tbl == full:
+        if tbl == (1 << (1 << k)) - 1:
             return emit(("leaf", 1))
-        var = split_order[0]
-        pos = varmap.index(var)
-        _, lo_t = _subtable(k, tbl, pos, 0)
-        _, hi_t = _subtable(k, tbl, pos, 1)
-        new_map = varmap[:pos] + varmap[pos + 1 :]
+        lo_t = _cofactor(k, tbl, 0)
+        hi_t = _cofactor(k, tbl, 1)
         if lo_t == hi_t:
-            return rec(k - 1, lo_t, new_map, split_order[1:])
-        lo = rec(k - 1, lo_t, new_map, split_order[1:])
-        hi = rec(k - 1, hi_t, new_map, split_order[1:])
+            return rec(var + 1, lo_t)
+        lo = rec(var + 1, lo_t)
+        hi = rec(var + 1, hi_t)
         return emit(("node", var, lo, hi))
 
-    rec(nvars, table, tuple(range(nvars)), order)
-    return tuple(nodes)
+    rec(0, table)
+    return DecisionTree(nvars, tuple(nodes))
 
 
 def dt_to_monotone_dnf(tree: DecisionTree, nvars: int, table: int) -> Dnf:

@@ -15,7 +15,7 @@ import time
 from pathlib import Path
 
 from . import clone_lattice, construct, csp, graphlab, reductions, verify
-from .boolfun import parse_relations, relation_set_from_json
+from .boolfun import json_int, parse_relations, relation_set_from_json
 from .circuit import Circuit, is_syntactically_monotone, measures
 from .config import budgets
 from .errors import (
@@ -54,17 +54,13 @@ def _check_arity(path: str, sset) -> None:
 
 def _load_relation_set(path: str):
     p = Path(path)
-    try:
-        text = p.read_text()
-    except OSError as exc:
-        raise _CliError(f"cannot read {path}: {exc}", EXIT_PARSE)
-    try:
-        if p.suffix == ".json":
-            sset = relation_set_from_json(json.loads(text))
-        else:
-            sset = parse_relations(text, name=p.stem)
-    except (RelationParseError, ValueError, KeyError) as exc:
-        raise _CliError(f"{path}: {exc}", EXIT_PARSE)
+    if p.suffix == ".json":
+        sset = _load_json(path, relation_set_from_json)
+    else:
+        try:
+            sset = parse_relations(p.read_text(), name=p.stem)
+        except (OSError, ValueError) as exc:
+            raise _CliError(f"{path}: {exc}", EXIT_PARSE)
     _check_arity(path, sset)
     if not sset.name:
         sset = type(sset)(sset.relations, p.stem)
@@ -190,7 +186,8 @@ def cmd_reduce(args) -> int:
         }
     else:
         graph = _load_json(
-            getattr(args, "in"), lambda obj: graphlab.BipGraph(int(obj["n"]), int(obj["mask"]))
+            getattr(args, "in"),
+            lambda obj: graphlab.BipGraph(json_int(obj["n"], "n"), json_int(obj["mask"], "mask")),
         )
         red = reductions.bip_oddfactor_to_xorsat(graph)
         payload = {"instance": red.instance.to_json(), "beta": red.beta.to_json()}

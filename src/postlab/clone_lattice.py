@@ -52,7 +52,6 @@ class CloneDescriptor:
     name: str
     basis: tuple[BoolFun, ...]
     known_subclones: frozenset[str] = frozenset()
-    known_superclones: frozenset[str] = frozenset()
 
 
 _BASES: dict[str, tuple[BoolFun, ...]] = {
@@ -131,18 +130,8 @@ def _build_catalog() -> dict[str, CloneDescriptor]:
     for name in _BASES:
         if name in below[name]:
             raise CatalogError("inclusion order is not antisymmetric")
-    above: dict[str, set[str]] = {n: set() for n in _BASES}
-    for name in _BASES:
-        for sub in below[name]:
-            above[sub].add(name)
     return {
-        name: CloneDescriptor(
-            name,
-            _BASES[name],
-            frozenset(below[name]),
-            frozenset(above[name]),
-        )
-        for name in _BASES
+        name: CloneDescriptor(name, _BASES[name], frozenset(below[name])) for name in _BASES
     }
 
 
@@ -226,17 +215,16 @@ def _preserved_labels(rel: Relation) -> frozenset[str]:
 
 
 def clone_contained_in_pol(
-    clone: str | CloneDescriptor, sset: RelationSet, budget: Budgets | None = None
+    label: str, sset: RelationSet, budget: Budgets | None = None
 ) -> tuple[bool, list[dict]]:
     """Whether the named clone is contained in Pol(sset), with witnesses.
 
     Every entry records one (basis function, relation) decision; a failed one
     carries the violating tuple choice, replayable through `preserves`.
     """
-    desc = clone if isinstance(clone, CloneDescriptor) else descriptor(clone)
     witness = []
     contained = True
-    for f in desc.basis:
+    for f in descriptor(label).basis:
         for idx, rel in enumerate(sset):
             ok = preserves(f, rel, budget)
             entry = {

@@ -16,10 +16,8 @@ from .errors import BudgetConfigError
 class Budgets:
     a_max: int = 4                  # max function arity in enumeration ops
     preserves_combos: int = 1 << 22  # |R|**arity tuple choices per preservation check
-    enum_candidates: int = 1 << 17   # candidate functions in polymorphism enumeration
     closure_steps: int = 1 << 24     # composition attempts in clone closure
     brute_force_vars: int = 22       # csp_sat_value enumerates 2**n assignments
-    monotonicity_bits: int = 20      # exhaustive monotonicity check up to 2**N masks
     oracle_edges: int = 24           # odd-factor subset oracle and bip-oddfactor reduction: edge and vertex limit
     flat_threshold_terms: int = 1 << 18  # term limit for flat threshold circuits
     cq_aux_vars: int = 2             # existential variables in conjunctive-query search

@@ -20,6 +20,7 @@ from .circuit import (
     UNBOUNDED,
     Builder,
     Circuit,
+    evaluate,
     monotone_violation,
     truth_tables,
 )
@@ -397,8 +398,6 @@ class GraphPropertyCircuit:
             raise ValueError(f"circuit must take {expect} edge inputs")
 
     def value(self, edge_bits: int) -> int:
-        from .circuit import evaluate
-
         return evaluate(self.circuit, edge_bits) & 1
 
 

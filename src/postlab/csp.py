@@ -27,6 +27,7 @@ from .boolfun import (
     Relation,
     RelationSet,
     clause_relation,
+    json_int,
     nand_relation,
     negate_relations,
     or_relation,
@@ -122,9 +123,6 @@ class CspInstance:
         for j in _set_bits(self.bits):
             yield self.decode(j)
 
-    def constraint_count(self) -> int:
-        return bin(self.bits).count("1")
-
     def to_json(self) -> dict:
         return {
             "relation_set": relation_set_to_json(self.sset),
@@ -134,14 +132,16 @@ class CspInstance:
 
     @classmethod
     def from_json(cls, obj: dict) -> "CspInstance":
-        """Parse an instance, rejecting n < 1 and set bits outside [0, N)."""
+        """Parse an instance, rejecting non-integer n and set bits, n < 1 and
+        set bits outside [0, N)."""
         sset = relation_set_from_json(obj["relation_set"])
-        n = int(obj["n"])
+        n = json_int(obj["n"], "n")
         if n < 1:
             raise RelationParseError(f"instance needs n >= 1, got n={n}")
         size = cls(sset, n).size
         bits = 0
-        for j in map(int, obj["set_bits"]):
+        for j in obj["set_bits"]:
+            j = json_int(j, "set bit")
             if not 0 <= j < size:
                 raise RelationParseError(f"set bit {j} outside [0, {size})")
             bits |= 1 << j
@@ -583,45 +583,6 @@ def solve_or_fragment(inst: CspInstance) -> bool:
         for u in _set_bits(sources):
             bad |= reach[u]
     return not any(all((bad >> v) & 1 for v in vars_) for vars_ in disjunctions)
-
-
-# Monotonicity of the CSP-SAT map itself.
-
-def monotonicity_check(
-    sset: RelationSet,
-    n: int,
-    fn: Callable[[int], bool] | None = None,
-    budget: Budgets | None = None,
-    samples: int = 2000,
-    seed: int = 0,
-) -> bool:
-    """Verify w <= w' implies fn(w) <= fn(w'), exhaustively when 2**N fits the
-    budget and on sampled chains otherwise.  fn defaults to CSP-SAT."""
-    b = budgets(budget)
-    inst = CspInstance(sset, n)
-    size = inst.size
-    if fn is None:
-        viol = violation_masks(inst)
-
-        def fn(bits: int) -> bool:
-            return not any(bits & v == 0 for v in viol)
-
-    if size <= b.monotonicity_bits:
-        table = [fn(w) for w in range(1 << size)]
-        for w in range(1 << size):
-            if not table[w]:
-                continue
-            for j in range(size):
-                if not (w >> j) & 1 and not table[w | (1 << j)]:
-                    return False
-        return True
-    rng = random.Random(seed)
-    for _ in range(samples):
-        w = rng.getrandbits(size)
-        w_hi = w | rng.getrandbits(size)
-        if fn(w) and not fn(w_hi):
-            return False
-    return True
 
 
 # Catalog relation sets and instance generators.

@@ -9,7 +9,7 @@ from __future__ import annotations
 import itertools
 from dataclasses import dataclass
 from functools import lru_cache
-from typing import Iterable, Iterator
+from typing import Iterable
 
 from .config import Budgets, budgets
 from .csp import XorSystem
@@ -108,12 +108,6 @@ def _parse_int(token: str, lineno: int) -> int:
         return int(token)
     except ValueError as exc:
         raise RelationParseError(f"line {lineno}: bad integer {token!r}") from exc
-
-
-def format_graph(g: Graph) -> str:
-    lines = [f"v {g.v}"]
-    lines.extend(f"e {a} {b}" for a, b in sorted(g.edges))
-    return "\n".join(lines) + "\n"
 
 
 def odd_factor_fast(g: Graph) -> bool:
@@ -216,8 +210,3 @@ def edge_mask(g: Graph) -> int:
     for a, b in g.edges:
         mask |= 1 << pair_index(a, b, g.v)
     return mask
-
-
-def enumerate_graphs(v: int) -> Iterator[Graph]:
-    for mask in range(1 << (v * (v - 1) // 2)):
-        yield Graph.from_edge_mask(v, mask)

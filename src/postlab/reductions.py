@@ -74,19 +74,6 @@ class BitReduction:
                 out.append({"or": list(d[1])})
         return {"in_len": self.in_len, "out_len": self.out_len, "bits": out}
 
-    @classmethod
-    def from_json(cls, obj: dict) -> "BitReduction":
-        bits = []
-        for d in obj["bits"]:
-            if "const" in d:
-                bits.append((CONST, int(d["const"])))
-            elif "input" in d:
-                bits.append((PROJ, int(d["input"])))
-            else:
-                bits.append((ORBIT, tuple(int(i) for i in d["or"])))
-        return cls(int(obj["in_len"]), int(obj["out_len"]), tuple(bits))
-
-
 # Equality elimination.
 
 def _is_equality(rel: Relation) -> bool:

@@ -10,11 +10,11 @@ from postlab.boolfun import (
     CONST0,
     CONST1,
     EQ2,
-    IDENTITY,
     IMP2,
     MAJ3,
-    NEGATION,
     OR2,
+    UNIT_FALSE,
+    UNIT_TRUE,
     XOR3,
     XOR3_0,
     XOR3_1,
@@ -22,21 +22,36 @@ from postlab.boolfun import (
     Relation,
     RelationSet,
     clause_relation,
-    classify_function,
     closure_up_to,
-    dual,
-    format_relations,
     nand_relation,
     negate_relation,
     negate_relations,
     or_relation,
+    parity_relation,
     parse_relations,
-    polymorphisms_up_to,
     preserves,
-    preserves_set,
+    relation_set_from_json,
+    relation_set_to_json,
     violating_choice,
 )
+from postlab.circuit import input_pattern
 from postlab.clone_lattice import CATALOG
+
+IDENTITY = BoolFun(1, 0b10)
+
+
+def _projection(i, arity):
+    return BoolFun(arity, input_pattern(i, arity))
+
+
+def _pol(rels, a):
+    """Every function of arity 1..a that preserves each of rels, sorted."""
+    return [
+        f
+        for m in range(1, a + 1)
+        for f in (BoolFun(m, t) for t in range(1 << (1 << m)))
+        if all(preserves(f, rel) for rel in rels)
+    ]
 
 
 def _violating_choice_loop(f, rel):
@@ -92,7 +107,7 @@ def test_projections_preserve_everything():
         arity = rng.randrange(1, 4)
         rel = Relation(arity, rng.randrange(1 << (1 << arity)))
         for i in range(3):
-            assert preserves(BoolFun.projection(i, 3), rel) is True
+            assert preserves(_projection(i, 3), rel) is True
 
 
 def test_preserves_matches_brute_oracle():
@@ -118,13 +133,13 @@ def test_preserves_invariant_under_argument_permutation():
 
 def test_preserves_set_constants():
     s_or = RelationSet((or_relation(2),))
-    assert preserves_set(CONST1, s_or) is True
-    assert preserves_set(CONST0, s_or) is False
+    assert all(preserves(CONST1, rel) for rel in s_or)
+    assert not all(preserves(CONST0, rel) for rel in s_or)
 
 
 def test_majority_preserves_two_clause_relations():
     s = RelationSet((or_relation(2), nand_relation(2), clause_relation(2, [0], [1])))
-    assert preserves_set(MAJ3, s) is True
+    assert all(preserves(MAJ3, rel) for rel in s)
 
 
 def test_empty_relation_preserved_vacuously():
@@ -134,61 +149,41 @@ def test_empty_relation_preserved_vacuously():
 
 
 def test_polymorphisms_empty_set_is_everything():
-    funs = polymorphisms_up_to(RelationSet(()), 2)
-    assert len(funs) == 4 + 16
+    # no tuple choice exists, so every function preserves an empty relation
+    assert len(_pol((Relation(1, 0), Relation(2, 0), Relation(3, 0)), 2)) == 4 + 16
 
 
 def test_polymorphisms_of_both_parity_relations_at_arity_one():
-    # The exhaustive check over all 4 unary functions: negation maps the
-    # even-parity tuple 000 to 111, which has odd parity, so only the
-    # identity survives; both constants fail one of the two relations.
-    s = RelationSet((XOR3_0, XOR3_1))
-    funs = polymorphisms_up_to(s, 1)
-    assert funs == [IDENTITY]
+    # Over all 4 unary functions: negation maps the even-parity tuple 000 to
+    # 111, which has odd parity, so only the identity survives; both
+    # constants fail one of the two relations.
+    assert _pol((XOR3_0, XOR3_1), 1) == [IDENTITY]
 
 
 def test_polymorphisms_of_equality_is_everything():
-    funs = polymorphisms_up_to(RelationSet((EQ2,)), 2)
-    assert len(funs) == 4 + 16
+    assert len(_pol((EQ2,), 2)) == 4 + 16
 
 
 def test_polymorphisms_include_projections():
-    s = RelationSet((XOR3_0, XOR3_1, IMP2))
-    funs = polymorphisms_up_to(s, 2)
+    funs = _pol((XOR3_0, XOR3_1, IMP2), 2)
     for i in range(2):
-        assert BoolFun.projection(i, 2) in funs
-
-
-def test_antitonicity_of_polymorphisms():
-    rng = random.Random(3)
-    for _ in range(20):
-        rels = []
-        for _ in range(3):
-            arity = rng.randrange(1, 3)
-            rels.append(Relation(arity, rng.randrange(1, 1 << (1 << arity))))
-        small = RelationSet(tuple(rels[:2]))
-        big = RelationSet(tuple(rels))
-        assert set(polymorphisms_up_to(big, 2)) <= set(polymorphisms_up_to(small, 2))
+        assert _projection(i, 2) in funs
 
 
 def test_closure_of_and():
     cl = closure_up_to([AND2], 2)
     expected = {
         IDENTITY,
-        BoolFun.projection(0, 2),
-        BoolFun.projection(1, 2),
+        _projection(0, 2),
+        _projection(1, 2),
         AND2,
     }
-    assert set(cl) == {BoolFun(f.arity, f.table) for f in expected}
+    assert set(cl) == expected
 
 
 def test_closure_of_empty_basis_is_projections():
     cl = closure_up_to([], 2)
-    assert set(cl) == {
-        BoolFun(1, IDENTITY.table),
-        BoolFun(2, BoolFun.projection(0, 2).table),
-        BoolFun(2, BoolFun.projection(1, 2).table),
-    }
+    assert set(cl) == {IDENTITY, _projection(0, 2), _projection(1, 2)}
 
 
 def test_closure_identification_yields_or():
@@ -198,69 +193,55 @@ def test_closure_identification_yields_or():
 
 
 def test_polymorphism_set_is_closed():
-    s = RelationSet((IMP2,))
-    pol = polymorphisms_up_to(s, 2)
+    pol = _pol((IMP2,), 2)
     assert set(closure_up_to(pol, 2)) == set(pol)
 
 
 def test_polymorphism_set_is_closed_arity_three():
     for rels in ((XOR3_0, XOR3_1), (EQ2, IMP2)):
-        s = RelationSet(rels)
-        pol = polymorphisms_up_to(s, 3)
+        pol = _pol(rels, 3)
         assert set(closure_up_to(pol, 3)) == set(pol)
 
 
+# Post's clone-defining properties, each as preservation of one relation:
+# monotone of imp (x <= y), self-dual of xor2^1 (x != y), linear of xor4^0,
+# 0- and 1-reproducing of F and T, 0-separating of degree k of or_k.
+NEQ = parity_relation(2, 1)
+LINEAR = parity_relation(4, 0)
+
+
 def test_classify_xor3():
-    p = classify_function(XOR3)
-    assert p.linear and p.self_dual and not p.monotone
-    assert p.reproducing_0 and p.reproducing_1
+    for rel in (LINEAR, NEQ, UNIT_FALSE, UNIT_TRUE):
+        assert preserves(XOR3, rel)
+    assert not preserves(XOR3, IMP2)
 
 
 def test_classify_const0():
-    p = classify_function(CONST0)
-    assert p.linear and not p.self_dual
-    assert p.reproducing_0 and not p.reproducing_1
+    assert preserves(CONST0, LINEAR) and not preserves(CONST0, NEQ)
+    assert preserves(CONST0, UNIT_FALSE) and not preserves(CONST0, UNIT_TRUE)
 
 
 def test_classify_maj():
-    p = classify_function(MAJ3)
-    assert p.monotone and p.self_dual and not p.linear
+    assert preserves(MAJ3, IMP2) and preserves(MAJ3, NEQ) and not preserves(MAJ3, LINEAR)
 
 
 def test_separating_degrees():
     # implication is 0-separating: every tuple mapped to 0 has coordinate 1 = 0
     imp = BoolFun.from_function(2, lambda x, y: (1 - x) | y)
-    p = classify_function(imp)
-    assert p.separating_of_degree(0, 1)
-    assert p.separating_of_degree(0, 2)
-    q = classify_function(MAJ3)
-    assert q.separating_of_degree(0, 2)
-    assert not q.separating_of_degree(0, 3)
-
-
-def test_dual_basics():
-    assert dual(OR2).table == AND2.table
-    assert dual(CONST0).table == CONST1.table
-    assert dual(MAJ3).table == MAJ3.table
-
-
-def test_dual_involution_and_monotone_preservation():
-    rng = random.Random(5)
-    for _ in range(100):
-        ar = rng.randrange(1, 4)
-        f = BoolFun(ar, rng.randrange(1 << (1 << ar)))
-        assert dual(dual(f)) == f
-        prof = classify_function(f)
-        if prof.monotone:
-            assert classify_function(dual(f)).monotone
+    assert preserves(imp, or_relation(1))
+    assert preserves(imp, or_relation(2))
+    assert preserves(MAJ3, or_relation(2))
+    assert not preserves(MAJ3, or_relation(3))
 
 
 def test_relation_text_roundtrip():
     text = "rel xor3^0 3 : 000 011 101 110\nrel T 1 : 1\n"
-    sset = parse_relations(text)
+    sset = parse_relations(text, "s")
     assert sset[0] == XOR3_0
     assert sset[1].mask == 0b10
-    assert parse_relations(format_relations(sset)).relations == sset.relations
+    assert [r.name for r in sset] == ["xor3^0", "T"]
+    back = relation_set_from_json(relation_set_to_json(sset))
+    assert back == sset and [r.name for r in back] == ["xor3^0", "T"]
 
 
 def test_relation_text_errors():

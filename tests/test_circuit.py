@@ -1,4 +1,4 @@
-"""Circuit DAG semantics, measures, DNF/Quine, decision trees, dualization."""
+"""Circuit DAG semantics, measures, DNF/Quine, decision trees."""
 
 import random
 
@@ -6,15 +6,12 @@ import pytest
 
 from postlab.circuit import (
     BOUNDED2,
-    EXACT,
-    GREEDY,
     Builder,
     Circuit,
     Dnf,
     build_decision_tree,
     count_minterms,
     dt_to_monotone_dnf,
-    dualize,
     evaluate,
     evaluate_many,
     evaluate_ref,
@@ -188,33 +185,22 @@ def test_quine_strip_rejects_parity_with_witness():
     assert lo | hi == hi and d.evaluate(lo) and not d.evaluate(hi)
 
 
-def test_dnf_text_roundtrip():
-    d = Dnf.make(3, [(0b011, 0b100), (0, 0)])
-    assert Dnf.from_text(3, d.to_text()) == d
-
-
 def test_decision_tree_single_variable():
     t = build_decision_tree(1, 0b10)
-    assert t.leaf_count() == 2 and t.evaluate(1) == 1 and t.evaluate(0) == 0
+    assert t.nodes == (("leaf", 0), ("leaf", 1), ("node", 0, 0, 1))
+    assert t.evaluate(1) == 1 and t.evaluate(0) == 0
 
 
 def test_decision_tree_modes_compute_f():
+    # both readings of a tree compute f: walking it, and the DNF of its 1-paths
     rng = random.Random(11)
     for _ in range(80):
-        n = rng.randrange(1, 5)
+        n = rng.randrange(1, 7)
         table = rng.getrandbits(1 << n)
-        greedy = build_decision_tree(n, table, GREEDY)
-        exact = build_decision_tree(n, table, EXACT)
+        tree = build_decision_tree(n, table)
         for x in range(1 << n):
-            want = (table >> x) & 1
-            assert greedy.evaluate(x) == want
-            assert exact.evaluate(x) == want
-        assert exact.leaf_count() <= greedy.leaf_count()
-
-
-def test_exact_mode_bound():
-    with pytest.raises(ValueError):
-        build_decision_tree(5, 0, EXACT)
+            assert tree.evaluate(x) == (table >> x) & 1
+        assert Dnf.make(n, tree.paths_to_one()).truth_table() == table
 
 
 def test_dt_to_monotone_dnf_pipeline():
@@ -244,41 +230,3 @@ def test_monotone_table_to_circuit():
     assert truth_tables(c)[0] == MAJ_TABLE
     z = monotone_table_to_circuit(2, 0)
     assert truth_tables(z)[0] == 0
-
-
-def test_dualize_or_is_and():
-    b = Builder(2)
-    c = b.build([b.or_([b.input(0), b.input(1)])])
-    assert truth_tables(dualize(c))[0] == 0b1000
-
-
-def test_dualize_involution_and_semantics():
-    rng = random.Random(13)
-    for _ in range(200):
-        n = rng.randrange(1, 8)
-        b = Builder(n)
-        pool = [b.input(i) for i in range(n)] + [b.const(rng.randrange(2))]
-        for _ in range(rng.randrange(2, 20)):
-            kind = rng.choice(["and", "or", "not"])
-            if kind == "not":
-                pool.append(b.not_(rng.choice(pool)))
-            else:
-                ops = [rng.choice(pool) for _ in range(rng.randrange(1, 4))]
-                pool.append(getattr(b, kind + "_")(ops))
-        c = b.build([pool[-1]])
-        d = dualize(c)
-        full = (1 << n) - 1
-        for _ in range(12):
-            x = rng.getrandbits(n)
-            assert evaluate(d, x) == 1 - evaluate(c, x ^ full)
-        dd = dualize(d)
-        assert truth_tables(dd) == truth_tables(c)
-        assert measures(d).size == measures(c).size
-        assert measures(d).depth == measures(c).depth
-
-
-def test_dualize_rejects_xor():
-    b = Builder(2)
-    c = b.build([b.xor_([b.input(0), b.input(1)])])
-    with pytest.raises(ValueError):
-        dualize(c)

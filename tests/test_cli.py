@@ -12,7 +12,7 @@ from postlab.circuit import Circuit
 from postlab.cli import main
 from postlab.construct import random_layered_bp, threshold_circuit
 from postlab.csp import CspInstance, hornt_set, random_instance, xor3_set, xor_system_to_instance
-from postlab.graphlab import Graph, format_graph, tseitin_system
+from postlab.graphlab import Graph, tseitin_system
 
 DATA = Path(__file__).parent / "data"
 
@@ -144,7 +144,7 @@ def test_emit_csp_circuit(tmp_path, capsys):
 
 def test_oracle_odd_factor(tmp_path, capsys):
     path = tmp_path / "g.txt"
-    path.write_text(format_graph(Graph.complete(3)))
+    path.write_text("v 3\ne 0 1\ne 0 2\ne 1 2\n")  # the triangle
     code, out, _ = run(capsys, "oracle", "odd-factor", "--graph", str(path))
     assert code == 0 and "NO-ODD-FACTOR" in out
     code, out, _ = run(capsys, "oracle", "odd-factor", "--graph", str(path), "--mode", "oracle")
@@ -263,6 +263,23 @@ MALFORMED = {
     "graph-non-integer-edge": ["oracle", "odd-factor", "--graph", "{graph_e_x}"],
     "classify-json-tuple-digit": ["classify", "{digit_set}"],
     "solve-json-tuple-digit": ["solve", "auto", "--in", "{digit_inst}"],
+    "classify-relations-not-a-list": ["classify", "{rels_int}"],
+    "classify-top-level-list": ["classify", "{rels_top_list}"],
+    "classify-relation-not-an-object": ["classify", "{rels_item_int}"],
+    "classify-tuples-not-a-list": ["classify", "{tuples_int}"],
+    "emit-csp-set-top-level-list": ["emit", "csp", "--set", "{rels_top_list}", "--n", "2"],
+    "cq-rewrite-target-relations-not-a-list": [
+        "reduce", "cq-rewrite", "--in", "{inst}", "--target", "{rels_int}"
+    ],
+    "solve-set-bits-string": ["solve", "brute", "--in", "{bits_str}"],
+    "solve-set-bit-float": ["solve", "brute", "--in", "{bit_float}"],
+    "solve-n-float": ["solve", "brute", "--in", "{n_float}"],
+    "solve-n-string": ["solve", "brute", "--in", "{n_str}"],
+    "solve-n-bool": ["solve", "brute", "--in", "{n_bool}"],
+    "classify-arity-string": ["classify", "{arity_str}"],
+    "classify-arity-float": ["classify", "{arity_float}"],
+    "bip-n-float": ["reduce", "bip-oddfactor", "--in", "{bip_n_float}"],
+    "bip-mask-string": ["reduce", "bip-oddfactor", "--in", "{bip_mask_str}"],
     "verify-zero-jobs": ["verify", "quine", "--quick", "--jobs", "0"],
     "verify-negative-jobs": ["verify", "quine", "--quick", "--jobs", "-2"],
 }
@@ -287,6 +304,19 @@ def test_malformed_input_exits_2(tmp_path, capsys, argv):
         "digit_inst": {"relation_set": {"relations": [digit_rel]}, "n": 2, "set_bits": [0]},
         "bip0": {"n": 0, "mask": 0},
         "bip_neg": {"n": -1, "mask": 0},
+        "rels_int": {"relations": 5},
+        "rels_top_list": [{"arity": 2, "tuples": ["01"]}],
+        "rels_item_int": {"relations": [5]},
+        "tuples_int": {"relations": [{"arity": 2, "tuples": 5}]},
+        "bits_str": dict(inst, set_bits="12"),  # int() would read bits 1 and 2
+        "bit_float": dict(inst, set_bits=[1.5]),
+        "n_float": dict(inst, n=2.9),
+        "n_str": dict(inst, n="2"),
+        "n_bool": dict(inst, n=True),
+        "arity_str": {"relations": [{"arity": "2", "tuples": ["01"]}]},
+        "arity_float": {"relations": [{"arity": 2.0, "tuples": ["01"]}]},
+        "bip_n_float": {"n": 2.5, "mask": 0},
+        "bip_mask_str": {"n": 2, "mask": "3"},
     }
     paths = {name: tmp_path / f"{name}.json" for name in files}
     for name, obj in files.items():
@@ -299,6 +329,7 @@ def test_malformed_input_exits_2(tmp_path, capsys, argv):
     code, _, err = run(capsys, *argv)
     assert code == 2, err
     assert err.startswith(("error:", "parse error:"))
+    assert err.count("\n") == 1, err
 
 
 def test_oddfactor_pool_never_outnumbers_cpus(monkeypatch):

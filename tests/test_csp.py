@@ -25,7 +25,7 @@ from postlab.boolfun import (
     or_relation,
     solution_table,
 )
-from postlab.circuit import evaluate, is_syntactically_monotone
+from postlab.circuit import evaluate, is_syntactically_monotone, monotone_violation
 from postlab.clone_lattice import in_pol
 from postlab.construct import emit_monotone_csp_circuit
 from postlab.csp import (
@@ -36,7 +36,6 @@ from postlab.csp import (
     clauses,
     csp_sat_value,
     hornt_set,
-    monotonicity_check,
     nand_fragment_set,
     or_fragment_set,
     or_fragment_side,
@@ -54,7 +53,7 @@ from postlab.csp import (
     xor_system_to_instance,
 )
 from postlab.errors import BudgetExceededError, FragmentMismatchError, RelationParseError
-from postlab.graphlab import Graph, enumerate_graphs, odd_factor_fast, tseitin_system
+from postlab.graphlab import Graph, odd_factor_fast, tseitin_system
 
 
 def test_instance_sizes():
@@ -93,7 +92,7 @@ def test_solution_table_examples():
         table = solution_table(rel, variables, n)
         for a in range(1 << n):
             enc = sum(((a >> v) & 1) << pos for pos, v in enumerate(variables))
-            assert (table >> a) & 1 == rel.member(enc)
+            assert (table >> a) & 1 == (rel.mask >> enc) & 1
 
 
 def test_violation_masks_per_assignment():
@@ -106,7 +105,7 @@ def test_violation_masks_per_assignment():
                 for j in range(inst.size):
                     r, variables = inst.decode(j)
                     enc = sum(((a >> v) & 1) << pos for pos, v in enumerate(variables))
-                    assert (masks[a] >> j) & 1 == (not sset[r].member(enc)), (sset.name, n, a, j)
+                    assert (masks[a] >> j) & 1 == (not (sset[r].mask >> enc) & 1), (sset.name, n, a, j)
 
 
 def test_csp_sat_value_basics():
@@ -264,7 +263,7 @@ def test_clauses_are_the_prime_implicates():
             # the solutions of the application, as assignments to x0..x_{k-1}
             sols = [
                 a for a in range(1 << rel.arity)
-                if rel.member(sum(((a >> v) & 1) << j for j, v in enumerate(variables)))
+                if (rel.mask >> sum(((a >> v) & 1) << j for j, v in enumerate(variables))) & 1
             ]
             for a in range(1 << rel.arity):
                 assert (a in sols) == all(_satisfies(a, p, q) for p, q in got)
@@ -343,21 +342,31 @@ def test_or_fragment_side_menu():
             or_fragment_side(off_menu)
 
 
+def _table(size, fn):
+    """Truth table of fn over all 2**size instance masks."""
+    return int("".join("1" if fn(w) else "0" for w in reversed(range(1 << size))), 2)
+
+
 def test_monotonicity_exhaustive_and_decoy():
-    assert monotonicity_check(RelationSet((or_relation(2),), "or2"), 2) is True
-    assert monotonicity_check(xor3_set(), 2, samples=500) is True
+    # CSP-SAT over every instance mask, through the one monotonicity test
+    for sset in (RelationSet((or_relation(2),), "or2"), xor3_set()):
+        inst = CspInstance(sset, 2)
+        viol = violation_masks(inst)
+        table = _table(inst.size, lambda w: all(w & v for v in viol))
+        assert monotone_violation(inst.size, table) is None
     units = RelationSet((UNIT_TRUE, UNIT_FALSE), "units")
 
     def decoy(bits: int) -> bool:
         # satisfiability is antitone in the constraint bits, never monotone
         return not csp_sat_value(CspInstance(units, 2, bits))
 
-    assert monotonicity_check(units, 2, fn=decoy) is False
+    assert monotone_violation(4, _table(4, decoy)) is not None
 
 
 def test_tseitin_instance_against_components():
     for v in range(1, 5):
-        for g in enumerate_graphs(v):
+        for mask in range(1 << (v * (v - 1) // 2)):
+            g = Graph.from_edge_mask(v, mask)
             inst = xor_system_to_instance(tseitin_system(g))
             assert solve_xor(inst) == odd_factor_fast(g), sorted(g.edges)
 
@@ -412,7 +421,7 @@ def test_instance_json_roundtrip():
     inst = random_instance(hornt_set(), 3, 0.1, random.Random(3))
     assert CspInstance.from_json(inst.to_json()) == inst
     listing = inst.listing()
-    assert listing.count("\n") == inst.constraint_count()
+    assert listing.count("\n") == bin(inst.bits).count("1")
 
 
 def test_to_json_cost_follows_constraints_not_n():

@@ -42,7 +42,11 @@ def test_bitreduction_apply_and_json():
     red = BitReduction(3, 4, (("const", 1), ("input", 2), ("or", (0, 1)), ("const", 0)))
     assert red.apply(0b100) == 0b0011
     assert red.apply(0b001) == 0b0101
-    assert BitReduction.from_json(red.to_json()) == red
+    assert red.to_json() == {
+        "in_len": 3,
+        "out_len": 4,
+        "bits": [{"const": 1}, {"input": 2}, {"or": [0, 1]}, {"const": 0}],
+    }
     assert not red.is_projection_only
 
 
