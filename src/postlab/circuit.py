@@ -1,4 +1,4 @@
-"""Gate-level circuit DAGs with measures, DNFs and decision trees.
+"""Gate-level circuit DAGs with measures, DNFs and decision-tree 1-path DNFs.
 
 Gates are topologically ordered by construction: operands always point at
 earlier gates.  A circuit is syntactically monotone when it contains no NOT
@@ -69,8 +69,14 @@ class Circuit:
 
     @classmethod
     def from_json(cls, obj: dict) -> "Circuit":
-        gates = tuple((kind, tuple(args)) for kind, args in obj["gates"])
-        return cls(int(obj["n"]), gates, tuple(obj["outputs"]), obj["fanin_mode"])
+        from .boolfun import json_int  # boolfun imports this module
+
+        gates = tuple(
+            (kind, tuple(json_int(a, f"gate {idx} operand") for a in args))
+            for idx, (kind, args) in enumerate(obj["gates"])
+        )
+        outputs = tuple(json_int(o, "output") for o in obj["outputs"])
+        return cls(json_int(obj["n"], "n"), gates, outputs, obj["fanin_mode"])
 
 
 @dataclass(frozen=True)
@@ -93,10 +99,6 @@ def measures(c: Circuit) -> Measures:
                 monotone = False
     out_depth = max((depth[o] for o in c.outputs), default=0)
     return Measures(size, out_depth, monotone)
-
-
-def is_syntactically_monotone(c: Circuit) -> bool:
-    return all(kind not in (NOT, XOR) for kind, _ in c.gates)
 
 
 def _gate_values(c: Circuit, inputs: Sequence[int], full: int) -> list[int]:
@@ -330,11 +332,8 @@ class Dnf:
 
     @classmethod
     def make(cls, nvars: int, terms: Iterable[tuple[int, int]]) -> "Dnf":
-        uniq = set()
-        for pos, neg in terms:
-            if pos & neg:
-                continue  # contradictory term accepts nothing
-            uniq.add((pos, neg))
+        # a contradictory term accepts nothing
+        uniq = {(pos, neg) for pos, neg in terms if not pos & neg}
         ordered = sorted(
             uniq, key=lambda t: (bin(t[0]).count("1") + bin(t[1]).count("1"), t[0], t[1])
         )
@@ -344,11 +343,7 @@ class Dnf:
         return any((x & pos) == pos and (x & neg) == 0 for pos, neg in self.terms)
 
     def truth_table(self) -> int:
-        table = 0
-        for x in range(1 << self.nvars):
-            if self.evaluate(x):
-                table |= 1 << x
-        return table
+        return sum(1 << x for x in range(1 << self.nvars) if self.evaluate(x))
 
     def has_negative_literals(self) -> bool:
         return any(neg for _, neg in self.terms)
@@ -386,19 +381,21 @@ def _zero_patterns(nvars: int) -> tuple[int, ...]:
     return tuple(input_pattern(j, nvars) >> (1 << j) for j in range(nvars))
 
 
+def _require_monotone(nvars: int, table: int, what: str) -> None:
+    """MonotonePreconditionError with a violating input pair unless f is monotone."""
+    bad = monotone_violation(nvars, table)
+    if bad is not None:
+        lo, hi = bad
+        raise MonotonePreconditionError(f"{what}: f({lo:b}) > f({hi:b})", lo, hi)
+
+
 def quine_strip(d: Dnf) -> Dnf:
     """Drop every negative literal; sound exactly for monotone functions.
 
     Raises MonotonePreconditionError with a violating input pair otherwise.
     """
     table = d.truth_table()
-    bad = monotone_violation(d.nvars, table)
-    if bad is not None:
-        raise MonotonePreconditionError(
-            f"DNF computes a non-monotone function: f({bad[0]:b}) > f({bad[1]:b})",
-            bad[0],
-            bad[1],
-        )
+    _require_monotone(d.nvars, table, "DNF computes a non-monotone function")
     stripped = Dnf.make(d.nvars, ((pos, 0) for pos, _ in d.terms))
     assert stripped.truth_table() == table
     return stripped
@@ -421,11 +418,7 @@ def _minimal_ones(nvars: int, table: int) -> Iterator[int]:
 
 def minterm_dnf(nvars: int, table: int) -> Dnf:
     """Canonical DNF of a monotone function: one positive term per minterm."""
-    bad = monotone_violation(nvars, table)
-    if bad is not None:
-        raise MonotonePreconditionError(
-            f"not monotone: f({bad[0]:b}) > f({bad[1]:b})", bad[0], bad[1]
-        )
+    _require_monotone(nvars, table, "not monotone")
     return Dnf.make(nvars, ((x, 0) for x in _minimal_ones(nvars, table)))
 
 
@@ -442,47 +435,7 @@ def count_minterms(nvars: int, table: int) -> int:
     return sum(1 for _ in _minimal_ones(nvars, table))
 
 
-# Decision trees.
-
-@dataclass(frozen=True)
-class DecisionTree:
-    """Nodes: ("leaf", value) or ("node", var, low_index, high_index),
-    stored in a flat tuple with the root last."""
-
-    nvars: int
-    nodes: tuple[tuple, ...]
-
-    @property
-    def root(self) -> int:
-        return len(self.nodes) - 1
-
-    def evaluate(self, x: int) -> int:
-        idx = self.root
-        while True:
-            node = self.nodes[idx]
-            if node[0] == "leaf":
-                return node[1]
-            _, var, lo, hi = node
-            idx = hi if (x >> var) & 1 else lo
-
-    def paths_to_one(self) -> list[tuple[int, int]]:
-        """(positive mask, negative mask) of variables tested on each 1-path."""
-
-        out: list[tuple[int, int]] = []
-
-        def walk(idx: int, pos: int, neg: int) -> None:
-            node = self.nodes[idx]
-            if node[0] == "leaf":
-                if node[1]:
-                    out.append((pos, neg))
-                return
-            _, var, lo, hi = node
-            walk(lo, pos, neg | (1 << var))
-            walk(hi, pos | (1 << var), neg)
-
-        walk(self.root, 0, 0)
-        return out
-
+# Decision-tree 1-path DNFs.
 
 def _cofactor(k: int, table: int, bit: int) -> int:
     """The subfunction of variables 1..k-1 with variable 0 fixed to bit."""
@@ -492,37 +445,36 @@ def _cofactor(k: int, table: int, bit: int) -> int:
     return sub
 
 
-def build_decision_tree(nvars: int, table: int) -> DecisionTree:
-    """Split on the smallest remaining variable index, pruning constant
-    subfunctions and splits whose cofactors agree."""
-    nodes: list[tuple] = []
+def build_decision_tree(nvars: int, table: int) -> Dnf:
+    """The DNF of the 1-paths of f's decision tree, one term per 1-leaf: the
+    variables tested on the way to it, as (positive mask, negative mask).
 
-    def emit(node: tuple) -> int:
-        nodes.append(node)
-        return len(nodes) - 1
+    The tree splits on the smallest remaining variable index, pruning
+    constant subfunctions and splits whose cofactors agree.  Its paths are
+    disjoint, so every input satisfies at most one term.
+    """
+    terms: list[tuple[int, int]] = []
 
-    def rec(var: int, tbl: int) -> int:
+    def rec(var: int, tbl: int, pos: int, neg: int) -> None:
         # tbl is a function of variables var..nvars-1, variable var lowest
         k = nvars - var
-        if tbl == 0:
-            return emit(("leaf", 0))
         if tbl == (1 << (1 << k)) - 1:
-            return emit(("leaf", 1))
-        lo_t = _cofactor(k, tbl, 0)
-        hi_t = _cofactor(k, tbl, 1)
-        if lo_t == hi_t:
-            return rec(var + 1, lo_t)
-        lo = rec(var + 1, lo_t)
-        hi = rec(var + 1, hi_t)
-        return emit(("node", var, lo, hi))
+            terms.append((pos, neg))
+        elif tbl:
+            lo_t = _cofactor(k, tbl, 0)
+            hi_t = _cofactor(k, tbl, 1)
+            if lo_t == hi_t:
+                rec(var + 1, lo_t, pos, neg)
+            else:
+                rec(var + 1, lo_t, pos, neg | 1 << var)
+                rec(var + 1, hi_t, pos | 1 << var, neg)
 
-    rec(0, table)
-    return DecisionTree(nvars, tuple(nodes))
+    rec(0, table, 0, 0)
+    return Dnf.make(nvars, terms)
 
 
-def dt_to_monotone_dnf(tree: DecisionTree, nvars: int, table: int) -> Dnf:
-    """Terms from the 1-leaves, then Quine stripping; requires monotone f."""
-    raw = Dnf.make(nvars, tree.paths_to_one())
-    if raw.truth_table() != table:
+def dt_to_monotone_dnf(paths: Dnf, table: int) -> Dnf:
+    """Quine stripping of a decision tree's 1-path DNF; requires monotone f."""
+    if paths.truth_table() != table:
         raise ValueError("decision tree does not compute the given function")
-    return quine_strip(raw)
+    return quine_strip(paths)

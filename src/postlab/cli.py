@@ -16,7 +16,7 @@ from pathlib import Path
 
 from . import clone_lattice, construct, csp, graphlab, reductions, verify
 from .boolfun import json_int, parse_relations, relation_set_from_json
-from .circuit import Circuit, is_syntactically_monotone, measures
+from .circuit import Circuit, measures
 from .config import budgets
 from .errors import (
     BudgetConfigError,
@@ -78,7 +78,9 @@ def _require(args, *options: str) -> None:
 def _load_json(path: str, parse):
     try:
         return parse(json.loads(Path(path).read_text()))
-    except (OSError, ValueError, KeyError, TypeError) as exc:
+    except KeyError as exc:
+        raise _CliError(f"{path}: missing field {exc}", EXIT_PARSE)
+    except (OSError, ValueError, TypeError) as exc:
         raise _CliError(f"{path}: {exc}", EXIT_PARSE)
 
 
@@ -224,7 +226,7 @@ def cmd_emit(args) -> int:
     _write_json(args.out, circuit.to_json())
     print(
         f"emitted {args.kind}: inputs={circuit.n} size={m.size} depth={m.depth} "
-        f"monotone={is_syntactically_monotone(circuit)}",
+        f"monotone={m.monotone}",
         file=sys.stderr,
     )
     _run_report(

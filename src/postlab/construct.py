@@ -12,9 +12,9 @@ import itertools
 import math
 import random
 from dataclasses import dataclass
-from typing import Sequence
+from typing import Iterator, Sequence
 
-from .boolfun import RelationSet, negate_relations
+from .boolfun import RelationSet, json_int, negate_relations
 from .circuit import (
     BOUNDED2,
     UNBOUNDED,
@@ -100,16 +100,25 @@ class LayeredBP:
     @classmethod
     def from_json(cls, obj: dict) -> "LayeredBP":
         edges = tuple(
-            tuple((u, v, tuple(guard)) for u, v, guard in layer)
+            tuple(
+                (json_int(u, "edge source"), json_int(v, "edge target"), _guard_from_json(guard))
+                for u, v, guard in layer
+            )
             for layer in obj["edges"]
         )
         return cls(
-            int(obj["n"]),
-            tuple(obj["widths"]),
+            json_int(obj["n"], "n"),
+            tuple(json_int(w, "width") for w in obj["widths"]),
             edges,
-            int(obj["start"]),
-            int(obj["accept"]),
+            json_int(obj["start"], "start"),
+            json_int(obj["accept"], "accept"),
         )
+
+
+def _guard_from_json(guard) -> tuple:
+    kind, value, *rest = guard
+    what = "guard constant" if kind == CONST_GUARD else "guard variable"
+    return (kind, json_int(value, what), *rest)
 
 
 def bp_paths_mod2(bp: LayeredBP, x: int) -> int:
@@ -279,21 +288,25 @@ def _sorted_unary(b: Builder, bits: list[int]) -> list[int]:
     return _merge_sorted(b, _sorted_unary(b, bits[:mid]), _sorted_unary(b, bits[mid:]))
 
 
-def capped_counter(b: Builder, bits: Sequence[int], cap: int) -> list[int]:
-    """Incremental unary counter: entry t-1 computes (count >= t), t <= cap."""
+def _unary_counts(b: Builder, bits: Sequence[int], cap: int) -> Iterator[list[int]]:
+    """Incremental unary counter: after each bit, the counts so far, entry
+    t-1 computing (count >= t) for t <= cap and t <= bits read."""
     counts: list[int] = []
     for x in bits:
         new = []
         for t in range(min(len(counts) + 1, cap)):
             carry = b.and_([counts[t - 1], x]) if t >= 1 else x
-            if t < len(counts):
-                new.append(b.or_([counts[t], carry]))
-            else:
-                new.append(carry)
+            new.append(b.or_([counts[t], carry]) if t < len(counts) else carry)
         counts = new
-    while len(counts) < cap:
-        counts.append(b.const(0))
-    return counts
+        yield counts
+
+
+def capped_counter(b: Builder, bits: Sequence[int], cap: int) -> list[int]:
+    """Unary counter over all of bits: entry t-1 computes (count >= t), t <= cap."""
+    counts: list[int] = []
+    for counts in _unary_counts(b, bits, cap):
+        pass
+    return counts + [b.const(0) for _ in range(cap - len(counts))]
 
 
 def threshold_circuit(
@@ -353,16 +366,7 @@ def induced_subgraph_circuit(n: int, k: int, profile: str = NC1) -> Circuit:
     alpha = [b.input(ne + a) for a in range(n)]
     # sel[i][a]: alpha_a is the (i+1)-th non-zero selector entry
     sel = [[None] * n for _ in range(k)]
-    counts: list[int] = []
-    for a in range(n):
-        new = []
-        for t in range(min(len(counts) + 1, k + 1)):
-            carry = b.and_([counts[t - 1], alpha[a]]) if t >= 1 else alpha[a]
-            if t < len(counts):
-                new.append(b.or_([counts[t], carry]))
-            else:
-                new.append(carry)
-        counts = new
+    for a, counts in enumerate(_unary_counts(b, alpha, k + 1)):
         for i in range(k):
             if i < len(counts):
                 exactly = counts[i]

@@ -217,9 +217,6 @@ class XorSystem:
     nvars: int
     rows: tuple[tuple[int, int], ...]
 
-    def satisfiable(self) -> bool:
-        return gf2_satisfiable(self.rows)
-
 
 def gf2_satisfiable(rows) -> bool:
     pivots: dict[int, tuple[int, int]] = {}
@@ -321,9 +318,8 @@ def xor_system_to_instance(system: XorSystem) -> CspInstance:
 
 def solve_xor(inst: "CspInstance | XorSystem") -> bool:
     """Satisfiability of a parity instance by Gaussian elimination."""
-    if isinstance(inst, XorSystem):
-        return inst.satisfiable()
-    return instance_to_xor_system(inst).satisfiable()
+    system = inst if isinstance(inst, XorSystem) else instance_to_xor_system(inst)
+    return gf2_satisfiable(system.rows)
 
 
 def _reachability(adj: list[int]) -> list[int]:

@@ -275,8 +275,6 @@ class PolReduction:
 
     instance: CspInstance
     or_stage: BitReduction
-    mid_instance: CspInstance
-    definitions: dict[int, CQDefinition]
 
 
 def pol_reduce(
@@ -298,7 +296,7 @@ def pol_reduce(
         defs[r] = d
     mid, or_stage = cq_rewrite(inst, defs)
     final = eliminate_equality(mid)
-    return PolReduction(final, or_stage, mid, defs)
+    return PolReduction(final, or_stage)
 
 
 # The selector-variable transform.

@@ -28,7 +28,6 @@ from .circuit import (
     evaluate,
     evaluate_many,
     input_pattern,
-    is_syntactically_monotone,
     measures,
     minterm_dnf,
     monotone_table_to_circuit,
@@ -206,7 +205,7 @@ def verify_thresholds() -> SuiteReport:
         for k in range(0, n + 2):
             for mode in (construct.LOGDEPTH, construct.FLAT):
                 c = construct.threshold_circuit(k, n, mode)
-                if not is_syntactically_monotone(c):
+                if not measures(c).monotone:
                     bad.append(f"k={k} n={n} {mode}: not monotone")
                     continue
                 table = truth_tables(c)[0]
@@ -328,7 +327,7 @@ def verify_emitters(seed: int = 0, random_masks: int = 1000) -> SuiteReport:
         t0 = time.perf_counter()
         circuit = construct.emit_monotone_csp_circuit(sset, n)
         bad = []
-        if not is_syntactically_monotone(circuit):
+        if not measures(circuit).monotone:
             bad.append("contains NOT or XOR gates")
         size = circuit.n
         viol = violation_masks(CspInstance(sset, n))
@@ -555,8 +554,7 @@ def suite_quine(quick: bool = False) -> SuiteReport:
             strip_bad.append(f"table={table:#x}: not equivalent")
         elif len(stripped.terms) > len(d.terms):
             strip_bad.append(f"table={table:#x}: grew")
-        tree = build_decision_tree(4, table)
-        dnf = dt_to_monotone_dnf(tree, 4, table)
+        dnf = dt_to_monotone_dnf(build_decision_tree(4, table), table)
         if dnf.truth_table() != table or dnf.has_negative_literals():
             dt_bad.append(f"table={table:#x}")
         elif len(dnf.terms) < count_minterms(4, table):

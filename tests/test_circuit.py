@@ -1,4 +1,4 @@
-"""Circuit DAG semantics, measures, DNF/Quine, decision trees."""
+"""Circuit DAG semantics, measures, DNF/Quine, decision-tree 1-path DNFs."""
 
 import random
 
@@ -16,7 +16,6 @@ from postlab.circuit import (
     evaluate_many,
     evaluate_ref,
     input_pattern,
-    is_syntactically_monotone,
     measures,
     minterm_dnf,
     monotone_table_to_circuit,
@@ -147,7 +146,6 @@ def test_not_makes_non_monotone():
     b = Builder(1)
     c = b.build([b.not_(b.input(0))])
     assert not measures(c).monotone
-    assert not is_syntactically_monotone(c)
 
 
 def test_circuit_validation():
@@ -186,35 +184,34 @@ def test_quine_strip_rejects_parity_with_witness():
 
 
 def test_decision_tree_single_variable():
-    t = build_decision_tree(1, 0b10)
-    assert t.nodes == (("leaf", 0), ("leaf", 1), ("node", 0, 0, 1))
-    assert t.evaluate(1) == 1 and t.evaluate(0) == 0
+    # one split on x0; its 1-path tests x0 positively
+    assert build_decision_tree(1, 0b10).terms == ((1, 0),)
 
 
-def test_decision_tree_modes_compute_f():
-    # both readings of a tree compute f: walking it, and the DNF of its 1-paths
+def test_decision_tree_paths_compute_f_disjointly():
+    # the 1-paths of a tree compute f, and each input follows exactly one path
     rng = random.Random(11)
     for _ in range(80):
         n = rng.randrange(1, 7)
         table = rng.getrandbits(1 << n)
-        tree = build_decision_tree(n, table)
+        paths = build_decision_tree(n, table)
+        assert paths.truth_table() == table
         for x in range(1 << n):
-            assert tree.evaluate(x) == (table >> x) & 1
-        assert Dnf.make(n, tree.paths_to_one()).truth_table() == table
+            hits = sum((x & pos) == pos and (x & neg) == 0 for pos, neg in paths.terms)
+            assert hits == (table >> x) & 1
 
 
 def test_dt_to_monotone_dnf_pipeline():
-    tree = build_decision_tree(3, MAJ_TABLE)
-    dnf = dt_to_monotone_dnf(tree, 3, MAJ_TABLE)
+    dnf = dt_to_monotone_dnf(build_decision_tree(3, MAJ_TABLE), MAJ_TABLE)
     assert dnf.truth_table() == MAJ_TABLE
     assert not dnf.has_negative_literals()
     assert set(dnf.terms) == {(0b011, 0), (0b101, 0), (0b110, 0)}
 
 
 def test_dt_to_monotone_dnf_rejects_parity():
-    tree = build_decision_tree(2, XOR2_TABLE)
+    paths = build_decision_tree(2, XOR2_TABLE)
     with pytest.raises(MonotonePreconditionError):
-        dt_to_monotone_dnf(tree, 2, XOR2_TABLE)
+        dt_to_monotone_dnf(paths, XOR2_TABLE)
 
 
 def test_count_minterms():
@@ -226,7 +223,7 @@ def test_count_minterms():
 
 def test_monotone_table_to_circuit():
     c = monotone_table_to_circuit(3, MAJ_TABLE)
-    assert is_syntactically_monotone(c)
+    assert measures(c).monotone
     assert truth_tables(c)[0] == MAJ_TABLE
     z = monotone_table_to_circuit(2, 0)
     assert truth_tables(z)[0] == 0

@@ -332,6 +332,68 @@ def test_malformed_input_exits_2(tmp_path, capsys, argv):
     assert err.count("\n") == 1, err
 
 
+DELETE = object()
+
+
+def _edit(obj: dict, path: tuple, value) -> dict:
+    """A copy of obj with the entry at path set to value (deleted for DELETE)."""
+    obj = json.loads(json.dumps(obj))
+    *head, last = path
+    target = obj
+    for key in head:
+        target = target[key]
+    if value is DELETE:
+        del target[last]
+    else:
+        target[last] = value
+    return obj
+
+
+CIRCUIT = threshold_circuit(2, 3).to_json()  # gate 3 is ["or", [2, 1]]
+BP = random_layered_bp(random.Random(3), 4).to_json()  # edges[2][0] has a const guard
+JSON_ARGV = {
+    "pad": ["pad", "--in", "{}", "--extra", "1"],
+    "emit": ["emit", "checkpoint", "--bp", "{}"],
+}
+
+# (command, file contents, the words that name the field)
+JSON_FIELDS = {
+    "pad-n-float": ("pad", _edit(CIRCUIT, ("n",), 3.7), "n must be an integer, got 3.7"),
+    "pad-n-string": ("pad", _edit(CIRCUIT, ("n",), "3"), "n must be an integer, got '3'"),
+    "pad-output-float": ("pad", _edit(CIRCUIT, ("outputs",), [7.0]), "output must be"),
+    "pad-gate-operand-float": ("pad", _edit(CIRCUIT, ("gates", 3, 1, 0), 2.0), "gate 3 operand"),
+    "pad-missing-gates": ("pad", _edit(CIRCUIT, ("gates",), DELETE), "missing field 'gates'"),
+    "bp-n-float": ("emit", _edit(BP, ("n",), 4.0), "n must be an integer, got 4.0"),
+    "bp-start-float": ("emit", _edit(BP, ("start",), 0.0), "start must be"),
+    "bp-accept-string": ("emit", _edit(BP, ("accept",), "2"), "accept must be"),
+    "bp-width-float": ("emit", _edit(BP, ("widths", 1), 3.0), "width must be"),
+    "bp-edge-source-float": ("emit", _edit(BP, ("edges", 0, 0, 0), 0.0), "edge source"),
+    "bp-edge-target-bool": ("emit", _edit(BP, ("edges", 0, 0, 1), True), "edge target"),
+    "bp-guard-variable-float": ("emit", _edit(BP, ("edges", 0, 0, 2, 1), 3.0), "guard variable"),
+    "bp-guard-constant-bool": ("emit", _edit(BP, ("edges", 2, 0, 2, 1), False), "guard constant"),
+    "bp-missing-edges": ("emit", _edit(BP, ("edges",), DELETE), "missing field 'edges'"),
+}
+
+
+@pytest.mark.parametrize("command, obj, words", JSON_FIELDS.values(), ids=JSON_FIELDS.keys())
+def test_malformed_json_field_is_named(tmp_path, capsys, command, obj, words):
+    path = tmp_path / "in.json"
+    path.write_text(json.dumps(obj))
+    code, _, err = run(capsys, *(a.format(path) for a in JSON_ARGV[command]))
+    assert code == 2, err
+    assert err.startswith(f"error: {path}: ") and words in err, err
+    assert "Traceback" not in err and err.count("\n") == 1, err
+
+
+def test_json_field_cases_start_from_valid_files(tmp_path, capsys):
+    # each case above differs from a file that loads in its one edited field
+    for command, obj in (("pad", CIRCUIT), ("emit", BP)):
+        path = tmp_path / "in.json"
+        path.write_text(json.dumps(obj))
+        code, _, err = run(capsys, *(a.format(path) for a in JSON_ARGV[command]))
+        assert code == 0, err
+
+
 def test_oddfactor_pool_never_outnumbers_cpus(monkeypatch):
     sizes = []
 

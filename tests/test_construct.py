@@ -10,7 +10,6 @@ from postlab.boolfun import IMP2, UNIT_FALSE, UNIT_TRUE, Relation, RelationSet, 
 from postlab.circuit import (
     Builder,
     evaluate,
-    is_syntactically_monotone,
     measures,
     monotone_table_to_circuit,
     truth_tables,
@@ -118,7 +117,7 @@ def test_threshold_circuits(mode):
     for n in range(1, 8):
         for k in range(n + 2):
             c = threshold_circuit(k, n, mode)
-            assert is_syntactically_monotone(c)
+            assert measures(c).monotone
             table = truth_tables(c)[0]
             for x in range(1 << n):
                 assert ((table >> x) & 1) == (bin(x).count("1") >= k)
@@ -186,7 +185,7 @@ def test_auto_emits_for_every_binary_set():
     for subset in range(1, 1 << 16, 61):
         sset = RelationSet(tuple(binary[i] for i in range(16) if (subset >> i) & 1))
         circuit = emit_monotone_csp_circuit(sset, 2)
-        assert is_syntactically_monotone(circuit), hex(subset)
+        assert measures(circuit).monotone, hex(subset)
         viol = violation_masks(CspInstance(sset, 2))
         masks = [rng.getrandbits(circuit.n) & rng.getrandbits(circuit.n) for _ in range(20)]
         for w in masks + [0, (1 << circuit.n) - 1]:
@@ -215,7 +214,7 @@ def test_auto_rejects_exactly_the_size_hard_ternary_sets():
 def test_emitters_match_brute_force(set_fn, n):
     sset = set_fn()
     circuit = emit_monotone_csp_circuit(sset, n)
-    assert is_syntactically_monotone(circuit)
+    assert measures(circuit).monotone
     viol = violation_masks(CspInstance(sset, n, 0))
     rng = random.Random(1)
     for _ in range(400):

@@ -2,9 +2,10 @@
 
 A public module-level function, class, method or upper-case constant that no
 postlab module reads, and that no `__all__` lists, is an export only the tests
-use.  Names are matched by name alone: a method that shares its name with one
-in use elsewhere (`from_json`, `to_json`, `evaluate`) passes here unread, so
-such names have to be checked by hand.
+use; so is a field of a public dataclass that no postlab module reads.  Names
+are matched by name alone: a method that shares its name with one in use
+elsewhere (`from_json`, `to_json`, `evaluate`) passes here unread, so such
+names have to be checked by hand.
 """
 
 import ast
@@ -50,6 +51,24 @@ def defined_names(tree: ast.Module, module: str) -> list[str]:
     return out
 
 
+def _is_dataclass(decorator: ast.expr) -> bool:
+    target = decorator.func if isinstance(decorator, ast.Call) else decorator
+    return isinstance(target, ast.Name) and target.id == "dataclass"
+
+
+def dataclass_fields(tree: ast.Module, module: str) -> list[str]:
+    """`module.Class.field` of each annotated field of a public dataclass."""
+    return [
+        f"{module}.{node.name}.{item.target.id}"
+        for node in tree.body
+        if isinstance(node, ast.ClassDef)
+        and _public(node.name)
+        and any(_is_dataclass(d) for d in node.decorator_list)
+        for item in node.body
+        if isinstance(item, ast.AnnAssign) and isinstance(item.target, ast.Name)
+    ]
+
+
 def used_names(tree: ast.Module) -> set[str]:
     """Names the module reads, bare or as attributes, and the strings its
     `__all__` lists."""
@@ -66,15 +85,15 @@ def used_names(tree: ast.Module) -> set[str]:
     return used
 
 
-def unused_names(sources: dict[str, str]) -> set[str]:
-    """Qualified public names, over modules given as {name: source}, that no
-    module reads."""
+def unused_names(sources: dict[str, str], defined=defined_names) -> set[str]:
+    """Qualified names that `defined` lists, over modules given as
+    {name: source}, that no module reads."""
     trees = {module: ast.parse(source) for module, source in sources.items()}
     used = set().union(*(used_names(tree) for tree in trees.values()))
     return {
         qualname
         for module, tree in trees.items()
-        for qualname in defined_names(tree, module)
+        for qualname in defined(tree, module)
         if qualname.rsplit(".", 1)[1] not in used
     }
 
@@ -94,6 +113,28 @@ def test_detector_sees_functions_methods_and_constants():
     assert unused_names(sources) == {"a.f", "a.C.m"}
 
 
+def test_detector_sees_unread_dataclass_fields():
+    sources = {
+        "a": (
+            "from dataclasses import dataclass\n"
+            "@dataclass(frozen=True)\nclass P:\n    x: int\n    y: int\n    z: int = 0\n"
+            "@dataclass\nclass Q:\n    w: int\n"
+            "class R:\n    v: int\n"
+            "@dataclass\nclass _S:\n    u: int\n"
+        ),
+        "b": "def f(p, x):\n    return p.x + x\n",
+    }
+    # x is read; y, z and w are not; R is no dataclass and _S is private
+    assert unused_names(sources, dataclass_fields) == {"a.P.y", "a.P.z", "a.Q.w"}
+
+
+def _package_sources() -> dict[str, str]:
+    return {path.stem: path.read_text() for path in sorted(PACKAGE.glob("*.py"))}
+
+
 def test_every_public_name_has_a_caller():
-    sources = {path.stem: path.read_text() for path in sorted(PACKAGE.glob("*.py"))}
-    assert unused_names(sources) == set(ALLOWED)
+    assert unused_names(_package_sources()) == set(ALLOWED)
+
+
+def test_every_dataclass_field_is_read():
+    assert unused_names(_package_sources(), dataclass_fields) == set()
