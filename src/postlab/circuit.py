@@ -36,6 +36,8 @@ class Circuit:
     fanin_mode: str = UNBOUNDED
 
     def __post_init__(self):
+        if self.fanin_mode not in (BOUNDED2, UNBOUNDED):
+            raise ValueError(f"unknown fanin_mode {self.fanin_mode!r}")
         for idx, (kind, args) in enumerate(self.gates):
             if kind == INPUT:
                 if len(args) != 1 or not 0 <= args[0] < self.n:

@@ -43,8 +43,8 @@ class LayeredBP:
     only between consecutive layers, guarded by a literal or a constant.
 
     edges[t] lists (u, v, guard) from layer t to t+1; guards are
-    ("const", b) or ("lit", var, positive).  Every start-accept path has
-    length len(widths) - 1.
+    ("const", b) or ("lit", var, positive) with positive a bool.  Every
+    start-accept path has length len(widths) - 1.
     """
 
     n: int
@@ -66,6 +66,10 @@ class LayeredBP:
                     if guard[1] not in (0, 1):
                         raise ValueError("bad constant guard")
                 elif guard[0] == LIT_GUARD:
+                    if len(guard) != 3 or not isinstance(guard[2], bool):
+                        raise ValueError(
+                            f'literal guard {list(guard)} is not ["lit", var, true|false]'
+                        )
                     if not 0 <= guard[1] < self.n:
                         raise ValueError("guard variable out of range")
                 else:

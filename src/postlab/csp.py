@@ -13,7 +13,7 @@ from __future__ import annotations
 import itertools
 import random
 from bisect import bisect_right
-from dataclasses import dataclass, replace
+from dataclasses import InitVar, dataclass, replace
 from functools import cached_property, lru_cache
 from typing import Callable, Iterator
 
@@ -51,7 +51,9 @@ def _set_bits(mask: int) -> Iterator[int]:
     of up to 32 bytes (the dichotomy sweep's 16-256-bit instances) visit
     every byte.  Longer ones flag their nonzero bytes in one C-level pass and
     jump between them with `find`, so a sparse 128,000-bit mask costs about
-    its byte count, not one big-integer operation per set bit.
+    its byte count, not one big-integer operation per set bit.  An instance
+    walks its bits once and keeps the tuple (`CspInstance._set_bit_tuple`);
+    a maker that knows the positions passes them and skips the walk.
     """
     data = mask.to_bytes((mask.bit_length() + 7) // 8, "little")
     if len(data) <= 32:
@@ -75,6 +77,17 @@ class CspInstance:
     sset: RelationSet
     n: int
     bits: int = 0
+    # The ascending set bits of `bits`, when the maker knows them: taken as
+    # given (not checked), so a sparse mask is never walked; replace() drops them.
+    known_set_bits: InitVar[tuple[int, ...] | None] = None
+
+    def __post_init__(self, known_set_bits: tuple[int, ...] | None) -> None:
+        if known_set_bits is not None:
+            self.__dict__["_set_bit_tuple"] = known_set_bits
+
+    @cached_property
+    def _set_bit_tuple(self) -> tuple[int, ...]:
+        return tuple(_set_bits(self.bits))  # the instance's one walk
 
     @cached_property
     def _layout(self) -> tuple[tuple[int, ...], int]:
@@ -120,14 +133,14 @@ class CspInstance:
 
     def iter_constraints(self) -> Iterator[tuple[int, tuple[int, ...]]]:
         """(relation index, variable tuple) of each present constraint, in bit order."""
-        for j in _set_bits(self.bits):
+        for j in self._set_bit_tuple:
             yield self.decode(j)
 
     def to_json(self) -> dict:
         return {
             "relation_set": relation_set_to_json(self.sset),
             "n": self.n,
-            "set_bits": list(_set_bits(self.bits)),
+            "set_bits": list(self._set_bit_tuple),
         }
 
     @classmethod
@@ -260,15 +273,12 @@ def _affine_rows(rel: Relation) -> tuple[tuple[int, int], ...] | None:
     return tuple(rows)
 
 
-@lru_cache(maxsize=4096)
-def _xor_rows(sset: RelationSet, n: int, j: int) -> tuple[tuple[int, int], ...]:
-    """GF(2) rows (variable mask, rhs) of the j-th application over (sset, n)."""
-    r, variables = CspInstance(sset, n).decode(j)
-    checks = _affine_rows(sset[r])
+def _parity_rows(rel: Relation, variables: tuple[int, ...]) -> tuple[tuple[int, int], ...] | None:
+    """GF(2) rows (variable mask, rhs) of rel applied to variables, or None
+    when rel is not affine."""
+    checks = _affine_rows(rel)
     if checks is None:
-        raise FragmentMismatchError(
-            f"relation {sset[r].name or r} is not an affine parity relation"
-        )
+        return None
     rows = []
     for c, par in checks:
         mask = 0
@@ -280,9 +290,16 @@ def _xor_rows(sset: RelationSet, n: int, j: int) -> tuple[tuple[int, int], ...]:
 
 
 def instance_to_xor_system(inst: CspInstance) -> XorSystem:
+    table = _parity_table(inst.sset, inst.n)
     rows = []
-    for j in _set_bits(inst.bits):
-        rows.extend(_xor_rows(inst.sset, inst.n, j))
+    for j in inst._set_bit_tuple:
+        entry = table[j]
+        if entry is None:
+            r = inst.decode(j)[0]
+            raise FragmentMismatchError(
+                f"relation {inst.sset[r].name or r} is not an affine parity relation"
+            )
+        rows += entry
     return XorSystem(inst.n, tuple(rows))
 
 
@@ -399,9 +416,10 @@ def clauses(
     return tuple(sorted((side(pos), side(neg)) for pos, neg in _prime_clauses(rel, pattern)))
 
 
-# The clause table: the prime clauses of every bit of one (sset, n).
+# Per-bit tables: one view of every bit of one (sset, n), the clause view
+# (clause_table) or the parity view (_parity_table).
 
-# Above this many bits clause_table reads bits lazily.  A dense table costs
+# Above this many bits a per-bit table reads bits lazily.  A dense table costs
 # about 10 us per entry once per (relation, n): worth it when many instances
 # share a layout (the dichotomy sweep's N is at most 256), not for one sparse
 # solve, which at N = 54,030 would wait 0.5 s for the table.
@@ -409,39 +427,48 @@ _DENSE_TABLE_BITS = 1 << 12
 
 
 @lru_cache(maxsize=64)
-def _relation_clauses(rel: Relation, n: int) -> tuple:
-    """clauses(rel, V) for each application V of rel over n variables, in
-    rank order.  Relation sets share these blocks: equality ignores names."""
+def _relation_block(view: Callable, rel: Relation, n: int) -> tuple:
+    """view(rel, V) for each application V of rel over n variables, in rank
+    order.  Relation sets share these blocks: equality ignores names."""
     inst = CspInstance(RelationSet((rel,)), n)
-    return tuple(clauses(rel, inst.decode(j)[1]) for j in range(inst.size))
+    return tuple(view(rel, inst.decode(j)[1]) for j in range(inst.size))
 
 
-class _LazyClauseTable(dict):
-    """clause_table above _DENSE_TABLE_BITS: each lookup decodes its bit.
+class _LazyTable(dict):
+    """A per-bit table above _DENSE_TABLE_BITS: a bit is decoded on its first
+    lookup and kept while fewer than _DENSE_TABLE_BITS entries are."""
 
-    Lookups are not stored, so the table does not grow with every bit ever
-    asked for; `clauses` caches what repeats."""
-
-    def __init__(self, inst: CspInstance):
-        self.inst = inst
+    def __init__(self, view: Callable, inst: CspInstance):
+        self.view, self.inst = view, inst
 
     def __missing__(self, j: int):
         r, variables = self.inst.decode(j)
-        return clauses(self.inst.sset[r], variables)
+        entry = self.view(self.inst.sset[r], variables)
+        if len(self) < _DENSE_TABLE_BITS:
+            self[j] = entry
+        return entry
+
+
+def _bit_table(view: Callable, sset: RelationSet, n: int) -> "tuple | _LazyTable":
+    """view's entry of each bit: a tuple of per-relation blocks up to
+    _DENSE_TABLE_BITS bits, else lazy, so a sparse instance costs its set bits."""
+    inst = CspInstance(sset, n)
+    if inst.size > _DENSE_TABLE_BITS:
+        return _LazyTable(view, inst)
+    return tuple(itertools.chain.from_iterable(_relation_block(view, rel, n) for rel in sset))
 
 
 @lru_cache(maxsize=16)
-def clause_table(sset: RelationSet, n: int) -> "tuple | _LazyClauseTable":
-    """Entry j is clauses(sset[r], V) for the application (r, V) of bit j.
+def clause_table(sset: RelationSet, n: int) -> "tuple | _LazyTable":
+    """Entry j is clauses(sset[r], V) for the application (r, V) of bit j
+    (see `_bit_table`); `_parity_table` is the parity view of the same bits."""
+    return _bit_table(clauses, sset, n)
 
-    A tuple built from per-relation blocks while N is at most
-    _DENSE_TABLE_BITS, else a lazy mapping, so that reading an instance's
-    set bits costs those bits, not N.
-    """
-    inst = CspInstance(sset, n)
-    if inst.size > _DENSE_TABLE_BITS:
-        return _LazyClauseTable(inst)
-    return tuple(itertools.chain.from_iterable(_relation_clauses(rel, n) for rel in sset))
+
+@lru_cache(maxsize=16)
+def _parity_table(sset: RelationSet, n: int) -> "tuple | _LazyTable":
+    """Entry j is `_parity_rows` of bit j: None when its relation is not affine."""
+    return _bit_table(_parity_rows, sset, n)
 
 
 # Horn unit propagation for AND-closed relation sets.

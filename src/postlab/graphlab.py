@@ -66,17 +66,17 @@ class BipGraph:
         if self.mask < 0 or self.mask >> (self.n * self.n):
             raise ValueError("biadjacency mask larger than n*n")
 
-    def has_edge(self, i: int, j: int) -> bool:
-        return bool((self.mask >> (i * self.n + j)) & 1)
-
     def to_graph(self) -> Graph:
-        edges = [
-            (i, self.n + j)
-            for i in range(self.n)
-            for j in range(self.n)
-            if self.has_edge(i, j)
-        ]
-        return Graph.from_edges(2 * self.n, edges)
+        """Cell i*n + j is the edge (i, n + j)."""
+        mask = self.mask
+        edges = frozenset(p for cell, p in enumerate(_bip_pairs(self.n)) if (mask >> cell) & 1)
+        return Graph(2 * self.n, edges)
+
+
+@lru_cache(maxsize=16)
+def _bip_pairs(n: int) -> tuple[tuple[int, int], ...]:
+    """The edge (i, n + j) of each cell i*n + j, in cell order."""
+    return tuple((i, n + j) for i in range(n) for j in range(n))
 
 
 def parse_graph(text: str) -> Graph:

@@ -347,7 +347,9 @@ class BipOddFactorReduction:
     beta: BitReduction
     n: int
     always_bits: int  # mask of the Tseitin applications of K_{n,n}, present for every M
-    cell_masks: tuple[int, ...]  # per cell i*n+j, the mask of its zeroing application
+    always_positions: tuple[int, ...]  # the set bits of always_bits, ascending
+    cell_positions: tuple[int, ...]  # per cell i*n+j, the bit of its zeroing application
+    cell_masks: tuple[int, ...]  # per cell, 1 << its bit
 
     def alpha_bits(self, graph_mask: int) -> int:
         missing = 0
@@ -357,7 +359,14 @@ class BipOddFactorReduction:
         return self.always_bits | missing
 
     def instance_for(self, graph_mask: int) -> CspInstance:
-        return CspInstance(self.instance.sset, self.instance.n, self.alpha_bits(graph_mask))
+        """alpha(M), its set bits merged from the recorded positions, not walked."""
+        positions = [
+            bit for cell, bit in enumerate(self.cell_positions) if not (graph_mask >> cell) & 1
+        ]
+        positions += self.always_positions
+        positions.sort()
+        bits, layout = self.alpha_bits(graph_mask), self.instance
+        return CspInstance(layout.sset, layout.n, bits, known_set_bits=tuple(positions))
 
     def dual_of_xorsat(self, graph_mask: int) -> bool:
         """dual(XOR-SAT) evaluated at beta(M): since XOR-SAT accepts the
@@ -387,12 +396,15 @@ def bip_oddfactor_to_xorsat(graph: BipGraph) -> BipOddFactorReduction:
             f"K_{{{n},{n}}} has {n * n} edges, above the oracle_edges budget {limit}"
         )
     full = xor_system_to_instance(tseitin_system(BipGraph(n, (1 << n * n) - 1).to_graph()))
-    cell_bits = [full.encode(0, (c, c, c)) for c in range(n * n)]
+    always = tuple(full.encode(r, variables) for r, variables in full.iter_constraints())
+    cell_bits = tuple(full.encode(0, (c, c, c)) for c in range(n * n))
     beta_defs: list[tuple] = [(CONST, 1)] * full.size
-    for r, variables in full.iter_constraints():
-        beta_defs[full.encode(r, variables)] = (CONST, 0)
+    for bit in always:
+        beta_defs[bit] = (CONST, 0)
     for cell, bit in enumerate(cell_bits):
         beta_defs[bit] = (PROJ, cell)
     beta = BitReduction(n * n, full.size, tuple(beta_defs))
-    layout = BipOddFactorReduction(full, beta, n, full.bits, tuple(1 << bit for bit in cell_bits))
+    layout = BipOddFactorReduction(
+        full, beta, n, full.bits, always, cell_bits, tuple(1 << bit for bit in cell_bits)
+    )
     return replace(layout, instance=layout.instance_for(graph.mask))

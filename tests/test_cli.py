@@ -282,6 +282,9 @@ MALFORMED = {
     "bip-mask-string": ["reduce", "bip-oddfactor", "--in", "{bip_mask_str}"],
     "verify-zero-jobs": ["verify", "quine", "--quick", "--jobs", "0"],
     "verify-negative-jobs": ["verify", "quine", "--quick", "--jobs", "-2"],
+    "checkpoint-guard-polarity-string": ["emit", "checkpoint", "--bp", "{bp_lit_no}"],
+    "checkpoint-guard-without-polarity": ["emit", "checkpoint", "--bp", "{bp_lit_short}"],
+    "pad-unknown-fanin-mode": ["pad", "--in", "{fanin_bogus}", "--extra", "1"],
 }
 
 
@@ -317,6 +320,9 @@ def test_malformed_input_exits_2(tmp_path, capsys, argv):
         "arity_float": {"relations": [{"arity": 2.0, "tuples": ["01"]}]},
         "bip_n_float": {"n": 2.5, "mask": 0},
         "bip_mask_str": {"n": 2, "mask": "3"},
+        "bp_lit_no": _edit(BP, ("edges", 0, 0, 2), ["lit", 3, "no"]),  # read as positive before
+        "bp_lit_short": _edit(BP, ("edges", 0, 0, 2), ["lit", 3]),
+        "fanin_bogus": _edit(CIRCUIT, ("fanin_mode",), "bogus"),  # padded and written back before
     }
     paths = {name: tmp_path / f"{name}.json" for name in files}
     for name, obj in files.items():

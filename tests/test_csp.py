@@ -11,6 +11,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+from postlab import csp
 from postlab.boolfun import (
     EQ2,
     IMP2,
@@ -36,6 +37,7 @@ from postlab.csp import (
     clauses,
     csp_sat_value,
     hornt_set,
+    instance_to_xor_system,
     nand_fragment_set,
     or_fragment_set,
     or_fragment_side,
@@ -170,6 +172,18 @@ def test_solve_xor_rejects_non_affine():
     inst = CspInstance(RelationSet((or_relation(2),), "or2"), 2, 1)
     with pytest.raises(FragmentMismatchError):
         solve_xor(inst)
+
+
+@pytest.mark.parametrize("n", [3, 14])  # N = 81 (dense table) and 5,684 (lazy)
+def test_non_affine_relation_raises_on_every_call(n):
+    sset = RelationSet((XOR3_0, or_relation(3)), "mixed")
+    base = CspInstance(sset, n)
+    inst = base.with_constraint(0, (0, 1, 2)).with_constraint(1, (n - 1, 0, 0))
+    for _ in range(2):
+        with pytest.raises(FragmentMismatchError, match="or3"):
+            solve_xor(inst)
+    # bits of the affine relation alone still solve
+    assert solve_xor(base.with_constraint(0, (0, 1, 2))) is True
 
 
 def test_solve_horn_example():
@@ -524,6 +538,60 @@ def test_json_round_trip_and_set_bits(inst):
 @given(instances(xor3_set()))
 def test_solve_xor_matches_brute_force(inst):
     assert solve_xor(inst) == satisfiable_brute(inst)
+
+
+def _rows_by_decode(inst: CspInstance, bits: list[int]) -> tuple:
+    """The rows of xor3 bits decoded one by one: XOR3_r(V) is sum(V) = r."""
+    rows = []
+    for j in sorted(bits):
+        r, variables = inst.decode(j)
+        mask = 0
+        for v in variables:
+            mask ^= 1 << v
+        rows.append((mask, r))
+    return tuple(rows)
+
+
+@st.composite
+def xor3_bits(draw):
+    """An xor3 instance at 1 <= n <= 20, so N = 2n^3 lies on both sides of
+    the dense table limit, with applications whose variables repeat."""
+    n = draw(st.integers(1, 20))
+    inst = CspInstance(xor3_set(), n)
+    pool = st.integers(0, n - 1)
+    apps = draw(st.lists(st.tuples(st.integers(0, 1), st.tuples(pool, pool, pool)), max_size=12))
+    bits = sorted({inst.encode(r, variables) for r, variables in apps})
+    return inst, bits
+
+
+@PROPERTY
+@given(xor3_bits())
+@example((CspInstance(xor3_set(), 13), [0, 1, 2 * 13**3 - 1]))  # N = 4,394, lazy
+@example((CspInstance(xor3_set(), 12), [0, 1, 2 * 12**3 - 1]))  # N = 3,456, dense
+def test_instance_to_xor_system_matches_a_per_bit_decode(drawn):
+    base, bits = drawn
+    inst = CspInstance(base.sset, base.n, sum(1 << j for j in bits))
+    want = XorSystem(inst.n, _rows_by_decode(inst, bits))
+    assert instance_to_xor_system(inst) == want
+    assert instance_to_xor_system(inst) == want  # again, from the stored entries
+    dense = inst.size <= csp._DENSE_TABLE_BITS
+    assert isinstance(csp._parity_table(inst.sset, inst.n), tuple) == dense
+    known = CspInstance(base.sset, base.n, inst.bits, known_set_bits=tuple(bits))
+    assert instance_to_xor_system(known) == want
+
+
+def test_lazy_tables_keep_a_bounded_number_of_entries(monkeypatch):
+    monkeypatch.setattr(csp, "_DENSE_TABLE_BITS", 8)
+    sset = RelationSet((XOR3_0, XOR3_1), "xor3-bounded")  # a set no other test caches
+    n = 5
+    inst = CspInstance(sset, n)
+    for table_of, view in ((csp._parity_table, csp._parity_rows), (clause_table, clauses)):
+        table = table_of(sset, n)
+        assert not isinstance(table, tuple)
+        for j in range(0, inst.size, 7):
+            r, variables = inst.decode(j)
+            assert table[j] == view(sset[r], variables)
+        assert len(table) == 8
 
 
 @st.composite

@@ -92,6 +92,14 @@ def test_bipgraph_shape():
         Graph(-1, frozenset())
 
 
+def test_bipgraph_to_graph_edges():
+    # cell i*n + j is the edge (i, n + j), as a per-cell edge list normalised
+    for n in (1, 2, 3):
+        for mask in range(1 << (n * n)):
+            cells = [(i, n + j) for i in range(n) for j in range(n) if (mask >> (i * n + j)) & 1]
+            assert BipGraph(n, mask).to_graph() == Graph.from_edges(2 * n, cells)
+
+
 def test_graph_text_roundtrip():
     g = Graph.from_edges(4, [(0, 1), (2, 3)])
     assert parse_graph("v 4\ne 0 1\ne 3 2  # comment\n") == g

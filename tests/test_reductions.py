@@ -4,6 +4,8 @@ import random
 
 import pytest
 
+from postlab import csp
+
 from postlab.boolfun import (
     EQ2,
     IMP2,
@@ -197,6 +199,34 @@ def test_bip_oddfactor_duality_exhaustive(n):
     red = bip_oddfactor_to_xorsat(BipGraph(n, 0))
     for mask in range(1 << (n * n)):
         assert red.dual_of_xorsat(mask) == bip_odd_factor(BipGraph(n, mask))
+
+
+def test_instance_for_set_bits_are_those_of_alpha():
+    # the positions instance_for merges equal the walk of the mask it builds
+    for n, step in ((1, 1), (2, 1), (3, 1), (4, 97)):
+        red = bip_oddfactor_to_xorsat(BipGraph(n, 0))
+        for mask in range(0, 1 << (n * n), step):
+            inst = red.instance_for(mask)
+            assert inst.bits == red.alpha_bits(mask)
+            assert inst._set_bit_tuple == tuple(csp._set_bits(inst.bits)), (n, mask)
+
+
+def test_solving_instance_for_never_walks_its_mask(monkeypatch):
+    red = bip_oddfactor_to_xorsat(BipGraph(4, 0))
+    walked = []
+    real = csp._set_bits
+
+    def counting(mask):
+        walked.append(mask)
+        return real(mask)
+
+    monkeypatch.setattr(csp, "_set_bits", counting)
+    for mask in (0, 0x8421, 0xFFFF, 0x1234):
+        inst = red.instance_for(mask)
+        assert red.dual_of_xorsat(mask) == bip_odd_factor(BipGraph(4, mask))
+        assert csp.solve_xor(inst) == bip_odd_factor(BipGraph(4, mask))
+        assert inst.to_json()["set_bits"] == list(real(inst.bits))
+    assert walked == []
 
 
 def test_bip_beta_projection_values():

@@ -3,9 +3,12 @@ witness as a per-mask loop over `evaluate_ref` does."""
 
 import random
 
+import pytest
+
 from postlab import construct, verify
 from postlab.circuit import AND, INPUT, OR, Circuit, evaluate_ref
 from postlab.csp import CspInstance, twosat_set, violation_masks
+from postlab.errors import BudgetExceededError
 from postlab.graphlab import Graph, edge_mask
 
 
@@ -89,3 +92,15 @@ def test_padding_witness_matches_the_per_permutation_loop(monkeypatch):
     got = [c.detail for c in report.checks if c.name.endswith("-isomorphism")]
     assert got == expected
     assert len(set(expected)) > 1 and all(expected)
+
+
+def test_oddfactor_chunk_reads_the_budget_once(monkeypatch):
+    reads = []
+    real = verify.budgets
+    monkeypatch.setattr(verify, "budgets", lambda: reads.append(1) or real())
+    assert verify._oddfactor_chunk((4, 0, 64)) == (64, [])
+    assert len(reads) == 1
+    # the chunk still honours POSTLAB_BUDGET, read at its start
+    monkeypatch.setenv("POSTLAB_BUDGET", "oracle_edges=2")
+    with pytest.raises(BudgetExceededError):
+        verify._oddfactor_chunk((4, 0, 64))
