@@ -206,8 +206,7 @@ def satisfiable_brute(inst: CspInstance, budget: Budgets | None = None) -> bool:
             "use a fragment solver"
         )
     if inst.n <= _VIOL_FAST_VARS:
-        bits = inst.bits
-        return any(bits & v == 0 for v in violation_masks(inst))
+        return 0 in map(inst.bits.__and__, violation_masks(inst))
     solutions = (1 << (1 << inst.n)) - 1
     for r, variables in inst.iter_constraints():
         solutions &= solution_table(inst.sset[r], variables, inst.n)
@@ -416,8 +415,32 @@ def clauses(
     return tuple(sorted((side(pos), side(neg)) for pos, neg in _prime_clauses(rel, pattern)))
 
 
+def _horn_rules(rel: Relation, variables: tuple[int, ...]) -> tuple[tuple[int, int], ...]:
+    """(body mask, head mask or 0) of each prime clause of rel on variables:
+    its negative variables imply its positive one, or false."""
+    return tuple(
+        (sum(1 << v for v in neg), 1 << pos[0] if pos else 0)
+        for pos, neg in clauses(rel, variables)
+    )
+
+
+def _implications(rel: Relation, variables: tuple[int, ...]) -> tuple[tuple[int, int], ...] | None:
+    """(source node, 1 << target node) of the two implications of each prime
+    clause (a | b) of rel on variables, or None when one clause is empty.
+    Literal node 2v is x_v and 2v + 1 is not x_v, so node ^ 1 negates."""
+    edges = []
+    for pos, neg in clauses(rel, variables):
+        lits = [2 * v for v in pos] + [2 * v + 1 for v in neg]
+        if not lits:
+            return None
+        a, b = lits[0], lits[-1]
+        edges += [(a ^ 1, 1 << b), (b ^ 1, 1 << a)]
+    return tuple(edges)
+
+
 # Per-bit tables: one view of every bit of one (sset, n), the clause view
-# (clause_table) or the parity view (_parity_table).
+# (clause_table), the parity view (_parity_table) and the solver-ready Horn
+# and 2-SAT views (_horn_table, _twosat_table).
 
 # Above this many bits a per-bit table reads bits lazily.  A dense table costs
 # about 10 us per entry once per (relation, n): worth it when many instances
@@ -461,7 +484,7 @@ def _bit_table(view: Callable, sset: RelationSet, n: int) -> "tuple | _LazyTable
 @lru_cache(maxsize=16)
 def clause_table(sset: RelationSet, n: int) -> "tuple | _LazyTable":
     """Entry j is clauses(sset[r], V) for the application (r, V) of bit j
-    (see `_bit_table`); `_parity_table` is the parity view of the same bits."""
+    (see `_bit_table`); the other tables are views of the same bits."""
     return _bit_table(clauses, sset, n)
 
 
@@ -469,6 +492,30 @@ def clause_table(sset: RelationSet, n: int) -> "tuple | _LazyTable":
 def _parity_table(sset: RelationSet, n: int) -> "tuple | _LazyTable":
     """Entry j is `_parity_rows` of bit j: None when its relation is not affine."""
     return _bit_table(_parity_rows, sset, n)
+
+
+@lru_cache(maxsize=16)
+def _guard(sset: RelationSet, clone: str, fragment: str) -> None:
+    """Raise FragmentMismatchError naming the first relation of sset that
+    clone does not preserve.  lru_cache keeps no exception, so a set is
+    checked once when it passes and raises on every call when it does not."""
+    for rel in sset:
+        if not in_pol(clone, rel):
+            raise FragmentMismatchError(f"relation {rel.name or rel} is not {fragment}")
+
+
+@lru_cache(maxsize=16)
+def _horn_table(sset: RelationSet, n: int) -> "tuple | _LazyTable":
+    """Entry j is `_horn_rules` of bit j, for an AND-closed sset."""
+    _guard(sset, "E2", "AND-closed (Horn fragment)")
+    return _bit_table(_horn_rules, sset, n)
+
+
+@lru_cache(maxsize=16)
+def _twosat_table(sset: RelationSet, n: int) -> "tuple | _LazyTable":
+    """Entry j is `_implications` of bit j, for a majority-closed sset."""
+    _guard(sset, "D2", "majority-closed (2-SAT fragment)")
+    return _bit_table(_implications, sset, n)
 
 
 # Horn unit propagation for AND-closed relation sets.
@@ -484,19 +531,10 @@ def solve_horn(inst: CspInstance) -> bool:
     variables are the least model; the instance is unsatisfiable iff a rule
     without a head fires.
     """
-    for rel in inst.sset:
-        if not in_pol("E2", rel):
-            raise FragmentMismatchError(
-                f"relation {rel.name or rel} is not AND-closed (Horn fragment)"
-            )
-    table = clause_table(inst.sset, inst.n)
+    table = _horn_table(inst.sset, inst.n)
     ready = []  # (body mask, head mask or 0): rules to look at again
     for j in _set_bits(inst.bits):
-        for pos, neg in table[j]:
-            body = 0
-            for v in neg:
-                body |= 1 << v
-            ready.append((body, 1 << pos[0] if pos else 0))
+        ready += table[j]
     forced = 0
     waiting: dict[int, list[tuple[int, int]]] = {}  # variable bit -> rules
     while ready:
@@ -520,11 +558,7 @@ def negate_instance(inst: CspInstance) -> CspInstance:
 
 def solve_antihorn(inst: CspInstance) -> bool:
     """Greatest-model dual of solve_horn for OR-closed relation sets."""
-    for rel in inst.sset:
-        if not in_pol("V2", rel):
-            raise FragmentMismatchError(
-                f"relation {rel.name or rel} is not OR-closed (anti-Horn fragment)"
-            )
+    _guard(inst.sset, "V2", "OR-closed (anti-Horn fragment)")
     return solve_horn(negate_instance(inst))
 
 
@@ -533,23 +567,15 @@ def solve_antihorn(inst: CspInstance) -> bool:
 def solve_2sat(inst: CspInstance) -> bool:
     """Implication-graph reachability for majority-closed (bijunctive) sets,
     whose prime clauses have width at most 2."""
-    for rel in inst.sset:
-        if not in_pol("D2", rel):
-            raise FragmentMismatchError(
-                f"relation {rel.name or rel} is not majority-closed (2-SAT fragment)"
-            )
     n = inst.n
-    # literal node: 2v for x_v, 2v + 1 for not x_v, so node ^ 1 negates
-    adj = [0] * (2 * n)
-    table = clause_table(inst.sset, n)
+    table = _twosat_table(inst.sset, n)
+    adj = [0] * (2 * n)  # literal node: 2v for x_v, 2v + 1 for not x_v
     for j in _set_bits(inst.bits):
-        for pos, neg in table[j]:
-            lits = [2 * v for v in pos] + [2 * v + 1 for v in neg]
-            if not lits:
-                return False
-            a, b = lits[0], lits[-1]
-            adj[a ^ 1] |= 1 << b
-            adj[b ^ 1] |= 1 << a
+        edges = table[j]
+        if edges is None:
+            return False
+        for source, target in edges:
+            adj[source] |= target
     reach = _reachability(adj)
     for v in range(n):
         t, f = 2 * v, 2 * v + 1

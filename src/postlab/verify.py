@@ -630,7 +630,7 @@ def suite_dichotomy(instances_per_set: int = 20, seed: int = 0, quick: bool = Fa
             bits = (rng.getrandbits(size) & rng.getrandbits(size)) if size else 0
             if t % 2 and size:
                 bits &= rng.getrandbits(size)
-            sat = any(bits & v == 0 for v in viol)
+            sat = 0 in map(bits.__and__, viol)
             got = solver(CspInstance(sset, 4, bits))
             if got != sat:
                 mismatched.append(f"subset={subset:#x} solver={label} bits={bits:#x}")

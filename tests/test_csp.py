@@ -223,6 +223,29 @@ def test_fragment_mismatch_errors():
         solve_or_fragment(xinst)
 
 
+# the guard runs before any table is built, so neither N builds one; a table
+# would be dense at N = 63 and lazy at N = 5,684
+@pytest.mark.parametrize("n", [3, 14])
+def test_fragment_guards_raise_on_every_call(n):
+    # imp lies in every fragment, so each guard looks past it; the second set
+    # equals the first, so a message kept by equality would name xor3^1
+    for sset, name in (
+        (RelationSet((IMP2, XOR3_1, XOR3_0), "mixed"), "xor3^1"),
+        (RelationSet((IMP2, replace(XOR3_1, name="renamed"), XOR3_0), "mixed"), "renamed"),
+    ):
+        inst = CspInstance(sset, n).with_constraint(1, (0, 1, n - 1))
+        for solver, message in (
+            (solve_horn, f"relation {name} is not AND-closed (Horn fragment)"),
+            (solve_antihorn, f"relation {name} is not OR-closed (anti-Horn fragment)"),
+            (solve_2sat, f"relation {name} is not majority-closed (2-SAT fragment)"),
+            (solve_or_fragment, "relation set is outside the OR/NAND-with-units menu"),
+        ):
+            for _ in range(2):
+                with pytest.raises(FragmentMismatchError) as err:
+                    solver(inst)
+                assert str(err.value) == message
+
+
 # the menu with the reverse implication, tuples 00 10 11: x1 -> x0
 OR2_REV = RelationSet(
     (or_relation(2), UNIT_TRUE, UNIT_FALSE, Relation(2, 0b1011, "imp_rev")), "or2_rev"
@@ -466,6 +489,10 @@ def test_pickled_relations_hit_the_caches():
     copy = pickle.loads(pickle.dumps(sset))
     assert copy == sset and hash(copy) == hash(sset)
     assert clause_table(copy, 3) is clause_table(sset, 3)
+    for table_of, s in ((csp._twosat_table, sset), (csp._horn_table, hornt_set())):
+        renamed = RelationSet(tuple(replace(rel, name="r") for rel in s), s.name)
+        for twin in (pickle.loads(pickle.dumps(s)), renamed):
+            assert table_of(twin, 3) is table_of(s, 3)
     rel = pickle.loads(pickle.dumps(sset[0]))
     in_pol("D2", sset[0])
     hits = in_pol.cache_info().hits
@@ -582,10 +609,17 @@ def test_instance_to_xor_system_matches_a_per_bit_decode(drawn):
 
 def test_lazy_tables_keep_a_bounded_number_of_entries(monkeypatch):
     monkeypatch.setattr(csp, "_DENSE_TABLE_BITS", 8)
-    sset = RelationSet((XOR3_0, XOR3_1), "xor3-bounded")  # a set no other test caches
+    # sets no other test caches; x0 | ~x1 and x0 = 0 are Horn and bijunctive
+    xor3 = RelationSet((XOR3_0, XOR3_1), "xor3-bounded")
+    horn2 = RelationSet((clause_relation(3, [0], [1]), UNIT_FALSE), "horn2-bounded")
     n = 5
-    inst = CspInstance(sset, n)
-    for table_of, view in ((csp._parity_table, csp._parity_rows), (clause_table, clauses)):
+    for table_of, view, sset in (
+        (csp._parity_table, csp._parity_rows, xor3),
+        (clause_table, clauses, xor3),
+        (csp._horn_table, csp._horn_rules, horn2),
+        (csp._twosat_table, csp._implications, horn2),
+    ):
+        inst = CspInstance(sset, n)
         table = table_of(sset, n)
         assert not isinstance(table, tuple)
         for j in range(0, inst.size, 7):
@@ -670,6 +704,48 @@ def fragment_instances(draw):
 def test_fragment_solvers_match_brute_force(drawn):
     name, inst = drawn
     assert FRAGMENT_SOLVERS[name](inst) == satisfiable_brute(inst)
+
+
+@st.composite
+def view_bits(draw):
+    """(pool name, sset, n, bits): a few bits of a Horn or 2-SAT set with a
+    ternary relation, at n <= 6 (N <= 648, dense table) or n >= 17 (N >= 4,913,
+    lazy), on variables drawn so that they often repeat."""
+    name = draw(st.sampled_from(("horn", "2sat")))
+    pool = FRAGMENT_POOLS[name]
+    rels = draw(st.lists(st.sampled_from(pool), max_size=2))
+    rels.append(draw(st.sampled_from([rel for rel in pool if rel.arity == 3])))
+    sset = RelationSet(tuple(rels))
+    n = draw(st.one_of(st.integers(1, 6), st.integers(17, 40)))
+    inst = CspInstance(sset, n)
+    var = st.one_of(st.sampled_from((0, n - 1)), st.integers(0, n - 1))
+    app = st.tuples(st.integers(0, len(sset) - 1), st.tuples(var, var, var))
+    apps = draw(st.lists(app, min_size=1, max_size=8))
+    return name, sset, n, [inst.encode(r, vs[: sset[r].arity]) for r, vs in apps]
+
+
+def _mask(variables):
+    return sum(1 << v for v in variables)
+
+
+@PROPERTY
+@given(view_bits())
+def test_solver_views_hold_the_clauses_of_each_bit(drawn):
+    name, sset, n, bits = drawn
+    inst = CspInstance(sset, n)
+    table = (csp._horn_table if name == "horn" else csp._twosat_table)(sset, n)
+    assert isinstance(table, tuple) == (inst.size <= csp._DENSE_TABLE_BITS)
+    for j in bits:
+        r, variables = inst.decode(j)
+        got = clauses(sset[r], variables)
+        if name == "horn":  # (body, head): at most one positive variable
+            assert table[j] == tuple((_mask(neg), _mask(pos)) for pos, neg in got)
+        elif ((), ()) in got:
+            assert table[j] is None
+        else:  # a | b gives ~a -> b and ~b -> a; a unit a gives ~a -> a
+            lits = [{2 * v for v in pos} | {2 * v + 1 for v in neg} for pos, neg in got]
+            want = {(a ^ 1, 1 << b) for ls in lits for a in ls for b in ls if a != b or len(ls) == 1}
+            assert set(table[j]) == want
 
 
 # Differential tests of the emitters at n = 2, with the fragment forced, over
