@@ -14,6 +14,7 @@ Bit conventions, fixed so serialized data is portable:
 from __future__ import annotations
 
 import itertools
+import math
 from dataclasses import dataclass, field
 from functools import lru_cache
 from typing import Callable, Iterable, Iterator, Sequence
@@ -265,6 +266,11 @@ def closure_up_to(basis: Iterable[BoolFun], a: int, budget: Budgets | None = Non
     through intermediate functions of arity <= a decomposes into iterated
     basis-gate applications over same-arity operands, with variable
     identification and permutation supplied by the projection seeds.
+
+    Each round is semi-naive: it composes only operand tuples holding at
+    least one table new in the last round, and every tuple whose first new
+    operand sits at position i goes through one bit-parallel `substitute`
+    call, one tuple per lane.
     """
     b = budgets(budget)
     if a > b.a_max:
@@ -273,27 +279,58 @@ def closure_up_to(basis: Iterable[BoolFun], a: int, budget: Budgets | None = Non
     out: set[BoolFun] = set(BoolFun(ar, tb) for ar, tb in gates if ar <= a)
     steps = 0
     for m in range(1, a + 1):
-        full = (1 << (1 << m)) - 1
+        width = max(1, (1 << m) >> 3)  # bytes per lane
+        lane_full = ((1 << (1 << m)) - 1).to_bytes(width, "little")
         tables = set(input_pattern(i, m) for i in range(m))
         tables.update(tb for ar, tb in gates if ar == m)
-        frontier = set(tables)
+        old: list[int] = []
+        frontier = sorted(tables)
         while frontier:
+            known = sorted(tables)
             new: set[int] = set()
-            current = sorted(tables)
             for g_ar, g_tb in gates:
-                for combo in itertools.product(current, repeat=g_ar):
-                    if not any(t in frontier for t in combo):
+                for i in range(g_ar):
+                    operands = [old] * i + [frontier] + [known] * (g_ar - 1 - i)
+                    count = math.prod(map(len, operands))
+                    if not count:
                         continue
-                    steps += 1
+                    steps += count
                     if steps > b.closure_steps:
                         raise BudgetExceededError("closure composition budget exceeded")
-                    composed = substitute(g_tb, combo, full)
-                    if composed not in tables and composed not in new:
-                        new.add(composed)
+                    words = _lane_words(operands, width)
+                    lanes = substitute(g_tb, words, int.from_bytes(lane_full * count, "little"))
+                    new.update(_lane_values(lanes, count, width))
+            new -= tables
+            old = known
             tables.update(new)
-            frontier = new
+            frontier = sorted(new)
         out.update(BoolFun(m, t) for t in tables)
     return sorted(out)
+
+
+def _lane_words(operands: Sequence[Sequence[int]], width: int) -> list[int]:
+    """One word per operand list, `width` bytes per lane, lane L holding the
+    L-th tuple of itertools.product(*operands)."""
+    words = []
+    inner = math.prod(map(len, operands))
+    outer = 1
+    for values in operands:
+        inner //= len(values)
+        block = b"".join(v.to_bytes(width, "little") * inner for v in values)
+        words.append(int.from_bytes(block * outer, "little"))
+        outer *= len(values)
+    return words
+
+
+def _lane_values(lanes: int, count: int, width: int) -> set[int]:
+    """The distinct values of `count` lanes of `width` bytes each."""
+    raw = lanes.to_bytes(count * width, "little")
+    if width == 1:
+        return set(raw)
+    return {
+        int.from_bytes(chunk, "little")
+        for chunk in {raw[j:j + width] for j in range(0, len(raw), width)}
+    }
 
 
 # Relation text format: `rel <name> <arity> : t1 t2 ...` with tuples as bit

@@ -77,7 +77,10 @@ def _require(args, *options: str) -> None:
 
 def _load_json(path: str, parse):
     try:
-        return parse(json.loads(Path(path).read_text()))
+        obj = json.loads(Path(path).read_text())
+        if not isinstance(obj, dict):
+            raise _CliError(f"{path}: expected a JSON object, got {type(obj).__name__}", EXIT_PARSE)
+        return parse(obj)
     except KeyError as exc:
         raise _CliError(f"{path}: missing field {exc}", EXIT_PARSE)
     except (OSError, ValueError, TypeError) as exc:

@@ -90,10 +90,13 @@ _EDGES: tuple[tuple[str, str], ...] = (
     ("L0", "L"),
     ("L1", "L"),
     ("L3", "L"),
+    ("L3", "D"),
     ("V2", "S00"),
     ("V2", "M2"),
+    ("S00", "M2"),
     ("E2", "S10"),
     ("E2", "M2"),
+    ("S10", "M2"),
     ("S00", "S02"),
     ("S10", "S12"),
     ("S02", "R2"),

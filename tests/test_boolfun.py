@@ -1,7 +1,9 @@
 """Tests for truth-table functions, relations, preservation and closure."""
 
+import hashlib
 import itertools
 import random
+import time
 
 import pytest
 
@@ -34,8 +36,10 @@ from postlab.boolfun import (
     relation_set_to_json,
     violating_choice,
 )
-from postlab.circuit import input_pattern
+from postlab.circuit import input_pattern, substitute
 from postlab.clone_lattice import CATALOG
+from postlab.config import Budgets
+from postlab.errors import BudgetExceededError
 
 IDENTITY = BoolFun(1, 0b10)
 
@@ -201,6 +205,92 @@ def test_polymorphism_set_is_closed_arity_three():
     for rels in ((XOR3_0, XOR3_1), (EQ2, IMP2)):
         pol = _pol(rels, 3)
         assert set(closure_up_to(pol, 3)) == set(pol)
+
+
+def _closure_loop(basis, a, closure_steps=Budgets().closure_steps):
+    """closure_up_to as a per-tuple loop: one substitute call per operand
+    tuple holding a table new in the last round.  Returns the sorted closure
+    and the number of compositions it made."""
+    gates = sorted(set((g.arity, g.table) for g in basis))
+    out = set(BoolFun(ar, tb) for ar, tb in gates if ar <= a)
+    steps = 0
+    for m in range(1, a + 1):
+        full = (1 << (1 << m)) - 1
+        tables = set(input_pattern(i, m) for i in range(m))
+        tables.update(tb for ar, tb in gates if ar == m)
+        frontier = set(tables)
+        while frontier:
+            new = set()
+            current = sorted(tables)
+            for g_ar, g_tb in gates:
+                for combo in itertools.product(current, repeat=g_ar):
+                    if not any(t in frontier for t in combo):
+                        continue
+                    steps += 1
+                    if steps > closure_steps:
+                        raise BudgetExceededError("closure composition budget exceeded")
+                    new.add(substitute(g_tb, combo, full))
+            new -= tables
+            tables.update(new)
+            frontier = new
+        out.update(BoolFun(m, t) for t in tables)
+    return sorted(out), steps
+
+
+def test_catalog_closures_match_the_loop_and_its_step_count():
+    smallest = {}
+    for name, desc in CATALOG.items():
+        for a in (1, 2, 3):
+            expected, steps = _closure_loop(desc.basis, a)
+            assert closure_up_to(desc.basis, a) == expected, (name, a)
+        # the loop's count is the smallest closure_steps that lets a = 3 pass
+        assert closure_up_to(desc.basis, 3, Budgets(closure_steps=steps)) == expected
+        if steps:  # the empty basis composes nothing
+            with pytest.raises(BudgetExceededError):
+                closure_up_to(desc.basis, 3, Budgets(closure_steps=steps - 1))
+        smallest[name] = steps
+    assert {n: smallest[n] for n in ("D", "S02", "M2", "L3")} == {
+        "D": 4168, "S02": 6887, "M2": 682, "L3": 598
+    }
+
+
+def test_random_closures_match_the_loop():
+    rng = random.Random(14)
+    budget = Budgets(closure_steps=20_000)
+    raised = 0
+    for _ in range(40):
+        arities = [rng.randint(0, 3) for _ in range(rng.randint(0, 3))]
+        basis = [BoolFun(ar, rng.randrange(1 << (1 << ar))) for ar in arities]
+        try:
+            expected = _closure_loop(basis, 3, budget.closure_steps)[0]
+        except BudgetExceededError:
+            raised += 1
+            with pytest.raises(BudgetExceededError):
+                closure_up_to(basis, 3, budget)
+            continue
+        assert closure_up_to(basis, 3, budget) == expected, basis
+    assert 0 < raised < 40
+
+
+# sha256 of "arity:table-in-hex" of closure_up_to(D1 basis, 4), as the
+# per-tuple loop builds it (about 10 s, too slow to rerun here).
+D1_CLOSURE4_SHA256 = "9263c785b98cf6a8c4a973b8ff5340e73d344b869260b2399fc927e544722790"
+
+
+def test_arity_four_closures_match_the_loop():
+    for name in ("D2", "E2", "I0", "I1", "I2", "L", "L0", "L1", "L2", "L3", "M2", "N2",
+                 "S00", "S10", "V2"):
+        basis = CATALOG[name].basis
+        assert closure_up_to(basis, 4) == _closure_loop(basis, 4)[0], name
+    text = " ".join(f"{f.arity}:{f.table:x}" for f in closure_up_to(CATALOG["D1"].basis, 4))
+    assert hashlib.sha256(text.encode()).hexdigest() == D1_CLOSURE4_SHA256
+
+
+def test_arity_four_budget_trips_before_packing():
+    t0 = time.perf_counter()
+    with pytest.raises(BudgetExceededError):
+        closure_up_to(CATALOG["R2"].basis, 4)
+    assert time.perf_counter() - t0 < 10.0  # the per-tuple loop took about 30 s
 
 
 # Post's clone-defining properties, each as preservation of one relation:

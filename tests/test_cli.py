@@ -285,6 +285,8 @@ MALFORMED = {
     "checkpoint-guard-polarity-string": ["emit", "checkpoint", "--bp", "{bp_lit_no}"],
     "checkpoint-guard-without-polarity": ["emit", "checkpoint", "--bp", "{bp_lit_short}"],
     "pad-unknown-fanin-mode": ["pad", "--in", "{fanin_bogus}", "--extra", "1"],
+    "pad-top-level-list": ["pad", "--in", "{top_list}", "--extra", "1"],
+    "oracle-top-level-list": ["oracle", "csp-sat", "--in", "{top_list}"],
 }
 
 
@@ -323,6 +325,7 @@ def test_malformed_input_exits_2(tmp_path, capsys, argv):
         "bp_lit_no": _edit(BP, ("edges", 0, 0, 2), ["lit", 3, "no"]),  # read as positive before
         "bp_lit_short": _edit(BP, ("edges", 0, 0, 2), ["lit", 3]),
         "fanin_bogus": _edit(CIRCUIT, ("fanin_mode",), "bogus"),  # padded and written back before
+        "top_list": [1, 2],
     }
     paths = {name: tmp_path / f"{name}.json" for name in files}
     for name, obj in files.items():
@@ -336,6 +339,18 @@ def test_malformed_input_exits_2(tmp_path, capsys, argv):
     assert code == 2, err
     assert err.startswith(("error:", "parse error:"))
     assert err.count("\n") == 1, err
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [["pad", "--in", "{}", "--extra", "1"], ["oracle", "csp-sat", "--in", "{}"], ["classify", "{}"]],
+)
+def test_top_level_list_names_the_expected_object(tmp_path, capsys, argv):
+    path = tmp_path / "list.json"
+    path.write_text("[1, 2]")
+    code, _, err = run(capsys, *(a.format(path) for a in argv))
+    assert code == 2
+    assert "expected a JSON object, got list" in err, err
 
 
 DELETE = object()

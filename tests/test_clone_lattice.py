@@ -5,6 +5,7 @@ import random
 
 import pytest
 
+from postlab import boolfun
 from postlab.boolfun import (
     EQ2,
     IMP2,
@@ -17,8 +18,10 @@ from postlab.boolfun import (
     BoolFun,
     closure_up_to,
 )
+from postlab.circuit import substitute
 from postlab.clone_lattice import (
     CATALOG,
+    _closure3,
     can_express_equality,
     classify,
     clone_contained_in_pol,
@@ -36,11 +39,32 @@ def test_catalog_validates():
     report = validate_catalog()
     assert report.ok, [f"{c.sub}<={c.sup}" for c in report.failures()]
     recorded = {(c.sub, c.sup) for c in report.checks}
-    for pair in [("V2", "S00"), ("E2", "S10"), ("L2", "L3"), ("N2", "L3")]:
+    for pair in [("V2", "S00"), ("E2", "S10"), ("L2", "L3"), ("N2", "L3"),
+                 ("L3", "D"), ("S00", "M2"), ("S10", "M2")]:
         assert pair in recorded
     for name in CATALOG:
         if name != "I2":
             assert ("I2", name) in recorded
+    assert len(report.checks) == 60
+
+
+def test_catalog_validation_composes_one_round_per_call(monkeypatch):
+    # per-tuple composition made 288,947 substitute calls here; the closure
+    # makes one per gate, operand position and round
+    calls = 0
+
+    def counting(*args):
+        nonlocal calls
+        calls += 1
+        return substitute(*args)
+
+    monkeypatch.setattr(boolfun, "substitute", counting)
+    _closure3.cache_clear()
+    try:
+        assert validate_catalog().ok
+    finally:
+        _closure3.cache_clear()
+    assert 0 < calls <= 1000
 
 
 # sha256 of "arity:table-in-hex" of each function of closure_up_to(basis, 3),
