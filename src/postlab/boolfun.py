@@ -379,13 +379,23 @@ def json_int(value, what: str) -> int:
     return value
 
 
+def json_list(value, what: str, shape: str = "a list", sizes: tuple[int, ...] = ()) -> list:
+    """value when it is a JSON list (of one of the lengths `sizes`, when given);
+    otherwise RelationParseError naming the field and its expected shape, where
+    iterating or unpacking would fail in Python's words or walk a string."""
+    if type(value) is not list or (sizes and len(value) not in sizes):
+        raise RelationParseError(f"{what} must be {shape}, got {value!r}")
+    return value
+
+
 def relation_to_json(rel: Relation) -> dict:
     return {"name": rel.name, "arity": rel.arity, "tuples": list(rel.tuple_strings())}
 
 
 def relation_from_json(obj: dict) -> Relation:
     arity = json_int(obj["arity"], "relation arity")
-    return Relation(arity, _tuple_mask(obj["tuples"], arity), obj.get("name", ""))
+    tuples = json_list(obj["tuples"], "relation tuples", "a list of bit strings")
+    return Relation(arity, _tuple_mask(tuples, arity), obj.get("name", ""))
 
 
 def relation_set_to_json(sset: RelationSet) -> dict:
@@ -394,5 +404,6 @@ def relation_set_to_json(sset: RelationSet) -> dict:
 
 def relation_set_from_json(obj: dict) -> RelationSet:
     return RelationSet(
-        tuple(relation_from_json(r) for r in obj["relations"]), obj.get("name", "")
+        tuple(relation_from_json(r) for r in json_list(obj["relations"], "relations")),
+        obj.get("name", ""),
     )

@@ -71,14 +71,16 @@ class Circuit:
 
     @classmethod
     def from_json(cls, obj: dict) -> "Circuit":
-        from .boolfun import json_int  # boolfun imports this module
+        from .boolfun import json_int, json_list  # boolfun imports this module
 
-        gates = tuple(
-            (kind, tuple(json_int(a, f"gate {idx} operand") for a in args))
-            for idx, (kind, args) in enumerate(obj["gates"])
-        )
-        outputs = tuple(json_int(o, "output") for o in obj["outputs"])
-        return cls(json_int(obj["n"], "n"), gates, outputs, obj["fanin_mode"])
+        gates = []
+        for idx, gate in enumerate(json_list(obj["gates"], "gates")):
+            kind, args = json_list(gate, f"gate {idx}", "[kind, operands]", (2,))
+            args = json_list(args, f"gate {idx} operands", "a list of gate indices")
+            gates.append((kind, tuple(json_int(a, f"gate {idx} operand") for a in args)))
+        outputs = json_list(obj["outputs"], "outputs", "a list of gate indices")
+        outputs = tuple(json_int(o, "output") for o in outputs)
+        return cls(json_int(obj["n"], "n"), tuple(gates), outputs, obj["fanin_mode"])
 
 
 @dataclass(frozen=True)

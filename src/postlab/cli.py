@@ -258,6 +258,8 @@ def cmd_verify(args) -> int:
     t0 = time.perf_counter()
     if args.jobs < 1:
         raise _CliError(f"--jobs must be >= 1, got {args.jobs}", EXIT_PARSE)
+    if args.max_vertices < 1:
+        raise _CliError(f"--max-vertices must be >= 1, got {args.max_vertices}", EXIT_PARSE)
     reports = verify.run_suite(
         args.suite,
         jobs=args.jobs,

@@ -14,7 +14,7 @@ import random
 from dataclasses import dataclass
 from typing import Iterator, Sequence
 
-from .boolfun import RelationSet, json_int, negate_relations
+from .boolfun import RelationSet, json_int, json_list, negate_relations
 from .circuit import (
     BOUNDED2,
     UNBOUNDED,
@@ -104,23 +104,26 @@ class LayeredBP:
     @classmethod
     def from_json(cls, obj: dict) -> "LayeredBP":
         edges = tuple(
-            tuple(
-                (json_int(u, "edge source"), json_int(v, "edge target"), _guard_from_json(guard))
-                for u, v, guard in layer
-            )
-            for layer in obj["edges"]
+            tuple(_edge_from_json(edge) for edge in json_list(layer, "edge layer", "a list of edges"))
+            for layer in json_list(obj["edges"], "edges", "a list of edge layers")
         )
         return cls(
             json_int(obj["n"], "n"),
-            tuple(json_int(w, "width") for w in obj["widths"]),
+            tuple(json_int(w, "width") for w in json_list(obj["widths"], "widths")),
             edges,
             json_int(obj["start"], "start"),
             json_int(obj["accept"], "accept"),
         )
 
 
+def _edge_from_json(edge) -> tuple:
+    u, v, guard = json_list(edge, "edge", "[source, target, guard]", (3,))
+    return (json_int(u, "edge source"), json_int(v, "edge target"), _guard_from_json(guard))
+
+
 def _guard_from_json(guard) -> tuple:
-    kind, value, *rest = guard
+    shape = '["const", 0|1] or ["lit", var, true|false]'
+    kind, value, *rest = json_list(guard, "guard", shape, (2, 3))
     what = "guard constant" if kind == CONST_GUARD else "guard variable"
     return (kind, json_int(value, what), *rest)
 

@@ -28,6 +28,7 @@ from .boolfun import (
     RelationSet,
     clause_relation,
     json_int,
+    json_list,
     nand_relation,
     negate_relations,
     or_relation,
@@ -153,7 +154,7 @@ class CspInstance:
             raise RelationParseError(f"instance needs n >= 1, got n={n}")
         size = cls(sset, n).size
         bits = 0
-        for j in obj["set_bits"]:
+        for j in json_list(obj["set_bits"], "set_bits", "a list of bit indices"):
             j = json_int(j, "set bit")
             if not 0 <= j < size:
                 raise RelationParseError(f"set bit {j} outside [0, {size})")
@@ -338,21 +339,19 @@ def solve_xor(inst: "CspInstance | XorSystem") -> bool:
     return gf2_satisfiable(system.rows)
 
 
-def _reachability(adj: list[int]) -> list[int]:
-    """Reflexive-transitive closure of a digraph given by out-neighbour
-    bitsets, by repeated squaring."""
-    size = len(adj)
-    reach = [adj[u] | (1 << u) for u in range(size)]
-    for _ in range(max(1, (size - 1).bit_length())):
-        for u in range(size):
-            acc = reach[u]
-            m = acc
-            while m:
-                low = m & -m
-                acc |= reach[low.bit_length() - 1]
-                m ^= low
-            reach[u] = acc
-    return reach
+def reach(adj: list[int], frontier: int) -> int:
+    """The nodes reachable from the node bitset `frontier`, frontier included,
+    in a digraph given by out-neighbour bitsets: breadth-first search."""
+    seen = frontier
+    while frontier:
+        step = 0
+        while frontier:
+            low = frontier & -frontier
+            step |= adj[low.bit_length() - 1]
+            frontier ^= low
+        frontier = step & ~seen
+        seen |= frontier
+    return seen
 
 
 # The clause view: which clauses an application R(V) imposes.
@@ -439,8 +438,8 @@ def _implications(rel: Relation, variables: tuple[int, ...]) -> tuple[tuple[int,
 
 
 # Per-bit tables: one view of every bit of one (sset, n), the clause view
-# (clause_table), the parity view (_parity_table) and the solver-ready Horn
-# and 2-SAT views (_horn_table, _twosat_table).
+# (clause_table), the parity view (_parity_table) and the solver-ready Horn,
+# anti-Horn and 2-SAT views (_horn_table, _antihorn_table, _twosat_table).
 
 # Above this many bits a per-bit table reads bits lazily.  A dense table costs
 # about 10 us per entry once per (relation, n): worth it when many instances
@@ -518,10 +517,18 @@ def _twosat_table(sset: RelationSet, n: int) -> "tuple | _LazyTable":
     return _bit_table(_implications, sset, n)
 
 
+@lru_cache(maxsize=16)
+def _antihorn_table(sset: RelationSet, n: int) -> "tuple | _LazyTable":
+    """The Horn view of the negated relations, for an OR-closed sset: a bit
+    keeps its place when its relation is negated."""
+    _guard(sset, "V2", "OR-closed (anti-Horn fragment)")
+    return _horn_table(negate_relations(sset), n)
+
+
 # Horn unit propagation for AND-closed relation sets.
 
-def solve_horn(inst: CspInstance) -> bool:
-    """Linear-time unit propagation (Dowling and Gallier) over the clause table.
+def _propagate(table: "tuple | _LazyTable", bits: int) -> bool:
+    """Linear-time unit propagation (Dowling and Gallier) over a Horn view.
 
     The prime clauses of AND-closed relations are Horn: each is a rule
     "the negative variables all true imply the head", the head being the
@@ -531,9 +538,8 @@ def solve_horn(inst: CspInstance) -> bool:
     variables are the least model; the instance is unsatisfiable iff a rule
     without a head fires.
     """
-    table = _horn_table(inst.sset, inst.n)
     ready = []  # (body mask, head mask or 0): rules to look at again
-    for j in _set_bits(inst.bits):
+    for j in _set_bits(bits):
         ready += table[j]
     forced = 0
     waiting: dict[int, list[tuple[int, int]]] = {}  # variable bit -> rules
@@ -550,6 +556,11 @@ def solve_horn(inst: CspInstance) -> bool:
     return True
 
 
+def solve_horn(inst: CspInstance) -> bool:
+    """Least-model unit propagation for AND-closed relation sets."""
+    return _propagate(_horn_table(inst.sset, inst.n), inst.bits)
+
+
 def negate_instance(inst: CspInstance) -> CspInstance:
     """Same bits over the coordinatewise-negated relations; satisfiability is
     preserved by negating assignments."""
@@ -557,9 +568,9 @@ def negate_instance(inst: CspInstance) -> CspInstance:
 
 
 def solve_antihorn(inst: CspInstance) -> bool:
-    """Greatest-model dual of solve_horn for OR-closed relation sets."""
-    _guard(inst.sset, "V2", "OR-closed (anti-Horn fragment)")
-    return solve_horn(negate_instance(inst))
+    """Greatest-model dual of solve_horn for OR-closed relation sets: unit
+    propagation over the negated relations."""
+    return _propagate(_antihorn_table(inst.sset, inst.n), inst.bits)
 
 
 # 2-SAT via the implication graph.
@@ -576,10 +587,9 @@ def solve_2sat(inst: CspInstance) -> bool:
             return False
         for source, target in edges:
             adj[source] |= target
-    reach = _reachability(adj)
     for v in range(n):
         t, f = 2 * v, 2 * v + 1
-        if (reach[t] >> f) & 1 and (reach[f] >> t) & 1:
+        if (reach(adj, 1 << t) >> f) & 1 and (reach(adj, 1 << f) >> t) & 1:
             return False
     return True
 
@@ -600,38 +610,12 @@ def or_fragment_side(sset: RelationSet) -> str:
 
 
 def solve_or_fragment(inst: CspInstance) -> bool:
-    """Path test for OR/NAND-with-units formulas.
-
-    On the OR side an implication is an arc, a negative unit a source (a
-    variable constrained to 0) and every other clause a disjunction, which
-    fails only when each of its variables reaches a source; the instance is
-    unsatisfiable iff some disjunction fails.  Dually on the NAND side, with
-    positive units as sources and disjunctions failing on forced variables.
-    """
-    side = or_fragment_side(inst.sset)
-    n = inst.n
-    adj = [0] * n
-    sources = 0
-    disjunctions = []
-    table = clause_table(inst.sset, n)
-    for j in _set_bits(inst.bits):
-        for pos, neg in table[j]:
-            if len(pos) == len(neg) == 1:
-                adj[neg[0]] |= 1 << pos[0]
-            elif len(pos) + len(neg) == 1 and bool(pos) == (side == "nand"):
-                sources |= 1 << (pos + neg)[0]
-            else:
-                disjunctions.append(pos + neg)
-    reach = _reachability(adj)
-    if side == "or":
-        # blocked: reaches a variable constrained to 0
-        bad = sum(1 << v for v in range(n) if reach[v] & sources)
-    else:
-        # forced: reached from a variable constrained to 1
-        bad = 0
-        for u in _set_bits(sources):
-            bad |= reach[u]
-    return not any(all((bad >> v) & 1 for v in vars_) for vars_ in disjunctions)
+    """OR/NAND-with-units menu sets.  S00 contains V2 and S10 contains E2,
+    so the anti-Horn solver decides the OR side and the Horn solver the
+    NAND side."""
+    if or_fragment_side(inst.sset) == "or":
+        return solve_antihorn(inst)
+    return solve_horn(inst)
 
 
 # Catalog relation sets and instance generators.

@@ -12,7 +12,7 @@ from functools import lru_cache
 from typing import Iterable
 
 from .config import Budgets, budgets
-from .csp import XorSystem
+from .csp import XorSystem, reach
 from .errors import BudgetExceededError, RelationParseError
 
 
@@ -118,18 +118,8 @@ def odd_factor_fast(g: Graph) -> bool:
     for s in range(g.v):
         if (seen >> s) & 1:
             continue
-        comp = 1 << s
-        frontier = 1 << s
-        while frontier:
-            nxt = 0
-            m = frontier
-            while m:
-                low = m & -m
-                nxt |= adj[low.bit_length() - 1]
-                m ^= low
-            frontier = nxt & ~comp
-            comp |= frontier
-        if bin(comp).count("1") % 2 == 1:
+        comp = reach(adj, 1 << s)
+        if comp.bit_count() % 2 == 1:
             return False
         seen |= comp
     return True

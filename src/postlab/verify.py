@@ -38,6 +38,7 @@ from .circuit import (
 )
 from .config import budgets
 from .csp import CspInstance, csp_sat_value, solve_xor, violation_masks
+from .errors import BudgetExceededError
 
 
 @dataclass
@@ -102,6 +103,12 @@ def suite_oddfactor(max_vertices: int = 7, jobs: int = 1, quick: bool = False) -
     report = SuiteReport("oddfactor")
     if quick:
         max_vertices = min(max_vertices, 6)
+    edges = max_vertices * (max_vertices - 1) // 2  # the complete graph, the sweep's last
+    limit = budgets().oracle_edges
+    if edges > limit:
+        raise BudgetExceededError(
+            f"max_vertices={max_vertices}: graphs of up to {edges} edges, above the oracle_edges budget {limit}"
+        )
     jobs = min(jobs, os.cpu_count() or 1)  # the pool never outnumbers the CPUs
     for v in range(1, max_vertices + 1):
         t0 = time.perf_counter()

@@ -7,7 +7,7 @@ from pathlib import Path
 
 import pytest
 
-from postlab import verify
+from postlab import graphlab, verify
 from postlab.circuit import Circuit
 from postlab.cli import main
 from postlab.construct import random_layered_bp, threshold_circuit
@@ -282,6 +282,8 @@ MALFORMED = {
     "bip-mask-string": ["reduce", "bip-oddfactor", "--in", "{bip_mask_str}"],
     "verify-zero-jobs": ["verify", "quine", "--quick", "--jobs", "0"],
     "verify-negative-jobs": ["verify", "quine", "--quick", "--jobs", "-2"],
+    "verify-zero-max-vertices": ["verify", "oddfactor", "--max-vertices", "0"],
+    "verify-negative-max-vertices": ["verify", "oddfactor", "--max-vertices", "-1"],
     "checkpoint-guard-polarity-string": ["emit", "checkpoint", "--bp", "{bp_lit_no}"],
     "checkpoint-guard-without-polarity": ["emit", "checkpoint", "--bp", "{bp_lit_short}"],
     "pad-unknown-fanin-mode": ["pad", "--in", "{fanin_bogus}", "--extra", "1"],
@@ -372,10 +374,13 @@ def _edit(obj: dict, path: tuple, value) -> dict:
 
 CIRCUIT = threshold_circuit(2, 3).to_json()  # gate 3 is ["or", [2, 1]]
 BP = random_layered_bp(random.Random(3), 4).to_json()  # edges[2][0] has a const guard
+INST = CspInstance(hornt_set(), 2).to_json()
 JSON_ARGV = {
     "pad": ["pad", "--in", "{}", "--extra", "1"],
     "emit": ["emit", "checkpoint", "--bp", "{}"],
+    "solve": ["solve", "brute", "--in", "{}"],
 }
+GUARD_SHAPE = 'guard must be ["const", 0|1] or ["lit", var, true|false]'
 
 # (command, file contents, the words that name the field)
 JSON_FIELDS = {
@@ -393,6 +398,26 @@ JSON_FIELDS = {
     "bp-guard-variable-float": ("emit", _edit(BP, ("edges", 0, 0, 2, 1), 3.0), "guard variable"),
     "bp-guard-constant-bool": ("emit", _edit(BP, ("edges", 2, 0, 2, 1), False), "guard constant"),
     "bp-missing-edges": ("emit", _edit(BP, ("edges",), DELETE), "missing field 'edges'"),
+    # wrong shapes, which unpacking or iteration would report in Python's words
+    "bp-guard-int": ("emit", _edit(BP, ("edges", 0, 0, 2), 3), f"{GUARD_SHAPE}, got 3"),
+    "bp-guard-kind-only": ("emit", _edit(BP, ("edges", 0, 0, 2), ["lit"]), f"{GUARD_SHAPE}, got ['lit']"),
+    "bp-edge-two-items": (
+        "emit", _edit(BP, ("edges", 0, 0), [0, 0]), "edge must be [source, target, guard], got [0, 0]"
+    ),
+    "bp-edges-int": ("emit", _edit(BP, ("edges",), 5), "edges must be a list of edge layers, got 5"),
+    "pad-gate-kind-only": (
+        "pad", _edit(CIRCUIT, ("gates", 0), ["input"]), "gate 0 must be [kind, operands], got ['input']"
+    ),
+    "pad-gates-int": ("pad", _edit(CIRCUIT, ("gates",), 7), "gates must be a list, got 7"),
+    "pad-outputs-int": (
+        "pad", _edit(CIRCUIT, ("outputs",), 0), "outputs must be a list of gate indices, got 0"
+    ),
+    "solve-relations-int": (
+        "solve", _edit(INST, ("relation_set", "relations"), 5), "relations must be a list, got 5"
+    ),
+    "solve-set-bits-int": (
+        "solve", _edit(INST, ("set_bits",), 3), "set_bits must be a list of bit indices, got 3"
+    ),
 }
 
 
@@ -408,7 +433,7 @@ def test_malformed_json_field_is_named(tmp_path, capsys, command, obj, words):
 
 def test_json_field_cases_start_from_valid_files(tmp_path, capsys):
     # each case above differs from a file that loads in its one edited field
-    for command, obj in (("pad", CIRCUIT), ("emit", BP)):
+    for command, obj in (("pad", CIRCUIT), ("emit", BP), ("solve", INST)):
         path = tmp_path / "in.json"
         path.write_text(json.dumps(obj))
         code, _, err = run(capsys, *(a.format(path) for a in JSON_ARGV[command]))
@@ -436,6 +461,21 @@ def test_oddfactor_pool_never_outnumbers_cpus(monkeypatch):
     report = verify.suite_oddfactor(max_vertices=7, jobs=100_000)
     assert sizes == [2]  # only v = 7 has enough graphs to pool
     assert report.checks[6].detail == f"{1 << 21} graphs"
+
+
+def test_oddfactor_sweep_above_the_oracle_budget_exits_3_before_any_graph(monkeypatch, capsys):
+    def unbuilt(cls, v, mask):
+        raise AssertionError(f"graph v={v} mask={mask:#x} built")
+
+    monkeypatch.setattr(graphlab.Graph, "from_edge_mask", classmethod(unbuilt))
+    code, _, err = run(capsys, "verify", "oddfactor", "--max-vertices", "8")
+    assert code == 3
+    assert "max_vertices=8: graphs of up to 28 edges, above the oracle_edges budget 24" in err
+    # --quick caps the sweep at 6 vertices before the budget is read
+    monkeypatch.setenv("POSTLAB_BUDGET", "oracle_edges=10")
+    code, _, err = run(capsys, "verify", "oddfactor", "--quick", "--max-vertices", "9")
+    assert code == 3
+    assert "max_vertices=6: graphs of up to 15 edges, above the oracle_edges budget 10" in err
 
 
 def test_malformed_budget_variable_exits_2(monkeypatch, capsys):

@@ -280,6 +280,98 @@ def test_solvers_handle_repeated_variables():
     assert satisfiable_brute(inst) is False
 
 
+def _closure_by_squaring(adj):
+    """Reflexive-transitive closure by repeated squaring: the reference for reach."""
+    size = len(adj)
+    closure = [adj[u] | (1 << u) for u in range(size)]
+    for _ in range(max(1, (size - 1).bit_length())):
+        for u in range(size):
+            acc = closure[u]
+            for w in range(size):
+                if (closure[u] >> w) & 1:
+                    acc |= closure[w]
+            closure[u] = acc
+    return closure
+
+
+def test_reach_matches_the_closure_by_squaring():
+    rng = random.Random(8)
+    for trial in range(300):
+        size = rng.randrange(1, 40)
+        density = rng.choice((0.02, 0.05, 0.1, 0.3))
+        # arcs u -> u are drawn like any other, so self-loops occur
+        adj = [sum(1 << w for w in range(size) if rng.random() < density) for _ in range(size)]
+        closure = _closure_by_squaring(adj)
+        assert csp.reach(adj, 0) == 0
+        for frontier in (1 << rng.randrange(size), rng.getrandbits(size), (1 << size) - 1):
+            want = 0
+            for u in range(size):
+                if (frontier >> u) & 1:
+                    want |= closure[u]
+            assert csp.reach(adj, frontier) == want, (trial, adj, frontier)
+
+
+def _twosat_chains(n):
+    """twosat_set: 0 is x_a | x_b, 1 is x_b -> x_a, 2 is ~x_a | ~x_b."""
+    chain = [(1, (v + 1, v)) for v in range(n - 1)]  # x_v -> x_{v+1}
+    cycle = chain + [(1, (0, n - 1))]
+    return {
+        "chain-from-true": (chain + [(0, (0, 0))], True),
+        "chain-true-to-false": (chain + [(0, (0, 0)), (2, (n - 1, n - 1))], False),
+        "chain-false-to-true": (chain + [(2, (0, 0)), (0, (n - 1, n - 1))], True),
+        "cycle-one-false": (cycle + [(2, (n // 2, n // 2))], True),
+        "cycle-true-and-false": (cycle + [(0, (0, 0)), (2, (n // 2, n // 2))], False),
+    }
+
+
+def _or_menu_chains(n):
+    """or_fragment_set(2): 0 is or2, 1 is T, 2 is F and 3 is x_a -> x_b."""
+    chain = [(3, (v, v + 1)) for v in range(n - 1)]
+    cycle = chain + [(3, (n - 1, 0))]
+    return {
+        "chain-blocked-disjunction": (chain + [(2, (n - 1,)), (0, (0, n // 2))], False),
+        "chain-open-disjunction": (chain + [(2, (0,)), (0, (0, n // 2))], True),
+        "chain-true-to-false": (chain + [(1, (0,)), (2, (n - 1,))], False),
+        "cycle-blocked-disjunction": (cycle + [(2, (n // 2,)), (0, (0, n - 1))], False),
+        "cycle-one-true": (cycle + [(1, (0,))], True),
+    }
+
+
+def _nand_menu_chains(n):
+    """nand_fragment_set(2): 0 is nand2, 1 is T, 2 is F and 3 is x_a -> x_b."""
+    chain = [(3, (v, v + 1)) for v in range(n - 1)]
+    cycle = chain + [(3, (n - 1, 0))]
+    return {
+        "chain-forced-disjunction": (chain + [(1, (0,)), (0, (n // 2, n - 1))], False),
+        "chain-free-disjunction": (chain + [(1, (n - 1,)), (0, (0, n // 2))], True),
+        "cycle-forced-disjunction": (cycle + [(1, (0,)), (0, (n // 2, n // 2))], False),
+        "cycle-free-disjunction": (cycle + [(0, (0, n - 1))], True),
+    }
+
+
+CHAIN_FAMILIES = {
+    "2sat": (twosat_set, solve_2sat, _twosat_chains),
+    "or": (lambda: or_fragment_set(2), solve_or_fragment, _or_menu_chains),
+    "nand": (lambda: nand_fragment_set(2), solve_or_fragment, _nand_menu_chains),
+}
+
+
+@pytest.mark.parametrize("n", [2, 3, 5, 8, 1000])
+@pytest.mark.parametrize("family", sorted(CHAIN_FAMILIES))
+def test_solvers_on_implication_chains_and_cycles(family, n):
+    # the verdict rests on a path through all n variables
+    set_fn, solver, cases = CHAIN_FAMILIES[family]
+    base = CspInstance(set_fn(), n)
+    for name, (applications, want) in cases(n).items():
+        bits = 0
+        for r, variables in applications:
+            bits |= 1 << base.encode(r, variables)
+        inst = replace(base, bits=bits)
+        assert solver(inst) is want, (name, n)
+        if n <= 8:
+            assert satisfiable_brute(inst) is want, (name, n)
+
+
 # Every relation of arity 1-3, and every variable tuple over as many
 # variables, so every duplicate pattern is met.
 SMALL_RELATIONS = [Relation(k, m) for k in (1, 2, 3) for m in range(1 << (1 << k))]
