@@ -1,14 +1,15 @@
 """Simple graphs, odd factors, Tseitin systems, and their brute-force oracles.
 
 Vertices are 0-based.  The text format is a `v <count>` line followed by
-`e <i> <j>` lines.
+`e <i> <j>` lines; a count above MAX_GRAPH_VERTICES is refused before any
+edge mask is built.
 """
 
 from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass
-from functools import lru_cache
+from functools import cached_property, lru_cache
 from typing import Iterable
 
 from .config import Budgets, budgets
@@ -18,39 +19,92 @@ from .errors import BudgetExceededError, RelationParseError
 
 @dataclass(frozen=True)
 class Graph:
+    """A simple graph on vertices 0..v-1 as its edge mask: bit
+    pair_index(a, b, v) is set iff (a, b) is an edge."""
+
     v: int
-    edges: frozenset[tuple[int, int]]
+    mask: int
 
     def __post_init__(self):
         if self.v < 0:
             raise ValueError(f"graph needs v >= 0, got v={self.v}")
-        for a, b in self.edges:
-            if not (0 <= a < b < self.v):
-                raise ValueError(f"bad edge ({a},{b}) for {self.v} vertices")
+        if not 0 <= self.mask < 1 << self.v * (self.v - 1) // 2:
+            raise ValueError(f"edge mask wider than the pairs of {self.v} vertices")
+
+    @cached_property
+    def edges(self) -> frozenset[tuple[int, int]]:
+        return frozenset(_edge_pairs(self))
 
     @classmethod
     def from_edges(cls, v: int, edges: Iterable[tuple[int, int]]) -> "Graph":
-        norm = frozenset((min(a, b), max(a, b)) for a, b in edges if a != b)
-        return cls(v, norm)
+        """Loops are dropped and repeated edges merge."""
+        buf = bytearray(-(-v * (v - 1) // 16))  # one bit per pair
+        for a, b in edges:
+            if a != b:
+                i = pair_index(a, b, v)
+                buf[i >> 3] |= 1 << (i & 7)
+        return cls(v, int.from_bytes(buf, "little"))
 
     @classmethod
     def complete(cls, v: int) -> "Graph":
-        return cls(v, frozenset(itertools.combinations(range(v), 2)))
+        return cls(v, (1 << v * (v - 1) // 2) - 1)
 
     @classmethod
     def from_edge_mask(cls, v: int, mask: int) -> "Graph":
-        pairs = list(itertools.combinations(range(v), 2))
-        return cls(v, frozenset(p for i, p in enumerate(pairs) if (mask >> i) & 1))
+        return cls(v, mask)
 
     def adjacency(self) -> list[int]:
-        adj = [0] * self.v
-        for a, b in self.edges:
-            adj[a] |= 1 << b
-            adj[b] |= 1 << a
-        return adj
+        """Each vertex's neighbour bitset."""
+        v = self.v
+        if v > _TABLE_VERTICES:
+            adj = [0] * v
+            for a, b in _edge_pairs(self):
+                adj[a] |= 1 << b
+                adj[b] |= 1 << a
+            return adj
+        _, adjacency = _byte_tables(v)
+        packed = 0
+        for table, byte in zip(adjacency, self.mask.to_bytes(len(adjacency), "little")):
+            packed |= table[byte]
+        return list(packed.to_bytes(v, "little"))
 
     def permuted(self, perm: list[int]) -> "Graph":
-        return Graph.from_edges(self.v, ((perm[a], perm[b]) for a, b in self.edges))
+        return Graph.from_edges(self.v, ((perm[a], perm[b]) for a, b in _edge_pairs(self)))
+
+
+# Graphs on at most this many vertices (at most 28 pairs, four mask bytes)
+# read their edges and adjacency from per-byte tables, a vertex's neighbours
+# in one byte; larger graphs walk their mask.
+_TABLE_VERTICES = 8
+
+
+@lru_cache(maxsize=_TABLE_VERTICES + 1)
+def _byte_tables(v: int) -> tuple[tuple[tuple, ...], tuple[tuple[int, ...], ...]]:
+    """Per byte k of an edge mask on v vertices and per value of that byte:
+    its edges in pair order, and their adjacency with vertex u's neighbours
+    in byte u."""
+    pairs = tuple(itertools.combinations(range(v), 2))  # in pair order
+    edges, adjacency = [], []
+    for k in range(0, len(pairs), 8):
+        byte_pairs = pairs[k : k + 8]
+        table = tuple(
+            tuple(p for j, p in enumerate(byte_pairs) if byte >> j & 1) for byte in range(256)
+        )
+        edges.append(table)
+        adjacency.append(tuple(sum(1 << 8 * a + b | 1 << 8 * b + a for a, b in e) for e in table))
+    return tuple(edges), tuple(adjacency)
+
+
+def _edge_pairs(g: Graph) -> tuple[tuple[int, int], ...]:
+    """The edges in pair order, that is sorted."""
+    if g.v > _TABLE_VERTICES:  # one C-level pass over the pairs
+        bits = map(int, format(g.mask, "b")[::-1])
+        return tuple(itertools.compress(itertools.combinations(range(g.v), 2), bits))
+    edges, _ = _byte_tables(g.v)
+    out: tuple[tuple[int, int], ...] = ()
+    for table, byte in zip(edges, g.mask.to_bytes(len(edges), "little")):
+        out += table[byte]
+    return out
 
 
 @dataclass(frozen=True)
@@ -67,16 +121,19 @@ class BipGraph:
             raise ValueError("biadjacency mask larger than n*n")
 
     def to_graph(self) -> Graph:
-        """Cell i*n + j is the edge (i, n + j)."""
-        mask = self.mask
-        edges = frozenset(p for cell, p in enumerate(_bip_pairs(self.n)) if (mask >> cell) & 1)
-        return Graph(2 * self.n, edges)
+        """Cell i*n + j is the edge (i, n + j), so row i of the matrix lands
+        on the consecutive pairs (i, n), ..., (i, 2n - 1)."""
+        n = self.n
+        full, mask, start = (1 << n) - 1, 0, n - 1  # start: pair_index(i, n, 2n)
+        for i in range(n):
+            mask |= ((self.mask >> i * n) & full) << start
+            start += 2 * n - 2 - i
+        return Graph(2 * n, mask)
 
 
-@lru_cache(maxsize=16)
-def _bip_pairs(n: int) -> tuple[tuple[int, int], ...]:
-    """The edge (i, n + j) of each cell i*n + j, in cell order."""
-    return tuple((i, n + j) for i in range(n) for j in range(n))
+# The text format's vertex limit: the edge mask of v vertices has v(v-1)/2
+# bits, 64 KB at the limit.
+MAX_GRAPH_VERTICES = 1024
 
 
 def parse_graph(text: str) -> Graph:
@@ -89,6 +146,10 @@ def parse_graph(text: str) -> Graph:
         parts = line.split()
         if parts[0] == "v" and len(parts) == 2:
             v = _parse_int(parts[1], lineno)
+            if v > MAX_GRAPH_VERTICES:
+                raise RelationParseError(
+                    f"line {lineno}: v={v} is above the limit of {MAX_GRAPH_VERTICES} vertices"
+                )
         elif parts[0] == "e" and len(parts) == 3:
             if v is None:
                 raise RelationParseError(f"line {lineno}: edge before vertex count")
@@ -150,15 +211,16 @@ def odd_factor_oracle(g: Graph, budget: Budgets | None = None) -> bool:
     Gaussian elimination.
     """
     b = budgets(budget)
-    if len(g.edges) > b.oracle_edges:
-        raise BudgetExceededError(f"{len(g.edges)} edges above oracle budget")
+    edges = g.mask.bit_count()
+    if edges > b.oracle_edges:
+        raise BudgetExceededError(f"{edges} edges above oracle budget")
     if g.v > b.oracle_edges:  # the parity bitmask has 2**v bits
         raise BudgetExceededError(f"{g.v} vertices above oracle budget")
     if g.v == 0:
         return True
     shuffles = _xor_shuffle_masks(g.v)
     achievable = 1  # only the all-zeros parity vector
-    for a, bv in g.edges:
+    for a, bv in _edge_pairs(g):
         shifted = achievable
         for vertex in (a, bv):
             shift, low = shuffles[vertex]
@@ -174,10 +236,10 @@ def tseitin_system(g: Graph) -> XorSystem:
     `csp.xor_system_to_instance` turns it into a 3-XOR-SAT instance.
     """
     incidence = [0] * g.v
-    for i, (a, b) in enumerate(sorted(g.edges)):
+    for i, (a, b) in enumerate(_edge_pairs(g)):
         incidence[a] |= 1 << i
         incidence[b] |= 1 << i
-    return XorSystem(max(len(g.edges), 1), tuple((mask, 1) for mask in incidence))
+    return XorSystem(max(g.mask.bit_count(), 1), tuple((mask, 1) for mask in incidence))
 
 
 def bip_odd_factor(graph: BipGraph) -> bool:
@@ -190,13 +252,6 @@ def pair_index(i: int, j: int, v: int) -> int:
     if i > j:
         i, j = j, i
     if not 0 <= i < j < v:
-        raise ValueError("bad pair")
+        raise ValueError(f"bad pair ({i},{j}) for {v} vertices")
     return i * v - i * (i + 1) // 2 + (j - i - 1)
 
-
-def edge_mask(g: Graph) -> int:
-    """Edge-indicator input (one bit per pair, lexicographic) for circuits."""
-    mask = 0
-    for a, b in g.edges:
-        mask |= 1 << pair_index(a, b, g.v)
-    return mask

@@ -348,22 +348,21 @@ class BipOddFactorReduction:
     n: int
     always_bits: int  # mask of the Tseitin applications of K_{n,n}, present for every M
     always_positions: tuple[int, ...]  # the set bits of always_bits, ascending
-    cell_positions: tuple[int, ...]  # per cell i*n+j, the bit of its zeroing application
-    cell_masks: tuple[int, ...]  # per cell, 1 << its bit
+    # per matrix row i and per pattern of its n cells: (the mask of the
+    # zeroing applications of the row's missing cells, their bits ascending)
+    row_tables: tuple[tuple[tuple[int, tuple[int, ...]], ...], ...]
 
     def alpha_bits(self, graph_mask: int) -> int:
-        missing = 0
-        for cell, mask in enumerate(self.cell_masks):
-            if not (graph_mask >> cell) & 1:
-                missing |= mask
+        n, full, missing = self.n, (1 << self.n) - 1, 0
+        for i, table in enumerate(self.row_tables):
+            missing |= table[(graph_mask >> i * n) & full][0]
         return self.always_bits | missing
 
     def instance_for(self, graph_mask: int) -> CspInstance:
         """alpha(M), its set bits merged from the recorded positions, not walked."""
-        positions = [
-            bit for cell, bit in enumerate(self.cell_positions) if not (graph_mask >> cell) & 1
-        ]
-        positions += self.always_positions
+        n, full, positions = self.n, (1 << self.n) - 1, list(self.always_positions)
+        for i, table in enumerate(self.row_tables):
+            positions += table[(graph_mask >> i * n) & full][1]
         positions.sort()
         bits, layout = self.alpha_bits(graph_mask), self.instance
         return CspInstance(layout.sset, layout.n, bits, known_set_bits=tuple(positions))
@@ -404,7 +403,12 @@ def bip_oddfactor_to_xorsat(graph: BipGraph) -> BipOddFactorReduction:
     for cell, bit in enumerate(cell_bits):
         beta_defs[bit] = (PROJ, cell)
     beta = BitReduction(n * n, full.size, tuple(beta_defs))
-    layout = BipOddFactorReduction(
-        full, beta, n, full.bits, always, cell_bits, tuple(1 << bit for bit in cell_bits)
-    )
+    row_tables = []
+    for i in range(n):
+        table = []
+        for pattern in range(1 << n):
+            missing = tuple(cell_bits[i * n + j] for j in range(n) if not (pattern >> j) & 1)
+            table.append((sum(1 << bit for bit in missing), missing))
+        row_tables.append(tuple(table))
+    layout = BipOddFactorReduction(full, beta, n, full.bits, always, tuple(row_tables))
     return replace(layout, instance=layout.instance_for(graph.mask))

@@ -261,6 +261,7 @@ MALFORMED = {
     "graph-negative-v": ["oracle", "odd-factor", "--graph", "{graph_neg}"],
     "graph-non-integer-v": ["oracle", "odd-factor", "--graph", "{graph_v_abc}"],
     "graph-non-integer-edge": ["oracle", "odd-factor", "--graph", "{graph_e_x}"],
+    "graph-v-above-limit": ["oracle", "odd-factor", "--graph", "{graph_v_big}"],
     "classify-json-tuple-digit": ["classify", "{digit_set}"],
     "solve-json-tuple-digit": ["solve", "auto", "--in", "{digit_inst}"],
     "classify-relations-not-a-list": ["classify", "{rels_int}"],
@@ -332,7 +333,12 @@ def test_malformed_input_exits_2(tmp_path, capsys, argv):
     paths = {name: tmp_path / f"{name}.json" for name in files}
     for name, obj in files.items():
         paths[name].write_text(json.dumps(obj))
-    graphs = {"graph_neg": "v -1\n", "graph_v_abc": "v abc\n", "graph_e_x": "v 2\ne 0 x\n"}
+    graphs = {
+        "graph_neg": "v -1\n",
+        "graph_v_abc": "v abc\n",
+        "graph_e_x": "v 2\ne 0 x\n",
+        "graph_v_big": "v 1000000\ne 999998 999999\n",  # a mask of about 5 * 10^11 bits
+    }
     for name, text in graphs.items():
         paths[name] = tmp_path / f"{name}.txt"
         paths[name].write_text(text)
@@ -476,6 +482,19 @@ def test_oddfactor_sweep_above_the_oracle_budget_exits_3_before_any_graph(monkey
     code, _, err = run(capsys, "verify", "oddfactor", "--quick", "--max-vertices", "9")
     assert code == 3
     assert "max_vertices=6: graphs of up to 15 edges, above the oracle_edges budget 10" in err
+
+
+def test_oddfactor_isomorphism_draws_stay_within_max_vertices(monkeypatch, capsys):
+    # the isomorphism check draws graphs of at most --max-vertices vertices,
+    # so a sweep that passes the up-front budget check ends in exit 0
+    monkeypatch.setenv("POSTLAB_BUDGET", "oracle_edges=10")
+    code, out, err = run(capsys, "verify", "oddfactor", "--max-vertices", "4")
+    assert code == 0, err
+    assert "[PASS] oddfactor/isomorphism-invariance" in out
+    monkeypatch.delenv("POSTLAB_BUDGET")
+    code, out, err = run(capsys, "verify", "oddfactor", "--max-vertices", "1")
+    assert code == 0, err
+    assert "[PASS] oddfactor/isomorphism-invariance" in out
 
 
 def test_malformed_budget_variable_exits_2(monkeypatch, capsys):

@@ -46,7 +46,7 @@ from postlab.csp import (
     xor3_set,
 )
 from postlab.errors import FragmentMismatchError
-from postlab.graphlab import Graph, edge_mask, odd_factor_fast, pair_index
+from postlab.graphlab import Graph, odd_factor_fast, pair_index
 
 
 def test_single_path_checkpoint():
@@ -131,9 +131,9 @@ def test_threshold_edges():
 def test_induced_subgraph_triangle():
     c = induced_subgraph_circuit(4, 3)
     g = Graph.from_edges(4, [(0, 1), (0, 2), (1, 2)])
-    x = edge_mask(g) | (0b0111 << 6)
+    x = g.mask | (0b0111 << 6)
     assert evaluate(c, x) == 0b111
-    assert evaluate(c, edge_mask(g)) == 0  # empty selection pads with isolation
+    assert evaluate(c, g.mask) == 0  # empty selection pads with isolation
 
 
 def test_pad_dummy_inputs():

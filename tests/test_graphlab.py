@@ -1,5 +1,6 @@
 """Graphs, odd factors, Tseitin systems."""
 
+import itertools
 import random
 
 import pytest
@@ -7,10 +8,10 @@ import pytest
 from postlab.csp import solve_xor
 from postlab.errors import BudgetExceededError, RelationParseError
 from postlab.graphlab import (
+    MAX_GRAPH_VERTICES,
     BipGraph,
     Graph,
     bip_odd_factor,
-    edge_mask,
     odd_factor_fast,
     odd_factor_oracle,
     pair_index,
@@ -25,7 +26,7 @@ def test_odd_factor_examples():
     tri = Graph.complete(3)
     assert not odd_factor_fast(tri) and not odd_factor_oracle(tri)
     assert odd_factor_oracle(Graph.complete(4))
-    assert not odd_factor_oracle(Graph(1, frozenset()))
+    assert not odd_factor_oracle(Graph(1, 0))
     both = Graph.from_edges(5, [(0, 1), (2, 3), (2, 4), (3, 4)])
     assert not odd_factor_fast(both)  # K2 plus a triangle: one odd component
 
@@ -35,7 +36,7 @@ def test_oracle_budget():
         odd_factor_oracle(Graph.complete(8))
     # 2**v parity vectors: the vertex count is bounded by the same budget
     with pytest.raises(BudgetExceededError):
-        odd_factor_oracle(Graph(25, frozenset()))
+        odd_factor_oracle(Graph(25, 0))
     assert odd_factor_oracle(Graph.from_edges(20, [(i, i + 1) for i in range(0, 20, 2)]))
 
 
@@ -57,7 +58,7 @@ def test_tseitin_examples():
     paw = tseitin_system(Graph.from_edges(5, [(1, 2), (3, 0), (0, 1)]))
     assert paw.nvars == 3
     assert paw.rows == ((0b011, 1), (0b101, 1), (0b100, 1), (0b010, 1), (0, 1))
-    assert tseitin_system(Graph(2, frozenset())).nvars == 1
+    assert tseitin_system(Graph(2, 0)).nvars == 1
     assert not solve_xor(tseitin_system(Graph.complete(3)))
 
 
@@ -89,13 +90,13 @@ def test_bipgraph_shape():
         with pytest.raises(ValueError):
             BipGraph(n, 0)
     with pytest.raises(ValueError):
-        Graph(-1, frozenset())
+        Graph(-1, 0)
 
 
 def test_bipgraph_to_graph_edges():
     # cell i*n + j is the edge (i, n + j), as a per-cell edge list normalised
-    for n in (1, 2, 3):
-        for mask in range(1 << (n * n)):
+    for n, step in ((1, 1), (2, 1), (3, 1), (4, 97)):
+        for mask in range(0, 1 << (n * n), step):
             cells = [(i, n + j) for i in range(n) for j in range(n) if (mask >> (i * n + j)) & 1]
             assert BipGraph(n, mask).to_graph() == Graph.from_edges(2 * n, cells)
 
@@ -103,11 +104,19 @@ def test_bipgraph_to_graph_edges():
 def test_graph_text_roundtrip():
     g = Graph.from_edges(4, [(0, 1), (2, 3)])
     assert parse_graph("v 4\ne 0 1\ne 3 2  # comment\n") == g
-    assert Graph.from_edge_mask(4, edge_mask(g)) == g
+    assert Graph.from_edge_mask(4, g.mask) == g
     with pytest.raises(RelationParseError):
         parse_graph("e 0 1\n")
     with pytest.raises(RelationParseError):
         parse_graph("v 2\ne 0 5\n")
+
+
+def test_graph_text_vertex_limit():
+    big = MAX_GRAPH_VERTICES + 1
+    top = MAX_GRAPH_VERTICES - 1
+    assert parse_graph(f"v {MAX_GRAPH_VERTICES}\ne 0 {top}\n").edges == {(0, top)}
+    with pytest.raises(RelationParseError, match=f"v={big} is above the limit of {top + 1}"):
+        parse_graph(f"v {big}\ne {big - 2} {big - 1}\n")
 
 
 def test_pair_index_and_edge_mask():
@@ -115,4 +124,64 @@ def test_pair_index_and_edge_mask():
     assert pair_index(2, 3, 4) == 5
     assert pair_index(3, 2, 4) == 5
     g = Graph.from_edges(4, [(0, 1), (2, 3)])
-    assert edge_mask(g) == 0b100001
+    assert g.mask == 0b100001
+
+
+# Frozenset references: the edge set of a mask, and what each mask-reading
+# function computed from that set before graphs stored their mask.
+
+def ref_edges(v, mask):
+    pairs = itertools.combinations(range(v), 2)
+    return frozenset(p for i, p in enumerate(pairs) if (mask >> i) & 1)
+
+
+def ref_adjacency(v, edges):
+    adj = [0] * v
+    for a, b in edges:
+        adj[a] |= 1 << b
+        adj[b] |= 1 << a
+    return adj
+
+
+def ref_tseitin_rows(v, edges):
+    incidence = [0] * v
+    for i, (a, b) in enumerate(sorted(edges)):
+        incidence[a] |= 1 << i
+        incidence[b] |= 1 << i
+    return tuple((mask, 1) for mask in incidence)
+
+
+def ref_odd_factor(v, edges):
+    """The all-ones degree parity vector is the sum of some edges' vectors."""
+    achievable = {0}
+    for a, b in edges:
+        achievable |= {x ^ (1 << a) ^ (1 << b) for x in achievable}
+    return (1 << v) - 1 in achievable
+
+
+def assert_matches_references(g, oracle=True):
+    edges = ref_edges(g.v, g.mask)
+    assert g.edges == edges
+    assert g.adjacency() == ref_adjacency(g.v, edges)
+    system = tseitin_system(g)
+    assert system.rows == ref_tseitin_rows(g.v, edges)
+    assert system.nvars == max(len(edges), 1)
+    if oracle:
+        assert odd_factor_oracle(g) == ref_odd_factor(g.v, edges)
+
+
+def test_mask_readers_match_the_frozenset_references():
+    for v in range(7):
+        for mask in range(1 << (v * (v - 1) // 2)):
+            assert_matches_references(Graph.from_edge_mask(v, mask))
+
+
+def test_large_sparse_graph_matches_the_references():
+    # above the per-byte tables' vertex count, so the set-bit walk runs
+    rng = random.Random(40)
+    edges = [(rng.randrange(40), rng.randrange(40)) for _ in range(30)]
+    g = Graph.from_edges(40, edges)
+    assert g.edges == frozenset((min(a, b), max(a, b)) for a, b in edges if a != b)
+    assert_matches_references(g, oracle=False)
+    assert odd_factor_fast(Graph.from_edges(40, [(i, i + 1) for i in range(0, 40, 2)]))
+    assert not odd_factor_fast(Graph.from_edges(40, [(i, i + 1) for i in range(0, 38, 2)]))

@@ -26,9 +26,10 @@ from postlab.csp import (
     random_instance,
     satisfiable_brute,
     xor3_set,
+    xor_system_to_instance,
 )
 from postlab.errors import FragmentMismatchError
-from postlab.graphlab import BipGraph, bip_odd_factor
+from postlab.graphlab import BipGraph, Graph, bip_odd_factor, tseitin_system
 from postlab.reductions import (
     BitReduction,
     bip_oddfactor_to_xorsat,
@@ -202,12 +203,17 @@ def test_bip_oddfactor_duality_exhaustive(n):
 
 
 def test_instance_for_set_bits_are_those_of_alpha():
-    # the positions instance_for merges equal the walk of the mask it builds
+    # the positions instance_for merges equal the walk of the mask it builds,
+    # and alpha(M) is the Tseitin system of K_{n,n} plus x_c = 0 for each
+    # missing cell c, built here cell by cell from the layout alone
     for n, step in ((1, 1), (2, 1), (3, 1), (4, 97)):
         red = bip_oddfactor_to_xorsat(BipGraph(n, 0))
+        cells = [(i, n + j) for i in range(n) for j in range(n)]
+        always = xor_system_to_instance(tseitin_system(Graph.from_edges(2 * n, cells))).bits
         for mask in range(0, 1 << (n * n), step):
+            zeroed = [red.instance.encode(0, (c,) * 3) for c in range(n * n) if not (mask >> c) & 1]
             inst = red.instance_for(mask)
-            assert inst.bits == red.alpha_bits(mask)
+            assert inst.bits == red.alpha_bits(mask) == always | sum(1 << b for b in zeroed)
             assert inst._set_bit_tuple == tuple(csp._set_bits(inst.bits)), (n, mask)
 
 

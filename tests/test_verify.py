@@ -9,7 +9,7 @@ from postlab import construct, verify
 from postlab.circuit import AND, INPUT, OR, Circuit, evaluate_ref
 from postlab.csp import CspInstance, twosat_set, violation_masks
 from postlab.errors import BudgetExceededError
-from postlab.graphlab import Graph, edge_mask
+from postlab.graphlab import Graph
 
 
 def _with_output(c: Circuit, kind: str, a: int, b: int) -> Circuit:
@@ -83,7 +83,7 @@ def test_padding_witness_matches_the_per_permutation_loop(monkeypatch):
             for _ in range(50):
                 perm = list(range(big_n))
                 rng.shuffle(perm)
-                if evaluate_ref(c, edge_mask(g.permuted(perm))) != want:
+                if evaluate_ref(c, g.permuted(perm).mask) != want:
                     bad = f"mask={gmask:#x}"
                     break
             if bad:
