@@ -1,12 +1,14 @@
 """Oracle-equivalence sweeps behind the `verify` CLI command and the
-acceptance suite.  Every check returns a replayable witness on failure."""
+acceptance suite.  Every check returns a replayable witness on failure, and a
+check that raises is a FAIL line whose detail names the exception."""
 
 from __future__ import annotations
 
 import os
 import random
 import time
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
+from functools import cache
 from multiprocessing import Pool
 
 from . import clone_lattice, construct, csp, graphlab, reductions
@@ -38,7 +40,7 @@ from .circuit import (
 )
 from .config import budgets
 from .csp import CspInstance, csp_sat_value, solve_xor, violation_masks
-from .errors import BudgetExceededError
+from .errors import BudgetExceededError, MonotonePreconditionError
 
 
 @dataclass
@@ -58,9 +60,6 @@ class SuiteReport:
     def ok(self) -> bool:
         return all(c.passed for c in self.checks)
 
-    def add(self, name: str, passed: bool, detail: str = "", elapsed: float = 0.0):
-        self.checks.append(Check(name, passed, detail, elapsed))
-
     def lines(self) -> list[str]:
         out = []
         for c in self.checks:
@@ -71,10 +70,22 @@ class SuiteReport:
         return out
 
 
-def _timed(report: SuiteReport, name: str, fn) -> None:
+def _timed(report: SuiteReport, names: str | tuple[str, ...], fn) -> None:
+    """Record one check, or the checks `names` that one sweep decides: fn()
+    returns (passed, detail) for one name, or one such pair per name.  The
+    elapsed time goes on the first name.  If fn raises, every name fails with
+    the exception as its detail; only a budget still ends the run."""
+    names = (names,) if isinstance(names, str) else names
     t0 = time.perf_counter()
-    passed, detail = fn()
-    report.add(name, passed, detail, time.perf_counter() - t0)
+    try:
+        results = fn() if len(names) > 1 else [fn()]
+    except BudgetExceededError:
+        raise
+    except Exception as exc:
+        results = [(False, f"raised {type(exc).__name__}: {exc}")] * len(names)
+    elapsed = time.perf_counter() - t0
+    for i, (name, (passed, detail)) in enumerate(zip(names, results, strict=True)):
+        report.checks.append(Check(name, passed, detail, 0.0 if i else elapsed))
 
 
 # Odd-factor claim: component parity == subset oracle == Tseitin satisfiability.
@@ -111,26 +122,23 @@ def suite_oddfactor(max_vertices: int = 7, jobs: int = 1, quick: bool = False) -
         )
     jobs = min(jobs, os.cpu_count() or 1)  # the pool never outnumbers the CPUs
     for v in range(1, max_vertices + 1):
-        t0 = time.perf_counter()
-        total_masks = 1 << (v * (v - 1) // 2)
-        if jobs > 1 and total_masks >= 1 << 16:
-            step = total_masks // (jobs * 8)
-            ranges = [
-                (v, lo, min(lo + step, total_masks))
-                for lo in range(0, total_masks, step)
-            ]
-            with Pool(jobs) as pool:
-                results = pool.map(_oddfactor_chunk, ranges)
-            checked = sum(r[0] for r in results)
-            mismatches = [m for r in results for m in r[1]]
-        else:
-            checked, mismatches = _oddfactor_chunk((v, 0, total_masks))
-        report.add(
-            f"claim-v{v}",
-            not mismatches,
-            "; ".join(mismatches[:3]) or f"{checked} graphs",
-            time.perf_counter() - t0,
-        )
+        def claim():
+            total_masks = 1 << (v * (v - 1) // 2)
+            if jobs > 1 and total_masks >= 1 << 16:
+                step = total_masks // (jobs * 8)
+                ranges = [
+                    (v, lo, min(lo + step, total_masks))
+                    for lo in range(0, total_masks, step)
+                ]
+                with Pool(jobs) as pool:
+                    results = pool.map(_oddfactor_chunk, ranges)
+                checked = sum(r[0] for r in results)
+                mismatches = [m for r in results for m in r[1]]
+            else:
+                checked, mismatches = _oddfactor_chunk((v, 0, total_masks))
+            return not mismatches, "; ".join(mismatches[:3]) or f"{checked} graphs"
+
+        _timed(report, f"claim-v{v}", claim)
 
     def iso():
         rng = random.Random(17)
@@ -155,26 +163,28 @@ def suite_oddfactor(max_vertices: int = 7, jobs: int = 1, quick: bool = False) -
 
 def verify_checkpoint(seed: int = 0, bp_count: int = 200) -> SuiteReport:
     report = SuiteReport("checkpoint")
-    rng = random.Random(seed)
-    t0 = time.perf_counter()
-    mismatches = []
-    depth_bad = []
-    for idx in range(bp_count):
-        n = rng.randrange(1, 9)
-        bp = construct.random_layered_bp(rng, n)
-        for d in (1, 2, 3):
-            for mode in (construct.PARITY, construct.REACH):
-                c = construct.checkpoint_circuit(bp, d, mode)
-                if measures(c).depth != 2 * d:
-                    depth_bad.append(f"bp#{idx} d={d} {mode}: depth {measures(c).depth}")
-                table = truth_tables(c)[0]
-                oracle = construct.bp_paths_mod2 if mode == construct.PARITY else construct.bp_reachable
-                for x in range(1 << n):
-                    if ((table >> x) & 1) != oracle(bp, x):
-                        mismatches.append(f"bp#{idx} d={d} {mode} x={x:#x}")
-                        break
-    report.add("oracle-equality", not mismatches, "; ".join(mismatches[:3]), time.perf_counter() - t0)
-    report.add("depth-exactly-2d", not depth_bad, "; ".join(depth_bad[:3]))
+
+    def sweep():
+        rng = random.Random(seed)
+        mismatches = []
+        depth_bad = []
+        for idx in range(bp_count):
+            n = rng.randrange(1, 9)
+            bp = construct.random_layered_bp(rng, n)
+            for d in (1, 2, 3):
+                for mode in (construct.PARITY, construct.REACH):
+                    c = construct.checkpoint_circuit(bp, d, mode)
+                    if measures(c).depth != 2 * d:
+                        depth_bad.append(f"bp#{idx} d={d} {mode}: depth {measures(c).depth}")
+                    table = truth_tables(c)[0]
+                    oracle = construct.bp_paths_mod2 if mode == construct.PARITY else construct.bp_reachable
+                    for x in range(1 << n):
+                        if ((table >> x) & 1) != oracle(bp, x):
+                            mismatches.append(f"bp#{idx} d={d} {mode} x={x:#x}")
+                            break
+        return (not mismatches, "; ".join(mismatches[:3])), (not depth_bad, "; ".join(depth_bad[:3]))
+
+    _timed(report, ("oracle-equality", "depth-exactly-2d"), sweep)
 
     def shrink():
         # the base-level path enumeration must dominate before extra levels
@@ -208,21 +218,24 @@ def _calibration_bp(rng: random.Random, length: int, width: int, n: int) -> cons
 
 def verify_thresholds() -> SuiteReport:
     report = SuiteReport("thresholds")
-    t0 = time.perf_counter()
-    bad = []
-    for n in range(1, 9):
-        for k in range(0, n + 2):
-            for mode in (construct.LOGDEPTH, construct.FLAT):
-                c = construct.threshold_circuit(k, n, mode)
-                if not measures(c).monotone:
-                    bad.append(f"k={k} n={n} {mode}: not monotone")
-                    continue
-                table = truth_tables(c)[0]
-                for x in range(1 << n):
-                    if ((table >> x) & 1) != (bin(x).count("1") >= k):
-                        bad.append(f"k={k} n={n} {mode} x={x:#x}")
-                        break
-    report.add("weight-oracle", not bad, "; ".join(bad[:3]), time.perf_counter() - t0)
+
+    def weights():
+        bad = []
+        for n in range(1, 9):
+            for k in range(0, n + 2):
+                for mode in (construct.LOGDEPTH, construct.FLAT):
+                    c = construct.threshold_circuit(k, n, mode)
+                    if not measures(c).monotone:
+                        bad.append(f"k={k} n={n} {mode}: not monotone")
+                        continue
+                    table = truth_tables(c)[0]
+                    for x in range(1 << n):
+                        if ((table >> x) & 1) != (bin(x).count("1") >= k):
+                            bad.append(f"k={k} n={n} {mode} x={x:#x}")
+                            break
+        return not bad, "; ".join(bad[:3])
+
+    _timed(report, "weight-oracle", weights)
     return report
 
 
@@ -244,62 +257,60 @@ def _edge_property() -> construct.GraphPropertyCircuit:
 def verify_padding(seed: int = 0) -> SuiteReport:
     report = SuiteReport("padding")
     rng = random.Random(seed)
-    for prop in (_edge_property(), _oddfactor4_property()):
-        small = prop.circuit.n
-        small_table = truth_tables(prop.circuit)[0]
+    for name, make_prop in (("edge-existence", _edge_property), ("oddfactor4", _oddfactor4_property)):
+        # built by the first check that needs them; a build that raises fails each of them
+        @cache
+        def prop():
+            made = make_prop()
+            return made, truth_tables(made.circuit)[0]
+
+        @cache
+        def padding(big_n):
+            return construct.padded_graph_property(prop()[0], big_n)
+
         for big_n in (6, 7):
-            t0 = time.perf_counter()
-            padded, embedding = construct.padded_graph_property(prop, big_n)
-            bad = []
-            for gmask in range(1 << small):
-                if padded.value(embedding.apply(gmask)) != (small_table >> gmask) & 1:
-                    bad.append(f"embed mask={gmask:#x}")
-                    break
-            if not embedding.is_projection_only:
-                bad.append("embedding is not a projection")
-            report.add(
-                f"{prop.name}-N{big_n}-embedding",
-                not bad,
-                "; ".join(bad),
-                time.perf_counter() - t0,
-            )
-            t0 = time.perf_counter()
-            if big_n == 6:
-                table = truth_tables(padded.circuit)[0]
-                viol = monotone_violation(padded.circuit.n, table)
-                report.add(
-                    f"{prop.name}-N6-monotone-chain",
-                    viol is None,
-                    f"violation at {viol}" if viol else "exhaustive over 2^15 inputs",
-                    time.perf_counter() - t0,
-                )
-                t0 = time.perf_counter()
-            iso_bad = []
-            for _ in range(50):
-                gmask = rng.getrandbits(padded.circuit.n)
-                g = graphlab.Graph.from_edge_mask(big_n, gmask)
-                state = rng.getstate()
-                masks = [gmask]
+            def embeds():
+                (small, small_table), (padded, embedding) = prop(), padding(big_n)
+                bad = []
+                for gmask in range(1 << small.circuit.n):
+                    if padded.value(embedding.apply(gmask)) != (small_table >> gmask) & 1:
+                        bad.append(f"embed mask={gmask:#x}")
+                        break
+                if not embedding.is_projection_only:
+                    bad.append("embedding is not a projection")
+                return not bad, "; ".join(bad)
+
+            def monotone_chain():
+                circuit = padding(big_n)[0].circuit
+                viol = monotone_violation(circuit.n, truth_tables(circuit)[0])
+                return viol is None, f"violation at {viol}" if viol else "exhaustive over 2^15 inputs"
+
+            def isomorphism():
+                circuit = padding(big_n)[0].circuit
                 for _ in range(50):
-                    perm = list(range(big_n))
-                    rng.shuffle(perm)
-                    masks.append(g.permuted(perm).mask)
-                want, *got = evaluate_many(padded.circuit, masks)
-                first_bad = next((p for p, v in enumerate(got) if v != want), None)
-                if first_bad is not None:
-                    # redraw up to the first bad permutation, so that the later
-                    # checks see the rng stream of a check that stopped there
-                    rng.setstate(state)
-                    for _ in range(first_bad + 1):
-                        rng.shuffle(list(range(big_n)))
-                    iso_bad.append(f"mask={gmask:#x}")
-                    break
-            report.add(
-                f"{prop.name}-N{big_n}-isomorphism",
-                not iso_bad,
-                "; ".join(iso_bad),
-                time.perf_counter() - t0,
-            )
+                    gmask = rng.getrandbits(circuit.n)
+                    g = graphlab.Graph.from_edge_mask(big_n, gmask)
+                    state = rng.getstate()
+                    masks = [gmask]
+                    for _ in range(50):
+                        perm = list(range(big_n))
+                        rng.shuffle(perm)
+                        masks.append(g.permuted(perm).mask)
+                    want, *got = evaluate_many(circuit, masks)
+                    first_bad = next((p for p, v in enumerate(got) if v != want), None)
+                    if first_bad is not None:
+                        # redraw up to the first bad permutation, so that the later
+                        # checks see the rng stream of a check that stopped there
+                        rng.setstate(state)
+                        for _ in range(first_bad + 1):
+                            rng.shuffle(list(range(big_n)))
+                        return False, f"mask={gmask:#x}"
+                return True, ""
+
+            _timed(report, f"{name}-N{big_n}-embedding", embeds)
+            if big_n == 6:
+                _timed(report, f"{name}-N6-monotone-chain", monotone_chain)
+            _timed(report, f"{name}-N{big_n}-isomorphism", isomorphism)
     return report
 
 
@@ -332,61 +343,62 @@ def _meets_all_table(size: int, masks: list[int]) -> int:
 def verify_emitters(seed: int = 0, random_masks: int = 1000) -> SuiteReport:
     report = SuiteReport("csp-emitters")
     for name, set_fn, n in _EMITTER_CONFIGS:
-        sset = set_fn()
-        t0 = time.perf_counter()
-        circuit = construct.emit_monotone_csp_circuit(sset, n)
-        bad = []
-        if not measures(circuit).monotone:
-            bad.append("contains NOT or XOR gates")
-        size = circuit.n
-        viol = violation_masks(CspInstance(sset, n))
-        if size <= 18:
-            diff = truth_tables(circuit)[0] ^ _meets_all_table(size, viol)
-            if diff:
-                bad.append(f"mask={(diff & -diff).bit_length() - 1:#x}")
-            mode = f"exhaustive 2^{size}"
-        else:
-            rng = random.Random(seed)
-            masks = [
-                rng.getrandbits(size) & rng.getrandbits(size) & rng.getrandbits(size)
-                for _ in range(random_masks)
-            ]
-            for w, got in zip(masks, evaluate_many(circuit, masks)):
-                if (got & 1) != (not any(w & v == 0 for v in viol)):
-                    bad.append(f"mask={w:#x}")
-                    break
-            mode = f"{random_masks} random masks"
-        report.add(name, not bad, "; ".join(bad) or mode, time.perf_counter() - t0)
+        def emitted():
+            sset = set_fn()
+            circuit = construct.emit_monotone_csp_circuit(sset, n)
+            bad = []
+            if not measures(circuit).monotone:
+                bad.append("contains NOT or XOR gates")
+            size = circuit.n
+            viol = violation_masks(CspInstance(sset, n))
+            if size <= 18:
+                diff = truth_tables(circuit)[0] ^ _meets_all_table(size, viol)
+                if diff:
+                    bad.append(f"mask={(diff & -diff).bit_length() - 1:#x}")
+                mode = f"exhaustive 2^{size}"
+            else:
+                rng = random.Random(seed)
+                masks = [
+                    rng.getrandbits(size) & rng.getrandbits(size) & rng.getrandbits(size)
+                    for _ in range(random_masks)
+                ]
+                for w, got in zip(masks, evaluate_many(circuit, masks)):
+                    if (got & 1) != (not any(w & v == 0 for v in viol)):
+                        bad.append(f"mask={w:#x}")
+                        break
+                mode = f"{random_masks} random masks"
+            return not bad, "; ".join(bad) or mode
+
+        _timed(report, name, emitted)
     return report
 
 
 def verify_induced_subgraph() -> SuiteReport:
     report = SuiteReport("induced-subgraph")
-    t0 = time.perf_counter()
-    bad = []
-    for k in (2, 3):
-        c = construct.induced_subgraph_circuit(4, k)
-        for gmask in range(1 << 6):
-            for smask in range(1 << 4):
-                if bin(smask).count("1") > k:
-                    continue
-                out = evaluate(c, gmask | (smask << 6))
-                sel = [a for a in range(4) if (smask >> a) & 1]
-                want = 0
-                pos = 0
-                for i in range(k):
-                    for j in range(i + 1, k):
-                        bit = 0
-                        if j < len(sel):
-                            bit = (gmask >> graphlab.pair_index(sel[i], sel[j], 4)) & 1
-                        want |= bit << pos
-                        pos += 1
-                if out != want:
-                    bad.append(f"k={k} G={gmask:#x} S={smask:#x}")
-                    break
-            if bad:
-                break
-    report.add("extraction-oracle", not bad, "; ".join(bad), time.perf_counter() - t0)
+
+    def extracts():
+        for k in (2, 3):
+            c = construct.induced_subgraph_circuit(4, k)
+            for gmask in range(1 << 6):
+                for smask in range(1 << 4):
+                    if bin(smask).count("1") > k:
+                        continue
+                    out = evaluate(c, gmask | (smask << 6))
+                    sel = [a for a in range(4) if (smask >> a) & 1]
+                    want = 0
+                    pos = 0
+                    for i in range(k):
+                        for j in range(i + 1, k):
+                            bit = 0
+                            if j < len(sel):
+                                bit = (gmask >> graphlab.pair_index(sel[i], sel[j], 4)) & 1
+                            want |= bit << pos
+                            pos += 1
+                    if out != want:
+                        return False, f"k={k} G={gmask:#x} S={smask:#x}"
+        return True, ""
+
+    _timed(report, "extraction-oracle", extracts)
     return report
 
 
@@ -399,8 +411,7 @@ def suite_constructions(seed: int = 0, quick: bool = False) -> SuiteReport:
         verify_padding(seed),
         verify_emitters(seed, 200 if quick else 1000),
     ):
-        for c in sub.checks:
-            report.add(f"{sub.suite}/{c.name}", c.passed, c.detail, c.elapsed)
+        report.checks += [replace(c, name=f"{sub.suite}/{c.name}") for c in sub.checks]
     return report
 
 
@@ -435,28 +446,25 @@ def suite_reductions(seed: int = 0, instances: int = 500, quick: bool = False) -
 
     s1 = RelationSet((EQ2, UNIT_TRUE, UNIT_FALSE), "eqset")
     s2 = RelationSet((IMP2, UNIT_TRUE, UNIT_FALSE), "impset")
-    defs = {r: reductions.find_cq(s1[r], s2) for r in range(len(s1))}
+
+    @cache  # searched by the check's first trial
+    def defs():
+        return {r: reductions.find_cq(s1[r], s2) for r in range(len(s1))}
 
     def pair_cq(trial):
         n = 2 + trial % 4
         inst = csp.random_instance(s1, n, 0.12, rng)
-        out, red = reductions.cq_rewrite(inst, defs)
+        out, red = reductions.cq_rewrite(inst, defs())
         return inst, out, red
 
     run_op("cq-rewrite", pair_cq)
 
-    ne_set = RelationSet((parity_relation(2, 1),), "ne")
-    defs_aux = {0: reductions.find_cq(ne_set[0], csp.xor3_set())}
-
-    def pair_cq_aux(trial):
-        n = 2 + trial % 2
-        inst = csp.random_instance(ne_set, n, 0.3, rng)
-        out, red = reductions.cq_rewrite(inst, defs_aux)
-        return inst, out, red
-
     def check_aux():
+        ne_set = RelationSet((parity_relation(2, 1),), "ne")
+        defs_aux = {0: reductions.find_cq(ne_set[0], csp.xor3_set())}
         for trial in range(min(instances, 120)):
-            inst, out, red = pair_cq_aux(trial)
+            inst = csp.random_instance(ne_set, 2 + trial % 2, 0.3, rng)
+            out, _ = reductions.cq_rewrite(inst, defs_aux)
             if csp_sat_value(inst) != csp_sat_value(out):
                 return False, f"trial {trial}"
         return True, ""
@@ -467,7 +475,6 @@ def suite_reductions(seed: int = 0, instances: int = 500, quick: bool = False) -
         n = 2 + trial % 4
         inst = csp.random_instance(s1, n, 0.12, rng)
         pr = reductions.pol_reduce(inst, s2)
-        assert pr is not None
         return inst, pr.instance, pr.or_stage
 
     run_op("pol-reduce", pair_pol)
@@ -547,31 +554,35 @@ def _submasks(mask: int):
 
 def suite_quine(quick: bool = False) -> SuiteReport:
     report = SuiteReport("quine")
-    t0 = time.perf_counter()
-    monotones = [t for t in range(1 << 16) if monotone_violation(4, t) is None]
-    report.add("monotone-4var-count", len(monotones) == 168, f"found {len(monotones)}")
-    rng = random.Random(101)
-    strip_bad = []
-    dt_bad = []
-    sample = monotones if not quick else monotones[::4]
-    for table in sample:
-        d = _randomized_dnf(rng, 4, table)
-        stripped = quine_strip(d)
-        if stripped.has_negative_literals():
-            strip_bad.append(f"table={table:#x}: negatives left")
-        elif stripped.truth_table() != table:
-            strip_bad.append(f"table={table:#x}: not equivalent")
-        elif len(stripped.terms) > len(d.terms):
-            strip_bad.append(f"table={table:#x}: grew")
-        dnf = dt_to_monotone_dnf(build_decision_tree(4, table), table)
-        if dnf.truth_table() != table or dnf.has_negative_literals():
-            dt_bad.append(f"table={table:#x}")
-        elif len(dnf.terms) < count_minterms(4, table):
-            dt_bad.append(f"table={table:#x}: fewer terms than minterms")
-        if len(minterm_dnf(4, table).terms) != count_minterms(4, table):
-            dt_bad.append(f"table={table:#x}: minterm DNF size off")
-    report.add("quine-strip", not strip_bad, "; ".join(strip_bad[:3]), time.perf_counter() - t0)
-    report.add("dt-pipeline", not dt_bad, "; ".join(dt_bad[:3]))
+
+    def pipeline():
+        monotones = [t for t in range(1 << 16) if monotone_violation(4, t) is None]
+        rng = random.Random(101)
+        strip_bad = []
+        dt_bad = []
+        for table in monotones[::4] if quick else monotones:
+            d = _randomized_dnf(rng, 4, table)
+            stripped = quine_strip(d)
+            if stripped.has_negative_literals():
+                strip_bad.append(f"table={table:#x}: negatives left")
+            elif stripped.truth_table() != table:
+                strip_bad.append(f"table={table:#x}: not equivalent")
+            elif len(stripped.terms) > len(d.terms):
+                strip_bad.append(f"table={table:#x}: grew")
+            dnf = dt_to_monotone_dnf(build_decision_tree(4, table), table)
+            if dnf.truth_table() != table or dnf.has_negative_literals():
+                dt_bad.append(f"table={table:#x}")
+            elif len(dnf.terms) < count_minterms(4, table):
+                dt_bad.append(f"table={table:#x}: fewer terms than minterms")
+            if len(minterm_dnf(4, table).terms) != count_minterms(4, table):
+                dt_bad.append(f"table={table:#x}: minterm DNF size off")
+        return (
+            (len(monotones) == 168, f"found {len(monotones)}"),
+            (not strip_bad, "; ".join(strip_bad[:3])),
+            (not dt_bad, "; ".join(dt_bad[:3])),
+        )
+
+    _timed(report, ("monotone-4var-count", "quine-strip", "dt-pipeline"), pipeline)
 
     def counts():
         maj3 = sum(1 << x for x in range(8) if bin(x).count("1") >= 2)
@@ -582,11 +593,10 @@ def suite_quine(quick: bool = False) -> SuiteReport:
     _timed(report, "majority-minterms", counts)
 
     def nonmono():
-        xor2 = Dnf.make(2, [(0b01, 0b10), (0b10, 0b01)])
         try:
-            quine_strip(xor2)
-        except Exception as exc:
-            return hasattr(exc, "lo"), f"witness ({getattr(exc, 'lo', '?')}, {getattr(exc, 'hi', '?')})"
+            quine_strip(Dnf.make(2, [(0b01, 0b10), (0b10, 0b01)]))
+        except MonotonePreconditionError as exc:
+            return True, f"witness ({exc.lo}, {exc.hi})"
         return False, "no error raised"
 
     _timed(report, "non-monotone-rejected", nonmono)
@@ -603,60 +613,49 @@ def suite_dichotomy(instances_per_set: int = 20, seed: int = 0, quick: bool = Fa
         return rep.ok, f"{len(rep.checks)} inclusion checks"
 
     _timed(report, "catalog", catalog)
-    if not report.ok:
-        return report
 
-    t0 = time.perf_counter()
-    binary = [Relation(2, mask, f"b{mask}") for mask in range(16)]
-    rng = random.Random(seed)
-    not_easy: list[str] = []
-    no_solver: list[str] = []
-    mismatched: list[str] = []
-    subset_range = range(0, 1 << 16, 7 if quick else 1)
-    checked_sets = 0
-    for subset in subset_range:
-        sset = RelationSet(tuple(binary[i] for i in range(16) if (subset >> i) & 1))
-        verdict = clone_lattice.classify(sset)
-        checked_sets += 1
-        if verdict.size_side != "EASY":
-            not_easy.append(f"subset={subset:#x}")
-            if len(not_easy) > 3:
+    def sweep():
+        binary = [Relation(2, mask, f"b{mask}") for mask in range(16)]
+        rng = random.Random(seed)
+        not_easy: list[str] = []
+        no_solver: list[str] = []
+        mismatched: list[str] = []
+        for checked_sets, subset in enumerate(range(0, 1 << 16, 7 if quick else 1), 1):
+            sset = RelationSet(tuple(binary[i] for i in range(16) if (subset >> i) & 1))
+            verdict = clone_lattice.classify(sset)
+            if verdict.size_side != "EASY":
+                not_easy.append(f"subset={subset:#x}")
+                if len(not_easy) > 3:
+                    break
+                continue
+            picked = csp.pick_solver(sset)
+            if picked is None:
+                no_solver.append(f"subset={subset:#x}")
+                if len(no_solver) > 3:
+                    break
+                continue
+            label, solver = picked
+            empty = CspInstance(sset, 4)
+            size = empty.size
+            viol = violation_masks(empty)
+            for t in range(instances_per_set):
+                bits = (rng.getrandbits(size) & rng.getrandbits(size)) if size else 0
+                if t % 2 and size:
+                    bits &= rng.getrandbits(size)
+                sat = 0 in map(bits.__and__, viol)
+                got = solver(CspInstance(sset, 4, bits))
+                if got != sat:
+                    mismatched.append(f"subset={subset:#x} solver={label} bits={bits:#x}")
+                    break
+            if len(mismatched) > 3:
                 break
-            continue
-        picked = csp.pick_solver(sset)
-        if picked is None:
-            no_solver.append(f"subset={subset:#x}")
-            if len(no_solver) > 3:
-                break
-            continue
-        label, solver = picked
-        empty = CspInstance(sset, 4)
-        size = empty.size
-        viol = violation_masks(empty)
-        for t in range(instances_per_set):
-            bits = (rng.getrandbits(size) & rng.getrandbits(size)) if size else 0
-            if t % 2 and size:
-                bits &= rng.getrandbits(size)
-            sat = 0 in map(bits.__and__, viol)
-            got = solver(CspInstance(sset, 4, bits))
-            if got != sat:
-                mismatched.append(f"subset={subset:#x} solver={label} bits={bits:#x}")
-                break
-        if len(mismatched) > 3:
-            break
-    elapsed = time.perf_counter() - t0
-    report.add(
-        "all-binary-sets-size-easy",
-        not not_easy,
-        "; ".join(not_easy[:3]) or f"{checked_sets} relation sets",
-        elapsed,
-    )
-    report.add("designated-solver-exists", not no_solver, "; ".join(no_solver[:3]))
-    report.add(
-        "solver-matches-oracle",
-        not mismatched,
-        "; ".join(mismatched[:3]) or f"{instances_per_set} instances per set",
-    )
+        return (
+            (not not_easy, "; ".join(not_easy[:3]) or f"{checked_sets} relation sets"),
+            (not no_solver, "; ".join(no_solver[:3])),
+            (not mismatched, "; ".join(mismatched[:3]) or f"{instances_per_set} instances per set"),
+        )
+
+    _timed(report, ("all-binary-sets-size-easy", "designated-solver-exists", "solver-matches-oracle"), sweep)
     return report
 
 

@@ -497,6 +497,14 @@ def test_oddfactor_isomorphism_draws_stay_within_max_vertices(monkeypatch, capsy
     assert "[PASS] oddfactor/isomorphism-invariance" in out
 
 
+def test_cq_budget_ends_verify_reductions_with_exit_3(monkeypatch, capsys):
+    # find_cq runs inside the cq-rewrite check, and the check runner lets a
+    # budget through instead of making it a FAIL line
+    monkeypatch.setenv("POSTLAB_BUDGET", "cq_states=2")
+    code, out, err = run(capsys, "verify", "reductions", "--quick")
+    assert code == 3 and "state budget exhausted" in err and out == ""
+
+
 def test_malformed_budget_variable_exits_2(monkeypatch, capsys):
     monkeypatch.setenv("POSTLAB_BUDGET", "bogus=1")
     code, _, err = run(capsys, "verify", "quine", "--quick")

@@ -3,6 +3,8 @@
 import random
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from postlab import csp
 
@@ -18,6 +20,7 @@ from postlab.boolfun import (
     parity_relation,
     preserves,
     NEGATION,
+    Relation,
 )
 from postlab.csp import (
     CspInstance,
@@ -25,6 +28,7 @@ from postlab.csp import (
     hornt_set,
     random_instance,
     satisfiable_brute,
+    twosat_set,
     xor3_set,
     xor_system_to_instance,
 )
@@ -243,3 +247,82 @@ def test_bip_beta_projection_values():
         alpha = red.alpha_bits(mask)
         assert beta & alpha == 0
         assert beta | alpha == (1 << red.instance.size) - 1
+
+
+# Each reduction keeps CSP-SAT's value on generated instances.
+
+PROPERTY = settings(derandomize=True, database=None, deadline=None, max_examples=50)
+
+
+@st.composite
+def relation_sets(draw, arities=(1, 2, 3), extra=()):
+    ks = draw(st.lists(st.sampled_from(arities), min_size=1, max_size=3))
+    return RelationSet(extra + tuple(Relation(k, draw(st.integers(0, (1 << (1 << k)) - 1))) for k in ks))
+
+
+# odd 4-ary parity, whose query over xor3 has an auxiliary variable that is
+# not forced to a constant (and no all-zero solution hides a shared one),
+# next to parity relations that need none
+AFFINE_SETS = st.lists(
+    st.sampled_from([parity_relation(k, r) for k in (1, 3) for r in (0, 1)]), max_size=2
+).map(lambda rest: RelationSet((parity_relation(4, 1), *rest)))
+
+
+@st.composite
+def instances(draw, sets, ns):
+    sset = draw(sets)
+    n = draw(st.sampled_from(ns))
+    size = CspInstance(sset, n).size
+    # dense masks are mostly unsatisfiable, so draw sparse ones too
+    sparse = st.sets(st.integers(0, size - 1), max_size=6).map(lambda js: sum(1 << j for j in js))
+    return CspInstance(sset, n, draw(st.one_of(sparse, st.integers(0, (1 << size) - 1))))
+
+
+# (target set, source sets it defines, variable counts): every relation of
+# arity at most 2 is a 2-CNF; each application of the 4-ary parity relation
+# owns one auxiliary variable, so n = 2 gives 18 variables after the rewrite
+# (n = 1 has no satisfiable odd 4-ary application)
+CQ_CASES = {
+    "2-cnf": (twosat_set(), relation_sets(arities=(1, 2)), range(1, 5)),
+    "affine": (xor3_set(), AFFINE_SETS, (2,)),
+}
+
+
+@PROPERTY
+@given(instances(relation_sets(extra=(EQ2,)), range(1, 6)))
+def test_eliminate_equality_keeps_the_value(inst):
+    assert csp_sat_value(eliminate_equality(inst)) == csp_sat_value(inst)
+
+
+@pytest.mark.parametrize("case", sorted(CQ_CASES))
+@PROPERTY
+@given(data=st.data())
+def test_cq_rewrite_keeps_the_value(case, data):
+    target, sets, ns = CQ_CASES[case]
+    inst = data.draw(instances(sets, ns))
+    out, _ = cq_rewrite(inst, {r: find_cq(rel, target) for r, rel in enumerate(inst.sset)})
+    assert csp_sat_value(out) == csp_sat_value(inst)
+
+
+@pytest.mark.parametrize("case", sorted(CQ_CASES))
+@PROPERTY
+@given(data=st.data())
+def test_pol_reduce_keeps_the_value(case, data):
+    target, sets, ns = CQ_CASES[case]
+    inst = data.draw(instances(sets, ns))
+    result = pol_reduce(inst, target)
+    assert result is not None
+    assert csp_sat_value(result.instance) == csp_sat_value(inst)
+
+
+@PROPERTY
+@given(instances(relation_sets(), range(1, 5)))
+def test_l2_to_l3_transform_keeps_the_value(inst):
+    out, _ = l2_to_l3_transform(inst)
+    assert csp_sat_value(out) == csp_sat_value(inst)
+
+
+@PROPERTY
+@given(instances(relation_sets(), range(1, 6)))
+def test_negate_instance_keeps_the_value(inst):
+    assert csp_sat_value(csp.negate_instance(inst)) == csp_sat_value(inst)

@@ -1,11 +1,12 @@
 """A wrong circuit makes the bit-parallel checks of `verify` report the same
-witness as a per-mask loop over `evaluate_ref` does."""
+witness as a per-mask loop over `evaluate_ref` does, and a planted fault gives
+FAIL lines instead of ending the run."""
 
 import random
 
 import pytest
 
-from postlab import construct, verify
+from postlab import cli, construct, csp, graphlab, verify
 from postlab.circuit import AND, INPUT, OR, Circuit, evaluate_ref
 from postlab.csp import CspInstance, twosat_set, violation_masks
 from postlab.errors import BudgetExceededError
@@ -104,3 +105,70 @@ def test_oddfactor_chunk_reads_the_budget_once(monkeypatch):
     monkeypatch.setenv("POSTLAB_BUDGET", "oracle_edges=2")
     with pytest.raises(BudgetExceededError):
         verify._oddfactor_chunk((4, 0, 64))
+
+
+def test_a_check_that_raises_fails_every_name_of_its_group():
+    report = verify.SuiteReport("s")
+
+    def broken():
+        raise ValueError("bad input 7")
+
+    def over_budget():
+        raise BudgetExceededError("over")
+
+    verify._timed(report, ("a", "b"), broken)
+    verify._timed(report, "c", lambda: (True, "fine"))
+    assert [(c.name, c.passed, c.detail) for c in report.checks] == [
+        ("a", False, "raised ValueError: bad input 7"),
+        ("b", False, "raised ValueError: bad input 7"),
+        ("c", True, "fine"),
+    ]
+    assert report.checks[0].elapsed > 0 and report.checks[1].elapsed == 0  # one time per group
+    with pytest.raises(BudgetExceededError):
+        verify._timed(report, "d", over_budget)
+    assert len(report.checks) == 3
+
+
+def _reach_two_levels(adj, frontier):
+    """csp.reach stopped after two breadth-first levels."""
+    seen = frontier
+    for _ in range(2):
+        step = 0
+        while frontier:
+            low = frontier & -frontier
+            step |= adj[low.bit_length() - 1]
+            frontier ^= low
+        frontier = step & ~seen
+        seen |= frontier
+    return seen
+
+
+REACH_FAULT_FAILS = {
+    "oddfactor/claim-v4",
+    "oddfactor/claim-v5",
+    "oddfactor/claim-v6",
+    "oddfactor/isomorphism-invariance",
+    *(f"constructions/padding/oddfactor4-{check}" for check in (
+        "N6-embedding", "N6-monotone-chain", "N6-isomorphism", "N7-embedding", "N7-isomorphism"
+    )),
+    "reductions/bip-oddfactor-duality",
+    "dichotomy-consistency/solver-matches-oracle",
+}
+
+
+def test_a_planted_reach_fault_fails_its_checks_and_every_check_reports(monkeypatch, capsys):
+    monkeypatch.setattr(csp, "reach", _reach_two_levels)
+    monkeypatch.setattr(graphlab, "reach", _reach_two_levels)
+    checks = {f"{r.suite}/{c.name}": c for r in verify.run_suite("all", quick=True) for c in r.checks}
+    assert len(checks) == 46
+    assert {name for name, c in checks.items() if not c.passed} == REACH_FAULT_FAILS
+    # the odd-factor-4 property cannot be built, and each check that needs it says why
+    assert checks["constructions/padding/oddfactor4-N7-isomorphism"].detail.startswith(
+        "raised MonotonePreconditionError: not monotone"
+    )
+    assert cli.main(["verify", "all", "--quick"]) == 1
+    out, err = capsys.readouterr()
+    lines = out.splitlines()
+    assert len(lines) == 47 and lines[-1].startswith("35/46 checks passed")
+    assert sum(line.startswith("[FAIL]") for line in lines) == len(REACH_FAULT_FAILS)
+    assert err == "" and "Traceback" not in out
