@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import itertools
 import math
+import operator
 import random
 from dataclasses import dataclass
 from typing import Iterator, Sequence
@@ -21,6 +22,7 @@ from .circuit import (
     Builder,
     Circuit,
     evaluate,
+    input_pattern,
     monotone_violation,
     truth_tables,
 )
@@ -63,8 +65,8 @@ class LayeredBP:
                 if not (0 <= u < self.widths[t] and 0 <= v < self.widths[t + 1]):
                     raise ValueError(f"edge out of range in layer {t}")
                 if guard[0] == CONST_GUARD:
-                    if guard[1] not in (0, 1):
-                        raise ValueError("bad constant guard")
+                    if len(guard) != 2 or guard[1] not in (0, 1):
+                        raise ValueError(f'constant guard {list(guard)} is not ["const", 0|1]')
                 elif guard[0] == LIT_GUARD:
                     if len(guard) != 3 or not isinstance(guard[2], bool):
                         raise ValueError(
@@ -82,13 +84,6 @@ class LayeredBP:
     @property
     def length(self) -> int:
         return len(self.widths) - 1
-
-    def guard_value(self, guard: tuple, x: int) -> int:
-        if guard[0] == CONST_GUARD:
-            return guard[1]
-        _, var, positive = guard
-        bit = (x >> var) & 1
-        return bit if positive else 1 - bit
 
     def to_json(self) -> dict:
         return {
@@ -128,29 +123,24 @@ def _guard_from_json(guard) -> tuple:
     return (kind, json_int(value, what), *rest)
 
 
-def bp_paths_mod2(bp: LayeredBP, x: int) -> int:
-    """Parity of accepting paths on input x (enumeration oracle)."""
-    counts = [0] * bp.widths[0]
-    counts[bp.start] = 1
+def bp_truth_table(bp: LayeredBP, mode: str = PARITY) -> int:
+    """Truth table over all 2**n inputs: bit x is the parity of the accepting
+    paths on x (PARITY) or whether one exists (REACH).  The layer-by-layer
+    path count keeps one word per node, with one bit per input."""
+    combine = {PARITY: operator.xor, REACH: operator.or_}[mode]
+    full = (1 << (1 << bp.n)) - 1
+    holds = {(CONST_GUARD, 0): 0, (CONST_GUARD, 1): full}
+    for var in range(bp.n):
+        word = input_pattern(var, bp.n)
+        holds[LIT_GUARD, var, True], holds[LIT_GUARD, var, False] = word, full ^ word
+    words = [0] * bp.widths[0]
+    words[bp.start] = full
     for t, layer in enumerate(bp.edges):
         nxt = [0] * bp.widths[t + 1]
         for u, v, guard in layer:
-            if bp.guard_value(guard, x):
-                nxt[v] += counts[u]
-        counts = nxt
-    return counts[bp.accept] & 1
-
-
-def bp_reachable(bp: LayeredBP, x: int) -> int:
-    reach = [False] * bp.widths[0]
-    reach[bp.start] = True
-    for t, layer in enumerate(bp.edges):
-        nxt = [False] * bp.widths[t + 1]
-        for u, v, guard in layer:
-            if reach[u] and bp.guard_value(guard, x):
-                nxt[v] = True
-        reach = nxt
-    return int(reach[bp.accept])
+            nxt[v] = combine(nxt[v], words[u] & holds[guard])
+        words = nxt
+    return words[bp.accept]
 
 
 def checkpoint_circuit(bp: LayeredBP, d: int, mode: str = PARITY) -> Circuit:

@@ -1,6 +1,6 @@
 """Oracle-equivalence sweeps behind the `verify` CLI command and the
 acceptance suite.  Every check returns a replayable witness on failure, and a
-check that raises is a FAIL line whose detail names the exception."""
+check that raises is a FAIL line naming the exception and where it was raised."""
 
 from __future__ import annotations
 
@@ -70,11 +70,23 @@ class SuiteReport:
         return out
 
 
+def _raised_in(exc: Exception) -> str:
+    """" [in layer.function]" for the call through which the check entered the
+    innermost postlab module on exc's traceback, or "" if there is none."""
+    where, module, tb = "", None, exc.__traceback__.tb_next  # skip _timed
+    while tb:
+        name = tb.tb_frame.f_globals.get("__name__", "")
+        if name.startswith("postlab.") and name != module:
+            where = f" [in {name.removeprefix('postlab.')}.{tb.tb_frame.f_code.co_name}]"
+        module, tb = name, tb.tb_next
+    return where
+
+
 def _timed(report: SuiteReport, names: str | tuple[str, ...], fn) -> None:
     """Record one check, or the checks `names` that one sweep decides: fn()
     returns (passed, detail) for one name, or one such pair per name.  The
     elapsed time goes on the first name.  If fn raises, every name fails with
-    the exception as its detail; only a budget still ends the run."""
+    the exception and _raised_in(exc) as its detail; only a budget ends the run."""
     names = (names,) if isinstance(names, str) else names
     t0 = time.perf_counter()
     try:
@@ -82,7 +94,7 @@ def _timed(report: SuiteReport, names: str | tuple[str, ...], fn) -> None:
     except BudgetExceededError:
         raise
     except Exception as exc:
-        results = [(False, f"raised {type(exc).__name__}: {exc}")] * len(names)
+        results = [(False, f"raised {type(exc).__name__}: {exc}{_raised_in(exc)}")] * len(names)
     elapsed = time.perf_counter() - t0
     for i, (name, (passed, detail)) in enumerate(zip(names, results, strict=True)):
         report.checks.append(Check(name, passed, detail, 0.0 if i else elapsed))
@@ -169,19 +181,16 @@ def verify_checkpoint(seed: int = 0, bp_count: int = 200) -> SuiteReport:
         mismatches = []
         depth_bad = []
         for idx in range(bp_count):
-            n = rng.randrange(1, 9)
-            bp = construct.random_layered_bp(rng, n)
+            bp = construct.random_layered_bp(rng, rng.randrange(1, 9))
+            oracles = {mode: construct.bp_truth_table(bp, mode) for mode in (construct.PARITY, construct.REACH)}
             for d in (1, 2, 3):
-                for mode in (construct.PARITY, construct.REACH):
+                for mode, oracle in oracles.items():
                     c = construct.checkpoint_circuit(bp, d, mode)
                     if measures(c).depth != 2 * d:
                         depth_bad.append(f"bp#{idx} d={d} {mode}: depth {measures(c).depth}")
-                    table = truth_tables(c)[0]
-                    oracle = construct.bp_paths_mod2 if mode == construct.PARITY else construct.bp_reachable
-                    for x in range(1 << n):
-                        if ((table >> x) & 1) != oracle(bp, x):
-                            mismatches.append(f"bp#{idx} d={d} {mode} x={x:#x}")
-                            break
+                    diff = truth_tables(c)[0] ^ oracle
+                    if diff:
+                        mismatches.append(f"bp#{idx} d={d} {mode} x={(diff & -diff).bit_length() - 1:#x}")
         return (not mismatches, "; ".join(mismatches[:3])), (not depth_bad, "; ".join(depth_bad[:3]))
 
     _timed(report, ("oracle-equality", "depth-exactly-2d"), sweep)

@@ -287,6 +287,7 @@ MALFORMED = {
     "verify-negative-max-vertices": ["verify", "oddfactor", "--max-vertices", "-1"],
     "checkpoint-guard-polarity-string": ["emit", "checkpoint", "--bp", "{bp_lit_no}"],
     "checkpoint-guard-without-polarity": ["emit", "checkpoint", "--bp", "{bp_lit_short}"],
+    "checkpoint-const-guard-with-polarity": ["emit", "checkpoint", "--bp", "{bp_const_long}"],
     "pad-unknown-fanin-mode": ["pad", "--in", "{fanin_bogus}", "--extra", "1"],
     "pad-top-level-list": ["pad", "--in", "{top_list}", "--extra", "1"],
     "oracle-top-level-list": ["oracle", "csp-sat", "--in", "{top_list}"],
@@ -327,6 +328,7 @@ def test_malformed_input_exits_2(tmp_path, capsys, argv):
         "bip_mask_str": {"n": 2, "mask": "3"},
         "bp_lit_no": _edit(BP, ("edges", 0, 0, 2), ["lit", 3, "no"]),  # read as positive before
         "bp_lit_short": _edit(BP, ("edges", 0, 0, 2), ["lit", 3]),
+        "bp_const_long": _edit(BP, ("edges", 0, 0, 2), ["const", 1, True]),  # accepted before
         "fanin_bogus": _edit(CIRCUIT, ("fanin_mode",), "bogus"),  # padded and written back before
         "top_list": [1, 2],
     }

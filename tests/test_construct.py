@@ -24,8 +24,7 @@ from postlab.construct import (
     LayeredBP,
     PARITY,
     REACH,
-    bp_paths_mod2,
-    bp_reachable,
+    bp_truth_table,
     checkpoint_circuit,
     detect_fragment,
     emit_monotone_csp_circuit,
@@ -75,8 +74,8 @@ def test_parallel_paths_cancel_in_parity():
     )
     par = checkpoint_circuit(bp, 1, PARITY)
     reach = checkpoint_circuit(bp, 1, REACH)
-    assert truth_tables(par)[0] == 0  # two identical paths cancel mod 2
-    assert truth_tables(reach)[0] == 0b10
+    assert truth_tables(par)[0] == bp_truth_table(bp, PARITY) == 0  # two identical paths cancel mod 2
+    assert truth_tables(reach)[0] == bp_truth_table(bp, REACH) == 0b10
 
 
 @pytest.mark.parametrize("d", [1, 2, 3])
@@ -88,10 +87,36 @@ def test_checkpoint_random_bps(d, mode):
         bp = random_layered_bp(rng, n)
         c = checkpoint_circuit(bp, d, mode)
         assert measures(c).depth == 2 * d
-        table = truth_tables(c)[0]
-        oracle = bp_paths_mod2 if mode == PARITY else bp_reachable
-        for x in range(1 << n):
-            assert ((table >> x) & 1) == oracle(bp, x)
+        assert truth_tables(c)[0] == bp_truth_table(bp, mode)
+
+
+def _accepting_paths(bp, x):
+    """Number of start-accept paths of bp on input x, walked one by one."""
+    def holds(guard):
+        if guard[0] == "const":
+            return guard[1] == 1
+        _, var, positive = guard
+        return ((x >> var) & 1) == positive
+
+    def walk(t, u):
+        if t == bp.length:
+            return int(u == bp.accept)
+        return sum(walk(t + 1, v) for s, v, guard in bp.edges[t] if s == u and holds(guard))
+
+    return walk(0, bp.start)
+
+
+def test_bp_truth_table_matches_path_enumeration():
+    rng = random.Random(11)
+    guards = set()
+    for _ in range(60):
+        bp = random_layered_bp(rng, rng.randrange(1, 7))
+        guards |= {guard[0] if guard[0] == "const" else guard[2]
+                   for layer in bp.edges for _, _, guard in layer}
+        counts = [_accepting_paths(bp, x) for x in range(1 << bp.n)]
+        assert bp_truth_table(bp, PARITY) == sum((k & 1) << x for x, k in enumerate(counts))
+        assert bp_truth_table(bp, REACH) == sum((k > 0) << x for x, k in enumerate(counts))
+    assert guards == {"const", True, False}  # constants and both literal polarities
 
 
 def test_checkpoint_rejects_bad_args():
@@ -100,6 +125,8 @@ def test_checkpoint_rejects_bad_args():
         checkpoint_circuit(bp, 0)
     with pytest.raises(ValueError):
         checkpoint_circuit(bp, 2, "other")
+    with pytest.raises(KeyError):
+        bp_truth_table(bp, "other")
 
 
 def test_layered_bp_validation():

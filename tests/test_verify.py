@@ -95,6 +95,48 @@ def test_padding_witness_matches_the_per_permutation_loop(monkeypatch):
     assert len(set(expected)) > 1 and all(expected)
 
 
+def _accepts(bp, x, mode):
+    """The checkpoint oracle on one input, by walking every start-accept path."""
+    def walk(t, u):
+        if t == bp.length:
+            return int(u == bp.accept)
+        total = 0
+        for s, v, guard in bp.edges[t]:
+            if s == u and (guard[1] == 1 if guard[0] == "const" else ((x >> guard[1]) & 1) == guard[2]):
+                total += walk(t + 1, v)
+        return total
+
+    paths = walk(0, bp.start)
+    return paths & 1 if mode == construct.PARITY else int(paths > 0)
+
+
+def test_checkpoint_witness_matches_the_per_input_loop(monkeypatch):
+    real = construct.checkpoint_circuit
+
+    def broken(bp, d, mode=construct.PARITY):
+        c = real(bp, d, mode)
+        return _with_output(c, OR, 0, c.n - 1) if (d, mode) == (3, construct.REACH) else c
+
+    monkeypatch.setattr(construct, "checkpoint_circuit", broken)
+    seed, count = 4, 12
+    report = verify.verify_checkpoint(seed, count)
+
+    rng = random.Random(seed)
+    expected = []
+    for idx in range(count):
+        bp = construct.random_layered_bp(rng, rng.randrange(1, 9))
+        for d in (1, 2, 3):
+            for mode in (construct.PARITY, construct.REACH):
+                c = broken(bp, d, mode)
+                for x in range(1 << bp.n):
+                    if evaluate_ref(c, x) & 1 != _accepts(bp, x, mode):
+                        expected.append(f"bp#{idx} d={d} {mode} x={x:#x}")
+                        break
+    detail = {c.name: c.detail for c in report.checks}["oracle-equality"]
+    assert detail == "; ".join(expected[:3])
+    assert len({e.split("x=")[1] for e in expected[:3]}) > 1  # the witness differs per program
+
+
 def test_oddfactor_chunk_reads_the_budget_once(monkeypatch):
     reads = []
     real = verify.budgets
@@ -165,6 +207,9 @@ def test_a_planted_reach_fault_fails_its_checks_and_every_check_reports(monkeypa
     # the odd-factor-4 property cannot be built, and each check that needs it says why
     assert checks["constructions/padding/oddfactor4-N7-isomorphism"].detail.startswith(
         "raised MonotonePreconditionError: not monotone"
+    )
+    assert checks["constructions/padding/oddfactor4-N6-embedding"].detail.endswith(
+        " [in circuit.monotone_table_to_circuit]"
     )
     assert cli.main(["verify", "all", "--quick"]) == 1
     out, err = capsys.readouterr()
