@@ -20,7 +20,7 @@ from functools import lru_cache
 from typing import Callable, Iterable, Iterator, Sequence
 
 from .circuit import input_pattern, substitute
-from .config import Budgets, budgets
+from .config import budgets
 from .errors import BudgetExceededError, RelationParseError
 
 
@@ -230,15 +230,14 @@ def nand_relation(arity: int) -> Relation:
 
 # Preservation (polymorphism) test.
 
-def preserves(f: BoolFun, rel: Relation, budget: Budgets | None = None) -> bool:
+def preserves(f: BoolFun, rel: Relation) -> bool:
     """Whether f is a polymorphism of rel.
 
     Exhaustive over all |rel|**arity(f) choices of tuples (with repetition):
     applying f coordinatewise to every choice must land back in rel.
     """
-    b = budgets(budget)
     size = bin(rel.mask).count("1")
-    if size ** f.arity > b.preserves_combos:
+    if size ** f.arity > budgets().preserves_combos:
         raise BudgetExceededError(
             f"{size}**{f.arity} tuple choices exceed preserves budget"
         )
@@ -258,7 +257,7 @@ def violating_choice(f: BoolFun, rel: Relation) -> tuple[int, ...] | None:
 
 # Clone closure at bounded arity.
 
-def closure_up_to(basis: Iterable[BoolFun], a: int, budget: Budgets | None = None) -> list[BoolFun]:
+def closure_up_to(basis: Iterable[BoolFun], a: int) -> list[BoolFun]:
     """Least superset of basis plus projections of arity <= a, closed under
     composition with results of arity <= a.  Sorted, deterministic.
 
@@ -272,7 +271,7 @@ def closure_up_to(basis: Iterable[BoolFun], a: int, budget: Budgets | None = Non
     operand sits at position i goes through one bit-parallel `substitute`
     call, one tuple per lane.
     """
-    b = budgets(budget)
+    b = budgets()
     if a > b.a_max:
         raise BudgetExceededError(f"arity {a} above a_max={b.a_max}")
     gates = sorted(set((g.arity, g.table) for g in basis))
@@ -394,6 +393,8 @@ def relation_to_json(rel: Relation) -> dict:
 
 def relation_from_json(obj: dict) -> Relation:
     arity = json_int(obj["arity"], "relation arity")
+    if not 1 <= arity <= MAX_TEXT_ARITY:  # before Relation computes 1 << arity
+        raise RelationParseError(f"relation arity must be in 1..{MAX_TEXT_ARITY}, got {arity}")
     tuples = json_list(obj["tuples"], "relation tuples", "a list of bit strings")
     return Relation(arity, _tuple_mask(tuples, arity), obj.get("name", ""))
 

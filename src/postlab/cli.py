@@ -32,8 +32,6 @@ EXIT_CHECK_FAILED = 1
 EXIT_PARSE = 2
 EXIT_BUDGET = 3
 
-MAX_CLI_ARITY = 6
-
 
 class _CliError(Exception):
     def __init__(self, message: str, code: int):
@@ -45,13 +43,6 @@ def _sha256(path: Path) -> str:
     return hashlib.sha256(path.read_bytes()).hexdigest()
 
 
-def _check_arity(path: str, sset) -> None:
-    """Usage error for a relation wider than MAX_CLI_ARITY: the oracles and
-    the solvers enumerate 2**arity tuples."""
-    if any(rel.arity > MAX_CLI_ARITY for rel in sset):
-        raise _CliError(f"{path}: relation arity above {MAX_CLI_ARITY}", EXIT_PARSE)
-
-
 def _load_relation_set(path: str):
     p = Path(path)
     if p.suffix == ".json":
@@ -61,7 +52,6 @@ def _load_relation_set(path: str):
             sset = parse_relations(p.read_text(), name=p.stem)
         except (OSError, ValueError) as exc:
             raise _CliError(f"{path}: {exc}", EXIT_PARSE)
-    _check_arity(path, sset)
     if not sset.name:
         sset = type(sset)(sset.relations, p.stem)
     return sset
@@ -88,9 +78,7 @@ def _load_json(path: str, parse):
 
 
 def _load_instance(path: str) -> csp.CspInstance:
-    inst = _load_json(path, csp.CspInstance.from_json)
-    _check_arity(path, inst.sset)
-    return inst
+    return _load_json(path, csp.CspInstance.from_json)
 
 
 def _write_json(path: str | None, obj: dict) -> None:

@@ -35,7 +35,6 @@ from .boolfun import (
     relation_set_to_json,
     violating_choice,
 )
-from .config import Budgets
 from .errors import CatalogError, UnknownCloneError
 
 S00_FN = BoolFun.from_function(3, lambda x, y, z: x | (y & z), "x|(y&z)")
@@ -217,9 +216,7 @@ def _preserved_labels(rel: Relation) -> frozenset[str]:
     return frozenset(name for name in CATALOG if in_pol(name, rel))
 
 
-def clone_contained_in_pol(
-    label: str, sset: RelationSet, budget: Budgets | None = None
-) -> tuple[bool, list[dict]]:
+def clone_contained_in_pol(label: str, sset: RelationSet) -> tuple[bool, list[dict]]:
     """Whether the named clone is contained in Pol(sset), with witnesses.
 
     Every entry records one (basis function, relation) decision; a failed one
@@ -229,7 +226,7 @@ def clone_contained_in_pol(
     contained = True
     for f in descriptor(label).basis:
         for idx, rel in enumerate(sset):
-            ok = preserves(f, rel, budget)
+            ok = preserves(f, rel)
             entry = {
                 "function": {"name": f.name, "arity": f.arity, "table": f.table},
                 "relation": idx,
@@ -282,9 +279,7 @@ class Verdict:
         return out
 
 
-def classify(
-    sset: RelationSet, with_witnesses: bool = False, budget: Budgets | None = None
-) -> Verdict:
+def classify(sset: RelationSet, with_witnesses: bool = False) -> Verdict:
     """Dichotomy verdict from the decisive basis-preservation checks.
 
     Degenerate relations (empty or full) are flagged and set aside: full
@@ -315,7 +310,7 @@ def classify(
         witnesses = {}
         for label in sorted(CATALOG):
             contained, entries = clone_contained_in_pol(
-                label, RelationSet(tuple(working), sset.name), budget
+                label, RelationSet(tuple(working), sset.name)
             )
             witnesses[label] = {"contained": contained, "checks": entries}
     return Verdict(
@@ -337,7 +332,7 @@ class EqualitySearch:
     query: "object | None" = None  # reductions.CQDefinition on YES
 
 
-def can_express_equality(sset: RelationSet, budget: Budgets | None = None) -> EqualitySearch:
+def can_express_equality(sset: RelationSet) -> EqualitySearch:
     """Search for a conjunctive query over sset defining binary equality.
 
     Bounded by the budget's aux-variable and atom counts; incompleteness is
@@ -347,7 +342,7 @@ def can_express_equality(sset: RelationSet, budget: Budgets | None = None) -> Eq
     from .reductions import CQSearchOverflow, find_cq
 
     try:
-        query = find_cq(EQ2, sset, budget=budget)
+        query = find_cq(EQ2, sset)
     except CQSearchOverflow:
         return EqualitySearch("UNKNOWN")
     if query is None:
@@ -355,7 +350,7 @@ def can_express_equality(sset: RelationSet, budget: Budgets | None = None) -> Eq
     return EqualitySearch("YES", query)
 
 
-def hardness_consequences(verdict: Verdict, budget: Budgets | None = None) -> Verdict:
+def hardness_consequences(verdict: Verdict) -> Verdict:
     """Attach hardness labels implied by the dichotomy sides.
 
     Reporting only: a HARD depth side implies parity-L-hardness under AC0
@@ -374,7 +369,7 @@ def hardness_consequences(verdict: Verdict, budget: Budgets | None = None) -> Ve
         if not ({"S02", "S12"} & preserved):
             notes.append("L-hard under AC0 many-one reductions")
         else:
-            search = can_express_equality(verdict.relation_set, budget)
+            search = can_express_equality(verdict.relation_set)
             equality = search.result
             if search.result == "YES":
                 notes.append("L-hard under AC0 many-one reductions")

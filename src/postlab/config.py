@@ -51,16 +51,13 @@ def _from_env(base: Budgets) -> Budgets:
 _env_default: tuple[str, Budgets] | None = None  # (POSTLAB_BUDGET, parsed)
 
 
-def budgets(override: Budgets | None = None) -> Budgets:
-    """Return the effective budget set: override, else the defaults with
-    POSTLAB_BUDGET applied.
+def budgets() -> Budgets:
+    """Return the effective budget set: the defaults with POSTLAB_BUDGET applied.
 
     The variable is parsed on first use and again whenever it changes, so a
     malformed value raises BudgetConfigError here, never at import.
     """
     global _env_default
-    if override is not None:
-        return override
     raw = os.environ.get("POSTLAB_BUDGET", "")
     if _env_default is None or _env_default[0] != raw:
         _env_default = (raw, _from_env(Budgets()))

@@ -26,7 +26,7 @@ from .circuit import (
     monotone_violation,
     truth_tables,
 )
-from .config import Budgets, budgets
+from .config import budgets
 from .csp import TRACTABLE, CspInstance, clause_table, first_clone, or_fragment_side
 from .errors import BudgetExceededError, FragmentMismatchError
 from .graphlab import pair_index
@@ -306,9 +306,7 @@ def capped_counter(b: Builder, bits: Sequence[int], cap: int) -> list[int]:
     return counts + [b.const(0) for _ in range(cap - len(counts))]
 
 
-def threshold_circuit(
-    k: int, n: int, mode: str = LOGDEPTH, budget: Budgets | None = None
-) -> Circuit:
+def threshold_circuit(k: int, n: int, mode: str = LOGDEPTH) -> Circuit:
     """Monotone circuit for THR_{k,n}(x) = 1 iff weight(x) >= k.
 
     LOGDEPTH: fan-in-two pairwise-merge counting network (depth about
@@ -326,13 +324,12 @@ def threshold_circuit(
         return b.build([sorted_bits[k - 1]])
     if mode != FLAT:
         raise ValueError(f"unknown mode {mode!r}")
-    bud = budgets(budget)
     b = Builder(n, UNBOUNDED)
     if k == 0:
         return b.build([b.const(1)])
     if k == n + 1:
         return b.build([b.const(0)])
-    if math.comb(n, k) > bud.flat_threshold_terms:
+    if math.comb(n, k) > budgets().flat_threshold_terms:
         raise BudgetExceededError(f"C({n},{k}) terms exceed the flat threshold budget")
     ins = [b.input(i) for i in range(n)]
     terms = [b.and_([ins[i] for i in subset]) for subset in itertools.combinations(range(n), k)]

@@ -37,7 +37,7 @@ from .boolfun import (
     solution_table,
 )
 from .clone_lattice import in_pol
-from .config import Budgets, budgets
+from .config import budgets
 from .errors import BudgetExceededError, FragmentMismatchError, RelationParseError
 
 
@@ -199,11 +199,11 @@ def violation_masks(inst: CspInstance) -> list[int]:
     return masks
 
 
-def satisfiable_brute(inst: CspInstance, budget: Budgets | None = None) -> bool:
-    b = budgets(budget)
-    if inst.n > b.brute_force_vars:
+def satisfiable_brute(inst: CspInstance) -> bool:
+    limit = budgets().brute_force_vars
+    if inst.n > limit:
         raise BudgetExceededError(
-            f"n={inst.n} above brute-force budget {b.brute_force_vars}; "
+            f"n={inst.n} above brute-force budget {limit}; "
             "use a fragment solver"
         )
     if inst.n <= _VIOL_FAST_VARS:
@@ -216,9 +216,9 @@ def satisfiable_brute(inst: CspInstance, budget: Budgets | None = None) -> bool:
     return True
 
 
-def csp_sat_value(inst: CspInstance, budget: Budgets | None = None) -> bool:
+def csp_sat_value(inst: CspInstance) -> bool:
     """The monotone function CSP-SAT: accept iff the instance is unsatisfiable."""
-    return not satisfiable_brute(inst, budget)
+    return not satisfiable_brute(inst)
 
 
 # Linear systems over GF(2).

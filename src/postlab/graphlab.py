@@ -208,9 +208,10 @@ def odd_factor_oracle(g: Graph, budget: Budgets | None = None) -> bool:
     vectors achievable by the subsets considered so far (as a bitmask over
     all 2**v parity vectors); an odd factor exists iff the all-ones vector is
     achievable.  Independent of both the component-parity decider and
-    Gaussian elimination.
+    Gaussian elimination.  `budget` is a budgets() snapshot for a sweep that
+    reads POSTLAB_BUDGET once per chunk of graphs instead of once per graph.
     """
-    b = budgets(budget)
+    b = budget or budgets()
     edges = g.mask.bit_count()
     if edges > b.oracle_edges:
         raise BudgetExceededError(f"{edges} edges above oracle budget")

@@ -13,7 +13,7 @@ from __future__ import annotations
 import itertools
 from dataclasses import dataclass, replace
 from .boolfun import EQ2, Relation, RelationSet, solution_table
-from .config import Budgets, budgets
+from .config import budgets
 from .csp import CspInstance, solve_xor, xor_system_to_instance
 from .errors import BudgetExceededError, FragmentMismatchError
 from .graphlab import BipGraph, tseitin_system
@@ -170,9 +170,7 @@ class CQSearchOverflow(BudgetExceededError):
     """The bounded conjunctive-query search ran out of its state budget."""
 
 
-def find_cq(
-    target: Relation, over: RelationSet, budget: Budgets | None = None
-) -> CQDefinition | None:
+def find_cq(target: Relation, over: RelationSet) -> CQDefinition | None:
     """Exhaustive bounded search for a conjunctive query defining target.
 
     Tries auxiliary-variable counts in increasing order; within one count,
@@ -180,7 +178,7 @@ def find_cq(
     Returns None when the bounded space holds no definition; raises
     CQSearchOverflow when the state budget is exhausted.
     """
-    b = budgets(budget)
+    b = budgets()
     k = target.arity
     for aux in range(b.cq_aux_vars + 1):
         v = k + aux
@@ -277,9 +275,7 @@ class PolReduction:
     or_stage: BitReduction
 
 
-def pol_reduce(
-    inst: CspInstance, target_set: RelationSet, budget: Budgets | None = None
-) -> PolReduction | None:
+def pol_reduce(inst: CspInstance, target_set: RelationSet) -> PolReduction | None:
     """Reduce an instance to one over target_set via conjunctive queries over
     target_set + {=} followed by equality elimination.
 
@@ -290,7 +286,7 @@ def pol_reduce(
     with_eq = RelationSet(target_set.relations + (EQ2,), target_set.name)
     defs: dict[int, CQDefinition] = {}
     for r, rel in enumerate(inst.sset):
-        d = find_cq(rel, with_eq, budget)
+        d = find_cq(rel, with_eq)
         if d is None:
             return None
         defs[r] = d

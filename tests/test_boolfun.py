@@ -14,6 +14,7 @@ from postlab.boolfun import (
     EQ2,
     IMP2,
     MAJ3,
+    MAX_TEXT_ARITY,
     OR2,
     UNIT_FALSE,
     UNIT_TRUE,
@@ -32,6 +33,7 @@ from postlab.boolfun import (
     parity_relation,
     parse_relations,
     preserves,
+    relation_from_json,
     relation_set_from_json,
     relation_set_to_json,
     violating_choice,
@@ -237,38 +239,41 @@ def _closure_loop(basis, a, closure_steps=Budgets().closure_steps):
     return sorted(out), steps
 
 
-def test_catalog_closures_match_the_loop_and_its_step_count():
+def test_catalog_closures_match_the_loop_and_its_step_count(monkeypatch):
     smallest = {}
     for name, desc in CATALOG.items():
         for a in (1, 2, 3):
             expected, steps = _closure_loop(desc.basis, a)
             assert closure_up_to(desc.basis, a) == expected, (name, a)
         # the loop's count is the smallest closure_steps that lets a = 3 pass
-        assert closure_up_to(desc.basis, 3, Budgets(closure_steps=steps)) == expected
+        monkeypatch.setenv("POSTLAB_BUDGET", f"closure_steps={steps}")
+        assert closure_up_to(desc.basis, 3) == expected
         if steps:  # the empty basis composes nothing
+            monkeypatch.setenv("POSTLAB_BUDGET", f"closure_steps={steps - 1}")
             with pytest.raises(BudgetExceededError):
-                closure_up_to(desc.basis, 3, Budgets(closure_steps=steps - 1))
+                closure_up_to(desc.basis, 3)
+        monkeypatch.delenv("POSTLAB_BUDGET")
         smallest[name] = steps
     assert {n: smallest[n] for n in ("D", "S02", "M2", "L3")} == {
         "D": 4168, "S02": 6887, "M2": 682, "L3": 598
     }
 
 
-def test_random_closures_match_the_loop():
+def test_random_closures_match_the_loop(monkeypatch):
     rng = random.Random(14)
-    budget = Budgets(closure_steps=20_000)
+    monkeypatch.setenv("POSTLAB_BUDGET", "closure_steps=20000")
     raised = 0
     for _ in range(40):
         arities = [rng.randint(0, 3) for _ in range(rng.randint(0, 3))]
         basis = [BoolFun(ar, rng.randrange(1 << (1 << ar))) for ar in arities]
         try:
-            expected = _closure_loop(basis, 3, budget.closure_steps)[0]
+            expected = _closure_loop(basis, 3, 20_000)[0]
         except BudgetExceededError:
             raised += 1
             with pytest.raises(BudgetExceededError):
-                closure_up_to(basis, 3, budget)
+                closure_up_to(basis, 3)
             continue
-        assert closure_up_to(basis, 3, budget) == expected, basis
+        assert closure_up_to(basis, 3) == expected, basis
     assert 0 < raised < 40
 
 
@@ -343,6 +348,16 @@ def test_relation_text_errors():
         parse_relations("rel bad 9 : 000000000")
     with pytest.raises(RelationParseError):
         parse_relations("rel bad 2 : 021")
+
+
+def test_relation_json_shares_the_text_arity_cap():
+    from postlab.errors import RelationParseError
+
+    # refused before Relation computes 1 << arity, an arity-bit integer
+    for arity in (0, 7, 2 * 10**8):
+        with pytest.raises(RelationParseError, match=f"arity must be in 1..6, got {arity}"):
+            relation_from_json({"arity": arity, "tuples": []})
+    assert relation_from_json({"arity": MAX_TEXT_ARITY, "tuples": []}).arity == MAX_TEXT_ARITY
 
 
 def test_relation_hashes_ignore_names():

@@ -8,10 +8,18 @@ from pathlib import Path
 import pytest
 
 from postlab import graphlab, verify
+from postlab.boolfun import EQ2, UNIT_FALSE, UNIT_TRUE, RelationSet
 from postlab.circuit import Circuit
 from postlab.cli import main
-from postlab.construct import random_layered_bp, threshold_circuit
-from postlab.csp import CspInstance, hornt_set, random_instance, xor3_set, xor_system_to_instance
+from postlab.construct import induced_subgraph_circuit, random_layered_bp, threshold_circuit
+from postlab.csp import (
+    CspInstance,
+    csp_sat_value,
+    hornt_set,
+    random_instance,
+    xor3_set,
+    xor_system_to_instance,
+)
 from postlab.graphlab import Graph, tseitin_system
 
 DATA = Path(__file__).parent / "data"
@@ -101,6 +109,47 @@ def test_reduce_eliminate_eq(tmp_path, capsys):
     assert all(r.name != "eq" for r in out.sset)
     # round trip through JSON is exact
     assert CspInstance.from_json(out.to_json()) == out
+
+
+@pytest.mark.parametrize("op", ["negate", "l2-to-l3", "cq-rewrite", "pol-reduce"])
+def test_reduce_keeps_the_csp_sat_value(tmp_path, capsys, op):
+    # x0 = x1 = x2 and x0 = 1, without and with x2 = 0: SAT, then UNSAT
+    eq_tf = RelationSet((EQ2, UNIT_TRUE, UNIT_FALSE), "eq_tf")
+    sat = CspInstance(eq_tf, 3).with_constraint(0, (0, 1)).with_constraint(0, (1, 2))
+    sat = sat.with_constraint(1, (0,))
+    target = tmp_path / "imp_tf.rels"
+    target.write_text("rel imp 2 : 00 01 11\nrel T 1 : 1\nrel F 1 : 0\n")
+    for inst in (sat, sat.with_constraint(2, (2,))):
+        src, dst = tmp_path / "in.json", tmp_path / "out.json"
+        src.write_text(json.dumps(inst.to_json()))
+        argv = ["reduce", op, "--in", str(src), "--out", str(dst)]
+        if op in ("cq-rewrite", "pol-reduce"):
+            argv += ["--target", str(target)]
+        code, _, err = run(capsys, *argv)
+        assert code == 0, err
+        payload = json.loads(dst.read_text())
+        out = CspInstance.from_json(payload if op == "negate" else payload["instance"])
+        assert csp_sat_value(out) == csp_sat_value(inst)
+
+
+def test_emit_induced_writes_the_library_circuit(capsys):
+    code, out, _ = run(capsys, "emit", "induced", "--n", "4", "--k", "2")
+    assert code == 0
+    assert json.loads(out) == json.loads(json.dumps(induced_subgraph_circuit(4, 2).to_json()))
+
+
+def test_solve_auto_picks_the_horn_solver_for_hornt(tmp_path, capsys):
+    path = tmp_path / "hornt.json"
+    path.write_text(json.dumps(random_instance(hornt_set(), 3, 0.2, random.Random(0)).to_json()))
+    code, out, _ = run(capsys, "solve", "auto", "--in", str(path))
+    assert code == 0 and out.split()[1] == "solver=horn(E2)"
+
+
+def test_emit_csp_forced_horn_on_a_non_horn_set_exits_3(capsys):
+    code, _, err = run(
+        capsys, "emit", "csp", "--set", str(DATA / "or2.rels"), "--n", "2", "--fragment", "horn"
+    )
+    assert code == 3 and "clause has more than one positive literal" in err
 
 
 def test_emit_checkpoint_depth(tmp_path, capsys):

@@ -10,6 +10,7 @@ from postlab.boolfun import (
     EQ2,
     IMP2,
     UNIT_FALSE,
+    UNIT_TRUE,
     Relation,
     RelationSet,
     nand_relation,
@@ -30,7 +31,6 @@ from postlab.clone_lattice import (
     in_pol,
     validate_catalog,
 )
-from postlab.config import Budgets
 from postlab.csp import ahornt_set, hornt_set, xor3_set
 from postlab.errors import UnknownCloneError
 
@@ -210,9 +210,23 @@ def test_hardness_annotations():
     assert t.hardness_notes == ()
 
 
-def test_equality_search_overflow_is_unknown():
+def test_equality_query_found_is_l_hard():
+    v = hardness_consequences(classify(RelationSet((EQ2, UNIT_TRUE, UNIT_FALSE))))
+    assert v.equality == "YES"
+    assert v.hardness_notes == ("L-hard under AC0 many-one reductions",)
+    assert v.equality_query["atoms"] == [[0, [0, 1]]]  # eq(x0, x1) itself
+
+
+def test_no_equality_query_is_a_depth3_candidate():
+    v = hardness_consequences(classify(RelationSet((or_relation(2), UNIT_FALSE), "or2_f")))
+    assert v.equality == "NO_WITHIN_BOUNDS" and v.equality_query is None
+    assert v.hardness_notes == ("no equality query within bounds; depth-3 monotone AC0 candidate",)
+
+
+def test_equality_search_overflow_is_unknown(monkeypatch):
     sset = RelationSet((or_relation(2), UNIT_FALSE), "or2_f")
-    v = hardness_consequences(classify(sset), Budgets(cq_states=3))
+    monkeypatch.setenv("POSTLAB_BUDGET", "cq_states=3")
+    v = hardness_consequences(classify(sset))
     assert v.equality == "UNKNOWN"
     assert v.hardness_notes == ("equality expressibility undecided at budget",)
 

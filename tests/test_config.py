@@ -25,10 +25,9 @@ def test_env_rejects_unknown_field(monkeypatch):
         _from_env(Budgets())
 
 
-def test_budgets_passthrough():
-    custom = Budgets(a_max=3)
-    assert budgets(custom) is custom
-    assert budgets(None).a_max == 4
+def test_budgets_passthrough(monkeypatch):
+    monkeypatch.delenv("POSTLAB_BUDGET", raising=False)
+    assert budgets().a_max == 4
 
 
 @pytest.mark.parametrize("raw,field", [("bogus=1", "'bogus'"), ("cq_states=x", "'cq_states'")])
