@@ -231,8 +231,9 @@ class XorSystem:
     rows: tuple[tuple[int, int], ...]
 
 
-def gf2_satisfiable(rows) -> bool:
-    pivots: dict[int, tuple[int, int]] = {}
+def gf2_reduce(pivots: dict[int, tuple[int, int]], rows) -> bool:
+    """Add rows (variable mask, rhs bit) to the echelon basis pivots (top bit
+    -> row), in place; False as soon as a row reduces to 0 = 1."""
     for mask, rhs in rows:
         m, b = mask, rhs
         while m:
@@ -248,6 +249,10 @@ def gf2_satisfiable(rows) -> bool:
             if b:
                 return False
     return True
+
+
+def gf2_satisfiable(rows) -> bool:
+    return gf2_reduce({}, rows)
 
 
 @lru_cache(maxsize=512)

@@ -14,7 +14,7 @@ import itertools
 from dataclasses import dataclass, replace
 from .boolfun import EQ2, Relation, RelationSet, solution_table
 from .config import budgets
-from .csp import CspInstance, solve_xor, xor_system_to_instance
+from .csp import CspInstance, gf2_reduce, instance_to_xor_system, xor_system_to_instance
 from .errors import BudgetExceededError, FragmentMismatchError
 from .graphlab import BipGraph, tseitin_system
 
@@ -337,6 +337,11 @@ class BipOddFactorReduction:
     instance holds the system (alpha) of the matrix the reduction was built
     from: bit j is set iff the j-th 3-XOR application participates.  beta is
     the complement vector as a monotone projection of M.
+
+    always_pivots is the echelon basis of the Tseitin rows of K_{n,n},
+    reduced once per reduction.  Those rows are consistent, because K_{n,n}
+    has a perfect matching (an odd factor), so every matrix's system is that
+    basis plus the zeroing rows of its missing cells.
     """
 
     instance: CspInstance
@@ -344,9 +349,11 @@ class BipOddFactorReduction:
     n: int
     always_bits: int  # mask of the Tseitin applications of K_{n,n}, present for every M
     always_positions: tuple[int, ...]  # the set bits of always_bits, ascending
+    always_pivots: tuple[tuple[int, tuple[int, int]], ...]  # (top bit, row) pairs
     # per matrix row i and per pattern of its n cells: (the mask of the
-    # zeroing applications of the row's missing cells, their bits ascending)
-    row_tables: tuple[tuple[tuple[int, tuple[int, ...]], ...], ...]
+    # zeroing applications of the row's missing cells, their bits ascending,
+    # their parity rows)
+    row_tables: tuple[tuple[tuple[int, tuple[int, ...], tuple[tuple[int, int], ...]], ...], ...]
 
     def alpha_bits(self, graph_mask: int) -> int:
         n, full, missing = self.n, (1 << self.n) - 1, 0
@@ -366,8 +373,12 @@ class BipOddFactorReduction:
     def dual_of_xorsat(self, graph_mask: int) -> bool:
         """dual(XOR-SAT) evaluated at beta(M): since XOR-SAT accepts the
         unsatisfiable systems and alpha = not beta, this is satisfiability
-        of the alpha system."""
-        return solve_xor(self.instance_for(graph_mask))
+        of the alpha system, decided by reducing the zeroing rows of M's
+        missing cells against a copy of always_pivots."""
+        n, full, rows = self.n, (1 << self.n) - 1, []
+        for i, table in enumerate(self.row_tables):
+            rows += table[(graph_mask >> i * n) & full][2]
+        return gf2_reduce(dict(self.always_pivots), rows)
 
 
 def bip_oddfactor_to_xorsat(graph: BipGraph) -> BipOddFactorReduction:
@@ -399,12 +410,23 @@ def bip_oddfactor_to_xorsat(graph: BipGraph) -> BipOddFactorReduction:
     for cell, bit in enumerate(cell_bits):
         beta_defs[bit] = (PROJ, cell)
     beta = BitReduction(n * n, full.size, tuple(beta_defs))
+
+    def parity_rows(positions: tuple[int, ...]) -> tuple[int, tuple[tuple[int, int], ...]]:
+        bits = sum(1 << bit for bit in positions)
+        inst = CspInstance(full.sset, full.n, bits, known_set_bits=positions)
+        return bits, instance_to_xor_system(inst).rows
+
+    pivots: dict[int, tuple[int, int]] = {}
+    gf2_reduce(pivots, parity_rows(always)[1])
     row_tables = []
     for i in range(n):
         table = []
         for pattern in range(1 << n):
             missing = tuple(cell_bits[i * n + j] for j in range(n) if not (pattern >> j) & 1)
-            table.append((sum(1 << bit for bit in missing), missing))
+            bits, rows = parity_rows(missing)
+            table.append((bits, missing, rows))
         row_tables.append(tuple(table))
-    layout = BipOddFactorReduction(full, beta, n, full.bits, always, tuple(row_tables))
+    layout = BipOddFactorReduction(
+        full, beta, n, full.bits, always, tuple(pivots.items()), tuple(row_tables)
+    )
     return replace(layout, instance=layout.instance_for(graph.mask))

@@ -508,12 +508,16 @@ def suite_reductions(seed: int = 0, instances: int = 500, quick: bool = False) -
     run_op("negate-relations", pair_negate)
 
     def bip():
+        # every 17th matrix is also solved through its CspInstance, so the
+        # instance path keeps agreeing with the basis that dual_of_xorsat extends
         n = 3 if quick else 4
         red = reductions.bip_oddfactor_to_xorsat(graphlab.BipGraph(n, 0))
         for mask in range(1 << (n * n)):
             want = graphlab.bip_odd_factor(graphlab.BipGraph(n, mask))
             if red.dual_of_xorsat(mask) != want:
                 return False, f"matrix {mask:#x}"
+            if mask % 17 == 0 and solve_xor(red.instance_for(mask)) != want:
+                return False, f"matrix {mask:#x} (instance path)"
         if not red.beta.is_projection_only:
             return False, "beta is not a projection"
         return True, f"all 2^{n * n} matrices"

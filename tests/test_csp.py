@@ -168,6 +168,28 @@ def test_solve_xor_examples():
     assert solve_xor(XorSystem(3, ((0b111, 1),))) is True
 
 
+def test_gf2_reduce_extends_a_basis():
+    # reducing rows[:k] into a basis and then rows[k:] into a copy of it gives
+    # the verdict of the whole system, at every cut k
+    rng = random.Random(20)
+    verdicts, inconsistent_prefixes = set(), 0
+    for _ in range(300):
+        nvars = rng.randint(1, 6)
+        rows = [(rng.getrandbits(nvars), rng.getrandbits(1)) for _ in range(rng.randint(0, 8))]
+        whole = csp.gf2_satisfiable(rows)
+        verdicts.add(whole)
+        for k in range(len(rows) + 1):
+            pivots: dict[int, tuple[int, int]] = {}
+            if not csp.gf2_reduce(pivots, rows[:k]):
+                assert whole is False  # an inconsistent prefix
+                inconsistent_prefixes += 1
+                continue
+            assert csp.gf2_reduce(dict(pivots), rows[k:]) == whole, (rows, k)
+    assert verdicts == {True, False} and inconsistent_prefixes > 0
+    assert csp.gf2_reduce({}, [(0, 1)]) is False
+    assert csp.gf2_reduce({0: (1, 1)}, [(1, 0)]) is False
+
+
 def test_solve_xor_rejects_non_affine():
     inst = CspInstance(RelationSet((or_relation(2),), "or2"), 2, 1)
     with pytest.raises(FragmentMismatchError):

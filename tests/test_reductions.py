@@ -239,6 +239,46 @@ def test_solving_instance_for_never_walks_its_mask(monkeypatch):
     assert walked == []
 
 
+def test_dual_of_xorsat_equals_the_instance_path():
+    for n, step in ((1, 1), (2, 1), (3, 1), (4, 17)):
+        red = bip_oddfactor_to_xorsat(BipGraph(n, 0))
+        basis = dict(red.always_pivots)
+        for mask in range(0, 1 << (n * n), step):
+            assert red.dual_of_xorsat(mask) == csp.solve_xor(red.instance_for(mask)), (n, mask)
+        # no call keeps rows in the basis: the diagonal and the antidiagonal
+        # each have a perfect matching, but their zeroing rows together do not
+        full = (1 << n * n) - 1
+        eye = sum(1 << (i * n + i) for i in range(n))
+        anti = sum(1 << (i * n + n - 1 - i) for i in range(n))
+        got = [red.dual_of_xorsat(m) for m in (0, full, 0, eye, anti)]
+        assert got == [False, True, False, True, True]
+        assert dict(red.always_pivots) == basis
+
+
+@pytest.mark.parametrize("n, rank", [(1, 1), (2, 7), (3, 17), (4, 31)])
+def test_always_rows_reduce_to_a_consistent_basis(n, rank):
+    # K_{n,n} has a perfect matching, so its Tseitin rows are consistent, and
+    # the stored basis has one pivot per unit of their rank
+    red = bip_oddfactor_to_xorsat(BipGraph(n, 0))
+    always = CspInstance(red.instance.sset, red.instance.n, red.always_bits)
+    rows = csp.instance_to_xor_system(always).rows
+    pivots: dict[int, tuple[int, int]] = {}
+    assert csp.gf2_reduce(pivots, rows) is True
+    assert dict(red.always_pivots) == pivots
+    assert len(pivots) == rank == _gf2_rank([mask for mask, _ in rows])
+
+
+def _gf2_rank(masks: list[int]) -> int:
+    rank = 0
+    for bit in reversed(range(max(masks).bit_length())):
+        pivot = next((m for m in masks if (m >> bit) & 1), None)
+        if pivot is None:
+            continue
+        masks = [m ^ pivot if (m >> bit) & 1 else m for m in masks if m != pivot]
+        rank += 1
+    return rank
+
+
 def test_bip_beta_projection_values():
     n = 2
     red = bip_oddfactor_to_xorsat(BipGraph(n, 0))
