@@ -247,6 +247,8 @@ class Builder:
     """
 
     def __init__(self, n: int, fanin_mode: str = UNBOUNDED):
+        if fanin_mode not in (BOUNDED2, UNBOUNDED):
+            raise ValueError(f"unknown fanin_mode {fanin_mode!r}")
         self.n = n
         self.fanin_mode = fanin_mode
         self.gates: list[tuple[str, tuple[int, ...]]] = []

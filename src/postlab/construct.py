@@ -13,7 +13,7 @@ import math
 import operator
 import random
 from dataclasses import dataclass
-from typing import Iterator, Sequence
+from typing import Sequence
 
 from .boolfun import RelationSet, json_int, json_list, negate_relations
 from .circuit import (
@@ -259,13 +259,45 @@ LOGDEPTH = "logdepth"
 FLAT = "flat"
 
 
-def _merge_sorted(b: Builder, left: list[int], right: list[int]) -> list[int]:
+def _at_least(b: Builder, bits: Sequence[int], t: int, blocks: dict | None = None) -> int:
+    """Gate computing (number of set bits >= t), shaped by b's fan-in mode.
+
+    UNBOUNDED: the OR, over the t-subsets of bits, of their AND (depth 2).
+    BOUNDED2: a tree of counting merges, each cut off at t (depth at most
+    ceil(log2 len) * (1 + ceil(log2 (t + 1)))).  The tree splits at the
+    largest power of two below len(bits), so the prefixes of one list share
+    their blocks; a caller that counts several prefixes passes one blocks
+    dict for its build, and asks for its largest t first.
+    """
+    if t <= 0:
+        return b.const(1)
+    if t > len(bits):
+        return b.const(0)
+    if b.fanin_mode == UNBOUNDED:
+        if math.comb(len(bits), t) > budgets().flat_threshold_terms:
+            raise BudgetExceededError(f"C({len(bits)},{t}) terms exceed the flat threshold budget")
+        return b.or_([b.and_(subset) for subset in itertools.combinations(bits, t)])
+    return _sorted_unary(b, {} if blocks is None else blocks, tuple(bits), t)[t - 1]
+
+
+def _sorted_unary(b: Builder, blocks: dict, bits: tuple[int, ...], cap: int) -> list[int]:
+    """bits sorted descending and cut off at cap: entry s - 1 computes
+    (count >= s) for s <= min(len(bits), cap).  blocks maps bits to the
+    longest list built so far; its first cap entries are the same gates."""
+    if len(bits) <= 1:
+        return list(bits)
+    got = blocks.get(bits)
+    if got is not None and len(got) >= min(len(bits), cap):
+        return got
+    mid = 1 << ((len(bits) - 1).bit_length() - 1)
+    left = _sorted_unary(b, blocks, bits[:mid], cap)
+    right = _sorted_unary(b, blocks, bits[mid:], cap)
     la, lb = len(left), len(right)
     out = []
-    for t in range(1, la + lb + 1):
+    for s in range(1, min(la + lb, cap) + 1):
         terms = []
-        for i in range(max(0, t - lb), min(la, t) + 1):
-            j = t - i
+        for i in range(max(0, s - lb), min(la, s) + 1):
+            j = s - i
             if i == 0:
                 terms.append(right[j - 1])
             elif j == 0:
@@ -273,76 +305,27 @@ def _merge_sorted(b: Builder, left: list[int], right: list[int]) -> list[int]:
             else:
                 terms.append(b.and_([left[i - 1], right[j - 1]]))
         out.append(b.or_(terms))
+    blocks[bits] = out
     return out
-
-
-def _sorted_unary(b: Builder, bits: list[int]) -> list[int]:
-    """bits sorted descending: entry t-1 computes (count >= t).  Pairwise
-    merge tree of counting merges, AND/OR only."""
-    if len(bits) <= 1:
-        return list(bits)
-    mid = len(bits) // 2
-    return _merge_sorted(b, _sorted_unary(b, bits[:mid]), _sorted_unary(b, bits[mid:]))
-
-
-def _unary_counts(b: Builder, bits: Sequence[int], cap: int) -> Iterator[list[int]]:
-    """Incremental unary counter: after each bit, the counts so far, entry
-    t-1 computing (count >= t) for t <= cap and t <= bits read."""
-    counts: list[int] = []
-    for x in bits:
-        new = []
-        for t in range(min(len(counts) + 1, cap)):
-            carry = b.and_([counts[t - 1], x]) if t >= 1 else x
-            new.append(b.or_([counts[t], carry]) if t < len(counts) else carry)
-        counts = new
-        yield counts
-
-
-def capped_counter(b: Builder, bits: Sequence[int], cap: int) -> list[int]:
-    """Unary counter over all of bits: entry t-1 computes (count >= t), t <= cap."""
-    counts: list[int] = []
-    for counts in _unary_counts(b, bits, cap):
-        pass
-    return counts + [b.const(0) for _ in range(cap - len(counts))]
 
 
 def threshold_circuit(k: int, n: int, mode: str = LOGDEPTH) -> Circuit:
     """Monotone circuit for THR_{k,n}(x) = 1 iff weight(x) >= k.
 
-    LOGDEPTH: fan-in-two pairwise-merge counting network (depth about
-    log^2 n at this scale).  FLAT: unbounded fan-in OR over all k-subsets.
+    LOGDEPTH: fan-in-two tree of counting merges (depth about log^2 n at
+    this scale).  FLAT: unbounded fan-in OR over all k-subsets.
     """
     if not 0 <= k <= n + 1:
         raise ValueError("k out of range")
-    if mode == LOGDEPTH:
-        b = Builder(n, BOUNDED2)
-        if k == 0:
-            return b.build([b.const(1)])
-        if k == n + 1:
-            return b.build([b.const(0)])
-        sorted_bits = _sorted_unary(b, [b.input(i) for i in range(n)])
-        return b.build([sorted_bits[k - 1]])
-    if mode != FLAT:
+    if mode not in (LOGDEPTH, FLAT):
         raise ValueError(f"unknown mode {mode!r}")
-    b = Builder(n, UNBOUNDED)
-    if k == 0:
-        return b.build([b.const(1)])
-    if k == n + 1:
-        return b.build([b.const(0)])
-    if math.comb(n, k) > budgets().flat_threshold_terms:
-        raise BudgetExceededError(f"C({n},{k}) terms exceed the flat threshold budget")
-    ins = [b.input(i) for i in range(n)]
-    terms = [b.and_([ins[i] for i in subset]) for subset in itertools.combinations(range(n), k)]
-    return b.build([b.or_(terms)])
+    b = Builder(n, BOUNDED2 if mode == LOGDEPTH else UNBOUNDED)
+    return b.build([_at_least(b, [b.input(i) for i in range(n)], k)])
 
 
 # Induced subgraph extraction.
 
-NC1 = "nc1"
-AC0 = "ac0"
-
-
-def induced_subgraph_circuit(n: int, k: int, profile: str = NC1) -> Circuit:
+def induced_subgraph_circuit(n: int, k: int, fanin_mode: str = BOUNDED2) -> Circuit:
     """Inputs: C(n,2) adjacency bits then n selector bits; outputs the
     adjacency of the subgraph induced by the selected vertices in selection
     order, padded with isolated vertices below k.
@@ -350,25 +333,25 @@ def induced_subgraph_circuit(n: int, k: int, profile: str = NC1) -> Circuit:
     Output bit for pair (i, j) ORs, over vertex pairs a < b, the test that a
     is the i-th selected vertex, b the j-th, and the edge ab present.  When
     more than k vertices are selected the outputs describe the first k, which
-    callers must guard against (the padding construction does).
+    callers must guard against (the padding construction does).  The
+    selector counts come from _at_least, so UNBOUNDED gives constant depth
+    and BOUNDED2 depth O(log n log k).  UNBOUNDED counts with up to
+    C(n-1, k) terms, which flat_threshold_terms limits: at the default
+    2^18, k = 4 builds up to n = 52.
     """
     if not 0 <= k <= n:
         raise ValueError("k out of range")
     ne = n * (n - 1) // 2
-    b = Builder(ne + n, BOUNDED2 if profile == NC1 else UNBOUNDED)
+    b = Builder(ne + n, fanin_mode)
     edge_in = [b.input(i) for i in range(ne)]
     alpha = [b.input(ne + a) for a in range(n)]
-    # sel[i][a]: alpha_a is the (i+1)-th non-zero selector entry
-    sel = [[None] * n for _ in range(k)]
-    for a, counts in enumerate(_unary_counts(b, alpha, k + 1)):
+    # sel[i][a]: alpha_a is set and exactly i selector bits before it are
+    sel = [[0] * n for _ in range(k)]
+    blocks: dict = {}
+    for a in range(n):
+        count = [_at_least(b, alpha[:a], t, blocks) for t in range(k, -1, -1)][::-1]
         for i in range(k):
-            if i < len(counts):
-                exactly = counts[i]
-                if i + 1 < len(counts):
-                    exactly = b.and_([counts[i], b.not_(counts[i + 1])])
-                sel[i][a] = b.and_([alpha[a], exactly])
-            else:
-                sel[i][a] = b.const(0)
+            sel[i][a] = b.and_([alpha[a], count[i], b.not_(count[i + 1])])
     outputs = []
     for i in range(k):
         for j in range(i + 1, k):
@@ -400,15 +383,20 @@ class GraphPropertyCircuit:
 
 
 def padded_graph_property(
-    prop: GraphPropertyCircuit, big_n: int, profile: str = NC1
+    prop: GraphPropertyCircuit, big_n: int, fanin_mode: str = BOUNDED2
 ) -> tuple[GraphPropertyCircuit, BitReduction]:
     """Lift an n-vertex monotone graph property to big_n vertices.
 
-    The lifted property accepts when the edge count exceeds C(n,2), or more
-    than n vertices are non-isolated, or the original property holds on the
-    subgraph induced by the non-isolated vertices (padded with isolated
-    vertices).  Also returns the planted-copy embedding, a monotone
-    projection with f(G) = g(embed(G)).
+    The lifted property accepts when more than n vertices are non-isolated,
+    or the original property holds on the subgraph induced by the
+    non-isolated vertices (padded with isolated vertices).  No edge count is
+    needed: at most n non-isolated vertices carry at most C(n,2) edges.
+    Also returns the planted-copy embedding, a monotone projection with
+    f(G) = g(embed(G)).  UNBOUNDED builds a constant-depth circuit (the
+    paper's AC0 profile), BOUNDED2 one of depth O(log big_n) for fixed n.
+    UNBOUNDED's vertex count has C(big_n, n+1) terms, which
+    flat_threshold_terms limits: at the default 2^18, n = 4 builds up to
+    big_n = 33.
     """
     n = prop.vertices
     if big_n <= n:
@@ -418,17 +406,16 @@ def padded_graph_property(
     if viol is not None:
         raise FragmentMismatchError("property is not monotone; padding needs monotone f")
     ne = big_n * (big_n - 1) // 2
-    b = Builder(ne, BOUNDED2 if profile == NC1 else UNBOUNDED)
+    b = Builder(ne, fanin_mode)
     edge_in = [b.input(i) for i in range(ne)]
     alpha = []
     for i in range(big_n):
         alpha.append(b.or_([edge_in[pair_index(i, j, big_n)] for j in range(big_n) if j != i]))
-    edge_over = capped_counter(b, edge_in, small_edges + 1)[small_edges]
-    weight_over = capped_counter(b, alpha, n + 1)[n]
-    extractor = induced_subgraph_circuit(big_n, n, profile)
+    weight_over = _at_least(b, alpha, n + 1)
+    extractor = induced_subgraph_circuit(big_n, n, fanin_mode)
     induced = b.emit_circuit(extractor, edge_in + alpha)
     f_out = b.emit_circuit(prop.circuit, induced)[0]
-    g = b.or_([edge_over, weight_over, f_out])
+    g = b.or_([weight_over, f_out])
     circuit = b.build([g])
     bits: list[tuple] = [(CONST, 0)] * ne
     for i in range(n):
@@ -606,7 +593,8 @@ def _emit_or_fragment(sset: RelationSet, n: int) -> Circuit:
         [b.const(1) if u == v else b.or_(edge_bits.get((u, v), [])) for v in range(n)]
         for u in range(n)
     ]
-    rounds = max(1, (n - 1).bit_length())
+    # with no implication clause the graph has no edge: base is its closure
+    rounds = max(1, (n - 1).bit_length()) if edge_bits else 0
     reach = _closure_by_squaring(b, base, rounds)
     units = [b.or_(unit_bits.get(v, [])) for v in range(n)]
     if side == "or":

@@ -429,7 +429,7 @@ def _edit(obj: dict, path: tuple, value) -> dict:
     return obj
 
 
-CIRCUIT = threshold_circuit(2, 3).to_json()  # gate 3 is ["or", [2, 1]]
+CIRCUIT = threshold_circuit(2, 3).to_json()  # gate 3 is ["or", [1, 0]]
 BP = random_layered_bp(random.Random(3), 4).to_json()  # edges[2][0] has a const guard
 INST = CspInstance(hornt_set(), 2).to_json()
 JSON_ARGV = {

@@ -6,17 +6,27 @@ import random
 
 import pytest
 
-from postlab.boolfun import IMP2, UNIT_FALSE, UNIT_TRUE, Relation, RelationSet, or_relation
+from postlab.boolfun import (
+    IMP2,
+    UNIT_FALSE,
+    UNIT_TRUE,
+    Relation,
+    RelationSet,
+    nand_relation,
+    or_relation,
+)
 from postlab.circuit import (
+    BOUNDED2,
+    UNBOUNDED,
     Builder,
     evaluate,
+    input_pattern,
     measures,
     monotone_table_to_circuit,
     truth_tables,
 )
 from postlab.clone_lattice import classify
 from postlab.construct import (
-    AC0,
     FLAT,
     GraphPropertyCircuit,
     HORN,
@@ -44,7 +54,7 @@ from postlab.csp import (
     violation_masks,
     xor3_set,
 )
-from postlab.errors import FragmentMismatchError
+from postlab.errors import BudgetExceededError, FragmentMismatchError
 from postlab.graphlab import Graph, odd_factor_fast, pair_index
 
 
@@ -299,12 +309,163 @@ def test_emitter_fragment_mismatch():
         emit_monotone_csp_circuit(hornt_set(), 3, "2sat")
 
 
-def test_oddfactor_property_padding_roundtrip():
+def _oddfactor4_table() -> int:
     table = 0
     for gmask in range(64):
         if odd_factor_fast(Graph.from_edge_mask(4, gmask)):
             table |= 1 << gmask
-    prop = GraphPropertyCircuit(4, monotone_table_to_circuit(6, table), "oddfactor4")
-    padded, embed = padded_graph_property(prop, 6)
+    return table
+
+
+def _oddfactor4() -> GraphPropertyCircuit:
+    return GraphPropertyCircuit(4, monotone_table_to_circuit(6, _oddfactor4_table()), "oddfactor4")
+
+
+def _edge_existence() -> GraphPropertyCircuit:
+    b = Builder(3)
+    return GraphPropertyCircuit(3, b.build([b.or_([b.input(i) for i in range(3)])]), "edge")
+
+
+def test_oddfactor_property_padding_roundtrip():
+    table = _oddfactor4_table()
+    padded, embed = padded_graph_property(_oddfactor4(), 6)
     for gmask in range(64):
         assert padded.value(embed.apply(gmask)) == (table >> gmask) & 1
+
+
+def _padding_oracle(prop: GraphPropertyCircuit, big_n: int) -> int:
+    """Truth table over all big_n-vertex graphs: more than n non-isolated
+    vertices, or else prop on the induced subgraph, its vertices relabelled
+    in order."""
+    n, small = prop.vertices, truth_tables(prop.circuit)[0]
+    table = 0
+    for gmask in range(1 << big_n * (big_n - 1) // 2):
+        edges = [(a, c) for a in range(big_n) for c in range(a + 1, big_n)
+                 if gmask >> pair_index(a, c, big_n) & 1]
+        used = sorted({v for edge in edges for v in edge})
+        if len(used) > n:
+            table |= 1 << gmask
+            continue
+        label = {v: i for i, v in enumerate(used)}
+        induced = sum(1 << pair_index(label[a], label[c], n) for a, c in edges)
+        table |= (small >> induced & 1) << gmask
+    return table
+
+
+@pytest.mark.parametrize("big_n", [5, 6])
+@pytest.mark.parametrize("make_prop", [_edge_existence, _oddfactor4])
+def test_padding_matches_the_oracle_in_both_modes(make_prop, big_n):
+    prop = make_prop()
+    want = _padding_oracle(prop, big_n)
+    for fanin_mode in (BOUNDED2, UNBOUNDED):
+        padded, _ = padded_graph_property(prop, big_n, fanin_mode)
+        assert padded.circuit.fanin_mode == fanin_mode
+        assert truth_tables(padded.circuit)[0] == want, fanin_mode
+
+
+def test_unbounded_padding_has_constant_depth():
+    prop = _oddfactor4()
+    depths = {
+        big_n: measures(padded_graph_property(prop, big_n, UNBOUNDED)[0].circuit).depth
+        for big_n in range(6, 13)
+    }
+    assert len(set(depths.values())) == 1, depths
+
+
+def test_bounded_padding_has_logarithmic_depth():
+    # Read off the construction, with L = ceil(log2 N): the non-isolation ORs
+    # have depth <= L; each count is a tree of L merge levels, each one AND
+    # and an OR of at most n + 2 terms, 1 + ceil(log2 6) = 4 for n = 4; a
+    # selector ANDs three gates (+2); an output bit ANDs three gates (+2) and
+    # ORs fewer than N^2 / 2 terms (<= 2L - 1); then the property in fan-in
+    # two (depth d) and the final OR (+1).  So depth <= 7L + 4 + d.
+    prop = _oddfactor4()
+    b = Builder(6, BOUNDED2)
+    d = measures(b.build(b.emit_circuit(prop.circuit, [b.input(i) for i in range(6)]))).depth
+    for big_n in range(6, 17):
+        depth = measures(padded_graph_property(prop, big_n, BOUNDED2)[0].circuit).depth
+        assert depth <= 7 * (big_n - 1).bit_length() + 4 + d, (big_n, depth)
+
+
+@pytest.mark.parametrize("fanin_mode", [BOUNDED2, UNBOUNDED])
+def test_extractor_matches_the_selection_oracle(fanin_mode):
+    n, ne = 5, 10
+    full = (1 << (1 << ne + n)) - 1
+    pattern = [input_pattern(i, ne + n) for i in range(ne + n)]
+    for k in range(n + 1):
+        tables = truth_tables(induced_subgraph_circuit(n, k, fanin_mode))
+        pairs = [(i, j) for i in range(k) for j in range(i + 1, k)]
+        assert len(tables) == len(pairs)
+        for smask in range(1 << n):
+            sel = [a for a in range(n) if smask >> a & 1]
+            if len(sel) > k:
+                continue  # callers guard against over-selection
+            chosen = full
+            for a in range(n):
+                chosen &= pattern[ne + a] if smask >> a & 1 else full ^ pattern[ne + a]
+            for table, (i, j) in zip(tables, pairs):
+                want = pattern[pair_index(sel[i], sel[j], n)] if j < len(sel) else 0
+                assert (table ^ want) & chosen == 0, (k, smask, i, j)
+
+
+def test_flat_term_budget_limits_every_flat_counter(monkeypatch):
+    # C(6,3) = 20 terms; the extractor at n = 7, k = 4 first trips on
+    # C(6,4) = 15 (the 7th vertex's largest count); the padding at N = 7,
+    # n = 4 on its weight test, C(7,5) = 21
+    monkeypatch.setenv("POSTLAB_BUDGET", "flat_threshold_terms=14")
+    with pytest.raises(BudgetExceededError, match=r"C\(6,3\)"):
+        threshold_circuit(3, 6, FLAT)
+    with pytest.raises(BudgetExceededError, match=r"C\(6,4\)"):
+        induced_subgraph_circuit(7, 4, UNBOUNDED)
+    with pytest.raises(BudgetExceededError, match=r"C\(7,5\)"):
+        padded_graph_property(_oddfactor4(), 7, UNBOUNDED)
+    # the fan-in-two counters have no flat terms to limit
+    induced_subgraph_circuit(7, 4, BOUNDED2)
+    padded_graph_property(_oddfactor4(), 7, BOUNDED2)
+
+
+def test_unknown_fanin_mode_is_rejected():
+    for mode in ("nc", "NC1"):
+        with pytest.raises(ValueError, match=repr(mode)):
+            Builder(2, mode)
+        with pytest.raises(ValueError, match=repr(mode)):
+            induced_subgraph_circuit(4, 2, mode)
+        with pytest.raises(ValueError, match=repr(mode)):
+            padded_graph_property(_edge_existence(), 5, mode)
+
+
+def _meets_all(size: int, masks: list[int]) -> int:
+    """Truth table of the monotone CNF with one clause, the OR of its bits,
+    per mask."""
+    table = (1 << (1 << size)) - 1
+    for v in masks:
+        clause = 0
+        for i in range(size):
+            if v >> i & 1:
+                clause |= input_pattern(i, size)
+        table &= clause
+    return table
+
+
+@pytest.mark.parametrize(
+    "relations",
+    [
+        (or_relation(2), UNIT_FALSE),
+        (nand_relation(2), UNIT_TRUE),
+        (or_relation(3), UNIT_TRUE, UNIT_FALSE),
+    ],
+    ids=["or2-F", "nand2-T", "or3-T-F"],
+)
+def test_or_menu_sets_without_implications_get_constant_depth(relations):
+    # no prime clause is an implication, so the entailment graph has no edge
+    # and the emitter skips its closure
+    sset = RelationSet(relations)
+    depths = set()
+    for n in range(2, 9):
+        circuit = emit_monotone_csp_circuit(sset, n)
+        assert measures(circuit).monotone
+        depths.add(measures(circuit).depth)
+        if circuit.n <= 18:
+            viol = violation_masks(CspInstance(sset, n))
+            assert truth_tables(circuit)[0] == _meets_all(circuit.n, viol), n
+    assert len(depths) == 1, depths

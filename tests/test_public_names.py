@@ -20,7 +20,6 @@ ALLOWED = {
         "the tests build instances with it; moving it into the tests removes nothing"
     ),
     "graphlab.Graph.complete": "the README example uses it",
-    "construct.AC0": "the paper's constant-depth profile of extraction and padding",
 }
 
 
