@@ -16,7 +16,7 @@ from pathlib import Path
 
 from . import clone_lattice, construct, csp, graphlab, reductions, verify
 from .boolfun import json_int, parse_relations, relation_set_from_json
-from .circuit import Circuit, measures
+from .circuit import BOUNDED2, UNBOUNDED, Circuit, measures
 from .config import budgets
 from .errors import (
     BudgetConfigError,
@@ -202,7 +202,10 @@ def cmd_emit(args) -> int:
             circuit = construct.checkpoint_circuit(bp, args.d, args.mode or construct.PARITY)
         elif args.kind == "threshold":
             _require(args, "k", "n")
-            circuit = construct.threshold_circuit(args.k, args.n, args.mode or construct.LOGDEPTH)
+            fanin_mode = {"logdepth": BOUNDED2, "flat": UNBOUNDED}.get(args.mode or "logdepth")
+            if fanin_mode is None:
+                raise ValueError(f"unknown mode {args.mode!r}")
+            circuit = construct.threshold_circuit(args.k, args.n, fanin_mode)
         elif args.kind == "induced":
             _require(args, "n", "k")
             circuit = construct.induced_subgraph_circuit(args.n, args.k)

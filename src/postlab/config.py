@@ -19,7 +19,7 @@ class Budgets:
     closure_steps: int = 1 << 24     # composition attempts in clone closure
     brute_force_vars: int = 22       # csp_sat_value enumerates 2**n assignments
     oracle_edges: int = 24           # odd-factor subset oracle and bip-oddfactor reduction: edge and vertex limit
-    flat_threshold_terms: int = 1 << 18  # term limit of every flat counter: FLAT threshold, UNBOUNDED extraction and padding
+    flat_threshold_terms: int = 1 << 18  # term limit of every flat counter: UNBOUNDED threshold, extraction and padding
     cq_aux_vars: int = 2             # existential variables in conjunctive-query search
     cq_max_atoms: int = 4            # atoms per conjunctive query
     cq_states: int = 200_000         # distinct CQ intersection states before UNKNOWN

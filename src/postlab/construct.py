@@ -38,6 +38,10 @@ REACH = "reach"
 CONST_GUARD = "const"
 LIT_GUARD = "lit"
 
+# checkpoint_circuit recurses once per level and hits Python's default
+# recursion limit near d = 500; d stops well below that (depth 512)
+MAX_CHECKPOINT_D = 256
+
 
 @dataclass(frozen=True)
 class LayeredBP:
@@ -154,8 +158,8 @@ def checkpoint_circuit(bp: LayeredBP, d: int, mode: str = PARITY) -> Circuit:
     """
     if mode not in (PARITY, REACH):
         raise ValueError(f"unknown mode {mode!r}")
-    if d < 1:
-        raise ValueError("d must be >= 1")
+    if not 1 <= d <= MAX_CHECKPOINT_D:
+        raise ValueError(f"d must be between 1 and {MAX_CHECKPOINT_D}, got {d}")
     b = Builder(bp.n, UNBOUNDED)
     combine = b.xor_ if mode == PARITY else b.or_
 
@@ -255,10 +259,6 @@ def random_layered_bp(
 
 # Threshold circuits.
 
-LOGDEPTH = "logdepth"
-FLAT = "flat"
-
-
 def _at_least(b: Builder, bits: Sequence[int], t: int, blocks: dict | None = None) -> int:
     """Gate computing (number of set bits >= t), shaped by b's fan-in mode.
 
@@ -309,17 +309,15 @@ def _sorted_unary(b: Builder, blocks: dict, bits: tuple[int, ...], cap: int) -> 
     return out
 
 
-def threshold_circuit(k: int, n: int, mode: str = LOGDEPTH) -> Circuit:
+def threshold_circuit(k: int, n: int, fanin_mode: str = BOUNDED2) -> Circuit:
     """Monotone circuit for THR_{k,n}(x) = 1 iff weight(x) >= k.
 
-    LOGDEPTH: fan-in-two tree of counting merges (depth about log^2 n at
-    this scale).  FLAT: unbounded fan-in OR over all k-subsets.
+    BOUNDED2: fan-in-two tree of counting merges (depth about log^2 n at
+    this scale).  UNBOUNDED: OR over all k-subsets (depth 2).
     """
     if not 0 <= k <= n + 1:
         raise ValueError("k out of range")
-    if mode not in (LOGDEPTH, FLAT):
-        raise ValueError(f"unknown mode {mode!r}")
-    b = Builder(n, BOUNDED2 if mode == LOGDEPTH else UNBOUNDED)
+    b = Builder(n, fanin_mode)
     return b.build([_at_least(b, [b.input(i) for i in range(n)], k)])
 
 
@@ -435,13 +433,6 @@ def pad_dummy_inputs(c: Circuit, extra: int) -> Circuit:
 
 # Monotone CSP-SAT circuits for the tractable fragments.
 
-HORN = "horn"
-ANTIHORN = "antihorn"
-TWOSAT = "2sat"
-OR_FRAGMENT = "or_fragment"
-CONSTANT = "constant"
-
-
 def detect_fragment(sset: RelationSet) -> str:
     """The emitter of the first clone inside Pol(sset), read off csp.TRACTABLE.
 
@@ -462,24 +453,18 @@ def emit_monotone_csp_circuit(
 
     Horn/anti-Horn unroll n rounds of forward-chain marking; the 2-SAT and
     OR-fragment emitters build the implication (or entailment) graph, whose
-    edges are ORs of instance bits, and close it by repeated squaring.  The
-    constant circuit of the I0/I1 sets is chosen by "auto" only.
+    edges are ORs of instance bits, and close it by repeated squaring,
+    skipped when the graph has no edge.  fragment names an emitter of the
+    last column of csp.TRACTABLE; the constant circuit of the I0/I1 sets is
+    chosen by "auto" only.
     """
     if n < 1:
         raise ValueError("n must be >= 1")
     if fragment == "auto":
         fragment = detect_fragment(sset)
-        if fragment == CONSTANT:
-            return _emit_constant(sset, n)
-    if fragment == HORN:
-        return _emit_horn(sset, n)
-    if fragment == ANTIHORN:
-        return _emit_horn(negate_relations(sset), n)
-    if fragment == TWOSAT:
-        return _emit_twosat(sset, n)
-    if fragment == OR_FRAGMENT:
-        return _emit_or_fragment(sset, n)
-    raise ValueError(f"unknown fragment {fragment!r}")
+    elif fragment == "constant" or fragment not in _EMITTERS:
+        raise ValueError(f"unknown fragment {fragment!r}")
+    return _EMITTERS[fragment](sset, n)
 
 
 def _clause_inputs(sset: RelationSet, n: int):
@@ -530,9 +515,17 @@ def _emit_horn(sset: RelationSet, n: int) -> Circuit:
     return b.build([b.or_(direct + refuted)])
 
 
-def _closure_by_squaring(b: Builder, base: list[list[int]], rounds: int) -> list[list[int]]:
-    size = len(base)
-    reach = [row[:] for row in base]
+def _closure_by_squaring(
+    b: Builder, edge_bits: dict[tuple[int, int], list[int]], size: int
+) -> list[list[int]]:
+    """Reachability matrix of the graph on range(size) whose edge (u, v) is
+    the OR of edge_bits[u, v]: the reflexive base matrix squared
+    max(1, ceil(log2 size)) times, or not at all when the graph has no edge."""
+    reach = [
+        [b.const(1) if u == v else b.or_(edge_bits.get((u, v), [])) for v in range(size)]
+        for u in range(size)
+    ]
+    rounds = max(1, (size - 1).bit_length()) if edge_bits else 0
     for _ in range(rounds):
         nxt = [[None] * size for _ in range(size)]
         for u in range(size):
@@ -560,16 +553,7 @@ def _emit_twosat(sset: RelationSet, n: int) -> Circuit:
         edge_bits.setdefault((u ^ 1, w), []).append(bit)
         if u != w:
             edge_bits.setdefault((w ^ 1, u), []).append(bit)
-    size = 2 * n
-    base = [
-        [
-            b.const(1) if u == v else b.or_(edge_bits.get((u, v), []))
-            for v in range(size)
-        ]
-        for u in range(size)
-    ]
-    rounds = max(1, (size - 1).bit_length())
-    reach = _closure_by_squaring(b, base, rounds)
+    reach = _closure_by_squaring(b, edge_bits, 2 * n)
     contradictions = [
         b.and_([reach[2 * v][2 * v + 1], reach[2 * v + 1][2 * v]]) for v in range(n)
     ]
@@ -589,13 +573,7 @@ def _emit_or_fragment(sset: RelationSet, n: int) -> Circuit:
             unit_bits.setdefault((pos + neg)[0], []).append(bit)
         else:
             disjunctions.append((bit, pos + neg))
-    base = [
-        [b.const(1) if u == v else b.or_(edge_bits.get((u, v), [])) for v in range(n)]
-        for u in range(n)
-    ]
-    # with no implication clause the graph has no edge: base is its closure
-    rounds = max(1, (n - 1).bit_length()) if edge_bits else 0
-    reach = _closure_by_squaring(b, base, rounds)
+    reach = _closure_by_squaring(b, edge_bits, n)
     units = [b.or_(unit_bits.get(v, [])) for v in range(n)]
     if side == "or":
         bad = [b.or_([b.and_([reach[v][w], units[w]]) for w in range(n)]) for v in range(n)]
@@ -605,3 +583,12 @@ def _emit_or_fragment(sset: RelationSet, n: int) -> Circuit:
         b.and_([bit] + [bad[v] for v in vars_]) for bit, vars_ in disjunctions
     ]
     return b.build([b.or_(failures)])
+
+
+_EMITTERS = {
+    "constant": _emit_constant,
+    "horn": _emit_horn,
+    "antihorn": lambda sset, n: _emit_horn(negate_relations(sset), n),
+    "2sat": _emit_twosat,
+    "or_fragment": _emit_or_fragment,
+}

@@ -23,6 +23,8 @@ from .boolfun import (
     parity_relation,
 )
 from .circuit import (
+    BOUNDED2,
+    UNBOUNDED,
     Dnf,
     build_decision_tree,
     count_minterms,
@@ -232,7 +234,7 @@ def verify_thresholds() -> SuiteReport:
         bad = []
         for n in range(1, 9):
             for k in range(0, n + 2):
-                for mode in (construct.LOGDEPTH, construct.FLAT):
+                for mode in (BOUNDED2, UNBOUNDED):
                     c = construct.threshold_circuit(k, n, mode)
                     if not measures(c).monotone:
                         bad.append(f"k={k} n={n} {mode}: not monotone")

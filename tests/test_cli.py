@@ -184,6 +184,13 @@ def test_emit_threshold_and_pad(tmp_path, capsys):
     assert c.n == 4 + 3
 
 
+@pytest.mark.parametrize("mode,fanin_mode", [("logdepth", "bounded2"), ("flat", "unbounded")])
+def test_emit_threshold_mode_selects_the_fanin(capsys, mode, fanin_mode):
+    code, out, _ = run(capsys, "emit", "threshold", "--k", "2", "--n", "4", "--mode", mode)
+    assert code == 0
+    assert json.loads(out)["fanin_mode"] == fanin_mode
+
+
 def test_emit_csp_circuit(tmp_path, capsys):
     code, out, err = run(
         capsys, "emit", "csp", "--set", str(DATA / "horn3.rels"), "--n", "2"
@@ -274,8 +281,9 @@ def test_reduce_bip_oddfactor_size_budget_exits_3(tmp_path, capsys):
 
 
 def test_emit_threshold_default_mode(capsys):
-    code, _, err = run(capsys, "emit", "threshold", "--k", "2", "--n", "4")
+    code, out, err = run(capsys, "emit", "threshold", "--k", "2", "--n", "4")
     assert code == 0 and "monotone=True" in err
+    assert json.loads(out)["fanin_mode"] == "bounded2"
 
 
 HORN3 = str(DATA / "horn3.rels")
@@ -292,7 +300,9 @@ MALFORMED = {
     "csp-without-set": ["emit", "csp", "--n", "2"],
     "csp-without-n": ["emit", "csp", "--set", HORN3],
     "threshold-unknown-mode": ["emit", "threshold", "--k", "2", "--n", "4", "--mode", "bogus"],
+    "threshold-fanin-mode-name": ["emit", "threshold", "--k", "2", "--n", "4", "--mode", "bounded2"],
     "checkpoint-unknown-mode": ["emit", "checkpoint", "--bp", "{bp}", "--mode", "bogus"],
+    "checkpoint-depth-too-large": ["emit", "checkpoint", "--bp", "{bp}", "--d", "100000"],
     "csp-unknown-fragment": ["emit", "csp", "--set", HORN3, "--n", "2", "--fragment", "bogus"],
     "csp-nonpositive-n": ["emit", "csp", "--set", HORN3, "--n", "-2"],
     "pad-negative-extra": ["pad", "--in", "{circuit}", "--extra", "-1"],

@@ -27,11 +27,9 @@ from postlab.circuit import (
 )
 from postlab.clone_lattice import classify
 from postlab.construct import (
-    FLAT,
     GraphPropertyCircuit,
-    HORN,
-    LOGDEPTH,
     LayeredBP,
+    MAX_CHECKPOINT_D,
     PARITY,
     REACH,
     bp_truth_table,
@@ -133,10 +131,19 @@ def test_checkpoint_rejects_bad_args():
     bp = random_layered_bp(random.Random(0), 2)
     with pytest.raises(ValueError):
         checkpoint_circuit(bp, 0)
+    with pytest.raises(ValueError, match=f"between 1 and {MAX_CHECKPOINT_D}"):
+        checkpoint_circuit(bp, MAX_CHECKPOINT_D + 1)
     with pytest.raises(ValueError):
         checkpoint_circuit(bp, 2, "other")
     with pytest.raises(KeyError):
         bp_truth_table(bp, "other")
+
+
+def test_checkpoint_builds_at_the_depth_limit():
+    bp = random_layered_bp(random.Random(3), 4)
+    c = checkpoint_circuit(bp, MAX_CHECKPOINT_D)
+    assert MAX_CHECKPOINT_D == 256 and measures(c).depth == 512
+    assert truth_tables(c)[0] == bp_truth_table(bp)
 
 
 def test_layered_bp_validation():
@@ -149,7 +156,7 @@ def test_bp_json_roundtrip():
     assert LayeredBP.from_json(bp.to_json()) == bp
 
 
-@pytest.mark.parametrize("mode", [LOGDEPTH, FLAT])
+@pytest.mark.parametrize("mode", [BOUNDED2, UNBOUNDED])
 def test_threshold_circuits(mode):
     for n in range(1, 8):
         for k in range(n + 2):
@@ -163,6 +170,12 @@ def test_threshold_circuits(mode):
 def test_threshold_edges():
     assert truth_tables(threshold_circuit(0, 3))[0] == 0xFF
     assert truth_tables(threshold_circuit(4, 3))[0] == 0
+
+
+def test_threshold_takes_only_fanin_modes():
+    for mode in ("logdepth", "flat"):
+        with pytest.raises(ValueError, match=repr(mode)):
+            threshold_circuit(2, 4, mode)
 
 
 def test_induced_subgraph_triangle():
@@ -283,13 +296,38 @@ EMITTER_SHA256 = {
     "set_fn,n", EMITTER_SHA256, ids=[f"{f.__name__}-n{n}" for f, n in EMITTER_SHA256]
 )
 def test_emitted_circuits_pinned(set_fn, n):
-    circuit = emit_monotone_csp_circuit(set_fn(), n)
-    text = json.dumps(circuit.to_json(), sort_keys=True)
+    sset = set_fn()
+    text = json.dumps(emit_monotone_csp_circuit(sset, n).to_json(), sort_keys=True)
     assert hashlib.sha256(text.encode()).hexdigest() == EMITTER_SHA256[set_fn, n]
+    # naming the detected fragment explicitly picks the same emitter
+    named = emit_monotone_csp_circuit(sset, n, detect_fragment(sset))
+    assert json.dumps(named.to_json(), sort_keys=True) == text
+
+
+def test_constant_fragment_is_chosen_by_auto_only():
+    sset = RelationSet((UNIT_TRUE,))
+    assert detect_fragment(sset) == "constant"
+    for fragment in ("constant", "bogus"):
+        with pytest.raises(ValueError, match=repr(fragment)):
+            emit_monotone_csp_circuit(sset, 2, fragment)
+
+
+@pytest.mark.parametrize("mask", [0b0000, 0b1111], ids=["empty", "full"])
+@pytest.mark.parametrize("n", [2, 3])
+def test_twosat_emitter_on_an_edgeless_graph_skips_the_squaring(mask, n):
+    # neither relation has a 2-clause: the empty one refutes every
+    # application directly, the full one never
+    sset = RelationSet((Relation(2, mask),))
+    circuit = emit_monotone_csp_circuit(sset, n, "2sat")
+    assert measures(circuit).depth <= 2
+    viol = violation_masks(CspInstance(sset, n))
+    want = sum(1 << w for w in range(1 << circuit.n) if all(w & v for v in viol))
+    assert truth_tables(circuit)[0] == want
 
 
 def test_or_fragment_emitter_reverse_implication():
-    # tuples 00 10 11: x1 -> x0; auto would pick anti-Horn for this set
+    # tuples 00 10 11: x1 -> x0; auto picks or_fragment (S00) for this set,
+    # while csp.pick_solver picks antihorn(V2)
     sset = RelationSet((or_relation(2), UNIT_TRUE, UNIT_FALSE, Relation(2, 0b1011)))
     for n in (2, 3):
         circuit = emit_monotone_csp_circuit(sset, n, "or_fragment")
@@ -414,7 +452,7 @@ def test_flat_term_budget_limits_every_flat_counter(monkeypatch):
     # n = 4 on its weight test, C(7,5) = 21
     monkeypatch.setenv("POSTLAB_BUDGET", "flat_threshold_terms=14")
     with pytest.raises(BudgetExceededError, match=r"C\(6,3\)"):
-        threshold_circuit(3, 6, FLAT)
+        threshold_circuit(3, 6, UNBOUNDED)
     with pytest.raises(BudgetExceededError, match=r"C\(6,4\)"):
         induced_subgraph_circuit(7, 4, UNBOUNDED)
     with pytest.raises(BudgetExceededError, match=r"C\(7,5\)"):
