@@ -39,6 +39,11 @@ class _CliError(Exception):
         self.code = code
 
 
+class _Parser(argparse.ArgumentParser):
+    def error(self, message: str):  # a usage error ends in main, with exit 2
+        raise _CliError(message, EXIT_PARSE)
+
+
 def _sha256(path: Path) -> str:
     return hashlib.sha256(path.read_bytes()).hexdigest()
 
@@ -57,14 +62,6 @@ def _load_relation_set(path: str):
     return sset
 
 
-def _require(args, *options: str) -> None:
-    """Usage error unless every named option was given."""
-    missing = [f"--{o}" for o in options if getattr(args, o) is None]
-    if missing:
-        what = getattr(args, "kind", None) or getattr(args, "op", "")
-        raise _CliError(f"{args.command} {what} needs {', '.join(missing)}", EXIT_PARSE)
-
-
 def _load_json(path: str, parse):
     try:
         obj = json.loads(Path(path).read_text())
@@ -77,8 +74,8 @@ def _load_json(path: str, parse):
         raise _CliError(f"{path}: {exc}", EXIT_PARSE)
 
 
-def _load_instance(path: str) -> csp.CspInstance:
-    return _load_json(path, csp.CspInstance.from_json)
+def _load_instance(args) -> csp.CspInstance:
+    return _load_json(getattr(args, "in"), csp.CspInstance.from_json)
 
 
 def _write_json(path: str | None, obj: dict) -> None:
@@ -92,30 +89,33 @@ def _write_json(path: str | None, obj: dict) -> None:
         raise _CliError(f"cannot write {path}: {exc}", EXIT_PARSE)
 
 
-def _run_report(args, inputs: list[str], outputs: list[str], summary: dict, t0: float) -> None:
-    if not getattr(args, "report", None):
+# the file arguments a run report digests, under their argparse names
+_INPUTS = ("relations", "in", "bp", "set", "graph")
+
+
+def _run_report(args, summary: dict, t0: float) -> None:
+    if not args.report:
         return
+    files = [getattr(args, name, None) for name in _INPUTS]
     report = {
         "command": args.command,
         "argv": sys.argv[1:],
-        "inputs": {p: _sha256(Path(p)) for p in inputs if Path(p).exists()},
-        "outputs": outputs,
+        "inputs": {p: _sha256(Path(p)) for p in files if p and Path(p).exists()},
+        "outputs": [args.out] if getattr(args, "out", None) else [],
         "summary": summary,
-        "seed": getattr(args, "seed", None),
+        "seed": args.seed,
         "elapsed_ms": int((time.perf_counter() - t0) * 1000),
     }
     _write_json(args.report, report)
 
 
-def cmd_classify(args) -> int:
-    t0 = time.perf_counter()
+def cmd_classify(args) -> tuple[int, dict]:
     sset = _load_relation_set(args.relations)
     verdict = clone_lattice.classify(sset, with_witnesses=args.witnesses)
     if not args.no_hardness:
         verdict = clone_lattice.hardness_consequences(verdict)
     _write_json(None, verdict.to_json())
-    _run_report(args, [args.relations], [], {"size": verdict.size_side, "depth": verdict.depth_side}, t0)
-    return EXIT_OK
+    return EXIT_OK, {"size": verdict.size_side, "depth": verdict.depth_side}
 
 
 _SOLVERS = {
@@ -128,9 +128,8 @@ _SOLVERS = {
 }
 
 
-def cmd_solve(args) -> int:
-    t0 = time.perf_counter()
-    inst = _load_instance(getattr(args, "in"))
+def cmd_solve(args) -> tuple[int, dict]:
+    inst = _load_instance(args)
     if args.solver == "auto":
         picked = csp.pick_solver(inst.sset)
         if picked is None:
@@ -140,81 +139,77 @@ def cmd_solve(args) -> int:
         label, solver = args.solver, _SOLVERS[args.solver]
     sat = solver(inst)
     print(f"{'SAT' if sat else 'UNSAT'} solver={label}")
-    _run_report(args, [getattr(args, "in")], [], {"satisfiable": sat, "solver": label}, t0)
-    return EXIT_OK
+    return EXIT_OK, {"satisfiable": sat, "solver": label}
 
 
-def cmd_reduce(args) -> int:
-    t0 = time.perf_counter()
-    # bip-oddfactor reads a bipartite graph; every other op reads an instance
-    inst = None if args.op == "bip-oddfactor" else _load_instance(getattr(args, "in"))
-    outputs = []
-    if args.op == "eliminate-eq":
-        payload = reductions.eliminate_equality(inst).to_json()
-    elif args.op == "negate":
-        payload = csp.negate_instance(inst).to_json()
-    elif args.op == "l2-to-l3":
-        out, red = reductions.l2_to_l3_transform(inst)
-        payload = {"instance": out.to_json(), "reduction": red.to_json()}
-    elif args.op == "cq-rewrite":
-        _require(args, "target")
-        target = _load_relation_set(args.target)
-        defs = {}
-        for r, rel in enumerate(inst.sset):
-            d = reductions.find_cq(rel, target)
-            if d is None:
-                raise _CliError(f"no conjunctive query found for relation {r}", EXIT_BUDGET)
-            defs[r] = d
-        out, red = reductions.cq_rewrite(inst, defs)
-        payload = {"instance": out.to_json(), "reduction": red.to_json()}
-    elif args.op == "pol-reduce":
-        _require(args, "target")
-        target = _load_relation_set(args.target)
-        result = reductions.pol_reduce(inst, target)
-        if result is None:
-            raise _CliError("bounded query search found no definitions", EXIT_BUDGET)
-        payload = {
-            "instance": result.instance.to_json(),
-            "or_stage": result.or_stage.to_json(),
-        }
-    else:
-        graph = _load_json(
-            getattr(args, "in"),
-            lambda obj: graphlab.BipGraph(json_int(obj["n"], "n"), json_int(obj["mask"], "mask")),
-        )
-        red = reductions.bip_oddfactor_to_xorsat(graph)
-        payload = {"instance": red.instance.to_json(), "beta": red.beta.to_json()}
-    _write_json(args.out, payload)
-    if args.out:
-        outputs.append(args.out)
-    _run_report(args, [getattr(args, "in")], outputs, {"op": args.op}, t0)
-    return EXIT_OK
+def _with_reduction(out: csp.CspInstance, red) -> dict:
+    return {"instance": out.to_json(), "reduction": red.to_json()}
 
 
-def cmd_emit(args) -> int:
-    t0 = time.perf_counter()
-    inputs = []
+def _cq_rewrite(args) -> dict:
+    inst = _load_instance(args)
+    target = _load_relation_set(args.target)
+    defs = {}
+    for r, rel in enumerate(inst.sset):
+        d = reductions.find_cq(rel, target)
+        if d is None:
+            raise _CliError(f"no conjunctive query found for relation {r}", EXIT_BUDGET)
+        defs[r] = d
+    return _with_reduction(*reductions.cq_rewrite(inst, defs))
+
+
+def _pol_reduce(args) -> dict:
+    result = reductions.pol_reduce(_load_instance(args), _load_relation_set(args.target))
+    if result is None:
+        raise _CliError("bounded query search found no definitions", EXIT_BUDGET)
+    return {"instance": result.instance.to_json(), "or_stage": result.or_stage.to_json()}
+
+
+def _bip_oddfactor(args) -> dict:
+    graph = _load_json(
+        getattr(args, "in"),
+        lambda obj: graphlab.BipGraph(json_int(obj["n"], "n"), json_int(obj["mask"], "mask")),
+    )
+    red = reductions.bip_oddfactor_to_xorsat(graph)
+    return {"instance": red.instance.to_json(), "beta": red.beta.to_json()}
+
+
+# op -> the JSON payload it writes; bip-oddfactor reads a bipartite graph,
+# every other op an instance
+_REDUCTIONS = {
+    "eliminate-eq": lambda args: reductions.eliminate_equality(_load_instance(args)).to_json(),
+    "negate": lambda args: csp.negate_instance(_load_instance(args)).to_json(),
+    "l2-to-l3": lambda args: _with_reduction(*reductions.l2_to_l3_transform(_load_instance(args))),
+    "cq-rewrite": _cq_rewrite,
+    "pol-reduce": _pol_reduce,
+    "bip-oddfactor": _bip_oddfactor,
+}
+
+
+def cmd_reduce(args) -> tuple[int, dict]:
+    _write_json(args.out, _REDUCTIONS[args.op](args))
+    return EXIT_OK, {"op": args.op}
+
+
+_FANIN_MODES = {"logdepth": BOUNDED2, "flat": UNBOUNDED}
+
+# kind -> the circuit it builds
+_EMITS = {
+    "checkpoint": lambda args: construct.checkpoint_circuit(
+        _load_json(args.bp, construct.LayeredBP.from_json), args.d, args.mode
+    ),
+    "threshold": lambda args: construct.threshold_circuit(args.k, args.n, _FANIN_MODES[args.mode]),
+    "induced": lambda args: construct.induced_subgraph_circuit(args.n, args.k),
+    "csp": lambda args: construct.emit_monotone_csp_circuit(
+        _load_relation_set(args.set), args.n, args.fragment
+    ),
+}
+
+
+def cmd_emit(args) -> tuple[int, dict]:
     try:
-        if args.kind == "checkpoint":
-            _require(args, "bp")
-            bp = _load_json(args.bp, construct.LayeredBP.from_json)
-            inputs.append(args.bp)
-            circuit = construct.checkpoint_circuit(bp, args.d, args.mode or construct.PARITY)
-        elif args.kind == "threshold":
-            _require(args, "k", "n")
-            fanin_mode = {"logdepth": BOUNDED2, "flat": UNBOUNDED}.get(args.mode or "logdepth")
-            if fanin_mode is None:
-                raise ValueError(f"unknown mode {args.mode!r}")
-            circuit = construct.threshold_circuit(args.k, args.n, fanin_mode)
-        elif args.kind == "induced":
-            _require(args, "n", "k")
-            circuit = construct.induced_subgraph_circuit(args.n, args.k)
-        else:
-            _require(args, "set", "n")
-            sset = _load_relation_set(args.set)
-            inputs.append(args.set)
-            circuit = construct.emit_monotone_csp_circuit(sset, args.n, args.fragment)
-    except ValueError as exc:  # bad mode, fragment or size parameter
+        circuit = _EMITS[args.kind](args)
+    except ValueError as exc:  # bad fragment or size parameter
         raise _CliError(str(exc), EXIT_PARSE)
     m = measures(circuit)
     _write_json(args.out, circuit.to_json())
@@ -223,29 +218,20 @@ def cmd_emit(args) -> int:
         f"monotone={m.monotone}",
         file=sys.stderr,
     )
-    _run_report(
-        args,
-        inputs,
-        [args.out] if args.out else [],
-        {"size": m.size, "depth": m.depth},
-        t0,
-    )
-    return EXIT_OK
+    return EXIT_OK, {"size": m.size, "depth": m.depth}
 
 
-def cmd_pad(args) -> int:
-    t0 = time.perf_counter()
+def cmd_pad(args) -> tuple[int, dict]:
     circuit = _load_json(getattr(args, "in"), Circuit.from_json)
     try:
         padded = construct.pad_dummy_inputs(circuit, args.extra)
     except ValueError as exc:  # negative --extra
         raise _CliError(str(exc), EXIT_PARSE)
     _write_json(args.out, padded.to_json())
-    _run_report(args, [getattr(args, "in")], [args.out] if args.out else [], {}, t0)
-    return EXIT_OK
+    return EXIT_OK, {}
 
 
-def cmd_verify(args) -> int:
+def cmd_verify(args) -> tuple[int, dict]:
     t0 = time.perf_counter()
     if args.jobs < 1:
         raise _CliError(f"--jobs must be >= 1, got {args.jobs}", EXIT_PARSE)
@@ -266,36 +252,30 @@ def cmd_verify(args) -> int:
     checks = sum(len(r.checks) for r in reports)
     passed = sum(1 for r in reports for c in r.checks if c.passed)
     print(f"{passed}/{checks} checks passed in {time.perf_counter() - t0:.1f}s")
-    _run_report(args, [], [], {"passed": passed, "checks": checks}, t0)
-    return EXIT_OK if ok else EXIT_CHECK_FAILED
+    return EXIT_OK if ok else EXIT_CHECK_FAILED, {"passed": passed, "checks": checks}
 
 
-def cmd_oracle(args) -> int:
-    t0 = time.perf_counter()
-    if args.kind == "csp-sat":
-        _require(args, "in")
-        inst = _load_instance(getattr(args, "in"))
-        if args.listing:
-            sys.stdout.write(inst.listing())
-        value = csp.csp_sat_value(inst)
-        print("UNSAT" if value else "SAT")
-        _run_report(args, [getattr(args, "in")], [], {"csp_sat": value}, t0)
-    else:
-        _require(args, "graph")
-        try:
-            g = graphlab.parse_graph(Path(args.graph).read_text())
-        except (OSError, RelationParseError) as exc:
-            raise _CliError(str(exc), EXIT_PARSE)
-        value = (
-            graphlab.odd_factor_oracle(g) if args.mode == "oracle" else graphlab.odd_factor_fast(g)
-        )
-        print("ODD-FACTOR" if value else "NO-ODD-FACTOR")
-        _run_report(args, [args.graph], [], {"odd_factor": value}, t0)
-    return EXIT_OK
+def cmd_csp_sat(args) -> tuple[int, dict]:
+    inst = _load_instance(args)
+    if args.listing:
+        sys.stdout.write(inst.listing())
+    value = csp.csp_sat_value(inst)
+    print("UNSAT" if value else "SAT")
+    return EXIT_OK, {"csp_sat": value}
+
+
+def cmd_odd_factor(args) -> tuple[int, dict]:
+    try:
+        g = graphlab.parse_graph(Path(args.graph).read_text())
+    except (OSError, RelationParseError) as exc:
+        raise _CliError(str(exc), EXIT_PARSE)
+    value = graphlab.odd_factor_oracle(g) if args.mode == "oracle" else graphlab.odd_factor_fast(g)
+    print("ODD-FACTOR" if value else "NO-ODD-FACTOR")
+    return EXIT_OK, {"odd_factor": value}
 
 
 def build_parser() -> argparse.ArgumentParser:
-    p = argparse.ArgumentParser(prog="postlab", description=__doc__)
+    p = _Parser(prog="postlab", description=__doc__)
     p.add_argument("--seed", type=int, default=0, help="seed for randomized commands")
     p.add_argument("--report", help="write a JSON run report to this path")
     sub = p.add_subparsers(dest="command", required=True)
@@ -312,35 +292,40 @@ def build_parser() -> argparse.ArgumentParser:
     s.set_defaults(fn=cmd_solve)
 
     r = sub.add_parser("reduce", help="apply a reduction to an instance")
-    r.add_argument(
-        "op",
-        choices=["eliminate-eq", "negate", "l2-to-l3", "cq-rewrite", "pol-reduce", "bip-oddfactor"],
-    )
-    r.add_argument("--in", required=True, help="instance JSON (or bipartite graph JSON)")
-    r.add_argument("--target", help="target relation set for cq-rewrite / pol-reduce")
-    r.add_argument("--out", help="output path (stdout when omitted)")
     r.set_defaults(fn=cmd_reduce)
+    ops = r.add_subparsers(dest="op", required=True)
+    for op in _REDUCTIONS:
+        o = ops.add_parser(op)
+        what = "bipartite graph" if op == "bip-oddfactor" else "instance"
+        o.add_argument("--in", required=True, help=f"{what} JSON")
+        if op in ("cq-rewrite", "pol-reduce"):
+            o.add_argument("--target", required=True, help="target relation set")
 
     e = sub.add_parser("emit", help="build a circuit construction")
-    e.add_argument("kind", choices=["checkpoint", "threshold", "induced", "csp"])
-    e.add_argument("--bp", help="layered branching program JSON (checkpoint)")
-    e.add_argument("--d", type=int, default=2, help="recursion depth (checkpoint)")
-    e.add_argument(
-        "--mode",
-        help="checkpoint: parity (default) | reach; threshold: logdepth (default) | flat",
-    )
-    e.add_argument("--k", type=int, help="threshold k / induced subgraph size")
-    e.add_argument("--n", type=int, help="input count / variable count")
-    e.add_argument("--set", help="relation set file (csp)")
-    e.add_argument("--fragment", default="auto", help="csp fragment override")
-    e.add_argument("--out", help="output path (stdout when omitted)")
     e.set_defaults(fn=cmd_emit)
+    kinds = e.add_subparsers(dest="kind", required=True)
+    k = kinds.add_parser("checkpoint", help="checkpoint circuit of a layered branching program")
+    k.add_argument("--bp", required=True, help="layered branching program JSON")
+    k.add_argument("--d", type=int, default=2, help="recursion depth")
+    k.add_argument("--mode", choices=[construct.PARITY, construct.REACH], default=construct.PARITY)
+    k = kinds.add_parser("threshold", help="at-least-k of n inputs")
+    k.add_argument("--k", type=int, required=True)
+    k.add_argument("--n", type=int, required=True, help="input count")
+    k.add_argument("--mode", choices=list(_FANIN_MODES), default="logdepth")
+    k = kinds.add_parser("induced", help="induced-subgraph extractor")
+    k.add_argument("--n", type=int, required=True, help="vertex count")
+    k.add_argument("--k", type=int, required=True, help="subgraph size")
+    k = kinds.add_parser("csp", help="monotone CSP-SAT circuit of a relation set")
+    k.add_argument("--set", required=True, help="relation set file")
+    k.add_argument("--n", type=int, required=True, help="variable count")
+    k.add_argument("--fragment", default="auto", help="emitter override")
 
     d = sub.add_parser("pad", help="append ignored dummy inputs to a circuit")
     d.add_argument("--in", required=True)
     d.add_argument("--extra", type=int, required=True)
-    d.add_argument("--out", help="output path (stdout when omitted)")
     d.set_defaults(fn=cmd_pad)
+    for writer in (*ops.choices.values(), *kinds.choices.values(), d):
+        writer.add_argument("--out", help="output path (stdout when omitted)")
 
     v = sub.add_parser("verify", help="run an oracle-equivalence suite")
     v.add_argument("suite", choices=sorted(verify.SUITES) + ["all"])
@@ -350,21 +335,26 @@ def build_parser() -> argparse.ArgumentParser:
     v.set_defaults(fn=cmd_verify)
 
     o = sub.add_parser("oracle", help="ground-truth evaluations")
-    o.add_argument("kind", choices=["csp-sat", "odd-factor"])
-    o.add_argument("--in", help="instance JSON (csp-sat)")
-    o.add_argument("--graph", help="graph text file (odd-factor)")
-    o.add_argument("--mode", default="fast", choices=["fast", "oracle"])
-    o.add_argument("--listing", action="store_true", help="print the constraints")
-    o.set_defaults(fn=cmd_oracle)
+    oracles = o.add_subparsers(dest="kind", required=True)
+    k = oracles.add_parser("csp-sat", help="CSP-SAT value of an instance")
+    k.add_argument("--in", required=True, help="instance JSON")
+    k.add_argument("--listing", action="store_true", help="print the constraints")
+    k.set_defaults(fn=cmd_csp_sat)
+    k = oracles.add_parser("odd-factor", help="whether a graph has an odd factor")
+    k.add_argument("--graph", required=True, help="graph text file")
+    k.add_argument("--mode", default="fast", choices=["fast", "oracle"])
+    k.set_defaults(fn=cmd_odd_factor)
     return p
 
 
 def main(argv: list[str] | None = None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
     try:
+        args = build_parser().parse_args(argv)
         budgets()  # a malformed POSTLAB_BUDGET is a usage error for every command
-        return args.fn(args)
+        t0 = time.perf_counter()
+        code, summary = args.fn(args)
+        _run_report(args, summary, t0)
+        return code
     except _CliError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return exc.code

@@ -107,8 +107,9 @@ _EDGES: tuple[tuple[str, str], ...] = (
     ("M2", "R2"),
 )
 
-SIZE_EASY_CLONES = ("I0", "I1", "E2", "V2", "D2")
-DEPTH_EASY_CLONES = ("I0", "I1", "S00", "S10", "D2")
+# in the order csp.pick_solver and construct.detect_fragment try them
+SIZE_EASY_CLONES = ("I1", "I0", "E2", "V2", "D2")
+DEPTH_EASY_CLONES = ("I1", "I0", "S00", "S10", "D2")
 
 
 def _build_catalog() -> dict[str, CloneDescriptor]:

@@ -26,6 +26,7 @@ from .circuit import (
     monotone_violation,
     truth_tables,
 )
+from .clone_lattice import DEPTH_EASY_CLONES
 from .config import budgets
 from .csp import TRACTABLE, CspInstance, clause_table, first_clone, or_fragment_side
 from .errors import BudgetExceededError, FragmentMismatchError
@@ -440,7 +441,7 @@ def detect_fragment(sset: RelationSet) -> str:
     S10 (the OR/NAND menu) and D2 (2-SAT), then E2 (Horn) and V2
     (anti-Horn).  Raises FragmentMismatchError on the size-HARD sets.
     """
-    clone = first_clone(sset, ("I1", "I0", "S00", "S10", "D2", "E2", "V2"))
+    clone = first_clone(sset, DEPTH_EASY_CLONES + ("E2", "V2"))
     if clone is None:
         raise FragmentMismatchError("relation set fits no supported monotone-circuit fragment")
     return TRACTABLE[clone][2]

@@ -36,7 +36,7 @@ from .boolfun import (
     relation_set_to_json,
     solution_table,
 )
-from .clone_lattice import in_pol
+from .clone_lattice import SIZE_EASY_CLONES, in_pol
 from .config import budgets
 from .errors import BudgetExceededError, FragmentMismatchError, RelationParseError
 
@@ -717,7 +717,7 @@ def pick_solver(sset: RelationSet) -> tuple[str, Callable[[CspInstance], bool]] 
     """The solver of the first of I1, I0, E2, V2 and D2 inside Pol(sset) (S00
     and S10 contain V2 and E2), or None on the size-HARD sets, parity sets
     among them (`solve_xor` decides those)."""
-    clone = first_clone(sset, ("I1", "I0", "E2", "V2", "D2"))
+    clone = first_clone(sset, SIZE_EASY_CLONES)
     if clone is None:
         return None
     name, solver, _ = TRACTABLE[clone]

@@ -23,6 +23,7 @@ from postlab.csp import (
 from postlab.graphlab import Graph, tseitin_system
 
 DATA = Path(__file__).parent / "data"
+HORN3 = str(DATA / "horn3.rels")
 
 
 def run(capsys, *argv):
@@ -234,6 +235,45 @@ def test_run_report(tmp_path, capsys):
     assert list(obj["inputs"].values())[0].isalnum()
 
 
+# argv -> the report's inputs and outputs: the file arguments (--target is
+# not one) and --out
+REPORTED_FILES = {
+    "reduce": (
+        ["reduce", "pol-reduce", "--in", "{inst}", "--target", "{target}", "--out", "{out}"],
+        ["{inst}"],
+        ["{out}"],
+    ),
+    "emit-csp": (["emit", "csp", "--set", HORN3, "--n", "2", "--out", "{out}"], [HORN3], ["{out}"]),
+    "emit-threshold": (["emit", "threshold", "--k", "2", "--n", "4"], [], []),
+    "oracle": (["oracle", "odd-factor", "--graph", "{graph}"], ["{graph}"], []),
+    "verify": (["verify", "quine", "--quick"], [], []),
+}
+
+
+@pytest.mark.parametrize(
+    "argv, inputs, outputs", REPORTED_FILES.values(), ids=REPORTED_FILES.keys()
+)
+def test_run_report_lists_the_files(tmp_path, capsys, argv, inputs, outputs):
+    eq_tf = RelationSet((EQ2, UNIT_TRUE, UNIT_FALSE), "eq_tf")
+    paths = {name: str(tmp_path / name) for name in ("inst", "target", "graph", "out", "report")}
+    inst = CspInstance(eq_tf, 2).with_constraint(0, (0, 1))
+    Path(paths["inst"]).write_text(json.dumps(inst.to_json()))
+    Path(paths["target"]).write_text("rel imp 2 : 00 01 11\nrel T 1 : 1\nrel F 1 : 0\n")
+    Path(paths["graph"]).write_text("v 2\ne 0 1\n")
+    code, _, err = run(capsys, "--report", paths["report"], *(a.format(**paths) for a in argv))
+    assert code == 0, err
+    report = json.loads(Path(paths["report"]).read_text())
+    inputs = [a.format(**paths) for a in inputs]
+    assert report["inputs"] == {p: hashlib.sha256(Path(p).read_bytes()).hexdigest() for p in inputs}
+    assert report["outputs"] == [a.format(**paths) for a in outputs]
+
+
+def test_help_exits_0(capsys):
+    with pytest.raises(SystemExit) as exc:
+        main(["emit", "threshold", "--help"])
+    assert exc.value.code == 0 and "--mode {logdepth,flat}" in capsys.readouterr().out
+
+
 def test_reduce_bip_oddfactor(tmp_path, capsys):
     path = tmp_path / "bip.json"
     path.write_text(json.dumps({"n": 2, "mask": 0b1001}))
@@ -285,8 +325,6 @@ def test_emit_threshold_default_mode(capsys):
     assert code == 0 and "monotone=True" in err
     assert json.loads(out)["fanin_mode"] == "bounded2"
 
-
-HORN3 = str(DATA / "horn3.rels")
 
 # Each argv must end in a usage/parse error (exit 2), never in a traceback.
 # {bp}, {circuit}, {inst}, {bit40}, {neg_n}, {wide}, {digit_set}, {digit_inst},
@@ -350,6 +388,16 @@ MALFORMED = {
     "pad-unknown-fanin-mode": ["pad", "--in", "{fanin_bogus}", "--extra", "1"],
     "pad-top-level-list": ["pad", "--in", "{top_list}", "--extra", "1"],
     "oracle-top-level-list": ["oracle", "csp-sat", "--in", "{top_list}"],
+    # each kind takes only its own options, and argparse's own usage errors
+    # return from main instead of raising SystemExit
+    "induced-with-mode": ["emit", "induced", "--n", "4", "--k", "2", "--mode", "flat"],
+    "csp-with-mode": ["emit", "csp", "--set", HORN3, "--n", "2", "--mode", "flat"],
+    "threshold-with-fragment": ["emit", "threshold", "--k", "2", "--n", "4", "--fragment", "bogus"],
+    "negate-with-target": ["reduce", "negate", "--in", "{inst}", "--target", HORN3],
+    "csp-sat-with-graph": ["oracle", "csp-sat", "--in", "{inst}", "--graph", "x"],
+    "no-command": [],
+    "emit-without-kind": ["emit"],
+    "solve-unknown-solver": ["solve", "bogus", "--in", "{inst}"],
 }
 
 
