@@ -93,13 +93,13 @@ def _write_json(path: str | None, obj: dict) -> None:
 _INPUTS = ("relations", "in", "bp", "set", "graph")
 
 
-def _run_report(args, summary: dict, t0: float) -> None:
+def _run_report(args, argv: list[str], summary: dict, t0: float) -> None:
     if not args.report:
         return
     files = [getattr(args, name, None) for name in _INPUTS]
     report = {
         "command": args.command,
-        "argv": sys.argv[1:],
+        "argv": argv,
         "inputs": {p: _sha256(Path(p)) for p in files if p and Path(p).exists()},
         "outputs": [args.out] if getattr(args, "out", None) else [],
         "summary": summary,
@@ -348,12 +348,13 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv: list[str] | None = None) -> int:
+    argv = sys.argv[1:] if argv is None else list(argv)
     try:
         args = build_parser().parse_args(argv)
         budgets()  # a malformed POSTLAB_BUDGET is a usage error for every command
         t0 = time.perf_counter()
         code, summary = args.fn(args)
-        _run_report(args, summary, t0)
+        _run_report(args, argv, summary, t0)
         return code
     except _CliError as exc:
         print(f"error: {exc}", file=sys.stderr)

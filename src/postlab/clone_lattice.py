@@ -14,7 +14,7 @@ given clone" are never attempted directly.
 from __future__ import annotations
 
 from dataclasses import dataclass, replace
-from functools import lru_cache
+from functools import cache, lru_cache
 
 from .boolfun import (
     AND2,
@@ -107,9 +107,11 @@ _EDGES: tuple[tuple[str, str], ...] = (
     ("M2", "R2"),
 )
 
-# in the order csp.pick_solver and construct.detect_fragment try them
-SIZE_EASY_CLONES = ("I1", "I0", "E2", "V2", "D2")
-DEPTH_EASY_CLONES = ("I1", "I0", "S00", "S10", "D2")
+# in the order csp.pick_solver and construct.detect_fragment try them; classify
+# names the first trivial clone it finds as trivial_via
+_TRIVIAL_CLONES = ("I1", "I0")
+SIZE_EASY_CLONES = _TRIVIAL_CLONES + ("E2", "V2", "D2")
+DEPTH_EASY_CLONES = _TRIVIAL_CLONES + ("S00", "S10", "D2")
 
 
 def _build_catalog() -> dict[str, CloneDescriptor]:
@@ -185,18 +187,14 @@ def validate_catalog() -> CatalogReport:
     return CatalogReport(tuple(checks))
 
 
-_CATALOG_VALIDATED = False
-
-
+@cache
 def ensure_catalog_valid() -> None:
-    global _CATALOG_VALIDATED
-    if _CATALOG_VALIDATED:
-        return
+    """Validate the catalog once per process; the cache keeps no exception,
+    so a failing catalog raises on every call."""
     report = validate_catalog()
     if not report.ok:
         bad = ", ".join(f"{c.sub}<={c.sup}" for c in report.failures())
         raise CatalogError(f"clone catalog failed validation: {bad}")
-    _CATALOG_VALIDATED = True
 
 
 @lru_cache(maxsize=1 << 14)
@@ -302,7 +300,7 @@ def classify(sset: RelationSet, with_witnesses: bool = False) -> Verdict:
     for rel in working:
         preserved &= _preserved_labels(rel)
     has_empty = any(d["kind"] == "empty" for d in degenerate)
-    trivial_via = next((c for c in ("I0", "I1") if c in preserved), None)
+    trivial_via = next((c for c in _TRIVIAL_CLONES if c in preserved), None)
     trivial = trivial_via is not None and not has_empty
     size_side = "EASY" if any(c in preserved for c in SIZE_EASY_CLONES) else "HARD"
     depth_side = "EASY" if any(c in preserved for c in DEPTH_EASY_CLONES) else "HARD"

@@ -15,7 +15,7 @@ import random
 from dataclasses import dataclass
 from typing import Sequence
 
-from .boolfun import RelationSet, json_int, json_list, negate_relations
+from .boolfun import RelationSet, json_int, json_list
 from .circuit import (
     BOUNDED2,
     UNBOUNDED,
@@ -28,7 +28,7 @@ from .circuit import (
 )
 from .clone_lattice import DEPTH_EASY_CLONES
 from .config import budgets
-from .csp import TRACTABLE, CspInstance, clause_table, first_clone, or_fragment_side
+from .csp import TRACTABLE, CspInstance, clause_table, first_clone, fragment_table, or_fragment_side
 from .errors import BudgetExceededError, FragmentMismatchError
 from .graphlab import pair_index
 from .reductions import CONST, PROJ, BitReduction
@@ -226,12 +226,14 @@ def checkpoint_circuit(bp: LayeredBP, d: int, mode: str = PARITY) -> Circuit:
     return b.build([top])
 
 
-def random_layered_bp(
-    rng: random.Random, n: int, max_length: int = 9, max_width: int = 3
-) -> LayeredBP:
+_BP_MAX_LENGTH = 9
+_BP_MAX_WIDTH = 3
+
+
+def random_layered_bp(rng: random.Random, n: int) -> LayeredBP:
     """Random layered BP with at least one structural start-accept path."""
-    length = rng.randrange(1, max_length + 1)
-    widths = [rng.randrange(1, max_width + 1) for _ in range(length + 1)]
+    length = rng.randrange(1, _BP_MAX_LENGTH + 1)
+    widths = [rng.randrange(1, _BP_MAX_WIDTH + 1) for _ in range(length + 1)]
     start = rng.randrange(widths[0])
     accept = rng.randrange(widths[-1])
     spine = [start]
@@ -250,7 +252,7 @@ def random_layered_bp(
     edges = []
     for t in range(length):
         layer = {(spine[t], spine[t + 1]): rand_guard()}
-        for _ in range(rng.randrange(0, 2 * max_width)):
+        for _ in range(rng.randrange(0, 2 * _BP_MAX_WIDTH)):
             u = rng.randrange(widths[t])
             v = rng.randrange(widths[t + 1])
             layer.setdefault((u, v), rand_guard())
@@ -457,7 +459,9 @@ def emit_monotone_csp_circuit(
     edges are ORs of instance bits, and close it by repeated squaring,
     skipped when the graph has no edge.  fragment names an emitter of the
     last column of csp.TRACTABLE; the constant circuit of the I0/I1 sets is
-    chosen by "auto" only.
+    chosen by "auto" only.  The Horn, anti-Horn and 2-SAT emitters read
+    csp.fragment_table, so they refuse a set at every n exactly when their
+    solvers do, with the same FragmentMismatchError.
     """
     if n < 1:
         raise ValueError("n must be >= 1")
@@ -468,43 +472,40 @@ def emit_monotone_csp_circuit(
     return _EMITTERS[fragment](sset, n)
 
 
-def _clause_inputs(sset: RelationSet, n: int):
-    """A builder over the N instance bits, and (input gate, positive
-    variables, negative variables) for each prime clause of each of the N
-    applications, in bit order."""
+def _bit_inputs(sset: RelationSet, n: int, table):
+    """A builder over the N instance bits, and (input gate, table entry) for
+    each of the N applications, in bit order."""
     size = CspInstance(sset, n).size
     b = Builder(size, UNBOUNDED)
-    table = clause_table(sset, n)
-    found = []
-    for j in range(size):
-        bit = b.input(j)
-        found += [(bit, pos, neg) for pos, neg in table[j]]
-    return b, found
+    return b, [(b.input(j), table[j]) for j in range(size)]
 
 
 def _emit_constant(sset: RelationSet, n: int) -> Circuit:
     """I0/I1 sets: like csp's trivial solver, only an empty clause refutes."""
-    b, found = _clause_inputs(sset, n)
-    return b.build([b.or_([bit for bit, pos, neg in found if not pos and not neg])])
+    b, bits = _bit_inputs(sset, n, clause_table(sset, n))
+    return b.build([b.or_([bit for bit, entry in bits if ((), ()) in entry])])
 
 
-def _emit_horn(sset: RelationSet, n: int) -> Circuit:
-    b, found = _clause_inputs(sset, n)
+def _emit_horn(sset: RelationSet, n: int, clone: str = "E2") -> Circuit:
+    """Forward chaining over the Horn rules of fragment_table: clone E2 for
+    the Horn emitter, V2 (the negated relations) for the anti-Horn one."""
+    b, bits = _bit_inputs(sset, n, fragment_table(sset, n, clone))
     direct = []
     seeds: dict[int, list[int]] = {}
-    implications: list[tuple[int, int, tuple[int, ...]]] = []  # (bit, head, body)
-    violations: list[tuple[int, tuple[int, ...]]] = []
-    for bit, pos, neg in found:
-        if len(pos) > 1:
-            raise FragmentMismatchError("clause has more than one positive literal")
-        if pos and not neg:
-            seeds.setdefault(pos[0], []).append(bit)
-        elif pos:
-            implications.append((bit, pos[0], neg))
-        elif neg:
-            violations.append((bit, neg))
-        else:
-            direct.append(bit)
+    implications: list[tuple[int, int, list[int]]] = []  # (bit, head, body)
+    violations: list[tuple[int, list[int]]] = []
+    for bit, rules in bits:
+        for body_mask, head_mask in rules:
+            body = [v for v in range(n) if (body_mask >> v) & 1]
+            head = head_mask.bit_length() - 1
+            if head_mask and not body:
+                seeds.setdefault(head, []).append(bit)
+            elif head_mask:
+                implications.append((bit, head, body))
+            elif body:
+                violations.append((bit, body))
+            else:
+                direct.append(bit)
     marks = [b.or_(seeds.get(v, [])) for v in range(n)]
     for _ in range(n):
         new = list(marks)
@@ -539,21 +540,17 @@ def _closure_by_squaring(
 
 
 def _emit_twosat(sset: RelationSet, n: int) -> Circuit:
-    b, found = _clause_inputs(sset, n)
+    b, bits = _bit_inputs(sset, n, fragment_table(sset, n, "D2"))
     direct = []
-    # literal node: 2v for x_v, 2v + 1 for not x_v, so node ^ 1 negates
+    # literal node: 2v for x_v, 2v + 1 for not x_v, as in csp._implications
     edge_bits: dict[tuple[int, int], list[int]] = {}
-    for bit, pos, neg in found:
-        lits = [2 * v for v in pos] + [2 * v + 1 for v in neg]
-        if not lits:
+    for bit, edges in bits:
+        if edges is None:
             direct.append(bit)
             continue
-        if len(lits) > 2:
-            raise FragmentMismatchError("clause wider than 2 in the 2-SAT emitter")
-        u, w = lits[0], lits[-1]
-        edge_bits.setdefault((u ^ 1, w), []).append(bit)
-        if u != w:
-            edge_bits.setdefault((w ^ 1, u), []).append(bit)
+        # a unit clause lists its one edge twice; the bit joins it once
+        for source, target in dict.fromkeys(edges):
+            edge_bits.setdefault((source, target.bit_length() - 1), []).append(bit)
     reach = _closure_by_squaring(b, edge_bits, 2 * n)
     contradictions = [
         b.and_([reach[2 * v][2 * v + 1], reach[2 * v + 1][2 * v]]) for v in range(n)
@@ -563,17 +560,18 @@ def _emit_twosat(sset: RelationSet, n: int) -> Circuit:
 
 def _emit_or_fragment(sset: RelationSet, n: int) -> Circuit:
     side = or_fragment_side(sset)
-    b, found = _clause_inputs(sset, n)
+    b, bits = _bit_inputs(sset, n, clause_table(sset, n))
     edge_bits: dict[tuple[int, int], list[int]] = {}
     unit_bits: dict[int, list[int]] = {}
     disjunctions: list[tuple[int, tuple[int, ...]]] = []
-    for bit, pos, neg in found:
-        if len(pos) == len(neg) == 1:
-            edge_bits.setdefault((neg[0], pos[0]), []).append(bit)
-        elif len(pos) + len(neg) == 1 and bool(pos) == (side == "nand"):
-            unit_bits.setdefault((pos + neg)[0], []).append(bit)
-        else:
-            disjunctions.append((bit, pos + neg))
+    for bit, entry in bits:
+        for pos, neg in entry:
+            if len(pos) == len(neg) == 1:
+                edge_bits.setdefault((neg[0], pos[0]), []).append(bit)
+            elif len(pos) + len(neg) == 1 and bool(pos) == (side == "nand"):
+                unit_bits.setdefault((pos + neg)[0], []).append(bit)
+            else:
+                disjunctions.append((bit, pos + neg))
     reach = _closure_by_squaring(b, edge_bits, n)
     units = [b.or_(unit_bits.get(v, [])) for v in range(n)]
     if side == "or":
@@ -589,7 +587,7 @@ def _emit_or_fragment(sset: RelationSet, n: int) -> Circuit:
 _EMITTERS = {
     "constant": _emit_constant,
     "horn": _emit_horn,
-    "antihorn": lambda sset, n: _emit_horn(negate_relations(sset), n),
+    "antihorn": lambda sset, n: _emit_horn(sset, n, "V2"),
     "2sat": _emit_twosat,
     "or_fragment": _emit_or_fragment,
 }

@@ -444,7 +444,7 @@ def _implications(rel: Relation, variables: tuple[int, ...]) -> tuple[tuple[int,
 
 # Per-bit tables: one view of every bit of one (sset, n), the clause view
 # (clause_table), the parity view (_parity_table) and the solver-ready Horn,
-# anti-Horn and 2-SAT views (_horn_table, _antihorn_table, _twosat_table).
+# anti-Horn and 2-SAT views (fragment_table).
 
 # Above this many bits a per-bit table reads bits lazily.  A dense table costs
 # about 10 us per entry once per (relation, n): worth it when many instances
@@ -498,36 +498,27 @@ def _parity_table(sset: RelationSet, n: int) -> "tuple | _LazyTable":
     return _bit_table(_parity_rows, sset, n)
 
 
-@lru_cache(maxsize=16)
-def _guard(sset: RelationSet, clone: str, fragment: str) -> None:
-    """Raise FragmentMismatchError naming the first relation of sset that
-    clone does not preserve.  lru_cache keeps no exception, so a set is
-    checked once when it passes and raises on every call when it does not."""
+# The solver views of the Horn (E2), anti-Horn (V2: the Horn view of the
+# negated relations, each bit in its place) and 2-SAT (D2) fragments, with
+# the wording of a mismatch.
+_FRAGMENT_VIEWS: dict[str, tuple[Callable, str]] = {
+    "E2": (_horn_rules, "AND-closed (Horn fragment)"),
+    "V2": (_horn_rules, "OR-closed (anti-Horn fragment)"),
+    "D2": (_implications, "majority-closed (2-SAT fragment)"),
+}
+
+
+@lru_cache(maxsize=32)
+def fragment_table(sset: RelationSet, n: int, clone: str) -> "tuple | _LazyTable":
+    """Entry j is the clone's view of bit j, read by its solver and its
+    emitter.  Raises FragmentMismatchError naming the first relation of sset
+    that the clone does not preserve; lru_cache keeps no exception, so a set
+    is checked once when it passes and raises on every call when it does not."""
+    view, wording = _FRAGMENT_VIEWS[clone]
     for rel in sset:
         if not in_pol(clone, rel):
-            raise FragmentMismatchError(f"relation {rel.name or rel} is not {fragment}")
-
-
-@lru_cache(maxsize=16)
-def _horn_table(sset: RelationSet, n: int) -> "tuple | _LazyTable":
-    """Entry j is `_horn_rules` of bit j, for an AND-closed sset."""
-    _guard(sset, "E2", "AND-closed (Horn fragment)")
-    return _bit_table(_horn_rules, sset, n)
-
-
-@lru_cache(maxsize=16)
-def _twosat_table(sset: RelationSet, n: int) -> "tuple | _LazyTable":
-    """Entry j is `_implications` of bit j, for a majority-closed sset."""
-    _guard(sset, "D2", "majority-closed (2-SAT fragment)")
-    return _bit_table(_implications, sset, n)
-
-
-@lru_cache(maxsize=16)
-def _antihorn_table(sset: RelationSet, n: int) -> "tuple | _LazyTable":
-    """The Horn view of the negated relations, for an OR-closed sset: a bit
-    keeps its place when its relation is negated."""
-    _guard(sset, "V2", "OR-closed (anti-Horn fragment)")
-    return _horn_table(negate_relations(sset), n)
+            raise FragmentMismatchError(f"relation {rel.name or rel} is not {wording}")
+    return _bit_table(view, negate_relations(sset) if clone == "V2" else sset, n)
 
 
 # Horn unit propagation for AND-closed relation sets.
@@ -563,7 +554,7 @@ def _propagate(table: "tuple | _LazyTable", bits: int) -> bool:
 
 def solve_horn(inst: CspInstance) -> bool:
     """Least-model unit propagation for AND-closed relation sets."""
-    return _propagate(_horn_table(inst.sset, inst.n), inst.bits)
+    return _propagate(fragment_table(inst.sset, inst.n, "E2"), inst.bits)
 
 
 def negate_instance(inst: CspInstance) -> CspInstance:
@@ -575,7 +566,7 @@ def negate_instance(inst: CspInstance) -> CspInstance:
 def solve_antihorn(inst: CspInstance) -> bool:
     """Greatest-model dual of solve_horn for OR-closed relation sets: unit
     propagation over the negated relations."""
-    return _propagate(_antihorn_table(inst.sset, inst.n), inst.bits)
+    return _propagate(fragment_table(inst.sset, inst.n, "V2"), inst.bits)
 
 
 # 2-SAT via the implication graph.
@@ -584,7 +575,7 @@ def solve_2sat(inst: CspInstance) -> bool:
     """Implication-graph reachability for majority-closed (bijunctive) sets,
     whose prime clauses have width at most 2."""
     n = inst.n
-    table = _twosat_table(inst.sset, n)
+    table = fragment_table(inst.sset, n, "D2")
     adj = [0] * (2 * n)  # literal node: 2v for x_v, 2v + 1 for not x_v
     for j in _set_bits(inst.bits):
         edges = table[j]

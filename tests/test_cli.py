@@ -8,7 +8,7 @@ from pathlib import Path
 import pytest
 
 from postlab import graphlab, verify
-from postlab.boolfun import EQ2, UNIT_FALSE, UNIT_TRUE, RelationSet
+from postlab.boolfun import EQ2, IMP2, UNIT_FALSE, UNIT_TRUE, RelationSet
 from postlab.circuit import Circuit
 from postlab.cli import main
 from postlab.construct import induced_subgraph_circuit, random_layered_bp, threshold_circuit
@@ -52,6 +52,19 @@ def test_classify_trivial(capsys):
         assert code == 0
         verdict = json.loads(out)
         assert verdict["trivial"] and verdict["trivial_via"] == via
+
+
+def test_classify_and_solve_auto_name_one_trivial_clone(tmp_path, capsys):
+    # imp is preserved by both constants: classify and pick_solver both say I1
+    path = tmp_path / "imp.rels"
+    path.write_text("rel imp 2 : 00 01 11\n")
+    code, out, _ = run(capsys, "classify", str(path))
+    assert code == 0 and json.loads(out)["trivial_via"] == "I1"
+    inst = tmp_path / "imp.json"
+    imp = CspInstance(RelationSet((IMP2,), "imp"), 2).with_constraint(0, (0, 1))
+    inst.write_text(json.dumps(imp.to_json()))
+    code, out, _ = run(capsys, "solve", "auto", "--in", str(inst))
+    assert code == 0 and "solver=trivial(I1)" in out
 
 
 def test_classify_parse_error(tmp_path, capsys):
@@ -150,7 +163,7 @@ def test_emit_csp_forced_horn_on_a_non_horn_set_exits_3(capsys):
     code, _, err = run(
         capsys, "emit", "csp", "--set", str(DATA / "or2.rels"), "--n", "2", "--fragment", "horn"
     )
-    assert code == 3 and "clause has more than one positive literal" in err
+    assert code == 3 and "relation or2 is not AND-closed (Horn fragment)" in err
 
 
 def test_emit_checkpoint_depth(tmp_path, capsys):
@@ -260,9 +273,11 @@ def test_run_report_lists_the_files(tmp_path, capsys, argv, inputs, outputs):
     Path(paths["inst"]).write_text(json.dumps(inst.to_json()))
     Path(paths["target"]).write_text("rel imp 2 : 00 01 11\nrel T 1 : 1\nrel F 1 : 0\n")
     Path(paths["graph"]).write_text("v 2\ne 0 1\n")
-    code, _, err = run(capsys, "--report", paths["report"], *(a.format(**paths) for a in argv))
+    argv = ["--report", paths["report"], *(a.format(**paths) for a in argv)]
+    code, _, err = run(capsys, *argv)
     assert code == 0, err
     report = json.loads(Path(paths["report"]).read_text())
+    assert report["argv"] == argv
     inputs = [a.format(**paths) for a in inputs]
     assert report["inputs"] == {p: hashlib.sha256(Path(p).read_bytes()).hexdigest() for p in inputs}
     assert report["outputs"] == [a.format(**paths) for a in outputs]

@@ -48,6 +48,9 @@ from postlab.csp import (
     hornt_set,
     nand_fragment_set,
     or_fragment_set,
+    solve_2sat,
+    solve_antihorn,
+    solve_horn,
     twosat_set,
     violation_masks,
     xor3_set,
@@ -341,10 +344,38 @@ def test_or_fragment_emitter_reverse_implication():
 def test_emitter_fragment_mismatch():
     with pytest.raises(FragmentMismatchError):
         emit_monotone_csp_circuit(xor3_set(), 2)
-    # at n = 2 every 3-clause instantiation collapses to width <= 2, so the
-    # mismatch only appears once three distinct variables are available
-    with pytest.raises(FragmentMismatchError):
-        emit_monotone_csp_circuit(hornt_set(), 3, "2sat")
+    for n in (2, 3):
+        with pytest.raises(FragmentMismatchError, match="majority-closed"):
+            emit_monotone_csp_circuit(hornt_set(), n, "2sat")
+
+
+EMITTER_SOLVERS = {"horn": solve_horn, "antihorn": solve_antihorn, "2sat": solve_2sat}
+
+
+def _mismatch(call) -> str | None:
+    try:
+        call()
+    except FragmentMismatchError as exc:
+        return str(exc)
+    return None
+
+
+def test_forced_emitters_refuse_exactly_what_their_solvers_refuse():
+    """Each ternary relation, alone and with T, F and {T, F}: a forced Horn,
+    anti-Horn or 2-SAT emitter raises, with the same message, exactly when
+    the matching solver does."""
+    refused = 0
+    for mask in range(256):
+        rel = Relation(3, mask, f"t{mask}")
+        for units in ((), (UNIT_TRUE,), (UNIT_FALSE,), (UNIT_TRUE, UNIT_FALSE)):
+            sset = RelationSet((rel,) + units)
+            for n in (1, 2, 3):
+                for fragment, solver in EMITTER_SOLVERS.items():
+                    want = _mismatch(lambda: solver(CspInstance(sset, n)))
+                    got = _mismatch(lambda: emit_monotone_csp_circuit(sset, n, fragment))
+                    assert got == want, (mask, units, n, fragment)
+                    refused += want is not None
+    assert refused
 
 
 def _oddfactor4_table() -> int:

@@ -36,6 +36,7 @@ from postlab.csp import (
     clause_table,
     clauses,
     csp_sat_value,
+    fragment_table,
     hornt_set,
     instance_to_xor_system,
     nand_fragment_set,
@@ -603,10 +604,10 @@ def test_pickled_relations_hit_the_caches():
     copy = pickle.loads(pickle.dumps(sset))
     assert copy == sset and hash(copy) == hash(sset)
     assert clause_table(copy, 3) is clause_table(sset, 3)
-    for table_of, s in ((csp._twosat_table, sset), (csp._horn_table, hornt_set())):
+    for clone, s in (("D2", sset), ("E2", hornt_set())):
         renamed = RelationSet(tuple(replace(rel, name="r") for rel in s), s.name)
         for twin in (pickle.loads(pickle.dumps(s)), renamed):
-            assert table_of(twin, 3) is table_of(s, 3)
+            assert fragment_table(twin, 3, clone) is fragment_table(s, 3, clone)
     rel = pickle.loads(pickle.dumps(sset[0]))
     in_pol("D2", sset[0])
     hits = in_pol.cache_info().hits
@@ -730,8 +731,8 @@ def test_lazy_tables_keep_a_bounded_number_of_entries(monkeypatch):
     for table_of, view, sset in (
         (csp._parity_table, csp._parity_rows, xor3),
         (clause_table, clauses, xor3),
-        (csp._horn_table, csp._horn_rules, horn2),
-        (csp._twosat_table, csp._implications, horn2),
+        (lambda s, n: fragment_table(s, n, "E2"), csp._horn_rules, horn2),
+        (lambda s, n: fragment_table(s, n, "D2"), csp._implications, horn2),
     ):
         inst = CspInstance(sset, n)
         table = table_of(sset, n)
@@ -847,7 +848,7 @@ def _mask(variables):
 def test_solver_views_hold_the_clauses_of_each_bit(drawn):
     name, sset, n, bits = drawn
     inst = CspInstance(sset, n)
-    table = (csp._horn_table if name == "horn" else csp._twosat_table)(sset, n)
+    table = fragment_table(sset, n, "E2" if name == "horn" else "D2")
     assert isinstance(table, tuple) == (inst.size <= csp._DENSE_TABLE_BITS)
     for j in bits:
         r, variables = inst.decode(j)
