@@ -10,6 +10,7 @@ from __future__ import annotations
 import argparse
 import hashlib
 import json
+import os
 import sys
 import time
 from pathlib import Path
@@ -355,7 +356,15 @@ def main(argv: list[str] | None = None) -> int:
         t0 = time.perf_counter()
         code, summary = args.fn(args)
         _run_report(args, argv, summary, t0)
+        sys.stdout.flush()  # a closed pipe raises here, not at exit
         return code
+    except BrokenPipeError:
+        # The reader stopped early, which is not a failure.  Stdout now
+        # writes to devnull, so the flush at exit has nothing to raise.
+        devnull = os.open(os.devnull, os.O_WRONLY)
+        os.dup2(devnull, sys.stdout.fileno())
+        os.close(devnull)
+        return EXIT_OK
     except _CliError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return exc.code

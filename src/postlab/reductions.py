@@ -12,6 +12,7 @@ from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass, replace
+from functools import cached_property, lru_cache
 from .boolfun import EQ2, Relation, RelationSet, solution_table
 from .config import budgets
 from .csp import CspInstance, gf2_reduce, instance_to_xor_system, xor_system_to_instance
@@ -47,19 +48,33 @@ class BitReduction:
             else:
                 raise ValueError(f"unknown bit definition {d[0]!r}")
 
-    def apply(self, x: int) -> int:
-        out = 0
+    @cached_property
+    def _by_input(self) -> tuple[int, tuple[int, ...]]:
+        """(the mask of the constant-1 output bits, per input bit i the mask
+        of the output bits whose PROJ or ORBIT definition reads i)."""
+        ones, targets = 0, [0] * self.in_len
         for j, d in enumerate(self.bits):
             if d[0] == CONST:
-                bit = d[1]
+                ones |= d[1] << j
             elif d[0] == PROJ:
-                bit = (x >> d[1]) & 1
+                targets[d[1]] |= 1 << j
             else:
-                bit = int(any((x >> i) & 1 for i in d[1]))
-            out |= bit << j
+                for i in d[1]:
+                    targets[i] |= 1 << j
+        return ones, tuple(targets)
+
+    def apply(self, x: int) -> int:
+        """The output bits of input x; bits of x at or above in_len are
+        ignored.  Costs one step per set input bit, not one per output bit."""
+        out, targets = self._by_input
+        x &= (1 << self.in_len) - 1
+        while x:
+            low = x & -x
+            out |= targets[low.bit_length() - 1]
+            x ^= low
         return out
 
-    @property
+    @cached_property
     def is_projection_only(self) -> bool:
         return all(d[0] in (CONST, PROJ) for d in self.bits)
 
@@ -236,9 +251,23 @@ def cq_rewrite(
             raise ValueError(f"definition {r} does not define its relation")
         if not d.semantics_ok():
             raise ValueError(f"definition {r} fails its semantics check")
-    base = CspInstance(inst.sset, inst.n, 0)
+    red, n_out = _cq_layout(inst.sset, inst.n, over, tuple(defs[r] for r in range(len(inst.sset))))
+    return CspInstance(over, n_out, red.apply(inst.bits)), red
+
+
+@lru_cache(maxsize=16)
+def _cq_layout(
+    sset: RelationSet, n: int, over: RelationSet, defs: tuple[CQDefinition, ...]
+) -> tuple[BitReduction, int]:
+    """cq_rewrite's reduction and output variable count at (sset, n, defs).
+
+    Name-free on purpose: relation equality ignores names, so one entry serves
+    callers whose relations carry different names, and cq_rewrite builds the
+    output instance over each caller's own relation set.
+    """
+    base = CspInstance(sset, n, 0)
     block_base: dict[int, int] = {}
-    n_out = inst.n
+    n_out = n
     for j in range(base.size):
         r, _ = base.decode(j)
         block_base[j] = n_out
@@ -258,8 +287,7 @@ def cq_rewrite(
     for out_bit, sources in out_sources.items():
         uniq = tuple(sorted(set(sources)))
         bit_defs[out_bit] = (PROJ, uniq[0]) if len(uniq) == 1 else (ORBIT, uniq)
-    red = BitReduction(base.size, out0.size, tuple(bit_defs))
-    return CspInstance(over, n_out, red.apply(inst.bits)), red
+    return BitReduction(base.size, out0.size, tuple(bit_defs)), n_out
 
 
 @dataclass(frozen=True)
@@ -316,15 +344,26 @@ def l2_to_l3_transform(inst: CspInstance) -> tuple[CspInstance, BitReduction]:
             mask |= 1 << (((t ^ full) << 1) | 1)
         new_rels.append(Relation(rel.arity + 1, mask, f"{rel.name}'" if rel.name else ""))
     out_set = RelationSet(tuple(new_rels), f"{inst.sset.name}'" if inst.sset.name else "")
-    alpha = inst.n
-    out0 = CspInstance(out_set, inst.n + 1, 0)
-    base = CspInstance(inst.sset, inst.n, 0)
+    red = _selector_layout(inst.sset, inst.n)
+    return CspInstance(out_set, inst.n + 1, red.apply(inst.bits)), red
+
+
+@lru_cache(maxsize=16)
+def _selector_layout(sset: RelationSet, n: int) -> BitReduction:
+    """l2_to_l3_transform's projection at (sset, n): R(V) -> R'(alpha, V).
+
+    It reads only arities, so one entry serves relation sets that differ in
+    names alone.
+    """
+    alpha = n
+    # encoding reads only the arities, so empty relations stand in for the R'
+    out0 = CspInstance(RelationSet(tuple(Relation(rel.arity + 1, 0) for rel in sset)), n + 1, 0)
+    base = CspInstance(sset, n, 0)
     bit_defs: list[tuple] = [(CONST, 0)] * out0.size
     for j in range(base.size):
         r, variables = base.decode(j)
         bit_defs[out0.encode(r, (alpha,) + variables)] = (PROJ, j)
-    red = BitReduction(base.size, out0.size, tuple(bit_defs))
-    return CspInstance(out_set, inst.n + 1, red.apply(inst.bits)), red
+    return BitReduction(base.size, out0.size, tuple(bit_defs))
 
 
 # The bipartite odd-factor to 3-XOR-SAT projection.

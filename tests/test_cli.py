@@ -2,7 +2,9 @@
 
 import hashlib
 import json
+import os
 import random
+import sys
 from pathlib import Path
 
 import pytest
@@ -287,6 +289,37 @@ def test_help_exits_0(capsys):
     with pytest.raises(SystemExit) as exc:
         main(["emit", "threshold", "--help"])
     assert exc.value.code == 0 and "--mode {logdepth,flat}" in capsys.readouterr().out
+
+
+class ClosedPipe:
+    """A stdout whose reader has gone: every write raises."""
+
+    def __init__(self, fd: int):
+        self.fd = fd
+
+    def write(self, text: str) -> int:
+        raise BrokenPipeError(32, "Broken pipe")
+
+    def flush(self) -> None:
+        pass
+
+    def fileno(self) -> int:
+        return self.fd
+
+
+def test_a_closed_stdout_ends_quietly(tmp_path, capsys, monkeypatch):
+    target = tmp_path / "stdout"
+    fd = os.open(target, os.O_WRONLY | os.O_CREAT)
+    try:
+        monkeypatch.setattr(sys, "stdout", ClosedPipe(fd))
+        assert main(["emit", "threshold", "--k", "2", "--n", "8"]) == 0
+        assert capsys.readouterr().err == ""
+        # the descriptor now writes to devnull, so the flush at exit cannot fail
+        assert os.path.samestat(os.fstat(fd), os.stat(os.devnull))
+        os.write(fd, b"late output")
+        assert target.read_bytes() == b""
+    finally:
+        os.close(fd)
 
 
 def test_reduce_bip_oddfactor(tmp_path, capsys):

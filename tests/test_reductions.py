@@ -6,7 +6,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from postlab import csp
+from postlab import csp, reductions
 
 from postlab.boolfun import (
     EQ2,
@@ -22,6 +22,8 @@ from postlab.boolfun import (
     NEGATION,
     Relation,
 )
+from postlab.circuit import Builder
+from postlab.construct import GraphPropertyCircuit, padded_graph_property
 from postlab.csp import (
     CspInstance,
     csp_sat_value,
@@ -36,6 +38,7 @@ from postlab.errors import FragmentMismatchError
 from postlab.graphlab import BipGraph, Graph, bip_odd_factor, tseitin_system
 from postlab.reductions import (
     BitReduction,
+    CQDefinition,
     bip_oddfactor_to_xorsat,
     cq_rewrite,
     eliminate_equality,
@@ -55,6 +58,82 @@ def test_bitreduction_apply_and_json():
         "bits": [{"const": 1}, {"input": 2}, {"or": [0, 1]}, {"const": 0}],
     }
     assert not red.is_projection_only
+
+
+def apply_per_bit(red: BitReduction, x: int) -> int:
+    """The reference: one output bit at a time, from its definition."""
+    out = 0
+    for j, d in enumerate(red.bits):
+        if d[0] == "const":
+            bit = d[1]
+        elif d[0] == "input":
+            bit = (x >> d[1]) & 1
+        else:
+            bit = int(any((x >> i) & 1 for i in d[1]))
+        out |= bit << j
+    return out
+
+
+EQSET = RelationSet((EQ2, UNIT_TRUE, UNIT_FALSE), "eqset")
+IMPSET = RelationSet((IMP2, UNIT_TRUE, UNIT_FALSE), "impset")
+NE = RelationSet((parity_relation(2, 1),), "ne")
+
+
+def layout_builds():
+    """(label, the layout cache it fills, n -> the reduction it emits at n)."""
+    eq_defs = {r: find_cq(EQSET[r], IMPSET) for r in range(len(EQSET))}
+    ne_defs = {0: find_cq(NE[0], xor3_set())}
+    return [
+        ("l2-to-l3 xor3", reductions._selector_layout, lambda n: l2_to_l3_transform(CspInstance(xor3_set(), n))[1]),
+        ("l2-to-l3 hornt", reductions._selector_layout, lambda n: l2_to_l3_transform(CspInstance(hornt_set(), n))[1]),
+        ("cq eq->imp", reductions._cq_layout, lambda n: cq_rewrite(CspInstance(EQSET, n), eq_defs)[1]),
+        ("cq ne->xor3", reductions._cq_layout, lambda n: cq_rewrite(CspInstance(NE, n), ne_defs)[1]),
+        ("pol-reduce", reductions._cq_layout, lambda n: pol_reduce(CspInstance(EQSET, n), IMPSET).or_stage),
+    ]
+
+
+def test_apply_matches_the_per_bit_loop():
+    made = BitReduction(
+        4, 6, (("const", 0), ("const", 1), ("input", 3), ("or", (0, 2)), ("or", (1, 2, 3)), ("input", 0))
+    )
+    b = Builder(3)
+    edge = GraphPropertyCircuit(3, b.build([b.or_([b.input(i) for i in range(3)])]), "edge")
+    reds = [("made", made)]
+    reds += [(f"padding big_n={big_n}", padded_graph_property(edge, big_n)[1]) for big_n in (4, 6)]
+    reds += [(f"{label} n={n}", build(n)) for label, _, build in layout_builds() for n in range(1, 4)]
+    # EQ(x, y) and EQ(y, x) both write IMP(x, y), so that bit is an OR
+    assert any(d[0] == "or" for label, red in reds if "eq->imp" in label for d in red.bits)
+    rng = random.Random(11)
+    for label, red in reds:
+        full = (1 << red.in_len) - 1
+        xs = [0, full, full | 1 << red.in_len, 1 << (red.in_len + 9) | 1]
+        xs += [rng.getrandbits(red.in_len) for _ in range(20)]
+        xs += [1 << rng.randrange(red.in_len) for _ in range(5)]
+        for x in xs:
+            assert red.apply(x) == apply_per_bit(red, x), (label, x)
+
+
+def test_cached_layouts_keep_each_callers_names():
+    a = RelationSet((Relation(3, 0x96, "a"),), "s")
+    b = RelationSet((Relation(3, 0x96, "b"),), "s")
+    for sset, want in ((a, "a'"), (b, "b'"), (a, "a'")):
+        out, _ = l2_to_l3_transform(CspInstance(sset, 2, 1))
+        assert out.sset.name == "s'" and out.sset[0].name == want
+    over_a = RelationSet((Relation(3, 0x96, "a"), Relation(3, 0x69, "z")), "t")
+    over_b = RelationSet((Relation(3, 0x96, "b"), Relation(3, 0x69, "y")), "t")
+    for over in (over_a, over_b, over_a):
+        out, _ = cq_rewrite(CspInstance(a, 2, 1), {0: find_cq(a[0], over)})
+        assert out.sset is over
+
+
+def test_a_fresh_layout_equals_the_cached_one():
+    for label, layout, build in layout_builds():
+        for n in range(1, 6):
+            cached = build(n)
+            assert build(n) is cached, (label, n)
+            layout.cache_clear()
+            fresh = build(n)
+            assert fresh is not cached and fresh == cached, (label, n)
 
 
 def test_bitreduction_validation():
@@ -146,10 +225,44 @@ def test_cq_rewrite_equality_to_implication():
         assert kinds <= {"const", "input", "or"}
 
 
-def test_cq_rewrite_missing_definition():
-    s = hornt_set()
-    with pytest.raises(FragmentMismatchError):
-        cq_rewrite(CspInstance(s, 2, 0), {0: find_cq(s[0], s)})
+def test_cq_rewrite_rejects_invalid_definitions():
+    # checked before any layout is built, in this order; a cached layout
+    # never stands in for an exception, so each row raises on every call
+    good = {r: find_cq(EQSET[r], IMPSET) for r in range(len(EQSET))}
+    other = RelationSet((IMP2, UNIT_TRUE), "other")
+    rows = [
+        ({}, ValueError, "no definitions supplied"),
+        ({0: good[0], 1: good[1]}, FragmentMismatchError, "missing definition for relation 2"),
+        (
+            {**good, 1: CQDefinition(UNIT_FALSE, IMPSET, 0, ((2, (0,)),))},
+            ValueError,
+            "definition 1 does not define its relation",
+        ),
+        (
+            {**good, 1: CQDefinition(UNIT_TRUE, other, 0, ((1, (0,)),))},
+            ValueError,
+            "definitions target different relation sets",
+        ),
+        # the first definition fixes the target set, even under a key that
+        # names no relation
+        (
+            {5: CQDefinition(EQ2, other, 0, ()), **good},
+            ValueError,
+            "definitions target different relation sets",
+        ),
+        (
+            {**good, 1: CQDefinition(UNIT_TRUE, IMPSET, 0, ((2, (0,)),))},
+            ValueError,
+            "definition 1 fails its semantics check",
+        ),
+    ]
+    inst = random_instance(EQSET, 3, 0.2, random.Random(1))
+    for defs, error, message in rows:
+        for _ in range(2):
+            with pytest.raises(error) as info:
+                cq_rewrite(inst, defs)
+            assert type(info.value) is error and str(info.value) == message
+            cq_rewrite(inst, good)
 
 
 def test_pol_reduce_chain():
