@@ -170,8 +170,13 @@ class CQDefinition:
             sols &= solution_table(self.over[rel_idx], variables, v)
         return Relation(k, _project(sols, k))
 
-    def semantics_ok(self) -> bool:
+    @cached_property
+    def _semantics_ok(self) -> bool:
         return self.defined_relation().mask == self.target.mask
+
+    def semantics_ok(self) -> bool:
+        """Whether the query defines its target; computed once per definition."""
+        return self._semantics_ok
 
     def to_json(self) -> dict:
         return {
@@ -377,10 +382,14 @@ class BipOddFactorReduction:
     from: bit j is set iff the j-th 3-XOR application participates.  beta is
     the complement vector as a monotone projection of M.
 
-    always_pivots is the echelon basis of the Tseitin rows of K_{n,n},
-    reduced once per reduction.  Those rows are consistent, because K_{n,n}
-    has a perfect matching (an odd factor), so every matrix's system is that
-    basis plus the zeroing rows of its missing cells.
+    The Tseitin rows of K_{n,n} are consistent, because K_{n,n} has a perfect
+    matching (an odd factor), so M's system is inconsistent exactly when 0 = 1
+    lies in the span of the forms of its missing cells: each cell's zeroing
+    row fully reduced modulo the echelon basis of those Tseitin rows, so that
+    it has no bit at a pivot position.  The cells split into a low half (the
+    first n*(n//2)) and a high half, and each half's table holds, per pattern
+    of its cells, the echelon basis of its missing cells' forms, or None when
+    they alone are inconsistent.
     """
 
     instance: CspInstance
@@ -388,11 +397,11 @@ class BipOddFactorReduction:
     n: int
     always_bits: int  # mask of the Tseitin applications of K_{n,n}, present for every M
     always_positions: tuple[int, ...]  # the set bits of always_bits, ascending
-    always_pivots: tuple[tuple[int, tuple[int, int]], ...]  # (top bit, row) pairs
     # per matrix row i and per pattern of its n cells: (the mask of the
-    # zeroing applications of the row's missing cells, their bits ascending,
-    # their parity rows)
-    row_tables: tuple[tuple[tuple[int, tuple[int, ...], tuple[tuple[int, int], ...]], ...], ...]
+    # zeroing applications of the row's missing cells, their bits ascending)
+    row_tables: tuple[tuple[tuple[int, tuple[int, ...]], ...], ...]
+    low_bases: tuple[tuple[tuple[int, int], ...] | None, ...]  # rows of each basis
+    high_bases: tuple[tuple[tuple[int, tuple[int, int]], ...] | None, ...]  # (top bit, row) pairs
 
     def alpha_bits(self, graph_mask: int) -> int:
         n, full, missing = self.n, (1 << self.n) - 1, 0
@@ -412,12 +421,13 @@ class BipOddFactorReduction:
     def dual_of_xorsat(self, graph_mask: int) -> bool:
         """dual(XOR-SAT) evaluated at beta(M): since XOR-SAT accepts the
         unsatisfiable systems and alpha = not beta, this is satisfiability
-        of the alpha system, decided by reducing the zeroing rows of M's
-        missing cells against a copy of always_pivots."""
-        n, full, rows = self.n, (1 << self.n) - 1, []
-        for i, table in enumerate(self.row_tables):
-            rows += table[(graph_mask >> i * n) & full][2]
-        return gf2_reduce(dict(self.always_pivots), rows)
+        of the alpha system, decided by reducing the low half's basis rows
+        against a copy of the high half's basis."""
+        low = self.low_bases[graph_mask & (len(self.low_bases) - 1)]
+        high = self.high_bases[(graph_mask >> self.n * (self.n // 2)) & (len(self.high_bases) - 1)]
+        if low is None or high is None:
+            return False
+        return gf2_reduce(dict(high), low)
 
 
 def bip_oddfactor_to_xorsat(graph: BipGraph) -> BipOddFactorReduction:
@@ -450,22 +460,38 @@ def bip_oddfactor_to_xorsat(graph: BipGraph) -> BipOddFactorReduction:
         beta_defs[bit] = (PROJ, cell)
     beta = BitReduction(n * n, full.size, tuple(beta_defs))
 
-    def parity_rows(positions: tuple[int, ...]) -> tuple[int, tuple[tuple[int, int], ...]]:
+    def parity_rows(positions: tuple[int, ...]) -> tuple[tuple[int, int], ...]:
         bits = sum(1 << bit for bit in positions)
         inst = CspInstance(full.sset, full.n, bits, known_set_bits=positions)
-        return bits, instance_to_xor_system(inst).rows
+        return instance_to_xor_system(inst).rows
 
     pivots: dict[int, tuple[int, int]] = {}
-    gf2_reduce(pivots, parity_rows(always)[1])
+    gf2_reduce(pivots, parity_rows(always))
+    forms = []
+    for bit in cell_bits:
+        ((mask, rhs),) = parity_rows((bit,))
+        for top in sorted(pivots, reverse=True):
+            if (mask >> top) & 1:
+                mask, rhs = mask ^ pivots[top][0], rhs ^ pivots[top][1]
+        forms.append((mask, rhs))
+
+    def half_bases(cells: range) -> list[dict[int, tuple[int, int]] | None]:
+        table = []
+        for pattern in range(1 << len(cells)):
+            basis: dict[int, tuple[int, int]] = {}
+            rows = [forms[c] for j, c in enumerate(cells) if not (pattern >> j) & 1]
+            table.append(basis if gf2_reduce(basis, rows) else None)
+        return table
+
     row_tables = []
     for i in range(n):
         table = []
         for pattern in range(1 << n):
             missing = tuple(cell_bits[i * n + j] for j in range(n) if not (pattern >> j) & 1)
-            bits, rows = parity_rows(missing)
-            table.append((bits, missing, rows))
+            table.append((sum(1 << bit for bit in missing), missing))
         row_tables.append(tuple(table))
-    layout = BipOddFactorReduction(
-        full, beta, n, full.bits, always, tuple(pivots.items()), tuple(row_tables)
-    )
+    k = n * (n // 2)
+    low = tuple(None if b is None else tuple(b.values()) for b in half_bases(range(k)))
+    high = tuple(None if b is None else tuple(b.items()) for b in half_bases(range(k, n * n)))
+    layout = BipOddFactorReduction(full, beta, n, full.bits, always, tuple(row_tables), low, high)
     return replace(layout, instance=layout.instance_for(graph.mask))

@@ -511,7 +511,7 @@ def suite_reductions(seed: int = 0, instances: int = 500, quick: bool = False) -
 
     def bip():
         # every 17th matrix is also solved through its CspInstance, so the
-        # instance path keeps agreeing with the basis that dual_of_xorsat extends
+        # instance path keeps agreeing with the half tables dual_of_xorsat reads
         n = 3 if quick else 4
         red = reductions.bip_oddfactor_to_xorsat(graphlab.BipGraph(n, 0))
         for mask in range(1 << (n * n)):

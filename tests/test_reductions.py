@@ -1,5 +1,6 @@
 """Monotone reductions: structure and equi-satisfiability."""
 
+import hashlib
 import random
 
 import pytest
@@ -265,6 +266,25 @@ def test_cq_rewrite_rejects_invalid_definitions():
             cq_rewrite(inst, good)
 
 
+def test_cq_rewrite_checks_each_definitions_semantics_once(monkeypatch):
+    defs = {r: find_cq(EQSET[r], IMPSET) for r in range(len(EQSET))}
+    calls = []
+    real = CQDefinition.defined_relation
+
+    def counting(self):
+        calls.append(self)
+        return real(self)
+
+    monkeypatch.setattr(CQDefinition, "defined_relation", counting)
+    for trial in range(5):
+        cq_rewrite(random_instance(EQSET, 3, 0.2, random.Random(trial)), defs)
+    assert sorted(map(id, calls)) == sorted(map(id, defs.values()))
+    # a failing definition is cached as failing, not re-evaluated
+    bad = CQDefinition(UNIT_TRUE, IMPSET, 0, ((2, (0,)),))
+    assert [bad.semantics_ok() for _ in range(3)] == [False] * 3
+    assert calls.count(bad) == 1
+
+
 def test_pol_reduce_chain():
     s1 = RelationSet((EQ2, UNIT_TRUE, UNIT_FALSE), "eqset")
     s2 = RelationSet((IMP2, UNIT_TRUE, UNIT_FALSE), "impset")
@@ -355,35 +375,118 @@ def test_solving_instance_for_never_walks_its_mask(monkeypatch):
 def test_dual_of_xorsat_equals_the_instance_path():
     for n, step in ((1, 1), (2, 1), (3, 1), (4, 17)):
         red = bip_oddfactor_to_xorsat(BipGraph(n, 0))
-        basis = dict(red.always_pivots)
+        tables = (red.low_bases, red.high_bases)
         for mask in range(0, 1 << (n * n), step):
             assert red.dual_of_xorsat(mask) == csp.solve_xor(red.instance_for(mask)), (n, mask)
-        # no call keeps rows in the basis: the diagonal and the antidiagonal
-        # each have a perfect matching, but their zeroing rows together do not
+        # no call changes the tables: the diagonal and the antidiagonal each
+        # have a perfect matching, but their zeroing rows together do not
         full = (1 << n * n) - 1
         eye = sum(1 << (i * n + i) for i in range(n))
         anti = sum(1 << (i * n + n - 1 - i) for i in range(n))
         got = [red.dual_of_xorsat(m) for m in (0, full, 0, eye, anti)]
         assert got == [False, True, False, True, True]
-        assert dict(red.always_pivots) == basis
+        assert (red.low_bases, red.high_bases) == tables
+
+
+def _always_basis(red) -> dict[int, tuple[int, int]]:
+    """The echelon basis of the Tseitin rows of K_{n,n}, reduced here."""
+    always = CspInstance(red.instance.sset, red.instance.n, red.always_bits)
+    pivots: dict[int, tuple[int, int]] = {}
+    assert csp.gf2_reduce(pivots, csp.instance_to_xor_system(always).rows) is True
+    return pivots
+
+
+def _zeroing_rows(red) -> list[tuple[tuple[int, int], ...]]:
+    """Per cell c, the parity rows of its zeroing application x_c = 0."""
+    inst = red.instance
+    return [
+        csp.instance_to_xor_system(CspInstance(inst.sset, inst.n, 1 << inst.encode(0, (c,) * 3))).rows
+        for c in range(red.n * red.n)
+    ]
+
+
+@pytest.mark.parametrize("n", [1, 2, 3])
+def test_dual_of_xorsat_equals_elimination_against_the_full_basis(n):
+    # the reference: a copy of K_{n,n}'s basis extended by the raw zeroing
+    # rows of every missing cell
+    red = bip_oddfactor_to_xorsat(BipGraph(n, 0))
+    basis, zeroing = _always_basis(red), _zeroing_rows(red)
+    for mask in range(1 << (n * n)):
+        rows = [row for c in range(n * n) if not (mask >> c) & 1 for row in zeroing[c]]
+        assert red.dual_of_xorsat(mask) == csp.gf2_reduce(dict(basis), rows), mask
+
+
+def test_dual_of_xorsat_verdicts_at_n4_are_pinned():
+    red = bip_oddfactor_to_xorsat(BipGraph(4, 0))
+    verdicts = bytes(red.dual_of_xorsat(m) for m in range(1 << 16))
+    assert sum(verdicts) == 40447
+    digest = hashlib.sha256(verdicts).hexdigest()
+    assert digest == "6981746b7d5387aa9407ef0bd49a350c8e2145e59891c0dcc88ce695c737c5f0"
+
+
+def _full_reduce(row: tuple[int, int], pivots: dict[int, tuple[int, int]]) -> tuple[int, int]:
+    mask, rhs = row
+    at_pivots = sum(1 << top for top in pivots)
+    while mask & at_pivots:
+        top = (mask & at_pivots).bit_length() - 1
+        mask, rhs = mask ^ pivots[top][0], rhs ^ pivots[top][1]
+    return mask, rhs
 
 
 @pytest.mark.parametrize("n, rank", [(1, 1), (2, 7), (3, 17), (4, 31)])
 def test_always_rows_reduce_to_a_consistent_basis(n, rank):
-    # K_{n,n} has a perfect matching, so its Tseitin rows are consistent, and
-    # the stored basis has one pivot per unit of their rank
+    # K_{n,n} has a perfect matching, so its Tseitin rows are consistent,
+    # with one pivot per unit of their rank; every row the half tables
+    # store lies in the quotient by that basis (no bit at a pivot position)
     red = bip_oddfactor_to_xorsat(BipGraph(n, 0))
     always = CspInstance(red.instance.sset, red.instance.n, red.always_bits)
     rows = csp.instance_to_xor_system(always).rows
-    pivots: dict[int, tuple[int, int]] = {}
-    assert csp.gf2_reduce(pivots, rows) is True
-    assert dict(red.always_pivots) == pivots
+    pivots = _always_basis(red)
     assert len(pivots) == rank == _gf2_rank([mask for mask, _ in rows])
+    at_pivots = sum(1 << top for top in pivots)
+    stored = [row for b in red.low_bases if b for row in b]
+    stored += [row for b in red.high_bases if b for _, row in b]
+    # at n = 1 the one cell's form is 0 = 1, so no table stores a row
+    assert len(stored) > 0 or n == 1
+    assert all(mask & at_pivots == 0 for mask, _ in stored)
+
+
+@pytest.mark.parametrize("n", [1, 2, 3, 4])
+def test_half_tables_hold_the_bases_of_the_missing_cell_forms(n):
+    red = bip_oddfactor_to_xorsat(BipGraph(n, 0))
+    k = n * (n // 2)
+    assert len(red.low_bases) == 1 << k and len(red.high_bases) == 1 << (n * n - k)
+    pivots = _always_basis(red)
+    forms = [_full_reduce(rows[0], pivots) for rows in _zeroing_rows(red)]
+    for cells, table in ((range(k), red.low_bases), (range(k, n * n), red.high_bases)):
+        for pattern, entry in enumerate(table):
+            missing = [forms[c] for j, c in enumerate(cells) if not (pattern >> j) & 1]
+            if csp.gf2_satisfiable(missing):
+                rows = list(entry) if table is red.low_bases else [row for _, row in entry]
+                # an echelon basis of the same span: consistent, one row per top bit
+                assert csp.gf2_satisfiable(rows)
+                assert len({mask.bit_length() for mask, _ in rows}) == len(rows)
+                assert all(mask for mask, _ in rows)
+                assert _gf2_rank([m for m, _ in rows + missing]) == len(rows)
+                assert _gf2_rank([m for m, _ in missing]) == len(rows)
+            else:
+                assert entry is None, (cells, pattern)
+        # a single missing cell stores its form itself
+        full = (1 << len(cells)) - 1
+        for j, c in enumerate(cells):
+            entry = table[full ^ (1 << j)]
+            mask, rhs = forms[c]
+            if mask == 0:
+                assert entry == (None if rhs else ())
+            elif table is red.low_bases:
+                assert entry == ((mask, rhs),)
+            else:
+                assert entry == ((mask.bit_length() - 1, (mask, rhs)),)
 
 
 def _gf2_rank(masks: list[int]) -> int:
     rank = 0
-    for bit in reversed(range(max(masks).bit_length())):
+    for bit in reversed(range(max(masks, default=0).bit_length())):
         pivot = next((m for m in masks if (m >> bit) & 1), None)
         if pivot is None:
             continue
