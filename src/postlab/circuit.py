@@ -36,6 +36,8 @@ class Circuit:
     fanin_mode: str = UNBOUNDED
 
     def __post_init__(self):
+        if self.n < 0:
+            raise ValueError(f"circuit needs n >= 0, got n={self.n}")
         if self.fanin_mode not in (BOUNDED2, UNBOUNDED):
             raise ValueError(f"unknown fanin_mode {self.fanin_mode!r}")
         for idx, (kind, args) in enumerate(self.gates):

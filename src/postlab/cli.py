@@ -44,6 +44,10 @@ class _Parser(argparse.ArgumentParser):
     def error(self, message: str):  # a usage error ends in main, with exit 2
         raise _CliError(message, EXIT_PARSE)
 
+    def exit(self, status=0, message=None):  # with error overridden, only --help exits
+        sys.stdout.flush()  # the help text; a closed pipe raises here
+        raise _CliError(message, status)
+
 
 def _sha256(path: Path) -> str:
     return hashlib.sha256(path.read_bytes()).hexdigest()
@@ -366,7 +370,8 @@ def main(argv: list[str] | None = None) -> int:
         os.close(devnull)
         return EXIT_OK
     except _CliError as exc:
-        print(f"error: {exc}", file=sys.stderr)
+        if exc.code:  # --help ends here with 0, its text on stdout
+            print(f"error: {exc}", file=sys.stderr)
         return exc.code
     except (RelationParseError, BudgetConfigError) as exc:
         print(f"parse error: {exc}", file=sys.stderr)

@@ -31,7 +31,7 @@ from .config import budgets
 from .csp import TRACTABLE, CspInstance, clause_table, first_clone, fragment_table, or_fragment_side
 from .errors import BudgetExceededError, FragmentMismatchError
 from .graphlab import pair_index
-from .reductions import CONST, PROJ, BitReduction
+from .reductions import BitReduction
 
 PARITY = "parity"
 REACH = "reach"
@@ -318,8 +318,10 @@ def threshold_circuit(k: int, n: int, fanin_mode: str = BOUNDED2) -> Circuit:
     BOUNDED2: fan-in-two tree of counting merges (depth about log^2 n at
     this scale).  UNBOUNDED: OR over all k-subsets (depth 2).
     """
+    if n < 0:
+        raise ValueError(f"threshold needs n >= 0, got n={n}")
     if not 0 <= k <= n + 1:
-        raise ValueError("k out of range")
+        raise ValueError(f"threshold needs 0 <= k <= n + 1, got k={k}")
     b = Builder(n, fanin_mode)
     return b.build([_at_least(b, [b.input(i) for i in range(n)], k)])
 
@@ -340,8 +342,10 @@ def induced_subgraph_circuit(n: int, k: int, fanin_mode: str = BOUNDED2) -> Circ
     C(n-1, k) terms, which flat_threshold_terms limits: at the default
     2^18, k = 4 builds up to n = 52.
     """
+    if n < 0:
+        raise ValueError(f"induced subgraph needs n >= 0, got n={n}")
     if not 0 <= k <= n:
-        raise ValueError("k out of range")
+        raise ValueError(f"induced subgraph needs 0 <= k <= n, got k={k}")
     ne = n * (n - 1) // 2
     b = Builder(ne + n, fanin_mode)
     edge_in = [b.input(i) for i in range(ne)]
@@ -418,11 +422,8 @@ def padded_graph_property(
     f_out = b.emit_circuit(prop.circuit, induced)[0]
     g = b.or_([weight_over, f_out])
     circuit = b.build([g])
-    bits: list[tuple] = [(CONST, 0)] * ne
-    for i in range(n):
-        for j in range(i + 1, n):
-            bits[pair_index(i, j, big_n)] = (PROJ, pair_index(i, j, n))
-    embedding = BitReduction(small_edges, ne, tuple(bits))
+    planted = itertools.combinations(range(n), 2)  # in pair_index order, as the inputs are
+    embedding = BitReduction(ne, 0, tuple(1 << pair_index(i, j, big_n) for i, j in planted))
     name = f"{prop.name}_padded{big_n}" if prop.name else f"padded{big_n}"
     return GraphPropertyCircuit(big_n, circuit, name), embedding
 

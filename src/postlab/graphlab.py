@@ -118,7 +118,7 @@ class BipGraph:
         if self.n < 1:
             raise ValueError(f"bipartite graph needs n >= 1, got n={self.n}")
         if self.mask < 0 or self.mask >> (self.n * self.n):
-            raise ValueError("biadjacency mask larger than n*n")
+            raise ValueError(f"biadjacency mask must lie in [0, 2^{self.n * self.n})")
 
     def to_graph(self) -> Graph:
         """Cell i*n + j is the edge (i, n + j), so row i of the matrix lands

@@ -1,73 +1,52 @@
 """Executable monotone reductions between CSP-SAT instances.
 
 Every emitted BitReduction is a fixed map in which each output bit is a
-constant, a projection, or a disjunction of input bits.  Equality
-elimination is the one stage here that is not expressible that way (each of
-its output bits is a monotone function of the inputs computed through graph
-reachability); pol_reduce therefore reports its OR-stage reduction and the
-composed instance separately.
+constant, a projection, or a disjunction of input bits, held as the masks
+apply reads.  Equality elimination is the one stage here that is not
+expressible that way (each of its output bits is a monotone function of the
+inputs computed through graph reachability); pol_reduce therefore reports
+its OR-stage reduction and the composed instance separately.
 """
 
 from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass, replace
-from functools import cached_property, lru_cache
+from functools import cached_property, lru_cache, reduce
 from .boolfun import EQ2, Relation, RelationSet, solution_table
 from .config import budgets
 from .csp import CspInstance, gf2_reduce, instance_to_xor_system, xor_system_to_instance
 from .errors import BudgetExceededError, FragmentMismatchError
 from .graphlab import BipGraph, tseitin_system
 
-CONST = "const"
-PROJ = "input"
-ORBIT = "or"
-
 
 @dataclass(frozen=True)
 class BitReduction:
-    """A monotone OR-reduction: per-output-bit definitions over input bits."""
+    """A monotone OR-reduction: output bit j is 1 when j is in ones, or when
+    some set input bit i has j in targets[i]."""
 
-    in_len: int
     out_len: int
-    bits: tuple[tuple, ...]  # (CONST, 0|1) | (PROJ, i) | (ORBIT, (i, ...))
+    ones: int  # the mask of the constant-1 output bits
+    targets: tuple[int, ...]  # per input bit, the mask of the output bits it is ORed into
 
     def __post_init__(self):
-        if len(self.bits) != self.out_len:
-            raise ValueError("bit definition count != out_len")
-        for d in self.bits:
-            if d[0] == CONST:
-                if d[1] not in (0, 1):
-                    raise ValueError("bad constant")
-            elif d[0] == PROJ:
-                if not 0 <= d[1] < self.in_len:
-                    raise ValueError("projection index out of range")
-            elif d[0] == ORBIT:
-                if not d[1] or any(not 0 <= i < self.in_len for i in d[1]):
-                    raise ValueError("bad disjunction indices")
-            else:
-                raise ValueError(f"unknown bit definition {d[0]!r}")
+        limit = 1 << self.out_len
+        for mask in (self.ones, *self.targets):
+            if not 0 <= mask < limit:
+                raise ValueError(f"mask {mask:#x} is not within the {self.out_len} output bits")
+        for i, mask in enumerate(self.targets):
+            if mask & self.ones:
+                raise ValueError(f"input bit {i} targets a constant-1 output bit")
 
-    @cached_property
-    def _by_input(self) -> tuple[int, tuple[int, ...]]:
-        """(the mask of the constant-1 output bits, per input bit i the mask
-        of the output bits whose PROJ or ORBIT definition reads i)."""
-        ones, targets = 0, [0] * self.in_len
-        for j, d in enumerate(self.bits):
-            if d[0] == CONST:
-                ones |= d[1] << j
-            elif d[0] == PROJ:
-                targets[d[1]] |= 1 << j
-            else:
-                for i in d[1]:
-                    targets[i] |= 1 << j
-        return ones, tuple(targets)
+    @property
+    def in_len(self) -> int:
+        return len(self.targets)
 
     def apply(self, x: int) -> int:
         """The output bits of input x; bits of x at or above in_len are
         ignored.  Costs one step per set input bit, not one per output bit."""
-        out, targets = self._by_input
-        x &= (1 << self.in_len) - 1
+        out, targets = self.ones, self.targets
+        x &= (1 << len(targets)) - 1
         while x:
             low = x & -x
             out |= targets[low.bit_length() - 1]
@@ -76,18 +55,25 @@ class BitReduction:
 
     @cached_property
     def is_projection_only(self) -> bool:
-        return all(d[0] in (CONST, PROJ) for d in self.bits)
+        """Whether no output bit reads two input bits: the targets are
+        pairwise disjoint, so their bit counts add up to that of their OR."""
+        targets = self.targets
+        return sum(map(int.bit_count, targets)) == reduce(int.__or__, targets, 0).bit_count()
 
     def to_json(self) -> dict:
-        out = []
-        for d in self.bits:
-            if d[0] == CONST:
-                out.append({"const": d[1]})
-            elif d[0] == PROJ:
-                out.append({"input": d[1]})
-            else:
-                out.append({"or": list(d[1])})
-        return {"in_len": self.in_len, "out_len": self.out_len, "bits": out}
+        """Per output bit {"const": 0 or 1}, {"input": i} or {"or": [i, ...]}
+        with the inputs ascending."""
+        sources: dict[int, list[int]] = {}
+        for i, mask in enumerate(self.targets):
+            while mask:
+                low = mask & -mask
+                sources.setdefault(low.bit_length() - 1, []).append(i)
+                mask ^= low
+        ones = f"{self.ones:0{self.out_len}b}"[::-1]
+        bits = [{"const": 1} if c == "1" else {"const": 0} for c in ones]
+        for j, s in sources.items():
+            bits[j] = {"or": s} if len(s) > 1 else {"input": s[0]}
+        return {"in_len": self.in_len, "out_len": self.out_len, "bits": bits}
 
 # Equality elimination.
 
@@ -278,7 +264,7 @@ def _cq_layout(
         block_base[j] = n_out
         n_out += defs[r].aux_count
     out0 = CspInstance(over, n_out, 0)
-    out_sources: dict[int, list[int]] = {}
+    targets = [0] * base.size
     for j in range(base.size):
         r, variables = base.decode(j)
         d = defs[r]
@@ -287,12 +273,8 @@ def _cq_layout(
                 variables[q] if q < d.target.arity else block_base[j] + (q - d.target.arity)
                 for q in qvars
             )
-            out_sources.setdefault(out0.encode(rel_idx, mapped), []).append(j)
-    bit_defs: list[tuple] = [(CONST, 0)] * out0.size
-    for out_bit, sources in out_sources.items():
-        uniq = tuple(sorted(set(sources)))
-        bit_defs[out_bit] = (PROJ, uniq[0]) if len(uniq) == 1 else (ORBIT, uniq)
-    return BitReduction(base.size, out0.size, tuple(bit_defs)), n_out
+            targets[j] |= 1 << out0.encode(rel_idx, mapped)
+    return BitReduction(out0.size, 0, tuple(targets)), n_out
 
 
 @dataclass(frozen=True)
@@ -364,11 +346,9 @@ def _selector_layout(sset: RelationSet, n: int) -> BitReduction:
     # encoding reads only the arities, so empty relations stand in for the R'
     out0 = CspInstance(RelationSet(tuple(Relation(rel.arity + 1, 0) for rel in sset)), n + 1, 0)
     base = CspInstance(sset, n, 0)
-    bit_defs: list[tuple] = [(CONST, 0)] * out0.size
-    for j in range(base.size):
-        r, variables = base.decode(j)
-        bit_defs[out0.encode(r, (alpha,) + variables)] = (PROJ, j)
-    return BitReduction(base.size, out0.size, tuple(bit_defs))
+    applications = map(base.decode, range(base.size))
+    targets = tuple(1 << out0.encode(r, (alpha,) + variables) for r, variables in applications)
+    return BitReduction(out0.size, 0, targets)
 
 
 # The bipartite odd-factor to 3-XOR-SAT projection.
@@ -440,7 +420,7 @@ def bip_oddfactor_to_xorsat(graph: BipGraph) -> BipOddFactorReduction:
     projection, and odd-factor existence equals satisfiability of the
     system, i.e. dual(XOR-SAT) at beta.
 
-    beta has one entry per instance bit, 2*(3n^2 - 2n)^3 of them, so K_{n,n}
+    beta has one output bit per instance bit, 2*(3n^2 - 2n)^3 of them, so K_{n,n}
     may have at most `oracle_edges` edges (n <= 4 by default); above that
     BudgetExceededError is raised before anything is built.
     """
@@ -453,12 +433,9 @@ def bip_oddfactor_to_xorsat(graph: BipGraph) -> BipOddFactorReduction:
     full = xor_system_to_instance(tseitin_system(BipGraph(n, (1 << n * n) - 1).to_graph()))
     always = tuple(full.encode(r, variables) for r, variables in full.iter_constraints())
     cell_bits = tuple(full.encode(0, (c, c, c)) for c in range(n * n))
-    beta_defs: list[tuple] = [(CONST, 1)] * full.size
-    for bit in always:
-        beta_defs[bit] = (CONST, 0)
-    for cell, bit in enumerate(cell_bits):
-        beta_defs[bit] = (PROJ, cell)
-    beta = BitReduction(n * n, full.size, tuple(beta_defs))
+    targets = tuple(1 << bit for bit in cell_bits)
+    ones = ((1 << full.size) - 1) & ~(full.bits | sum(targets))
+    beta = BitReduction(full.size, ones, targets)
 
     def parity_rows(positions: tuple[int, ...]) -> tuple[tuple[int, int], ...]:
         bits = sum(1 << bit for bit in positions)

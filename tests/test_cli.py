@@ -286,9 +286,8 @@ def test_run_report_lists_the_files(tmp_path, capsys, argv, inputs, outputs):
 
 
 def test_help_exits_0(capsys):
-    with pytest.raises(SystemExit) as exc:
-        main(["emit", "threshold", "--help"])
-    assert exc.value.code == 0 and "--mode {logdepth,flat}" in capsys.readouterr().out
+    code, out, err = run(capsys, "emit", "threshold", "--help")
+    assert code == 0 and "--mode {logdepth,flat}" in out and err == ""
 
 
 class ClosedPipe:
@@ -392,6 +391,11 @@ MALFORMED = {
     "csp-unknown-fragment": ["emit", "csp", "--set", HORN3, "--n", "2", "--fragment", "bogus"],
     "csp-nonpositive-n": ["emit", "csp", "--set", HORN3, "--n", "-2"],
     "pad-negative-extra": ["pad", "--in", "{circuit}", "--extra", "-1"],
+    "pad-negative-n": ["pad", "--in", "{circuit_neg_n}", "--extra", "1"],
+    "threshold-negative-n": ["emit", "threshold", "--k", "0", "--n", "-1"],
+    "threshold-negative-n-before-k": ["emit", "threshold", "--k", "2", "--n", "-1"],
+    "induced-negative-n": ["emit", "induced", "--n", "-1", "--k", "0"],
+    "bip-negative-mask": ["reduce", "bip-oddfactor", "--in", "{bip_neg_mask}"],
     "cq-rewrite-without-target": ["reduce", "cq-rewrite", "--in", "{inst}"],
     "oracle-bit-beyond-n": ["oracle", "csp-sat", "--in", "{bit40}"],
     "solve-bit-beyond-n": ["solve", "auto", "--in", "{bit40}"],
@@ -449,8 +453,18 @@ MALFORMED = {
 }
 
 
-@pytest.mark.parametrize("argv", MALFORMED.values(), ids=MALFORMED.keys())
-def test_malformed_input_exits_2(tmp_path, capsys, argv):
+# a bad size is named in the message, not reported as a later check it trips
+NAMED = {
+    "pad-negative-n": "got n=-3",
+    "threshold-negative-n": "got n=-1",
+    "threshold-negative-n-before-k": "got n=-1",
+    "induced-negative-n": "got n=-1",
+    "bip-negative-mask": "mask must lie in [0, 2^4)",
+}
+
+
+@pytest.mark.parametrize("row", MALFORMED)
+def test_malformed_input_exits_2(tmp_path, capsys, row):
     inst = CspInstance(hornt_set(), 2).to_json()  # hornt: N = 18 at n = 2
     digit_rel = {"arity": 2, "tuples": ["02", "20"]}
     files = {
@@ -468,6 +482,8 @@ def test_malformed_input_exits_2(tmp_path, capsys, argv):
         "digit_inst": {"relation_set": {"relations": [digit_rel]}, "n": 2, "set_bits": [0]},
         "bip0": {"n": 0, "mask": 0},
         "bip_neg": {"n": -1, "mask": 0},
+        "bip_neg_mask": {"n": 2, "mask": -1},
+        "circuit_neg_n": dict(CIRCUIT, n=-3),
         "rels_int": {"relations": 5},
         "rels_top_list": [{"arity": 2, "tuples": ["01"]}],
         "rels_item_int": {"relations": [5]},
@@ -499,11 +515,12 @@ def test_malformed_input_exits_2(tmp_path, capsys, argv):
     for name, text in graphs.items():
         paths[name] = tmp_path / f"{name}.txt"
         paths[name].write_text(text)
-    argv = [a.format(**{k: str(p) for k, p in paths.items()}) for a in argv]
+    argv = [a.format(**{k: str(p) for k, p in paths.items()}) for a in MALFORMED[row]]
     code, _, err = run(capsys, *argv)
     assert code == 2, err
     assert err.startswith(("error:", "parse error:"))
     assert err.count("\n") == 1, err
+    assert NAMED.get(row, "") in err, err
 
 
 @pytest.mark.parametrize(

@@ -2,13 +2,15 @@
 
 import hashlib
 import random
+from pathlib import Path
 
 import pytest
 
-from postlab import boolfun
+from postlab import boolfun, clone_lattice
 from postlab.boolfun import (
     EQ2,
     IMP2,
+    OR2,
     UNIT_FALSE,
     UNIT_TRUE,
     Relation,
@@ -20,8 +22,10 @@ from postlab.boolfun import (
     closure_up_to,
 )
 from postlab.circuit import substitute
+from postlab.cli import main
 from postlab.clone_lattice import (
     CATALOG,
+    CloneDescriptor,
     _closure3,
     can_express_equality,
     classify,
@@ -32,7 +36,7 @@ from postlab.clone_lattice import (
     validate_catalog,
 )
 from postlab.csp import ahornt_set, hornt_set, xor3_set
-from postlab.errors import UnknownCloneError
+from postlab.errors import CatalogError, UnknownCloneError
 
 
 def test_catalog_validates():
@@ -255,3 +259,57 @@ def test_order_data_transitively_closed():
     for name, desc in CATALOG.items():
         for sub in desc.known_subclones:
             assert desc.known_subclones >= CATALOG[sub].known_subclones
+
+
+# The catalog's failure outcomes.  Each test starts and ends with empty
+# caches, so no result computed from a broken catalog outlives it.
+
+@pytest.fixture
+def clear_catalog_caches():
+    caches = (
+        clone_lattice._closure3,
+        clone_lattice.ensure_catalog_valid,
+        clone_lattice.in_pol,
+        clone_lattice._preserved_labels,
+    )
+    for c in caches:
+        c.cache_clear()
+    yield
+    for c in caches:
+        c.cache_clear()
+
+
+def test_build_catalog_rejects_a_basis_above_arity_3(monkeypatch, clear_catalog_caches):
+    wide = BoolFun.from_function(4, lambda a, b, c, d: a & b & c & d, "and4")
+    monkeypatch.setitem(clone_lattice._BASES, "E2", (wide,))
+    with pytest.raises(CatalogError, match="^basis of E2 has arity > 3$"):
+        clone_lattice._build_catalog()
+
+
+def test_build_catalog_rejects_a_cyclic_order(monkeypatch, clear_catalog_caches):
+    # I0 <= L0 is recorded; L0 <= I0 closes a cycle
+    monkeypatch.setattr(clone_lattice, "_EDGES", clone_lattice._EDGES + (("L0", "I0"),))
+    with pytest.raises(CatalogError, match="^inclusion order is not antisymmetric$"):
+        clone_lattice._build_catalog()
+
+
+def _break_e2(monkeypatch) -> None:
+    """E2 with OR's basis: S10 and S12 no longer contain it."""
+    monkeypatch.setitem(CATALOG, "E2", CloneDescriptor("E2", (OR2,), CATALOG["E2"].known_subclones))
+
+
+def test_ensure_catalog_valid_raises_on_a_basis_mutant(monkeypatch, clear_catalog_caches):
+    _break_e2(monkeypatch)
+    report = validate_catalog()
+    assert [f"{c.sub}<={c.sup}" for c in report.failures()] == ["E2<=S10", "E2<=S12"]
+    for _ in range(2):  # the cache keeps no exception
+        with pytest.raises(CatalogError, match="^clone catalog failed validation: E2<=S10, E2<=S12$"):
+            clone_lattice.ensure_catalog_valid()
+
+
+def test_classify_on_a_broken_catalog_exits_1(monkeypatch, capsys, clear_catalog_caches):
+    _break_e2(monkeypatch)
+    assert main(["classify", str(Path(__file__).parent / "data" / "horn3.rels")]) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == "catalog error: clone catalog failed validation: E2<=S10, E2<=S12\n"

@@ -1,6 +1,7 @@
 """Monotone reductions: structure and equi-satisfiability."""
 
 import hashlib
+import json
 import random
 
 import pytest
@@ -50,7 +51,9 @@ from postlab.reductions import (
 
 
 def test_bitreduction_apply_and_json():
-    red = BitReduction(3, 4, (("const", 1), ("input", 2), ("or", (0, 1)), ("const", 0)))
+    # output bit 0 is 1, bit 1 reads input 2, bit 2 is input 0 OR input 1
+    red = BitReduction(4, 0b0001, (0b0100, 0b0100, 0b0010))
+    assert red.in_len == 3
     assert red.apply(0b100) == 0b0011
     assert red.apply(0b001) == 0b0101
     assert red.to_json() == {
@@ -62,15 +65,15 @@ def test_bitreduction_apply_and_json():
 
 
 def apply_per_bit(red: BitReduction, x: int) -> int:
-    """The reference: one output bit at a time, from its definition."""
+    """The reference: one output bit at a time, from its JSON definition."""
     out = 0
-    for j, d in enumerate(red.bits):
-        if d[0] == "const":
-            bit = d[1]
-        elif d[0] == "input":
-            bit = (x >> d[1]) & 1
+    for j, d in enumerate(red.to_json()["bits"]):
+        if "const" in d:
+            bit = d["const"]
+        elif "input" in d:
+            bit = (x >> d["input"]) & 1
         else:
-            bit = int(any((x >> i) & 1 for i in d[1]))
+            bit = int(any((x >> i) & 1 for i in d["or"]))
         out |= bit << j
     return out
 
@@ -93,17 +96,21 @@ def layout_builds():
     ]
 
 
-def test_apply_matches_the_per_bit_loop():
-    made = BitReduction(
-        4, 6, (("const", 0), ("const", 1), ("input", 3), ("or", (0, 2)), ("or", (1, 2, 3)), ("input", 0))
-    )
+def any_edge() -> GraphPropertyCircuit:
+    """The 3-vertex graph property "some edge is present"."""
     b = Builder(3)
-    edge = GraphPropertyCircuit(3, b.build([b.or_([b.input(i) for i in range(3)])]), "edge")
-    reds = [("made", made)]
-    reds += [(f"padding big_n={big_n}", padded_graph_property(edge, big_n)[1]) for big_n in (4, 6)]
+    return GraphPropertyCircuit(3, b.build([b.or_([b.input(i) for i in range(3)])]), "edge")
+
+
+def test_apply_matches_the_per_bit_loop():
+    # const 0, const 1, input 3, or(0, 2), or(1, 2, 3), input 0
+    made = BitReduction(6, 0b000010, (0b101000, 0b010000, 0b011000, 0b010100))
+    reds = [("made", made), ("bip beta n=2", bip_oddfactor_to_xorsat(BipGraph(2, 0)).beta)]
+    reds += [(f"padding big_n={big_n}", padded_graph_property(any_edge(), big_n)[1]) for big_n in (4, 6)]
     reds += [(f"{label} n={n}", build(n)) for label, _, build in layout_builds() for n in range(1, 4)]
     # EQ(x, y) and EQ(y, x) both write IMP(x, y), so that bit is an OR
-    assert any(d[0] == "or" for label, red in reds if "eq->imp" in label for d in red.bits)
+    bits = [d for label, red in reds if "eq->imp" in label for d in red.to_json()["bits"]]
+    assert any("or" in d for d in bits)
     rng = random.Random(11)
     for label, red in reds:
         full = (1 << red.in_len) - 1
@@ -138,10 +145,61 @@ def test_a_fresh_layout_equals_the_cached_one():
 
 
 def test_bitreduction_validation():
-    with pytest.raises(ValueError):
-        BitReduction(2, 1, (("input", 5),))
-    with pytest.raises(ValueError):
-        BitReduction(2, 1, (("or", ()),))
+    # a negative mask, a mask bit at or above out_len, a constant-1 output
+    # bit that an input is also ORed into
+    for ones, targets, message in (
+        (-1, (), "mask -0x1 is not within the 2 output bits"),
+        (0, (0b01, -2), "mask -0x2 is not within the 2 output bits"),
+        (0b100, (), "mask 0x4 is not within the 2 output bits"),
+        (0, (0b01, 0b110), "mask 0x6 is not within the 2 output bits"),
+        (0b10, (0b01, 0b11), "input bit 1 targets a constant-1 output bit"),
+    ):
+        with pytest.raises(ValueError) as info:
+            BitReduction(2, ones, targets)
+        assert str(info.value) == message
+    assert BitReduction(2, 0b10, (0b01, 0, 0b01)).to_json()["bits"] == [{"or": [0, 2]}, {"const": 1}]
+    assert BitReduction(0, 0, ()).apply(0b11) == 0
+
+
+# sha256 of the JSON lines of each family's reductions: the `reduce` output
+# format, taken at n = 1..4 (big_n = 4..7 for the padding embedding)
+JSON_SHA256 = {
+    "l2-to-l3 xor3": "5594eb7427e48663541c1866186fc4d6d78f8594abb36bfa1eb99c53d1a1c937",
+    "l2-to-l3 hornt": "c3a63df55b180b1022b449a44301c539029c0ddda76ce714726ef99d171dce65",
+    "cq eq->imp": "4d3160aec9c0b91defb9defd78b60c031b3cc70aa0633df1b5521d14d6344061",
+    "cq ne->xor3": "b23f6b2bf181d9d0858b6cdeaee5b1877d99b50f01c497d5ffd1c5f3cd807c17",
+    "pol-reduce": "1cec62a55d0ac3d687cde35794ba0195973cf99ad9d4c15a6ca6012bebd61506",
+    "bip beta": "907a8a3f4b24a17fa6bf538e05c591aa2b2c2a2b042dea9574c599bee3627df3",
+    "padding": "70e1f9c2fda1d9beafc30fd3f8b37d7d14b40d6cca4ded051772264fbd5e3944",
+}
+
+
+@pytest.fixture(scope="module")
+def pinned_reductions() -> dict[str, list[BitReduction]]:
+    reds = {label: [build(n) for n in range(1, 5)] for label, _, build in layout_builds()}
+    reds["bip beta"] = [bip_oddfactor_to_xorsat(BipGraph(n, 0)).beta for n in range(1, 5)]
+    reds["padding"] = [padded_graph_property(any_edge(), big_n)[1] for big_n in range(4, 8)]
+    return reds
+
+
+def test_reduction_json_is_pinned(pinned_reductions):
+    got = {}
+    for label, reds in pinned_reductions.items():
+        h = hashlib.sha256()
+        for red in reds:
+            h.update(json.dumps(red.to_json(), sort_keys=True).encode() + b"\n")
+        got[label] = h.hexdigest()
+    assert got == JSON_SHA256
+
+
+def test_projection_only_means_no_or_bit(pinned_reductions):
+    seen = set()
+    for label, reds in pinned_reductions.items():
+        for red in reds:
+            has_or = any("or" in d for d in red.to_json()["bits"])
+            assert red.is_projection_only is not has_or, label
+            seen.add(has_or)
+    assert seen == {False, True}
 
 
 def test_eliminate_equality_generates_reachable_applications():
@@ -222,7 +280,7 @@ def test_cq_rewrite_equality_to_implication():
         inst = random_instance(s1, rng.randrange(2, 6), 0.1, random.Random(trial))
         out, red = cq_rewrite(inst, defs)
         assert csp_sat_value(inst) == csp_sat_value(out)
-        kinds = {d[0] for d in red.bits}
+        kinds = {kind for d in red.to_json()["bits"] for kind in d}
         assert kinds <= {"const", "input", "or"}
 
 
@@ -295,7 +353,8 @@ def test_pol_reduce_chain():
         assert result is not None
         assert csp_sat_value(inst) == csp_sat_value(result.instance)
         assert result.or_stage.in_len == inst.size
-        assert all(d[0] in ("const", "input", "or") for d in result.or_stage.bits)
+        kinds = {kind for d in result.or_stage.to_json()["bits"] for kind in d}
+        assert kinds <= {"const", "input", "or"}
 
 
 def test_pol_reduce_identity():
