@@ -207,13 +207,7 @@ def negate_relation(rel: Relation) -> Relation:
 
 
 def negate_relations(sset: RelationSet) -> RelationSet:
-    """negate_relation applied to every relation of sset, cached by the set
-    and its relation names (equality ignores those, the negation keeps them)."""
-    return _negate_relations(sset, tuple(r.name for r in sset))
-
-
-@lru_cache(maxsize=16)
-def _negate_relations(sset: RelationSet, names: tuple[str, ...]) -> RelationSet:
+    """negate_relation applied to every relation of sset."""
     return RelationSet(
         tuple(negate_relation(r) for r in sset),
         f"~{sset.name}" if sset.name else "",
@@ -330,6 +324,23 @@ def _lane_values(lanes: int, count: int, width: int) -> set[int]:
         int.from_bytes(chunk, "little")
         for chunk in {raw[j:j + width] for j in range(0, len(raw), width)}
     }
+
+
+# Reachability in a digraph of bitsets.
+
+def reach(adj: Sequence[int], frontier: int) -> int:
+    """The nodes reachable from the node bitset `frontier`, frontier included,
+    in a digraph given by out-neighbour bitsets: breadth-first search."""
+    seen = frontier
+    while frontier:
+        step = 0
+        while frontier:
+            low = frontier & -frontier
+            step |= adj[low.bit_length() - 1]
+            frontier ^= low
+        frontier = step & ~seen
+        seen |= frontier
+    return seen
 
 
 # Relation text format: `rel <name> <arity> : t1 t2 ...` with tuples as bit

@@ -32,6 +32,7 @@ from .boolfun import (
     RelationSet,
     closure_up_to,
     preserves,
+    reach,
     relation_set_to_json,
     violating_choice,
 )
@@ -119,24 +120,20 @@ def _build_catalog() -> dict[str, CloneDescriptor]:
         for f in basis:
             if f.arity > 3:
                 raise CatalogError(f"basis of {name} has arity > 3")
-    below: dict[str, set[str]] = {n: {"I2"} if n != "I2" else set() for n in _BASES}
+    names = list(_BASES)
+    index = {name: i for i, name in enumerate(names)}
+    # per clone, its direct subclones as a bitset over names; I2 lies below every other
+    down = [0 if name == "I2" else 1 << index["I2"] for name in names]
     for sub, sup in _EDGES:
-        below[sup].add(sub)
-    changed = True
-    while changed:
-        changed = False
-        for name in _BASES:
-            grown = set(below[name])
-            for sub in below[name]:
-                grown |= below[sub]
-            if grown != below[name]:
-                below[name] = grown
-                changed = True
-    for name in _BASES:
-        if name in below[name]:
-            raise CatalogError("inclusion order is not antisymmetric")
+        down[index[sup]] |= 1 << index[sub]
+    below = [reach(down, d) for d in down]
+    if any((b >> i) & 1 for i, b in enumerate(below)):
+        raise CatalogError("inclusion order is not antisymmetric")
     return {
-        name: CloneDescriptor(name, _BASES[name], frozenset(below[name])) for name in _BASES
+        name: CloneDescriptor(
+            name, _BASES[name], frozenset(sub for j, sub in enumerate(names) if (b >> j) & 1)
+        )
+        for name, b in zip(names, below)
     }
 
 

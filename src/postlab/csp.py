@@ -32,6 +32,7 @@ from .boolfun import (
     nand_relation,
     negate_relations,
     or_relation,
+    reach,
     relation_set_from_json,
     relation_set_to_json,
     solution_table,
@@ -256,10 +257,10 @@ def gf2_satisfiable(rows) -> bool:
 
 
 @lru_cache(maxsize=512)
-def _affine_rows(rel: Relation) -> tuple[tuple[int, int], ...] | None:
-    """All parity checks (coefficients, rhs) satisfied by rel, or None if the
-    checks do not cut out exactly rel (i.e. the relation is not affine).  The
-    empty relation is the one equation 0 = 1."""
+def _affine_rows(rel: Relation) -> tuple[tuple[int, int], ...]:
+    """All parity checks (coefficients, rhs) satisfied by rel.  For an affine
+    rel, the only kind fragment_table's L2 guard lets through, they cut out
+    exactly rel.  The empty relation is the one equation 0 = 1."""
     tuples = rel.tuples()
     if not tuples:
         return ((0, 1),)
@@ -268,24 +269,13 @@ def _affine_rows(rel: Relation) -> tuple[tuple[int, int], ...] | None:
         par = bin(c & tuples[0]).count("1") & 1
         if all(bin(c & t).count("1") & 1 == par for t in tuples):
             rows.append((c, par))
-    solutions = sum(
-        1
-        for t in range(1 << rel.arity)
-        if all(bin(c & t).count("1") & 1 == par for c, par in rows)
-    )
-    if solutions != len(tuples):
-        return None
     return tuple(rows)
 
 
-def _parity_rows(rel: Relation, variables: tuple[int, ...]) -> tuple[tuple[int, int], ...] | None:
-    """GF(2) rows (variable mask, rhs) of rel applied to variables, or None
-    when rel is not affine."""
-    checks = _affine_rows(rel)
-    if checks is None:
-        return None
+def _parity_rows(rel: Relation, variables: tuple[int, ...]) -> tuple[tuple[int, int], ...]:
+    """GF(2) rows (variable mask, rhs) of the affine rel applied to variables."""
     rows = []
-    for c, par in checks:
+    for c, par in _affine_rows(rel):
         mask = 0
         for pos, v in enumerate(variables):
             if (c >> pos) & 1:
@@ -295,16 +285,11 @@ def _parity_rows(rel: Relation, variables: tuple[int, ...]) -> tuple[tuple[int, 
 
 
 def instance_to_xor_system(inst: CspInstance) -> XorSystem:
-    table = _parity_table(inst.sset, inst.n)
+    """The parity rows of the set bits, from the L2 view of fragment_table."""
+    table = fragment_table(inst.sset, inst.n, "L2")
     rows = []
     for j in inst._set_bit_tuple:
-        entry = table[j]
-        if entry is None:
-            r = inst.decode(j)[0]
-            raise FragmentMismatchError(
-                f"relation {inst.sset[r].name or r} is not an affine parity relation"
-            )
-        rows += entry
+        rows += table[j]
     return XorSystem(inst.n, tuple(rows))
 
 
@@ -342,21 +327,6 @@ def solve_xor(inst: "CspInstance | XorSystem") -> bool:
     """Satisfiability of a parity instance by Gaussian elimination."""
     system = inst if isinstance(inst, XorSystem) else instance_to_xor_system(inst)
     return gf2_satisfiable(system.rows)
-
-
-def reach(adj: list[int], frontier: int) -> int:
-    """The nodes reachable from the node bitset `frontier`, frontier included,
-    in a digraph given by out-neighbour bitsets: breadth-first search."""
-    seen = frontier
-    while frontier:
-        step = 0
-        while frontier:
-            low = frontier & -frontier
-            step |= adj[low.bit_length() - 1]
-            frontier ^= low
-        frontier = step & ~seen
-        seen |= frontier
-    return seen
 
 
 # The clause view: which clauses an application R(V) imposes.
@@ -443,8 +413,8 @@ def _implications(rel: Relation, variables: tuple[int, ...]) -> tuple[tuple[int,
 
 
 # Per-bit tables: one view of every bit of one (sset, n), the clause view
-# (clause_table), the parity view (_parity_table) and the solver-ready Horn,
-# anti-Horn and 2-SAT views (fragment_table).
+# (clause_table) and the solver-ready Horn, anti-Horn, 2-SAT and parity views
+# (fragment_table).
 
 # Above this many bits a per-bit table reads bits lazily.  A dense table costs
 # about 10 us per entry once per (relation, n): worth it when many instances
@@ -492,28 +462,25 @@ def clause_table(sset: RelationSet, n: int) -> "tuple | _LazyTable":
     return _bit_table(clauses, sset, n)
 
 
-@lru_cache(maxsize=16)
-def _parity_table(sset: RelationSet, n: int) -> "tuple | _LazyTable":
-    """Entry j is `_parity_rows` of bit j: None when its relation is not affine."""
-    return _bit_table(_parity_rows, sset, n)
-
-
 # The solver views of the Horn (E2), anti-Horn (V2: the Horn view of the
-# negated relations, each bit in its place) and 2-SAT (D2) fragments, with
-# the wording of a mismatch.
+# negated relations, each bit in its place), 2-SAT (D2) and affine (L2)
+# fragments, with the wording of a mismatch.
 _FRAGMENT_VIEWS: dict[str, tuple[Callable, str]] = {
     "E2": (_horn_rules, "AND-closed (Horn fragment)"),
     "V2": (_horn_rules, "OR-closed (anti-Horn fragment)"),
     "D2": (_implications, "majority-closed (2-SAT fragment)"),
+    "L2": (_parity_rows, "an affine parity relation"),
 }
 
 
 @lru_cache(maxsize=32)
 def fragment_table(sset: RelationSet, n: int, clone: str) -> "tuple | _LazyTable":
-    """Entry j is the clone's view of bit j, read by its solver and its
-    emitter.  Raises FragmentMismatchError naming the first relation of sset
-    that the clone does not preserve; lru_cache keeps no exception, so a set
-    is checked once when it passes and raises on every call when it does not."""
+    """Entry j is the clone's view of bit j, read by its solver and, for E2,
+    V2 and D2, its emitter; L2 has a solver but no emitter, since parity is
+    size-HARD.  Raises FragmentMismatchError naming the first relation of
+    sset that the clone does not preserve; lru_cache keeps no exception, so a
+    set is checked once when it passes and raises on every call when it does
+    not."""
     view, wording = _FRAGMENT_VIEWS[clone]
     for rel in sset:
         if not in_pol(clone, rel):

@@ -12,8 +12,9 @@ from dataclasses import dataclass
 from functools import cached_property, lru_cache
 from typing import Iterable
 
+from .boolfun import reach
 from .config import Budgets, budgets
-from .csp import XorSystem, reach
+from .csp import XorSystem
 from .errors import BudgetExceededError, RelationParseError
 
 

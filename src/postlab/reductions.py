@@ -13,7 +13,7 @@ from __future__ import annotations
 import itertools
 from dataclasses import dataclass, replace
 from functools import cached_property, lru_cache, reduce
-from .boolfun import EQ2, Relation, RelationSet, solution_table
+from .boolfun import EQ2, Relation, RelationSet, reach, solution_table
 from .config import budgets
 from .csp import CspInstance, gf2_reduce, instance_to_xor_system, xor_system_to_instance
 from .errors import BudgetExceededError, FragmentMismatchError
@@ -93,29 +93,25 @@ def eliminate_equality(inst: CspInstance) -> CspInstance:
     keep = [r for r in range(len(inst.sset)) if r not in eq_indices]
     out_set = RelationSet(tuple(inst.sset[r] for r in keep), inst.sset.name)
     out = CspInstance(out_set, inst.n, 0)
-    parent = list(range(inst.n))
-
-    def find(a: int) -> int:
-        while parent[a] != a:
-            parent[a] = parent[parent[a]]
-            a = parent[a]
-        return a
-
-    members: dict[int, list[int]] = {}
     new_index = {r: i for i, r in enumerate(keep)}
+    adj = [0] * inst.n  # per variable, the bitset of its equality neighbours
     non_eq = []
     for r, variables in inst.iter_constraints():
         if r in eq_indices:
-            a, b = find(variables[0]), find(variables[1])
-            if a != b:
-                parent[a] = b
+            a, b = variables
+            adj[a] |= 1 << b
+            adj[b] |= 1 << a
         else:
             non_eq.append((r, variables))
+    members: dict[int, list[int]] = {}  # per variable, its equality class
     for v in range(inst.n):
-        members.setdefault(find(v), []).append(v)
+        if v not in members:
+            cls = reach(adj, 1 << v)
+            pool = [u for u in range(v, cls.bit_length()) if (cls >> u) & 1]
+            members.update(dict.fromkeys(pool, pool))
     bits = 0
     for r, variables in non_eq:
-        pools = [members[find(v)] for v in variables]
+        pools = [members[v] for v in variables]
         for generated in itertools.product(*pools):
             bits |= 1 << out.encode(new_index[r], generated)
     return CspInstance(out_set, inst.n, bits)

@@ -9,8 +9,17 @@ from pathlib import Path
 
 import pytest
 
-from postlab import graphlab, verify
-from postlab.boolfun import EQ2, IMP2, UNIT_FALSE, UNIT_TRUE, RelationSet
+from postlab import csp, graphlab, verify
+from postlab.boolfun import (
+    EQ2,
+    IMP2,
+    UNIT_FALSE,
+    UNIT_TRUE,
+    XOR3_0,
+    RelationSet,
+    nand_relation,
+    or_relation,
+)
 from postlab.circuit import Circuit
 from postlab.cli import main
 from postlab.construct import induced_subgraph_circuit, random_layered_bp, threshold_circuit
@@ -22,6 +31,7 @@ from postlab.csp import (
     xor3_set,
     xor_system_to_instance,
 )
+from postlab.errors import FragmentMismatchError
 from postlab.graphlab import Graph, tseitin_system
 
 DATA = Path(__file__).parent / "data"
@@ -100,6 +110,33 @@ def test_solve_fragment_mismatch_exit_code(tmp_path, capsys):
     path.write_text(json.dumps(inst.to_json()))
     code, _, err = run(capsys, "solve", "horn", "--in", str(path))
     assert code == 3 and "AND-closed" in err
+
+
+# per forced solver: a set whose relation 0 lies in the solver's clone and
+# whose relation 1 does not, and the refusal naming relation 1
+FORCED_REFUSALS = {
+    "xor": (csp.solve_xor, (XOR3_0, or_relation(3)), "or3 is not an affine parity relation"),
+    "horn": (csp.solve_horn, (IMP2, or_relation(2)), "or2 is not AND-closed (Horn fragment)"),
+    "antihorn": (
+        csp.solve_antihorn, (IMP2, nand_relation(2)), "nand2 is not OR-closed (anti-Horn fragment)"
+    ),
+    "2sat": (csp.solve_2sat, (IMP2, XOR3_0), "xor3^0 is not majority-closed (2-SAT fragment)"),
+}
+
+
+@pytest.mark.parametrize("name", sorted(FORCED_REFUSALS))
+def test_forced_solver_refuses_a_set_with_an_unused_outsider(name, tmp_path, capsys):
+    # the one set bit is on relation 0, so the guard refuses the set, not a bit
+    solver, relations, message = FORCED_REFUSALS[name]
+    base = CspInstance(RelationSet(relations, "mixed"), 3)
+    inst = base.with_constraint(0, tuple(range(relations[0].arity)))
+    with pytest.raises(FragmentMismatchError) as err:
+        solver(inst)
+    assert str(err.value) == f"relation {message}"
+    path = tmp_path / "mixed.json"
+    path.write_text(json.dumps(inst.to_json()))
+    code, out, err_text = run(capsys, "solve", name, "--in", str(path))
+    assert code == 3 and out == "" and f"relation {message}" in err_text
 
 
 def test_reduce_eliminate_eq(tmp_path, capsys):

@@ -286,11 +286,44 @@ def test_build_catalog_rejects_a_basis_above_arity_3(monkeypatch, clear_catalog_
         clone_lattice._build_catalog()
 
 
+# direct edges I0 < I1 < N2 < E2 < V2 < L0: a chain deeper than any of the real order
+LONG_CHAIN = tuple(zip(("I0", "I1", "N2", "E2", "V2"), ("I1", "N2", "E2", "V2", "L0")))
+
+
+def _closure_of(edges) -> dict[str, set[str]]:
+    """The reference order: below each clone, I2 (below every other) and its
+    direct subclones, grown by their own until no set changes."""
+    below = {
+        name: {sub for sub, sup in edges if sup == name} | ({"I2"} if name != "I2" else set())
+        for name in clone_lattice._BASES
+    }
+    changed = True
+    while changed:
+        changed = False
+        for name, subs in below.items():
+            grown = subs.union(*(below[sub] for sub in subs))
+            changed |= grown != subs
+            below[name] = grown
+    return below
+
+
+@pytest.mark.parametrize("edges", ["recorded", "long-chain"])
+def test_build_catalog_closes_the_order(edges, monkeypatch, clear_catalog_caches):
+    if edges == "long-chain":
+        monkeypatch.setattr(clone_lattice, "_EDGES", LONG_CHAIN)
+    built = clone_lattice._build_catalog()
+    want = _closure_of(clone_lattice._EDGES)
+    assert {name: set(d.known_subclones) for name, d in built.items()} == want
+    if edges == "recorded":
+        assert built == CATALOG
+
+
 def test_build_catalog_rejects_a_cyclic_order(monkeypatch, clear_catalog_caches):
-    # I0 <= L0 is recorded; L0 <= I0 closes a cycle
-    monkeypatch.setattr(clone_lattice, "_EDGES", clone_lattice._EDGES + (("L0", "I0"),))
-    with pytest.raises(CatalogError, match="^inclusion order is not antisymmetric$"):
-        clone_lattice._build_catalog()
+    # I0 <= L0 is recorded; L0 <= I0 closes a cycle, and so it does at the top of the chain
+    for edges in (clone_lattice._EDGES, LONG_CHAIN):
+        monkeypatch.setattr(clone_lattice, "_EDGES", edges + (("L0", "I0"),))
+        with pytest.raises(CatalogError, match="^inclusion order is not antisymmetric$"):
+            clone_lattice._build_catalog()
 
 
 def _break_e2(monkeypatch) -> None:

@@ -24,6 +24,7 @@ from postlab.boolfun import (
     clause_relation,
     nand_relation,
     or_relation,
+    reach,
     solution_table,
 )
 from postlab.circuit import evaluate, measures, monotone_violation
@@ -202,11 +203,41 @@ def test_non_affine_relation_raises_on_every_call(n):
     sset = RelationSet((XOR3_0, or_relation(3)), "mixed")
     base = CspInstance(sset, n)
     inst = base.with_constraint(0, (0, 1, 2)).with_constraint(1, (n - 1, 0, 0))
-    for _ in range(2):
-        with pytest.raises(FragmentMismatchError, match="or3"):
-            solve_xor(inst)
-    # bits of the affine relation alone still solve
-    assert solve_xor(base.with_constraint(0, (0, 1, 2))) is True
+    # the L2 guard reads the set, so bits of the affine relation alone are refused too
+    for refused in (inst, base.with_constraint(0, (0, 1, 2))):
+        for _ in range(2):
+            with pytest.raises(FragmentMismatchError, match="or3"):
+                solve_xor(refused)
+
+
+def _parity(c: int, t: int) -> int:
+    return bin(c & t).count("1") & 1
+
+
+def _cut_out(arity: int, checks) -> tuple[int, ...]:
+    """The tuples of the arity that satisfy every parity check (coefficients c, rhs b)."""
+    return tuple(t for t in range(1 << arity) if all(_parity(c, t) == b for c, b in checks))
+
+
+def test_l2_guard_admits_exactly_the_affine_relations():
+    # the reference: rel is affine iff the parity checks it satisfies cut out exactly rel
+    affine = 0
+    for k in (1, 2, 3):
+        for mask in range(1 << (1 << k)):
+            rel = Relation(k, mask)
+            checks = [
+                (c, b)
+                for c in range(1 << k)
+                for b in (0, 1)
+                if all(_parity(c, t) == b for t in rel.tuples())
+            ]
+            assert in_pol("L2", rel) == (_cut_out(k, checks) == rel.tuples()), rel
+            if in_pol("L2", rel):
+                affine += 1
+                # the rows of the L2 view cut out exactly rel too
+                assert _cut_out(k, csp._parity_rows(rel, tuple(range(k)))) == rel.tuples(), rel
+    # per arity k, the cosets of the subspaces of GF(2)^k and the empty relation
+    assert affine == 4 + 12 + 52
 
 
 def test_solve_horn_example():
@@ -325,13 +356,13 @@ def test_reach_matches_the_closure_by_squaring():
         # arcs u -> u are drawn like any other, so self-loops occur
         adj = [sum(1 << w for w in range(size) if rng.random() < density) for _ in range(size)]
         closure = _closure_by_squaring(adj)
-        assert csp.reach(adj, 0) == 0
+        assert reach(adj, 0) == 0
         for frontier in (1 << rng.randrange(size), rng.getrandbits(size), (1 << size) - 1):
             want = 0
             for u in range(size):
                 if (frontier >> u) & 1:
                     want |= closure[u]
-            assert csp.reach(adj, frontier) == want, (trial, adj, frontier)
+            assert reach(adj, frontier) == want, (trial, adj, frontier)
 
 
 def _twosat_chains(n):
@@ -717,7 +748,7 @@ def test_instance_to_xor_system_matches_a_per_bit_decode(drawn):
     assert instance_to_xor_system(inst) == want
     assert instance_to_xor_system(inst) == want  # again, from the stored entries
     dense = inst.size <= csp._DENSE_TABLE_BITS
-    assert isinstance(csp._parity_table(inst.sset, inst.n), tuple) == dense
+    assert isinstance(fragment_table(inst.sset, inst.n, "L2"), tuple) == dense
     known = CspInstance(base.sset, base.n, inst.bits, known_set_bits=tuple(bits))
     assert instance_to_xor_system(known) == want
 
@@ -729,7 +760,7 @@ def test_lazy_tables_keep_a_bounded_number_of_entries(monkeypatch):
     horn2 = RelationSet((clause_relation(3, [0], [1]), UNIT_FALSE), "horn2-bounded")
     n = 5
     for table_of, view, sset in (
-        (csp._parity_table, csp._parity_rows, xor3),
+        (lambda s, n: fragment_table(s, n, "L2"), csp._parity_rows, xor3),
         (clause_table, clauses, xor3),
         (lambda s, n: fragment_table(s, n, "E2"), csp._horn_rules, horn2),
         (lambda s, n: fragment_table(s, n, "D2"), csp._implications, horn2),

@@ -1,6 +1,7 @@
 """Monotone reductions: structure and equi-satisfiability."""
 
 import hashlib
+import itertools
 import json
 import random
 
@@ -226,6 +227,39 @@ def test_eliminate_equality_preserves_value():
         out = eliminate_equality(inst)
         assert csp_sat_value(inst) == csp_sat_value(out)
         assert monotone_map_spot_check(inst, out)
+
+
+def test_eliminate_equality_generates_over_whole_classes():
+    # some trials lay an equality path through all n variables, so a class
+    # can be n - 1 equalities across
+    rng = random.Random(28)
+    s = RelationSet((EQ2, IMP2, UNIT_TRUE), "eq_imp_t")
+    for trial in range(200):
+        n = rng.randrange(2, 9)
+        inst = random_instance(s, n, rng.choice((0.03, 0.1)), rng)
+        if trial % 2:
+            path = rng.sample(range(n), n)
+            for a, b in zip(path, path[1:]):
+                inst = inst.with_constraint(0, (a, b) if rng.random() < 0.5 else (b, a))
+        # the reference classes: each variable takes the least label of its
+        # equality neighbours until no label changes
+        label = list(range(n))
+        eqs = [variables for r, variables in inst.iter_constraints() if r == 0]
+        changed = True
+        while changed:
+            changed = False
+            for a, b in eqs:
+                if label[a] != label[b]:
+                    label[a] = label[b] = min(label[a], label[b])
+                    changed = True
+        out = eliminate_equality(inst)
+        want = 0
+        for r, variables in inst.iter_constraints():
+            if r:
+                pools = [[u for u in range(n) if label[u] == label[v]] for v in variables]
+                for generated in itertools.product(*pools):
+                    want |= 1 << out.encode(r - 1, generated)
+        assert out.bits == want, (trial, n, hex(inst.bits))
 
 
 def monotone_map_spot_check(inst, out) -> bool:

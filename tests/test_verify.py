@@ -6,7 +6,7 @@ import random
 
 import pytest
 
-from postlab import cli, construct, csp, graphlab, verify
+from postlab import boolfun, cli, clone_lattice, construct, csp, graphlab, reductions, verify
 from postlab.circuit import AND, INPUT, OR, Circuit, evaluate_ref
 from postlab.csp import CspInstance, twosat_set, violation_masks
 from postlab.errors import BudgetExceededError
@@ -172,7 +172,7 @@ def test_a_check_that_raises_fails_every_name_of_its_group():
 
 
 def _reach_two_levels(adj, frontier):
-    """csp.reach stopped after two breadth-first levels."""
+    """boolfun.reach stopped after two breadth-first levels."""
     seen = frontier
     for _ in range(2):
         step = 0
@@ -199,8 +199,8 @@ REACH_FAULT_FAILS = {
 
 
 def test_a_planted_reach_fault_fails_its_checks_and_every_check_reports(monkeypatch, capsys):
-    monkeypatch.setattr(csp, "reach", _reach_two_levels)
-    monkeypatch.setattr(graphlab, "reach", _reach_two_levels)
+    for module in (boolfun, clone_lattice, csp, graphlab, reductions):
+        monkeypatch.setattr(module, "reach", _reach_two_levels)
     checks = {f"{r.suite}/{c.name}": c for r in verify.run_suite("all", quick=True) for c in r.checks}
     assert len(checks) == 46
     assert {name for name, c in checks.items() if not c.passed} == REACH_FAULT_FAILS
