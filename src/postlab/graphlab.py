@@ -10,7 +10,7 @@ from __future__ import annotations
 import itertools
 from dataclasses import dataclass
 from functools import cached_property, lru_cache
-from typing import Iterable
+from typing import Iterable, Iterator, Sequence
 
 from .boolfun import reach
 from .config import Budgets, budgets
@@ -202,6 +202,16 @@ def _xor_shuffle_masks(v: int) -> tuple[tuple[int, int], ...]:
     return tuple(out)
 
 
+def _check_oracle_budget(edges: int, v: int, b: Budgets, held: int = 1) -> None:
+    """A subset oracle walks 2**edges subsets and holds `held` parity
+    bitmasks of 2**v bits each; both are bounded by oracle_edges."""
+    limit = b.oracle_edges
+    if edges > limit:
+        raise BudgetExceededError(f"{edges} edges above oracle budget (oracle_edges={limit})")
+    if v + (held - 1).bit_length() > limit:  # held * 2**v bits in all
+        raise BudgetExceededError(f"{v} vertices above oracle budget (oracle_edges={limit})")
+
+
 def odd_factor_oracle(g: Graph, budget: Budgets | None = None) -> bool:
     """Ground truth by enumeration over edge subsets.
 
@@ -212,14 +222,7 @@ def odd_factor_oracle(g: Graph, budget: Budgets | None = None) -> bool:
     Gaussian elimination.  `budget` is a budgets() snapshot for a sweep that
     reads POSTLAB_BUDGET once per chunk of graphs instead of once per graph.
     """
-    b = budget or budgets()
-    edges = g.mask.bit_count()
-    if edges > b.oracle_edges:
-        raise BudgetExceededError(f"{edges} edges above oracle budget")
-    if g.v > b.oracle_edges:  # the parity bitmask has 2**v bits
-        raise BudgetExceededError(f"{g.v} vertices above oracle budget")
-    if g.v == 0:
-        return True
+    _check_oracle_budget(g.mask.bit_count(), g.v, budget or budgets())
     shuffles = _xor_shuffle_masks(g.v)
     achievable = 1  # only the all-zeros parity vector
     for a, bv in _edge_pairs(g):
@@ -229,6 +232,36 @@ def odd_factor_oracle(g: Graph, budget: Budgets | None = None) -> bool:
             shifted = ((shifted & low) << shift) | ((shifted >> shift) & low)
         achievable |= shifted
     return bool((achievable >> ((1 << g.v) - 1)) & 1)
+
+
+def odd_factor_verdicts(v: int, edges: Sequence[tuple[int, int]]) -> Iterator[bool]:
+    """Odd-factor existence on v vertices for every subset of `edges`, in
+    mask order: mask m takes edges[c] for each set bit c of m.
+
+    `odd_factor_oracle`'s subset-lattice enumeration, shared across masks:
+    the achievable parity sets of all subsets of the low half of `edges` and
+    of the high half are each built once, by doubling a list edge by edge.
+    Mask m has an odd factor iff some x achievable by its low part and y by
+    its high part have x ^ y all ones, that is iff its low set meets the high
+    set reflected through the all-ones vector (bit p to bit 2**v - 1 - p).
+    """
+    half = len(edges) // 2
+    _check_oracle_budget(len(edges), v, budgets(), held=(1 << half) + (1 << len(edges) - half))
+    low = _achievable_sets(v, edges[:half])
+    for high in _achievable_sets(v, edges[half:]):
+        reflected = int(format(high, f"0{1 << v}b")[::-1], 2)
+        yield from map(bool, map(reflected.__and__, low))
+
+
+def _achievable_sets(v: int, edges: Sequence[tuple[int, int]]) -> list[int]:
+    """The achievable parity set of each subset of `edges`, by subset mask."""
+    shuffles = _xor_shuffle_masks(v)
+    sets = [1]  # the empty subset reaches only the all-zeros vector
+    for a, b in edges:
+        (sa, la), (sb, lb) = shuffles[a], shuffles[b]
+        flipped = [((s & la) << sa) | ((s >> sa) & la) for s in sets]
+        sets += [s | ((t & lb) << sb) | ((t >> sb) & lb) for s, t in zip(sets, flipped)]
+    return sets
 
 
 def tseitin_system(g: Graph) -> XorSystem:

@@ -510,16 +510,22 @@ def suite_reductions(seed: int = 0, instances: int = 500, quick: bool = False) -
     run_op("negate-relations", pair_negate)
 
     def bip():
-        # every 17th matrix is also solved through its CspInstance, so the
-        # instance path keeps agreeing with the half tables dual_of_xorsat reads
+        # the truth for every matrix comes from one subset enumeration over the
+        # cells, bit i*n + j being the edge (i, n + j) as in BipGraph.to_graph;
+        # dual_of_xorsat's half tables meet it on every matrix, and component
+        # parity and the GF(2) instance path on every 17th
         n = 3 if quick else 4
         red = reductions.bip_oddfactor_to_xorsat(graphlab.BipGraph(n, 0))
-        for mask in range(1 << (n * n)):
-            want = graphlab.bip_odd_factor(graphlab.BipGraph(n, mask))
+        cells = [(i, n + j) for i in range(n) for j in range(n)]
+        verdicts = graphlab.odd_factor_verdicts(2 * n, cells)
+        for mask, want in zip(range(1 << (n * n)), verdicts, strict=True):
             if red.dual_of_xorsat(mask) != want:
                 return False, f"matrix {mask:#x}"
-            if mask % 17 == 0 and solve_xor(red.instance_for(mask)) != want:
-                return False, f"matrix {mask:#x} (instance path)"
+            if mask % 17 == 0:
+                if graphlab.bip_odd_factor(graphlab.BipGraph(n, mask)) != want:
+                    return False, f"matrix {mask:#x} (component parity)"
+                if solve_xor(red.instance_for(mask)) != want:
+                    return False, f"matrix {mask:#x} (instance path)"
         if not red.beta.is_projection_only:
             return False, "beta is not a projection"
         return True, f"all 2^{n * n} matrices"

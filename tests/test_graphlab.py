@@ -5,6 +5,8 @@ import random
 
 import pytest
 
+from postlab import graphlab
+from postlab.config import budgets
 from postlab.csp import solve_xor
 from postlab.errors import BudgetExceededError, RelationParseError
 from postlab.graphlab import (
@@ -14,6 +16,7 @@ from postlab.graphlab import (
     bip_odd_factor,
     odd_factor_fast,
     odd_factor_oracle,
+    odd_factor_verdicts,
     pair_index,
     parse_graph,
     tseitin_system,
@@ -32,12 +35,52 @@ def test_odd_factor_examples():
 
 
 def test_oracle_budget():
-    with pytest.raises(BudgetExceededError):
+    with pytest.raises(BudgetExceededError, match=r"^28 edges .* \(oracle_edges=24\)$"):
         odd_factor_oracle(Graph.complete(8))
     # 2**v parity vectors: the vertex count is bounded by the same budget
     with pytest.raises(BudgetExceededError):
         odd_factor_oracle(Graph(25, 0))
     assert odd_factor_oracle(Graph.from_edges(20, [(i, i + 1) for i in range(0, 20, 2)]))
+
+
+def test_verdicts_read_the_budget_once_at_the_first_verdict(monkeypatch):
+    k44 = [(i, 4 + j) for i in range(4) for j in range(4)]
+    reads = []
+    monkeypatch.setattr(graphlab, "budgets", lambda: reads.append(1) or budgets())
+    verdicts = odd_factor_verdicts(8, k44)
+    assert not reads
+    assert len(list(verdicts)) == 1 << 16 and len(reads) == 1
+    monkeypatch.setenv("POSTLAB_BUDGET", "oracle_edges=8")
+    with pytest.raises(BudgetExceededError, match=r"16 edges .*\(oracle_edges=8\)"):
+        next(odd_factor_verdicts(8, k44))
+
+
+def test_verdicts_bound_the_bitmasks_they_hold():
+    # two lists of 2**4 achievable sets of 2**20 bits: past 2**24 bits in all,
+    # although one graph of 20 vertices is within the oracle's budget
+    edges = [(i, i + 1) for i in range(0, 16, 2)]
+    assert odd_factor_oracle(Graph.from_edges(20, edges)) is False
+    with pytest.raises(BudgetExceededError, match="20 vertices above oracle budget"):
+        next(odd_factor_verdicts(20, edges))
+    assert next(odd_factor_verdicts(16, edges)) is False
+
+
+def test_verdicts_match_the_oracle_on_every_small_graph():
+    for v in range(7):
+        pairs = list(itertools.combinations(range(v), 2))
+        want = [odd_factor_oracle(Graph(v, m)) for m in range(1 << len(pairs))]
+        assert list(odd_factor_verdicts(v, pairs)) == want
+    assert list(odd_factor_verdicts(0, [])) == [True]
+    assert list(odd_factor_verdicts(1, [])) == [False]
+
+
+def test_verdicts_match_bip_odd_factor_on_the_cell_embedding():
+    for n, step in ((1, 1), (2, 1), (3, 1), (4, 61)):
+        cells = [(i, n + j) for i in range(n) for j in range(n)]  # bit i*n + j
+        verdicts = list(odd_factor_verdicts(2 * n, cells))
+        assert len(verdicts) == 1 << n * n
+        for mask in range(0, 1 << n * n, step):
+            assert verdicts[mask] == bip_odd_factor(BipGraph(n, mask))
 
 
 def test_claim_exhaustive_small():

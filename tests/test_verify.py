@@ -2,6 +2,7 @@
 witness as a per-mask loop over `evaluate_ref` does, and a planted fault gives
 FAIL lines instead of ending the run."""
 
+import itertools
 import random
 
 import pytest
@@ -169,6 +170,49 @@ def test_a_check_that_raises_fails_every_name_of_its_group():
     with pytest.raises(BudgetExceededError):
         verify._timed(report, "d", over_budget)
     assert len(report.checks) == 3
+
+
+def test_the_duality_sweep_meets_every_matrix(monkeypatch):
+    calls = {"dual": 0, "parity": 0}
+    dual, parity = reductions.BipOddFactorReduction.dual_of_xorsat, graphlab.bip_odd_factor
+
+    def counted_dual(self, mask):
+        calls["dual"] += 1
+        return dual(self, mask)
+
+    def counted_parity(graph):
+        calls["parity"] += 1
+        return parity(graph)
+
+    monkeypatch.setattr(reductions.BipOddFactorReduction, "dual_of_xorsat", counted_dual)
+    monkeypatch.setattr(graphlab, "bip_odd_factor", counted_parity)
+    check = verify.suite_reductions(quick=True).checks[-1]
+    assert (check.name, check.passed, check.detail) == (
+        "bip-oddfactor-duality", True, "all 2^9 matrices"
+    )
+    assert calls == {"dual": 512, "parity": 31}  # all 2^9 matrices, and every 17th
+
+
+def _without_last_edge(verdicts, v, edges):
+    """The verdicts of every subset of edges[:-1], half as many as asked for."""
+    return verdicts(v, edges[:-1])
+
+
+def _last_edge_ignored(verdicts, v, edges):
+    """As many verdicts as asked for, each blind to the last edge."""
+    return itertools.chain(verdicts(v, edges[:-1]), verdicts(v, edges[:-1]))
+
+
+@pytest.mark.parametrize("fault, detail", [
+    (_without_last_edge, "raised ValueError: zip() argument 2 is shorter than argument 1"),
+    (_last_edge_ignored, "matrix 0x10a"),  # the first matrix the blind verdicts get wrong
+])
+def test_a_verdict_fault_fails_the_duality_check(monkeypatch, fault, detail):
+    real = graphlab.odd_factor_verdicts
+    monkeypatch.setattr(graphlab, "odd_factor_verdicts", lambda v, edges: fault(real, v, edges))
+    failed = [c for c in verify.suite_reductions(quick=True).checks if not c.passed]
+    assert [c.name for c in failed] == ["bip-oddfactor-duality"]
+    assert failed[0].detail.startswith(detail)
 
 
 def _reach_two_levels(adj, frontier):
