@@ -189,15 +189,23 @@ def _relation_violation_segments(rel: Relation, n: int) -> tuple[int, ...]:
     return tuple(int("".join(col)[::-1], 2) for col in zip(*rows))[::-1]
 
 
-def violation_masks(inst: CspInstance) -> list[int]:
+def violation_masks(inst: CspInstance) -> tuple[int, ...]:
     """Per-assignment masks over all N applications; the instance is
-    satisfiable iff some assignment mask misses all set bits."""
-    masks = [0] * (1 << inst.n)
-    for off, rel in zip(inst._layout[0], inst.sset):
-        segs = _relation_violation_segments(rel, inst.n)
-        for a in range(1 << inst.n):
+    satisfiable iff some assignment mask misses all set bits.  They depend
+    only on (relation set, n), and are built once for each."""
+    return _violation_masks(inst.sset, inst.n)
+
+
+@lru_cache(maxsize=8)
+def _violation_masks(sset: RelationSet, n: int) -> tuple[int, ...]:
+    masks = [0] * (1 << n)
+    off = 0  # relation r's applications start at CspInstance._layout's offsets[r]
+    for rel in sset:
+        segs = _relation_violation_segments(rel, n)
+        for a in range(1 << n):
             masks[a] |= segs[a] << off
-    return masks
+        off += n**rel.arity
+    return tuple(masks)
 
 
 def satisfiable_brute(inst: CspInstance) -> bool:

@@ -14,6 +14,7 @@ import itertools
 from dataclasses import dataclass, replace
 from functools import cached_property, lru_cache, reduce
 from .boolfun import EQ2, Relation, RelationSet, reach, solution_table
+from .circuit import input_pattern
 from .config import budgets
 from .csp import CspInstance, gf2_reduce, instance_to_xor_system, xor_system_to_instance
 from .errors import BudgetExceededError, FragmentMismatchError
@@ -363,9 +364,9 @@ class BipOddFactorReduction:
     lies in the span of the forms of its missing cells: each cell's zeroing
     row fully reduced modulo the echelon basis of those Tseitin rows, so that
     it has no bit at a pivot position.  The cells split into a low half (the
-    first n*(n//2)) and a high half, and each half's table holds, per pattern
-    of its cells, the echelon basis of its missing cells' forms, or None when
-    they alone are inconsistent.
+    first k = n*(n//2)) and a high half.  verdict_words holds one word of 2^k
+    bits per pattern of the high half's cells: bit p is set iff the system of
+    the matrix with that high pattern and low pattern p is satisfiable.
     """
 
     instance: CspInstance
@@ -376,8 +377,7 @@ class BipOddFactorReduction:
     # per matrix row i and per pattern of its n cells: (the mask of the
     # zeroing applications of the row's missing cells, their bits ascending)
     row_tables: tuple[tuple[tuple[int, tuple[int, ...]], ...], ...]
-    low_bases: tuple[tuple[tuple[int, int], ...] | None, ...]  # rows of each basis
-    high_bases: tuple[tuple[tuple[int, tuple[int, int]], ...] | None, ...]  # (top bit, row) pairs
+    verdict_words: tuple[int, ...]
 
     def alpha_bits(self, graph_mask: int) -> int:
         n, full, missing = self.n, (1 << self.n) - 1, 0
@@ -397,13 +397,10 @@ class BipOddFactorReduction:
     def dual_of_xorsat(self, graph_mask: int) -> bool:
         """dual(XOR-SAT) evaluated at beta(M): since XOR-SAT accepts the
         unsatisfiable systems and alpha = not beta, this is satisfiability
-        of the alpha system, decided by reducing the low half's basis rows
-        against a copy of the high half's basis."""
-        low = self.low_bases[graph_mask & (len(self.low_bases) - 1)]
-        high = self.high_bases[(graph_mask >> self.n * (self.n // 2)) & (len(self.high_bases) - 1)]
-        if low is None or high is None:
-            return False
-        return gf2_reduce(dict(high), low)
+        of the alpha system, read from the verdict word of M's high half."""
+        k = self.n * (self.n // 2)
+        word = self.verdict_words[(graph_mask >> k) & (len(self.verdict_words) - 1)]
+        return bool(word >> (graph_mask & ((1 << k) - 1)) & 1)
 
 
 def bip_oddfactor_to_xorsat(graph: BipGraph) -> BipOddFactorReduction:
@@ -438,23 +435,16 @@ def bip_oddfactor_to_xorsat(graph: BipGraph) -> BipOddFactorReduction:
         inst = CspInstance(full.sset, full.n, bits, known_set_bits=positions)
         return instance_to_xor_system(inst).rows
 
+    def full_reduce(row: tuple[int, int], basis: dict[int, tuple[int, int]]) -> tuple[int, int]:
+        mask, rhs = row
+        for top in sorted(basis, reverse=True):
+            if (mask >> top) & 1:
+                mask, rhs = mask ^ basis[top][0], rhs ^ basis[top][1]
+        return mask, rhs
+
     pivots: dict[int, tuple[int, int]] = {}
     gf2_reduce(pivots, parity_rows(always))
-    forms = []
-    for bit in cell_bits:
-        ((mask, rhs),) = parity_rows((bit,))
-        for top in sorted(pivots, reverse=True):
-            if (mask >> top) & 1:
-                mask, rhs = mask ^ pivots[top][0], rhs ^ pivots[top][1]
-        forms.append((mask, rhs))
-
-    def half_bases(cells: range) -> list[dict[int, tuple[int, int]] | None]:
-        table = []
-        for pattern in range(1 << len(cells)):
-            basis: dict[int, tuple[int, int]] = {}
-            rows = [forms[c] for j, c in enumerate(cells) if not (pattern >> j) & 1]
-            table.append(basis if gf2_reduce(basis, rows) else None)
-        return table
+    forms = [full_reduce(row, pivots) for bit in cell_bits for row in parity_rows((bit,))]
 
     row_tables = []
     for i in range(n):
@@ -463,8 +453,26 @@ def bip_oddfactor_to_xorsat(graph: BipGraph) -> BipOddFactorReduction:
             missing = tuple(cell_bits[i * n + j] for j in range(n) if not (pattern >> j) & 1)
             table.append((sum(1 << bit for bit in missing), missing))
         row_tables.append(tuple(table))
+
+    # Modulo a consistent basis of the high half's missing forms, the low
+    # half's missing forms are inconsistent iff some subset sums to exactly
+    # 0 = 1 (packed mask << 1 | rhs = 1).  The bad subsets are closed upward,
+    # then reflected, since low pattern p misses the cells of ~p.
     k = n * (n // 2)
-    low = tuple(None if b is None else tuple(b.values()) for b in half_bases(range(k)))
-    high = tuple(None if b is None else tuple(b.items()) for b in half_bases(range(k, n * n)))
-    layout = BipOddFactorReduction(full, beta, n, full.bits, always, tuple(row_tables), low, high)
+    steps = [(1 << j, input_pattern(j, k)) for j in range(k)]
+    words = []
+    for pattern in range(1 << (n * n - k)):
+        basis: dict[int, tuple[int, int]] = {}
+        if not gf2_reduce(basis, [forms[c] for c in range(k, n * n) if not (pattern >> (c - k)) & 1]):
+            words.append(0)
+            continue
+        sums = [0]
+        for mask, rhs in (full_reduce(forms[c], basis) for c in range(k)):
+            sums += [s ^ (mask << 1 | rhs) for s in sums]
+        bad = sum(1 << subset for subset, total in enumerate(sums) if total == 1)
+        for shift, upper in steps:
+            bad |= (bad << shift) & upper
+        good = ~bad & ((1 << len(sums)) - 1)
+        words.append(int(format(good, f"0{len(sums)}b")[::-1], 2))
+    layout = BipOddFactorReduction(full, beta, n, full.bits, always, tuple(row_tables), tuple(words))
     return replace(layout, instance=layout.instance_for(graph.mask))

@@ -434,9 +434,11 @@ def suite_reductions(seed: int = 0, instances: int = 500, quick: bool = False) -
         instances = min(instances, 60)
     rng = random.Random(seed)
 
-    def run_op(name, make_pair):
+    def run_op(name, make_pair, fixed=0):
+        # trials -fixed .. -1 are make_pair's fixed instances, run before the
+        # random ones and left out of the count
         def check():
-            for trial in range(instances):
+            for trial in range(-fixed, instances):
                 inst, out, red = make_pair(trial)
                 if red is not None and not isinstance(red, reductions.BitReduction):
                     return False, f"{name}: non-OR reduction emitted"
@@ -448,12 +450,21 @@ def suite_reductions(seed: int = 0, instances: int = 500, quick: bool = False) -
 
     eq_set = RelationSet((EQ2, or_relation(2), UNIT_FALSE), "eq_or_f")
 
+    def chain(n):
+        """x0 = x1 = ... = x(n-1), F(x0) and or2(x(n-1), x(n-1)): unsatisfiable
+        through an equality path of n - 1 edges, which random draws rarely hold."""
+        inst = CspInstance(eq_set, n).with_constraint(2, (0,)).with_constraint(1, (n - 1, n - 1))
+        for v in range(n - 1):
+            inst = inst.with_constraint(0, (v, v + 1))
+        return inst
+
+    chains = (chain(4), chain(5))
+
     def pair_eliminate(trial):
-        n = 2 + trial % 4
-        inst = csp.random_instance(eq_set, n, 0.12, rng)
+        inst = chains[trial] if trial < 0 else csp.random_instance(eq_set, 2 + trial % 4, 0.12, rng)
         return inst, reductions.eliminate_equality(inst), None
 
-    run_op("eliminate-equality", pair_eliminate)
+    run_op("eliminate-equality", pair_eliminate, fixed=len(chains))
 
     s1 = RelationSet((EQ2, UNIT_TRUE, UNIT_FALSE), "eqset")
     s2 = RelationSet((IMP2, UNIT_TRUE, UNIT_FALSE), "impset")
@@ -512,7 +523,7 @@ def suite_reductions(seed: int = 0, instances: int = 500, quick: bool = False) -
     def bip():
         # the truth for every matrix comes from one subset enumeration over the
         # cells, bit i*n + j being the edge (i, n + j) as in BipGraph.to_graph;
-        # dual_of_xorsat's half tables meet it on every matrix, and component
+        # dual_of_xorsat's verdict words meet it on every matrix, and component
         # parity and the GF(2) instance path on every 17th
         n = 3 if quick else 4
         red = reductions.bip_oddfactor_to_xorsat(graphlab.BipGraph(n, 0))

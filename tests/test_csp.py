@@ -11,7 +11,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from postlab import csp
+from postlab import csp, verify
 from postlab.boolfun import (
     EQ2,
     IMP2,
@@ -110,6 +110,41 @@ def test_violation_masks_per_assignment():
                     r, variables = inst.decode(j)
                     enc = sum(((a >> v) & 1) << pos for pos, v in enumerate(variables))
                     assert (masks[a] >> j) & 1 == (not (sset[r].mask >> enc) & 1), (sset.name, n, a, j)
+
+
+def _criterion7_sets(monkeypatch) -> list[RelationSet]:
+    """Every relation set whose masks the quick reductions suite reads."""
+    seen = {}
+    real = csp.violation_masks
+
+    def recording(inst):
+        seen[inst.sset] = None
+        return real(inst)
+
+    monkeypatch.setattr(csp, "violation_masks", recording)
+    assert verify.suite_reductions(quick=True).ok
+    monkeypatch.undo()
+    return list(seen)
+
+
+def test_violation_masks_are_built_once_per_set_and_n(monkeypatch):
+    ssets = _criterion7_sets(monkeypatch)
+    assert len(ssets) == 9  # eq_or_f and its image, eqset, impset, ne, xor3 and its image, hornt, ~hornt
+    for sset in ssets:
+        for n in range(1, 6):
+            cached = violation_masks(CspInstance(sset, n))
+            assert violation_masks(CspInstance(sset, n, 1)) is cached
+            csp._violation_masks.cache_clear()
+            fresh = violation_masks(CspInstance(sset, n))
+            assert fresh == cached and fresh is not cached, (sset.name, n)
+
+
+def test_a_cached_brute_force_call_still_checks_its_budget(monkeypatch):
+    inst = CspInstance(hornt_set(), 3, 0)
+    assert satisfiable_brute(inst) is True
+    monkeypatch.setenv("POSTLAB_BUDGET", "brute_force_vars=2")
+    with pytest.raises(BudgetExceededError):
+        satisfiable_brute(inst)
 
 
 def test_csp_sat_value_basics():

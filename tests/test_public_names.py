@@ -16,9 +16,6 @@ PACKAGE = Path(__file__).resolve().parent.parent / "src" / "postlab"
 # The test-only names that stay, each with its reason.
 ALLOWED = {
     "circuit.evaluate_ref": "the independent reference evaluator the tests compare against",
-    "csp.CspInstance.with_constraint": (
-        "the tests build instances with it; moving it into the tests removes nothing"
-    ),
     "graphlab.Graph.complete": "the README example uses it",
 }
 

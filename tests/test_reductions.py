@@ -468,17 +468,17 @@ def test_solving_instance_for_never_walks_its_mask(monkeypatch):
 def test_dual_of_xorsat_equals_the_instance_path():
     for n, step in ((1, 1), (2, 1), (3, 1), (4, 17)):
         red = bip_oddfactor_to_xorsat(BipGraph(n, 0))
-        tables = (red.low_bases, red.high_bases)
+        words = red.verdict_words
         for mask in range(0, 1 << (n * n), step):
             assert red.dual_of_xorsat(mask) == csp.solve_xor(red.instance_for(mask)), (n, mask)
-        # no call changes the tables: the diagonal and the antidiagonal each
+        # no call changes the words: the diagonal and the antidiagonal each
         # have a perfect matching, but their zeroing rows together do not
         full = (1 << n * n) - 1
         eye = sum(1 << (i * n + i) for i in range(n))
         anti = sum(1 << (i * n + n - 1 - i) for i in range(n))
         got = [red.dual_of_xorsat(m) for m in (0, full, 0, eye, anti)]
         assert got == [False, True, False, True, True]
-        assert (red.low_bases, red.high_bases) == tables
+        assert red.verdict_words == words
 
 
 def _always_basis(red) -> dict[int, tuple[int, int]]:
@@ -529,52 +529,26 @@ def _full_reduce(row: tuple[int, int], pivots: dict[int, tuple[int, int]]) -> tu
 @pytest.mark.parametrize("n, rank", [(1, 1), (2, 7), (3, 17), (4, 31)])
 def test_always_rows_reduce_to_a_consistent_basis(n, rank):
     # K_{n,n} has a perfect matching, so its Tseitin rows are consistent,
-    # with one pivot per unit of their rank; every row the half tables
-    # store lies in the quotient by that basis (no bit at a pivot position)
+    # with one pivot per unit of their rank
     red = bip_oddfactor_to_xorsat(BipGraph(n, 0))
     always = CspInstance(red.instance.sset, red.instance.n, red.always_bits)
     rows = csp.instance_to_xor_system(always).rows
     pivots = _always_basis(red)
     assert len(pivots) == rank == _gf2_rank([mask for mask, _ in rows])
-    at_pivots = sum(1 << top for top in pivots)
-    stored = [row for b in red.low_bases if b for row in b]
-    stored += [row for b in red.high_bases if b for _, row in b]
-    # at n = 1 the one cell's form is 0 = 1, so no table stores a row
-    assert len(stored) > 0 or n == 1
-    assert all(mask & at_pivots == 0 for mask, _ in stored)
 
 
 @pytest.mark.parametrize("n", [1, 2, 3, 4])
-def test_half_tables_hold_the_bases_of_the_missing_cell_forms(n):
+def test_verdict_words_hold_the_verdicts_of_the_missing_cell_forms(n):
     red = bip_oddfactor_to_xorsat(BipGraph(n, 0))
     k = n * (n // 2)
-    assert len(red.low_bases) == 1 << k and len(red.high_bases) == 1 << (n * n - k)
+    assert len(red.verdict_words) == 1 << (n * n - k)
+    assert all(0 <= word < 1 << (1 << k) for word in red.verdict_words)
     pivots = _always_basis(red)
     forms = [_full_reduce(rows[0], pivots) for rows in _zeroing_rows(red)]
-    for cells, table in ((range(k), red.low_bases), (range(k, n * n), red.high_bases)):
-        for pattern, entry in enumerate(table):
-            missing = [forms[c] for j, c in enumerate(cells) if not (pattern >> j) & 1]
-            if csp.gf2_satisfiable(missing):
-                rows = list(entry) if table is red.low_bases else [row for _, row in entry]
-                # an echelon basis of the same span: consistent, one row per top bit
-                assert csp.gf2_satisfiable(rows)
-                assert len({mask.bit_length() for mask, _ in rows}) == len(rows)
-                assert all(mask for mask, _ in rows)
-                assert _gf2_rank([m for m, _ in rows + missing]) == len(rows)
-                assert _gf2_rank([m for m, _ in missing]) == len(rows)
-            else:
-                assert entry is None, (cells, pattern)
-        # a single missing cell stores its form itself
-        full = (1 << len(cells)) - 1
-        for j, c in enumerate(cells):
-            entry = table[full ^ (1 << j)]
-            mask, rhs = forms[c]
-            if mask == 0:
-                assert entry == (None if rhs else ())
-            elif table is red.low_bases:
-                assert entry == ((mask, rhs),)
-            else:
-                assert entry == ((mask.bit_length() - 1, (mask, rhs)),)
+    for mask in range(0, 1 << (n * n), 1 if n <= 3 else 7):
+        high, low = mask >> k, mask & ((1 << k) - 1)
+        missing = [forms[c] for c in range(n * n) if not (mask >> c) & 1]
+        assert (red.verdict_words[high] >> low) & 1 == csp.gf2_satisfiable(missing), (n, mask)
 
 
 def _gf2_rank(masks: list[int]) -> int:
