@@ -16,7 +16,6 @@ from __future__ import annotations
 import itertools
 import math
 from dataclasses import dataclass, field
-from functools import lru_cache
 from typing import Callable, Iterable, Iterator, Sequence
 
 from .circuit import input_pattern, substitute
@@ -238,7 +237,6 @@ def preserves(f: BoolFun, rel: Relation) -> bool:
     return violating_choice(f, rel) is None
 
 
-@lru_cache(maxsize=1 << 16)
 def violating_choice(f: BoolFun, rel: Relation) -> tuple[int, ...] | None:
     """The first tuple choice, in itertools.product order, that f maps
     outside rel; None if f preserves rel."""

@@ -28,7 +28,7 @@ from .circuit import (
 )
 from .clone_lattice import DEPTH_EASY_CLONES
 from .config import budgets
-from .csp import TRACTABLE, CspInstance, clause_table, first_clone, fragment_table, or_fragment_side
+from .csp import TRACTABLE, CspInstance, first_clone, fragment_table, or_fragment_side
 from .errors import BudgetExceededError, FragmentMismatchError
 from .graphlab import pair_index
 from .reductions import BitReduction
@@ -262,15 +262,12 @@ def random_layered_bp(rng: random.Random, n: int) -> LayeredBP:
 
 # Threshold circuits.
 
-def _at_least(b: Builder, bits: Sequence[int], t: int, blocks: dict | None = None) -> int:
+def _at_least(b: Builder, bits: Sequence[int], t: int) -> int:
     """Gate computing (number of set bits >= t), shaped by b's fan-in mode.
 
     UNBOUNDED: the OR, over the t-subsets of bits, of their AND (depth 2).
     BOUNDED2: a tree of counting merges, each cut off at t (depth at most
-    ceil(log2 len) * (1 + ceil(log2 (t + 1)))).  The tree splits at the
-    largest power of two below len(bits), so the prefixes of one list share
-    their blocks; a caller that counts several prefixes passes one blocks
-    dict for its build, and asks for its largest t first.
+    ceil(log2 len) * (1 + ceil(log2 (t + 1)))).
     """
     if t <= 0:
         return b.const(1)
@@ -280,21 +277,17 @@ def _at_least(b: Builder, bits: Sequence[int], t: int, blocks: dict | None = Non
         if math.comb(len(bits), t) > budgets().flat_threshold_terms:
             raise BudgetExceededError(f"C({len(bits)},{t}) terms exceed the flat threshold budget")
         return b.or_([b.and_(subset) for subset in itertools.combinations(bits, t)])
-    return _sorted_unary(b, {} if blocks is None else blocks, tuple(bits), t)[t - 1]
+    return _sorted_unary(b, bits, t)[t - 1]
 
 
-def _sorted_unary(b: Builder, blocks: dict, bits: tuple[int, ...], cap: int) -> list[int]:
+def _sorted_unary(b: Builder, bits: Sequence[int], cap: int) -> list[int]:
     """bits sorted descending and cut off at cap: entry s - 1 computes
-    (count >= s) for s <= min(len(bits), cap).  blocks maps bits to the
-    longest list built so far; its first cap entries are the same gates."""
+    (count >= s) for s <= min(len(bits), cap)."""
     if len(bits) <= 1:
         return list(bits)
-    got = blocks.get(bits)
-    if got is not None and len(got) >= min(len(bits), cap):
-        return got
     mid = 1 << ((len(bits) - 1).bit_length() - 1)
-    left = _sorted_unary(b, blocks, bits[:mid], cap)
-    right = _sorted_unary(b, blocks, bits[mid:], cap)
+    left = _sorted_unary(b, bits[:mid], cap)
+    right = _sorted_unary(b, bits[mid:], cap)
     la, lb = len(left), len(right)
     out = []
     for s in range(1, min(la + lb, cap) + 1):
@@ -308,7 +301,6 @@ def _sorted_unary(b: Builder, blocks: dict, bits: tuple[int, ...], cap: int) -> 
             else:
                 terms.append(b.and_([left[i - 1], right[j - 1]]))
         out.append(b.or_(terms))
-    blocks[bits] = out
     return out
 
 
@@ -352,9 +344,9 @@ def induced_subgraph_circuit(n: int, k: int, fanin_mode: str = BOUNDED2) -> Circ
     alpha = [b.input(ne + a) for a in range(n)]
     # sel[i][a]: alpha_a is set and exactly i selector bits before it are
     sel = [[0] * n for _ in range(k)]
-    blocks: dict = {}
     for a in range(n):
-        count = [_at_least(b, alpha[:a], t, blocks) for t in range(k, -1, -1)][::-1]
+        # largest t first: the pinned gate order emits const(1) (t = 0) last
+        count = [_at_least(b, alpha[:a], t) for t in range(k, -1, -1)][::-1]
         for i in range(k):
             sel[i][a] = b.and_([alpha[a], count[i], b.not_(count[i + 1])])
     outputs = []
@@ -483,7 +475,7 @@ def _bit_inputs(sset: RelationSet, n: int, table):
 
 def _emit_constant(sset: RelationSet, n: int) -> Circuit:
     """I0/I1 sets: like csp's trivial solver, only an empty clause refutes."""
-    b, bits = _bit_inputs(sset, n, clause_table(sset, n))
+    b, bits = _bit_inputs(sset, n, fragment_table(sset, n, "I2"))
     return b.build([b.or_([bit for bit, entry in bits if ((), ()) in entry])])
 
 
@@ -561,7 +553,7 @@ def _emit_twosat(sset: RelationSet, n: int) -> Circuit:
 
 def _emit_or_fragment(sset: RelationSet, n: int) -> Circuit:
     side = or_fragment_side(sset)
-    b, bits = _bit_inputs(sset, n, clause_table(sset, n))
+    b, bits = _bit_inputs(sset, n, fragment_table(sset, n, "I2"))
     edge_bits: dict[tuple[int, int], list[int]] = {}
     unit_bits: dict[int, list[int]] = {}
     disjunctions: list[tuple[int, tuple[int, ...]]] = []

@@ -379,7 +379,6 @@ def _prime_clauses(rel: Relation, pattern: tuple[int, ...]) -> tuple[tuple[int, 
     )
 
 
-@lru_cache(maxsize=8192)
 def clauses(
     rel: Relation, variables: tuple[int, ...]
 ) -> tuple[tuple[tuple[int, ...], tuple[int, ...]], ...]:
@@ -420,9 +419,9 @@ def _implications(rel: Relation, variables: tuple[int, ...]) -> tuple[tuple[int,
     return tuple(edges)
 
 
-# Per-bit tables: one view of every bit of one (sset, n), the clause view
-# (clause_table) and the solver-ready Horn, anti-Horn, 2-SAT and parity views
-# (fragment_table).
+# Per-bit tables: one view of every bit of one (sset, n), all served by
+# fragment_table: the clause view (its I2 row) and the solver-ready Horn,
+# anti-Horn, 2-SAT and parity views.
 
 # Above this many bits a per-bit table reads bits lazily.  A dense table costs
 # about 10 us per entry once per (relation, n): worth it when many instances
@@ -454,26 +453,12 @@ class _LazyTable(dict):
         return entry
 
 
-def _bit_table(view: Callable, sset: RelationSet, n: int) -> "tuple | _LazyTable":
-    """view's entry of each bit: a tuple of per-relation blocks up to
-    _DENSE_TABLE_BITS bits, else lazy, so a sparse instance costs its set bits."""
-    inst = CspInstance(sset, n)
-    if inst.size > _DENSE_TABLE_BITS:
-        return _LazyTable(view, inst)
-    return tuple(itertools.chain.from_iterable(_relation_block(view, rel, n) for rel in sset))
-
-
-@lru_cache(maxsize=16)
-def clause_table(sset: RelationSet, n: int) -> "tuple | _LazyTable":
-    """Entry j is clauses(sset[r], V) for the application (r, V) of bit j
-    (see `_bit_table`); the other tables are views of the same bits."""
-    return _bit_table(clauses, sset, n)
-
-
-# The solver views of the Horn (E2), anti-Horn (V2: the Horn view of the
-# negated relations, each bit in its place), 2-SAT (D2) and affine (L2)
-# fragments, with the wording of a mismatch.
+# The clause view (I2: the projections lie inside every Pol(S), so it is
+# never refused) and the solver views of the Horn (E2), anti-Horn (V2: the
+# Horn view of the negated relations, each bit in its place), 2-SAT (D2) and
+# affine (L2) fragments, with the wording of a mismatch.
 _FRAGMENT_VIEWS: dict[str, tuple[Callable, str]] = {
+    "I2": (clauses, "preserved by the projections"),
     "E2": (_horn_rules, "AND-closed (Horn fragment)"),
     "V2": (_horn_rules, "OR-closed (anti-Horn fragment)"),
     "D2": (_implications, "majority-closed (2-SAT fragment)"),
@@ -483,17 +468,24 @@ _FRAGMENT_VIEWS: dict[str, tuple[Callable, str]] = {
 
 @lru_cache(maxsize=32)
 def fragment_table(sset: RelationSet, n: int, clone: str) -> "tuple | _LazyTable":
-    """Entry j is the clone's view of bit j, read by its solver and, for E2,
-    V2 and D2, its emitter; L2 has a solver but no emitter, since parity is
-    size-HARD.  Raises FragmentMismatchError naming the first relation of
-    sset that the clone does not preserve; lru_cache keeps no exception, so a
-    set is checked once when it passes and raises on every call when it does
-    not."""
+    """Entry j is the clone's view of bit j: for I2 the clauses of bit j,
+    read by the trivial solver and the constant and OR/NAND emitters; for E2,
+    V2 and D2 read by the clone's solver and emitter; L2 has a solver but no
+    emitter, since parity is size-HARD.  Raises FragmentMismatchError naming
+    the first relation of sset that the clone does not preserve; lru_cache
+    keeps no exception, so a set is checked once when it passes and raises on
+    every call when it does not.
+
+    The table is a tuple of per-relation blocks up to _DENSE_TABLE_BITS bits,
+    else lazy, so a sparse instance costs its set bits."""
     view, wording = _FRAGMENT_VIEWS[clone]
     for rel in sset:
         if not in_pol(clone, rel):
             raise FragmentMismatchError(f"relation {rel.name or rel} is not {wording}")
-    return _bit_table(view, negate_relations(sset) if clone == "V2" else sset, n)
+    inst = CspInstance(negate_relations(sset) if clone == "V2" else sset, n)
+    if inst.size > _DENSE_TABLE_BITS:
+        return _LazyTable(view, inst)
+    return tuple(itertools.chain.from_iterable(_relation_block(view, rel, n) for rel in inst.sset))
 
 
 # Horn unit propagation for AND-closed relation sets.
@@ -656,7 +648,7 @@ def random_instance(
 def _trivial(inst: CspInstance) -> bool:
     """I0/I1 sets: a constant assignment satisfies every application of a
     nonempty relation, so only an empty relation's empty clause refutes."""
-    table = clause_table(inst.sset, inst.n)
+    table = fragment_table(inst.sset, inst.n, "I2")
     return all(((), ()) not in table[j] for j in _set_bits(inst.bits))
 
 

@@ -13,6 +13,7 @@ from functools import cached_property, lru_cache
 from typing import Iterable, Iterator, Sequence
 
 from .boolfun import reach
+from .circuit import input_pattern
 from .config import Budgets, budgets
 from .csp import XorSystem
 from .errors import BudgetExceededError, RelationParseError
@@ -191,15 +192,7 @@ def odd_factor_fast(g: Graph) -> bool:
 def _xor_shuffle_masks(v: int) -> tuple[tuple[int, int], ...]:
     # for each vertex bit b: (2**b, mask of the positions p < 2**v with bit b
     # of p clear), used to permute an achievable-set bitmask by xor
-    out = []
-    for b in range(v):
-        shift = 1 << b
-        low, width = (1 << shift) - 1, 2 * shift
-        while width < 1 << v:
-            low |= low << width
-            width *= 2
-        out.append((shift, low))
-    return tuple(out)
+    return tuple((1 << b, input_pattern(b, v) >> (1 << b)) for b in range(v))
 
 
 def _check_oracle_budget(edges: int, v: int, b: Budgets, held: int = 1) -> None:

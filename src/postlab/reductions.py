@@ -78,10 +78,6 @@ class BitReduction:
 
 # Equality elimination.
 
-def _is_equality(rel: Relation) -> bool:
-    return rel.arity == 2 and rel.mask == EQ2.mask
-
-
 def eliminate_equality(inst: CspInstance) -> CspInstance:
     """Rewrite an instance over S + {=} into one over S.
 
@@ -90,7 +86,7 @@ def eliminate_equality(inst: CspInstance) -> CspInstance:
     generation rule); present non-equality constraints generate themselves.
     Equi-unsatisfiable, and monotone as a map on instance bits.
     """
-    eq_indices = {r for r, rel in enumerate(inst.sset) if _is_equality(rel)}
+    eq_indices = {r for r, rel in enumerate(inst.sset) if rel == EQ2}  # equality ignores names
     keep = [r for r in range(len(inst.sset)) if r not in eq_indices]
     out_set = RelationSet(tuple(inst.sset[r] for r in keep), inst.sset.name)
     out = CspInstance(out_set, inst.n, 0)

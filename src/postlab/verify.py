@@ -448,17 +448,18 @@ def suite_reductions(seed: int = 0, instances: int = 500, quick: bool = False) -
 
         _timed(report, name, check)
 
-    eq_set = RelationSet((EQ2, or_relation(2), UNIT_FALSE), "eq_or_f")
-
-    def chain(n):
-        """x0 = x1 = ... = x(n-1), F(x0) and or2(x(n-1), x(n-1)): unsatisfiable
-        through an equality path of n - 1 edges, which random draws rarely hold."""
-        inst = CspInstance(eq_set, n).with_constraint(2, (0,)).with_constraint(1, (n - 1, n - 1))
+    def chain(sset, n):
+        """x0 = x1 = ... = x(n-1) (relation 0), F(x0) (relation 2) and relation
+        1 on x(n-1) alone, which forces it true: unsatisfiable through an
+        equality path of n - 1 edges, which random draws rarely hold."""
+        inst = CspInstance(sset, n).with_constraint(2, (0,))
+        inst = inst.with_constraint(1, (n - 1,) * sset[1].arity)
         for v in range(n - 1):
             inst = inst.with_constraint(0, (v, v + 1))
         return inst
 
-    chains = (chain(4), chain(5))
+    eq_set = RelationSet((EQ2, or_relation(2), UNIT_FALSE), "eq_or_f")
+    chains = (chain(eq_set, 4), chain(eq_set, 5))
 
     def pair_eliminate(trial):
         inst = chains[trial] if trial < 0 else csp.random_instance(eq_set, 2 + trial % 4, 0.12, rng)
@@ -493,13 +494,14 @@ def suite_reductions(seed: int = 0, instances: int = 500, quick: bool = False) -
 
     _timed(report, "cq-rewrite-aux-vars", check_aux)
 
+    pol_chains = (chain(s1, 4), chain(s1, 5))
+
     def pair_pol(trial):
-        n = 2 + trial % 4
-        inst = csp.random_instance(s1, n, 0.12, rng)
+        inst = pol_chains[trial] if trial < 0 else csp.random_instance(s1, 2 + trial % 4, 0.12, rng)
         pr = reductions.pol_reduce(inst, s2)
         return inst, pr.instance, pr.or_stage
 
-    run_op("pol-reduce", pair_pol)
+    run_op("pol-reduce", pair_pol, fixed=len(pol_chains))
 
     def pair_l2l3(trial):
         n = 2 + trial % 3

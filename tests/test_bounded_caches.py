@@ -1,8 +1,9 @@
-"""Every module-level functools cache in postlab has a size limit.
+"""Every module-level functools cache in postlab is listed, with its size.
 
 An unbounded cache grows for the life of the process with every distinct
-argument it sees.  The ones that stay unbounded are listed with the reason
-their key space is fixed.
+argument it sees, and a cache that restates a fact another cache holds gives
+that fact two homes.  So each cache is named here with its maxsize and the
+one fact it alone keeps; a new cache needs a new row.
 """
 
 import importlib
@@ -10,10 +11,23 @@ import pkgutil
 
 import postlab
 
-# The unbounded caches that stay, each with its reason.
-UNBOUNDED = {
-    "clone_lattice._closure3": "keyed by the 20 catalog labels",
-    "clone_lattice.ensure_catalog_valid": "takes no arguments",
+# `module.name` -> (maxsize, what the cache alone keeps).
+CACHES = {
+    "circuit._zero_patterns": (16, "the x_j = 0 tables of monotone_violation, per variable count"),
+    "clone_lattice._closure3": (None, "the arity-3 closure of each of the 20 catalog labels"),
+    "clone_lattice._preserved_labels": (1 << 14, "the labels whose clone preserves a relation"),
+    "clone_lattice.ensure_catalog_valid": (None, "the catalog check; it takes no arguments"),
+    "clone_lattice.in_pol": (1 << 14, "the one preservation verdict per (clone, relation)"),
+    "csp._affine_rows": (512, "the parity checks a relation satisfies"),
+    "csp._prime_clauses": (2048, "the prime implicates per (relation, repeat pattern)"),
+    "csp._relation_block": (64, "one view of each application per (view, relation, n)"),
+    "csp._relation_violation_segments": (512, "per assignment, the applications it violates"),
+    "csp._violation_masks": (8, "the brute-force oracle's masks per (relation set, n)"),
+    "csp.fragment_table": (32, "the guarded per-bit table per (relation set, n, clone)"),
+    "graphlab._byte_tables": (9, "the per-byte edge and adjacency tables per vertex count"),
+    "graphlab._xor_shuffle_masks": (64, "the parity-set shuffles per vertex count"),
+    "reductions._cq_layout": (16, "cq_rewrite's reduction per (relation set, n, definitions)"),
+    "reductions._selector_layout": (16, "l2_to_l3_transform's projection per (relation set, n)"),
 }
 
 
@@ -35,6 +49,9 @@ def test_detector_sees_the_reduction_layouts():
 
 
 def test_module_caches_are_bounded():
-    caches = module_caches()
-    unbounded = {name for name, maxsize in caches.items() if maxsize is None}
-    assert unbounded == set(UNBOUNDED)
+    unbounded = {name for name, maxsize in module_caches().items() if maxsize is None}
+    assert unbounded == {"clone_lattice._closure3", "clone_lattice.ensure_catalog_valid"}
+
+
+def test_every_cache_is_listed_with_its_size():
+    assert module_caches() == {name: maxsize for name, (maxsize, _) in CACHES.items()}

@@ -456,6 +456,40 @@ def test_bounded_padding_has_logarithmic_depth():
         assert depth <= 7 * (big_n - 1).bit_length() + 4 + d, (big_n, depth)
 
 
+# sha256 of the JSON of the fan-in-two extractors and of the `verify` padded
+# circuits: the gate order of the counting gate and of the padding is pinned
+EXTRACTOR_SHA256 = {
+    (4, 2): "aa7e0f589950c18aabbd95b5b5989230b7600be35a13ba443afe7cdc2ce9dfdd",
+    (4, 3): "0dfc32672675a0c2302aedbb98ede4e83921601a2a11251499e7da17fb963bd4",
+    (7, 4): "e778459d06985fbcbbbcf0eaa5c7569049dbb8b64d4db91ee8d392f67a3c4cd5",
+    (12, 3): "81e2d6d914ff4f3b8148175403b47fa2f722b00067508e371a601fe3831b1aad",
+    (16, 4): "28bf66cd6bf6e2255b3243868c6804b6b5b9b8e1361c3db4a7e1805e514bc018",
+}
+PADDING_SHA256 = {
+    (_edge_existence, 6): "f669589dd6b9282adbecd3f2bc26e2d86cfeb989d6f94c4b3edce9a351399a0c",
+    (_edge_existence, 7): "77be6eb428fe885f44bc1fb3256dedf2171e96ecff0a1c861caaeaba7c81bea7",
+    (_oddfactor4, 6): "5c7a52d465cdec3eb311186ab702389b820e04bab68d7ed26125bb2adeb6eec5",
+    (_oddfactor4, 7): "df342a4de69a79b9f41352afd64820f7d970ea05f57fa47d83a9bd18304595ab",
+}
+
+
+def _sha256(circuit) -> str:
+    return hashlib.sha256(json.dumps(circuit.to_json(), sort_keys=True).encode()).hexdigest()
+
+
+@pytest.mark.parametrize("n,k", EXTRACTOR_SHA256, ids=[f"n{n}-k{k}" for n, k in EXTRACTOR_SHA256])
+def test_extractor_circuits_pinned(n, k):
+    assert _sha256(induced_subgraph_circuit(n, k, BOUNDED2)) == EXTRACTOR_SHA256[n, k]
+
+
+@pytest.mark.parametrize(
+    "make_prop,big_n", PADDING_SHA256, ids=[f"{f.__name__}-N{n}" for f, n in PADDING_SHA256]
+)
+def test_padded_circuits_pinned(make_prop, big_n):
+    padded, _ = padded_graph_property(make_prop(), big_n)
+    assert _sha256(padded.circuit) == PADDING_SHA256[make_prop, big_n]
+
+
 @pytest.mark.parametrize("fanin_mode", [BOUNDED2, UNBOUNDED])
 def test_extractor_matches_the_selection_oracle(fanin_mode):
     n, ne = 5, 10

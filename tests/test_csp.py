@@ -34,7 +34,6 @@ from postlab.csp import (
     CspInstance,
     XorSystem,
     ahornt_set,
-    clause_table,
     clauses,
     csp_sat_value,
     fragment_table,
@@ -669,7 +668,7 @@ def test_pickled_relations_hit_the_caches():
     sset = twosat_set()
     copy = pickle.loads(pickle.dumps(sset))
     assert copy == sset and hash(copy) == hash(sset)
-    assert clause_table(copy, 3) is clause_table(sset, 3)
+    assert fragment_table(copy, 3, "I2") is fragment_table(sset, 3, "I2")
     for clone, s in (("D2", sset), ("E2", hornt_set())):
         renamed = RelationSet(tuple(replace(rel, name="r") for rel in s), s.name)
         for twin in (pickle.loads(pickle.dumps(s)), renamed):
@@ -727,10 +726,23 @@ def table_bits(draw):
 @given(table_bits())
 def test_clause_table_holds_the_clauses_of_each_bit(drawn):
     sset, n, bits = drawn
-    table = clause_table(sset, n)
+    table = fragment_table(sset, n, "I2")
     for j in bits:
         r, variables = CspInstance(sset, n).decode(j)
         assert table[j] == clauses(sset[r], variables)
+
+
+def test_the_clause_row_is_served_for_every_set():
+    # I2, the projections, lies inside every Pol(S): the size-HARD xor3 and a
+    # set holding an empty relation get their clauses, never a mismatch
+    with_empty = RelationSet((Relation(3, 0), IMP2), "with-empty")
+    for sset in (xor3_set(), with_empty):
+        inst = CspInstance(sset, 3)
+        table = fragment_table(sset, 3, "I2")
+        for j in range(inst.size):
+            r, variables = inst.decode(j)
+            assert table[j] == clauses(sset[r], variables)
+    assert fragment_table(with_empty, 3, "I2")[0] == (((), ()),)
 
 
 @PROPERTY
@@ -796,7 +808,7 @@ def test_lazy_tables_keep_a_bounded_number_of_entries(monkeypatch):
     n = 5
     for table_of, view, sset in (
         (lambda s, n: fragment_table(s, n, "L2"), csp._parity_rows, xor3),
-        (clause_table, clauses, xor3),
+        (lambda s, n: fragment_table(s, n, "I2"), clauses, xor3),
         (lambda s, n: fragment_table(s, n, "E2"), csp._horn_rules, horn2),
         (lambda s, n: fragment_table(s, n, "D2"), csp._implications, horn2),
     ):
