@@ -284,15 +284,16 @@ def classify(sset: RelationSet, with_witnesses: bool = False) -> Verdict:
     the dichotomy side of the remaining relations.
     """
     ensure_catalog_valid()
+    set_aside = sset.degenerate
     degenerate = tuple(
         {
             "relation": i,
             "name": sset[i].name or f"R{i}",
             "kind": "empty" if sset[i].is_empty else "full",
         }
-        for i in sset.degenerate
+        for i in set_aside
     )
-    working = [r for r in sset if not r.is_degenerate]
+    working = [r for i, r in enumerate(sset) if i not in set_aside]
     preserved = set(CATALOG)
     for rel in working:
         preserved &= _preserved_labels(rel)

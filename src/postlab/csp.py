@@ -431,16 +431,30 @@ _DENSE_TABLE_BITS = 1 << 12
 
 
 @lru_cache(maxsize=64)
-def _relation_block(view: Callable, rel: Relation, n: int) -> tuple:
-    """view(rel, V) for each application V of rel over n variables, in rank
-    order.  Relation sets share these blocks: equality ignores names."""
+def _relation_block(view: Callable, refutes: Callable, rel: Relation, n: int) -> tuple[tuple, int]:
+    """(view(rel, V) for each application V of rel over n variables, in rank
+    order; the mask of the ranks whose entry refutes on its own).  Relation
+    sets share these blocks: equality ignores names."""
     inst = CspInstance(RelationSet((rel,)), n)
-    return tuple(view(rel, inst.decode(j)[1]) for j in range(inst.size))
+    block = tuple(view(rel, inst.decode(j)[1]) for j in range(inst.size))
+    return block, sum(1 << j for j, entry in enumerate(block) if refutes(entry))
+
+
+class _DenseTable(tuple):
+    """A per-bit table up to _DENSE_TABLE_BITS bits, the relation blocks in
+    layout order; `refuting` is the mask of its bits whose application no
+    assignment satisfies."""
+
+    refuting: int
 
 
 class _LazyTable(dict):
     """A per-bit table above _DENSE_TABLE_BITS: a bit is decoded on its first
-    lookup and kept while fewer than _DENSE_TABLE_BITS entries are."""
+    lookup and kept while fewer than _DENSE_TABLE_BITS entries are.  It never
+    enumerates its bits, so `refuting` is 0 and the solvers find an empty
+    clause in the entries themselves."""
+
+    refuting = 0
 
     def __init__(self, view: Callable, inst: CspInstance):
         self.view, self.inst = view, inst
@@ -453,21 +467,30 @@ class _LazyTable(dict):
         return entry
 
 
+def _holds_empty_rule(rules: tuple[tuple[int, int], ...]) -> bool:
+    """The Horn views' test, one function so that E2 and V2 share blocks."""
+    return (0, 0) in rules
+
+
 # The clause view (I2: the projections lie inside every Pol(S), so it is
 # never refused) and the solver views of the Horn (E2), anti-Horn (V2: the
 # Horn view of the negated relations, each bit in its place), 2-SAT (D2) and
-# affine (L2) fragments, with the wording of a mismatch.
-_FRAGMENT_VIEWS: dict[str, tuple[Callable, str]] = {
-    "I2": (clauses, "preserved by the projections"),
-    "E2": (_horn_rules, "AND-closed (Horn fragment)"),
-    "V2": (_horn_rules, "OR-closed (anti-Horn fragment)"),
-    "D2": (_implications, "majority-closed (2-SAT fragment)"),
-    "L2": (_parity_rows, "an affine parity relation"),
+# affine (L2) fragments.  Each row holds the view, the test of an entry whose
+# application refutes on its own (its prime clauses hold the empty clause, in
+# the view's own form), and the wording of a mismatch.
+_FRAGMENT_VIEWS: dict[str, tuple[Callable, Callable, str]] = {
+    "I2": (clauses, lambda cs: ((), ()) in cs, "preserved by the projections"),
+    "E2": (_horn_rules, _holds_empty_rule, "AND-closed (Horn fragment)"),
+    "V2": (_horn_rules, _holds_empty_rule, "OR-closed (anti-Horn fragment)"),
+    "D2": (_implications, lambda edges: edges is None, "majority-closed (2-SAT fragment)"),
+    # the rows of an affine relation are closed under sums, so 0 = 1 is
+    # among them whenever they are inconsistent
+    "L2": (_parity_rows, lambda rows: (0, 1) in rows, "an affine parity relation"),
 }
 
 
 @lru_cache(maxsize=32)
-def fragment_table(sset: RelationSet, n: int, clone: str) -> "tuple | _LazyTable":
+def fragment_table(sset: RelationSet, n: int, clone: str) -> "_DenseTable | _LazyTable":
     """Entry j is the clone's view of bit j: for I2 the clauses of bit j,
     read by the trivial solver and the constant and OR/NAND emitters; for E2,
     V2 and D2 read by the clone's solver and emitter; L2 has a solver but no
@@ -477,20 +500,30 @@ def fragment_table(sset: RelationSet, n: int, clone: str) -> "tuple | _LazyTable
     every call when it does not.
 
     The table is a tuple of per-relation blocks up to _DENSE_TABLE_BITS bits,
-    else lazy, so a sparse instance costs its set bits."""
-    view, wording = _FRAGMENT_VIEWS[clone]
+    else lazy, so a sparse instance costs its set bits.  `table.refuting` is
+    the mask of the bits that refute on their own (0 on a lazy table); the
+    solvers test it before they walk any bits."""
+    view, refutes, wording = _FRAGMENT_VIEWS[clone]
     for rel in sset:
         if not in_pol(clone, rel):
             raise FragmentMismatchError(f"relation {rel.name or rel} is not {wording}")
     inst = CspInstance(negate_relations(sset) if clone == "V2" else sset, n)
     if inst.size > _DENSE_TABLE_BITS:
         return _LazyTable(view, inst)
-    return tuple(itertools.chain.from_iterable(_relation_block(view, rel, n) for rel in inst.sset))
+    entries: list = []
+    refuting = 0
+    for rel in inst.sset:
+        block, mask = _relation_block(view, refutes, rel, n)
+        refuting |= mask << len(entries)
+        entries += block
+    table = _DenseTable(entries)
+    table.refuting = refuting
+    return table
 
 
 # Horn unit propagation for AND-closed relation sets.
 
-def _propagate(table: "tuple | _LazyTable", bits: int) -> bool:
+def _propagate(table: "_DenseTable | _LazyTable", bits: int) -> bool:
     """Linear-time unit propagation (Dowling and Gallier) over a Horn view.
 
     The prime clauses of AND-closed relations are Horn: each is a rule
@@ -521,7 +554,8 @@ def _propagate(table: "tuple | _LazyTable", bits: int) -> bool:
 
 def solve_horn(inst: CspInstance) -> bool:
     """Least-model unit propagation for AND-closed relation sets."""
-    return _propagate(fragment_table(inst.sset, inst.n, "E2"), inst.bits)
+    table = fragment_table(inst.sset, inst.n, "E2")
+    return not inst.bits & table.refuting and _propagate(table, inst.bits)
 
 
 def negate_instance(inst: CspInstance) -> CspInstance:
@@ -533,7 +567,8 @@ def negate_instance(inst: CspInstance) -> CspInstance:
 def solve_antihorn(inst: CspInstance) -> bool:
     """Greatest-model dual of solve_horn for OR-closed relation sets: unit
     propagation over the negated relations."""
-    return _propagate(fragment_table(inst.sset, inst.n, "V2"), inst.bits)
+    table = fragment_table(inst.sset, inst.n, "V2")
+    return not inst.bits & table.refuting and _propagate(table, inst.bits)
 
 
 # 2-SAT via the implication graph.
@@ -543,6 +578,8 @@ def solve_2sat(inst: CspInstance) -> bool:
     whose prime clauses have width at most 2."""
     n = inst.n
     table = fragment_table(inst.sset, n, "D2")
+    if inst.bits & table.refuting:
+        return False
     adj = [0] * (2 * n)  # literal node: 2v for x_v, 2v + 1 for not x_v
     for j in _set_bits(inst.bits):
         edges = table[j]
@@ -649,6 +686,8 @@ def _trivial(inst: CspInstance) -> bool:
     """I0/I1 sets: a constant assignment satisfies every application of a
     nonempty relation, so only an empty relation's empty clause refutes."""
     table = fragment_table(inst.sset, inst.n, "I2")
+    if inst.bits & table.refuting:
+        return False
     return all(((), ()) not in table[j] for j in _set_bits(inst.bits))
 
 

@@ -20,7 +20,9 @@ CACHES = {
     "clone_lattice.in_pol": (1 << 14, "the one preservation verdict per (clone, relation)"),
     "csp._affine_rows": (512, "the parity checks a relation satisfies"),
     "csp._prime_clauses": (2048, "the prime implicates per (relation, repeat pattern)"),
-    "csp._relation_block": (64, "one view of each application per (view, relation, n)"),
+    "csp._relation_block": (
+        64, "one view of each application and the mask of those that refute alone, per (view, test, relation, n)"
+    ),
     "csp._relation_violation_segments": (512, "per assignment, the applications it violates"),
     "csp._violation_masks": (8, "the brute-force oracle's masks per (relation set, n)"),
     "csp.fragment_table": (32, "the guarded per-bit table per (relation set, n, clone)"),

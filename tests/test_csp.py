@@ -745,6 +745,47 @@ def test_the_clause_row_is_served_for_every_set():
     assert fragment_table(with_empty, 3, "I2")[0] == (((), ()),)
 
 
+def _mask_cases():
+    """(relation set, n): every binary relation, alone and after the T and F
+    units (so its mask is shifted), at n = 1..4; the catalog and menu sets and
+    xor3 at n = 2 and 3."""
+    for mask in range(16):
+        rel = Relation(2, mask)
+        for sset in (RelationSet((rel,)), RelationSet((UNIT_TRUE, UNIT_FALSE, rel))):
+            for n in range(1, 5):
+                yield sset, n
+    for sset in (hornt_set(), ahornt_set(), twosat_set(), or_fragment_set(), nand_fragment_set(), xor3_set()):
+        for n in (2, 3):
+            yield sset, n
+
+
+@pytest.mark.parametrize("clone, cases", [
+    ("I2", 140), ("E2", 116), ("V2", 116), ("D2", 134), ("L2", 98),
+])
+def test_refuting_marks_exactly_the_bits_no_assignment_satisfies(clone, cases):
+    checked = 0
+    for sset, n in _mask_cases():
+        if not all(in_pol(clone, rel) for rel in sset):
+            continue
+        size = CspInstance(sset, n).size
+        unsat = sum(1 << j for j in range(size) if not satisfiable_brute(CspInstance(sset, n, 1 << j)))
+        assert fragment_table(sset, n, clone).refuting == unsat, (sset, n)
+        checked += 1
+    assert checked == cases
+
+
+def test_lazy_tables_carry_no_refuting_mask_and_the_kernels_still_refute():
+    sset = RelationSet((Relation(2, 0), IMP2))
+    inst = CspInstance(sset, 46)
+    assert inst.size == 4232 > csp._DENSE_TABLE_BITS
+    for clone in ("I2", "E2", "V2", "D2"):
+        assert fragment_table(sset, 46, clone).refuting == 0
+    sat = inst.with_constraint(1, (0, 45))
+    unsat = sat.with_constraint(0, (45, 3))
+    for solver in (solve_horn, solve_antihorn, solve_2sat, csp._trivial):
+        assert solver(sat) is True and solver(unsat) is False, solver.__name__
+
+
 @PROPERTY
 @given(instances())
 @example(LONG)

@@ -213,6 +213,68 @@ def _last_row_dropped(gf2_reduce, pivots, rows):
 PLANTED_IN = {_last_row_dropped: (reductions, "gf2_reduce")}
 
 
+def _unit_edge_refutes(refutes, edges):
+    """The D2 row's test, also true of a unit's doubled edge (~x -> x twice)."""
+    return refutes(edges) or (len(edges) == 2 and edges[0] == edges[1])
+
+
+def _negative_unit_refutes(refutes, rules):
+    """The E2 row's test, also true of a negative unit: no head, one body variable."""
+    return refutes(rules) or any(not head and not body & (body - 1) for body, head in rules)
+
+
+def _last_variable_unchecked(inst):
+    """solve_2sat without the last variable's contradiction test."""
+    n = inst.n
+    table = csp.fragment_table(inst.sset, n, "D2")
+    if inst.bits & table.refuting:
+        return False
+    adj = [0] * (2 * n)
+    for j in range(inst.size):
+        edges = table[j] if (inst.bits >> j) & 1 else ()
+        if edges is None:
+            return False
+        for source, target in edges:
+            adj[source] |= target
+    return not any(
+        (boolfun.reach(adj, 1 << t) >> t + 1) & 1 and (boolfun.reach(adj, 1 << t + 1) >> t) & 1
+        for t in range(0, 2 * n - 2, 2)
+    )
+
+
+# Dichotomy faults, each planted in the clone's `_FRAGMENT_VIEWS` row (its
+# test of a self-refuting entry, which builds the tables' `refuting` masks) or
+# in its `TRACTABLE` row (the kernel that decides behind the mask).
+DICHOTOMY_FAULTS = [
+    (_unit_edge_refutes, "D2", "subset=0x46 "),
+    (_negative_unit_refutes, "E2", "subset=0x7 "),
+    (_last_variable_unchecked, "D2", "subset=0xd2 "),
+]
+
+
+@pytest.fixture
+def cold_tables():
+    """Per-bit tables built from this test's views only, and none kept after it."""
+    csp.fragment_table.cache_clear()
+    csp._relation_block.cache_clear()
+    yield
+    csp.fragment_table.cache_clear()
+    csp._relation_block.cache_clear()
+
+
+@pytest.mark.parametrize("fault, clone, detail", DICHOTOMY_FAULTS)
+def test_a_mask_or_kernel_fault_fails_the_solver_check(monkeypatch, cold_tables, fault, clone, detail):
+    if fault is _last_variable_unchecked:
+        name, _, emitter = csp.TRACTABLE[clone]
+        monkeypatch.setitem(csp.TRACTABLE, clone, (name, fault, emitter))
+    else:
+        view, refutes, wording = csp._FRAGMENT_VIEWS[clone]
+        monkeypatch.setitem(csp._FRAGMENT_VIEWS, clone, (view, lambda entry: fault(refutes, entry), wording))
+    failed = [c for c in verify.suite_dichotomy(quick=True).checks if not c.passed]
+    assert [c.name for c in failed] == ["solver-matches-oracle"]
+    assert failed[0].detail.startswith(detail)
+
+
 @pytest.mark.parametrize("fault, detail", [
     (_without_last_edge, "raised ValueError: zip() argument 2 is shorter than argument 1"),
     (_last_edge_ignored, "matrix 0x10a"),  # the first matrix the blind verdicts get wrong
