@@ -13,7 +13,6 @@ Bit conventions, fixed so serialized data is portable:
 
 from __future__ import annotations
 
-import itertools
 import math
 from dataclasses import dataclass, field
 from typing import Callable, Iterable, Iterator, Sequence
@@ -229,22 +228,55 @@ def preserves(f: BoolFun, rel: Relation) -> bool:
     Exhaustive over all |rel|**arity(f) choices of tuples (with repetition):
     applying f coordinatewise to every choice must land back in rel.
     """
-    size = bin(rel.mask).count("1")
-    if size ** f.arity > budgets().preserves_combos:
-        raise BudgetExceededError(
-            f"{size}**{f.arity} tuple choices exceed preserves budget"
-        )
+    check_tuple_choices(rel.mask.bit_count(), f.arity, budgets().preserves_combos)
     return violating_choice(f, rel) is None
+
+
+def check_tuple_choices(size: int, arity: int, limit: int) -> None:
+    """Raise BudgetExceededError when a preservation check of a relation of
+    size tuples by a function of the given arity would try more than limit
+    tuple choices."""
+    if size ** arity > limit:
+        raise BudgetExceededError(f"{size}**{arity} tuple choices exceed preserves budget")
 
 
 def violating_choice(f: BoolFun, rel: Relation) -> tuple[int, ...] | None:
     """The first tuple choice, in itertools.product order, that f maps
-    outside rel; None if f preserves rel."""
-    full = (1 << rel.arity) - 1
-    for combo in itertools.product(rel.tuples(), repeat=f.arity):
-        if not (rel.mask >> substitute(f.table, combo, full)) & 1:
-            return combo
-    return None
+    outside rel; None if f preserves rel.
+
+    Bit-parallel over the choices: lane L is the L-th choice of
+    itertools.product(rel.tuples(), repeat=f.arity), whose position p reads
+    the tuple of digit p of L in base |rel| (the last position fastest).
+    Coordinate j of every image is one `substitute` of f over the lanes'
+    coordinate-j words, and one `substitute` of rel's mask over the images
+    marks the lanes that land inside rel."""
+    tuples = rel.tuples()
+    m, k = len(tuples), f.arity
+    if not m**k:
+        return None  # no choice to make
+    full = (1 << m**k) - 1
+    # words[p][j]: the lanes whose position-p tuple has coordinate j set; the
+    # digit of position p repeats with period m * stride, m**p times
+    words = [[0] * rel.arity for _ in range(k)]
+    for p in range(k):
+        stride = m ** (k - 1 - p)
+        repeat = full // ((1 << m * stride) - 1)
+        for c, t in enumerate(tuples):
+            block = ((1 << stride) - 1) << c * stride
+            for j in range(rel.arity):
+                if (t >> j) & 1:
+                    words[p][j] |= block
+        words[p] = [w * repeat for w in words[p]]
+    images = [substitute(f.table, [words[p][j] for p in range(k)], full) for j in range(rel.arity)]
+    outside = full & ~substitute(rel.mask, images, full)
+    if not outside:
+        return None
+    lane = (outside & -outside).bit_length() - 1
+    digits = []
+    for _ in range(k):
+        lane, d = divmod(lane, m)
+        digits.append(tuples[d])
+    return tuple(reversed(digits))
 
 
 # Clone closure at bounded arity.

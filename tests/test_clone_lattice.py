@@ -25,6 +25,9 @@ from postlab.circuit import substitute
 from postlab.cli import main
 from postlab.clone_lattice import (
     CATALOG,
+    CLONE_BITS,
+    DEPTH_EASY_CLONES,
+    SIZE_EASY_CLONES,
     CloneDescriptor,
     _closure3,
     can_express_equality,
@@ -33,10 +36,11 @@ from postlab.clone_lattice import (
     descriptor,
     hardness_consequences,
     in_pol,
+    pol_mask,
     validate_catalog,
 )
-from postlab.csp import ahornt_set, hornt_set, xor3_set
-from postlab.errors import CatalogError, UnknownCloneError
+from postlab.csp import TRACTABLE, ahornt_set, first_clone, hornt_set, pick_solver, xor3_set
+from postlab.errors import BudgetExceededError, CatalogError, UnknownCloneError
 
 
 def test_catalog_validates():
@@ -242,6 +246,77 @@ def test_in_pol_agrees_with_classify():
             assert (label in preserved) == all(in_pol(label, rel) for rel in sset)
 
 
+SMALL_RELATIONS = [Relation(k, m) for k in (1, 2, 3) for m in range(1 << (1 << k))]
+
+
+def test_pol_bits_match_in_pol_on_every_small_relation():
+    assert len(SMALL_RELATIONS) == 276 and len(CLONE_BITS) == 20
+    for rel in SMALL_RELATIONS:
+        bits = clone_lattice._pol_bits(rel)
+        assert bits >> len(CLONE_BITS) == 0
+        for label, bit in CLONE_BITS.items():
+            assert bool(bits & bit) == in_pol(label, rel), (label, rel)
+        assert pol_mask(RelationSet((rel,))) == bits
+
+
+def test_pol_mask_readers_match_an_in_pol_loop_on_the_binary_sets():
+    binary = [Relation(2, mask, f"b{mask}") for mask in range(16)]
+    labels = [frozenset(c for c in CATALOG if in_pol(c, rel)) for rel in binary]
+    menus = (SIZE_EASY_CLONES, DEPTH_EASY_CLONES + ("E2", "V2"), ("S00", "S10"))
+    for subset in range(0, 1 << 16, 7):
+        members = [i for i in range(16) if (subset >> i) & 1]
+        sset = RelationSet(tuple(binary[i] for i in members))
+        preserved = frozenset(CATALOG).intersection(*(labels[i] for i in members))
+        assert classify(sset).preserved == tuple(sorted(preserved)), subset
+        for menu in menus:
+            # the reference loop: one in_pol verdict per (clone, relation)
+            first = next((c for c in menu if all(c in labels[i] for i in members)), None)
+            assert first_clone(sset, menu) == first, (subset, menu)
+            if menu is SIZE_EASY_CLONES:
+                label, solver = pick_solver(sset)  # every binary set is size-EASY
+                assert (label, solver) == (f"{TRACTABLE[first][0]}({first})", TRACTABLE[first][1])
+
+
+def _raises_budget(call) -> bool:
+    try:
+        call()
+    except BudgetExceededError:
+        return True
+    return False
+
+
+def test_a_cached_verdict_never_skips_the_preserves_budget(monkeypatch, clear_catalog_caches):
+    sset = hornt_set()  # 7, 7 and 1 tuples
+    calls = {
+        "classify": lambda: classify(sset),
+        "pick_solver": lambda: pick_solver(sset),
+        "in_pol": lambda: in_pol("E2", sset[0]),
+    }
+    for call in calls.values():
+        call()  # warm every cache at the default budgets
+    monkeypatch.setenv("POSTLAB_BUDGET", "preserves_combos=1")
+    for call in calls.values():
+        with pytest.raises(BudgetExceededError, match=r"^7\*\*\d tuple choices exceed preserves budget$"):
+            call()
+    calls |= {
+        f"in_pol({label}, {i})": (lambda label=label, rel=rel: in_pol(label, rel))
+        for label in CATALOG
+        for i, rel in enumerate(sset)
+    }
+    # a set-wide call tries 7**3 = 343 tuple choices per relation
+    for limit, set_wide_raises in ((0, True), (1, True), (8, True), (343, False)):
+        for name, call in calls.items():
+            monkeypatch.delenv("POSTLAB_BUDGET", raising=False)
+            call()  # warm, at the default budgets
+            monkeypatch.setenv("POSTLAB_BUDGET", f"preserves_combos={limit}")
+            warm = _raises_budget(call)
+            clone_lattice._pol_bits.cache_clear()
+            clone_lattice._pol_mask.cache_clear()
+            assert _raises_budget(call) == warm, (limit, name)
+            if name in ("classify", "pick_solver"):
+                assert warm == set_wide_raises, (limit, name)
+
+
 def test_verdict_json_roundtrip_fields():
     v = hardness_consequences(classify(xor3_set(), with_witnesses=True))
     obj = v.to_json()
@@ -269,8 +344,8 @@ def clear_catalog_caches():
     caches = (
         clone_lattice._closure3,
         clone_lattice.ensure_catalog_valid,
-        clone_lattice.in_pol,
-        clone_lattice._preserved_labels,
+        clone_lattice._pol_bits,
+        clone_lattice._pol_mask,
     )
     for c in caches:
         c.cache_clear()

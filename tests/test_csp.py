@@ -11,7 +11,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from postlab import csp, verify
+from postlab import clone_lattice, csp, verify
 from postlab.boolfun import (
     EQ2,
     IMP2,
@@ -28,7 +28,7 @@ from postlab.boolfun import (
     solution_table,
 )
 from postlab.circuit import evaluate, measures, monotone_violation
-from postlab.clone_lattice import in_pol
+from postlab.clone_lattice import CLONE_BITS, in_pol, pol_mask
 from postlab.construct import emit_monotone_csp_circuit
 from postlab.csp import (
     CspInstance,
@@ -332,6 +332,28 @@ def test_fragment_guards_raise_on_every_call(n):
                 with pytest.raises(FragmentMismatchError) as err:
                     solver(inst)
                 assert str(err.value) == message
+
+
+# per guarded clone, two relations it does not preserve; EQ2 lies in every Pol
+GUARD_FAILURES = {
+    "E2": (or_relation(2), XOR3_1),
+    "V2": (nand_relation(2), XOR3_0),
+    "D2": (XOR3_0, or_relation(3)),
+    "L2": (or_relation(2), nand_relation(2)),
+}
+
+
+@pytest.mark.parametrize("clone", sorted(GUARD_FAILURES))
+def test_fragment_table_names_the_first_relation_its_clone_misses(clone):
+    wording = csp._FRAGMENT_VIEWS[clone][2]
+    for first, second in (GUARD_FAILURES[clone], GUARD_FAILURES[clone][::-1]):
+        assert not in_pol(clone, first) and not in_pol(clone, second)
+        sset = RelationSet((EQ2, first, second))
+        assert pol_mask(sset) & CLONE_BITS[clone] == 0
+        for _ in range(3):
+            with pytest.raises(FragmentMismatchError) as err:
+                fragment_table(sset, 3, clone)
+            assert str(err.value) == f"relation {first.name} is not {wording}"
 
 
 # the menu with the reverse implication, tuples 00 10 11: x1 -> x0
@@ -673,10 +695,13 @@ def test_pickled_relations_hit_the_caches():
         renamed = RelationSet(tuple(replace(rel, name="r") for rel in s), s.name)
         for twin in (pickle.loads(pickle.dumps(s)), renamed):
             assert fragment_table(twin, 3, clone) is fragment_table(s, 3, clone)
-    rel = pickle.loads(pickle.dumps(sset[0]))
-    in_pol("D2", sset[0])
-    hits = in_pol.cache_info().hits
-    assert in_pol("D2", rel) and in_pol.cache_info().hits == hits + 1
+    for cache, key, twin in (
+        (clone_lattice._pol_mask, sset, copy),
+        (clone_lattice._pol_bits, sset[0], pickle.loads(pickle.dumps(sset[0]))),
+    ):
+        cache(key)
+        hits = cache.cache_info().hits
+        assert cache(twin) == cache(key) and cache.cache_info().hits == hits + 2
 
 
 # Property tests of the bit layout.

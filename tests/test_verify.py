@@ -275,6 +275,25 @@ def test_a_mask_or_kernel_fault_fails_the_solver_check(monkeypatch, cold_tables,
     assert failed[0].detail.startswith(detail)
 
 
+def _also_claims_i1(pol_bits, rel):
+    """Per-relation Pol bits that put I1 inside every Pol."""
+    return pol_bits(rel) | clone_lattice.CLONE_BITS["I1"]
+
+
+def test_a_pol_bits_fault_fails_the_solver_check(monkeypatch, cold_tables):
+    """Fragment membership has one home, the per-relation Pol bits, and the
+    solver check can fail through it: every set then looks trivial."""
+    real = clone_lattice._pol_bits
+    monkeypatch.setattr(clone_lattice, "_pol_bits", lambda rel: _also_claims_i1(real, rel))
+    clone_lattice._pol_mask.cache_clear()
+    try:
+        failed = [c for c in verify.suite_dichotomy(quick=True).checks if not c.passed]
+    finally:
+        clone_lattice._pol_mask.cache_clear()
+    assert [c.name for c in failed] == ["solver-matches-oracle"]
+    assert failed[0].detail.startswith("subset=0xe solver=trivial(I1) ")
+
+
 @pytest.mark.parametrize("fault, detail", [
     (_without_last_edge, "raised ValueError: zip() argument 2 is shorter than argument 1"),
     (_last_edge_ignored, "matrix 0x10a"),  # the first matrix the blind verdicts get wrong
