@@ -228,7 +228,6 @@ def preserves(f: BoolFun, rel: Relation) -> bool:
     Exhaustive over all |rel|**arity(f) choices of tuples (with repetition):
     applying f coordinatewise to every choice must land back in rel.
     """
-    check_tuple_choices(rel.mask.bit_count(), f.arity, budgets().preserves_combos)
     return violating_choice(f, rel) is None
 
 
@@ -249,7 +248,9 @@ def violating_choice(f: BoolFun, rel: Relation) -> tuple[int, ...] | None:
     the tuple of digit p of L in base |rel| (the last position fastest).
     Coordinate j of every image is one `substitute` of f over the lanes'
     coordinate-j words, and one `substitute` of rel's mask over the images
-    marks the lanes that land inside rel."""
+    marks the lanes that land inside rel.  BudgetExceededError when the
+    choices are more than the preserves budget allows."""
+    check_tuple_choices(rel.mask.bit_count(), f.arity, budgets().preserves_combos)
     tuples = rel.tuples()
     m, k = len(tuples), f.arity
     if not m**k:
@@ -419,6 +420,13 @@ def json_int(value, what: str) -> int:
     return value
 
 
+def json_str(value, what: str) -> str:
+    """value when it is a JSON string; RelationParseError for anything else."""
+    if type(value) is not str:
+        raise RelationParseError(f"{what} must be a string, got {value!r}")
+    return value
+
+
 def json_list(value, what: str, shape: str = "a list", sizes: tuple[int, ...] = ()) -> list:
     """value when it is a JSON list (of one of the lengths `sizes`, when given);
     otherwise RelationParseError naming the field and its expected shape, where
@@ -437,7 +445,7 @@ def relation_from_json(obj: dict) -> Relation:
     if not 1 <= arity <= MAX_TEXT_ARITY:  # before Relation computes 1 << arity
         raise RelationParseError(f"relation arity must be in 1..{MAX_TEXT_ARITY}, got {arity}")
     tuples = json_list(obj["tuples"], "relation tuples", "a list of bit strings")
-    return Relation(arity, _tuple_mask(tuples, arity), obj.get("name", ""))
+    return Relation(arity, _tuple_mask(tuples, arity), json_str(obj.get("name", ""), "relation name"))
 
 
 def relation_set_to_json(sset: RelationSet) -> dict:
@@ -447,5 +455,5 @@ def relation_set_to_json(sset: RelationSet) -> dict:
 def relation_set_from_json(obj: dict) -> RelationSet:
     return RelationSet(
         tuple(relation_from_json(r) for r in json_list(obj["relations"], "relations")),
-        obj.get("name", ""),
+        json_str(obj.get("name", ""), "relation set name"),
     )

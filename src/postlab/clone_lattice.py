@@ -111,8 +111,8 @@ _EDGES: tuple[tuple[str, str], ...] = (
     ("M2", "R2"),
 )
 
-# in the order csp.pick_solver and construct.detect_fragment try them; classify
-# names the first trivial clone it finds as trivial_via
+# in the order csp.pick_solver and construct.detect_fragment try them; a
+# Verdict names the first one its mask holds as trivial_via
 _TRIVIAL_CLONES = ("I1", "I0")
 SIZE_EASY_CLONES = _TRIVIAL_CLONES + ("E2", "V2", "D2")
 DEPTH_EASY_CLONES = _TRIVIAL_CLONES + ("S00", "S10", "D2")
@@ -146,7 +146,6 @@ CATALOG: dict[str, CloneDescriptor] = _build_catalog()
 # clone of CATALOG.
 CLONE_BITS: dict[str, int] = {name: 1 << i for i, name in enumerate(CATALOG)}
 _ALL_CLONES = (1 << len(CATALOG)) - 1
-_SORTED_LABELS = tuple(sorted(CLONE_BITS))
 _SIZE_EASY_MASK = sum(CLONE_BITS[c] for c in SIZE_EASY_CLONES)
 _DEPTH_EASY_MASK = sum(CLONE_BITS[c] for c in DEPTH_EASY_CLONES)
 # the arity of the widest basis function: a relation's Pol bits try at most
@@ -254,45 +253,67 @@ def clone_contained_in_pol(label: str, sset: RelationSet) -> tuple[bool, list[di
     carries the violating tuple choice, replayable through `preserves`.
     """
     witness = []
-    contained = True
     for f in descriptor(label).basis:
         for idx, rel in enumerate(sset):
-            ok = preserves(f, rel)
+            choice = violating_choice(f, rel)
             entry = {
                 "function": {"name": f.name, "arity": f.arity, "table": f.table},
                 "relation": idx,
-                "preserved": ok,
+                "preserved": choice is None,
             }
-            if not ok:
-                contained = False
-                choice = violating_choice(f, rel)
+            if choice is not None:
                 entry["violating_tuples"] = [
                     "".join(str((t >> j) & 1) for j in range(rel.arity)) for t in choice
                 ]
             witness.append(entry)
-    return contained, witness
+    return all(entry["preserved"] for entry in witness), witness
 
 
 @dataclass(frozen=True)
 class Verdict:
-    """Classification record for CSP-SAT over one relation set."""
+    """Classification record for CSP-SAT over one relation set: every label
+    is read off `pol`, the Pol(S) clone mask; the rest are annotations."""
 
-    input_name: str
     relation_set: RelationSet
-    preserved: tuple[str, ...]
-    trivial: bool
-    trivial_via: str | None
-    degenerate: tuple[dict, ...]
-    size_side: str
-    depth_side: str
+    pol: int
     hardness_notes: tuple[str, ...] = ()
     equality: str | None = None
     equality_query: dict | None = None
     witnesses: dict | None = None
 
+    @property
+    def preserved(self) -> tuple[str, ...]:
+        return tuple(sorted(name for name, bit in CLONE_BITS.items() if self.pol & bit))
+
+    @property
+    def trivial_via(self) -> str | None:
+        return next((c for c in _TRIVIAL_CLONES if self.pol & CLONE_BITS[c]), None)
+
+    @property
+    def degenerate(self) -> tuple[dict, ...]:
+        """Full relations constrain nothing; a present empty relation makes
+        the formula unsatisfiable outright, so it blocks `trivial`."""
+        rels = self.relation_set
+        return tuple(
+            {"relation": i, "name": rels[i].name or f"R{i}", "kind": "empty" if rels[i].is_empty else "full"}
+            for i in rels.degenerate
+        )
+
+    @property
+    def trivial(self) -> bool:
+        return self.trivial_via is not None and not any(r.is_empty for r in self.relation_set)
+
+    @property
+    def size_side(self) -> str:
+        return "EASY" if self.pol & _SIZE_EASY_MASK else "HARD"
+
+    @property
+    def depth_side(self) -> str:
+        return "EASY" if self.pol & _DEPTH_EASY_MASK else "HARD"
+
     def to_json(self) -> dict:
         out = {
-            "input": self.input_name,
+            "input": self.relation_set.name or "",
             "relation_set": relation_set_to_json(self.relation_set),
             "preserved": list(self.preserved),
             "trivial": self.trivial,
@@ -311,48 +332,19 @@ class Verdict:
 
 
 def classify(sset: RelationSet, with_witnesses: bool = False) -> Verdict:
-    """Dichotomy verdict from the decisive basis-preservation checks.
-
-    Degenerate relations (empty or full) are flagged: full relations never
-    constrain anything, and a present empty-relation constraint makes the
-    formula unsatisfiable outright.  Every clone preserves both, so neither
-    affects the dichotomy side of the remaining relations, and the witnesses
-    leave them out.
-    """
+    """Dichotomy verdict from the decisive basis-preservation checks.  Every
+    clone preserves the empty and full relations, so neither affects the
+    dichotomy side of the others, and the witnesses leave them out."""
     ensure_catalog_valid()
     pol = pol_mask(sset)
-    set_aside = sset.degenerate
-    degenerate = tuple(
-        {
-            "relation": i,
-            "name": sset[i].name or f"R{i}",
-            "kind": "empty" if sset[i].is_empty else "full",
-        }
-        for i in set_aside
-    )
-    has_empty = any(d["kind"] == "empty" for d in degenerate)
-    trivial_via = next((c for c in _TRIVIAL_CLONES if pol & CLONE_BITS[c]), None)
-    trivial = trivial_via is not None and not has_empty
-    size_side = "EASY" if pol & _SIZE_EASY_MASK else "HARD"
-    depth_side = "EASY" if pol & _DEPTH_EASY_MASK else "HARD"
     witnesses = None
     if with_witnesses:
-        working = RelationSet(tuple(r for i, r in enumerate(sset) if i not in set_aside), sset.name)
+        working = RelationSet(tuple(r for r in sset if not r.is_degenerate), sset.name)
         witnesses = {}
         for label in sorted(CATALOG):
             contained, entries = clone_contained_in_pol(label, working)
             witnesses[label] = {"contained": contained, "checks": entries}
-    return Verdict(
-        input_name=sset.name or "",
-        relation_set=sset,
-        preserved=tuple(name for name in _SORTED_LABELS if pol & CLONE_BITS[name]),
-        trivial=trivial,
-        trivial_via=trivial_via,
-        degenerate=degenerate,
-        size_side=size_side,
-        depth_side=depth_side,
-        witnesses=witnesses,
-    )
+    return Verdict(sset, pol, witnesses=witnesses)
 
 
 @dataclass(frozen=True)
@@ -394,8 +386,7 @@ def hardness_consequences(verdict: Verdict) -> Verdict:
     if verdict.depth_side == "HARD":
         notes.append("parity-L-hard under AC0 many-one reductions")
     if not verdict.trivial:
-        preserved = set(verdict.preserved)
-        if not ({"S02", "S12"} & preserved):
+        if not verdict.pol & (CLONE_BITS["S02"] | CLONE_BITS["S12"]):
             notes.append("L-hard under AC0 many-one reductions")
         else:
             search = can_express_equality(verdict.relation_set)

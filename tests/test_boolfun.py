@@ -102,6 +102,14 @@ def test_and_fails_even_parity():
     assert w is not None
 
 
+def test_violating_choice_tests_the_preserves_budget(monkeypatch):
+    monkeypatch.setenv("POSTLAB_BUDGET", "preserves_combos=16")
+    assert violating_choice(AND2, XOR3_0) is not None  # 4**2 = 16 tuple choices
+    monkeypatch.setenv("POSTLAB_BUDGET", "preserves_combos=15")
+    with pytest.raises(BudgetExceededError, match=r"^4\*\*2 tuple choices exceed preserves budget$"):
+        violating_choice(AND2, XOR3_0)
+
+
 def test_xor3_preserves_odd_parity():
     assert preserves(XOR3, XOR3_1) is True
     assert preserves(XOR3, XOR3_0) is True

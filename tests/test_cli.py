@@ -388,6 +388,28 @@ def test_reduce_bip_oddfactor_output_pinned(tmp_path, capsys, n, mask):
     assert hashlib.sha256(out.encode()).hexdigest() == BIP_ODDFACTOR_SHA256[n, mask]
 
 
+# sha256 of the `classify` output (hardness notes included) on each data file,
+# without and with --witnesses: the verdict's JSON shape and labels are pinned
+CLASSIFY_SHA256 = {
+    ("horn3", False): "57ae54ee45948c6c28be34e0fab402a692c05064eac22a3415a36cec181a9d32",
+    ("horn3", True): "caca153a0c8ea2a0f8ccd5bf60f06173d9bd8e730ee7e7016f899371ad75cd84",
+    ("nand2", False): "29a5265e592055db6743f983d8b5f6c50e14c112454e7fad8994e2b81ae470f6",
+    ("nand2", True): "4ff1ced151082217fe19dab19fcd332f2cda3983f26a6f8573b74d09eb753cbf",
+    ("or2", False): "17ed4a301ef7434650ff1d7e1b95f3e7bbac2574e0fadd3ca2bf6c697bf4e866",
+    ("or2", True): "62bcc285e0b94df85a233f216c7fd025bc0287e71dac76e13bee73e8873efc7f",
+    ("xor3", False): "5d2270898bf755f5ed584022c5d61362375b0b9fbe8175553aaead87cc8f3dc6",
+    ("xor3", True): "0131a8c56208a2692e5d6e5ae60b865d8caf4a450ca50c9f73078f077f4bc126",
+}
+
+
+@pytest.mark.parametrize("stem, witnesses", CLASSIFY_SHA256)
+def test_classify_output_pinned(capsys, stem, witnesses):
+    flags = ["--witnesses"] if witnesses else []
+    code, out, _ = run(capsys, "classify", str(DATA / f"{stem}.rels"), *flags)
+    assert code == 0
+    assert hashlib.sha256(out.encode()).hexdigest() == CLASSIFY_SHA256[stem, witnesses]
+
+
 def test_oracle_vertex_budget_exits_3(tmp_path, capsys):
     path = tmp_path / "g.txt"
     path.write_text("v 40\n")  # no edges, but 2**40 parity vectors
@@ -465,6 +487,9 @@ MALFORMED = {
     "solve-n-bool": ["solve", "brute", "--in", "{n_bool}"],
     "classify-arity-string": ["classify", "{arity_str}"],
     "classify-arity-float": ["classify", "{arity_float}"],
+    "classify-relation-name-int": ["classify", "{rel_name_int}"],
+    "classify-set-name-list": ["classify", "{set_name_list}"],
+    "oracle-relation-name-int": ["oracle", "csp-sat", "--in", "{inst_rel_name_int}"],
     "bip-n-float": ["reduce", "bip-oddfactor", "--in", "{bip_n_float}"],
     "bip-mask-string": ["reduce", "bip-oddfactor", "--in", "{bip_mask_str}"],
     "verify-zero-jobs": ["verify", "quine", "--quick", "--jobs", "0"],
@@ -497,6 +522,9 @@ NAMED = {
     "threshold-negative-n-before-k": "got n=-1",
     "induced-negative-n": "got n=-1",
     "bip-negative-mask": "mask must lie in [0, 2^4)",
+    "classify-relation-name-int": "relation name must be a string, got 5",
+    "classify-set-name-list": "relation set name must be a string, got ['x']",
+    "oracle-relation-name-int": "relation name must be a string, got 5",
 }
 
 
@@ -532,6 +560,9 @@ def test_malformed_input_exits_2(tmp_path, capsys, row):
         "n_bool": dict(inst, n=True),
         "arity_str": {"relations": [{"arity": "2", "tuples": ["01"]}]},
         "arity_float": {"relations": [{"arity": 2.0, "tuples": ["01"]}]},
+        "rel_name_int": {"relations": [{"name": 5, "arity": 2, "tuples": ["01"]}]},  # echoed as 5 before
+        "set_name_list": {"name": ["x"], "relations": [{"arity": 2, "tuples": ["01"]}]},
+        "inst_rel_name_int": _edit(inst, ("relation_set", "relations", 0, "name"), 5),
         "bip_n_float": {"n": 2.5, "mask": 0},
         "bip_mask_str": {"n": 2, "mask": "3"},
         "bp_lit_no": _edit(BP, ("edges", 0, 0, 2), ["lit", 3, "no"]),  # read as positive before

@@ -1,6 +1,7 @@
 """Clone catalog, containment checks, and dichotomy verdicts."""
 
 import hashlib
+import json
 import random
 from pathlib import Path
 
@@ -192,6 +193,22 @@ def test_witnesses_replay():
             assert preserves(f, rel) == entry["preserved"]
 
 
+def test_witnesses_run_one_preservation_pass_per_entry(monkeypatch):
+    calls = []
+
+    def counted(f, rel, inner=boolfun.violating_choice):
+        calls.append((f, rel))
+        return inner(f, rel)
+
+    monkeypatch.setattr(boolfun, "violating_choice", counted)
+    monkeypatch.setattr(clone_lattice, "violating_choice", counted)
+    for sset, entries in ((xor3_set(), 46), (hornt_set(), 69)):
+        classify(sset)  # the Pol mask is cached from here on
+        calls.clear()
+        witnesses = classify(sset, with_witnesses=True).witnesses
+        assert len(calls) == sum(len(w["checks"]) for w in witnesses.values()) == entries
+
+
 def test_can_express_equality_yes():
     result = can_express_equality(RelationSet((IMP2,), "imp"))
     assert result.result == "YES"
@@ -323,6 +340,30 @@ def test_verdict_json_roundtrip_fields():
     assert obj["size_side"] == "HARD"
     assert obj["preserved"] == list(v.preserved)
     assert "witnesses" in obj
+
+
+# sha256 of json.dumps(..., sort_keys=True) over the to_json() of: classify on
+# every 61st binary set; hardness_consequences on each ternary relation alone
+# (with witnesses) and with T and with F (without); classify on the empty set,
+# {empty}, {full} and {empty, full}
+VERDICTS_SHA256 = "c98001f1898357bc05eaae9a21dd4e3df8a25de161b11705ed18d5ed06f89e06"
+
+
+def test_verdicts_pinned():
+    binary = [Relation(2, mask, f"b{mask}") for mask in range(16)]
+    outs = [
+        classify(RelationSet(tuple(binary[i] for i in range(16) if (s >> i) & 1))).to_json()
+        for s in range(0, 1 << 16, 61)
+    ]
+    for mask in range(256):
+        rel = Relation(3, mask, f"t{mask}")
+        outs.append(hardness_consequences(classify(RelationSet((rel,), "one"), with_witnesses=True)).to_json())
+        for unit in (UNIT_TRUE, UNIT_FALSE):
+            outs.append(hardness_consequences(classify(RelationSet((rel, unit), "unit"))).to_json())
+    empty, full = Relation(2, 0, "empty"), Relation(2, 15, "full")
+    for rels in ((), (empty,), (full,), (empty, full)):
+        outs.append(classify(RelationSet(rels, "degenerate")).to_json())
+    assert hashlib.sha256(json.dumps(outs, sort_keys=True).encode()).hexdigest() == VERDICTS_SHA256
 
 
 def test_every_basis_function_has_small_arity():
