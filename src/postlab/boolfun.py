@@ -155,10 +155,6 @@ class RelationSet:
     def __getitem__(self, i: int) -> Relation:
         return self.relations[i]
 
-    @property
-    def degenerate(self) -> tuple[int, ...]:
-        return tuple(i for i, r in enumerate(self.relations) if r.is_degenerate)
-
 
 def solution_table(rel: Relation, variables: Sequence[int], n: int) -> int:
     """Truth table over the 2**n assignments of rel applied to variables:

@@ -293,10 +293,10 @@ class Verdict:
     def degenerate(self) -> tuple[dict, ...]:
         """Full relations constrain nothing; a present empty relation makes
         the formula unsatisfiable outright, so it blocks `trivial`."""
-        rels = self.relation_set
         return tuple(
-            {"relation": i, "name": rels[i].name or f"R{i}", "kind": "empty" if rels[i].is_empty else "full"}
-            for i in rels.degenerate
+            {"relation": i, "name": r.name or f"R{i}", "kind": "empty" if r.is_empty else "full"}
+            for i, r in enumerate(self.relation_set)
+            if r.is_degenerate
         )
 
     @property

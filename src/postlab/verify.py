@@ -434,14 +434,18 @@ def suite_reductions(seed: int = 0, instances: int = 500, quick: bool = False) -
         instances = min(instances, 60)
     rng = random.Random(seed)
 
-    def run_op(name, make_pair, fixed=0):
-        # trials -fixed .. -1 are make_pair's fixed instances, run before the
-        # random ones and left out of the count
+    def run_op(name, sset, sizes, density, reduce, fixed=()):
+        """The one trial loop of the reduction checks: trials -len(fixed) .. -1
+        reduce the fixed instances, run first and left out of the count; trial
+        t >= 0 reduces a draw over sset with n = sizes[t % len(sizes)].  The
+        output instance of reduce(inst) must have inst's CSP-SAT value."""
         def check():
-            for trial in range(-fixed, instances):
-                inst, out, red = make_pair(trial)
-                if red is not None and not isinstance(red, reductions.BitReduction):
-                    return False, f"{name}: non-OR reduction emitted"
+            for trial in range(-len(fixed), instances):
+                if trial < 0:
+                    inst = fixed[trial]
+                else:
+                    inst = csp.random_instance(sset, sizes[trial % len(sizes)], density, rng)
+                out = reduce(inst)
                 if csp_sat_value(inst) != csp_sat_value(out):
                     return False, f"trial {trial}: bits={inst.bits:#x}"
             return True, f"{instances} instances"
@@ -459,32 +463,23 @@ def suite_reductions(seed: int = 0, instances: int = 500, quick: bool = False) -
         return inst
 
     eq_set = RelationSet((EQ2, or_relation(2), UNIT_FALSE), "eq_or_f")
-    chains = (chain(eq_set, 4), chain(eq_set, 5))
-
-    def pair_eliminate(trial):
-        inst = chains[trial] if trial < 0 else csp.random_instance(eq_set, 2 + trial % 4, 0.12, rng)
-        return inst, reductions.eliminate_equality(inst), None
-
-    run_op("eliminate-equality", pair_eliminate, fixed=len(chains))
-
     s1 = RelationSet((EQ2, UNIT_TRUE, UNIT_FALSE), "eqset")
     s2 = RelationSet((IMP2, UNIT_TRUE, UNIT_FALSE), "impset")
+    xor3 = csp.xor3_set()
+    sizes = (2, 3, 4, 5)
+
+    run_op("eliminate-equality", eq_set, sizes, 0.12, reductions.eliminate_equality,
+           fixed=(chain(eq_set, 4), chain(eq_set, 5)))
 
     @cache  # searched by the check's first trial
     def defs():
         return {r: reductions.find_cq(s1[r], s2) for r in range(len(s1))}
 
-    def pair_cq(trial):
-        n = 2 + trial % 4
-        inst = csp.random_instance(s1, n, 0.12, rng)
-        out, red = reductions.cq_rewrite(inst, defs())
-        return inst, out, red
-
-    run_op("cq-rewrite", pair_cq)
+    run_op("cq-rewrite", s1, sizes, 0.12, lambda inst: reductions.cq_rewrite(inst, defs())[0])
 
     def check_aux():
         ne_set = RelationSet((parity_relation(2, 1),), "ne")
-        defs_aux = {0: reductions.find_cq(ne_set[0], csp.xor3_set())}
+        defs_aux = {0: reductions.find_cq(ne_set[0], xor3)}
         for trial in range(min(instances, 120)):
             inst = csp.random_instance(ne_set, 2 + trial % 2, 0.3, rng)
             out, _ = reductions.cq_rewrite(inst, defs_aux)
@@ -494,33 +489,17 @@ def suite_reductions(seed: int = 0, instances: int = 500, quick: bool = False) -
 
     _timed(report, "cq-rewrite-aux-vars", check_aux)
 
-    pol_chains = (chain(s1, 4), chain(s1, 5))
+    run_op("pol-reduce", s1, sizes, 0.12, lambda inst: reductions.pol_reduce(inst, s2).instance,
+           fixed=(chain(s1, 4), chain(s1, 5)))
 
-    def pair_pol(trial):
-        inst = pol_chains[trial] if trial < 0 else csp.random_instance(s1, 2 + trial % 4, 0.12, rng)
-        pr = reductions.pol_reduce(inst, s2)
-        return inst, pr.instance, pr.or_stage
-
-    run_op("pol-reduce", pair_pol, fixed=len(pol_chains))
-
-    def pair_l2l3(trial):
-        n = 2 + trial % 3
-        sset = csp.xor3_set()
-        inst = csp.random_instance(sset, n, 0.08, rng)
+    def l2_to_l3(inst):
         out, red = reductions.l2_to_l3_transform(inst)
         if not red.is_projection_only:
             raise AssertionError("l2-to-l3 must be a projection")
-        return inst, out, red
+        return out
 
-    run_op("l2-to-l3", pair_l2l3)
-
-    def pair_negate(trial):
-        n = 2 + trial % 4
-        sset = csp.hornt_set()
-        inst = csp.random_instance(sset, n, 0.05, rng)
-        return inst, csp.negate_instance(inst), None
-
-    run_op("negate-relations", pair_negate)
+    run_op("l2-to-l3", xor3, (2, 3, 4), 0.08, l2_to_l3)
+    run_op("negate-relations", csp.hornt_set(), sizes, 0.05, csp.negate_instance)
 
     def bip():
         # the truth for every matrix comes from one subset enumeration over the

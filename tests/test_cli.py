@@ -19,6 +19,7 @@ from postlab.boolfun import (
     RelationSet,
     nand_relation,
     or_relation,
+    parity_relation,
 )
 from postlab.circuit import Circuit
 from postlab.cli import main
@@ -183,6 +184,23 @@ def test_reduce_keeps_the_csp_sat_value(tmp_path, capsys, op):
         payload = json.loads(dst.read_text())
         out = CspInstance.from_json(payload if op == "negate" else payload["instance"])
         assert csp_sat_value(out) == csp_sat_value(inst)
+
+
+NO_QUERY = {
+    "cq-rewrite": "error: no conjunctive query found for relation 0",
+    "pol-reduce": "error: bounded query search found no definitions",
+}
+
+
+@pytest.mark.parametrize("op", NO_QUERY)
+def test_reduce_without_a_query_exits_3(tmp_path, capsys, op):
+    # x0 != x1 has no conjunctive query over {imp, T, F}, with = or without
+    ne_set = RelationSet((parity_relation(2, 1),), "ne")
+    src, target = tmp_path / "ne.json", tmp_path / "imp_tf.rels"
+    src.write_text(json.dumps(CspInstance(ne_set, 2).with_constraint(0, (0, 1)).to_json()))
+    target.write_text("rel imp 2 : 00 01 11\nrel T 1 : 1\nrel F 1 : 0\n")
+    code, out, err = run(capsys, "reduce", op, "--in", str(src), "--target", str(target))
+    assert (code, out, err) == (3, "", NO_QUERY[op] + "\n")
 
 
 def test_emit_induced_writes_the_library_circuit(capsys):
@@ -470,6 +488,8 @@ MALFORMED = {
     "graph-non-integer-v": ["oracle", "odd-factor", "--graph", "{graph_v_abc}"],
     "graph-non-integer-edge": ["oracle", "odd-factor", "--graph", "{graph_e_x}"],
     "graph-v-above-limit": ["oracle", "odd-factor", "--graph", "{graph_v_big}"],
+    "graph-unknown-line": ["oracle", "odd-factor", "--graph", "{graph_x_line}"],
+    "graph-without-v": ["oracle", "odd-factor", "--graph", "{graph_comment_only}"],
     "classify-json-tuple-digit": ["classify", "{digit_set}"],
     "solve-json-tuple-digit": ["solve", "auto", "--in", "{digit_inst}"],
     "classify-relations-not-a-list": ["classify", "{rels_int}"],
@@ -525,6 +545,8 @@ NAMED = {
     "classify-relation-name-int": "relation name must be a string, got 5",
     "classify-set-name-list": "relation set name must be a string, got ['x']",
     "oracle-relation-name-int": "relation name must be a string, got 5",
+    "graph-unknown-line": "line 2: expected `v <count>` or `e <i> <j>`",
+    "graph-without-v": "missing `v <count>` line",
 }
 
 
@@ -579,6 +601,8 @@ def test_malformed_input_exits_2(tmp_path, capsys, row):
         "graph_v_abc": "v abc\n",
         "graph_e_x": "v 2\ne 0 x\n",
         "graph_v_big": "v 1000000\ne 999998 999999\n",  # a mask of about 5 * 10^11 bits
+        "graph_x_line": "v 3\nx 0 1\n",
+        "graph_comment_only": "# no vertex count\n",
     }
     for name, text in graphs.items():
         paths[name] = tmp_path / f"{name}.txt"

@@ -391,6 +391,14 @@ def test_pol_reduce_chain():
         assert kinds <= {"const", "input", "or"}
 
 
+def test_pol_reduce_returns_none_when_no_query_defines_a_relation():
+    # x != y is no conjunctive query over {imp, T, F, =}: AND preserves all
+    # four, and AND(01, 10) = 00 violates !=
+    ne_set = RelationSet((parity_relation(2, 1),), "ne")
+    inst = CspInstance(ne_set, 2).with_constraint(0, (0, 1))
+    assert pol_reduce(inst, RelationSet((IMP2, UNIT_TRUE, UNIT_FALSE), "impset")) is None
+
+
 def test_pol_reduce_identity():
     inst = random_instance(xor3_set(), 3, 0.05, random.Random(1))
     result = pol_reduce(inst, xor3_set())

@@ -2,6 +2,7 @@
 witness as a per-mask loop over `evaluate_ref` does, and a planted fault gives
 FAIL lines instead of ending the run."""
 
+import hashlib
 import itertools
 import random
 
@@ -191,6 +192,40 @@ def test_the_duality_sweep_meets_every_matrix(monkeypatch):
         "bip-oddfactor-duality", True, "all 2^9 matrices"
     )
     assert calls == {"dual": 512, "parity": 31}  # all 2^9 matrices, and every 17th
+
+
+# sha256 over every csp.random_instance draw of suite_reductions ("name n bits"
+# per line, in draw order) and over its checks' (name, passed, detail): a
+# change to the trial loop that draws other instances, or reports otherwise,
+# shows here even while every check still passes
+REDUCTIONS_SHA256 = {
+    "quick": (
+        "84a78c9f35b1c4e26565dc72993d2a450f97bd9f6dd2945d1a0abe7173a185b9",
+        "fb0239fe80c90e2e03e792d9caacec60a3ef1fb90dc9b3e8d8bf44cddf53f437",
+    ),
+    "full": (
+        "1ea82d1a4e404e5e1e2a5e118d97e6f7513cdaff73a6dbbf7d723c72149a327d",
+        "7ec0dd5be9be866c40ac73eb27e52cd6ac7300a03db1dca1ab08627834a6d639",
+    ),
+}
+
+
+@pytest.mark.parametrize("run", REDUCTIONS_SHA256)
+def test_the_reductions_suite_draws_and_reports_as_pinned(monkeypatch, run):
+    draws = []
+    real = csp.random_instance
+
+    def recorded(sset, n, density, rng):
+        inst = real(sset, n, density, rng)
+        draws.append(f"{sset.name} {n} {inst.bits:#x}\n")
+        return inst
+
+    monkeypatch.setattr(csp, "random_instance", recorded)
+    kwargs = {"quick": True} if run == "quick" else {"instances": 500}
+    checks = verify.suite_reductions(seed=0, **kwargs).checks
+    reported = "".join(f"{c.name} {c.passed} {c.detail}\n" for c in checks)
+    got = tuple(hashlib.sha256(text.encode()).hexdigest() for text in ("".join(draws), reported))
+    assert got == REDUCTIONS_SHA256[run]
 
 
 def _without_last_edge(verdicts, v, edges):
