@@ -16,7 +16,7 @@ import time
 from pathlib import Path
 
 from . import clone_lattice, construct, csp, graphlab, reductions, verify
-from .boolfun import json_int, parse_relations, relation_set_from_json
+from .boolfun import MAX_TEXT_ARITY, json_int, parse_relations, relation_set_from_json
 from .circuit import BOUNDED2, UNBOUNDED, Circuit, measures
 from .config import budgets
 from .errors import (
@@ -151,6 +151,18 @@ def _with_reduction(out: csp.CspInstance, red) -> dict:
     return {"instance": out.to_json(), "reduction": red.to_json()}
 
 
+def _l2_to_l3(args) -> dict:
+    inst = _load_instance(args)
+    for r, rel in enumerate(inst.sset):
+        if rel.arity >= MAX_TEXT_ARITY:  # its image R' would be unreadable
+            raise _CliError(
+                f"relation {rel.name or r} has arity {rel.arity}; l2-to-l3 would write arity "
+                f"{rel.arity + 1}, above MAX_TEXT_ARITY = {MAX_TEXT_ARITY}",
+                EXIT_PARSE,
+            )
+    return _with_reduction(*reductions.l2_to_l3_transform(inst))
+
+
 def _cq_rewrite(args) -> dict:
     inst = _load_instance(args)
     target = _load_relation_set(args.target)
@@ -160,7 +172,7 @@ def _cq_rewrite(args) -> dict:
         if d is None:
             raise _CliError(f"no conjunctive query found for relation {r}", EXIT_BUDGET)
         defs[r] = d
-    return _with_reduction(*reductions.cq_rewrite(inst, defs))
+    return _with_reduction(*reductions.cq_rewrite(inst, target, defs))
 
 
 def _pol_reduce(args) -> dict:
@@ -184,7 +196,7 @@ def _bip_oddfactor(args) -> dict:
 _REDUCTIONS = {
     "eliminate-eq": lambda args: reductions.eliminate_equality(_load_instance(args)).to_json(),
     "negate": lambda args: csp.negate_instance(_load_instance(args)).to_json(),
-    "l2-to-l3": lambda args: _with_reduction(*reductions.l2_to_l3_transform(_load_instance(args))),
+    "l2-to-l3": _l2_to_l3,
     "cq-rewrite": _cq_rewrite,
     "pol-reduce": _pol_reduce,
     "bip-oddfactor": _bip_oddfactor,

@@ -438,13 +438,15 @@ _DENSE_TABLE_BITS = 1 << 12
 
 
 @lru_cache(maxsize=64)
-def _relation_block(view: Callable, refutes: Callable, rel: Relation, n: int) -> tuple[tuple, int]:
+def _relation_block(view: Callable, rel: Relation, n: int) -> tuple[tuple, int]:
     """(view(rel, V) for each application V of rel over n variables, in rank
-    order; the mask of the ranks whose entry refutes on its own).  Relation
-    sets share these blocks: equality ignores names."""
+    order; the mask of the ranks whose application refutes on its own: its
+    prime clauses hold the empty clause, whatever the view).  Relation sets
+    share these blocks: equality ignores names."""
     inst = CspInstance(RelationSet((rel,)), n)
-    block = tuple(view(rel, inst.decode(j)[1]) for j in range(inst.size))
-    return block, sum(1 << j for j, entry in enumerate(block) if refutes(entry))
+    applications = [inst.decode(j)[1] for j in range(inst.size)]
+    refuting = sum(1 << j for j, v in enumerate(applications) if ((), ()) in clauses(rel, v))
+    return tuple(view(rel, v) for v in applications), refuting
 
 
 class _DenseTable(tuple):
@@ -474,25 +476,17 @@ class _LazyTable(dict):
         return entry
 
 
-def _holds_empty_rule(rules: tuple[tuple[int, int], ...]) -> bool:
-    """The Horn views' test, one function so that E2 and V2 share blocks."""
-    return (0, 0) in rules
-
-
 # The clause view (I2: the projections lie inside every Pol(S), so it is
 # never refused) and the solver views of the Horn (E2), anti-Horn (V2: the
 # Horn view of the negated relations, each bit in its place), 2-SAT (D2) and
-# affine (L2) fragments.  Each row holds the view, the test of an entry whose
-# application refutes on its own (its prime clauses hold the empty clause, in
-# the view's own form), and the wording of a mismatch.
-_FRAGMENT_VIEWS: dict[str, tuple[Callable, Callable, str]] = {
-    "I2": (clauses, lambda cs: ((), ()) in cs, "preserved by the projections"),
-    "E2": (_horn_rules, _holds_empty_rule, "AND-closed (Horn fragment)"),
-    "V2": (_horn_rules, _holds_empty_rule, "OR-closed (anti-Horn fragment)"),
-    "D2": (_implications, lambda edges: edges is None, "majority-closed (2-SAT fragment)"),
-    # the rows of an affine relation are closed under sums, so 0 = 1 is
-    # among them whenever they are inconsistent
-    "L2": (_parity_rows, lambda rows: (0, 1) in rows, "an affine parity relation"),
+# affine (L2) fragments.  Each row holds the view and the wording of a
+# mismatch.
+_FRAGMENT_VIEWS: dict[str, tuple[Callable, str]] = {
+    "I2": (clauses, "preserved by the projections"),
+    "E2": (_horn_rules, "AND-closed (Horn fragment)"),
+    "V2": (_horn_rules, "OR-closed (anti-Horn fragment)"),
+    "D2": (_implications, "majority-closed (2-SAT fragment)"),
+    "L2": (_parity_rows, "an affine parity relation"),
 }
 
 
@@ -511,7 +505,7 @@ def fragment_table(sset: RelationSet, n: int, clone: str) -> "_DenseTable | _Laz
     else lazy, so a sparse instance costs its set bits.  `table.refuting` is
     the mask of the bits that refute on their own (0 on a lazy table); the
     solvers test it before they walk any bits."""
-    view, refutes, wording = _FRAGMENT_VIEWS[clone]
+    view, wording = _FRAGMENT_VIEWS[clone]
     if not pol_mask(sset) & CLONE_BITS[clone]:
         rel = next(rel for rel in sset if not in_pol(clone, rel))
         raise FragmentMismatchError(f"relation {rel.name or rel} is not {wording}")
@@ -521,7 +515,7 @@ def fragment_table(sset: RelationSet, n: int, clone: str) -> "_DenseTable | _Laz
     entries: list = []
     refuting = 0
     for rel in inst.sset:
-        block, mask = _relation_block(view, refutes, rel, n)
+        block, mask = _relation_block(view, rel, n)
         refuting |= mask << len(entries)
         entries += block
     table = _DenseTable(entries)

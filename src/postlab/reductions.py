@@ -214,17 +214,15 @@ def find_cq(target: Relation, over: RelationSet) -> CQDefinition | None:
 
 
 def cq_rewrite(
-    inst: CspInstance, defs: dict[int, CQDefinition]
+    inst: CspInstance, over: RelationSet, defs: dict[int, CQDefinition]
 ) -> tuple[CspInstance, BitReduction]:
-    """Replace each constraint by its conjunctive-query image over the target set.
+    """Replace each constraint by its conjunctive-query image over the target
+    set over; defs[r] defines relation r of the instance over it.
 
     Every possible input application owns a fixed block of fresh auxiliary
     variables (constant blow-up per constraint), so each output bit is an OR
     over the input bits whose queries mention it.
     """
-    if not defs:
-        raise ValueError("no definitions supplied")
-    over = next(iter(defs.values())).over
     for r in range(len(inst.sset)):
         if r not in defs:
             raise FragmentMismatchError(f"missing definition for relation {r}")
@@ -250,23 +248,18 @@ def _cq_layout(
     output instance over each caller's own relation set.
     """
     base = CspInstance(sset, n, 0)
-    block_base: dict[int, int] = {}
-    n_out = n
-    for j in range(base.size):
-        r, _ = base.decode(j)
-        block_base[j] = n_out
-        n_out += defs[r].aux_count
+    n_out = n + sum(n**rel.arity * d.aux_count for rel, d in zip(sset, defs))
     out0 = CspInstance(over, n_out, 0)
     targets = [0] * base.size
+    block = n  # application j's auxiliaries follow those of the applications before it
     for j in range(base.size):
         r, variables = base.decode(j)
         d = defs[r]
+        k = d.target.arity
         for rel_idx, qvars in d.atoms:
-            mapped = tuple(
-                variables[q] if q < d.target.arity else block_base[j] + (q - d.target.arity)
-                for q in qvars
-            )
+            mapped = tuple(variables[q] if q < k else block + q - k for q in qvars)
             targets[j] |= 1 << out0.encode(rel_idx, mapped)
+        block += d.aux_count
     return BitReduction(out0.size, 0, tuple(targets)), n_out
 
 
@@ -298,7 +291,7 @@ def pol_reduce(inst: CspInstance, target_set: RelationSet) -> PolReduction | Non
         if d is None:
             return None
         defs[r] = d
-    mid, or_stage = cq_rewrite(inst, defs)
+    mid, or_stage = cq_rewrite(inst, with_eq, defs)
     final = eliminate_equality(mid)
     return PolReduction(final, or_stage)
 

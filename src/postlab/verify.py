@@ -475,14 +475,14 @@ def suite_reductions(seed: int = 0, instances: int = 500, quick: bool = False) -
     def defs():
         return {r: reductions.find_cq(s1[r], s2) for r in range(len(s1))}
 
-    run_op("cq-rewrite", s1, sizes, 0.12, lambda inst: reductions.cq_rewrite(inst, defs())[0])
+    run_op("cq-rewrite", s1, sizes, 0.12, lambda inst: reductions.cq_rewrite(inst, s2, defs())[0])
 
     def check_aux():
         ne_set = RelationSet((parity_relation(2, 1),), "ne")
         defs_aux = {0: reductions.find_cq(ne_set[0], xor3)}
         for trial in range(min(instances, 120)):
             inst = csp.random_instance(ne_set, 2 + trial % 2, 0.3, rng)
-            out, _ = reductions.cq_rewrite(inst, defs_aux)
+            out, _ = reductions.cq_rewrite(inst, xor3, defs_aux)
             if csp_sat_value(inst) != csp_sat_value(out):
                 return False, f"trial {trial}"
         return True, ""

@@ -21,7 +21,7 @@ CACHES = {
     "csp._affine_rows": (512, "the parity checks a relation satisfies"),
     "csp._prime_clauses": (2048, "the prime implicates per (relation, repeat pattern)"),
     "csp._relation_block": (
-        64, "one view of each application and the mask of those that refute alone, per (view, test, relation, n)"
+        64, "one view of each application and the mask of those that refute alone, per (view, relation, n)"
     ),
     "csp._relation_violation_segments": (512, "per assignment, the applications it violates"),
     "csp._violation_masks": (8, "the brute-force oracle's masks per (relation set, n)"),

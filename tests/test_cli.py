@@ -80,6 +80,14 @@ def test_classify_and_solve_auto_name_one_trivial_clone(tmp_path, capsys):
     assert code == 0 and "solver=trivial(I1)" in out
 
 
+def test_classify_names_an_unnamed_json_set_after_its_file(tmp_path, capsys):
+    path = tmp_path / "unnamed.json"
+    path.write_text(json.dumps({"relations": [{"arity": 2, "tuples": ["01"]}]}))
+    code, out, _ = run(capsys, "classify", str(path))
+    verdict = json.loads(out)
+    assert code == 0 and verdict["input"] == verdict["relation_set"]["name"] == "unnamed"
+
+
 def test_classify_parse_error(tmp_path, capsys):
     bad = tmp_path / "bad.rels"
     bad.write_text("rel broken x : 01\n")
@@ -184,6 +192,20 @@ def test_reduce_keeps_the_csp_sat_value(tmp_path, capsys, op):
         payload = json.loads(dst.read_text())
         out = CspInstance.from_json(payload if op == "negate" else payload["instance"])
         assert csp_sat_value(out) == csp_sat_value(inst)
+
+
+@pytest.mark.parametrize("op", ["cq-rewrite", "pol-reduce"])
+def test_reduce_an_instance_without_relations(tmp_path, capsys, op):
+    # nothing to define: the output is n variables over the target, no bits
+    src, target = tmp_path / "empty.json", tmp_path / "imp_tf.rels"
+    src.write_text(json.dumps({"relation_set": {"relations": []}, "n": 3, "set_bits": []}))
+    target.write_text("rel imp 2 : 00 01 11\nrel T 1 : 1\nrel F 1 : 0\n")
+    code, out, err = run(capsys, "reduce", op, "--in", str(src), "--target", str(target))
+    assert code == 0, err
+    payload = json.loads(out)
+    inst = CspInstance.from_json(payload["instance"])
+    assert (inst.sset.name, inst.n, inst.bits) == ("imp_tf", 3, 0)
+    assert payload["reduction" if op == "cq-rewrite" else "or_stage"]["in_len"] == 0
 
 
 NO_QUERY = {
@@ -482,6 +504,7 @@ MALFORMED = {
     "unwritable-report": ["--report", "{inst}/r.json", "solve", "brute", "--in", "{inst}"],
     "oracle-arity-above-cap": ["oracle", "csp-sat", "--in", "{wide}"],
     "solve-arity-above-cap": ["solve", "auto", "--in", "{wide}"],
+    "l2-to-l3-arity-at-cap": ["reduce", "l2-to-l3", "--in", "{six}"],
     "bip-zero-n": ["reduce", "bip-oddfactor", "--in", "{bip0}"],
     "bip-negative-n": ["reduce", "bip-oddfactor", "--in", "{bip_neg}"],
     "graph-negative-v": ["oracle", "odd-factor", "--graph", "{graph_neg}"],
@@ -547,6 +570,7 @@ NAMED = {
     "oracle-relation-name-int": "relation name must be a string, got 5",
     "graph-unknown-line": "line 2: expected `v <count>` or `e <i> <j>`",
     "graph-without-v": "missing `v <count>` line",
+    "l2-to-l3-arity-at-cap": "relation six has arity 6; l2-to-l3 would write arity 7, above MAX_TEXT_ARITY = 6",
 }
 
 
@@ -562,6 +586,11 @@ def test_malformed_input_exits_2(tmp_path, capsys, row):
         "neg_n": dict(inst, n=-1),
         "wide": {  # one arity-26 relation: 2**26 tuples per constraint check
             "relation_set": {"relations": [{"arity": 26, "tuples": ["0" * 26]}]},
+            "n": 2,
+            "set_bits": [0],
+        },
+        "six": {  # its arity-7 image would be refused on reading
+            "relation_set": {"relations": [{"name": "six", "arity": 6, "tuples": ["000000"]}]},
             "n": 2,
             "set_bits": [0],
         },

@@ -23,6 +23,7 @@ from postlab.boolfun import (
     RelationSet,
     clause_relation,
     nand_relation,
+    negate_relations,
     or_relation,
     reach,
     solution_table,
@@ -345,7 +346,7 @@ GUARD_FAILURES = {
 
 @pytest.mark.parametrize("clone", sorted(GUARD_FAILURES))
 def test_fragment_table_names_the_first_relation_its_clone_misses(clone):
-    wording = csp._FRAGMENT_VIEWS[clone][2]
+    wording = csp._FRAGMENT_VIEWS[clone][1]
     for first, second in (GUARD_FAILURES[clone], GUARD_FAILURES[clone][::-1]):
         assert not in_pol(clone, first) and not in_pol(clone, second)
         sset = RelationSet((EQ2, first, second))
@@ -809,6 +810,19 @@ def test_lazy_tables_carry_no_refuting_mask_and_the_kernels_still_refute():
     unsat = sat.with_constraint(0, (45, 3))
     for solver in (solve_horn, solve_antihorn, solve_2sat, csp._trivial):
         assert solver(sat) is True and solver(unsat) is False, solver.__name__
+
+
+def test_horn_tables_of_the_negated_relations_reuse_the_anti_horn_blocks():
+    """V2 reads the Horn view of the negated relations, so E2 on those
+    relations finds each block, and its refuting mask, already built."""
+    impset = RelationSet((IMP2, UNIT_TRUE, UNIT_FALSE), "impset")
+    csp.fragment_table.cache_clear()
+    csp._relation_block.cache_clear()
+    anti = fragment_table(impset, 3, "V2")
+    misses = csp._relation_block.cache_info().misses
+    horn = fragment_table(negate_relations(impset), 3, "E2")
+    assert csp._relation_block.cache_info().misses == misses
+    assert horn == anti and horn.refuting == anti.refuting
 
 
 @PROPERTY

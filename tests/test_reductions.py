@@ -91,8 +91,8 @@ def layout_builds():
     return [
         ("l2-to-l3 xor3", reductions._selector_layout, lambda n: l2_to_l3_transform(CspInstance(xor3_set(), n))[1]),
         ("l2-to-l3 hornt", reductions._selector_layout, lambda n: l2_to_l3_transform(CspInstance(hornt_set(), n))[1]),
-        ("cq eq->imp", reductions._cq_layout, lambda n: cq_rewrite(CspInstance(EQSET, n), eq_defs)[1]),
-        ("cq ne->xor3", reductions._cq_layout, lambda n: cq_rewrite(CspInstance(NE, n), ne_defs)[1]),
+        ("cq eq->imp", reductions._cq_layout, lambda n: cq_rewrite(CspInstance(EQSET, n), IMPSET, eq_defs)[1]),
+        ("cq ne->xor3", reductions._cq_layout, lambda n: cq_rewrite(CspInstance(NE, n), xor3_set(), ne_defs)[1]),
         ("pol-reduce", reductions._cq_layout, lambda n: pol_reduce(CspInstance(EQSET, n), IMPSET).or_stage),
     ]
 
@@ -131,7 +131,7 @@ def test_cached_layouts_keep_each_callers_names():
     over_a = RelationSet((Relation(3, 0x96, "a"), Relation(3, 0x69, "z")), "t")
     over_b = RelationSet((Relation(3, 0x96, "b"), Relation(3, 0x69, "y")), "t")
     for over in (over_a, over_b, over_a):
-        out, _ = cq_rewrite(CspInstance(a, 2, 1), {0: find_cq(a[0], over)})
+        out, _ = cq_rewrite(CspInstance(a, 2, 1), over, {0: find_cq(a[0], over)})
         assert out.sset is over
 
 
@@ -299,7 +299,7 @@ def test_cq_rewrite_identity_defs():
     rng = random.Random(5)
     for trial in range(100):
         inst = random_instance(s, 4, 0.04, random.Random(trial))
-        out, red = cq_rewrite(inst, defs)
+        out, red = cq_rewrite(inst, s, defs)
         assert out.bits == inst.bits and out.n == inst.n
         assert red.apply(inst.bits) == out.bits
         assert csp_sat_value(inst) == csp_sat_value(out)
@@ -312,7 +312,7 @@ def test_cq_rewrite_equality_to_implication():
     rng = random.Random(6)
     for trial in range(120):
         inst = random_instance(s1, rng.randrange(2, 6), 0.1, random.Random(trial))
-        out, red = cq_rewrite(inst, defs)
+        out, red = cq_rewrite(inst, s2, defs)
         assert csp_sat_value(inst) == csp_sat_value(out)
         kinds = {kind for d in red.to_json()["bits"] for kind in d}
         assert kinds <= {"const", "input", "or"}
@@ -324,7 +324,7 @@ def test_cq_rewrite_rejects_invalid_definitions():
     good = {r: find_cq(EQSET[r], IMPSET) for r in range(len(EQSET))}
     other = RelationSet((IMP2, UNIT_TRUE), "other")
     rows = [
-        ({}, ValueError, "no definitions supplied"),
+        ({}, FragmentMismatchError, "missing definition for relation 0"),
         ({0: good[0], 1: good[1]}, FragmentMismatchError, "missing definition for relation 2"),
         (
             {**good, 1: CQDefinition(UNIT_FALSE, IMPSET, 0, ((2, (0,)),))},
@@ -333,13 +333,6 @@ def test_cq_rewrite_rejects_invalid_definitions():
         ),
         (
             {**good, 1: CQDefinition(UNIT_TRUE, other, 0, ((1, (0,)),))},
-            ValueError,
-            "definitions target different relation sets",
-        ),
-        # the first definition fixes the target set, even under a key that
-        # names no relation
-        (
-            {5: CQDefinition(EQ2, other, 0, ()), **good},
             ValueError,
             "definitions target different relation sets",
         ),
@@ -353,9 +346,15 @@ def test_cq_rewrite_rejects_invalid_definitions():
     for defs, error, message in rows:
         for _ in range(2):
             with pytest.raises(error) as info:
-                cq_rewrite(inst, defs)
+                cq_rewrite(inst, IMPSET, defs)
             assert type(info.value) is error and str(info.value) == message
-            cq_rewrite(inst, good)
+            cq_rewrite(inst, IMPSET, good)
+    # the target set is the argument: good definitions over another set are
+    # refused, and a definition under a key that names no relation is unread
+    with pytest.raises(ValueError, match="^definitions target different relation sets$"):
+        cq_rewrite(inst, other, good)
+    extra = {5: CQDefinition(EQ2, other, 0, ()), **good}
+    assert cq_rewrite(inst, IMPSET, extra) == cq_rewrite(inst, IMPSET, good)
 
 
 def test_cq_rewrite_checks_each_definitions_semantics_once(monkeypatch):
@@ -369,7 +368,7 @@ def test_cq_rewrite_checks_each_definitions_semantics_once(monkeypatch):
 
     monkeypatch.setattr(CQDefinition, "defined_relation", counting)
     for trial in range(5):
-        cq_rewrite(random_instance(EQSET, 3, 0.2, random.Random(trial)), defs)
+        cq_rewrite(random_instance(EQSET, 3, 0.2, random.Random(trial)), IMPSET, defs)
     assert sorted(map(id, calls)) == sorted(map(id, defs.values()))
     # a failing definition is cached as failing, not re-evaluated
     bad = CQDefinition(UNIT_TRUE, IMPSET, 0, ((2, (0,)),))
@@ -397,6 +396,14 @@ def test_pol_reduce_returns_none_when_no_query_defines_a_relation():
     ne_set = RelationSet((parity_relation(2, 1),), "ne")
     inst = CspInstance(ne_set, 2).with_constraint(0, (0, 1))
     assert pol_reduce(inst, RelationSet((IMP2, UNIT_TRUE, UNIT_FALSE), "impset")) is None
+
+
+def test_an_instance_without_relations_rewrites_to_no_bits_over_the_target():
+    inst = CspInstance(RelationSet(()), 3)
+    out, red = cq_rewrite(inst, IMPSET, {})
+    assert out.sset is IMPSET and (out.n, out.bits) == (3, 0) and red.in_len == 0
+    result = pol_reduce(inst, IMPSET)
+    assert result.instance == CspInstance(IMPSET, 3) and result.or_stage.in_len == 0
 
 
 def test_pol_reduce_identity():
@@ -631,7 +638,7 @@ def test_eliminate_equality_keeps_the_value(inst):
 def test_cq_rewrite_keeps_the_value(case, data):
     target, sets, ns = CQ_CASES[case]
     inst = data.draw(instances(sets, ns))
-    out, _ = cq_rewrite(inst, {r: find_cq(rel, target) for r, rel in enumerate(inst.sset)})
+    out, _ = cq_rewrite(inst, target, {r: find_cq(rel, target) for r, rel in enumerate(inst.sset)})
     assert csp_sat_value(out) == csp_sat_value(inst)
 
 

@@ -2,6 +2,7 @@
 witness as a per-mask loop over `evaluate_ref` does, and a planted fault gives
 FAIL lines instead of ending the run."""
 
+import functools
 import hashlib
 import itertools
 import random
@@ -248,14 +249,31 @@ def _last_row_dropped(gf2_reduce, pivots, rows):
 PLANTED_IN = {_last_row_dropped: (reductions, "gf2_reduce")}
 
 
-def _unit_edge_refutes(refutes, edges):
-    """The D2 row's test, also true of a unit's doubled edge (~x -> x twice)."""
-    return refutes(edges) or (len(edges) == 2 and edges[0] == edges[1])
+def _unit_edge_refutes(edges):
+    """A D2 entry read as refuting when it is a unit's doubled edge (~x -> x twice)."""
+    return edges is not None and len(edges) == 2 and edges[0] == edges[1]
 
 
-def _negative_unit_refutes(refutes, rules):
-    """The E2 row's test, also true of a negative unit: no head, one body variable."""
-    return refutes(rules) or any(not head and not body & (body - 1) for body, head in rules)
+def _negative_unit_refutes(rules):
+    """An E2 entry read as refuting when it holds a negative unit: no head, one body variable."""
+    return any(not head and not body & (body - 1) for body, head in rules)
+
+
+def _planting(fault, clone):
+    """csp.fragment_table whose dense tables of clone also mark as refuting
+    every entry the fault claims refutes."""
+    real = csp.fragment_table
+
+    @functools.lru_cache(maxsize=32)
+    def fragment_table(sset, n, c):
+        table = real(sset, n, c)
+        if c != clone:
+            return table
+        planted = csp._DenseTable(table)
+        planted.refuting = table.refuting | sum(1 << j for j, entry in enumerate(table) if fault(entry))
+        return planted
+
+    return fragment_table
 
 
 def _last_variable_unchecked(inst):
@@ -277,9 +295,9 @@ def _last_variable_unchecked(inst):
     )
 
 
-# Dichotomy faults, each planted in the clone's `_FRAGMENT_VIEWS` row (its
-# test of a self-refuting entry, which builds the tables' `refuting` masks) or
-# in its `TRACTABLE` row (the kernel that decides behind the mask).
+# Dichotomy faults, each planted in the `refuting` masks of the clone's
+# tables, which the solvers test before they walk any bits, or in its
+# `TRACTABLE` row (the kernel that decides behind the mask).
 DICHOTOMY_FAULTS = [
     (_unit_edge_refutes, "D2", "subset=0x46 "),
     (_negative_unit_refutes, "E2", "subset=0x7 "),
@@ -303,8 +321,7 @@ def test_a_mask_or_kernel_fault_fails_the_solver_check(monkeypatch, cold_tables,
         name, _, emitter = csp.TRACTABLE[clone]
         monkeypatch.setitem(csp.TRACTABLE, clone, (name, fault, emitter))
     else:
-        view, refutes, wording = csp._FRAGMENT_VIEWS[clone]
-        monkeypatch.setitem(csp._FRAGMENT_VIEWS, clone, (view, lambda entry: fault(refutes, entry), wording))
+        monkeypatch.setattr(csp, "fragment_table", _planting(fault, clone))
     failed = [c for c in verify.suite_dichotomy(quick=True).checks if not c.passed]
     assert [c.name for c in failed] == ["solver-matches-oracle"]
     assert failed[0].detail.startswith(detail)
