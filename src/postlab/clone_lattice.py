@@ -226,8 +226,11 @@ def _pol_bits(rel: Relation) -> int:
 
 
 @lru_cache(maxsize=32)
-def _pol_mask(sset: RelationSet) -> int:
-    return reduce(and_, map(_pol_bits, sset.relations), _ALL_CLONES)
+def _pol_mask(sset: RelationSet, limit: int) -> int:
+    relations = sset.relations
+    if relations:
+        check_tuple_choices(max(rel.mask.bit_count() for rel in relations), _WIDEST_BASIS, limit)
+    return reduce(and_, map(_pol_bits, relations), _ALL_CLONES)
 
 
 def pol_mask(sset: RelationSet) -> int:
@@ -235,15 +238,11 @@ def pol_mask(sset: RelationSet) -> int:
     preserves every relation of sset.  The empty and full relations lie in
     every Pol.
 
-    The mask is worked out once per relation set, from bits kept per
-    relation.  The preserves budget is tested before either cache, for the
-    largest relation and the widest basis function, so a cached mask raises
-    exactly when a fresh one would."""
-    relations = sset.relations
-    if relations:
-        largest = max(rel.mask.bit_count() for rel in relations)
-        check_tuple_choices(largest, _WIDEST_BASIS, budgets().preserves_combos)
-    return _pol_mask(sset)
+    The mask is worked out once per (relation set, preserves limit), from
+    bits kept per relation.  A miss tests the limit for the largest relation
+    and the widest basis function before it reads any bits, and the limit is
+    part of the key, so a cached mask raises exactly when a fresh one would."""
+    return _pol_mask(sset, budgets().preserves_combos)
 
 
 def clone_contained_in_pol(label: str, sset: RelationSet) -> tuple[bool, list[dict]]:

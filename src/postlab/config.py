@@ -22,7 +22,7 @@ class Budgets:
     flat_threshold_terms: int = 1 << 18  # term limit of every flat counter: UNBOUNDED threshold, extraction and padding
     cq_aux_vars: int = 2             # existential variables in conjunctive-query search
     cq_max_atoms: int = 4            # atoms per conjunctive query
-    cq_states: int = 200_000         # distinct CQ intersection states before UNKNOWN
+    cq_states: int = 200_000         # CQ intersections tried, a pass over every atom per state, before UNKNOWN
 
 
 def _from_env(base: Budgets) -> Budgets:

@@ -175,34 +175,47 @@ def find_cq(target: Relation, over: RelationSet) -> CQDefinition | None:
     Tries auxiliary-variable counts in increasing order; within one count,
     breadth-first over sets of atoms by intersection state, deduplicated.
     Returns None when the bounded space holds no definition; raises
-    CQSearchOverflow when the state budget is exhausted.
+    CQSearchOverflow when the state budget is exhausted.  The CQ budgets key
+    the cache, so a tightened one searches again and raises on every call.
     """
     b = budgets()
+    return _find_cq(target, over, b.cq_aux_vars, b.cq_max_atoms, b.cq_states)
+
+
+@lru_cache(maxsize=64)
+def _find_cq(
+    target: Relation, over: RelationSet, cq_aux_vars: int, cq_max_atoms: int, cq_states: int
+) -> CQDefinition | None:
     k = target.arity
-    for aux in range(b.cq_aux_vars + 1):
+    tried = 0  # intersections, charged a whole pass over the atoms per state
+    for aux in range(cq_aux_vars + 1):
         v = k + aux
         if v > 12:
             raise CQSearchOverflow("too many query variables")
-        atoms = [
-            (rel_idx, variables, solution_table(rel, variables, v))
-            for rel_idx, rel in enumerate(over)
-            for variables in itertools.product(range(v), repeat=rel.arity)
-        ]
         full = (1 << (1 << v)) - 1
         if _project(full, k) == target.mask:
             return CQDefinition(target, over, aux, ())
+        count = sum(v**rel.arity for rel in over)  # the atoms, counted before they are built
+        atoms = None
         frontier: dict[int, tuple] = {full: ()}
         seen = {full}
-        for _ in range(b.cq_max_atoms):
+        for _ in range(cq_max_atoms):
             nxt: dict[int, tuple] = {}
             for state, chosen in frontier.items():
+                tried += count
+                if tried > cq_states:
+                    raise CQSearchOverflow("state budget exhausted")
+                if atoms is None:
+                    atoms = [
+                        (rel_idx, variables, solution_table(rel, variables, v))
+                        for rel_idx, rel in enumerate(over)
+                        for variables in itertools.product(range(v), repeat=rel.arity)
+                    ]
                 for rel_idx, variables, sols in atoms:
                     new = state & sols
                     if new in seen:
                         continue
                     seen.add(new)
-                    if len(seen) > b.cq_states:
-                        raise CQSearchOverflow("state budget exhausted")
                     grown = chosen + ((rel_idx, variables),)
                     if _project(new, k) == target.mask:
                         return CQDefinition(target, over, aux, grown)

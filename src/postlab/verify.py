@@ -471,11 +471,9 @@ def suite_reductions(seed: int = 0, instances: int = 500, quick: bool = False) -
     run_op("eliminate-equality", eq_set, sizes, 0.12, reductions.eliminate_equality,
            fixed=(chain(eq_set, 4), chain(eq_set, 5)))
 
-    @cache  # searched by the check's first trial
-    def defs():
-        return {r: reductions.find_cq(s1[r], s2) for r in range(len(s1))}
-
-    run_op("cq-rewrite", s1, sizes, 0.12, lambda inst: reductions.cq_rewrite(inst, s2, defs())[0])
+    # the first trial searches each definition and later trials hit find_cq's cache
+    run_op("cq-rewrite", s1, sizes, 0.12, lambda inst: reductions.cq_rewrite(
+        inst, s2, {r: reductions.find_cq(rel, s2) for r, rel in enumerate(s1)})[0])
 
     def check_aux():
         ne_set = RelationSet((parity_relation(2, 1),), "ne")

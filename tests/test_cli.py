@@ -5,6 +5,7 @@ import json
 import os
 import random
 import sys
+import time
 from pathlib import Path
 
 import pytest
@@ -798,6 +799,20 @@ def test_cq_budget_ends_verify_reductions_with_exit_3(monkeypatch, capsys):
     monkeypatch.setenv("POSTLAB_BUDGET", "cq_states=2")
     code, out, err = run(capsys, "verify", "reductions", "--quick")
     assert code == 3 and "state budget exhausted" in err and out == ""
+
+
+def test_a_long_cq_search_exits_3_within_seconds(tmp_path, capsys):
+    # cq_states bounds the intersections the search tries, so it gives up on
+    # p5 odd over p5 even in well under a second instead of half a minute
+    odd, even = parity_relation(5, 1), parity_relation(5, 0)
+    path = tmp_path / "inst.json"
+    path.write_text(json.dumps(CspInstance(RelationSet((odd,), "odd"), 5, 1).to_json()))
+    target = tmp_path / "even.rels"
+    target.write_text(f"rel even 5 : {' '.join(even.tuple_strings())}\n")
+    start = time.perf_counter()
+    code, out, err = run(capsys, "reduce", "cq-rewrite", "--in", str(path), "--target", str(target))
+    assert code == 3 and "state budget exhausted" in err and "Traceback" not in err and out == ""
+    assert time.perf_counter() - start < 10
 
 
 def test_malformed_budget_variable_exits_2(monkeypatch, capsys):

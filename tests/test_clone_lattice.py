@@ -256,6 +256,13 @@ def test_equality_search_overflow_is_unknown(monkeypatch):
     assert v.hardness_notes == ("equality expressibility undecided at budget",)
 
 
+def test_a_warm_equality_search_turns_unknown_at_a_tight_budget(monkeypatch):
+    sset = RelationSet((IMP2,), "imp")
+    assert can_express_equality(sset).result == "YES"  # find_cq's cache is warm from here on
+    monkeypatch.setenv("POSTLAB_BUDGET", "cq_states=1")
+    assert can_express_equality(sset).result == "UNKNOWN"
+
+
 def test_in_pol_agrees_with_classify():
     for sset in (xor3_set(), hornt_set(), ahornt_set()):
         preserved = classify(sset).preserved

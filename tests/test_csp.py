@@ -30,6 +30,7 @@ from postlab.boolfun import (
 )
 from postlab.circuit import evaluate, measures, monotone_violation
 from postlab.clone_lattice import CLONE_BITS, in_pol, pol_mask
+from postlab.config import budgets
 from postlab.construct import emit_monotone_csp_circuit
 from postlab.csp import (
     CspInstance,
@@ -696,13 +697,14 @@ def test_pickled_relations_hit_the_caches():
         renamed = RelationSet(tuple(replace(rel, name="r") for rel in s), s.name)
         for twin in (pickle.loads(pickle.dumps(s)), renamed):
             assert fragment_table(twin, 3, clone) is fragment_table(s, 3, clone)
+    limit = budgets().preserves_combos
     for cache, key, twin in (
-        (clone_lattice._pol_mask, sset, copy),
-        (clone_lattice._pol_bits, sset[0], pickle.loads(pickle.dumps(sset[0]))),
+        (clone_lattice._pol_mask, (sset, limit), (copy, limit)),
+        (clone_lattice._pol_bits, (sset[0],), (pickle.loads(pickle.dumps(sset[0])),)),
     ):
-        cache(key)
+        cache(*key)
         hits = cache.cache_info().hits
-        assert cache(twin) == cache(key) and cache.cache_info().hits == hits + 2
+        assert cache(*twin) == cache(*key) and cache.cache_info().hits == hits + 2
 
 
 # Property tests of the bit layout.

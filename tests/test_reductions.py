@@ -4,6 +4,7 @@ import hashlib
 import itertools
 import json
 import random
+import time
 
 import pytest
 from hypothesis import given, settings
@@ -42,6 +43,7 @@ from postlab.graphlab import BipGraph, Graph, bip_odd_factor, tseitin_system
 from postlab.reductions import (
     BitReduction,
     CQDefinition,
+    CQSearchOverflow,
     bip_oddfactor_to_xorsat,
     cq_rewrite,
     eliminate_equality,
@@ -293,6 +295,33 @@ def test_find_cq_not_found():
     assert d is None
 
 
+def test_a_cached_definition_never_skips_the_cq_budgets(monkeypatch):
+    # the budgets are part of the cache key: a tightened budget searches
+    # again, and an overflow, which no cache keeps, raises on every call
+    pairs = [(rel, IMPSET) for rel in EQSET] + [(parity_relation(4, 0), XOR_SET_RS)]
+    warm = [find_cq(target, over) for target, over in pairs]
+    assert warm[-1].aux_count == 1
+    monkeypatch.setenv("POSTLAB_BUDGET", "cq_states=1")
+    for target, over in pairs * 2:
+        with pytest.raises(CQSearchOverflow, match="^state budget exhausted$"):
+            find_cq(target, over)
+    monkeypatch.setenv("POSTLAB_BUDGET", "cq_aux_vars=0")
+    tight = [find_cq(target, over) for target, over in pairs]
+    reductions._find_cq.cache_clear()
+    assert tight == [find_cq(target, over) for target, over in pairs]
+    assert tight[-1] is None
+
+
+def test_cq_states_bounds_the_intersections_tried():
+    # at five query variables each state meets all 5**5 atoms of p5 even,
+    # and at six all 6**5: a bound on the distinct states alone let this
+    # search run for half a minute before it found nothing
+    start = time.perf_counter()
+    with pytest.raises(CQSearchOverflow, match="^state budget exhausted$"):
+        find_cq(parity_relation(5, 1), RelationSet((parity_relation(5, 0),)))
+    assert time.perf_counter() - start < 10
+
+
 def test_cq_rewrite_identity_defs():
     s = hornt_set()
     defs = {r: find_cq(s[r], s) for r in range(len(s))}
@@ -358,6 +387,7 @@ def test_cq_rewrite_rejects_invalid_definitions():
 
 
 def test_cq_rewrite_checks_each_definitions_semantics_once(monkeypatch):
+    reductions._find_cq.cache_clear()  # fresh definitions, whose semantics no earlier test checked
     defs = {r: find_cq(EQSET[r], IMPSET) for r in range(len(EQSET))}
     calls = []
     real = CQDefinition.defined_relation
