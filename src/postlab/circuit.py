@@ -373,8 +373,8 @@ def monotone_violation(nvars: int, table: int) -> tuple[int, int] | None:
     The witness is the smallest such x, then the smallest flipped bit j.
     """
     best = None
-    for j, zero in enumerate(_zero_patterns(nvars)):
-        bad = table & ~(table >> (1 << j)) & zero  # x_j = 0, f(x) = 1, f(x | 2^j) = 0
+    for j, (shift, zero) in enumerate(flip_masks(nvars)):
+        bad = table & ~(table >> shift) & zero  # x_j = 0, f(x) = 1, f(x | 2^j) = 0
         if bad:
             x = (bad & -bad).bit_length() - 1
             if best is None or x < best[0]:
@@ -382,11 +382,15 @@ def monotone_violation(nvars: int, table: int) -> tuple[int, int] | None:
     return best
 
 
-@functools.lru_cache(maxsize=16)
-def _zero_patterns(nvars: int) -> tuple[int, ...]:
-    """Per variable j, the truth table of "x_j = 0" over 2**nvars inputs:
-    the pattern of x_j moved down by one block."""
-    return tuple(input_pattern(j, nvars) >> (1 << j) for j in range(nvars))
+@functools.lru_cache(maxsize=64)
+def flip_masks(nvars: int) -> tuple[tuple[int, int], ...]:
+    """The flip table over 2**nvars inputs: per variable j, (2**j, the truth
+    table of "x_j = 0"), the pattern of x_j moved down by one block.
+
+    Flipping x_j in a table (or in a set of inputs) t is
+    ((t & zero) << shift) | ((t >> shift) & zero).
+    """
+    return tuple((1 << j, input_pattern(j, nvars) >> (1 << j)) for j in range(nvars))
 
 
 def _require_monotone(nvars: int, table: int, what: str) -> None:

@@ -338,10 +338,9 @@ def xor_system_to_instance(system: XorSystem) -> CspInstance:
     return replace(inst, bits=bits)
 
 
-def solve_xor(inst: "CspInstance | XorSystem") -> bool:
+def solve_xor(inst: CspInstance) -> bool:
     """Satisfiability of a parity instance by Gaussian elimination."""
-    system = inst if isinstance(inst, XorSystem) else instance_to_xor_system(inst)
-    return gf2_satisfiable(system.rows)
+    return gf2_satisfiable(instance_to_xor_system(inst).rows)
 
 
 # The clause view: which clauses an application R(V) imposes.

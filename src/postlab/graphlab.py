@@ -13,7 +13,7 @@ from functools import cached_property, lru_cache
 from typing import Iterable, Iterator, Sequence
 
 from .boolfun import reach
-from .circuit import input_pattern
+from .circuit import flip_masks
 from .config import Budgets, budgets
 from .csp import XorSystem
 from .errors import BudgetExceededError, RelationParseError
@@ -188,13 +188,6 @@ def odd_factor_fast(g: Graph) -> bool:
     return True
 
 
-@lru_cache(maxsize=64)
-def _xor_shuffle_masks(v: int) -> tuple[tuple[int, int], ...]:
-    # for each vertex bit b: (2**b, mask of the positions p < 2**v with bit b
-    # of p clear), used to permute an achievable-set bitmask by xor
-    return tuple((1 << b, input_pattern(b, v) >> (1 << b)) for b in range(v))
-
-
 def _check_oracle_budget(edges: int, v: int, b: Budgets, held: int = 1) -> None:
     """A subset oracle walks 2**edges subsets and holds `held` parity
     bitmasks of 2**v bits each; both are bounded by oracle_edges."""
@@ -216,12 +209,12 @@ def odd_factor_oracle(g: Graph, budget: Budgets | None = None) -> bool:
     reads POSTLAB_BUDGET once per chunk of graphs instead of once per graph.
     """
     _check_oracle_budget(g.mask.bit_count(), g.v, budget or budgets())
-    shuffles = _xor_shuffle_masks(g.v)
+    flips = flip_masks(g.v)
     achievable = 1  # only the all-zeros parity vector
     for a, bv in _edge_pairs(g):
         shifted = achievable
         for vertex in (a, bv):
-            shift, low = shuffles[vertex]
+            shift, low = flips[vertex]
             shifted = ((shifted & low) << shift) | ((shifted >> shift) & low)
         achievable |= shifted
     return bool((achievable >> ((1 << g.v) - 1)) & 1)
@@ -248,10 +241,10 @@ def odd_factor_verdicts(v: int, edges: Sequence[tuple[int, int]]) -> Iterator[bo
 
 def _achievable_sets(v: int, edges: Sequence[tuple[int, int]]) -> list[int]:
     """The achievable parity set of each subset of `edges`, by subset mask."""
-    shuffles = _xor_shuffle_masks(v)
+    flips = flip_masks(v)
     sets = [1]  # the empty subset reaches only the all-zeros vector
     for a, b in edges:
-        (sa, la), (sb, lb) = shuffles[a], shuffles[b]
+        (sa, la), (sb, lb) = flips[a], flips[b]
         flipped = [((s & la) << sa) | ((s >> sa) & la) for s in sets]
         sets += [s | ((t & lb) << sb) | ((t >> sb) & lb) for s, t in zip(sets, flipped)]
     return sets

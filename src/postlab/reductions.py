@@ -13,8 +13,8 @@ from __future__ import annotations
 import itertools
 from dataclasses import dataclass, replace
 from functools import cached_property, lru_cache, reduce
-from .boolfun import EQ2, Relation, RelationSet, reach, solution_table
-from .circuit import input_pattern
+from .boolfun import EQ2, Relation, RelationSet, negate_relation, reach, solution_table
+from .circuit import flip_masks
 from .config import budgets
 from .csp import CspInstance, gf2_reduce, instance_to_xor_system, xor_system_to_instance
 from .errors import BudgetExceededError, FragmentMismatchError
@@ -323,11 +323,9 @@ def l2_to_l3_transform(inst: CspInstance) -> tuple[CspInstance, BitReduction]:
     """
     new_rels = []
     for rel in inst.sset:
-        full = (1 << rel.arity) - 1
-        mask = 0
-        for t in rel.tuples():
-            mask |= 1 << (t << 1)
-            mask |= 1 << (((t ^ full) << 1) | 1)
+        # R' holds (0, t) for t in R and (1, u) for u in the negation of R
+        mask = sum(1 << 2 * t for t in rel.tuples())
+        mask |= sum(2 << 2 * u for u in negate_relation(rel).tuples())
         new_rels.append(Relation(rel.arity + 1, mask, f"{rel.name}'" if rel.name else ""))
     out_set = RelationSet(tuple(new_rels), f"{inst.sset.name}'" if inst.sset.name else "")
     red = _selector_layout(inst.sset, inst.n)
@@ -432,11 +430,6 @@ def bip_oddfactor_to_xorsat(graph: BipGraph) -> BipOddFactorReduction:
     ones = ((1 << full.size) - 1) & ~(full.bits | sum(targets))
     beta = BitReduction(full.size, ones, targets)
 
-    def parity_rows(positions: tuple[int, ...]) -> tuple[tuple[int, int], ...]:
-        bits = sum(1 << bit for bit in positions)
-        inst = CspInstance(full.sset, full.n, bits, known_set_bits=positions)
-        return instance_to_xor_system(inst).rows
-
     def full_reduce(row: tuple[int, int], basis: dict[int, tuple[int, int]]) -> tuple[int, int]:
         mask, rhs = row
         for top in sorted(basis, reverse=True):
@@ -445,8 +438,9 @@ def bip_oddfactor_to_xorsat(graph: BipGraph) -> BipOddFactorReduction:
         return mask, rhs
 
     pivots: dict[int, tuple[int, int]] = {}
-    gf2_reduce(pivots, parity_rows(always))
-    forms = [full_reduce(row, pivots) for bit in cell_bits for row in parity_rows((bit,))]
+    gf2_reduce(pivots, instance_to_xor_system(full).rows)
+    # cell c is variable c, and its zeroing application xor3^0(c, c, c) is the row x_c = 0
+    forms = [full_reduce((1 << c, 0), pivots) for c in range(n * n)]
 
     row_tables = []
     for i in range(n):
@@ -461,7 +455,6 @@ def bip_oddfactor_to_xorsat(graph: BipGraph) -> BipOddFactorReduction:
     # 0 = 1 (packed mask << 1 | rhs = 1).  The bad subsets are closed upward,
     # then reflected, since low pattern p misses the cells of ~p.
     k = n * (n // 2)
-    steps = [(1 << j, input_pattern(j, k)) for j in range(k)]
     words = []
     for pattern in range(1 << (n * n - k)):
         basis: dict[int, tuple[int, int]] = {}
@@ -472,8 +465,8 @@ def bip_oddfactor_to_xorsat(graph: BipGraph) -> BipOddFactorReduction:
         for mask, rhs in (full_reduce(forms[c], basis) for c in range(k)):
             sums += [s ^ (mask << 1 | rhs) for s in sums]
         bad = sum(1 << subset for subset, total in enumerate(sums) if total == 1)
-        for shift, upper in steps:
-            bad |= (bad << shift) & upper
+        for shift, zero in flip_masks(k):
+            bad |= (bad & zero) << shift
         good = ~bad & ((1 << len(sums)) - 1)
         words.append(int(format(good, f"0{len(sums)}b")[::-1], 2))
     layout = BipOddFactorReduction(full, beta, n, full.bits, always, tuple(row_tables), tuple(words))

@@ -41,7 +41,7 @@ from .circuit import (
     Builder,
 )
 from .config import budgets
-from .csp import CspInstance, csp_sat_value, solve_xor, violation_masks
+from .csp import CspInstance, csp_sat_value, gf2_satisfiable, solve_xor, violation_masks
 from .errors import BudgetExceededError, MonotonePreconditionError
 
 
@@ -113,7 +113,7 @@ def _oddfactor_chunk(args: tuple[int, int, int]) -> tuple[int, list[str]]:
         g = graphlab.Graph.from_edge_mask(v, mask)
         fast = graphlab.odd_factor_fast(g)
         oracle = graphlab.odd_factor_oracle(g, budget=budget)
-        tseitin = solve_xor(graphlab.tseitin_system(g))
+        tseitin = gf2_satisfiable(graphlab.tseitin_system(g).rows)
         checked += 1
         if not (fast == oracle == tseitin):
             mismatches.append(
@@ -476,11 +476,17 @@ def suite_reductions(seed: int = 0, instances: int = 500, quick: bool = False) -
         inst, s2, {r: reductions.find_cq(rel, s2) for r, rel in enumerate(s1)})[0])
 
     def check_aux():
+        """Trial -1 is fixed and not counted: odd4(x0, x1, x1, x1) and
+        odd4(x0, x0, x0, x1) at n = 2.  ne's auxiliary is forced to 0, but
+        odd4's is not, and the two applications set theirs to 1 and 0: the
+        rewrite is unsatisfiable unless each application has its own block."""
         ne_set = RelationSet((parity_relation(2, 1),), "ne")
-        defs_aux = {0: reductions.find_cq(ne_set[0], xor3)}
-        for trial in range(min(instances, 120)):
-            inst = csp.random_instance(ne_set, 2 + trial % 2, 0.3, rng)
-            out, _ = reductions.cq_rewrite(inst, xor3, defs_aux)
+        odd4 = RelationSet((parity_relation(4, 1),), "odd4")
+        defs = {s: {0: reductions.find_cq(s[0], xor3)} for s in (ne_set, odd4)}
+        fixed = CspInstance(odd4, 2).with_constraint(0, (0, 1, 1, 1)).with_constraint(0, (0, 0, 0, 1))
+        for trial in range(-1, min(instances, 120)):
+            inst = fixed if trial < 0 else csp.random_instance(ne_set, 2 + trial % 2, 0.3, rng)
+            out, _ = reductions.cq_rewrite(inst, xor3, defs[inst.sset])
             if csp_sat_value(inst) != csp_sat_value(out):
                 return False, f"trial {trial}"
         return True, ""

@@ -200,6 +200,12 @@ def test_closure_of_empty_basis_is_projections():
     assert set(cl) == {IDENTITY, _projection(0, 2), _projection(1, 2)}
 
 
+def test_closure_above_a_max_is_refused(monkeypatch):
+    monkeypatch.delenv("POSTLAB_BUDGET", raising=False)
+    with pytest.raises(BudgetExceededError, match=r"^arity 5 above a_max=4$"):
+        closure_up_to([AND2], 5)
+
+
 def test_closure_identification_yields_or():
     s00 = BoolFun.from_function(3, lambda x, y, z: x | (y & z))
     cl = closure_up_to([s00], 2)

@@ -13,7 +13,7 @@ import postlab
 
 # `module.name` -> (maxsize, what the cache alone keeps).
 CACHES = {
-    "circuit._zero_patterns": (16, "the x_j = 0 tables of monotone_violation, per variable count"),
+    "circuit.flip_masks": (64, "the flip table (2**j, x_j = 0) per variable count, up to oracle_edges vertices"),
     "clone_lattice._closure3": (None, "the arity-3 closure of each of the 20 catalog labels"),
     "clone_lattice._pol_bits": (1 << 14, "the Pol bits of a relation: which catalog clones preserve it"),
     "clone_lattice._pol_mask": (32, "Pol(S) as one clone mask per (relation set, preserves limit)"),
@@ -27,7 +27,6 @@ CACHES = {
     "csp._violation_masks": (8, "the brute-force oracle's masks per (relation set, n)"),
     "csp.fragment_table": (32, "the guarded per-bit table per (relation set, n, clone)"),
     "graphlab._byte_tables": (9, "the per-byte edge and adjacency tables per vertex count"),
-    "graphlab._xor_shuffle_masks": (64, "the parity-set shuffles per vertex count"),
     "reductions._find_cq": (64, "each conjunctive-query definition per (target, target set, CQ budgets)"),
     "reductions._cq_layout": (16, "cq_rewrite's reduction per (relation set, n, definitions)"),
     "reductions._selector_layout": (16, "l2_to_l3_transform's projection per (relation set, n)"),

@@ -691,6 +691,15 @@ JSON_FIELDS = {
     "pad-output-float": ("pad", _edit(CIRCUIT, ("outputs",), [7.0]), "output must be"),
     "pad-gate-operand-float": ("pad", _edit(CIRCUIT, ("gates", 3, 1, 0), 2.0), "gate 3 operand"),
     "pad-missing-gates": ("pad", _edit(CIRCUIT, ("gates",), DELETE), "missing field 'gates'"),
+    # the gate checks of Circuit itself, past the JSON shapes
+    "pad-input-reference": ("pad", _edit(CIRCUIT, ("gates", 0, 1, 0), 5), "gate 0: bad input reference"),
+    "pad-const-operands": (
+        "pad", _edit(CIRCUIT, ("gates", 0, 0), "const1"), "gate 0: constants take no operands"
+    ),
+    "pad-not-arity": ("pad", _edit(CIRCUIT, ("gates", 3, 0), "not"), "gate 3: NOT takes one operand"),
+    "pad-empty-operands": ("pad", _edit(CIRCUIT, ("gates", 3, 1), []), "gate 3: empty operand list"),
+    "pad-unknown-kind": ("pad", _edit(CIRCUIT, ("gates", 3, 0), "nand"), "gate 3: unknown kind 'nand'"),
+    "pad-output-index": ("pad", _edit(CIRCUIT, ("outputs", 0), 8), "output index out of range"),
     "bp-n-float": ("emit", _edit(BP, ("n",), 4.0), "n must be an integer, got 4.0"),
     "bp-start-float": ("emit", _edit(BP, ("start",), 0.0), "start must be"),
     "bp-accept-string": ("emit", _edit(BP, ("accept",), "2"), "accept must be"),

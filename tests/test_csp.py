@@ -39,6 +39,7 @@ from postlab.csp import (
     clauses,
     csp_sat_value,
     fragment_table,
+    gf2_satisfiable,
     hornt_set,
     instance_to_xor_system,
     nand_fragment_set,
@@ -130,7 +131,7 @@ def _criterion7_sets(monkeypatch) -> list[RelationSet]:
 
 def test_violation_masks_are_built_once_per_set_and_n(monkeypatch):
     ssets = _criterion7_sets(monkeypatch)
-    assert len(ssets) == 9  # eq_or_f and its image, eqset, impset, ne, xor3 and its image, hornt, ~hornt
+    assert len(ssets) == 10  # eq_or_f and its image, eqset, impset, ne, odd4, xor3 and its image, hornt, ~hornt
     for sset in ssets:
         for n in range(1, 6):
             cached = violation_masks(CspInstance(sset, n))
@@ -202,8 +203,8 @@ def test_solve_xor_on_the_empty_relation():
 
 
 def test_solve_xor_examples():
-    assert solve_xor(XorSystem(2, ((0b11, 1), (0b11, 0)))) is False
-    assert solve_xor(XorSystem(3, ((0b111, 1),))) is True
+    assert gf2_satisfiable(XorSystem(2, ((0b11, 1), (0b11, 0))).rows) is False
+    assert gf2_satisfiable(XorSystem(3, ((0b111, 1),)).rows) is True
 
 
 def test_gf2_reduce_extends_a_basis():
@@ -919,7 +920,7 @@ def test_xor_system_to_instance_keeps_satisfiability(system):
         bin(mask).count("1") - 1 if mask else rhs for mask, rhs in system.rows
     )
     assert inst.n == max(system.nvars + fresh, 1)
-    assert solve_xor(inst) == solve_xor(system)
+    assert solve_xor(inst) == gf2_satisfiable(system.rows)
 
 
 # Differential tests of the fragment solvers, over relation sets drawn from

@@ -7,7 +7,7 @@ import pytest
 
 from postlab import graphlab
 from postlab.config import budgets
-from postlab.csp import solve_xor
+from postlab.csp import gf2_satisfiable
 from postlab.errors import BudgetExceededError, RelationParseError
 from postlab.graphlab import (
     MAX_GRAPH_VERTICES,
@@ -89,20 +89,20 @@ def test_claim_exhaustive_small():
             g = Graph.from_edge_mask(v, mask)
             fast = odd_factor_fast(g)
             assert fast == odd_factor_oracle(g)
-            assert fast == solve_xor(tseitin_system(g))
+            assert fast == gf2_satisfiable(tseitin_system(g).rows)
 
 
 def test_tseitin_examples():
     k2 = Graph.from_edges(2, [(0, 1)])
     sys_k2 = tseitin_system(k2)
     assert sys_k2.rows == ((1, 1), (1, 1))
-    assert solve_xor(sys_k2)
+    assert gf2_satisfiable(sys_k2.rows)
     # edges in sorted order (0,1), (0,3), (1,2); vertex 4 is isolated
     paw = tseitin_system(Graph.from_edges(5, [(1, 2), (3, 0), (0, 1)]))
     assert paw.nvars == 3
     assert paw.rows == ((0b011, 1), (0b101, 1), (0b100, 1), (0b010, 1), (0, 1))
     assert tseitin_system(Graph(2, 0)).nvars == 1
-    assert not solve_xor(tseitin_system(Graph.complete(3)))
+    assert not gf2_satisfiable(tseitin_system(Graph.complete(3)).rows)
 
 
 def test_isomorphism_invariance():

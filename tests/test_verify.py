@@ -4,6 +4,7 @@ FAIL lines instead of ending the run."""
 
 import functools
 import hashlib
+import inspect
 import itertools
 import random
 
@@ -358,6 +359,23 @@ def test_a_verdict_fault_fails_the_duality_check(monkeypatch, fault, detail):
     failed = [c for c in verify.suite_reductions(quick=True).checks if not c.passed]
     assert [c.name for c in failed] == ["bip-oddfactor-duality"]
     assert failed[0].detail.startswith(detail)
+
+
+def _shared_aux_block_layout():
+    """reductions._cq_layout with one auxiliary block shared by all
+    applications, in place of one block per application."""
+    source = inspect.getsource(reductions._cq_layout)
+    assert source.count("block + q - k") == 1
+    namespace = dict(vars(reductions))
+    exec(source.replace("block + q - k", "n + q - k"), namespace)
+    return namespace["_cq_layout"]
+
+
+@pytest.mark.parametrize("quick", [True, False])
+def test_a_shared_aux_block_fails_the_aux_vars_check(monkeypatch, quick):
+    monkeypatch.setattr(reductions, "_cq_layout", _shared_aux_block_layout())
+    failed = [c for c in verify.suite_reductions(quick=quick).checks if not c.passed]
+    assert [(c.name, c.detail) for c in failed] == [("cq-rewrite-aux-vars", "trial -1")]
 
 
 def _reach_two_levels(adj, frontier):
