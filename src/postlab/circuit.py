@@ -59,9 +59,9 @@ class Circuit:
                 raise ValueError(f"gate {idx}: unknown kind {kind!r}")
             if kind in _LOGIC and any(not 0 <= a < idx for a in args):
                 raise ValueError(f"gate {idx}: operand fails topological order")
-        for o in self.outputs:
+        for pos, o in enumerate(self.outputs):
             if not 0 <= o < len(self.gates):
-                raise ValueError("output index out of range")
+                raise ValueError(f"output {pos}: gate index {o} out of range")
 
     def to_json(self) -> dict:
         return {
@@ -483,10 +483,3 @@ def build_decision_tree(nvars: int, table: int) -> Dnf:
 
     rec(0, table, 0, 0)
     return Dnf.make(nvars, terms)
-
-
-def dt_to_monotone_dnf(paths: Dnf, table: int) -> Dnf:
-    """Quine stripping of a decision tree's 1-path DNF; requires monotone f."""
-    if paths.truth_table() != table:
-        raise ValueError("decision tree does not compute the given function")
-    return quine_strip(paths)

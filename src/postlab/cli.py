@@ -49,34 +49,38 @@ class _Parser(argparse.ArgumentParser):
         raise _CliError(message, status)
 
 
-def _sha256(path: Path) -> str:
-    return hashlib.sha256(path.read_bytes()).hexdigest()
+# the running command's report fields: "inputs", path -> sha256 of the bytes
+# it read, and "outputs", the paths it wrote; main empties both before each command
+_files: dict = {"inputs": {}, "outputs": []}
 
 
-def _load_relation_set(path: str):
-    p = Path(path)
-    if p.suffix == ".json":
-        sset = _load_json(path, relation_set_from_json)
-    else:
-        try:
-            sset = parse_relations(p.read_text(), name=p.stem)
-        except (OSError, ValueError) as exc:
-            raise _CliError(f"{path}: {exc}", EXIT_PARSE)
-    if not sset.name:
-        sset = type(sset)(sset.relations, p.stem)
-    return sset
+def _load(path: str, parse):
+    """parse(text) of the UTF-8 file at path; any failure to read, decode or
+    parse it is a usage error that names the file."""
+    try:
+        data = Path(path).read_bytes()
+        _files["inputs"][path] = hashlib.sha256(data).hexdigest()
+        return parse(data.decode())
+    except KeyError as exc:
+        raise _CliError(f"{path}: missing field {exc}", EXIT_PARSE)
+    except (OSError, ValueError, TypeError, RecursionError) as exc:
+        raise _CliError(f"{path}: {exc}", EXIT_PARSE)
 
 
 def _load_json(path: str, parse):
-    try:
-        obj = json.loads(Path(path).read_text())
+    def parse_object(text: str):
+        obj = json.loads(text)
         if not isinstance(obj, dict):
-            raise _CliError(f"{path}: expected a JSON object, got {type(obj).__name__}", EXIT_PARSE)
+            raise TypeError(f"expected a JSON object, got {type(obj).__name__}")
         return parse(obj)
-    except KeyError as exc:
-        raise _CliError(f"{path}: missing field {exc}", EXIT_PARSE)
-    except (OSError, ValueError, TypeError) as exc:
-        raise _CliError(f"{path}: {exc}", EXIT_PARSE)
+
+    return _load(path, parse_object)
+
+
+def _load_relation_set(path: str):
+    json_file = Path(path).suffix == ".json"
+    sset = _load_json(path, relation_set_from_json) if json_file else _load(path, parse_relations)
+    return sset if sset.name else type(sset)(sset.relations, Path(path).stem)
 
 
 def _load_instance(args) -> csp.CspInstance:
@@ -92,21 +96,16 @@ def _write_json(path: str | None, obj: dict) -> None:
         Path(path).write_text(text)
     except OSError as exc:
         raise _CliError(f"cannot write {path}: {exc}", EXIT_PARSE)
-
-
-# the file arguments a run report digests, under their argparse names
-_INPUTS = ("relations", "in", "bp", "set", "graph")
+    _files["outputs"].append(path)
 
 
 def _run_report(args, argv: list[str], summary: dict, t0: float) -> None:
     if not args.report:
         return
-    files = [getattr(args, name, None) for name in _INPUTS]
     report = {
         "command": args.command,
         "argv": argv,
-        "inputs": {p: _sha256(Path(p)) for p in files if p and Path(p).exists()},
-        "outputs": [args.out] if getattr(args, "out", None) else [],
+        **_files,
         "summary": summary,
         "seed": args.seed,
         "elapsed_ms": int((time.perf_counter() - t0) * 1000),
@@ -282,10 +281,7 @@ def cmd_csp_sat(args) -> tuple[int, dict]:
 
 
 def cmd_odd_factor(args) -> tuple[int, dict]:
-    try:
-        g = graphlab.parse_graph(Path(args.graph).read_text())
-    except (OSError, RelationParseError) as exc:
-        raise _CliError(str(exc), EXIT_PARSE)
+    g = _load(args.graph, graphlab.parse_graph)
     value = graphlab.odd_factor_oracle(g) if args.mode == "oracle" else graphlab.odd_factor_fast(g)
     print("ODD-FACTOR" if value else "NO-ODD-FACTOR")
     return EXIT_OK, {"odd_factor": value}
@@ -366,6 +362,7 @@ def build_parser() -> argparse.ArgumentParser:
 
 def main(argv: list[str] | None = None) -> int:
     argv = sys.argv[1:] if argv is None else list(argv)
+    _files.update(inputs={}, outputs=[])
     try:
         args = build_parser().parse_args(argv)
         budgets()  # a malformed POSTLAB_BUDGET is a usage error for every command

@@ -321,31 +321,34 @@ def l2_to_l3_transform(inst: CspInstance) -> tuple[CspInstance, BitReduction]:
     additionally invariant under complementation.  The emitted reduction is a
     monotone projection.
     """
-    new_rels = []
-    for rel in inst.sset:
-        # R' holds (0, t) for t in R and (1, u) for u in the negation of R
-        mask = sum(1 << 2 * t for t in rel.tuples())
-        mask |= sum(2 << 2 * u for u in negate_relation(rel).tuples())
-        new_rels.append(Relation(rel.arity + 1, mask, f"{rel.name}'" if rel.name else ""))
-    out_set = RelationSet(tuple(new_rels), f"{inst.sset.name}'" if inst.sset.name else "")
-    red = _selector_layout(inst.sset, inst.n)
+    primes, red = _selector_layout(inst.sset, inst.n)
+    named = tuple(
+        Relation(p.arity, p.mask, f"{rel.name}'" if rel.name else "") for p, rel in zip(primes, inst.sset)
+    )
+    out_set = RelationSet(named, f"{inst.sset.name}'" if inst.sset.name else "")
     return CspInstance(out_set, inst.n + 1, red.apply(inst.bits)), red
 
 
 @lru_cache(maxsize=16)
-def _selector_layout(sset: RelationSet, n: int) -> BitReduction:
-    """l2_to_l3_transform's projection at (sset, n): R(V) -> R'(alpha, V).
+def _selector_layout(sset: RelationSet, n: int) -> tuple[tuple[Relation, ...], BitReduction]:
+    """l2_to_l3_transform's R' per relation of sset, unnamed, and its
+    projection at (sset, n): R(V) -> R'(alpha, V).
 
-    It reads only arities, so one entry serves relation sets that differ in
+    Neither carries a name, so one entry serves relation sets that differ in
     names alone.
     """
+    primes = []
+    for rel in sset:
+        # R' holds (0, t) for t in R and (1, u) for u in the negation of R
+        mask = sum(1 << 2 * t for t in rel.tuples())
+        mask |= sum(2 << 2 * u for u in negate_relation(rel).tuples())
+        primes.append(Relation(rel.arity + 1, mask))
     alpha = n
-    # encoding reads only the arities, so empty relations stand in for the R'
-    out0 = CspInstance(RelationSet(tuple(Relation(rel.arity + 1, 0) for rel in sset)), n + 1, 0)
+    out0 = CspInstance(RelationSet(primes), n + 1, 0)
     base = CspInstance(sset, n, 0)
     applications = map(base.decode, range(base.size))
     targets = tuple(1 << out0.encode(r, (alpha,) + variables) for r, variables in applications)
-    return BitReduction(out0.size, 0, targets)
+    return out0.sset.relations, BitReduction(out0.size, 0, targets)
 
 
 # The bipartite odd-factor to 3-XOR-SAT projection.

@@ -28,7 +28,6 @@ from .circuit import (
     Dnf,
     build_decision_tree,
     count_minterms,
-    dt_to_monotone_dnf,
     evaluate,
     evaluate_many,
     input_pattern,
@@ -586,7 +585,7 @@ def suite_quine(quick: bool = False) -> SuiteReport:
                 strip_bad.append(f"table={table:#x}: not equivalent")
             elif len(stripped.terms) > len(d.terms):
                 strip_bad.append(f"table={table:#x}: grew")
-            dnf = dt_to_monotone_dnf(build_decision_tree(4, table), table)
+            dnf = quine_strip(build_decision_tree(4, table))
             if dnf.truth_table() != table or dnf.has_negative_literals():
                 dt_bad.append(f"table={table:#x}")
             elif len(dnf.terms) < count_minterms(4, table):

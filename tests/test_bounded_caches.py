@@ -29,7 +29,7 @@ CACHES = {
     "graphlab._byte_tables": (9, "the per-byte edge and adjacency tables per vertex count"),
     "reductions._find_cq": (64, "each conjunctive-query definition per (target, target set, CQ budgets)"),
     "reductions._cq_layout": (16, "cq_rewrite's reduction per (relation set, n, definitions)"),
-    "reductions._selector_layout": (16, "l2_to_l3_transform's projection per (relation set, n)"),
+    "reductions._selector_layout": (16, "l2_to_l3_transform's unnamed R' and projection per (relation set, n)"),
 }
 
 

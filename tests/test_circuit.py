@@ -11,7 +11,6 @@ from postlab.circuit import (
     Dnf,
     build_decision_tree,
     count_minterms,
-    dt_to_monotone_dnf,
     evaluate,
     evaluate_many,
     evaluate_ref,
@@ -202,7 +201,7 @@ def test_decision_tree_paths_compute_f_disjointly():
 
 
 def test_dt_to_monotone_dnf_pipeline():
-    dnf = dt_to_monotone_dnf(build_decision_tree(3, MAJ_TABLE), MAJ_TABLE)
+    dnf = quine_strip(build_decision_tree(3, MAJ_TABLE))
     assert dnf.truth_table() == MAJ_TABLE
     assert not dnf.has_negative_literals()
     assert set(dnf.terms) == {(0b011, 0), (0b101, 0), (0b110, 0)}
@@ -211,7 +210,7 @@ def test_dt_to_monotone_dnf_pipeline():
 def test_dt_to_monotone_dnf_rejects_parity():
     paths = build_decision_tree(2, XOR2_TABLE)
     with pytest.raises(MonotonePreconditionError):
-        dt_to_monotone_dnf(paths, XOR2_TABLE)
+        quine_strip(paths)
 
 
 def test_count_minterms():

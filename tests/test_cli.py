@@ -9,6 +9,8 @@ import time
 from pathlib import Path
 
 import pytest
+from hypothesis import HealthCheck, given, settings
+from hypothesis import strategies as st
 
 from postlab import csp, graphlab, verify
 from postlab.boolfun import (
@@ -21,6 +23,7 @@ from postlab.boolfun import (
     nand_relation,
     or_relation,
     parity_relation,
+    relation_set_to_json,
 )
 from postlab.circuit import Circuit
 from postlab.cli import main
@@ -328,16 +331,17 @@ def test_run_report(tmp_path, capsys):
     assert list(obj["inputs"].values())[0].isalnum()
 
 
-# argv -> the report's inputs and outputs: the file arguments (--target is
-# not one) and --out
+# argv -> the report's inputs and outputs: every file the command read and
+# every file it wrote (standard output is not a file)
 REPORTED_FILES = {
     "reduce": (
         ["reduce", "pol-reduce", "--in", "{inst}", "--target", "{target}", "--out", "{out}"],
-        ["{inst}"],
+        ["{inst}", "{target}"],
         ["{out}"],
     ),
     "emit-csp": (["emit", "csp", "--set", HORN3, "--n", "2", "--out", "{out}"], [HORN3], ["{out}"]),
     "emit-threshold": (["emit", "threshold", "--k", "2", "--n", "4"], [], []),
+    "emit-threshold-stdout": (["emit", "threshold", "--k", "2", "--n", "4", "--out", "-"], [], []),
     "oracle": (["oracle", "odd-factor", "--graph", "{graph}"], ["{graph}"], []),
     "verify": (["verify", "quine", "--quick"], [], []),
 }
@@ -361,6 +365,29 @@ def test_run_report_lists_the_files(tmp_path, capsys, argv, inputs, outputs):
     inputs = [a.format(**paths) for a in inputs]
     assert report["inputs"] == {p: hashlib.sha256(Path(p).read_bytes()).hexdigest() for p in inputs}
     assert report["outputs"] == [a.format(**paths) for a in outputs]
+
+
+def test_run_report_digests_the_bytes_read_before_out_overwrites_them(tmp_path, capsys):
+    path, report = tmp_path / "inst.json", tmp_path / "report.json"
+    path.write_text(json.dumps(INST))
+    read = hashlib.sha256(path.read_bytes()).hexdigest()
+    code, _, err = run(
+        capsys, "--report", str(report), "reduce", "negate", "--in", str(path), "--out", str(path)
+    )
+    assert code == 0, err
+    assert hashlib.sha256(path.read_bytes()).hexdigest() != read
+    obj = json.loads(report.read_text())
+    assert (obj["inputs"], obj["outputs"]) == ({str(path): read}, [str(path)])
+
+
+def test_successive_runs_keep_their_reports_apart(tmp_path, capsys):
+    # the files one run read and wrote are not listed by the next run's report
+    inst, out, report = (str(tmp_path / name) for name in ("inst.json", "out.json", "report.json"))
+    Path(inst).write_text(json.dumps(INST))
+    assert run(capsys, "reduce", "negate", "--in", inst, "--out", out)[0] == 0
+    assert run(capsys, "--report", report, "emit", "threshold", "--k", "2", "--n", "3")[0] == 0
+    obj = json.loads(Path(report).read_text())
+    assert (obj["inputs"], obj["outputs"]) == ({}, [])
 
 
 def test_help_exits_0(capsys):
@@ -495,6 +522,8 @@ MALFORMED = {
     "threshold-negative-n": ["emit", "threshold", "--k", "0", "--n", "-1"],
     "threshold-negative-n-before-k": ["emit", "threshold", "--k", "2", "--n", "-1"],
     "induced-negative-n": ["emit", "induced", "--n", "-1", "--k", "0"],
+    "threshold-k-above-n-plus-1": ["emit", "threshold", "--k", "9", "--n", "4"],
+    "induced-k-above-n": ["emit", "induced", "--n", "3", "--k", "5"],
     "bip-negative-mask": ["reduce", "bip-oddfactor", "--in", "{bip_neg_mask}"],
     "cq-rewrite-without-target": ["reduce", "cq-rewrite", "--in", "{inst}"],
     "oracle-bit-beyond-n": ["oracle", "csp-sat", "--in", "{bit40}"],
@@ -514,6 +543,7 @@ MALFORMED = {
     "graph-v-above-limit": ["oracle", "odd-factor", "--graph", "{graph_v_big}"],
     "graph-unknown-line": ["oracle", "odd-factor", "--graph", "{graph_x_line}"],
     "graph-without-v": ["oracle", "odd-factor", "--graph", "{graph_comment_only}"],
+    "graph-not-utf8": ["oracle", "odd-factor", "--graph", "{graph_latin1}"],
     "classify-json-tuple-digit": ["classify", "{digit_set}"],
     "solve-json-tuple-digit": ["solve", "auto", "--in", "{digit_inst}"],
     "classify-relations-not-a-list": ["classify", "{rels_int}"],
@@ -565,12 +595,15 @@ NAMED = {
     "threshold-negative-n": "got n=-1",
     "threshold-negative-n-before-k": "got n=-1",
     "induced-negative-n": "got n=-1",
+    "threshold-k-above-n-plus-1": "threshold needs 0 <= k <= n + 1, got k=9",
+    "induced-k-above-n": "induced subgraph needs 0 <= k <= n, got k=5",
     "bip-negative-mask": "mask must lie in [0, 2^4)",
     "classify-relation-name-int": "relation name must be a string, got 5",
     "classify-set-name-list": "relation set name must be a string, got ['x']",
     "oracle-relation-name-int": "relation name must be a string, got 5",
     "graph-unknown-line": "line 2: expected `v <count>` or `e <i> <j>`",
     "graph-without-v": "missing `v <count>` line",
+    "graph-not-utf8": "graph_latin1.txt: 'utf-8' codec can't decode byte 0xe9",
     "l2-to-l3-arity-at-cap": "relation six has arity 6; l2-to-l3 would write arity 7, above MAX_TEXT_ARITY = 6",
 }
 
@@ -633,10 +666,11 @@ def test_malformed_input_exits_2(tmp_path, capsys, row):
         "graph_v_big": "v 1000000\ne 999998 999999\n",  # a mask of about 5 * 10^11 bits
         "graph_x_line": "v 3\nx 0 1\n",
         "graph_comment_only": "# no vertex count\n",
+        "graph_latin1": "v 2\n# caf\xe9\n",  # written in Latin-1, so not UTF-8
     }
     for name, text in graphs.items():
         paths[name] = tmp_path / f"{name}.txt"
-        paths[name].write_text(text)
+        paths[name].write_text(text, encoding="latin-1")
     argv = [a.format(**{k: str(p) for k, p in paths.items()}) for a in MALFORMED[row]]
     code, _, err = run(capsys, *argv)
     assert code == 2, err
@@ -699,7 +733,7 @@ JSON_FIELDS = {
     "pad-not-arity": ("pad", _edit(CIRCUIT, ("gates", 3, 0), "not"), "gate 3: NOT takes one operand"),
     "pad-empty-operands": ("pad", _edit(CIRCUIT, ("gates", 3, 1), []), "gate 3: empty operand list"),
     "pad-unknown-kind": ("pad", _edit(CIRCUIT, ("gates", 3, 0), "nand"), "gate 3: unknown kind 'nand'"),
-    "pad-output-index": ("pad", _edit(CIRCUIT, ("outputs", 0), 8), "output index out of range"),
+    "pad-output-index": ("pad", _edit(CIRCUIT, ("outputs", 0), 8), "output 0: gate index 8 out of range"),
     "bp-n-float": ("emit", _edit(BP, ("n",), 4.0), "n must be an integer, got 4.0"),
     "bp-start-float": ("emit", _edit(BP, ("start",), 0.0), "start must be"),
     "bp-accept-string": ("emit", _edit(BP, ("accept",), "2"), "accept must be"),
@@ -709,6 +743,13 @@ JSON_FIELDS = {
     "bp-guard-variable-float": ("emit", _edit(BP, ("edges", 0, 0, 2, 1), 3.0), "guard variable"),
     "bp-guard-constant-bool": ("emit", _edit(BP, ("edges", 2, 0, 2, 1), False), "guard constant"),
     "bp-missing-edges": ("emit", _edit(BP, ("edges",), DELETE), "missing field 'edges'"),
+    # the checks of LayeredBP itself, past the JSON shapes
+    "bp-one-layer": ("emit", _edit(BP, ("widths",), [1]), "need at least two layers"),
+    "bp-layer-count": ("emit", _edit(BP, ("edges", 3), DELETE), "edge layer count mismatch"),
+    "bp-guard-variable-7": ("emit", _edit(BP, ("edges", 0, 0, 2, 1), 7), "guard variable out of range"),
+    "bp-guard-kind-foo": ("emit", _edit(BP, ("edges", 0, 0, 2, 0), "foo"), "unknown guard 'foo'"),
+    "bp-start-out-of-range": ("emit", _edit(BP, ("start",), 3), "start out of range"),
+    "bp-accept-out-of-range": ("emit", _edit(BP, ("accept",), 3), "accept out of range"),
     # wrong shapes, which unpacking or iteration would report in Python's words
     "bp-guard-int": ("emit", _edit(BP, ("edges", 0, 0, 2), 3), f"{GUARD_SHAPE}, got 3"),
     "bp-guard-kind-only": ("emit", _edit(BP, ("edges", 0, 0, 2), ["lit"]), f"{GUARD_SHAPE}, got ['lit']"),
@@ -749,6 +790,87 @@ def test_json_field_cases_start_from_valid_files(tmp_path, capsys):
         path.write_text(json.dumps(obj))
         code, _, err = run(capsys, *(a.format(path) for a in JSON_ARGV[command]))
         assert code == 0, err
+
+
+# one argv per reader of a JSON file, the file as {}; {inst} is a valid instance
+JSON_READERS = {
+    "classify": ["classify", "{}"],
+    "emit-csp-set": ["emit", "csp", "--set", "{}", "--n", "2"],
+    "cq-rewrite-target": ["reduce", "cq-rewrite", "--in", "{inst}", "--target", "{}"],
+    "solve": ["solve", "brute", "--in", "{}"],
+    "reduce": ["reduce", "negate", "--in", "{}"],
+    "oracle-csp-sat": ["oracle", "csp-sat", "--in", "{}"],
+    "bip-oddfactor": ["reduce", "bip-oddfactor", "--in", "{}"],
+    "emit-checkpoint": ["emit", "checkpoint", "--bp", "{}"],
+    "pad": ["pad", "--in", "{}", "--extra", "1"],
+}
+
+
+@pytest.mark.parametrize("argv", JSON_READERS.values(), ids=JSON_READERS.keys())
+def test_json_nested_past_the_recursion_limit_exits_2(tmp_path, capsys, argv):
+    path, inst = tmp_path / "deep.json", tmp_path / "inst.json"
+    path.write_text("[" * 100_000)
+    inst.write_text(json.dumps(INST))
+    code, out, err = run(capsys, *(a.format(path, inst=inst) for a in argv))
+    assert (code, out) == (2, ""), err
+    assert err.startswith(f"error: {path}: maximum recursion depth exceeded"), err
+    assert err.count("\n") == 1, err
+
+
+# per reader of an input file: its argv, the file as {}, and a small valid file
+THREE_BITS = json.dumps(dict(INST, set_bits=[0, 4, 9]))
+CORRUPTIBLE = {
+    "classify-rels": (["classify", "{}"], "set.rels", Path(HORN3).read_text()),
+    "classify-json": (["classify", "{}"], "set.json", json.dumps(relation_set_to_json(hornt_set()))),
+    "oracle-csp-sat": (["oracle", "csp-sat", "--in", "{}"], "inst.json", THREE_BITS),
+    "solve-auto": (["solve", "auto", "--in", "{}"], "inst.json", THREE_BITS),
+    "odd-factor": (["oracle", "odd-factor", "--graph", "{}"], "g.txt", "v 4\ne 0 1\ne 1 2\ne 2 3\n"),
+    "pad": (["pad", "--in", "{}", "--extra", "1"], "c.json", json.dumps(CIRCUIT)),
+    "emit-checkpoint": (["emit", "checkpoint", "--bp", "{}"], "bp.json", json.dumps(BP)),
+}
+# a substituted byte is never a digit, so only deletions can lengthen a
+# number, by joining two one-digit numbers of a list; in these files that
+# fails a length or range check before anything is built, so no corrupted
+# size can ask for a large build
+EDITS = st.lists(
+    st.tuples(
+        st.sampled_from(["substitute", "delete", "truncate"]),
+        st.integers(0, 1 << 16),
+        st.sampled_from([b for b in range(256) if not ord("0") <= b <= ord("9")]),
+    ),
+    min_size=1,
+    max_size=3,
+)
+
+
+def corrupt(data: bytes, edits) -> bytes:
+    for kind, at, byte in edits:
+        i = at % (len(data) or 1)
+        if kind == "substitute":
+            data = data[:i] + bytes([byte]) + data[i + 1 :]
+        elif kind == "delete":
+            data = data[:i] + data[i + 1 :]
+        else:
+            data = data[:i]
+    return data
+
+
+@pytest.mark.parametrize("reader", CORRUPTIBLE)
+@settings(
+    derandomize=True,
+    database=None,
+    deadline=None,
+    max_examples=60,
+    suppress_health_check=[HealthCheck.function_scoped_fixture],
+)
+@given(edits=EDITS)
+def test_a_corrupted_input_file_exits_0_2_or_3(tmp_path, capsys, reader, edits):
+    argv, name, text = CORRUPTIBLE[reader]
+    path = tmp_path / name
+    path.write_bytes(corrupt(text.encode(), edits))
+    code, _, err = run(capsys, *(a.format(path) for a in argv))
+    assert code in (0, 2, 3), err
+    assert code == 0 or err.count("\n") == 1, err
 
 
 def test_oddfactor_pool_never_outnumbers_cpus(monkeypatch):
