@@ -14,7 +14,7 @@ import itertools
 import random
 from bisect import bisect_right
 from dataclasses import dataclass, replace
-from functools import cached_property, lru_cache
+from functools import cached_property, lru_cache, reduce
 from typing import Callable, Iterator
 
 from .boolfun import (
@@ -198,32 +198,55 @@ def _relation_violation_segments(rel: Relation, n: int) -> tuple[str, ...]:
     return tuple("".join(col)[::-1] for col in zip(*rows))[::-1]
 
 
-def violation_masks(inst: CspInstance) -> tuple[int, ...]:
+class _ViolationMasks(tuple):
+    """Entry a is the mask of the applications that assignment a violates;
+    `always` is their AND, the applications that every assignment violates."""
+
+    always: int
+
+    def satisfiable(self, bits: int) -> bool:
+        """Whether some assignment satisfies the instance with these bits: no
+        bit is always violated, and some assignment's mask misses them all."""
+        return not bits & self.always and 0 in map(bits.__and__, self)
+
+
+def violation_masks(inst: CspInstance) -> "_ViolationMasks | None":
     """Per-assignment masks over all N applications; the instance is
     satisfiable iff some assignment mask misses all set bits.  They depend
-    only on (relation set, n), and are built once for each."""
+    only on (relation set, n), and are built once for each; above
+    _DENSE_TABLE_BITS applications they are not built (None), since 2**n
+    masks of N bits cost more than the solution tables of one instance."""
     return _violation_masks(inst.sset, inst.n)
 
 
 @lru_cache(maxsize=8)
-def _violation_masks(sset: RelationSet, n: int) -> tuple[int, ...]:
+def _violation_masks(sset: RelationSet, n: int) -> "_ViolationMasks | None":
+    if CspInstance(sset, n).size > _DENSE_TABLE_BITS:
+        return None
     if not sset.relations:
-        return (0,) * (1 << n)
-    # relation r's applications start at CspInstance._layout's offsets[r], so
-    # each mask's digits are the segments of the last relation down to the first
-    segments = [_relation_violation_segments(rel, n) for rel in reversed(sset.relations)]
-    return tuple(int("".join(digits), 2) for digits in zip(*segments))
+        masks = _ViolationMasks((0,) * (1 << n))
+    else:
+        # relation r's applications start at CspInstance._layout's offsets[r],
+        # so each mask's digits are the segments of the last relation down to
+        # the first
+        segments = [_relation_violation_segments(rel, n) for rel in reversed(sset.relations)]
+        masks = _ViolationMasks(int("".join(digits), 2) for digits in zip(*segments))
+    masks.always = reduce(int.__and__, masks)
+    return masks
 
 
 def satisfiable_brute(inst: CspInstance) -> bool:
+    """Whether some assignment satisfies inst, by brute force: through the
+    per-assignment masks while n <= _VIOL_FAST_VARS and they are built, else
+    by ANDing the constraints' solution tables."""
     limit = budgets().brute_force_vars
     if inst.n > limit:
         raise BudgetExceededError(
             f"n={inst.n} above brute-force budget {limit}; "
             "use a fragment solver"
         )
-    if inst.n <= _VIOL_FAST_VARS:
-        return 0 in map(inst.bits.__and__, violation_masks(inst))
+    if inst.n <= _VIOL_FAST_VARS and (masks := violation_masks(inst)) is not None:
+        return masks.satisfiable(inst.bits)
     solutions = (1 << (1 << inst.n)) - 1
     for r, variables in inst.iter_constraints():
         solutions &= solution_table(inst.sset[r], variables, inst.n)

@@ -373,7 +373,7 @@ def verify_emitters(seed: int = 0, random_masks: int = 1000) -> SuiteReport:
                     for _ in range(random_masks)
                 ]
                 for w, got in zip(masks, evaluate_many(circuit, masks)):
-                    if (got & 1) != (not any(w & v == 0 for v in viol)):
+                    if (got & 1) != (not viol.satisfiable(w)):
                         bad.append(f"mask={w:#x}")
                         break
                 mode = f"{random_masks} random masks"
@@ -658,7 +658,7 @@ def suite_dichotomy(instances_per_set: int = 20, seed: int = 0, quick: bool = Fa
                 bits = (rng.getrandbits(size) & rng.getrandbits(size)) if size else 0
                 if t % 2 and size:
                     bits &= rng.getrandbits(size)
-                sat = 0 in map(bits.__and__, viol)
+                sat = viol.satisfiable(bits)
                 got = solver(CspInstance(sset, 4, bits))
                 if got != sat:
                     mismatched.append(f"subset={subset:#x} solver={label} bits={bits:#x}")

@@ -19,6 +19,7 @@ from postlab.boolfun import (
     UNIT_FALSE,
     UNIT_TRUE,
     XOR3_0,
+    Relation,
     RelationSet,
     nand_relation,
     or_relation,
@@ -312,6 +313,26 @@ def test_oracle_csp_sat(tmp_path, capsys):
     assert code == 0 and out.strip() == "UNSAT"
     code, out, _ = run(capsys, "oracle", "csp-sat", "--in", str(path), "--listing")
     assert code == 0 and "xor3^0(" in out and out.rstrip().endswith("UNSAT")
+
+
+def test_oracle_csp_sat_on_a_wide_relation_skips_the_masks(tmp_path, capsys, monkeypatch):
+    """One arity-5 relation (every tuple but 00000) at n = 10 has N = 10^5
+    applications: the per-assignment masks would be 2^10 masks of 10^5 bits
+    (about 5 s and 240 MB), where the constraints' solution tables answer
+    the one set bit at once."""
+    inst = CspInstance(RelationSet((Relation(5, (1 << 32) - 2),)), 10, 1)
+    path = tmp_path / "wide.json"
+    path.write_text(json.dumps(inst.to_json()))
+    assert path.stat().st_size < 400
+
+    def refused(rel, n):
+        raise AssertionError("masks built at N = 10^5")
+
+    monkeypatch.setattr(csp, "_relation_violation_segments", refused)
+    start = time.perf_counter()
+    code, out, _ = run(capsys, "oracle", "csp-sat", "--in", str(path))
+    assert time.perf_counter() - start < 0.5
+    assert code == 0 and out.strip() == "SAT"
 
 
 def test_verify_quick_quine(capsys):

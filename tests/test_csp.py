@@ -141,6 +141,59 @@ def test_violation_masks_are_built_once_per_set_and_n(monkeypatch):
             assert fresh == cached and fresh is not cached, (sset.name, n)
 
 
+def _quick_sweep_sets():
+    """Every relation set of criterion 2's quick sweep: binary relations b0..b15,
+    one set per seventh subset."""
+    binary = [Relation(2, mask, f"b{mask}") for mask in range(16)]
+    for subset in range(0, 1 << 16, 7):
+        yield RelationSet(tuple(binary[i] for i in range(16) if (subset >> i) & 1))
+
+
+def test_always_violated_is_the_clause_view_refuting_mask():
+    """The oracle's `always` (the AND of its masks) and the solvers' `refuting`
+    (the applications whose prime clauses hold the empty clause) are two
+    derivations of one fact: the applications that no assignment satisfies."""
+    cases = [(sset, 4) for sset in _quick_sweep_sets()]
+    for set_fn in (hornt_set, ahornt_set, twosat_set, xor3_set, or_fragment_set, nand_fragment_set):
+        cases += [(set_fn(), n) for n in (1, 2, 3)]
+    nonzero = 0
+    for sset, n in cases:
+        always = violation_masks(CspInstance(sset, n)).always
+        assert always == fragment_table(sset, n, "I2").refuting, (sset.name, n)
+        nonzero += always != 0
+    assert len(cases) == 9363 + 18 and nonzero > len(cases) // 2
+
+
+def test_the_mask_path_and_the_table_path_agree_around_the_size_limit(monkeypatch):
+    """The per-assignment masks are built only up to _DENSE_TABLE_BITS
+    applications.  Just under and just over that N, at n = 8, satisfiable_brute
+    answers as the masks do and as the constraints' solution tables do."""
+    # every 4-tuple but 0000 and 1111, so each R(x, x, x, x) refutes on its own
+    wide = Relation(4, 0x7FFE)
+    rng = random.Random(40)
+    for sset in (RelationSet((wide,)), RelationSet((wide, UNIT_TRUE))):
+        size = CspInstance(sset, 8).size
+        assert size - csp._DENSE_TABLE_BITS in (0, 8)
+        assert (violation_masks(CspInstance(sset, 8)) is None) is (size > csp._DENSE_TABLE_BITS)
+        with monkeypatch.context() as m:
+            m.setattr(csp, "_DENSE_TABLE_BITS", size)
+            masks = csp._violation_masks.__wrapped__(sset, 8)  # built past the limit too
+        diagonal = [j for j in range(size) if (masks.always >> j) & 1]
+        outcomes = set()
+        for t in range(40):
+            bits = sum(1 << rng.randrange(size) for _ in range(rng.randint(1, 120)))
+            if t % 4 == 0:
+                bits |= 1 << rng.choice(diagonal)
+            inst = CspInstance(sset, 8, bits)
+            want = masks.satisfiable(bits)
+            assert satisfiable_brute(inst) is want, (size, hex(bits))
+            with monkeypatch.context() as m:
+                m.setattr(csp, "_VIOL_FAST_VARS", 0)  # the solution tables only
+                assert satisfiable_brute(inst) is want, (size, hex(bits))
+            outcomes.add(want)
+        assert outcomes == {True, False}, size
+
+
 def test_a_cached_brute_force_call_still_checks_its_budget(monkeypatch):
     inst = CspInstance(hornt_set(), 3, 0)
     assert satisfiable_brute(inst) is True
@@ -736,6 +789,41 @@ def instances(draw, sset=None):
 def test_iter_constraints_decodes_set_bits_in_order(inst):
     want = [inst.decode(j) for j in range(inst.size) if (inst.bits >> j) & 1]
     assert list(inst.iter_constraints()) == want
+
+
+@st.composite
+def mask_bits(draw):
+    """(sset, n, bits): a set of 0-3 relations of arity <= 3 at n = 1..5, and
+    bits that are 0, all ones, one bit of `always`, random, or random with
+    bits above N."""
+    arities = draw(st.lists(st.integers(1, 3), max_size=3))
+    sset = RelationSet(
+        tuple(Relation(k, draw(st.integers(0, (1 << (1 << k)) - 1))) for k in arities)
+    )
+    n = draw(st.integers(1, 5))
+    size = CspInstance(sset, n).size
+    full = (1 << size) - 1
+    always = violation_masks(CspInstance(sset, n)).always
+    choices = [
+        st.just(0),
+        st.just(full),
+        st.integers(0, full),
+        st.tuples(st.integers(0, full), st.integers(size, size + 64)).map(lambda p: p[0] | 1 << p[1]),
+    ]
+    if always:
+        choices.append(st.sampled_from([1 << j for j in range(size) if (always >> j) & 1]))
+    return sset, n, draw(st.one_of(choices))
+
+
+@PROPERTY
+@given(mask_bits())
+@example((RelationSet(()), 3, 0))
+@example((RelationSet(()), 3, 0b1011))
+@example((RelationSet((Relation(2, 0b0110),)), 2, 1))  # x0 != x0 refutes
+def test_satisfiable_is_the_per_assignment_loop(drawn):
+    sset, n, bits = drawn
+    masks = violation_masks(CspInstance(sset, n))
+    assert masks.satisfiable(bits) is (0 in map(bits.__and__, masks))
 
 
 @st.composite

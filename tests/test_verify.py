@@ -306,6 +306,31 @@ DICHOTOMY_FAULTS = [
 ]
 
 
+def _always_as_any(violation_masks):
+    """The oracle's masks with `always` planted as their OR: the applications
+    that some assignment violates, read as violated by every one."""
+
+    def planted(sset, n):
+        masks = csp._ViolationMasks(violation_masks(sset, n))
+        masks.always = functools.reduce(int.__or__, masks)
+        return masks
+
+    return planted
+
+
+def test_an_oracle_shortcut_fault_fails_the_solver_check(monkeypatch):
+    """The oracle's one-AND shortcut can fail the sweep: with `always` too
+    wide, the oracle calls a satisfiable instance unsatisfiable."""
+    monkeypatch.setattr(csp, "_violation_masks", _always_as_any(csp._violation_masks))
+    failed = [c for c in verify.suite_dichotomy(quick=True).checks if not c.passed]
+    assert [c.name for c in failed] == ["solver-matches-oracle"]
+    assert failed[0].detail == (
+        "subset=0x7 solver=horn(E2) bits=0x20180000; "
+        "subset=0xe solver=horn(E2) bits=0x10002000000; "
+        "subset=0x23 solver=trivial(I0) bits=0x7042000000"
+    )
+
+
 @pytest.fixture
 def cold_tables():
     """Per-bit tables built from this test's views only, and none kept after it."""
