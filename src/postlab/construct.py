@@ -21,7 +21,6 @@ from .circuit import (
     UNBOUNDED,
     Builder,
     Circuit,
-    evaluate,
     input_pattern,
     monotone_violation,
     truth_tables,
@@ -164,12 +163,18 @@ def checkpoint_circuit(bp: LayeredBP, d: int, mode: str = PARITY) -> Circuit:
     b = Builder(bp.n, UNBOUNDED)
     combine = b.xor_ if mode == PARITY else b.or_
 
+    guards: dict[tuple, int] = {}  # one gate per distinct guard, not one per path occurrence
+
     def guard_gate(guard: tuple) -> int:
-        if guard[0] == CONST_GUARD:
-            return b.const(guard[1])
-        _, var, positive = guard
-        g = b.input(var)
-        return g if positive else b.not_(g)
+        got = guards.get(guard)
+        if got is None:
+            if guard[0] == CONST_GUARD:
+                got = b.const(guard[1])
+            else:
+                _, var, positive = guard
+                got = b.input(var) if positive else b.not_(b.input(var))
+            guards[guard] = got
+        return got
 
     adjacency: list[dict[int, list[tuple[int, tuple]]]] = []
     for layer in bp.edges:
@@ -374,9 +379,6 @@ class GraphPropertyCircuit:
         expect = self.vertices * (self.vertices - 1) // 2
         if self.circuit.n != expect:
             raise ValueError(f"circuit must take {expect} edge inputs")
-
-    def value(self, edge_bits: int) -> int:
-        return evaluate(self.circuit, edge_bits) & 1
 
 
 def padded_graph_property(

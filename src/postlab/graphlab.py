@@ -64,27 +64,39 @@ class Graph:
                 adj[a] |= 1 << b
                 adj[b] |= 1 << a
             return adj
-        _, adjacency = _byte_tables(v)
+        _, adjacency, _ = _byte_tables(v)
         packed = 0
         for table, byte in zip(adjacency, self.mask.to_bytes(len(adjacency), "little")):
             packed |= table[byte]
         return list(packed.to_bytes(v, "little"))
 
     def permuted(self, perm: list[int]) -> "Graph":
-        return Graph.from_edges(self.v, ((perm[a], perm[b]) for a, b in _edge_pairs(self)))
+        """The image of each edge (a, b) is (perm[a], perm[b])."""
+        v = self.v
+        if sorted(perm) != list(range(v)):
+            raise ValueError(f"{perm} is not a permutation of range({v})")
+        if v > _TABLE_VERTICES:
+            return Graph.from_edges(v, ((perm[a], perm[b]) for a, b in _edge_pairs(self)))
+        *_, pair_bits = _byte_tables(v)
+        mask = 0
+        for a, b in _edge_pairs(self):
+            mask |= pair_bits[perm[a]][perm[b]]
+        return Graph(v, mask)
 
 
 # Graphs on at most this many vertices (at most 28 pairs, four mask bytes)
 # read their edges and adjacency from per-byte tables, a vertex's neighbours
-# in one byte; larger graphs walk their mask.
+# in one byte, and their permuted edges from a pair-bit table; larger graphs
+# walk their mask.
 _TABLE_VERTICES = 8
 
 
 @lru_cache(maxsize=_TABLE_VERTICES + 1)
-def _byte_tables(v: int) -> tuple[tuple[tuple, ...], tuple[tuple[int, ...], ...]]:
+def _byte_tables(v: int) -> tuple[tuple, tuple, tuple[tuple[int, ...], ...]]:
     """Per byte k of an edge mask on v vertices and per value of that byte:
     its edges in pair order, and their adjacency with vertex u's neighbours
-    in byte u."""
+    in byte u.  Then the pair-bit table: row a, column b holds
+    1 << pair_index(a, b, v), and 0 on the diagonal."""
     pairs = tuple(itertools.combinations(range(v), 2))  # in pair order
     edges, adjacency = [], []
     for k in range(0, len(pairs), 8):
@@ -94,7 +106,8 @@ def _byte_tables(v: int) -> tuple[tuple[tuple, ...], tuple[tuple[int, ...], ...]
         )
         edges.append(table)
         adjacency.append(tuple(sum(1 << 8 * a + b | 1 << 8 * b + a for a, b in e) for e in table))
-    return tuple(edges), tuple(adjacency)
+    pair_bits = tuple(tuple(0 if a == b else 1 << pair_index(a, b, v) for b in range(v)) for a in range(v))
+    return tuple(edges), tuple(adjacency), pair_bits
 
 
 def _edge_pairs(g: Graph) -> tuple[tuple[int, int], ...]:
@@ -102,7 +115,7 @@ def _edge_pairs(g: Graph) -> tuple[tuple[int, int], ...]:
     if g.v > _TABLE_VERTICES:  # one C-level pass over the pairs
         bits = map(int, format(g.mask, "b")[::-1])
         return tuple(itertools.compress(itertools.combinations(range(g.v), 2), bits))
-    edges, _ = _byte_tables(g.v)
+    edges, _, _ = _byte_tables(g.v)
     out: tuple[tuple[int, int], ...] = ()
     for table, byte in zip(edges, g.mask.to_bytes(len(edges), "little")):
         out += table[byte]

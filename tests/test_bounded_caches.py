@@ -26,7 +26,7 @@ CACHES = {
     "csp._relation_violation_segments": (512, "per assignment, the applications it violates"),
     "csp._violation_masks": (8, "the brute-force oracle's masks per (relation set, n)"),
     "csp.fragment_table": (32, "the guarded per-bit table per (relation set, n, clone)"),
-    "graphlab._byte_tables": (9, "the per-byte edge and adjacency tables per vertex count"),
+    "graphlab._byte_tables": (9, "the per-byte edge and adjacency tables and the pair-bit table per vertex count"),
     "reductions._find_cq": (64, "each conjunctive-query definition per (target, target set, CQ budgets)"),
     "reductions._cq_layout": (16, "cq_rewrite's reduction per (relation set, n, definitions)"),
     "reductions._selector_layout": (16, "l2_to_l3_transform's unnamed R' and projection per (relation set, n)"),

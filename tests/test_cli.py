@@ -838,8 +838,10 @@ def test_json_nested_past_the_recursion_limit_exits_2(tmp_path, capsys, argv):
     assert err.count("\n") == 1, err
 
 
-# per reader of an input file: its argv, the file as {}, and a small valid file
+# per reader of an input file: its argv, the file as {}, and a small valid
+# file; {inst} is the instance x0 -> x1, a valid --in beside a corrupted target
 THREE_BITS = json.dumps(dict(INST, set_bits=[0, 4, 9]))
+IMP_INST = json.dumps(CspInstance(RelationSet((IMP2,), "imp"), 2).with_constraint(0, (0, 1)).to_json())
 CORRUPTIBLE = {
     "classify-rels": (["classify", "{}"], "set.rels", Path(HORN3).read_text()),
     "classify-json": (["classify", "{}"], "set.json", json.dumps(relation_set_to_json(hornt_set()))),
@@ -848,6 +850,11 @@ CORRUPTIBLE = {
     "odd-factor": (["oracle", "odd-factor", "--graph", "{}"], "g.txt", "v 4\ne 0 1\ne 1 2\ne 2 3\n"),
     "pad": (["pad", "--in", "{}", "--extra", "1"], "c.json", json.dumps(CIRCUIT)),
     "emit-checkpoint": (["emit", "checkpoint", "--bp", "{}"], "bp.json", json.dumps(BP)),
+    "reduce-negate": (["reduce", "negate", "--in", "{}"], "inst.json", THREE_BITS),
+    # a one-relation target keeps every corrupted one's CQ search small
+    "pol-reduce-target": (
+        ["reduce", "pol-reduce", "--in", "{inst}", "--target", "{}"], "t.rels", "rel imp 2 : 00 01 11\n"
+    ),
 }
 # a substituted byte is never a digit, so only deletions can lengthen a
 # number, by joining two one-digit numbers of a list; in these files that
@@ -887,9 +894,10 @@ def corrupt(data: bytes, edits) -> bytes:
 @given(edits=EDITS)
 def test_a_corrupted_input_file_exits_0_2_or_3(tmp_path, capsys, reader, edits):
     argv, name, text = CORRUPTIBLE[reader]
-    path = tmp_path / name
+    path, inst = tmp_path / name, tmp_path / "imp.json"
     path.write_bytes(corrupt(text.encode(), edits))
-    code, _, err = run(capsys, *(a.format(path) for a in argv))
+    inst.write_text(IMP_INST)
+    code, _, err = run(capsys, *(a.format(path, inst=inst) for a in argv))
     assert code in (0, 2, 3), err
     assert code == 0 or err.count("\n") == 1, err
 

@@ -142,6 +142,24 @@ def test_checkpoint_rejects_bad_args():
         bp_truth_table(bp, "other")
 
 
+# sha256 of the JSON of the 240 circuits that `verify_checkpoint(seed=0,
+# bp_count=40)` sweeps, one line each in build order: the gate order of every
+# checkpoint circuit, guards included, is pinned
+CHECKPOINT_SWEEP_SHA256 = "6615d4f469431934884cc048f5fde098335698222457510a3f776b73e581e2df"
+
+
+def test_checkpoint_sweep_circuits_pinned():
+    rng = random.Random(0)  # the sweep's draws
+    lines = []
+    for _ in range(40):
+        bp = random_layered_bp(rng, rng.randrange(1, 9))
+        for d in (1, 2, 3):
+            for mode in (PARITY, REACH):
+                lines.append(json.dumps(checkpoint_circuit(bp, d, mode).to_json(), sort_keys=True) + "\n")
+    assert len(lines) == 240
+    assert hashlib.sha256("".join(lines).encode()).hexdigest() == CHECKPOINT_SWEEP_SHA256
+
+
 def test_checkpoint_builds_at_the_depth_limit():
     bp = random_layered_bp(random.Random(3), 4)
     c = checkpoint_circuit(bp, MAX_CHECKPOINT_D)
@@ -212,9 +230,9 @@ def test_padded_edge_property_small():
     prop = GraphPropertyCircuit(3, b.build([b.or_([b.input(i) for i in range(3)])]), "edge")
     padded, embed = padded_graph_property(prop, 5)
     for gmask in range(8):
-        assert padded.value(embed.apply(gmask)) == (1 if gmask else 0)
+        assert evaluate(padded.circuit, embed.apply(gmask)) & 1 == (1 if gmask else 0)
     # heavy graphs are accepted outright, whatever the small property says
-    assert padded.value((1 << 10) - 1) == 1
+    assert evaluate(padded.circuit, (1 << 10) - 1) & 1 == 1
 
 
 def test_detect_fragment():
@@ -399,7 +417,7 @@ def test_oddfactor_property_padding_roundtrip():
     table = _oddfactor4_table()
     padded, embed = padded_graph_property(_oddfactor4(), 6)
     for gmask in range(64):
-        assert padded.value(embed.apply(gmask)) == (table >> gmask) & 1
+        assert evaluate(padded.circuit, embed.apply(gmask)) & 1 == (table >> gmask) & 1
 
 
 def _padding_oracle(prop: GraphPropertyCircuit, big_n: int) -> int:

@@ -117,6 +117,36 @@ def test_isomorphism_invariance():
             assert odd_factor_fast(g.permuted(perm)) == want
 
 
+def _mapped(g, perm):
+    return Graph.from_edges(g.v, ((perm[a], perm[b]) for a, b in g.edges))
+
+
+def test_permuted_matches_from_edges():
+    # every graph and permutation up to 4 vertices, through the pair-bit table
+    for v in range(5):
+        for mask in range(1 << v * (v - 1) // 2):
+            g = Graph(v, mask)
+            for perm in itertools.permutations(range(v)):
+                assert g.permuted(list(perm)) == _mapped(g, perm)
+    # random pairs on both sides of the table's vertex limit
+    rng = random.Random(5)
+    for v in range(5, 13):
+        for _ in range(40):
+            g = Graph(v, rng.getrandbits(v * (v - 1) // 2))
+            perm = rng.sample(range(v), v)
+            assert g.permuted(perm) == _mapped(g, perm)
+
+
+@pytest.mark.parametrize("v", [4, 10])
+@pytest.mark.parametrize("bad", ["repeated", "out-of-range", "short"])
+def test_permuted_refuses_a_non_permutation(v, bad):
+    perm = {"repeated": [0] + list(range(1, v - 1)) + [0],
+            "out-of-range": list(range(1, v + 1)),
+            "short": list(range(v - 1))}[bad]
+    with pytest.raises(ValueError, match="is not a permutation"):
+        Graph(v, 0).permuted(perm)
+
+
 def test_bip_odd_factor():
     eye = BipGraph(2, 0b1001)
     assert bip_odd_factor(eye)

@@ -230,6 +230,79 @@ def test_the_reductions_suite_draws_and_reports_as_pinned(monkeypatch, run):
     assert got == REDUCTIONS_SHA256[run]
 
 
+# sha256 over the (name, passed, detail) of every check of suite_constructions
+# and suite_quine: most of these checks state no count when they pass, so a
+# check that grew smaller would otherwise go unseen
+CONSTRUCTIONS_SHA256 = {
+    "quick": "dc7b2ea0b7a0d1f58f0857dc959817974293e44a29041dc6ea7e3a8745aab338",
+    "full": "407375e5e3d88f1dbd2b0934ed42c78e5e3404d3ae1a11c8694d8a0bf795f620",
+}
+
+
+@pytest.mark.parametrize("run", CONSTRUCTIONS_SHA256)
+def test_the_constructions_suite_reports_as_pinned(run):
+    quick = run == "quick"
+    checks = verify.suite_constructions(seed=0, quick=quick).checks + verify.suite_quine(quick).checks
+    reported = "".join(f"{c.name} {c.passed} {c.detail}\n" for c in checks)
+    assert hashlib.sha256(reported.encode()).hexdigest() == CONSTRUCTIONS_SHA256[run]
+
+
+def test_the_constructions_suite_evaluates_every_input_in_one_batch(monkeypatch):
+    lanes = []
+    real = verify.evaluate_many
+
+    def counted(circuit, xs):
+        lanes.append(len(xs))
+        return real(circuit, xs)
+
+    monkeypatch.setattr(verify, "evaluate_many", counted)
+    verify.suite_constructions(seed=0, quick=True)
+    # the extraction check's 704 + 960 inputs at k = 2, 3, the four embedding
+    # checks' 2^3, 2^3, 2^6, 2^6, then the three emitters past 18 inputs at
+    # 200 masks; each of the 200 isomorphism trials is a graph and 50 permutations
+    assert [n for n in lanes if n != 51] == [704, 960, 8, 8, 64, 64, 200, 200, 200]
+    assert lanes.count(51) == 200
+
+
+def _failed(report):
+    return [(c.name, c.detail) for c in report.checks if not c.passed]
+
+
+def test_swapped_extractor_outputs_fail_only_the_extraction_check(monkeypatch):
+    real = construct.induced_subgraph_circuit
+
+    def swapped(n, k, *args):
+        c = real(n, k, *args)
+        if k != 3:
+            return c
+        first, second, *rest = c.outputs
+        return Circuit(c.n, c.gates, (second, first, *rest), c.fanin_mode)
+
+    monkeypatch.setattr(construct, "induced_subgraph_circuit", swapped)
+    # the padded edge-existence property ORs its three extracted bits, so the
+    # swap leaves the padding checks passing
+    assert _failed(verify.suite_constructions(seed=0, quick=True)) == [
+        ("induced-subgraph/extraction-oracle", "k=3 G=0x1 S=0x3")
+    ]
+
+
+def test_a_moved_embedding_target_fails_only_its_embedding_check(monkeypatch):
+    real = construct.padded_graph_property
+
+    def moved(prop, big_n, *args):
+        padded, embedding = real(prop, big_n, *args)
+        if (prop.name, big_n) != ("oddfactor4", 7):
+            return padded, embedding
+        # the planted edge (0, 1) lands on (4, 5), outside the planted copy
+        targets = (1 << graphlab.pair_index(4, 5, big_n),) + embedding.targets[1:]
+        return padded, reductions.BitReduction(embedding.out_len, embedding.ones, targets)
+
+    monkeypatch.setattr(construct, "padded_graph_property", moved)
+    assert _failed(verify.suite_constructions(seed=0, quick=True)) == [
+        ("padding/oddfactor4-N7-embedding", "embed mask=0x3")
+    ]
+
+
 def _without_last_edge(verdicts, v, edges):
     """The verdicts of every subset of edges[:-1], half as many as asked for."""
     return verdicts(v, edges[:-1])
