@@ -8,7 +8,6 @@ under a fixed --seed; POSTLAB_BUDGET overrides enumeration budgets.
 from __future__ import annotations
 
 import argparse
-import hashlib
 import json
 import os
 import sys
@@ -49,8 +48,9 @@ class _Parser(argparse.ArgumentParser):
         raise _CliError(message, status)
 
 
-# the running command's report fields: "inputs", path -> sha256 of the bytes
-# it read, and "outputs", the paths it wrote; main empties both before each command
+# the running command's files: "inputs", path -> the bytes it read (their
+# sha256 goes in a --report), and "outputs", the paths it wrote; main empties
+# both before each command
 _files: dict = {"inputs": {}, "outputs": []}
 
 
@@ -59,7 +59,7 @@ def _load(path: str, parse):
     parse it is a usage error that names the file."""
     try:
         data = Path(path).read_bytes()
-        _files["inputs"][path] = hashlib.sha256(data).hexdigest()
+        _files["inputs"][path] = data
         return parse(data.decode())
     except KeyError as exc:
         raise _CliError(f"{path}: missing field {exc}", EXIT_PARSE)
@@ -99,13 +99,28 @@ def _write_json(path: str | None, obj: dict) -> None:
     _files["outputs"].append(path)
 
 
+def _check_writable(path: str | None) -> None:
+    """Refuse, before the command runs, an output path that is a directory or
+    whose directory is missing; None and '-' are stdout."""
+    if path is None or path == "-":
+        return
+    target = Path(path)
+    if target.is_dir():
+        raise _CliError(f"cannot write {path}: it is a directory", EXIT_PARSE)
+    if not target.parent.is_dir():
+        raise _CliError(f"cannot write {path}: {target.parent} is not a directory", EXIT_PARSE)
+
+
 def _run_report(args, argv: list[str], summary: dict, t0: float) -> None:
     if not args.report:
         return
+    import hashlib  # OpenSSL is loaded only for a report's digests
+
     report = {
         "command": args.command,
         "argv": argv,
-        **_files,
+        "inputs": {path: hashlib.sha256(data).hexdigest() for path, data in _files["inputs"].items()},
+        "outputs": _files["outputs"],
         "summary": summary,
         "seed": args.seed,
         "elapsed_ms": int((time.perf_counter() - t0) * 1000),
@@ -366,6 +381,8 @@ def main(argv: list[str] | None = None) -> int:
     try:
         args = build_parser().parse_args(argv)
         budgets()  # a malformed POSTLAB_BUDGET is a usage error for every command
+        for path in (args.report, getattr(args, "out", None)):
+            _check_writable(path)
         t0 = time.perf_counter()
         code, summary = args.fn(args)
         _run_report(args, argv, summary, t0)

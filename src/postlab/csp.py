@@ -101,13 +101,7 @@ class CspInstance:
 
     @cached_property
     def _layout(self) -> tuple[tuple[int, ...], int]:
-        """(offsets, N): relation r's n**arity applications start at offsets[r]."""
-        offsets = []
-        total = 0
-        for rel in self.sset:
-            offsets.append(total)
-            total += self.n**rel.arity
-        return tuple(offsets), total
+        return _layout(self.sset, self.n)
 
     @property
     def size(self) -> int:
@@ -179,6 +173,17 @@ class CspInstance:
         return "\n".join(lines) + ("\n" if lines else "")
 
 
+@lru_cache(maxsize=64)
+def _layout(sset: RelationSet, n: int) -> tuple[tuple[int, ...], int]:
+    """(offsets, N): relation r's n**arity applications start at offsets[r]."""
+    offsets = []
+    total = 0
+    for rel in sset:
+        offsets.append(total)
+        total += n**rel.arity
+    return tuple(offsets), total
+
+
 _VIOL_FAST_VARS = 10
 
 
@@ -221,12 +226,12 @@ def violation_masks(inst: CspInstance) -> "_ViolationMasks | None":
 
 @lru_cache(maxsize=8)
 def _violation_masks(sset: RelationSet, n: int) -> "_ViolationMasks | None":
-    if CspInstance(sset, n).size > _DENSE_TABLE_BITS:
+    if _layout(sset, n)[1] > _DENSE_TABLE_BITS:
         return None
     if not sset.relations:
         masks = _ViolationMasks((0,) * (1 << n))
     else:
-        # relation r's applications start at CspInstance._layout's offsets[r],
+        # relation r's applications start at _layout's offsets[r],
         # so each mask's digits are the segments of the last relation down to
         # the first
         segments = [_relation_violation_segments(rel, n) for rel in reversed(sset.relations)]

@@ -9,7 +9,6 @@ import random
 import time
 from dataclasses import dataclass, field, replace
 from functools import cache
-from multiprocessing import Pool
 
 from . import clone_lattice, construct, csp, graphlab, reductions
 from .boolfun import (
@@ -143,6 +142,8 @@ def suite_oddfactor(max_vertices: int = 7, jobs: int = 1, quick: bool = False) -
                     (v, lo, min(lo + step, total_masks))
                     for lo in range(0, total_masks, step)
                 ]
+                from multiprocessing import Pool  # loaded only for a pool
+
                 with Pool(jobs) as pool:
                     results = pool.map(_oddfactor_chunk, ranges)
                 checked = sum(r[0] for r in results)

@@ -19,6 +19,7 @@ CACHES = {
     "clone_lattice._pol_mask": (32, "Pol(S) as one clone mask per (relation set, preserves limit)"),
     "clone_lattice.ensure_catalog_valid": (None, "the catalog check; it takes no arguments"),
     "csp._affine_rows": (512, "the parity checks a relation satisfies"),
+    "csp._layout": (64, "each relation's first application index and the application count per (relation set, n)"),
     "csp._prime_clauses": (2048, "the prime implicates per (relation, repeat pattern)"),
     "csp._relation_block": (
         64, "one view of each application and the mask of those that refute alone, per (view, relation, n)"

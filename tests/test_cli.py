@@ -2,8 +2,10 @@
 
 import hashlib
 import json
+import multiprocessing
 import os
 import random
+import subprocess
 import sys
 import time
 from pathlib import Path
@@ -12,7 +14,8 @@ import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
-from postlab import csp, graphlab, verify
+import postlab
+from postlab import cli, csp, graphlab, verify
 from postlab.boolfun import (
     EQ2,
     IMP2,
@@ -399,6 +402,35 @@ def test_run_report_digests_the_bytes_read_before_out_overwrites_them(tmp_path, 
     assert hashlib.sha256(path.read_bytes()).hexdigest() != read
     obj = json.loads(report.read_text())
     assert (obj["inputs"], obj["outputs"]) == ({str(path): read}, [str(path)])
+
+
+# argv -> the output path it names, as {} in a scratch directory: each path
+# is a directory or has no directory to go in, so writing it would fail
+UNWRITABLE = {
+    "report-directory": (["--report", "{}", "verify", "quine", "--quick"], "."),
+    "report-missing-parent": (["--report", "{}", "verify", "quine", "--quick"], "missing/r.json"),
+    "report-under-a-file": (["--report", "{}", "verify", "quine", "--quick"], "file/r.json"),
+    "emit-out-directory": (["emit", "threshold", "--k", "2", "--n", "4", "--out", "{}"], "."),
+    "reduce-out-missing-parent": (["reduce", "negate", "--in", "{inst}", "--out", "{}"], "missing/o.json"),
+    "pad-out-directory": (["pad", "--in", "{circuit}", "--extra", "1", "--out", "{}"], "."),
+}
+
+
+@pytest.mark.parametrize("argv, name", UNWRITABLE.values(), ids=UNWRITABLE.keys())
+def test_an_unwritable_output_path_exits_2_before_the_command_runs(tmp_path, capsys, monkeypatch, argv, name):
+    def reached(args):
+        raise AssertionError(f"{args.command} ran")
+
+    for command in ("cmd_verify", "cmd_emit", "cmd_reduce", "cmd_pad"):
+        monkeypatch.setattr(cli, command, reached)
+    inst, circuit = tmp_path / "inst.json", tmp_path / "c.json"
+    inst.write_text(json.dumps(INST))
+    circuit.write_text(json.dumps(CIRCUIT))
+    (tmp_path / "file").write_text("")
+    path = str(tmp_path / name)
+    code, out, err = run(capsys, *(a.format(path, inst=inst, circuit=circuit) for a in argv))
+    assert (code, out) == (2, ""), err
+    assert err.startswith(f"error: cannot write {path}: ") and err.count("\n") == 1, err
 
 
 def test_successive_runs_keep_their_reports_apart(tmp_path, capsys):
@@ -851,6 +883,10 @@ CORRUPTIBLE = {
     "pad": (["pad", "--in", "{}", "--extra", "1"], "c.json", json.dumps(CIRCUIT)),
     "emit-checkpoint": (["emit", "checkpoint", "--bp", "{}"], "bp.json", json.dumps(BP)),
     "reduce-negate": (["reduce", "negate", "--in", "{}"], "inst.json", THREE_BITS),
+    # n = 2: no corrupted n reaches the n = 4 build
+    "reduce-bip-oddfactor": (
+        ["reduce", "bip-oddfactor", "--in", "{}"], "bip.json", json.dumps({"n": 2, "mask": 5})
+    ),
     # a one-relation target keeps every corrupted one's CQ search small
     "pol-reduce-target": (
         ["reduce", "pol-reduce", "--in", "{inst}", "--target", "{}"], "t.rels", "rel imp 2 : 00 01 11\n"
@@ -918,11 +954,32 @@ def test_oddfactor_pool_never_outnumbers_cpus(monkeypatch):
         def map(self, fn, ranges):
             return [(hi - lo, []) for _, lo, hi in ranges]
 
-    monkeypatch.setattr(verify, "Pool", CountingPool)
+    monkeypatch.setattr(multiprocessing, "Pool", CountingPool)
     monkeypatch.setattr(verify.os, "cpu_count", lambda: 2)
     report = verify.suite_oddfactor(max_vertices=7, jobs=100_000)
     assert sizes == [2]  # only v = 7 has enough graphs to pool
     assert report.checks[6].detail == f"{1 << 21} graphs"
+
+
+def test_runs_without_report_or_pool_load_neither_openssl_nor_multiprocessing():
+    # one fresh interpreter: hashlib loads OpenSSL, and multiprocessing loads
+    # socket, pickle and selectors, a fixed cost of every sweep's start
+    code = """
+import sys
+import postlab.cli
+from postlab import clone_lattice
+clone_lattice.ensure_catalog_valid()
+for argv in (["classify", sys.argv[1]], ["verify", "quine", "--quick"]):
+    assert postlab.cli.main(argv) == 0, argv
+print(sorted({"hashlib", "_hashlib", "multiprocessing", "socket"} & sys.modules.keys()))
+"""
+    env = dict(os.environ, PYTHONPATH=str(Path(postlab.__file__).parents[1]))
+    env.pop("POSTLAB_BUDGET", None)
+    proc = subprocess.run(
+        [sys.executable, "-c", code, HORN3], env=env, capture_output=True, text=True, timeout=120
+    )
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.splitlines()[-1] == "[]"
 
 
 def test_oddfactor_sweep_above_the_oracle_budget_exits_3_before_any_graph(monkeypatch, capsys):
