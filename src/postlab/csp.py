@@ -203,41 +203,70 @@ def _relation_violation_segments(rel: Relation, n: int) -> tuple[str, ...]:
     return tuple("".join(col)[::-1] for col in zip(*rows))[::-1]
 
 
-class _ViolationMasks(tuple):
-    """Entry a is the mask of the applications that assignment a violates;
-    `always` is their AND, the applications that every assignment violates."""
+@lru_cache(maxsize=512)
+def _relation_lanes(rel: Relation, n: int, width: int) -> tuple[int, int]:
+    """(word, AND): rel's per-assignment masks as the lanes of one word,
+    assignment a's at byte a * width, and their AND."""
+    masks = [int(digits, 2) for digits in _relation_violation_segments(rel, n)]
+    word = int.from_bytes(b"".join(m.to_bytes(width, "little") for m in masks), "little")
+    return word, reduce(int.__and__, masks)
 
-    always: int
+
+class _ViolationMasks:
+    """The 2**n per-assignment masks side by side in one int, `lanes`: lane a
+    starts at byte a * width, width = N // 8 + 1, and holds the applications
+    that assignment a violates; its bit N, the guard, is clear.  `fill` holds
+    2**N - 1 and `guards` bit N in every lane.  `always` is the lanes' AND,
+    the applications that every assignment violates."""
+
+    __slots__ = ("count", "width", "full", "lanes", "always", "fill", "guards")
+
+    def __init__(self, n: int, size: int, lanes: int, always: int):
+        self.count, self.width, self.full = 1 << n, size // 8 + 1, (1 << size) - 1
+        self.lanes, self.always = lanes, always
+        self.fill, self.guards = self._spread(self.full), self._spread(1 << size)
+
+    def _spread(self, word: int) -> int:
+        """word, below 2**(8 * width), copied into every lane."""
+        return int.from_bytes(word.to_bytes(self.width, "little") * self.count, "little")
+
+    def __iter__(self) -> Iterator[int]:
+        """The per-assignment masks, in assignment order."""
+        data, width = self.lanes.to_bytes(self.width * self.count, "little"), self.width
+        return (int.from_bytes(data[i : i + width], "little") for i in range(0, len(data), width))
 
     def satisfiable(self, bits: int) -> bool:
         """Whether some assignment satisfies the instance with these bits: no
-        bit is always violated, and some assignment's mask misses them all."""
-        return not bits & self.always and 0 in map(bits.__and__, self)
+        bit is always violated, and some lane misses them all.  With bits
+        copied into every lane, adding `fill` sets exactly the guards of the
+        lanes that meet them."""
+        if bits & self.always:
+            return False
+        return ((self.lanes & self._spread(bits & self.full)) + self.fill) & self.guards != self.guards
 
 
 def violation_masks(inst: CspInstance) -> "_ViolationMasks | None":
-    """Per-assignment masks over all N applications; the instance is
-    satisfiable iff some assignment mask misses all set bits.  They depend
-    only on (relation set, n), and are built once for each; above
-    _DENSE_TABLE_BITS applications they are not built (None), since 2**n
-    masks of N bits cost more than the solution tables of one instance."""
+    """Per-assignment masks over all N applications, as the lanes of one
+    word; the instance is satisfiable iff some mask misses all set bits.
+    They depend only on (relation set, n) and are built once for each, from
+    each relation's cached lane word; above _DENSE_TABLE_BITS applications
+    they are not built (None), since 2**n masks of N bits cost more than the
+    solution tables of one instance.  `satisfiable` reads every lane: about
+    1.5 ms at n = 10 and N near 2**12, under 1 us at n = 4."""
     return _violation_masks(inst.sset, inst.n)
 
 
 @lru_cache(maxsize=8)
 def _violation_masks(sset: RelationSet, n: int) -> "_ViolationMasks | None":
-    if _layout(sset, n)[1] > _DENSE_TABLE_BITS:
+    offsets, size = _layout(sset, n)
+    if size > _DENSE_TABLE_BITS:
         return None
-    if not sset.relations:
-        masks = _ViolationMasks((0,) * (1 << n))
-    else:
-        # relation r's applications start at _layout's offsets[r],
-        # so each mask's digits are the segments of the last relation down to
-        # the first
-        segments = [_relation_violation_segments(rel, n) for rel in reversed(sset.relations)]
-        masks = _ViolationMasks(int("".join(digits), 2) for digits in zip(*segments))
-    masks.always = reduce(int.__and__, masks)
-    return masks
+    lanes = always = 0
+    for rel, offset in zip(sset.relations, offsets):
+        word, every = _relation_lanes(rel, n, size // 8 + 1)
+        lanes |= word << offset
+        always |= every << offset
+    return _ViolationMasks(n, size, lanes, always)
 
 
 def satisfiable_brute(inst: CspInstance) -> bool:

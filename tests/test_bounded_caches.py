@@ -24,6 +24,9 @@ CACHES = {
     "csp._relation_block": (
         64, "one view of each application and the mask of those that refute alone, per (view, relation, n)"
     ),
+    "csp._relation_lanes": (
+        512, "a relation's per-assignment masks as the lanes of one word, and their AND, per (relation, n, lane width)"
+    ),
     "csp._relation_violation_segments": (512, "per assignment, the applications it violates"),
     "csp._violation_masks": (8, "the brute-force oracle's masks per (relation set, n)"),
     "csp.fragment_table": (32, "the guarded per-bit table per (relation set, n, clone)"),

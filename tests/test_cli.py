@@ -338,6 +338,37 @@ def test_oracle_csp_sat_on_a_wide_relation_skips_the_masks(tmp_path, capsys, mon
     assert code == 0 and out.strip() == "SAT"
 
 
+def test_oracle_csp_sat_builds_the_lanes_of_a_dense_n10_instance_in_linear_time(tmp_path, capsys, monkeypatch):
+    """Three ternary, ten binary and nine unary relations at n = 10 give N = 4,090
+    applications, just under the size limit, so the oracle builds its lane
+    word: 1,024 lanes of 512 bytes.  From cold caches the call takes well
+    under a second.  With the per-relation segments warm, the call takes a
+    few tens of milliseconds, one join per relation's lane word; summing
+    1,024 shifted ints per relation instead is quadratic in the word and took
+    about 0.5 s."""
+    rng = random.Random(43)
+    rels = [Relation(3, rng.getrandbits(8) | 1, f"t{i}") for i in range(3)]
+    rels += [Relation(2, rng.getrandbits(4) | 1, f"b{i}") for i in range(10)]
+    rels += [Relation(1, 0b10, f"u{i}") for i in range(9)]
+    inst = CspInstance(RelationSet(tuple(rels)), 10, sum(1 << rng.randrange(4090) for _ in range(6)))
+    assert inst.size == 4090 and inst.size <= csp._DENSE_TABLE_BITS
+    with monkeypatch.context() as m:
+        m.setattr(csp, "_VIOL_FAST_VARS", 0)  # the solution tables only
+        want = "SAT" if csp.satisfiable_brute(inst) else "UNSAT"
+    path = tmp_path / "dense.json"
+    path.write_text(json.dumps(inst.to_json()))
+    for cache in (csp._violation_masks, csp._relation_lanes, csp._relation_violation_segments):
+        cache.cache_clear()
+    for bound in (1.0, 0.2):
+        start = time.perf_counter()
+        code, out, _ = run(capsys, "oracle", "csp-sat", "--in", str(path))
+        assert time.perf_counter() - start < bound
+        assert code == 0 and out.strip() == want
+        assert csp._violation_masks.cache_info().currsize == 1
+        csp._violation_masks.cache_clear()
+        csp._relation_lanes.cache_clear()
+
+
 def test_verify_quick_quine(capsys):
     code, out, _ = run(capsys, "verify", "quine", "--quick")
     assert code == 0

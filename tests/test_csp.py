@@ -106,7 +106,7 @@ def test_violation_masks_per_assignment():
     for sset in (hornt_set(), twosat_set(), RelationSet((EQ2, Relation(3, rng.getrandbits(8))))):
         for n in (1, 2, 3):
             inst = CspInstance(sset, n)
-            masks = violation_masks(inst)
+            masks = tuple(violation_masks(inst))
             for a in range(1 << n):
                 for j in range(inst.size):
                     r, variables = inst.decode(j)
@@ -138,7 +138,8 @@ def test_violation_masks_are_built_once_per_set_and_n(monkeypatch):
             assert violation_masks(CspInstance(sset, n, 1)) is cached
             csp._violation_masks.cache_clear()
             fresh = violation_masks(CspInstance(sset, n))
-            assert fresh == cached and fresh is not cached, (sset.name, n)
+            assert fresh is not cached, (sset.name, n)
+            assert (tuple(fresh), fresh.always) == (tuple(cached), cached.always), (sset.name, n)
 
 
 def _quick_sweep_sets():
@@ -147,6 +148,19 @@ def _quick_sweep_sets():
     binary = [Relation(2, mask, f"b{mask}") for mask in range(16)]
     for subset in range(0, 1 << 16, 7):
         yield RelationSet(tuple(binary[i] for i in range(16) if (subset >> i) & 1))
+
+
+def test_the_quick_sweep_builds_each_lane_word_once():
+    """A quick-sweep set of k binary relations has N = 16k applications at
+    n = 4, so its lanes are 2k + 1 bytes wide, and each relation's lane word
+    is keyed by (relation, 4, 2k + 1): 208 keys occur (256 in the full
+    sweep), and `_relation_lanes` keeps them all, so none is built twice."""
+    csp._violation_masks.cache_clear()
+    csp._relation_lanes.cache_clear()
+    for sset in _quick_sweep_sets():
+        violation_masks(CspInstance(sset, 4))
+    info = csp._relation_lanes.cache_info()
+    assert info.misses == info.currsize == 208 and info.maxsize >= 256
 
 
 def test_always_violated_is_the_clause_view_refuting_mask():
@@ -824,6 +838,54 @@ def test_satisfiable_is_the_per_assignment_loop(drawn):
     sset, n, bits = drawn
     masks = violation_masks(CspInstance(sset, n))
     assert masks.satisfiable(bits) is (0 in map(bits.__and__, masks))
+
+
+def _lane_cases():
+    """(sset, n) at the lane-width edges N = 0, 7, 8, 15, 16 and 4,096 (n = 8),
+    and a set at each n from 1 to 10."""
+    rng = random.Random(43)
+
+    def rels(*arities):
+        return RelationSet(tuple(Relation(k, rng.getrandbits(1 << k)) for k in arities))
+
+    cases = [(RelationSet(()), 1), (RelationSet(()), 4), (rels(1), 7), (rels(*[1] * 7), 1)]
+    cases += [(rels(1), 8), (rels(3), 2), (rels(2, 1, 1), 3), (rels(2), 4), (rels(4), 2), (rels(4), 8)]
+    return cases + [(rels(3, 1), n) for n in range(1, 11)]
+
+
+def _tables_satisfiable(sset, n, bits):
+    """Whether the constraints' solution tables share a solution."""
+    solutions = (1 << (1 << n)) - 1
+    for r, variables in CspInstance(sset, n, bits).iter_constraints():
+        solutions &= solution_table(sset[r], variables, n)
+    return solutions != 0
+
+
+def test_satisfiable_lanes_match_the_loop_and_the_solution_tables():
+    """The word test of `satisfiable` answers as the per-assignment loop and
+    as the solution tables do, at the lane-width edges and for every n up to
+    10, with stray bits above N: at the guard, at the top of the lane, in the
+    next lane and far above it."""
+    rng = random.Random(43)
+    sizes, kernel_outcomes = set(), set()
+    for sset, n in _lane_cases():
+        inst = CspInstance(sset, n)
+        masks, size, full = violation_masks(inst), inst.size, (1 << inst.size) - 1
+        sizes.add(size)
+        assert masks.width == size // 8 + 1 and masks.lanes & masks.guards == 0, (sset, n)
+        per_assignment = tuple(masks)
+        assert len(per_assignment) == 1 << n
+        draws = [0, full] + [rng.getrandbits(size) for _ in range(2)]
+        draws += [full & ~masks.always & rng.getrandbits(size) & rng.getrandbits(size) for _ in range(4)]
+        draws += [sum({1 << rng.randrange(size) for _ in range(3)}) if size else 0 for _ in range(2)]
+        for bits in draws:
+            want = _tables_satisfiable(sset, n, bits)
+            if not bits & masks.always:
+                kernel_outcomes.add(want)
+            for stray in (0, 1 << size, 1 << (8 * masks.width - 1), 1 << 8 * masks.width, 1 << (size + 100)):
+                assert masks.satisfiable(bits | stray) is want, (sset, n, hex(bits), stray.bit_length())
+                assert (0 in map((bits | stray).__and__, per_assignment)) is want, (sset, n, hex(bits))
+    assert {0, 7, 8, 15, 16, 4096} <= sizes and kernel_outcomes == {True, False}
 
 
 @st.composite

@@ -2,6 +2,7 @@
 witness as a per-mask loop over `evaluate_ref` does, and a planted fault gives
 FAIL lines instead of ending the run."""
 
+import copy
 import functools
 import hashlib
 import inspect
@@ -379,22 +380,25 @@ DICHOTOMY_FAULTS = [
 ]
 
 
-def _always_as_any(violation_masks):
-    """The oracle's masks with `always` planted as their OR: the applications
-    that some assignment violates, read as violated by every one."""
+def _planted_masks(violation_masks, name, fault):
+    """The oracle's masks with their attribute `name` replaced by
+    fault(masks), on a copy: the cached masks stay whole."""
 
     def planted(sset, n):
-        masks = csp._ViolationMasks(violation_masks(sset, n))
-        masks.always = functools.reduce(int.__or__, masks)
+        masks = copy.copy(violation_masks(sset, n))
+        setattr(masks, name, fault(masks))
         return masks
 
     return planted
 
 
 def test_an_oracle_shortcut_fault_fails_the_solver_check(monkeypatch):
-    """The oracle's one-AND shortcut can fail the sweep: with `always` too
-    wide, the oracle calls a satisfiable instance unsatisfiable."""
-    monkeypatch.setattr(csp, "_violation_masks", _always_as_any(csp._violation_masks))
+    """The oracle's one-AND shortcut can fail the sweep: with `always`
+    planted as the OR of the masks, the applications that some assignment
+    violates read as violated by every one, and the oracle calls a
+    satisfiable instance unsatisfiable."""
+    wide = _planted_masks(csp._violation_masks, "always", lambda masks: functools.reduce(int.__or__, masks))
+    monkeypatch.setattr(csp, "_violation_masks", wide)
     failed = [c for c in verify.suite_dichotomy(quick=True).checks if not c.passed]
     assert [c.name for c in failed] == ["solver-matches-oracle"]
     assert failed[0].detail == (
@@ -402,6 +406,37 @@ def test_an_oracle_shortcut_fault_fails_the_solver_check(monkeypatch):
         "subset=0xe solver=horn(E2) bits=0x10002000000; "
         "subset=0x23 solver=trivial(I0) bits=0x7042000000"
     )
+
+
+LANE_FAULTS = [
+    # 2**N - 2 per lane: a lane that meets the bits only in application 0 reads as missing them
+    (
+        "fill",
+        lambda masks: masks.fill - masks._spread(1),
+        "subset=0x460 solver=2sat(D2) bits=0x45060080001; "
+        "subset=0x620 solver=horn(E2) bits=0x21000200081; "
+        "subset=0xce8 solver=2sat(D2) bits=0x170000010406400002000001",
+    ),
+    # bit N - 1 of each lane: a lane that misses the bits reads as meeting them
+    (
+        "guards",
+        lambda masks: masks.guards >> 1,
+        "subset=0xe solver=horn(E2) bits=0x301408c2244; "
+        "subset=0x1c solver=horn(E2) bits=0x8600210; "
+        "subset=0x31 solver=horn(E2) bits=0x8140820000",
+    ),
+]
+
+
+@pytest.mark.parametrize("name, fault, detail", LANE_FAULTS)
+def test_a_lane_kernel_fault_fails_the_solver_check(monkeypatch, name, fault, detail):
+    """A near miss in the word test of `satisfiable`, `fill` or `guards`
+    replaced by fault(masks), fails exactly the oracle comparison of
+    criterion 2's sweep."""
+    monkeypatch.setattr(csp, "_violation_masks", _planted_masks(csp._violation_masks, name, fault))
+    failed = [c for c in verify.suite_dichotomy(quick=True).checks if not c.passed]
+    assert [c.name for c in failed] == ["solver-matches-oracle"]
+    assert failed[0].detail == detail
 
 
 @pytest.fixture
