@@ -347,11 +347,19 @@ class Dnf:
         )
         return cls(nvars, tuple(ordered))
 
-    def evaluate(self, x: int) -> bool:
-        return any((x & pos) == pos and (x & neg) == 0 for pos, neg in self.terms)
-
     def truth_table(self) -> int:
-        return sum(1 << x for x in range(1 << self.nvars) if self.evaluate(x))
+        """The OR over terms of the AND of their literals' truth tables, read
+        off the flip table: x_j = 0 is `zero`, x_j = 1 its complement."""
+        out, full, flips = 0, (1 << (1 << self.nvars)) - 1, flip_masks(self.nvars)
+        for pos, neg in self.terms:
+            term = 0 if pos >> self.nvars else full  # x_j for j >= nvars is 0
+            for j, (_, zero) in enumerate(flips):
+                if pos >> j & 1:
+                    term &= ~zero
+                if neg >> j & 1:
+                    term &= zero
+            out |= term
+        return out
 
     def has_negative_literals(self) -> bool:
         return any(neg for _, neg in self.terms)
@@ -393,6 +401,36 @@ def flip_masks(nvars: int) -> tuple[tuple[int, int], ...]:
     return tuple((1 << j, input_pattern(j, nvars) >> (1 << j)) for j in range(nvars))
 
 
+def monotone_tables(nvars: int) -> list[int]:
+    """Every monotone truth table over 0 <= nvars <= 4 variables, ascending,
+    found by testing all 2**2**nvars tables in blocks of at most 4,096: lane
+    i of a block's word (max(8, 2**nvars) bits) holds table start + i, and
+    monotone_violation's `t & ~(t >> shift) & zero`, with `zero` in every
+    lane, leaves the lanes of exactly the monotone tables 0."""
+    if not 0 <= nvars <= 4:
+        raise ValueError(f"monotone_tables takes 0 <= nvars <= 4, not {nvars}")
+    bits, count = max(8, 1 << nvars), 1 << (1 << nvars)
+    ramp, ones, lanes = 0, 1, 1  # lane i of ramp holds i, and of ones 1
+    while lanes < min(count, 4096):
+        ramp |= (ramp + lanes * ones) << (bits * lanes)
+        ones |= ones << (bits * lanes)
+        lanes *= 2
+    flips = [(shift, zero * ones) for shift, zero in flip_masks(nvars)]
+    found = []
+    for start in range(0, count, lanes):
+        word, bad = ramp + start * ones, 0
+        for shift, zeros in flips:
+            bad |= word & ~(word >> shift) & zeros
+        for k in reversed(range(bits.bit_length() - 1)):  # OR each lane down into its bit 0
+            bad |= bad >> (1 << k)
+        good = ones & ~bad
+        while good:
+            low = good & -good
+            found.append(start + (low.bit_length() - 1) // bits)
+            good ^= low
+    return found
+
+
 def _require_monotone(nvars: int, table: int, what: str) -> None:
     """MonotonePreconditionError with a violating input pair unless f is monotone."""
     bad = monotone_violation(nvars, table)
@@ -414,18 +452,16 @@ def quine_strip(d: Dnf) -> Dnf:
 
 
 def _minimal_ones(nvars: int, table: int) -> Iterator[int]:
-    """The 1-inputs of table with no 1-input strictly below them bitwise."""
-    for x in range(1 << nvars):
-        if not (table >> x) & 1:
-            continue
-        m = x
-        while m:
-            low = m & -m
-            if (table >> (x ^ low)) & 1:
-                break
-            m ^= low
-        else:
-            yield x
+    """The 1-inputs of table, lowest first, with no 1-input one bit below
+    them (x with one set bit cleared); for a monotone table these are its
+    minimal 1-inputs.  Each flip moves the 1-inputs with x_j = 0 up by 2**j."""
+    rest = table & ((1 << (1 << nvars)) - 1)
+    for shift, zero in flip_masks(nvars):
+        rest &= ~((table & zero) << shift)
+    while rest:
+        low = rest & -rest
+        yield low.bit_length() - 1
+        rest ^= low
 
 
 def minterm_dnf(nvars: int, table: int) -> Dnf:
@@ -443,8 +479,9 @@ def monotone_table_to_circuit(nvars: int, table: int) -> Circuit:
 
 
 def count_minterms(nvars: int, table: int) -> int:
-    """Number of minimal 1-inputs under the bitwise order."""
-    return sum(1 for _ in _minimal_ones(nvars, table))
+    """Number of minimal 1-inputs of a monotone function under the bitwise
+    order, minterm_dnf's terms; MonotonePreconditionError otherwise."""
+    return len(minterm_dnf(nvars, table).terms)
 
 
 # Decision-tree 1-path DNFs.

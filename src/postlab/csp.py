@@ -262,8 +262,11 @@ def _violation_masks(sset: RelationSet, n: int) -> "_ViolationMasks | None":
     if size > _DENSE_TABLE_BITS:
         return None
     lanes = always = 0
+    width = size // 8 + 1
+    # a lane word of more than 2**16 bytes is built per call, not kept
+    lanes_of = _relation_lanes if width << n <= 1 << 16 else _relation_lanes.__wrapped__
     for rel, offset in zip(sset.relations, offsets):
-        word, every = _relation_lanes(rel, n, size // 8 + 1)
+        word, every = lanes_of(rel, n, width)
         lanes |= word << offset
         always |= every << offset
     return _ViolationMasks(n, size, lanes, always)

@@ -25,7 +25,9 @@ CACHES = {
         64, "one view of each application and the mask of those that refute alone, per (view, relation, n)"
     ),
     "csp._relation_lanes": (
-        512, "a relation's per-assignment masks as the lanes of one word, and their AND, per (relation, n, lane width)"
+        512,
+        "a relation's per-assignment masks as the lanes of one word, and their AND, per (relation, n, lane width),"
+        " for words of at most 2**16 bytes",
     ),
     "csp._relation_violation_segments": (512, "per assignment, the applications it violates"),
     "csp._violation_masks": (8, "the brute-force oracle's masks per (relation set, n)"),

@@ -9,6 +9,7 @@ from postlab.circuit import (
     Builder,
     Circuit,
     Dnf,
+    _minimal_ones,
     build_decision_tree,
     count_minterms,
     evaluate,
@@ -18,6 +19,7 @@ from postlab.circuit import (
     measures,
     minterm_dnf,
     monotone_table_to_circuit,
+    monotone_tables,
     monotone_violation,
     quine_strip,
     substitute,
@@ -134,6 +136,19 @@ def test_monotone_violation_witness_matches_the_loop():
         assert monotone_violation(nvars, table) == _monotone_violation_loop(nvars, table)
 
 
+def test_monotone_tables_is_the_per_table_census():
+    """Dedekind's numbers 2, 3, 6, 20 and 168 at nvars 0..4, found by the
+    lane census exactly as by monotone_violation on every table."""
+    for nvars, count in enumerate([2, 3, 6, 20, 168]):
+        want = [t for t in range(2 ** 2**nvars) if monotone_violation(nvars, t) is None]
+        got = monotone_tables(nvars)
+        assert got == want and len(got) == count
+        assert got == sorted(set(got))
+    for nvars in (5, -1):
+        with pytest.raises(ValueError):
+            monotone_tables(nvars)
+
+
 def test_measures_balanced_tree():
     b = Builder(8, BOUNDED2)
     c = b.build([b.and_([b.input(i) for i in range(8)])])
@@ -179,7 +194,8 @@ def test_quine_strip_rejects_parity_with_witness():
     with pytest.raises(MonotonePreconditionError) as err:
         quine_strip(d)
     lo, hi = err.value.lo, err.value.hi
-    assert lo | hi == hi and d.evaluate(lo) and not d.evaluate(hi)
+    table = d.truth_table()
+    assert lo | hi == hi and (table >> lo) & 1 and not (table >> hi) & 1
 
 
 def test_decision_tree_single_variable():
@@ -218,6 +234,69 @@ def test_count_minterms():
     assert count_minterms(4, 1 << 15) == 1  # AND of four variables
     assert count_minterms(3, 0) == 0
     assert count_minterms(2, 0b1111) == 1  # constant one: the empty input
+
+
+def test_count_minterms_rejects_a_non_monotone_table():
+    """f(00) = 1 lies below f(11) = 1, so 0b1001 has one minimal 1-input, not
+    the two that a one-bit-predecessor count reports; like minterm_dnf,
+    count_minterms refuses the table with the violating pair."""
+    with pytest.raises(MonotonePreconditionError) as exc:
+        count_minterms(2, 0b1001)
+    assert (exc.value.lo, exc.value.hi) == (0, 1)
+    with pytest.raises(MonotonePreconditionError):
+        minterm_dnf(2, 0b1001)
+
+
+def _truth_table_loop(d):
+    """The inputs x that satisfy some term: every positive literal set, every
+    negative one clear."""
+    return sum(
+        1 << x for x in range(1 << d.nvars) if any(x & pos == pos and not x & neg for pos, neg in d.terms)
+    )
+
+
+def test_dnf_truth_table_is_the_per_input_loop():
+    rng = random.Random(44)
+    for nvars in range(7):
+        top = 1 << nvars
+        dnfs = [
+            Dnf(nvars, ()),
+            Dnf(nvars, ((0, 0),)),  # the constant-true term
+            Dnf(nvars, ((1, 1), (top - 1, top >> 1))),  # contradictory: pos & neg
+            Dnf(nvars, ((top, 0), (0, top))),  # x_nvars is 0: accepts nothing, then everything
+            Dnf(nvars, ((top | 1, 0),)),
+        ]
+        for _ in range(60):
+            terms = [(rng.getrandbits(nvars), rng.getrandbits(nvars)) for _ in range(rng.randrange(6))]
+            dnfs += [Dnf.make(nvars, terms), Dnf(nvars, tuple(terms))]
+        for d in dnfs:
+            assert d.truth_table() == _truth_table_loop(d), d
+
+
+def _minimal_ones_loop(nvars, table):
+    """The 1-inputs x of table with no 1-input at x with one set bit cleared."""
+    for x in range(1 << nvars):
+        if not (table >> x) & 1:
+            continue
+        m = x
+        while m:
+            low = m & -m
+            if (table >> (x ^ low)) & 1:
+                break
+            m ^= low
+        else:
+            yield x
+
+
+def test_minimal_ones_is_the_one_bit_predecessor_loop():
+    for nvars in range(5):
+        for table in range(2 ** 2**nvars):
+            assert list(_minimal_ones(nvars, table)) == list(_minimal_ones_loop(nvars, table))
+    # bits above the 2**nvars inputs are no inputs
+    for nvars in range(4):
+        for table in range(2 ** 2**nvars):
+            stray = table | 0b1011 << (1 << nvars)
+            assert list(_minimal_ones(nvars, stray)) == list(_minimal_ones_loop(nvars, table))
 
 
 def test_monotone_table_to_circuit():

@@ -163,6 +163,25 @@ def test_the_quick_sweep_builds_each_lane_word_once():
     assert info.misses == info.currsize == 208 and info.maxsize >= 256
 
 
+def test_a_dense_n10_set_adds_no_lane_word_to_the_cache(monkeypatch):
+    """A lane word of more than 2**16 bytes is built per call from the cached
+    segments, not kept: one ternary relation at n = 10 has N = 1,000
+    applications, so its word is 1,024 lanes of 126 bytes (129 KB).  The
+    masks built that way answer as the constraints' solution tables do."""
+    csp._violation_masks.cache_clear()
+    csp._relation_lanes.cache_clear()
+    sset = RelationSet((Relation(3, 0b01111110, "nae"),))  # not all equal
+    masks = violation_masks(CspInstance(sset, 10))
+    assert csp._relation_lanes.cache_info().currsize == 0
+    assert len(csp._relation_violation_segments(sset[0], 10)) == 1 << 10
+    rng = random.Random(44)
+    draws = [sum(1 << rng.randrange(1000) for _ in range(k)) for k in (1, 2, 4, 8, 16, 32) for _ in range(3)]
+    monkeypatch.setattr(csp, "_VIOL_FAST_VARS", 0)  # the solution tables only
+    for bits in draws:
+        assert masks.satisfiable(bits) is satisfiable_brute(CspInstance(sset, 10, bits)), hex(bits)
+    assert len({masks.satisfiable(bits) for bits in draws}) == 2
+
+
 def test_always_violated_is_the_clause_view_refuting_mask():
     """The oracle's `always` (the AND of its masks) and the solvers' `refuting`
     (the applications whose prime clauses hold the empty clause) are two

@@ -8,10 +8,11 @@ import hashlib
 import inspect
 import itertools
 import random
+import textwrap
 
 import pytest
 
-from postlab import boolfun, cli, clone_lattice, construct, csp, graphlab, reductions, verify
+from postlab import boolfun, circuit, cli, clone_lattice, construct, csp, graphlab, reductions, verify
 from postlab.circuit import AND, INPUT, OR, Circuit, evaluate_ref
 from postlab.csp import CspInstance, twosat_set, violation_masks
 from postlab.errors import BudgetExceededError
@@ -302,6 +303,36 @@ def test_a_moved_embedding_target_fails_only_its_embedding_check(monkeypatch):
     assert _failed(verify.suite_constructions(seed=0, quick=True)) == [
         ("padding/oddfactor4-N7-embedding", "embed mask=0x3")
     ]
+
+
+# Census faults, each a one-token edit of circuit.monotone_tables: the
+# flip loop without the last variable, which lets through the tables that
+# fall as x_3 rises, and lanes one byte short, which carry each 16-bit table
+# into its neighbour.  The census check tests every table it is given with
+# monotone_violation, so only it fails, and the sweep runs on the monotone ones.
+CENSUS_FAULTS = [
+    ("flip_masks(nvars)]", "flip_masks(nvars)[:-1]]", "found 400, 232 not monotone"),
+    ("max(8, 1 << nvars)", "max(8, 1 << nvars) - 8", "found 4889, 4872 not monotone"),
+]
+
+
+def _edited_census(old, new):
+    """circuit.monotone_tables with the one occurrence of `old` in its source
+    replaced by `new`."""
+    source = textwrap.dedent(inspect.getsource(circuit.monotone_tables))
+    assert source.count(old) == 1
+    namespace = dict(vars(circuit))
+    exec(source.replace(old, new), namespace)
+    return namespace["monotone_tables"]
+
+
+@pytest.mark.parametrize("old, new, detail", CENSUS_FAULTS)
+def test_a_census_fault_fails_only_the_census_check(monkeypatch, old, new, detail):
+    sound = [(c.name, c.passed, c.detail) for c in verify.suite_quine(quick=True).checks]
+    monkeypatch.setattr(verify, "monotone_tables", _edited_census(old, new))
+    planted = [(c.name, c.passed, c.detail) for c in verify.suite_quine(quick=True).checks]
+    assert planted == [("monotone-4var-count", False, detail)] + sound[1:]
+    assert sound[0] == ("monotone-4var-count", True, "found 168")
 
 
 def _without_last_edge(verdicts, v, edges):
