@@ -14,27 +14,40 @@ Bit conventions, fixed so serialized data is portable:
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
 from typing import Callable, Iterable, Iterator, Sequence
 
 from .circuit import input_pattern, substitute
 from .config import budgets
 from .errors import BudgetExceededError, RelationParseError
+from .record import Frozen
 
 
-@dataclass(frozen=True, order=True)
-class BoolFun:
-    """A Boolean function of small arity as a packed truth table."""
+class BoolFun(Frozen):
+    """A Boolean function of small arity as a packed truth table.  Equality,
+    hash and order read (arity, table): the name is a label only."""
 
+    __slots__ = ("arity", "table", "name")
     arity: int
     table: int
-    name: str = field(default="", compare=False)
+    name: str
 
-    def __post_init__(self):
-        if self.arity < 0:
+    def __init__(self, arity, table, name=""):
+        if arity < 0:
             raise ValueError("arity must be >= 0")
-        if self.table < 0 or self.table >> (1 << self.arity):
+        if table < 0 or table >> (1 << arity):
             raise ValueError("table has bits beyond 2**arity")
+        object.__setattr__(self, "arity", arity)
+        object.__setattr__(self, "table", table)
+        object.__setattr__(self, "name", name)
+
+    def __eq__(self, other: object) -> bool:
+        return isinstance(other, BoolFun) and (self.arity, self.table) == (other.arity, other.table)
+
+    def __hash__(self) -> int:
+        return hash((self.arity, self.table))
+
+    def __lt__(self, other: BoolFun) -> bool:
+        return (self.arity, self.table) < (other.arity, other.table)
 
     @classmethod
     def from_function(cls, arity: int, fn: Callable[..., int], name: str = "") -> "BoolFun":
@@ -70,25 +83,39 @@ XOR3 = BoolFun.from_function(3, lambda x, y, z: x ^ y ^ z, "xor3")
 MAJ3 = BoolFun.from_function(3, lambda x, y, z: (x + y + z) >= 2, "maj")
 
 
-@dataclass(frozen=True, order=True)
-class Relation:
-    """A k-ary Boolean relation as a set of accepted k-tuples."""
+class Relation(Frozen):
+    """A k-ary Boolean relation as a set of accepted k-tuples.  Equality,
+    hash and order read (arity, mask): the name is a label only."""
 
+    __slots__ = ("arity", "mask", "name", "_hash")
     arity: int
     mask: int
-    name: str = field(default="", compare=False)
+    name: str
 
-    def __post_init__(self):
-        if self.arity < 1:
+    def __init__(self, arity, mask, name=""):
+        if arity < 1:
             raise ValueError("relation arity must be >= 1")
-        if self.mask < 0 or self.mask >> (1 << self.arity):
+        if mask < 0 or mask >> (1 << arity):
             raise ValueError("tuple mask has bits beyond 2**arity")
+        object.__setattr__(self, "arity", arity)
+        object.__setattr__(self, "mask", mask)
+        object.__setattr__(self, "name", name)
         # Cached: relations key many lru caches.  Integers only, so the hash is
         # the same in every process and survives pickling.
-        object.__setattr__(self, "_hash", hash((self.arity, self.mask)))
+        object.__setattr__(self, "_hash", hash((arity, mask)))
+
+    def __eq__(self, other: object) -> bool:
+        return isinstance(other, Relation) and (self.arity, self.mask) == (other.arity, other.mask)
 
     def __hash__(self) -> int:
         return self._hash
+
+    def __lt__(self, other: Relation) -> bool:
+        return (self.arity, self.mask) < (other.arity, other.mask)
+
+    def __reduce__(self):
+        # the default unpickler would set the slots through __setattr__
+        return Relation, (self.arity, self.mask, self.name)
 
     @classmethod
     def from_tuples(cls, arity: int, tuples: Iterable[Sequence[int]], name: str = "") -> "Relation":
@@ -130,21 +157,30 @@ class Relation:
         return f"Relation({self.arity}, {{{label}}})"
 
 
-@dataclass(frozen=True)
-class RelationSet:
-    """An ordered, named collection of relations; order fixes instance bit layout."""
+class RelationSet(Frozen):
+    """An ordered, named collection of relations; order fixes instance bit
+    layout.  Equal sets have equal relations and equal names."""
 
+    __slots__ = ("relations", "name", "_hash")
     relations: tuple[Relation, ...]
-    name: str = ""
+    name: str
 
-    def __post_init__(self):
-        object.__setattr__(self, "relations", tuple(self.relations))
+    def __init__(self, relations, name=""):
+        relations = tuple(relations)
+        object.__setattr__(self, "relations", relations)
+        object.__setattr__(self, "name", name)
         # Cached like Relation's; the name is left out of the hash (equal sets
         # have equal relations), so it stays the same in every process.
-        object.__setattr__(self, "_hash", hash(self.relations))
+        object.__setattr__(self, "_hash", hash(relations))
+
+    def __eq__(self, other: object) -> bool:
+        return isinstance(other, RelationSet) and (self.relations, self.name) == (other.relations, other.name)
 
     def __hash__(self) -> int:
         return self._hash
+
+    def __reduce__(self):
+        return RelationSet, (self.relations, self.name)
 
     def __iter__(self) -> Iterator[Relation]:
         return iter(self.relations)

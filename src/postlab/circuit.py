@@ -10,10 +10,10 @@ where circuit inputs are literals.
 from __future__ import annotations
 
 import functools
-from dataclasses import dataclass
 from typing import Iterable, Iterator, Sequence
 
 from .errors import MonotonePreconditionError
+from .record import Frozen
 
 INPUT = "input"
 CONST0 = "const0"
@@ -28,21 +28,21 @@ BOUNDED2 = "bounded2"
 UNBOUNDED = "unbounded"
 
 
-@dataclass(frozen=True)
-class Circuit:
+class Circuit(Frozen):
+    __slots__ = ("n", "gates", "outputs", "fanin_mode")
     n: int
     gates: tuple[tuple[str, tuple[int, ...]], ...]
     outputs: tuple[int, ...]
-    fanin_mode: str = UNBOUNDED
+    fanin_mode: str
 
-    def __post_init__(self):
-        if self.n < 0:
-            raise ValueError(f"circuit needs n >= 0, got n={self.n}")
-        if self.fanin_mode not in (BOUNDED2, UNBOUNDED):
-            raise ValueError(f"unknown fanin_mode {self.fanin_mode!r}")
-        for idx, (kind, args) in enumerate(self.gates):
+    def __init__(self, n, gates, outputs, fanin_mode=UNBOUNDED):
+        if n < 0:
+            raise ValueError(f"circuit needs n >= 0, got n={n}")
+        if fanin_mode not in (BOUNDED2, UNBOUNDED):
+            raise ValueError(f"unknown fanin_mode {fanin_mode!r}")
+        for idx, (kind, args) in enumerate(gates):
             if kind == INPUT:
-                if len(args) != 1 or not 0 <= args[0] < self.n:
+                if len(args) != 1 or not 0 <= args[0] < n:
                     raise ValueError(f"gate {idx}: bad input reference")
             elif kind in (CONST0, CONST1):
                 if args:
@@ -53,15 +53,24 @@ class Circuit:
             elif kind in (AND, OR, XOR):
                 if not args:
                     raise ValueError(f"gate {idx}: empty operand list")
-                if self.fanin_mode == BOUNDED2 and len(args) > 2:
+                if fanin_mode == BOUNDED2 and len(args) > 2:
                     raise ValueError(f"gate {idx}: fan-in above 2 in bounded mode")
             else:
                 raise ValueError(f"gate {idx}: unknown kind {kind!r}")
             if kind in _LOGIC and any(not 0 <= a < idx for a in args):
                 raise ValueError(f"gate {idx}: operand fails topological order")
-        for pos, o in enumerate(self.outputs):
-            if not 0 <= o < len(self.gates):
+        for pos, o in enumerate(outputs):
+            if not 0 <= o < len(gates):
                 raise ValueError(f"output {pos}: gate index {o} out of range")
+        object.__setattr__(self, "n", n)
+        object.__setattr__(self, "gates", gates)
+        object.__setattr__(self, "outputs", outputs)
+        object.__setattr__(self, "fanin_mode", fanin_mode)
+
+    def __eq__(self, other: object) -> bool:
+        return isinstance(other, Circuit) and (self.n, self.gates, self.outputs, self.fanin_mode) == (
+            other.n, other.gates, other.outputs, other.fanin_mode
+        )
 
     def to_json(self) -> dict:
         return {
@@ -85,11 +94,21 @@ class Circuit:
         return cls(json_int(obj["n"], "n"), tuple(gates), outputs, obj["fanin_mode"])
 
 
-@dataclass(frozen=True)
-class Measures:
+class Measures(Frozen):
+    __slots__ = ("size", "depth", "monotone")
     size: int
     depth: int
     monotone: bool
+
+    def __init__(self, size, depth, monotone):
+        object.__setattr__(self, "size", size)
+        object.__setattr__(self, "depth", depth)
+        object.__setattr__(self, "monotone", monotone)
+
+    def __eq__(self, other: object) -> bool:
+        return isinstance(other, Measures) and (self.size, self.depth, self.monotone) == (
+            other.size, other.depth, other.monotone
+        )
 
 
 def measures(c: Circuit) -> Measures:
@@ -327,16 +346,23 @@ class Builder:
 
 # DNFs.
 
-@dataclass(frozen=True)
-class Dnf:
+class Dnf(Frozen):
     """Terms as (positive literal mask, negative literal mask) pairs.
 
     Size is the number of terms.  Canonical order is (total weight, masks).
     A term with both masks empty is the constant-true term.
     """
 
+    __slots__ = ("nvars", "terms")
     nvars: int
     terms: tuple[tuple[int, int], ...]
+
+    def __init__(self, nvars, terms):
+        object.__setattr__(self, "nvars", nvars)
+        object.__setattr__(self, "terms", terms)
+
+    def __eq__(self, other: object) -> bool:
+        return isinstance(other, Dnf) and (self.nvars, self.terms) == (other.nvars, other.terms)
 
     @classmethod
     def make(cls, nvars: int, terms: Iterable[tuple[int, int]]) -> "Dnf":

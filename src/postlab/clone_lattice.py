@@ -13,7 +13,6 @@ given clone" are never attempted directly.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, replace
 from functools import cache, lru_cache, reduce
 from operator import and_
 
@@ -40,6 +39,7 @@ from .boolfun import (
 )
 from .config import budgets
 from .errors import CatalogError, UnknownCloneError
+from .record import Frozen
 
 S00_FN = BoolFun.from_function(3, lambda x, y, z: x | (y & z), "x|(y&z)")
 S10_FN = BoolFun.from_function(3, lambda x, y, z: x & (y | z), "x&(y|z)")
@@ -50,11 +50,21 @@ D_FN = BoolFun.from_function(3, lambda x, y, z: (x + (1 - y) + (1 - z)) >= 2, "m
 R2_FN = BoolFun.from_function(3, lambda x, y, z: x & (1 - (y ^ z)), "x&(y<->z)")
 
 
-@dataclass(frozen=True)
-class CloneDescriptor:
+class CloneDescriptor(Frozen):
+    __slots__ = ("name", "basis", "known_subclones")
     name: str
     basis: tuple[BoolFun, ...]
-    known_subclones: frozenset[str] = frozenset()
+    known_subclones: frozenset[str]
+
+    def __init__(self, name, basis, known_subclones=frozenset()):
+        object.__setattr__(self, "name", name)
+        object.__setattr__(self, "basis", basis)
+        object.__setattr__(self, "known_subclones", known_subclones)
+
+    def __eq__(self, other: object) -> bool:
+        return isinstance(other, CloneDescriptor) and (self.name, self.basis, self.known_subclones) == (
+            other.name, other.basis, other.known_subclones
+        )
 
 
 _BASES: dict[str, tuple[BoolFun, ...]] = {
@@ -160,17 +170,26 @@ def descriptor(label: str) -> CloneDescriptor:
         raise UnknownCloneError(label) from None
 
 
-@dataclass(frozen=True)
-class InclusionCheck:
+class InclusionCheck(Frozen):
+    __slots__ = ("sub", "sup", "ok", "missing")
     sub: str
     sup: str
     ok: bool
-    missing: tuple[BoolFun, ...] = ()
+    missing: tuple[BoolFun, ...]
+
+    def __init__(self, sub, sup, ok, missing=()):
+        object.__setattr__(self, "sub", sub)
+        object.__setattr__(self, "sup", sup)
+        object.__setattr__(self, "ok", ok)
+        object.__setattr__(self, "missing", missing)
 
 
-@dataclass(frozen=True)
-class CatalogReport:
+class CatalogReport(Frozen):
+    __slots__ = ("checks",)
     checks: tuple[InclusionCheck, ...]
+
+    def __init__(self, checks):
+        object.__setattr__(self, "checks", checks)
 
     @property
     def ok(self) -> bool:
@@ -268,17 +287,25 @@ def clone_contained_in_pol(label: str, sset: RelationSet) -> tuple[bool, list[di
     return all(entry["preserved"] for entry in witness), witness
 
 
-@dataclass(frozen=True)
-class Verdict:
+class Verdict(Frozen):
     """Classification record for CSP-SAT over one relation set: every label
     is read off `pol`, the Pol(S) clone mask; the rest are annotations."""
 
+    __slots__ = ("relation_set", "pol", "hardness_notes", "equality", "equality_query", "witnesses")
     relation_set: RelationSet
     pol: int
-    hardness_notes: tuple[str, ...] = ()
-    equality: str | None = None
-    equality_query: dict | None = None
-    witnesses: dict | None = None
+    hardness_notes: tuple[str, ...]
+    equality: str | None
+    equality_query: dict | None
+    witnesses: dict | None
+
+    def __init__(self, relation_set, pol, hardness_notes=(), equality=None, equality_query=None, witnesses=None):
+        object.__setattr__(self, "relation_set", relation_set)
+        object.__setattr__(self, "pol", pol)
+        object.__setattr__(self, "hardness_notes", hardness_notes)
+        object.__setattr__(self, "equality", equality)
+        object.__setattr__(self, "equality_query", equality_query)
+        object.__setattr__(self, "witnesses", witnesses)
 
     @property
     def preserved(self) -> tuple[str, ...]:
@@ -346,10 +373,14 @@ def classify(sset: RelationSet, with_witnesses: bool = False) -> Verdict:
     return Verdict(sset, pol, witnesses=witnesses)
 
 
-@dataclass(frozen=True)
-class EqualitySearch:
+class EqualitySearch(Frozen):
+    __slots__ = ("result", "query")
     result: str  # YES | NO_WITHIN_BOUNDS | UNKNOWN
-    query: "object | None" = None  # reductions.CQDefinition on YES
+    query: object | None  # reductions.CQDefinition on YES
+
+    def __init__(self, result, query=None):
+        object.__setattr__(self, "result", result)
+        object.__setattr__(self, "query", query)
 
 
 def can_express_equality(sset: RelationSet) -> EqualitySearch:
@@ -397,9 +428,11 @@ def hardness_consequences(verdict: Verdict) -> Verdict:
                 notes.append("no equality query within bounds; depth-3 monotone AC0 candidate")
             else:
                 notes.append("equality expressibility undecided at budget")
-    return replace(
-        verdict,
-        hardness_notes=tuple(dict.fromkeys(notes)),
-        equality=equality,
-        equality_query=equality_query,
+    return Verdict(
+        verdict.relation_set,
+        verdict.pol,
+        tuple(dict.fromkeys(notes)),
+        equality,
+        equality_query,
+        verdict.witnesses,
     )

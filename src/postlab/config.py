@@ -7,29 +7,52 @@ POSTLAB_BUDGET holds comma-separated ``field=value`` pairs, e.g.
 from __future__ import annotations
 
 import os
-from dataclasses import dataclass, fields, replace
 
 from .errors import BudgetConfigError
+from .record import Frozen
 
 
-@dataclass(frozen=True)
-class Budgets:
-    a_max: int = 4                  # max function arity in enumeration ops
-    preserves_combos: int = 1 << 22  # |R|**arity tuple choices per preservation check
-    closure_steps: int = 1 << 24     # composition attempts in clone closure
-    brute_force_vars: int = 22       # csp_sat_value enumerates 2**n assignments
-    oracle_edges: int = 24           # odd-factor subset oracle and bip-oddfactor reduction: edge and vertex limit
-    flat_threshold_terms: int = 1 << 18  # term limit of every flat counter: UNBOUNDED threshold, extraction and padding
-    cq_aux_vars: int = 2             # existential variables in conjunctive-query search
-    cq_max_atoms: int = 4            # atoms per conjunctive query
-    cq_states: int = 200_000         # CQ intersections tried, a pass over every atom per state, before UNKNOWN
+class Budgets(Frozen):
+    """Enumeration limits; POSTLAB_BUDGET may set any field by name."""
+
+    __slots__ = (
+        "a_max", "preserves_combos", "closure_steps", "brute_force_vars", "oracle_edges",
+        "flat_threshold_terms", "cq_aux_vars", "cq_max_atoms", "cq_states",
+    )
+
+    a_max: int                 # max function arity in enumeration ops
+    preserves_combos: int      # |R|**arity tuple choices per preservation check
+    closure_steps: int         # composition attempts in clone closure
+    brute_force_vars: int      # csp_sat_value enumerates 2**n assignments
+    oracle_edges: int          # odd-factor subset oracle and bip-oddfactor reduction: edge and vertex limit
+    flat_threshold_terms: int  # term limit of every flat counter: UNBOUNDED threshold, extraction and padding
+    cq_aux_vars: int           # existential variables in conjunctive-query search
+    cq_max_atoms: int          # atoms per conjunctive query
+    cq_states: int             # CQ intersections tried, a pass over every atom per state, before UNKNOWN
+
+    def __init__(
+        self,
+        a_max=4,
+        preserves_combos=1 << 22,
+        closure_steps=1 << 24,
+        brute_force_vars=22,
+        oracle_edges=24,
+        flat_threshold_terms=1 << 18,
+        cq_aux_vars=2,
+        cq_max_atoms=4,
+        cq_states=200_000,
+    ):
+        values = (a_max, preserves_combos, closure_steps, brute_force_vars, oracle_edges,
+                  flat_threshold_terms, cq_aux_vars, cq_max_atoms, cq_states)
+        for name, value in zip(self.__slots__, values, strict=True):
+            object.__setattr__(self, name, value)
 
 
 def _from_env(base: Budgets) -> Budgets:
     raw = os.environ.get("POSTLAB_BUDGET", "").strip()
     if not raw:
         return base
-    known = {f.name for f in fields(Budgets)}
+    known = Budgets.__slots__
     overrides = {}
     for part in raw.split(","):
         part = part.strip()
@@ -45,7 +68,7 @@ def _from_env(base: Budgets) -> Budgets:
             raise BudgetConfigError(
                 f"POSTLAB_BUDGET: field {key!r} needs an integer, got {value.strip()!r}"
             ) from None
-    return replace(base, **overrides)
+    return Budgets(**{name: overrides.get(name, getattr(base, name)) for name in known})
 
 
 _env_default: tuple[str, Budgets] | None = None  # (POSTLAB_BUDGET, parsed)

@@ -12,7 +12,6 @@ import itertools
 import math
 import operator
 import random
-from dataclasses import dataclass
 from typing import Sequence
 
 from .boolfun import RelationSet, json_int, json_list
@@ -30,6 +29,7 @@ from .config import budgets
 from .csp import TRACTABLE, CspInstance, first_clone, fragment_table, or_fragment_side
 from .errors import BudgetExceededError, FragmentMismatchError
 from .graphlab import pair_index
+from .record import Frozen
 from .reductions import BitReduction
 
 PARITY = "parity"
@@ -43,8 +43,7 @@ LIT_GUARD = "lit"
 MAX_CHECKPOINT_D = 256
 
 
-@dataclass(frozen=True)
-class LayeredBP:
+class LayeredBP(Frozen):
     """Layered branching program: nodes (t, i) with 0 <= i < widths[t], edges
     only between consecutive layers, guarded by a literal or a constant.
 
@@ -53,13 +52,19 @@ class LayeredBP:
     start-accept path has length len(widths) - 1.
     """
 
+    __slots__ = ("n", "widths", "edges", "start", "accept")
     n: int
     widths: tuple[int, ...]
     edges: tuple[tuple[tuple[int, int, tuple], ...], ...]
-    start: int = 0
-    accept: int = 0
+    start: int
+    accept: int
 
-    def __post_init__(self):
+    def __init__(self, n, widths, edges, start=0, accept=0):
+        object.__setattr__(self, "n", n)
+        object.__setattr__(self, "widths", widths)
+        object.__setattr__(self, "edges", edges)
+        object.__setattr__(self, "start", start)
+        object.__setattr__(self, "accept", accept)
         if len(self.widths) < 2:
             raise ValueError("need at least two layers")
         if len(self.edges) != len(self.widths) - 1:
@@ -84,6 +89,11 @@ class LayeredBP:
             raise ValueError("start out of range")
         if not 0 <= self.accept < self.widths[-1]:
             raise ValueError("accept out of range")
+
+    def __eq__(self, other: object) -> bool:
+        return isinstance(other, LayeredBP) and (self.n, self.widths, self.edges, self.start, self.accept) == (
+            other.n, other.widths, other.edges, other.start, other.accept
+        )
 
     @property
     def length(self) -> int:
@@ -369,16 +379,19 @@ def induced_subgraph_circuit(n: int, k: int, fanin_mode: str = BOUNDED2) -> Circ
 
 # Graph-property padding.
 
-@dataclass(frozen=True)
-class GraphPropertyCircuit:
+class GraphPropertyCircuit(Frozen):
+    __slots__ = ("vertices", "circuit", "name")
     vertices: int
     circuit: Circuit
-    name: str = ""
+    name: str
 
-    def __post_init__(self):
-        expect = self.vertices * (self.vertices - 1) // 2
-        if self.circuit.n != expect:
+    def __init__(self, vertices, circuit, name=""):
+        expect = vertices * (vertices - 1) // 2
+        if circuit.n != expect:
             raise ValueError(f"circuit must take {expect} edge inputs")
+        object.__setattr__(self, "vertices", vertices)
+        object.__setattr__(self, "circuit", circuit)
+        object.__setattr__(self, "name", name)
 
 
 def padded_graph_property(

@@ -13,7 +13,6 @@ from __future__ import annotations
 import itertools
 import random
 from bisect import bisect_right
-from dataclasses import dataclass, replace
 from functools import cached_property, lru_cache, reduce
 from typing import Callable, Iterator
 
@@ -40,6 +39,7 @@ from .boolfun import (
 from .clone_lattice import CLONE_BITS, SIZE_EASY_CLONES, in_pol, pol_mask
 from .config import budgets
 from .errors import BudgetExceededError, FragmentMismatchError, RelationParseError
+from .record import Frozen
 
 
 _BYTE_BITS = tuple(tuple(p for p in range(8) if (b >> p) & 1) for b in range(256))
@@ -74,26 +74,30 @@ def _set_bits(mask: int) -> Iterator[int]:
         i = flags.find(1, i + 1)
 
 
-@dataclass(frozen=True, init=False)
-class CspInstance:
+class CspInstance(Frozen):
+    """Equal instances have equal relation sets, n and bits."""
+
     sset: RelationSet
     n: int
-    bits: int = 0
+    bits: int
 
     def __init__(
         self, sset: RelationSet, n: int, bits: int = 0, known_set_bits: tuple[int, ...] | None = None
     ) -> None:
         """known_set_bits: the ascending set bits of `bits`, when the maker
         knows them: taken as given (not checked), so a sparse mask is never
-        walked; replace() drops them."""
-        # Written out: the generated __init__ of a frozen dataclass sets each
-        # field through object.__setattr__ (1.2 us against 0.34 us here, on a
-        # 2-core Xeon under Python 3.11), and the dichotomy sweep builds one
+        walked.  An instance made from this one's fields, as
+        `with_constraint` makes one, has no known set bits."""
+        # The fields go straight into the instance dict, which the
+        # cached_properties need anyway: the dichotomy sweep builds one
         # instance per draw.
         state = self.__dict__
         state["sset"], state["n"], state["bits"] = sset, n, bits
         if known_set_bits is not None:
             state["_set_bit_tuple"] = known_set_bits
+
+    def __eq__(self, other: object) -> bool:
+        return isinstance(other, CspInstance) and (self.sset, self.n, self.bits) == (other.sset, other.n, other.bits)
 
     @cached_property
     def _set_bit_tuple(self) -> tuple[int, ...]:
@@ -133,7 +137,7 @@ class CspInstance:
         return r, tuple(variables)
 
     def with_constraint(self, r: int, variables: tuple[int, ...]) -> "CspInstance":
-        return replace(self, bits=self.bits | (1 << self.encode(r, variables)))
+        return CspInstance(self.sset, self.n, self.bits | (1 << self.encode(r, variables)))
 
     def iter_constraints(self) -> Iterator[tuple[int, tuple[int, ...]]]:
         """(relation index, variable tuple) of each present constraint, in bit order."""
@@ -299,12 +303,19 @@ def csp_sat_value(inst: CspInstance) -> bool:
 
 # Linear systems over GF(2).
 
-@dataclass(frozen=True)
-class XorSystem:
+class XorSystem(Frozen):
     """Rows (variable mask, rhs bit) of a linear system over GF(2)."""
 
+    __slots__ = ("nvars", "rows")
     nvars: int
     rows: tuple[tuple[int, int], ...]
+
+    def __init__(self, nvars, rows):
+        object.__setattr__(self, "nvars", nvars)
+        object.__setattr__(self, "rows", rows)
+
+    def __eq__(self, other: object) -> bool:
+        return isinstance(other, XorSystem) and (self.nvars, self.rows) == (other.nvars, other.rows)
 
 
 def gf2_reduce(pivots: dict[int, tuple[int, int]], rows) -> bool:
@@ -395,7 +406,7 @@ def xor_system_to_instance(system: XorSystem) -> CspInstance:
     bits = 0
     for r, variables in applications:
         bits |= 1 << inst.encode(r, variables)
-    return replace(inst, bits=bits)
+    return CspInstance(inst.sset, inst.n, bits)
 
 
 def solve_xor(inst: CspInstance) -> bool:
@@ -740,7 +751,7 @@ def random_instance(
     for j in range(inst.size):
         if rng.random() < density:
             bits |= 1 << j
-    return replace(inst, bits=bits)
+    return CspInstance(inst.sset, inst.n, bits)
 
 
 def _trivial(inst: CspInstance) -> bool:

@@ -8,7 +8,6 @@ edge mask is built.
 from __future__ import annotations
 
 import itertools
-from dataclasses import dataclass
 from functools import cached_property, lru_cache
 from typing import Iterable, Iterator, Sequence
 
@@ -17,21 +16,26 @@ from .circuit import flip_masks
 from .config import Budgets, budgets
 from .csp import XorSystem
 from .errors import BudgetExceededError, RelationParseError
+from .record import Frozen
 
 
-@dataclass(frozen=True)
-class Graph:
+class Graph(Frozen):
     """A simple graph on vertices 0..v-1 as its edge mask: bit
     pair_index(a, b, v) is set iff (a, b) is an edge."""
 
     v: int
     mask: int
 
-    def __post_init__(self):
-        if self.v < 0:
-            raise ValueError(f"graph needs v >= 0, got v={self.v}")
-        if not 0 <= self.mask < 1 << self.v * (self.v - 1) // 2:
-            raise ValueError(f"edge mask wider than the pairs of {self.v} vertices")
+    def __init__(self, v, mask):
+        if v < 0:
+            raise ValueError(f"graph needs v >= 0, got v={v}")
+        if not 0 <= mask < 1 << v * (v - 1) // 2:
+            raise ValueError(f"edge mask wider than the pairs of {v} vertices")
+        state = self.__dict__  # the edges cached_property needs the dict anyway
+        state["v"], state["mask"] = v, mask
+
+    def __eq__(self, other: object) -> bool:
+        return isinstance(other, Graph) and (self.v, self.mask) == (other.v, other.mask)
 
     @cached_property
     def edges(self) -> frozenset[tuple[int, int]]:
@@ -122,18 +126,20 @@ def _edge_pairs(g: Graph) -> tuple[tuple[int, int], ...]:
     return out
 
 
-@dataclass(frozen=True)
-class BipGraph:
+class BipGraph(Frozen):
     """Bipartite graph with n vertices on each side, as an n*n biadjacency mask."""
 
+    __slots__ = ("n", "mask")
     n: int
     mask: int
 
-    def __post_init__(self):
-        if self.n < 1:
-            raise ValueError(f"bipartite graph needs n >= 1, got n={self.n}")
-        if self.mask < 0 or self.mask >> (self.n * self.n):
-            raise ValueError(f"biadjacency mask must lie in [0, 2^{self.n * self.n})")
+    def __init__(self, n, mask):
+        if n < 1:
+            raise ValueError(f"bipartite graph needs n >= 1, got n={n}")
+        if mask < 0 or mask >> (n * n):
+            raise ValueError(f"biadjacency mask must lie in [0, 2^{n * n})")
+        object.__setattr__(self, "n", n)
+        object.__setattr__(self, "mask", mask)
 
     def to_graph(self) -> Graph:
         """Cell i*n + j is the edge (i, n + j), so row i of the matrix lands

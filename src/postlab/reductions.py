@@ -11,7 +11,6 @@ its OR-stage reduction and the composed instance separately.
 from __future__ import annotations
 
 import itertools
-from dataclasses import dataclass, replace
 from functools import cached_property, lru_cache, reduce
 from .boolfun import EQ2, Relation, RelationSet, negate_relation, reach, solution_table
 from .circuit import flip_masks
@@ -19,10 +18,10 @@ from .config import budgets
 from .csp import CspInstance, gf2_reduce, instance_to_xor_system, xor_system_to_instance
 from .errors import BudgetExceededError, FragmentMismatchError
 from .graphlab import BipGraph, tseitin_system
+from .record import Frozen
 
 
-@dataclass(frozen=True)
-class BitReduction:
+class BitReduction(Frozen):
     """A monotone OR-reduction: output bit j is 1 when j is in ones, or when
     some set input bit i has j in targets[i]."""
 
@@ -30,14 +29,21 @@ class BitReduction:
     ones: int  # the mask of the constant-1 output bits
     targets: tuple[int, ...]  # per input bit, the mask of the output bits it is ORed into
 
-    def __post_init__(self):
-        limit = 1 << self.out_len
-        for mask in (self.ones, *self.targets):
+    def __init__(self, out_len, ones, targets):
+        limit = 1 << out_len
+        for mask in (ones, *targets):
             if not 0 <= mask < limit:
-                raise ValueError(f"mask {mask:#x} is not within the {self.out_len} output bits")
-        for i, mask in enumerate(self.targets):
-            if mask & self.ones:
+                raise ValueError(f"mask {mask:#x} is not within the {out_len} output bits")
+        for i, mask in enumerate(targets):
+            if mask & ones:
                 raise ValueError(f"input bit {i} targets a constant-1 output bit")
+        state = self.__dict__  # is_projection_only, a cached_property, needs the dict
+        state["out_len"], state["ones"], state["targets"] = out_len, ones, targets
+
+    def __eq__(self, other: object) -> bool:
+        return isinstance(other, BitReduction) and (self.out_len, self.ones, self.targets) == (
+            other.out_len, other.ones, other.targets
+        )
 
     @property
     def in_len(self) -> int:
@@ -129,17 +135,29 @@ def _project(sols: int, k: int) -> int:
     return mask
 
 
-@dataclass(frozen=True)
-class CQDefinition:
+class CQDefinition(Frozen):
     """target(x0..xk-1) = exists y0..y{aux-1}: conjunction of atoms.
 
     Atom variable indices 0..k-1 are target variables, k.. are auxiliaries.
+    Equal definitions (equal in every field) share a cq_rewrite layout.
     """
 
     target: Relation
     over: RelationSet
     aux_count: int
     atoms: tuple[tuple[int, tuple[int, ...]], ...]
+
+    def __init__(self, target, over, aux_count, atoms):
+        state = self.__dict__  # _semantics_ok, a cached_property, needs the dict
+        state["target"], state["over"], state["aux_count"], state["atoms"] = target, over, aux_count, atoms
+
+    def __eq__(self, other: object) -> bool:
+        return isinstance(other, CQDefinition) and (self.target, self.over, self.aux_count, self.atoms) == (
+            other.target, other.over, other.aux_count, other.atoms
+        )
+
+    def __hash__(self) -> int:
+        return hash((self.target, self.over, self.aux_count, self.atoms))
 
     def defined_relation(self) -> Relation:
         k = self.target.arity
@@ -276,8 +294,7 @@ def _cq_layout(
     return BitReduction(out0.size, 0, tuple(targets)), n_out
 
 
-@dataclass(frozen=True)
-class PolReduction:
+class PolReduction(Frozen):
     """Result of the polymorphism-based reduction chain.
 
     or_stage is the monotone OR-reduction into CSP-SAT(S2 + {=}); the final
@@ -285,8 +302,13 @@ class PolReduction:
     monotone map but not an OR-reduction.
     """
 
+    __slots__ = ("instance", "or_stage")
     instance: CspInstance
     or_stage: BitReduction
+
+    def __init__(self, instance, or_stage):
+        object.__setattr__(self, "instance", instance)
+        object.__setattr__(self, "or_stage", or_stage)
 
 
 def pol_reduce(inst: CspInstance, target_set: RelationSet) -> PolReduction | None:
@@ -353,8 +375,7 @@ def _selector_layout(sset: RelationSet, n: int) -> tuple[tuple[Relation, ...], B
 
 # The bipartite odd-factor to 3-XOR-SAT projection.
 
-@dataclass(frozen=True)
-class BipOddFactorReduction:
+class BipOddFactorReduction(Frozen):
     """The width-3 parity system of one biadjacency matrix, plus the layout
     shared by every matrix of the same dimension.
 
@@ -372,6 +393,7 @@ class BipOddFactorReduction:
     the matrix with that high pattern and low pattern p is satisfiable.
     """
 
+    __slots__ = ("instance", "beta", "n", "always_bits", "always_positions", "row_tables", "verdict_words")
     instance: CspInstance
     beta: BitReduction
     n: int
@@ -381,6 +403,15 @@ class BipOddFactorReduction:
     # zeroing applications of the row's missing cells, their bits ascending)
     row_tables: tuple[tuple[tuple[int, tuple[int, ...]], ...], ...]
     verdict_words: tuple[int, ...]
+
+    def __init__(self, instance, beta, n, always_bits, always_positions, row_tables, verdict_words):
+        object.__setattr__(self, "instance", instance)
+        object.__setattr__(self, "beta", beta)
+        object.__setattr__(self, "n", n)
+        object.__setattr__(self, "always_bits", always_bits)
+        object.__setattr__(self, "always_positions", always_positions)
+        object.__setattr__(self, "row_tables", row_tables)
+        object.__setattr__(self, "verdict_words", verdict_words)
 
     def alpha_bits(self, graph_mask: int) -> int:
         n, full, missing = self.n, (1 << self.n) - 1, 0
@@ -472,5 +503,6 @@ def bip_oddfactor_to_xorsat(graph: BipGraph) -> BipOddFactorReduction:
             bad |= (bad & zero) << shift
         good = ~bad & ((1 << len(sums)) - 1)
         words.append(int(format(good, f"0{len(sums)}b")[::-1], 2))
-    layout = BipOddFactorReduction(full, beta, n, full.bits, always, tuple(row_tables), tuple(words))
-    return replace(layout, instance=layout.instance_for(graph.mask))
+    shared = (beta, n, full.bits, always, tuple(row_tables), tuple(words))
+    layout = BipOddFactorReduction(full, *shared)
+    return BipOddFactorReduction(layout.instance_for(graph.mask), *shared)

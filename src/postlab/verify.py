@@ -7,7 +7,6 @@ from __future__ import annotations
 import os
 import random
 import time
-from dataclasses import dataclass, field, replace
 from functools import cache
 
 from . import clone_lattice, construct, csp, graphlab, reductions
@@ -44,18 +43,24 @@ from .csp import CspInstance, csp_sat_value, gf2_satisfiable, solve_xor, violati
 from .errors import BudgetExceededError, MonotonePreconditionError
 
 
-@dataclass
 class Check:
+    __slots__ = ("name", "passed", "detail", "elapsed")
     name: str
     passed: bool
-    detail: str = ""
-    elapsed: float = 0.0
+    detail: str
+    elapsed: float
+
+    def __init__(self, name, passed, detail="", elapsed=0.0):
+        self.name, self.passed, self.detail, self.elapsed = name, passed, detail, elapsed
 
 
-@dataclass
 class SuiteReport:
+    __slots__ = ("suite", "checks")
     suite: str
-    checks: list[Check] = field(default_factory=list)
+    checks: list[Check]
+
+    def __init__(self, suite):
+        self.suite, self.checks = suite, []
 
     @property
     def ok(self) -> bool:
@@ -419,7 +424,7 @@ def suite_constructions(seed: int = 0, quick: bool = False) -> SuiteReport:
         verify_padding(seed),
         verify_emitters(seed, 200 if quick else 1000),
     ):
-        report.checks += [replace(c, name=f"{sub.suite}/{c.name}") for c in sub.checks]
+        report.checks += [Check(f"{sub.suite}/{c.name}", c.passed, c.detail, c.elapsed) for c in sub.checks]
     return report
 
 

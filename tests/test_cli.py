@@ -1,5 +1,6 @@
 """Command-line interface: outputs, round trips, exit codes."""
 
+import ast
 import hashlib
 import json
 import multiprocessing
@@ -992,9 +993,9 @@ def test_oddfactor_pool_never_outnumbers_cpus(monkeypatch):
     assert report.checks[6].detail == f"{1 << 21} graphs"
 
 
-def test_runs_without_report_or_pool_load_neither_openssl_nor_multiprocessing():
-    # one fresh interpreter: hashlib loads OpenSSL, and multiprocessing loads
-    # socket, pickle and selectors, a fixed cost of every sweep's start
+def _loaded_after_classify_and_quick_quine(modules: set[str]) -> list[str]:
+    """Which of modules a fresh interpreter holds after it imports the CLI,
+    validates the catalog and runs `classify` and `verify quine --quick`."""
     code = """
 import sys
 import postlab.cli
@@ -1002,15 +1003,27 @@ from postlab import clone_lattice
 clone_lattice.ensure_catalog_valid()
 for argv in (["classify", sys.argv[1]], ["verify", "quine", "--quick"]):
     assert postlab.cli.main(argv) == 0, argv
-print(sorted({"hashlib", "_hashlib", "multiprocessing", "socket"} & sys.modules.keys()))
+print(sorted(set(sys.argv[2:]) & sys.modules.keys()))
 """
     env = dict(os.environ, PYTHONPATH=str(Path(postlab.__file__).parents[1]))
     env.pop("POSTLAB_BUDGET", None)
     proc = subprocess.run(
-        [sys.executable, "-c", code, HORN3], env=env, capture_output=True, text=True, timeout=120
+        [sys.executable, "-c", code, HORN3, *modules], env=env, capture_output=True, text=True, timeout=120
     )
     assert proc.returncode == 0, proc.stderr
-    assert proc.stdout.splitlines()[-1] == "[]"
+    return ast.literal_eval(proc.stdout.splitlines()[-1])
+
+
+def test_runs_without_report_or_pool_load_neither_openssl_nor_multiprocessing():
+    # hashlib loads OpenSSL, and multiprocessing loads socket, pickle and
+    # selectors, a fixed cost of every sweep's start
+    assert _loaded_after_classify_and_quick_quine({"hashlib", "_hashlib", "multiprocessing", "socket"}) == []
+
+
+def test_runs_load_neither_dataclasses_nor_inspect():
+    # postlab's records are plain classes: defining one compiles no code, and
+    # dataclasses would pull in inspect, and with it ast, dis and tokenize
+    assert _loaded_after_classify_and_quick_quine({"dataclasses", "inspect", "ast", "dis", "tokenize"}) == []
 
 
 def test_oddfactor_sweep_above_the_oracle_budget_exits_3_before_any_graph(monkeypatch, capsys):

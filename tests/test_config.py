@@ -37,3 +37,16 @@ def test_malformed_env_raises_on_use_not_import(monkeypatch, raw, field):
         budgets()
     monkeypatch.setenv("POSTLAB_BUDGET", "cq_states=5")
     assert budgets().cq_states == 5
+
+
+def test_every_budget_field_round_trips_through_the_environment(monkeypatch):
+    defaults = Budgets()
+    names = Budgets.__slots__
+    assert names == tuple(Budgets.__annotations__)  # the fields POSTLAB_BUDGET accepts are the declared ones
+    for i, name in enumerate(names):
+        value = getattr(defaults, name) + 1 + i
+        monkeypatch.setenv("POSTLAB_BUDGET", f"{name}={value}")
+        got = budgets()
+        assert [getattr(got, n) for n in names] == [value if n == name else getattr(defaults, n) for n in names]
+    monkeypatch.setenv("POSTLAB_BUDGET", ",".join(f"{name}={i}" for i, name in enumerate(names)))
+    assert [getattr(budgets(), name) for name in names] == list(range(len(names)))

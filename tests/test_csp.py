@@ -5,7 +5,6 @@ import itertools
 import pickle
 import random
 import zlib
-from dataclasses import replace
 
 import pytest
 from hypothesis import example, given, settings
@@ -277,12 +276,12 @@ def test_solve_xor_on_the_empty_relation():
     assert in_pol("L2", empty)
     sset = RelationSet((XOR3_0, empty))
     for n in (1, 2):
-        base = CspInstance(sset, n)
         offset = n**3
         rng = random.Random(n)
         for _ in range(200):
             bits = rng.getrandbits(2 * offset)
-            for inst in (replace(base, bits=bits), replace(base, bits=bits & ((1 << offset) - 1))):
+            for mask in (bits, bits & ((1 << offset) - 1)):
+                inst = CspInstance(sset, n, mask)
                 assert solve_xor(inst) == satisfiable_brute(inst), (n, hex(inst.bits))
     inst = CspInstance(sset, 2).with_constraint(1, (0, 1, 0))
     assert solve_xor(inst) is False
@@ -408,7 +407,7 @@ def test_fragment_guards_raise_on_every_call(n):
     # equals the first, so a message kept by equality would name xor3^1
     for sset, name in (
         (RelationSet((IMP2, XOR3_1, XOR3_0), "mixed"), "xor3^1"),
-        (RelationSet((IMP2, replace(XOR3_1, name="renamed"), XOR3_0), "mixed"), "renamed"),
+        (RelationSet((IMP2, Relation(XOR3_1.arity, XOR3_1.mask, "renamed"), XOR3_0), "mixed"), "renamed"),
     ):
         inst = CspInstance(sset, n).with_constraint(1, (0, 1, n - 1))
         for solver, message in (
@@ -565,7 +564,7 @@ def test_solvers_on_implication_chains_and_cycles(family, n):
         bits = 0
         for r, variables in applications:
             bits |= 1 << base.encode(r, variables)
-        inst = replace(base, bits=bits)
+        inst = CspInstance(base.sset, n, bits)
         assert solver(inst) is want, (name, n)
         if n <= 8:
             assert satisfiable_brute(inst) is want, (name, n)
@@ -781,7 +780,7 @@ def test_pickled_relations_hit_the_caches():
     assert copy == sset and hash(copy) == hash(sset)
     assert fragment_table(copy, 3, "I2") is fragment_table(sset, 3, "I2")
     for clone, s in (("D2", sset), ("E2", hornt_set())):
-        renamed = RelationSet(tuple(replace(rel, name="r") for rel in s), s.name)
+        renamed = RelationSet(tuple(Relation(rel.arity, rel.mask, "r") for rel in s), s.name)
         for twin in (pickle.loads(pickle.dumps(s)), renamed):
             assert fragment_table(twin, 3, clone) is fragment_table(s, 3, clone)
     limit = budgets().preserves_combos
