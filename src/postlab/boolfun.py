@@ -314,7 +314,7 @@ def violating_choice(f: BoolFun, rel: Relation) -> tuple[int, ...] | None:
 
 # Clone closure at bounded arity.
 
-def closure_up_to(basis: Iterable[BoolFun], a: int) -> list[BoolFun]:
+def closure_up_to(basis: Iterable[BoolFun], a: int, targets: Iterable[BoolFun] | None = None) -> list[BoolFun]:
     """Least superset of basis plus projections of arity <= a, closed under
     composition with results of arity <= a.  Sorted, deterministic.
 
@@ -327,21 +327,31 @@ def closure_up_to(basis: Iterable[BoolFun], a: int) -> list[BoolFun]:
     least one table new in the last round, and every tuple whose first new
     operand sits at position i goes through one bit-parallel `substitute`
     call, one tuple per lane.
+
+    With targets, an arity's rounds stop once it holds every target of that
+    arity, and an arity with no target runs none: the result is a subset of
+    the closure that holds each target the closure holds.
     """
     b = budgets()
     if a > b.a_max:
         raise BudgetExceededError(f"arity {a} above a_max={b.a_max}")
     gates = sorted(set((g.arity, g.table) for g in basis))
     out: set[BoolFun] = set(BoolFun(ar, tb) for ar, tb in gates if ar <= a)
+    aims: dict[int, set[int]] = {}
+    for f in targets or ():
+        aims.setdefault(f.arity, set()).add(f.table)
     steps = 0
     for m in range(1, a + 1):
+        aim = aims.get(m, set())
+        if targets is not None and not aim:
+            continue
         width = max(1, (1 << m) >> 3)  # bytes per lane
         lane_full = ((1 << (1 << m)) - 1).to_bytes(width, "little")
         tables = set(input_pattern(i, m) for i in range(m))
         tables.update(tb for ar, tb in gates if ar == m)
         old: list[int] = []
         frontier = sorted(tables)
-        while frontier:
+        while frontier and not (aim and aim <= tables):
             known = sorted(tables)
             new: set[int] = set()
             for g_ar, g_tb in gates:

@@ -10,7 +10,7 @@ import time
 import pytest
 
 from postlab import clone_lattice
-from postlab.clone_lattice import _closure3, classify, validate_catalog
+from postlab.clone_lattice import _missing, classify, validate_catalog
 from postlab.csp import ahornt_set, hornt_set, xor3_set
 from postlab.boolfun import RelationSet, nand_relation, or_relation
 from postlab.verify import (
@@ -155,7 +155,7 @@ def test_criterion_8_monotone_emitters():
 
 
 def test_criterion_9_catalog_validation():
-    _closure3.cache_clear()
+    _missing.cache_clear()
     t0 = time.perf_counter()
     rep = validate_catalog()
     recorded = {(c.sub, c.sup) for c in rep.checks}

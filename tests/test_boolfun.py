@@ -291,6 +291,34 @@ def test_random_closures_match_the_loop(monkeypatch):
     assert 0 < raised < 40
 
 
+def test_targeted_closures_find_what_the_full_closure_holds():
+    functions = sorted({f for desc in CATALOG.values() for f in desc.basis})
+    assert len(functions) == 16
+    whole = 0
+    for name, desc in CATALOG.items():
+        full = closure_up_to(desc.basis, 3)
+        held = set(full)
+        for f in functions:
+            targeted = set(closure_up_to(desc.basis, 3, [f]))
+            assert targeted <= held, (name, f)
+            assert (f in targeted) == (f in held), (name, f)
+        # no target: no arity is closed, so nothing is composed
+        assert closure_up_to(desc.basis, 3, []) == sorted(set(desc.basis))
+        # a target the closure lacks: its arity is closed in full
+        lacked = [
+            next((BoolFun(m, t) for t in range(1 << (1 << m)) if BoolFun(m, t) not in held), None)
+            for m in (1, 2, 3)
+        ]
+        for m, f in enumerate(lacked, 1):
+            if f is not None:
+                arity_m = [g for g in closure_up_to(desc.basis, 3, [f]) if g.arity == m]
+                assert arity_m == [g for g in full if g.arity == m], (name, f)
+        if None not in lacked:
+            assert closure_up_to(desc.basis, 3, lacked) == full, name
+            whole += 1
+    assert whole == 19  # L alone holds every unary function
+
+
 # sha256 of "arity:table-in-hex" of closure_up_to(D1 basis, 4), as the
 # per-tuple loop builds it (about 10 s, too slow to rerun here).
 D1_CLOSURE4_SHA256 = "9263c785b98cf6a8c4a973b8ff5340e73d344b869260b2399fc927e544722790"

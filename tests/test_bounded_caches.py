@@ -14,7 +14,9 @@ import postlab
 # `module.name` -> (maxsize, what the cache alone keeps).
 CACHES = {
     "circuit.flip_masks": (64, "the flip table (2**j, x_j = 0) per variable count, up to oracle_edges vertices"),
-    "clone_lattice._closure3": (None, "the arity-3 closure of each of the 20 catalog labels"),
+    "clone_lattice._missing": (
+        None, "per (sub, sup) pair of the 20 catalog labels, the basis functions of sub that sup's closure lacks"
+    ),
     "clone_lattice._pol_bits": (1 << 14, "the Pol bits of a relation: which catalog clones preserve it"),
     "clone_lattice._pol_mask": (32, "Pol(S) as one clone mask per (relation set, preserves limit)"),
     "clone_lattice.ensure_catalog_valid": (None, "the catalog check; it takes no arguments"),
@@ -58,7 +60,7 @@ def test_detector_sees_the_reduction_layouts():
 
 def test_module_caches_are_bounded():
     unbounded = {name for name, maxsize in module_caches().items() if maxsize is None}
-    assert unbounded == {"clone_lattice._closure3", "clone_lattice.ensure_catalog_valid"}
+    assert unbounded == {"clone_lattice._missing", "clone_lattice.ensure_catalog_valid"}
 
 
 def test_every_cache_is_listed_with_its_size():

@@ -29,8 +29,9 @@ from postlab.clone_lattice import (
     CLONE_BITS,
     DEPTH_EASY_CLONES,
     SIZE_EASY_CLONES,
+    S10_FN,
     CloneDescriptor,
-    _closure3,
+    _missing,
     can_express_equality,
     classify,
     clone_contained_in_pol,
@@ -59,7 +60,8 @@ def test_catalog_validates():
 
 def test_catalog_validation_composes_one_round_per_call(monkeypatch):
     # per-tuple composition made 288,947 substitute calls here; the closure
-    # makes one per gate, operand position and round
+    # makes one per gate, operand position and round.  Closing all 20 clones
+    # in full made 211; proving the edges with early-exit closures makes 81
     calls = 0
 
     def counting(*args):
@@ -68,12 +70,12 @@ def test_catalog_validation_composes_one_round_per_call(monkeypatch):
         return substitute(*args)
 
     monkeypatch.setattr(boolfun, "substitute", counting)
-    _closure3.cache_clear()
+    _missing.cache_clear()
     try:
         assert validate_catalog().ok
     finally:
-        _closure3.cache_clear()
-    assert 0 < calls <= 1000
+        _missing.cache_clear()
+    assert 0 < calls <= 90
 
 
 # sha256 of "arity:table-in-hex" of each function of closure_up_to(basis, 3),
@@ -390,7 +392,7 @@ def test_order_data_transitively_closed():
 @pytest.fixture
 def clear_catalog_caches():
     caches = (
-        clone_lattice._closure3,
+        clone_lattice._missing,
         clone_lattice.ensure_catalog_valid,
         clone_lattice._pol_bits,
         clone_lattice._pol_mask,
@@ -458,9 +460,12 @@ def test_ensure_catalog_valid_raises_on_a_basis_mutant(monkeypatch, clear_catalo
     _break_e2(monkeypatch)
     report = validate_catalog()
     assert [f"{c.sub}<={c.sup}" for c in report.failures()] == ["E2<=S10", "E2<=S12"]
+    assert [c.missing for c in report.failures()] == [(OR2,), (OR2,)]
+    message = "clone catalog failed validation: E2<=S10, E2<=S12 (S10 lacks BoolFun(2, or); S12 lacks BoolFun(2, or))"
     for _ in range(2):  # the cache keeps no exception
-        with pytest.raises(CatalogError, match="^clone catalog failed validation: E2<=S10, E2<=S12$"):
+        with pytest.raises(CatalogError) as excinfo:
             clone_lattice.ensure_catalog_valid()
+        assert str(excinfo.value) == message
 
 
 def test_classify_on_a_broken_catalog_exits_1(monkeypatch, capsys, clear_catalog_caches):
@@ -468,4 +473,54 @@ def test_classify_on_a_broken_catalog_exits_1(monkeypatch, capsys, clear_catalog
     assert main(["classify", str(Path(__file__).parent / "data" / "horn3.rels")]) == 1
     captured = capsys.readouterr()
     assert captured.out == ""
-    assert captured.err == "catalog error: clone catalog failed validation: E2<=S10, E2<=S12\n"
+    assert captured.err == (
+        "catalog error: clone catalog failed validation: E2<=S10, E2<=S12"
+        " (S10 lacks BoolFun(2, or); S12 lacks BoolFun(2, or))\n"
+    )
+
+
+def test_validation_fails_the_pairs_that_full_closures_fail(monkeypatch, clear_catalog_caches):
+    """Every single-basis mutant (one clone's basis replaced by another of the
+    16 catalog basis functions): validation fails exactly the pairs whose
+    full arity-3 closures are not nested, and names the basis functions of
+    sub that sup's closure lacks."""
+    closures = {}
+
+    def closure(basis):
+        if basis not in closures:
+            closures[basis] = set(closure_up_to(basis, 3))
+        return closures[basis]
+
+    original = dict(CATALOG)
+    pairs = [(sub, sup) for sup, desc in sorted(original.items()) for sub in sorted(desc.known_subclones)]
+    functions = sorted({f for desc in original.values() for f in desc.basis})
+    mutants = rejected = 0
+    for name, desc in original.items():
+        for f in functions:
+            if desc.basis == (f,):
+                continue
+            mutants += 1
+            monkeypatch.setitem(CATALOG, name, CloneDescriptor(name, (f,), desc.known_subclones))
+            _missing.cache_clear()
+            bases = {label: d.basis for label, d in CATALOG.items()}
+            want = [
+                (sub, sup, tuple(g for g in bases[sub] if g not in closure(bases[sup])))
+                for sub, sup in pairs
+                if not closure(bases[sub]) <= closure(bases[sup])
+            ]
+            got = [(c.sub, c.sup, c.missing) for c in validate_catalog().failures()]
+            assert got == want, (name, f)
+            rejected += bool(got)
+        monkeypatch.setitem(CATALOG, name, desc)
+    assert (mutants, rejected, len(closures)) == (305, 293, 21)
+
+
+def test_a_planted_s00_mutant_fails_at_set_up(monkeypatch, clear_catalog_caches):
+    # S00 with S10's basis function x&(y|z) no longer holds V2, nor lies in S02
+    monkeypatch.setitem(CATALOG, "S00", CloneDescriptor("S00", (S10_FN,), CATALOG["S00"].known_subclones))
+    with pytest.raises(CatalogError) as excinfo:
+        classify(RelationSet((EQ2,)))
+    assert str(excinfo.value) == (
+        "clone catalog failed validation: V2<=S00, S00<=S02"
+        " (S00 lacks BoolFun(2, or); S02 lacks BoolFun(3, x&(y|z)))"
+    )
