@@ -36,9 +36,7 @@ class BoolFun(Frozen):
             raise ValueError("arity must be >= 0")
         if table < 0 or table >> (1 << arity):
             raise ValueError("table has bits beyond 2**arity")
-        object.__setattr__(self, "arity", arity)
-        object.__setattr__(self, "table", table)
-        object.__setattr__(self, "name", name)
+        Frozen.__init__(self, arity, table, name)
 
     def __eq__(self, other: object) -> bool:
         return isinstance(other, BoolFun) and (self.arity, self.table) == (other.arity, other.table)
@@ -97,9 +95,7 @@ class Relation(Frozen):
             raise ValueError("relation arity must be >= 1")
         if mask < 0 or mask >> (1 << arity):
             raise ValueError("tuple mask has bits beyond 2**arity")
-        object.__setattr__(self, "arity", arity)
-        object.__setattr__(self, "mask", mask)
-        object.__setattr__(self, "name", name)
+        Frozen.__init__(self, arity, mask, name)
         # Cached: relations key many lru caches.  Integers only, so the hash is
         # the same in every process and survives pickling.
         object.__setattr__(self, "_hash", hash((arity, mask)))
@@ -112,10 +108,6 @@ class Relation(Frozen):
 
     def __lt__(self, other: Relation) -> bool:
         return (self.arity, self.mask) < (other.arity, other.mask)
-
-    def __reduce__(self):
-        # the default unpickler would set the slots through __setattr__
-        return Relation, (self.arity, self.mask, self.name)
 
     @classmethod
     def from_tuples(cls, arity: int, tuples: Iterable[Sequence[int]], name: str = "") -> "Relation":
@@ -167,8 +159,7 @@ class RelationSet(Frozen):
 
     def __init__(self, relations, name=""):
         relations = tuple(relations)
-        object.__setattr__(self, "relations", relations)
-        object.__setattr__(self, "name", name)
+        Frozen.__init__(self, relations, name)
         # Cached like Relation's; the name is left out of the hash (equal sets
         # have equal relations), so it stays the same in every process.
         object.__setattr__(self, "_hash", hash(relations))
@@ -178,9 +169,6 @@ class RelationSet(Frozen):
 
     def __hash__(self) -> int:
         return self._hash
-
-    def __reduce__(self):
-        return RelationSet, (self.relations, self.name)
 
     def __iter__(self) -> Iterator[Relation]:
         return iter(self.relations)

@@ -62,15 +62,7 @@ class Circuit(Frozen):
         for pos, o in enumerate(outputs):
             if not 0 <= o < len(gates):
                 raise ValueError(f"output {pos}: gate index {o} out of range")
-        object.__setattr__(self, "n", n)
-        object.__setattr__(self, "gates", gates)
-        object.__setattr__(self, "outputs", outputs)
-        object.__setattr__(self, "fanin_mode", fanin_mode)
-
-    def __eq__(self, other: object) -> bool:
-        return isinstance(other, Circuit) and (self.n, self.gates, self.outputs, self.fanin_mode) == (
-            other.n, other.gates, other.outputs, other.fanin_mode
-        )
+        Frozen.__init__(self, n, gates, outputs, fanin_mode)
 
     def to_json(self) -> dict:
         return {
@@ -99,16 +91,6 @@ class Measures(Frozen):
     size: int
     depth: int
     monotone: bool
-
-    def __init__(self, size, depth, monotone):
-        object.__setattr__(self, "size", size)
-        object.__setattr__(self, "depth", depth)
-        object.__setattr__(self, "monotone", monotone)
-
-    def __eq__(self, other: object) -> bool:
-        return isinstance(other, Measures) and (self.size, self.depth, self.monotone) == (
-            other.size, other.depth, other.monotone
-        )
 
 
 def measures(c: Circuit) -> Measures:
@@ -356,13 +338,6 @@ class Dnf(Frozen):
     __slots__ = ("nvars", "terms")
     nvars: int
     terms: tuple[tuple[int, int], ...]
-
-    def __init__(self, nvars, terms):
-        object.__setattr__(self, "nvars", nvars)
-        object.__setattr__(self, "terms", terms)
-
-    def __eq__(self, other: object) -> bool:
-        return isinstance(other, Dnf) and (self.nvars, self.terms) == (other.nvars, other.terms)
 
     @classmethod
     def make(cls, nvars: int, terms: Iterable[tuple[int, int]]) -> "Dnf":

@@ -60,16 +60,6 @@ class CloneDescriptor(Frozen):
     basis: tuple[BoolFun, ...]
     known_subclones: frozenset[str]
 
-    def __init__(self, name, basis, known_subclones=frozenset()):
-        object.__setattr__(self, "name", name)
-        object.__setattr__(self, "basis", basis)
-        object.__setattr__(self, "known_subclones", known_subclones)
-
-    def __eq__(self, other: object) -> bool:
-        return isinstance(other, CloneDescriptor) and (self.name, self.basis, self.known_subclones) == (
-            other.name, other.basis, other.known_subclones
-        )
-
 
 _BASES: dict[str, tuple[BoolFun, ...]] = {
     "I2": (),
@@ -181,19 +171,10 @@ class InclusionCheck(Frozen):
     ok: bool
     missing: tuple[BoolFun, ...]
 
-    def __init__(self, sub, sup, ok, missing=()):
-        object.__setattr__(self, "sub", sub)
-        object.__setattr__(self, "sup", sup)
-        object.__setattr__(self, "ok", ok)
-        object.__setattr__(self, "missing", missing)
-
 
 class CatalogReport(Frozen):
     __slots__ = ("checks",)
     checks: tuple[InclusionCheck, ...]
-
-    def __init__(self, checks):
-        object.__setattr__(self, "checks", checks)
 
     @property
     def ok(self) -> bool:
@@ -317,14 +298,6 @@ class Verdict(Frozen):
     equality_query: dict | None
     witnesses: dict | None
 
-    def __init__(self, relation_set, pol, hardness_notes=(), equality=None, equality_query=None, witnesses=None):
-        object.__setattr__(self, "relation_set", relation_set)
-        object.__setattr__(self, "pol", pol)
-        object.__setattr__(self, "hardness_notes", hardness_notes)
-        object.__setattr__(self, "equality", equality)
-        object.__setattr__(self, "equality_query", equality_query)
-        object.__setattr__(self, "witnesses", witnesses)
-
     @property
     def preserved(self) -> tuple[str, ...]:
         return tuple(sorted(name for name, bit in CLONE_BITS.items() if self.pol & bit))
@@ -388,17 +361,13 @@ def classify(sset: RelationSet, with_witnesses: bool = False) -> Verdict:
         for label in sorted(CATALOG):
             contained, entries = clone_contained_in_pol(label, working)
             witnesses[label] = {"contained": contained, "checks": entries}
-    return Verdict(sset, pol, witnesses=witnesses)
+    return Verdict(sset, pol, (), None, None, witnesses)
 
 
 class EqualitySearch(Frozen):
     __slots__ = ("result", "query")
     result: str  # YES | NO_WITHIN_BOUNDS | UNKNOWN
     query: object | None  # reductions.CQDefinition on YES
-
-    def __init__(self, result, query=None):
-        object.__setattr__(self, "result", result)
-        object.__setattr__(self, "query", query)
 
 
 def can_express_equality(sset: RelationSet) -> EqualitySearch:
@@ -413,9 +382,9 @@ def can_express_equality(sset: RelationSet) -> EqualitySearch:
     try:
         query = find_cq(EQ2, sset)
     except CQSearchOverflow:
-        return EqualitySearch("UNKNOWN")
+        return EqualitySearch("UNKNOWN", None)
     if query is None:
-        return EqualitySearch("NO_WITHIN_BOUNDS")
+        return EqualitySearch("NO_WITHIN_BOUNDS", None)
     return EqualitySearch("YES", query)
 
 

@@ -30,29 +30,15 @@ class Budgets(Frozen):
     cq_max_atoms: int          # atoms per conjunctive query
     cq_states: int             # CQ intersections tried, a pass over every atom per state, before UNKNOWN
 
-    def __init__(
-        self,
-        a_max=4,
-        preserves_combos=1 << 22,
-        closure_steps=1 << 24,
-        brute_force_vars=22,
-        oracle_edges=24,
-        flat_threshold_terms=1 << 18,
-        cq_aux_vars=2,
-        cq_max_atoms=4,
-        cq_states=200_000,
-    ):
-        values = (a_max, preserves_combos, closure_steps, brute_force_vars, oracle_edges,
-                  flat_threshold_terms, cq_aux_vars, cq_max_atoms, cq_states)
-        for name, value in zip(self.__slots__, values, strict=True):
-            object.__setattr__(self, name, value)
+    # the defaults, in field order
+    _defaults = (4, 1 << 22, 1 << 24, 22, 24, 1 << 18, 2, 4, 200_000)
 
 
 def _from_env(base: Budgets) -> Budgets:
     raw = os.environ.get("POSTLAB_BUDGET", "").strip()
     if not raw:
         return base
-    known = Budgets.__slots__
+    known = Budgets._fields
     overrides = {}
     for part in raw.split(","):
         part = part.strip()
@@ -68,7 +54,7 @@ def _from_env(base: Budgets) -> Budgets:
             raise BudgetConfigError(
                 f"POSTLAB_BUDGET: field {key!r} needs an integer, got {value.strip()!r}"
             ) from None
-    return Budgets(**{name: overrides.get(name, getattr(base, name)) for name in known})
+    return Budgets(*(overrides.get(name, getattr(base, name)) for name in known))
 
 
 _env_default: tuple[str, Budgets] | None = None  # (POSTLAB_BUDGET, parsed)

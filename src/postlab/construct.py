@@ -60,18 +60,13 @@ class LayeredBP(Frozen):
     accept: int
 
     def __init__(self, n, widths, edges, start=0, accept=0):
-        object.__setattr__(self, "n", n)
-        object.__setattr__(self, "widths", widths)
-        object.__setattr__(self, "edges", edges)
-        object.__setattr__(self, "start", start)
-        object.__setattr__(self, "accept", accept)
-        if len(self.widths) < 2:
+        if len(widths) < 2:
             raise ValueError("need at least two layers")
-        if len(self.edges) != len(self.widths) - 1:
+        if len(edges) != len(widths) - 1:
             raise ValueError("edge layer count mismatch")
-        for t, layer in enumerate(self.edges):
+        for t, layer in enumerate(edges):
             for u, v, guard in layer:
-                if not (0 <= u < self.widths[t] and 0 <= v < self.widths[t + 1]):
+                if not (0 <= u < widths[t] and 0 <= v < widths[t + 1]):
                     raise ValueError(f"edge out of range in layer {t}")
                 if guard[0] == CONST_GUARD:
                     if len(guard) != 2 or guard[1] not in (0, 1):
@@ -81,19 +76,15 @@ class LayeredBP(Frozen):
                         raise ValueError(
                             f'literal guard {list(guard)} is not ["lit", var, true|false]'
                         )
-                    if not 0 <= guard[1] < self.n:
+                    if not 0 <= guard[1] < n:
                         raise ValueError("guard variable out of range")
                 else:
                     raise ValueError(f"unknown guard {guard[0]!r}")
-        if not 0 <= self.start < self.widths[0]:
+        if not 0 <= start < widths[0]:
             raise ValueError("start out of range")
-        if not 0 <= self.accept < self.widths[-1]:
+        if not 0 <= accept < widths[-1]:
             raise ValueError("accept out of range")
-
-    def __eq__(self, other: object) -> bool:
-        return isinstance(other, LayeredBP) and (self.n, self.widths, self.edges, self.start, self.accept) == (
-            other.n, other.widths, other.edges, other.start, other.accept
-        )
+        Frozen.__init__(self, n, widths, edges, start, accept)
 
     @property
     def length(self) -> int:
@@ -389,9 +380,7 @@ class GraphPropertyCircuit(Frozen):
         expect = vertices * (vertices - 1) // 2
         if circuit.n != expect:
             raise ValueError(f"circuit must take {expect} edge inputs")
-        object.__setattr__(self, "vertices", vertices)
-        object.__setattr__(self, "circuit", circuit)
-        object.__setattr__(self, "name", name)
+        Frozen.__init__(self, vertices, circuit, name)
 
 
 def padded_graph_property(

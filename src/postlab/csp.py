@@ -88,16 +88,10 @@ class CspInstance(Frozen):
         knows them: taken as given (not checked), so a sparse mask is never
         walked.  An instance made from this one's fields, as
         `with_constraint` makes one, has no known set bits."""
-        # The fields go straight into the instance dict, which the
-        # cached_properties need anyway: the dichotomy sweep builds one
-        # instance per draw.
-        state = self.__dict__
+        state = self.__dict__  # written directly: the dichotomy sweep makes one instance per draw
         state["sset"], state["n"], state["bits"] = sset, n, bits
         if known_set_bits is not None:
             state["_set_bit_tuple"] = known_set_bits
-
-    def __eq__(self, other: object) -> bool:
-        return isinstance(other, CspInstance) and (self.sset, self.n, self.bits) == (other.sset, other.n, other.bits)
 
     @cached_property
     def _set_bit_tuple(self) -> tuple[int, ...]:
@@ -309,13 +303,6 @@ class XorSystem(Frozen):
     __slots__ = ("nvars", "rows")
     nvars: int
     rows: tuple[tuple[int, int], ...]
-
-    def __init__(self, nvars, rows):
-        object.__setattr__(self, "nvars", nvars)
-        object.__setattr__(self, "rows", rows)
-
-    def __eq__(self, other: object) -> bool:
-        return isinstance(other, XorSystem) and (self.nvars, self.rows) == (other.nvars, other.rows)
 
 
 def gf2_reduce(pivots: dict[int, tuple[int, int]], rows) -> bool:

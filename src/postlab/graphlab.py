@@ -34,9 +34,6 @@ class Graph(Frozen):
         state = self.__dict__  # the edges cached_property needs the dict anyway
         state["v"], state["mask"] = v, mask
 
-    def __eq__(self, other: object) -> bool:
-        return isinstance(other, Graph) and (self.v, self.mask) == (other.v, other.mask)
-
     @cached_property
     def edges(self) -> frozenset[tuple[int, int]]:
         return frozenset(_edge_pairs(self))
@@ -138,8 +135,7 @@ class BipGraph(Frozen):
             raise ValueError(f"bipartite graph needs n >= 1, got n={n}")
         if mask < 0 or mask >> (n * n):
             raise ValueError(f"biadjacency mask must lie in [0, 2^{n * n})")
-        object.__setattr__(self, "n", n)
-        object.__setattr__(self, "mask", mask)
+        Frozen.__init__(self, n, mask)
 
     def to_graph(self) -> Graph:
         """Cell i*n + j is the edge (i, n + j), so row i of the matrix lands

@@ -37,13 +37,7 @@ class BitReduction(Frozen):
         for i, mask in enumerate(targets):
             if mask & ones:
                 raise ValueError(f"input bit {i} targets a constant-1 output bit")
-        state = self.__dict__  # is_projection_only, a cached_property, needs the dict
-        state["out_len"], state["ones"], state["targets"] = out_len, ones, targets
-
-    def __eq__(self, other: object) -> bool:
-        return isinstance(other, BitReduction) and (self.out_len, self.ones, self.targets) == (
-            other.out_len, other.ones, other.targets
-        )
+        Frozen.__init__(self, out_len, ones, targets)
 
     @property
     def in_len(self) -> int:
@@ -146,18 +140,6 @@ class CQDefinition(Frozen):
     over: RelationSet
     aux_count: int
     atoms: tuple[tuple[int, tuple[int, ...]], ...]
-
-    def __init__(self, target, over, aux_count, atoms):
-        state = self.__dict__  # _semantics_ok, a cached_property, needs the dict
-        state["target"], state["over"], state["aux_count"], state["atoms"] = target, over, aux_count, atoms
-
-    def __eq__(self, other: object) -> bool:
-        return isinstance(other, CQDefinition) and (self.target, self.over, self.aux_count, self.atoms) == (
-            other.target, other.over, other.aux_count, other.atoms
-        )
-
-    def __hash__(self) -> int:
-        return hash((self.target, self.over, self.aux_count, self.atoms))
 
     def defined_relation(self) -> Relation:
         k = self.target.arity
@@ -306,10 +288,6 @@ class PolReduction(Frozen):
     instance: CspInstance
     or_stage: BitReduction
 
-    def __init__(self, instance, or_stage):
-        object.__setattr__(self, "instance", instance)
-        object.__setattr__(self, "or_stage", or_stage)
-
 
 def pol_reduce(inst: CspInstance, target_set: RelationSet) -> PolReduction | None:
     """Reduce an instance to one over target_set via conjunctive queries over
@@ -403,15 +381,6 @@ class BipOddFactorReduction(Frozen):
     # zeroing applications of the row's missing cells, their bits ascending)
     row_tables: tuple[tuple[tuple[int, tuple[int, ...]], ...], ...]
     verdict_words: tuple[int, ...]
-
-    def __init__(self, instance, beta, n, always_bits, always_positions, row_tables, verdict_words):
-        object.__setattr__(self, "instance", instance)
-        object.__setattr__(self, "beta", beta)
-        object.__setattr__(self, "n", n)
-        object.__setattr__(self, "always_bits", always_bits)
-        object.__setattr__(self, "always_positions", always_positions)
-        object.__setattr__(self, "row_tables", row_tables)
-        object.__setattr__(self, "verdict_words", verdict_words)
 
     def alpha_bits(self, graph_mask: int) -> int:
         n, full, missing = self.n, (1 << self.n) - 1, 0
