@@ -57,7 +57,7 @@ class Circuit(Frozen):
                     raise ValueError(f"gate {idx}: fan-in above 2 in bounded mode")
             else:
                 raise ValueError(f"gate {idx}: unknown kind {kind!r}")
-            if kind in _LOGIC and any(not 0 <= a < idx for a in args):
+            if kind in _LOGIC and (min(args) < 0 or max(args) >= idx):
                 raise ValueError(f"gate {idx}: operand fails topological order")
         for pos, o in enumerate(outputs):
             if not 0 <= o < len(gates):
@@ -100,7 +100,7 @@ def measures(c: Circuit) -> Measures:
     for idx, (kind, args) in enumerate(c.gates):
         if kind in _LOGIC:
             size += 1
-            base = max((depth[a] for a in args), default=0)
+            base = max(map(depth.__getitem__, args), default=0)
             depth[idx] = base if kind == NOT else base + 1
             if kind in (NOT, XOR):
                 monotone = False
@@ -279,7 +279,7 @@ class Builder:
         return self._emit(NOT, (a,))
 
     def _assoc(self, kind: str, args: Sequence[int], empty: int) -> int:
-        args = list(args)
+        args = tuple(args)
         if not args:
             return self.const(empty)
         if self.fanin_mode == BOUNDED2:
@@ -291,7 +291,7 @@ class Builder:
                     nxt.append(args[-1])
                 args = nxt
             return args[0]
-        return self._emit(kind, tuple(args))
+        return self._emit(kind, args)
 
     def and_(self, args: Sequence[int]) -> int:
         return self._assoc(AND, args, 1)

@@ -239,17 +239,17 @@ def verify_thresholds() -> SuiteReport:
     def weights():
         bad = []
         for n in range(1, 9):
+            weight = [bin(x).count("1") for x in range(1 << n)]
             for k in range(0, n + 2):
+                word = sum(1 << x for x, w in enumerate(weight) if w >= k)
                 for mode in (BOUNDED2, UNBOUNDED):
                     c = construct.threshold_circuit(k, n, mode)
                     if not measures(c).monotone:
                         bad.append(f"k={k} n={n} {mode}: not monotone")
                         continue
-                    table = truth_tables(c)[0]
-                    for x in range(1 << n):
-                        if ((table >> x) & 1) != (bin(x).count("1") >= k):
-                            bad.append(f"k={k} n={n} {mode} x={x:#x}")
-                            break
+                    diff = truth_tables(c)[0] ^ word  # its lowest bit is the first bad x
+                    if diff:
+                        bad.append(f"k={k} n={n} {mode} x={(diff & -diff).bit_length() - 1:#x}")
         return not bad, "; ".join(bad[:3])
 
     _timed(report, "weight-oracle", weights)
@@ -303,24 +303,29 @@ def verify_padding(seed: int = 0) -> SuiteReport:
 
             def isomorphism():
                 circuit = padding(big_n)[0].circuit
-                for _ in range(50):
-                    gmask = rng.getrandbits(circuit.n)
-                    g = graphlab.Graph.from_edge_mask(big_n, gmask)
-                    state = rng.getstate()
-                    masks = [gmask]
-                    for _ in range(50):
-                        perm = list(range(big_n))
-                        rng.shuffle(perm)
-                        masks.append(g.permuted(perm).mask)
-                    want, *got = evaluate_many(circuit, masks)
-                    first_bad = next((p for p, v in enumerate(got) if v != want), None)
-                    if first_bad is not None:
-                        # redraw up to the first bad permutation, so that the later
-                        # checks see the rng stream of a check that stopped there
-                        rng.setstate(state)
-                        for _ in range(first_bad + 1):
-                            rng.shuffle(list(range(big_n)))
-                        return False, f"mask={gmask:#x}"
+                start = rng.getstate()
+                # 50 graphs, each with 50 permuted images, ten graphs (510 lanes) per pass
+                for done in range(0, 2550, 510):
+                    masks = []
+                    for _ in range(10):
+                        masks.append(rng.getrandbits(circuit.n))
+                        g = graphlab.Graph.from_edge_mask(big_n, masks[-1])
+                        for _ in range(50):
+                            perm = list(range(big_n))
+                            rng.shuffle(perm)
+                            masks.append(g.permuted(perm).mask)
+                    got = evaluate_many(circuit, masks)
+                    bad = next((p for p, v in enumerate(got) if v != got[p - p % 51]), None)
+                    if bad is not None:
+                        # replay the draws up to the first bad permutation, so that
+                        # the later checks see the rng stream of a check that stopped there
+                        rng.setstate(start)
+                        for lane in range(done + bad + 1):
+                            if lane % 51:
+                                rng.shuffle(list(range(big_n)))
+                            else:
+                                rng.getrandbits(circuit.n)
+                        return False, f"mask={masks[bad - bad % 51]:#x}"
                 return True, ""
 
             _timed(report, f"{name}-N{big_n}-embedding", embeds)

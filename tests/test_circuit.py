@@ -25,6 +25,7 @@ from postlab.circuit import (
     substitute,
     truth_tables,
 )
+from postlab.construct import PARITY, REACH, checkpoint_circuit, random_layered_bp
 from postlab.errors import MonotonePreconditionError
 
 MAJ_TABLE = 0b11101000
@@ -167,6 +168,43 @@ def test_circuit_validation():
         Circuit(1, (("and", (0,)),), (0,))  # operand not before gate
     with pytest.raises(ValueError):
         Circuit(1, (("input", (0,)), ("and", (0, 0, 0))), (1,), BOUNDED2)
+
+
+@pytest.mark.parametrize("kind", ["and", "or", "xor", "not"])
+@pytest.mark.parametrize("operand", [-1, 1, 2])
+def test_an_operand_out_of_topological_order_is_rejected(kind, operand):
+    # gate 1 may read gate 0 only: -1 is negative, 1 is the gate itself, 2 is later
+    args = (operand,) if kind == "not" else (0, operand, 0)
+    gates = (("input", (0,)), (kind, args), ("input", (0,)))
+    with pytest.raises(ValueError, match="gate 1: operand fails topological order"):
+        Circuit(1, gates, (1,))
+
+
+def _depth_ref(c):
+    """Depth by memoized recursion from the outputs, NOT gates free."""
+    memo = {}
+
+    def rec(idx):
+        if idx not in memo:
+            kind, args = c.gates[idx]
+            if kind in ("input", "const0", "const1"):
+                memo[idx] = 0
+            else:
+                below = max(rec(a) for a in args)
+                memo[idx] = below if kind == "not" else below + 1
+        return memo[idx]
+
+    return max((rec(o) for o in c.outputs), default=0)
+
+
+def test_measures_depth_is_the_recursive_depth():
+    rng = random.Random(11)
+    circuits = [random_circuit(rng, rng.randrange(1, 8)) for _ in range(300)]
+    for _ in range(40):
+        bp = random_layered_bp(rng, rng.randrange(1, 9))
+        circuits += [checkpoint_circuit(bp, d, mode) for d in (1, 2, 3) for mode in (PARITY, REACH)]
+    for c in circuits:
+        assert measures(c).depth == _depth_ref(c)
 
 
 def test_circuit_json_roundtrip():

@@ -13,7 +13,7 @@ import textwrap
 import pytest
 
 from postlab import boolfun, circuit, cli, clone_lattice, construct, csp, graphlab, reductions, verify
-from postlab.circuit import AND, INPUT, OR, Circuit, evaluate_ref
+from postlab.circuit import AND, INPUT, OR, Circuit, evaluate_ref, truth_tables
 from postlab.csp import CspInstance, twosat_set, violation_masks
 from postlab.errors import BudgetExceededError
 from postlab.graphlab import Graph
@@ -99,6 +99,90 @@ def test_padding_witness_matches_the_per_permutation_loop(monkeypatch):
     got = [c.detail for c in report.checks if c.name.endswith("-isomorphism")]
     assert got == expected
     assert len(set(expected)) > 1 and all(expected)
+
+
+def _flipped_at(c: Circuit, mask: int) -> Circuit:
+    """c with its output XORed with the AND of the literals true on mask alone."""
+    b = circuit.Builder(c.n)
+    out = b.emit_circuit(c, [b.input(i) for i in range(c.n)])[0]
+    lits = [b.input(i) if (mask >> i) & 1 else b.not_(b.input(i)) for i in range(c.n)]
+    return b.build([b.xor_([out, b.and_(lits)])])
+
+
+def _isomorphism_loop(rng, big_n, c):
+    """The per-permutation loop of one isomorphism check: its detail and the
+    index of the graph it stopped at, leaving rng where that check stops."""
+    for graph in range(50):
+        gmask = rng.getrandbits(c.n)
+        g = Graph.from_edge_mask(big_n, gmask)
+        want = evaluate_ref(c, gmask)
+        for _ in range(50):
+            perm = list(range(big_n))
+            rng.shuffle(perm)
+            if evaluate_ref(c, g.permuted(perm).mask) != want:
+                return f"mask={gmask:#x}", graph
+    return "", None
+
+
+def _images(rng, big_n, nbits, graphs):
+    """The masks that `graphs` graphs and their 50 permutations each draw from rng."""
+    drawn = []
+    for _ in range(graphs):
+        g = Graph.from_edge_mask(big_n, rng.getrandbits(nbits))
+        drawn.append([g.mask])
+        for _ in range(50):
+            perm = list(range(big_n))
+            rng.shuffle(perm)
+            drawn[-1].append(g.permuted(perm).mask)
+    return drawn
+
+
+def test_a_fault_past_the_first_pass_keeps_the_per_permutation_witnesses(monkeypatch):
+    seed = 4
+    edge = construct.padded_graph_property(verify._edge_property(), 6)[0].circuit
+    # the N6 check flips its output on permutation 5 of graph 12, past the first
+    # 510-lane pass; the N7 check on permutation 7 of the first graph of the stream
+    # that the per-permutation loop leaves behind, so a check that leaves the rng
+    # anywhere else draws another first graph and misses it
+    flips = {6: _images(random.Random(seed), 6, edge.n, 13)[12][5]}
+    rng = random.Random(seed)
+    _isomorphism_loop(rng, 6, _flipped_at(edge, flips[6]))
+    flips[7] = _images(rng, 7, 7 * 6 // 2, 1)[0][7]
+    real = construct.padded_graph_property
+    built = []
+
+    def broken(prop, big_n):
+        padded, embedding = real(prop, big_n)
+        if prop.name != "edge-existence":
+            return padded, embedding
+        built.append((big_n, _flipped_at(padded.circuit, flips[big_n])))
+        return construct.GraphPropertyCircuit(big_n, built[-1][1], padded.name), embedding
+
+    monkeypatch.setattr(construct, "padded_graph_property", broken)
+    report = verify.verify_padding(seed)
+
+    rng = random.Random(seed)
+    expected = [_isomorphism_loop(rng, big_n, c) for big_n, c in built]
+    checks = ("edge-existence-N6-isomorphism", "edge-existence-N7-isomorphism")
+    got = [c.detail for c in report.checks if c.name in checks]
+    assert got == [detail for detail, _ in expected]
+    assert expected[0][1] >= 10 and expected[1][1] == 0
+
+
+def test_threshold_witness_matches_the_per_input_loop(monkeypatch):
+    real = construct.threshold_circuit
+
+    def shifted(k, n, mode):
+        return real(k + 1 if (k, n) == (3, 6) else k, n, mode)
+
+    monkeypatch.setattr(construct, "threshold_circuit", shifted)
+    table = truth_tables(shifted(3, 6, circuit.BOUNDED2))[0]
+    x = next(x for x in range(1 << 6) if (table >> x) & 1 != (bin(x).count("1") >= 3))
+    # the lowest of the 20 inputs of weight 3, not the first difference from the top
+    assert x == 0b111
+    assert _failed(verify.verify_thresholds()) == [
+        ("weight-oracle", f"k=3 n=6 bounded2 x={x:#x}; k=3 n=6 unbounded x={x:#x}")
+    ]
 
 
 def _accepts(bp, x, mode):
@@ -261,9 +345,10 @@ def test_the_constructions_suite_evaluates_every_input_in_one_batch(monkeypatch)
     verify.suite_constructions(seed=0, quick=True)
     # the extraction check's 704 + 960 inputs at k = 2, 3, the four embedding
     # checks' 2^3, 2^3, 2^6, 2^6, then the three emitters past 18 inputs at
-    # 200 masks; each of the 200 isomorphism trials is a graph and 50 permutations
-    assert [n for n in lanes if n != 51] == [704, 960, 8, 8, 64, 64, 200, 200, 200]
-    assert lanes.count(51) == 200
+    # 200 masks; each of the four isomorphism checks makes 5 passes of ten
+    # graphs and their 50 permutations each
+    assert [n for n in lanes if n != 510] == [704, 960, 8, 8, 64, 64, 200, 200, 200]
+    assert lanes.count(510) == 20
 
 
 def _failed(report):
