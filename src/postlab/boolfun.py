@@ -164,9 +164,6 @@ class RelationSet(Frozen):
         # have equal relations), so it stays the same in every process.
         object.__setattr__(self, "_hash", hash(relations))
 
-    def __eq__(self, other: object) -> bool:
-        return isinstance(other, RelationSet) and (self.relations, self.name) == (other.relations, other.name)
-
     def __hash__(self) -> int:
         return self._hash
 

@@ -504,8 +504,9 @@ def build_decision_tree(nvars: int, table: int) -> Dnf:
     disjoint, so every input satisfies at most one term.
     """
     terms: list[tuple[int, int]] = []
-
-    def rec(var: int, tbl: int, pos: int, neg: int) -> None:
+    stack = [(0, table, 0, 0)]  # (var, tbl, pos, neg); Dnf.make sorts the terms
+    while stack:
+        var, tbl, pos, neg = stack.pop()
         # tbl is a function of variables var..nvars-1, variable var lowest
         k = nvars - var
         if tbl == (1 << (1 << k)) - 1:
@@ -514,10 +515,8 @@ def build_decision_tree(nvars: int, table: int) -> Dnf:
             lo_t = _cofactor(k, tbl, 0)
             hi_t = _cofactor(k, tbl, 1)
             if lo_t == hi_t:
-                rec(var + 1, lo_t, pos, neg)
+                stack.append((var + 1, lo_t, pos, neg))
             else:
-                rec(var + 1, lo_t, pos, neg | 1 << var)
-                rec(var + 1, hi_t, pos | 1 << var, neg)
-
-    rec(0, table, 0, 0)
+                stack.append((var + 1, lo_t, pos, neg | 1 << var))
+                stack.append((var + 1, hi_t, pos | 1 << var, neg))
     return Dnf.make(nvars, terms)

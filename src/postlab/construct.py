@@ -38,7 +38,7 @@ REACH = "reach"
 CONST_GUARD = "const"
 LIT_GUARD = "lit"
 
-# checkpoint_circuit recurses once per level and hits Python's default
+# _checkpoint_gate recurses once per level and hits Python's default
 # recursion limit near d = 500; d stops well below that (depth 512)
 MAX_CHECKPOINT_D = 256
 
@@ -163,73 +163,59 @@ def checkpoint_circuit(bp: LayeredBP, d: int, mode: str = PARITY) -> Circuit:
         raise ValueError(f"d must be between 1 and {MAX_CHECKPOINT_D}, got {d}")
     b = Builder(bp.n, UNBOUNDED)
     combine = b.xor_ if mode == PARITY else b.or_
-
-    guards: dict[tuple, int] = {}  # one gate per distinct guard, not one per path occurrence
-
-    def guard_gate(guard: tuple) -> int:
-        got = guards.get(guard)
-        if got is None:
-            if guard[0] == CONST_GUARD:
-                got = b.const(guard[1])
-            else:
-                _, var, positive = guard
-                got = b.input(var) if positive else b.not_(b.input(var))
-            guards[guard] = got
-        return got
-
     adjacency: list[dict[int, list[tuple[int, tuple]]]] = []
     for layer in bp.edges:
         adj: dict[int, list[tuple[int, tuple]]] = {}
         for u, v, guard in layer:
             adj.setdefault(u, []).append((v, guard))
         adjacency.append(adj)
-
-    def enumerate_paths(t0: int, t1: int, s: int, t: int) -> list[list[tuple]]:
-        if t0 == t1:
-            return [[]] if s == t else []
-        out = []
-        for v, guard in adjacency[t0].get(s, ()):
-            for rest in enumerate_paths(t0 + 1, t1, v, t):
-                out.append([guard] + rest)
-        return out
-
-    memo: dict[tuple[int, int, int, int, int], int] = {}
-
-    def build(t0: int, t1: int, s: int, t: int, r: int) -> int:
-        key = (t0, t1, s, t, r)
-        got = memo.get(key)
-        if got is not None:
-            return got
-        length = t1 - t0
-        if r == 1:
-            paths = enumerate_paths(t0, t1, s, t)
-            gate = combine([b.and_([guard_gate(g) for g in p]) for p in paths])
-        else:
-            segments = max(1, math.ceil(length ** (1.0 / r)))
-            segments = min(segments, max(length, 1))
-            base, extra = divmod(length, segments)
-            boundaries = [t0]
-            for i in range(segments):
-                boundaries.append(boundaries[-1] + base + (1 if i < extra else 0))
-            inner = boundaries[1:-1]
-            choices = itertools.product(*(range(bp.widths[t_]) for t_ in inner))
-            terms = []
-            for choice in choices:
-                nodes = (s,) + choice + (t,)
-                terms.append(
-                    b.and_(
-                        [
-                            build(boundaries[i], boundaries[i + 1], nodes[i], nodes[i + 1], r - 1)
-                            for i in range(segments)
-                        ]
-                    )
-                )
-            gate = combine(terms)
-        memo[key] = gate
-        return gate
-
-    top = build(0, bp.length, bp.start, bp.accept, d)
+    top = _checkpoint_gate(b, combine, adjacency, bp.widths, {}, 0, bp.length, bp.start, bp.accept, d)
     return b.build([top])
+
+
+def _checkpoint_gate(
+    b: Builder, combine, adjacency: list[dict], widths: tuple[int, ...], memo: dict,
+    t0: int, t1: int, s: int, t: int, r: int,
+) -> int:
+    """The gate summing, over the paths from node s of layer t0 to node t of
+    layer t1, the AND of their guards, in r levels; memo is keyed by
+    (t0, t1, s, t, r).  At r = 1 it lists the paths by one walk over the
+    layers, in depth-first adjacency order, and the builder's memo makes one
+    gate per distinct guard, at its first use."""
+    key = (t0, t1, s, t, r)
+    got = memo.get(key)
+    if got is not None:
+        return got
+    if r == 1:
+        walks = [(s, ())]
+        for adj in adjacency[t0:t1]:
+            walks = [(v, guards + (guard,)) for u, guards in walks for v, guard in adj.get(u, ())]
+        terms = [
+            b.and_([
+                b.const(g[1]) if g[0] == CONST_GUARD else b.input(g[1]) if g[2] else b.not_(b.input(g[1]))
+                for g in guards
+            ])
+            for v, guards in walks
+            if v == t
+        ]
+    else:
+        length = t1 - t0
+        segments = max(1, math.ceil(length ** (1.0 / r)))
+        segments = min(segments, max(length, 1))
+        base, extra = divmod(length, segments)
+        boundaries = [t0]
+        for i in range(segments):
+            boundaries.append(boundaries[-1] + base + (1 if i < extra else 0))
+        terms = []
+        for choice in itertools.product(*(range(widths[t_]) for t_ in boundaries[1:-1])):
+            nodes = (s,) + choice + (t,)
+            terms.append(b.and_([
+                _checkpoint_gate(b, combine, adjacency, widths, memo, lo, hi, u, v, r - 1)
+                for lo, hi, u, v in zip(boundaries, boundaries[1:], nodes, nodes[1:])
+            ]))
+    gate = combine(terms)
+    memo[key] = gate
+    return gate
 
 
 _BP_MAX_LENGTH = 9

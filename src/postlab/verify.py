@@ -64,7 +64,7 @@ class SuiteReport:
 
     @property
     def ok(self) -> bool:
-        return all(c.passed for c in self.checks)
+        return bool(self.checks) and all(c.passed for c in self.checks)
 
     def lines(self) -> list[str]:
         out = []

@@ -261,6 +261,13 @@ def test_a_check_that_raises_fails_every_name_of_its_group():
     assert len(report.checks) == 3
 
 
+def test_a_report_without_checks_is_not_ok():
+    report = verify.SuiteReport("s")
+    assert not report.ok and report.lines() == []
+    verify._timed(report, "a", lambda: (True, ""))
+    assert report.ok
+
+
 def test_the_duality_sweep_meets_every_matrix(monkeypatch):
     calls = {"dual": 0, "parity": 0}
     dual, parity = reductions.BipOddFactorReduction.dual_of_xorsat, graphlab.bip_odd_factor
